@@ -41,6 +41,7 @@ SOLVERS = ("spdpeg", "eg-full", "slinadmm")
 HELD_OUT_SEED = 7919
 BLOCK_CALLS = 3      # consecutive timed calls per solver in one round
 MIN_ROUNDS = 5
+REFERENCE_CHECK_EVERY = 2000  # the library's default
 
 
 def _entry(name: str):
@@ -62,15 +63,16 @@ class Workload:
     eval_every: dict               # trace cadence, per solver
     gap_horizon: dict              # iterations of the gap-search call
     gap_seeds: int = 5             # sampling seeds averaged for the gap metrics
-    reference_max_iters: int = 1_000_000
-    reference_check_every: int = 2000
+    reference_max_iters: int | None = None         # None runs to convergence
     reference_repeats: int = 1
-    traced_reference_iters: int = 1_000_000
+    traced_reference_max_iters: int | None = None  # None: as reference_max_iters
     setup_repeats: int = 9
 
     @property
-    def reference_capped(self) -> bool:
-        return self.reference_max_iters < 1_000_000
+    def traced_reference_cap(self) -> int | None:
+        if self.traced_reference_max_iters is None:
+            return self.reference_max_iters
+        return self.traced_reference_max_iters
 
 
 def _large_n_core() -> dict:
@@ -99,15 +101,14 @@ WORKLOADS = {
         call_iters=_per_solver(300, 200, 300),
         eval_every=_per_solver(100, 100, 100),
         gap_horizon=_per_solver(4500, 4500, 4500), reference_repeats=2,
-        traced_reference_iters=4000),
+        traced_reference_max_iters=4000),
     "large-n-flr": Workload(
         name="large-n-flr", core=_large_n_core(), calibrator="memory",
         epsilon=0.0,
         call_iters=_per_solver(200, 1, 200),
         eval_every=_per_solver(100, 1, 100),
         gap_horizon=_per_solver(200, 20, 200), gap_seeds=3,
-        reference_max_iters=5, reference_check_every=5, reference_repeats=3,
-        traced_reference_iters=5, setup_repeats=3),
+        reference_max_iters=5, reference_repeats=3, setup_repeats=5),
     "sc-graph-b16": Workload(
         name="sc-graph-b16", core=bench.rate_core("sc", batch_size=16),
         calibrator="mixed", epsilon=1e-3,
@@ -148,12 +149,13 @@ SOLVER_LAYERS = {
     "slinadmm": _COMMON_SOLVER_LAYERS
     + (("baselines", "run_stoch_linadmm", ("self_share",)),),
 }
+# The split and the penalty builders run on some workloads only; they are
+# timed through the bench functions that call them on every workload.
 SETUP_LAYERS = (
-    ("bench", "build_all"), ("data", "synthesize"), ("data", "split"),
+    ("bench", "build_all"), ("bench", "build_data"), ("data", "synthesize"),
     ("model", "Dataset.__init__"), ("model", "estimate_lipschitz"),
-    ("penalties", "build_fused_matrix"), ("penalties", "build_graph_matrix"),
-    ("sparse", "power_iteration_sigma_max"), ("sparse", "SparseMatrix.matvec"),
-    ("sparse", "SparseMatrix.rmatvec"),
+    ("bench", "build_penalty"), ("sparse", "power_iteration_sigma_max"),
+    ("sparse", "SparseMatrix.matvec"), ("sparse", "SparseMatrix.rmatvec"),
 )
 REFERENCE_LAYERS = (
     ("bench", "reference_optimum"), ("bench", "objective_value"),
@@ -247,11 +249,13 @@ class Instance:
         return _entry(name)(self.problem, self.train,
                             self.config(name, seed, iters), self.test)
 
-    def reference(self, max_iters: int | None = None):
+    def reference(self, max_iters: int | None):
+        """The reference optimum, capped at ``max_iters`` unless it is None."""
+        if max_iters is None:
+            return bench.reference_optimum(self.problem, self.train, self.gamma)
         return bench.reference_optimum(
-            self.problem, self.train, self.gamma,
-            max_iters=self.wl.reference_max_iters if max_iters is None else max_iters,
-            check_every=self.wl.reference_check_every)
+            self.problem, self.train, self.gamma, max_iters=max_iters,
+            check_every=min(REFERENCE_CHECK_EVERY, max_iters))
 
 
 def check_result(ledger: Ledger, inst: Instance, name: str, result) -> None:
@@ -282,8 +286,7 @@ class Determinism:
 # bound and memory-bound code slow down differently, so each workload weighs
 # the two loops' slowdowns (as exponents) to match its work. README.md has the
 # measurements.
-CALIBRATORS = {"interpreter": (1.0, 0.0), "memory": (0.0, 1.0),
-               "mixed": (0.5, 0.5)}
+CALIBRATORS = {"memory": (0.0, 1.0), "mixed": (0.5, 0.5)}
 CALIBRATION_NOMINAL_S = (1.25e-3, 5.5e-3)
 CAL_WINDOW_S = 0.5
 _CAL_VECTOR = np.linspace(-1.0, 1.0, 20)
@@ -330,10 +333,10 @@ class Timer:
 
     def __init__(self, ledger: Ledger, calibrator: str):
         self.ledger = ledger
-        weights = CALIBRATORS[calibrator]
-        loops = (_interpreter_loop, _MemoryLoop() if weights[1] else None)
+        loops = (_interpreter_loop, _MemoryLoop())
         self.loops = [(loop, weight, nominal) for loop, weight, nominal
-                      in zip(loops, weights, CALIBRATION_NOMINAL_S) if weight]
+                      in zip(loops, CALIBRATORS[calibrator], CALIBRATION_NOMINAL_S)
+                      if weight]
         self.sample_times: list[float] = []
         self.slowdowns: list[float] = []
 
@@ -379,7 +382,7 @@ def build_instance(wl: Workload, timer: Timer) -> tuple[Instance, list[Timed]]:
 def check_reference(ledger: Ledger, inst: Instance, ref) -> None:
     ledger.check(math.isfinite(ref.objective) and ref.objective < inst.f_zero,
                  f"reference objective {ref.objective!r} is not below f(0)")
-    if not inst.wl.reference_capped:
+    if inst.wl.reference_max_iters is None:
         ledger.check(ref.converged, "reference optimum did not converge")
 
 
@@ -423,7 +426,8 @@ def run_untraced(wl: Workload, seed: int, seconds: float) -> tuple[dict, Ledger]
     inst, setup_times = build_instance(wl, timer)
 
     # the first reference call also fixes the gap target
-    ref_timed, ref = timer("reference_optimum", inst.reference)
+    ref_timed, ref = timer("reference_optimum", inst.reference,
+                           wl.reference_max_iters)
     if ref is None:
         raise RuntimeError("the reference optimum failed")
     ref_times = [ref_timed]
@@ -452,7 +456,8 @@ def run_untraced(wl: Workload, seed: int, seconds: float) -> tuple[dict, Ledger]
 
     def run_extra(kind, name, crossing):
         if kind == "reference":
-            t, again = timer("reference_optimum", inst.reference)
+            t, again = timer("reference_optimum", inst.reference,
+                             wl.reference_max_iters)
             if again is not None:
                 ledger.check(again.objective == ref.objective,
                              "reference objective differs between calls")
@@ -566,11 +571,11 @@ def run_traced(wl: Workload, seed: int, seconds: float,
     timer = Timer(ledger, wl.calibrator)
     determinism = Determinism(ledger)
     inst, _ = build_instance(wl, timer)
-    ref = ledger.call("reference_optimum", inst.reference)
+    ref = ledger.call("reference_optimum", inst.reference,
+                      wl.reference_max_iters)
     if ref is not None:
         check_reference(ledger, inst, ref)
     tracer = Tracer()
-    traced_ref_iters = min(wl.traced_reference_iters, wl.reference_max_iters)
     for name in SOLVERS:
         ledger.call(f"{name} warm-up", inst.solve, name, seed,
                     wl.call_iters[name])
@@ -587,7 +592,7 @@ def run_traced(wl: Workload, seed: int, seconds: float,
     # looked up inside the call, so that the wrapper is the one called
     traced_call("setup", "traced build_all", lambda: bench.build_all(wl.core))
     _, traced_ref = traced_call("reference", "traced reference_optimum",
-                                inst.reference, traced_ref_iters)
+                                inst.reference, wl.traced_reference_cap)
     untraced = {name: [] for name in SOLVERS}
     traced = {name: [] for name in SOLVERS}
     traced_calls = {name: 0 for name in SOLVERS}

@@ -7,7 +7,7 @@ A function is replaced at every name that is bound to it, so a call that goes
 through an alias made by ``from module import name`` is timed as well.
 
 Spans are (name, start, end, parent) tuples kept in memory; ``write`` puts
-them in a CSV file at the end of the run. A span's self time is its duration
+them in a gzip-compressed CSV file at the end of the run. A span's self time is its duration
 minus the durations of its direct children. The run is single-threaded, so
 children nest inside their parent and self times never go negative.
 """
@@ -204,10 +204,9 @@ class Tracer:
         return outer_count, inner_count, inner_total
 
     def write(self, path) -> None:
-        """Write every span as ``index,name,start,end,parent`` CSV rows,
-        gzip-compressed when the path ends in ``.gz``."""
-        opener = gzip.open if str(path).endswith(".gz") else open
-        with opener(path, "wt", encoding="utf-8") as fh:
+        """Write every span as gzip-compressed ``index,name,start,end,parent``
+        CSV rows."""
+        with gzip.open(path, "wt", encoding="utf-8") as fh:
             fh.write("index,name,start,end,parent\n")
             for i, (nid, start, end, parent) in enumerate(self.closed_spans()):
                 fh.write(f"{i},{self.names[nid]},{start!r},{end!r},{parent}\n")
