@@ -1,0 +1,152 @@
+"""Golden traces: the solvers' outputs on a fixed grid, pinned to the bit.
+
+Each case runs one solver for a few hundred iterations and hashes its trace
+CSV (without the ``wall_seconds`` column, the only one that may vary between
+runs) together with ``x_avg.tobytes()``. A refactor or a speedup that keeps
+these digests keeps every trace byte-identical.
+
+The grid is 3 solvers x 2 seeds x 3 instances:
+- ``convex-b1``: the convex rate family (fused logistic) at batch size 1;
+- ``sc-b16``: the strongly convex rate family (graph-guided logistic) at
+  batch size 16;
+- ``ls-ragged-b4``: least squares on rows of unequal length, one of them
+  empty, at batch size 4, evaluated on a separate test set.
+
+The digests pin the rounding of one numpy/BLAS build. Regenerate them with
+``PYTHONPATH=src python tests/test_golden_trace.py`` only on a commit whose
+traces are known to be right, and say so in the change that does it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from spdpeg import baselines, bench, solver
+from spdpeg.model import (LOSS_LEAST_SQUARES, Dataset, Problem, SolverConfig,
+                          estimate_lipschitz)
+from spdpeg.penalties import build_fused_matrix
+from spdpeg.prox import ProxSpec
+from spdpeg.sparse import power_iteration_sigma_max
+from spdpeg.trace import TRACE_COLUMNS, write_trace_csv
+
+ITERS = 300
+EVAL_EVERY = 50
+SEEDS = (0, 1)
+SOLVER_FNS = {"spdpeg": solver.run, "eg-full": baselines.run_eg_full,
+              "slinadmm": baselines.run_stoch_linadmm}
+
+GOLDEN = {
+    "convex-b1/spdpeg/seed0": "1d08f4ae613c2fd42ee32f25548c1e9453f74342e5def1a6876cc2025c61f98d",
+    "convex-b1/spdpeg/seed1": "160dcc209f7b567060fd9610a7cdfb7bff138ebfe22ad30b0442fca5172e1542",
+    "convex-b1/eg-full/seed0": "8ef19152ff52e54d295a54a37ff6e55b2818056424a10fcc97def0bd99cdae77",
+    "convex-b1/eg-full/seed1": "8ef19152ff52e54d295a54a37ff6e55b2818056424a10fcc97def0bd99cdae77",
+    "convex-b1/slinadmm/seed0": "d2f12f06b929c18797971ceccd383f250393dd3f945ffd7443892d8ca4d74223",
+    "convex-b1/slinadmm/seed1": "982764a9fbfa2f5325562b9638228977e08f4d4bfd595ca00f1662ad852bceab",
+    "sc-b16/spdpeg/seed0": "6d50fa87758ece2f8b5eb4d0e4265e4657f87d0f37613b7341bcba691d848c2b",
+    "sc-b16/spdpeg/seed1": "f83d08dea69a1e60383409143c47639f50414bc2012e21b858744eea0b023644",
+    "sc-b16/eg-full/seed0": "134e3cf7a30c371445535637f1533cd4145d2ece243de9dca4d34407bd64142d",
+    "sc-b16/eg-full/seed1": "134e3cf7a30c371445535637f1533cd4145d2ece243de9dca4d34407bd64142d",
+    "sc-b16/slinadmm/seed0": "5e766565661e22da7a6699aa9e82dcc41358d0d2a073b79844d33ca514bc7c0d",
+    "sc-b16/slinadmm/seed1": "f72cc4bd2c9f06a9cc7ef84051343b5e9fb60a4f5dbf7391d4ac51c4b093d274",
+    "ls-ragged-b4/spdpeg/seed0": "e8d49b6db59d8557119e772a54cc0f510998370bebd933a474b560b0a23299c7",
+    "ls-ragged-b4/spdpeg/seed1": "3df856c31834209c89215a3463617b4516e81819c9ef743ab1e03f5d776d0fe7",
+    "ls-ragged-b4/eg-full/seed0": "8bfb49ac3ba1f8c917f4d9334ed4cf1234f4f79584b3c2dc474e11e0039a4d0b",
+    "ls-ragged-b4/eg-full/seed1": "8bfb49ac3ba1f8c917f4d9334ed4cf1234f4f79584b3c2dc474e11e0039a4d0b",
+    "ls-ragged-b4/slinadmm/seed0": "efdbcefc14e7fa2f5bbf273cdff2bb9c09581b650216e9eb84df95ce68930bd0",
+    "ls-ragged-b4/slinadmm/seed1": "b0b2da844f7ca71ced4d40f1a9ca5079a7004f12535ea0368123fdf68ba3d7f1",
+}
+
+
+def _ragged_dataset(rng: np.random.Generator, n: int, d: int,
+                    empty_row: int) -> Dataset:
+    lengths = rng.integers(1, d + 1, size=n)
+    lengths[empty_row] = 0
+    indices = np.concatenate([np.sort(rng.choice(d, size=k, replace=False))
+                              for k in lengths])
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    data = rng.standard_normal(indices.size)
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return Dataset(indptr, indices, data, labels, d)
+
+
+def _ragged_instance():
+    rng = np.random.default_rng(4242)
+    d = 12
+    train = _ragged_dataset(rng, 60, d, empty_row=7)
+    test = _ragged_dataset(rng, 30, d, empty_row=0)
+    penalty = build_fused_matrix(d)
+    ridge = 1e-2
+    problem = Problem(LOSS_LEAST_SQUARES, ProxSpec("l1", 1e-3),
+                      ProxSpec("l1", 1e-3), penalty, ridge=ridge,
+                      strong_convexity_mu=ridge)
+    config = SolverConfig(gamma=0.1, regime="sc-uniform", max_iters=ITERS,
+                          seed=0, lipschitz_L=estimate_lipschitz(
+                              train, LOSS_LEAST_SQUARES) + ridge,
+                          sigma_max_FtF=power_iteration_sigma_max(penalty),
+                          batch_size=4, eval_every=EVAL_EVERY)
+    return problem, train, test, config
+
+
+def _rate_instance(family: str, batch_size: int):
+    core = bench.rate_core(family, iters=ITERS, eval_every=EVAL_EVERY,
+                           batch_size=batch_size)
+    train, test, problem, derived = bench.build_all(core)
+    return problem, train, test, bench.make_config(core, derived, 0)
+
+
+INSTANCES = {
+    "convex-b1": lambda: _rate_instance("convex", 1),
+    "sc-b16": lambda: _rate_instance("sc", 16),
+    "ls-ragged-b4": _ragged_instance,
+}
+
+
+def trace_digest(result) -> str:
+    """sha256 of the trace CSV without ``wall_seconds``, then ``x_avg``."""
+    wall = TRACE_COLUMNS.index("wall_seconds")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        write_trace_csv(path, result.trace)
+        with open(path, "rb") as fh:
+            lines = fh.read().splitlines(keepends=True)
+    h = hashlib.sha256()
+    for line in lines:
+        fields = line.split(b",")
+        h.update(b",".join(fields[:wall] + fields[wall + 1:]))
+    h.update(result.x_avg.tobytes())
+    return h.hexdigest()
+
+
+def run_case(instance: str, solver_name: str, seed: int) -> str:
+    problem, train, test, config = INSTANCES[instance]()
+    test_dataset = None if test is train else test
+    result = SOLVER_FNS[solver_name](problem, train, replace(config, seed=seed),
+                                     test_dataset)
+    return trace_digest(result)
+
+
+CASES = [(inst, name, seed) for inst in INSTANCES for name in SOLVER_FNS
+         for seed in SEEDS]
+
+
+@pytest.mark.parametrize("instance,solver_name,seed", CASES)
+def test_trace_matches_golden(instance, solver_name, seed):
+    key = f"{instance}/{solver_name}/seed{seed}"
+    assert run_case(instance, solver_name, seed) == GOLDEN[key]
+
+
+def test_golden_covers_grid():
+    assert sorted(GOLDEN) == sorted(f"{i}/{n}/seed{s}" for i, n, s in CASES)
+
+
+if __name__ == "__main__":
+    for inst, name, seed in CASES:
+        print(f'    "{inst}/{name}/seed{seed}": "{run_case(inst, name, seed)}",',
+              file=sys.stdout)
