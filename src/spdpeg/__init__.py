@@ -8,7 +8,7 @@ from .model import (LOSS_KINDS, LOSS_LEAST_SQUARES, LOSS_LOGISTIC,
                     REGIMES, Dataset, Problem, Sample, SolverConfig,
                     compute_L_tilde, estimate_lipschitz)
 from .oracles import (GradSample, NoiseStats, data_loss, estimate_noise,
-                      full_gradient, grad_composed, loss_value,
+                      full_gradient, loss_value,
                       stochastic_gradient)
 from .penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
                         load_penalty, precision_graph_from_data, save_penalty)
@@ -18,8 +18,7 @@ from .solver import (DivergenceError, Schedule, SolverResult, SolverState,
                      check_step_inequality, make_schedule, relative_slack, run,
                      schedule_bracket_coefficients, step_size,
                      update_extragradient, update_z)
-from .sparse import PowerIterationError, SparseMatrix, matvec, \
-    power_iteration_sigma_max, rmatvec
+from .sparse import PowerIterationError, SparseMatrix, power_iteration_sigma_max
 from .trace import TraceRecord, read_trace_csv, write_trace_csv
 
 __version__ = "0.1.0"

@@ -558,10 +558,11 @@ def step_inequality_sweep(d: int = 20, n: int = 100, steps: int = 1000,
     captures = []
     diverged_at = None
     for _ in range(steps):
-        z_next = update_z(state, problem, config)
+        fx = problem.penalty.matvec(state.x)
+        z_next = update_z(state, fx, problem, config)
         try:
             captures.append(update_extragradient(
-                state, z_next, problem, train, config, schedule, rng,
+                state, fx, z_next, problem, train, config, schedule, rng,
                 step_scale, capture=True))
         except DivergenceError as exc:
             diverged_at = exc.iteration

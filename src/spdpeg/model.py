@@ -52,6 +52,17 @@ class Sample:
         return out
 
 
+def row_positions(indptr: np.ndarray, rows: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Stored-entry positions of the CSR ``rows``, row after row in the
+    given order (repeats included), and the length of each of those rows."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    return (np.arange(ends[-1] if ends.size else 0)
+            + np.repeat(starts - (ends - lengths), lengths)), lengths
+
+
 class Dataset:
     """Immutable collection of samples sharing a feature dimension."""
 
@@ -74,7 +85,8 @@ class Dataset:
         if self.indices.size and (self.indices.min() < 0
                                   or self.indices.max() >= self.dimension):
             raise ValueError("feature index out of range")
-        row_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        lengths = np.diff(self.indptr)
+        row_ids = np.repeat(np.arange(n, dtype=np.int64), lengths)
         if self.indices.size > 1:
             same = row_ids[1:] == row_ids[:-1]
             if np.any(np.diff(self.indices)[same] <= 0):
@@ -84,6 +96,9 @@ class Dataset:
         if not np.all(np.isfinite(self.data)):
             raise ValueError("feature values must be finite")
         self.row_ids = row_ids
+        # stored entries per row when every row has the same count, else None
+        self.uniform_row_length = (int(lengths[0]) if np.all(lengths == lengths[0])
+                                   else None)
 
     @classmethod
     def from_samples(cls, samples, dimension=None) -> "Dataset":
@@ -122,12 +137,9 @@ class Dataset:
 
     def subset(self, rows) -> "Dataset":
         rows = np.asarray(rows, dtype=np.int64)
-        counts = np.diff(self.indptr)[rows]
+        gather, counts = row_positions(self.indptr, rows)
         indptr = np.zeros(rows.size + 1, dtype=np.int64)
         indptr[1:] = np.cumsum(counts)
-        gather = np.concatenate(
-            [np.arange(self.indptr[r], self.indptr[r + 1]) for r in rows]
-        ) if indptr[-1] else np.zeros(0, dtype=np.int64)
         return Dataset(indptr, self.indices[gather], self.data[gather],
                        self.labels[rows], self.dimension)
 
@@ -197,8 +209,6 @@ class SolverConfig:
     sigma_max_FtF: float
     batch_size: int = 1
     eval_every: int = 100
-    lambda_diameter_hint: float | None = None
-    x_diameter_hint: float | None = None
     full_batch: bool = False
     capture_steps: bool = False
 

@@ -5,6 +5,15 @@ so batch gradients reduce to one coefficient per drawn sample scattered
 back through the sparse rows. The full gradient and the forced
 full-enumeration batch use the same accumulation code, which makes the
 unbiasedness identity hold to rounding rather than approximately.
+
+A sampled batch takes one of two paths:
+- one row: scalar arithmetic on that row's slice, with no array built for
+  its margin, coefficient or label;
+- more rows: one gather of all drawn rows' stored entries, one stacked
+  ``matmul`` per distinct row length for the margins, one coefficient call
+  for the batch and one ``bincount`` scatter. The stacked ``matmul`` sums
+  each row in the order ``vals @ x[cols]`` does, so both paths give the
+  same bits as a loop over the rows; a segment sum would not.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LOSS_LOGISTIC, Dataset, Problem
+from .model import LOSS_LOGISTIC, Dataset, Problem, row_positions
 
 
 @dataclass
@@ -62,23 +71,29 @@ def _check_x(dataset: Dataset, x) -> np.ndarray:
     return x
 
 
+def loss_from_margins(loss: str, labels: np.ndarray, m: np.ndarray) -> float:
+    """Average per-sample loss given the margins ``m`` of those samples."""
+    if loss == LOSS_LOGISTIC:
+        # log(1 + exp(-b*m)) evaluated stably
+        return float(np.mean(np.logaddexp(0.0, -labels * m)))
+    return float(0.5 * np.mean((m - labels) ** 2))
+
+
+def ridge_value(problem: Problem, x: np.ndarray) -> float:
+    """The folded ridge term (ridge/2)*||x||^2."""
+    return 0.5 * problem.ridge * float(x @ x) if problem.ridge else 0.0
+
+
 def data_loss(loss: str, dataset: Dataset, x: np.ndarray) -> float:
     """Average per-sample loss, without any folded ridge term."""
     x = _check_x(dataset, x)
-    m = margins(dataset, x)
-    if loss == LOSS_LOGISTIC:
-        # log(1 + exp(-b*m)) evaluated stably
-        return float(np.mean(np.logaddexp(0.0, -dataset.labels * m)))
-    return float(0.5 * np.mean((m - dataset.labels) ** 2))
+    return loss_from_margins(loss, dataset.labels, margins(dataset, x))
 
 
 def loss_value(problem: Problem, dataset: Dataset, x: np.ndarray) -> float:
     """Value of the smooth loss oracle, including the folded ridge."""
     x = _check_x(dataset, x)
-    value = data_loss(problem.loss, dataset, x)
-    if problem.ridge:
-        value += 0.5 * problem.ridge * float(x @ x)
-    return value
+    return data_loss(problem.loss, dataset, x) + ridge_value(problem, x)
 
 
 def _gradient_over_rows(problem: Problem, dataset: Dataset, x: np.ndarray,
@@ -94,35 +109,70 @@ def _gradient_over_rows(problem: Problem, dataset: Dataset, x: np.ndarray,
             coef_rep = np.repeat(coefs, np.diff(dataset.indptr))
             grad = np.bincount(dataset.indices, weights=dataset.data * coef_rep,
                                minlength=d)
+    elif rows.size == 1:
+        grad = _row_gradient(problem.loss, dataset, x, int(rows[0]))
     else:
-        indptr, indices, data, labels = (dataset.indptr, dataset.indices,
-                                         dataset.data, dataset.labels)
-        if rows.size == 1:
-            i = int(rows[0])
-            lo, hi = indptr[i], indptr[i + 1]
-            cols, vals = indices[lo:hi], data[lo:hi]
-            coef = _coefs(problem.loss, np.array([vals @ x[cols]]),
-                          labels[i:i + 1])[0]
-            grad = np.zeros(d)
-            grad[cols] = coef * vals
-        else:
-            col_parts, weight_parts = [], []
-            for i in rows:
-                lo, hi = indptr[i], indptr[i + 1]
-                cols, vals = indices[lo:hi], data[lo:hi]
-                coef = _coefs(problem.loss, np.array([vals @ x[cols]]),
-                              labels[i:i + 1])[0]
-                col_parts.append(cols)
-                weight_parts.append(coef * vals)
-            if col_parts and sum(c.size for c in col_parts):
-                grad = np.bincount(np.concatenate(col_parts),
-                                   weights=np.concatenate(weight_parts),
-                                   minlength=d)
-            else:
-                grad = np.zeros(d)
-            grad /= rows.size
+        grad = _batch_gradient(problem.loss, dataset, x, rows)
     if problem.ridge:
         grad = grad + problem.ridge * x
+    return grad
+
+
+def _row_gradient(loss: str, dataset: Dataset, x: np.ndarray, i: int) -> np.ndarray:
+    lo, hi = dataset.indptr[i], dataset.indptr[i + 1]
+    cols, vals = dataset.indices[lo:hi], dataset.data[lo:hi]
+    m = vals @ x[cols]
+    b = dataset.labels[i]
+    if loss == LOSS_LOGISTIC:
+        # _sigmoid(-b*m) on a scalar, same branches and same np.exp
+        t = -b * m
+        if t >= 0:
+            s = 1.0 / (1.0 + np.exp(-t))
+        else:
+            et = np.exp(t)
+            s = et / (1.0 + et)
+        coef = -b * s
+    else:
+        coef = m - b
+    grad = np.zeros(dataset.dimension)
+    grad[cols] = coef * vals
+    return grad
+
+
+def _ragged_row_margins(vals: np.ndarray, xs: np.ndarray,
+                        lengths: np.ndarray) -> np.ndarray:
+    """Dot product of each of the concatenated rows, one stacked matmul per
+    distinct row length."""
+    out = np.empty(lengths.size)
+    offsets = np.cumsum(lengths) - lengths
+    for k in np.unique(lengths):
+        group = np.flatnonzero(lengths == k)
+        pos = offsets[group, None] + np.arange(k)
+        out[group] = (vals[pos][:, None, :] @ xs[pos][:, :, None]).reshape(group.size)
+    return out
+
+
+def _batch_gradient(loss: str, dataset: Dataset, x: np.ndarray,
+                    rows: np.ndarray) -> np.ndarray:
+    # A (b, 1, k) @ (b, k, 1) matmul runs the dot kernel of ``vals @ x[cols]``
+    # on each row, so every margin has the batch-1 path's summation order.
+    b, k = rows.size, dataset.uniform_row_length
+    if k is None:
+        pos, lengths = row_positions(dataset.indptr, rows)
+    else:
+        pos, lengths = (dataset.indptr[rows][:, None] + np.arange(k)).ravel(), k
+    if pos.size == 0:
+        return np.zeros(dataset.dimension)
+    cols, vals = dataset.indices[pos], dataset.data[pos]
+    xs = x[cols]
+    if k is None:
+        m = _ragged_row_margins(vals, xs, lengths)
+    else:
+        m = (vals.reshape(b, 1, k) @ xs.reshape(b, k, 1)).reshape(b)
+    coefs = _coefs(loss, m, dataset.labels[rows])
+    grad = np.bincount(cols, weights=np.repeat(coefs, lengths) * vals,
+                       minlength=dataset.dimension)
+    grad /= b
     return grad
 
 
@@ -148,18 +198,6 @@ def stochastic_gradient(problem: Problem, dataset: Dataset, x: np.ndarray,
         raise ValueError("batch_size must be >= 1")
     idx = rng.integers(0, dataset.n_samples, size=batch_size)
     return GradSample(_gradient_over_rows(problem, dataset, x, idx), idx)
-
-
-def grad_composed(problem: Problem, dataset: Dataset, x: np.ndarray,
-                  lam: np.ndarray, rng: np.random.Generator, batch_size: int,
-                  enumerate_all: bool = False) -> GradSample:
-    """Stochastic gradient of the smooth Lagrangian part: grad l(x, xi) - F^T lam."""
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.shape != (problem.penalty.n_rows,):
-        raise ValueError(f"lambda must have length {problem.penalty.n_rows}, got {lam.shape}")
-    gs = stochastic_gradient(problem, dataset, x, rng, batch_size, enumerate_all)
-    gs.gradient = gs.gradient - problem.penalty.rmatvec(lam)
-    return gs
 
 
 def estimate_noise(problem: Problem, dataset: Dataset, x: np.ndarray,

@@ -173,19 +173,20 @@ def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
     return v * (radius / nrm)
 
 
-def update_z(state: SolverState, problem: Problem, config: SolverConfig) -> np.ndarray:
-    """Exact z-block minimizer of the augmented Lagrangian at (x, lambda)."""
-    fx = problem.penalty.matvec(state.x)
+def update_z(state: SolverState, fx: np.ndarray, problem: Problem,
+             config: SolverConfig) -> np.ndarray:
+    """Exact z-block minimizer of the augmented Lagrangian at (x, lambda);
+    fx must hold F @ state.x."""
     return apply_prox(problem.r2, fx - state.lam / config.gamma, 1.0 / config.gamma)
 
 
-def update_extragradient(state: SolverState, z_next: np.ndarray, problem: Problem,
-                         dataset: Dataset, config: SolverConfig,
+def update_extragradient(state: SolverState, fx: np.ndarray, z_next: np.ndarray,
+                         problem: Problem, dataset: Dataset, config: SolverConfig,
                          schedule: Schedule, rng: np.random.Generator,
                          step_scale: float = 1.0,
                          capture: bool = False) -> StepCapture | None:
-    """Run the predictor/corrector step in place; z_next must already hold
-    this iteration's z-block minimizer."""
+    """Run the predictor/corrector step in place; fx must hold F @ state.x
+    and z_next this iteration's z-block minimizer."""
     k = state.k
     c = step_size(schedule, k) * step_scale
     gamma = config.gamma
@@ -193,7 +194,6 @@ def update_extragradient(state: SolverState, z_next: np.ndarray, problem: Proble
     x_k, lam_k = state.x, state.lam
     full = config.full_batch
 
-    fx = penalty.matvec(x_k)
     gs1 = oracles.stochastic_gradient(problem, dataset, x_k, rng,
                                       config.batch_size, enumerate_all=full)
     g1 = gs1.gradient
@@ -275,11 +275,16 @@ def evaluate_trace_record(problem: Problem, dataset: Dataset,
                           max_dual_norm: float) -> TraceRecord:
     """Objective/test metrics of an averaged pair, in the shared schema."""
     fx = problem.penalty.matvec(x_avg)
-    objective = (oracles.loss_value(problem, dataset, x_avg)
+    # one margins pass per distinct dataset
+    train_margins = oracles.margins(dataset, x_avg)
+    test_margins = (train_margins if test_dataset is dataset
+                    else oracles.margins(test_dataset, x_avg))
+    objective = (oracles.loss_from_margins(problem.loss, dataset.labels, train_margins)
+                 + oracles.ridge_value(problem, x_avg)
                  + reg_value(problem.r1, x_avg) + reg_value(problem.r2, fx))
-    test_loss = oracles.data_loss(problem.loss, test_dataset, x_avg)
-    decision_values = oracles.margins(test_dataset, x_avg)
-    accuracy = float(np.mean((decision_values >= 0) == (test_dataset.labels > 0)))
+    test_loss = oracles.loss_from_margins(problem.loss, test_dataset.labels,
+                                          test_margins)
+    accuracy = float(np.mean((test_margins >= 0) == (test_dataset.labels > 0)))
     feasibility = float(np.linalg.norm(fx - z_avg))
     return TraceRecord(iteration, wall_seconds, objective, test_loss, accuracy,
                        feasibility, max_dual_norm)
@@ -306,8 +311,9 @@ def run(problem: Problem, dataset: Dataset, config: SolverConfig,
     captures: list[StepCapture] = []
     t0 = time.perf_counter()
     for k in range(config.max_iters):
-        z_next = update_z(state, problem, config)
-        cap = update_extragradient(state, z_next, problem, dataset, config,
+        fx = problem.penalty.matvec(state.x)
+        z_next = update_z(state, fx, problem, config)
+        cap = update_extragradient(state, fx, z_next, problem, dataset, config,
                                    schedule, rng, step_scale,
                                    capture=config.capture_steps)
         if cap is not None:

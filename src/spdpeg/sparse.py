@@ -141,14 +141,6 @@ class SparseMatrix:
         return h.hexdigest()
 
 
-def matvec(m: SparseMatrix, v: np.ndarray) -> np.ndarray:
-    return m.matvec(v)
-
-
-def rmatvec(m: SparseMatrix, u: np.ndarray) -> np.ndarray:
-    return m.rmatvec(u)
-
-
 def power_iteration_sigma_max(m: SparseMatrix, tol: float = 1e-10,
                               max_iter: int = 10000) -> float:
     """Largest eigenvalue of ``M.T M`` by power iteration.

@@ -1,0 +1,168 @@
+"""The vectorised row gathers against the per-row loops they replaced.
+
+``reference_gradient_over_rows`` and ``reference_subset`` are the earlier
+implementations, kept here as the specification: the library's sampled
+gradient and ``Dataset.subset`` must return the same bytes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from spdpeg.model import Dataset, Problem, row_positions
+from spdpeg.oracles import _coefs, _gradient_over_rows
+from spdpeg.prox import ProxSpec
+from spdpeg.sparse import SparseMatrix
+
+
+def reference_gradient_over_rows(problem, dataset, x, rows):
+    """One dot product and one coefficient call per drawn row."""
+    d = dataset.dimension
+    indptr, indices, data, labels = (dataset.indptr, dataset.indices,
+                                     dataset.data, dataset.labels)
+    if rows.size == 1:
+        i = int(rows[0])
+        lo, hi = indptr[i], indptr[i + 1]
+        cols, vals = indices[lo:hi], data[lo:hi]
+        coef = _coefs(problem.loss, np.array([vals @ x[cols]]),
+                      labels[i:i + 1])[0]
+        grad = np.zeros(d)
+        grad[cols] = coef * vals
+    else:
+        col_parts, weight_parts = [], []
+        for i in rows:
+            lo, hi = indptr[i], indptr[i + 1]
+            cols, vals = indices[lo:hi], data[lo:hi]
+            coef = _coefs(problem.loss, np.array([vals @ x[cols]]),
+                          labels[i:i + 1])[0]
+            col_parts.append(cols)
+            weight_parts.append(coef * vals)
+        if col_parts and sum(c.size for c in col_parts):
+            grad = np.bincount(np.concatenate(col_parts),
+                               weights=np.concatenate(weight_parts),
+                               minlength=d)
+        else:
+            grad = np.zeros(d)
+        grad /= rows.size
+    if problem.ridge:
+        grad = grad + problem.ridge * x
+    return grad
+
+
+def reference_subset(dataset, rows):
+    rows = np.asarray(rows, dtype=np.int64)
+    counts = np.diff(dataset.indptr)[rows]
+    indptr = np.zeros(rows.size + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(counts)
+    gather = np.concatenate(
+        [np.arange(dataset.indptr[r], dataset.indptr[r + 1]) for r in rows]
+    ) if indptr[-1] else np.zeros(0, dtype=np.int64)
+    return Dataset(indptr, dataset.indices[gather], dataset.data[gather],
+                   dataset.labels[rows], dataset.dimension)
+
+
+def ragged_dataset(seed, n=40, d=15, empty_rows=(3, 17, 18)):
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, d + 1, size=n)
+    lengths[list(empty_rows)] = 0
+    indices = np.concatenate([np.sort(rng.choice(d, size=k, replace=False))
+                              for k in lengths])
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return Dataset(indptr, indices, 3.0 * rng.standard_normal(indices.size),
+                   labels, d)
+
+
+def dense_dataset(seed, n=40, d=15):
+    rng = np.random.default_rng(seed)
+    return Dataset(d * np.arange(n + 1), np.tile(np.arange(d), n),
+                   3.0 * rng.standard_normal(n * d),
+                   np.where(rng.random(n) < 0.5, 1.0, -1.0), d)
+
+
+DATASETS = {"ragged": ragged_dataset, "dense": dense_dataset}
+
+
+def problem_for(loss, d, ridge):
+    return Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
+                   SparseMatrix.from_dense(np.eye(d)), ridge=ridge,
+                   strong_convexity_mu=ridge)
+
+
+@pytest.mark.parametrize("kind", sorted(DATASETS))
+@pytest.mark.parametrize("loss", ["logistic", "least-squares"])
+@pytest.mark.parametrize("ridge", [0.0, 0.25])
+@pytest.mark.parametrize("batch", [1, 2, 16, "n"])
+def test_sampled_gradient_is_bitwise_the_row_loop(kind, loss, ridge, batch):
+    dataset = DATASETS[kind](seed=7)
+    n, d = dataset.n_samples, dataset.dimension
+    problem = problem_for(loss, d, ridge)
+    size = n if batch == "n" else batch
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        # large x so that both branches of the sigmoid are taken
+        x = 2.0 * rng.standard_normal(d)
+        rows = rng.integers(0, n, size=size)
+        got = _gradient_over_rows(problem, dataset, x, rows)
+        want = reference_gradient_over_rows(problem, dataset, x, rows)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("loss", ["logistic", "least-squares"])
+@pytest.mark.parametrize("rows", [[3], [3, 3], [3, 17, 18, 17], [5, 5, 5, 5],
+                                  [3, 5, 3, 9, 5]])
+def test_empty_and_repeated_rows(loss, rows):
+    dataset = ragged_dataset(seed=2)
+    problem = problem_for(loss, dataset.dimension, 0.0)
+    x = np.random.default_rng(4).standard_normal(dataset.dimension)
+    rows = np.array(rows, dtype=np.int64)
+    got = _gradient_over_rows(problem, dataset, x, rows)
+    want = reference_gradient_over_rows(problem, dataset, x, rows)
+    assert got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("ridge", [0.0, 0.25])
+def test_dataset_of_empty_rows(ridge):
+    dataset = Dataset([0, 0, 0, 0], [], [], [1.0, -1.0, 1.0], 3)
+    problem = problem_for("logistic", 3, ridge)
+    x = np.array([0.5, -1.0, 2.0])
+    for rows in ([1], [0, 2], [2, 1, 1, 0]):
+        rows = np.array(rows, dtype=np.int64)
+        got = _gradient_over_rows(problem, dataset, x, rows)
+        want = reference_gradient_over_rows(problem, dataset, x, rows)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+
+def _same_dataset(a, b):
+    for name in ("indptr", "indices", "data", "labels"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype == right.dtype and left.tobytes() == right.tobytes()
+    assert a.dimension == b.dimension
+
+
+@pytest.mark.parametrize("kind", sorted(DATASETS))
+@pytest.mark.parametrize("rows", [[0], [3], [3, 17, 18], [5, 1, 5, 0],
+                                  list(range(40)), list(range(39, -1, -1))])
+def test_subset_matches_row_loop(kind, rows):
+    dataset = DATASETS[kind](seed=5)
+    _same_dataset(dataset.subset(rows), reference_subset(dataset, rows))
+
+
+def test_subset_random_permutations():
+    dataset = ragged_dataset(seed=9)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        rows = rng.permutation(dataset.n_samples)[:rng.integers(1, 41)]
+        _same_dataset(dataset.subset(rows), reference_subset(dataset, rows))
+
+
+def test_subset_of_nothing_is_rejected():
+    dataset = ragged_dataset(seed=1)
+    pos, lengths = row_positions(dataset.indptr, np.zeros(0, dtype=np.int64))
+    assert pos.dtype == np.int64 and pos.size == 0 and lengths.size == 0
+    for subset in (dataset.subset, lambda r: reference_subset(dataset, r)):
+        with pytest.raises(ValueError, match="at least one sample"):
+            subset(np.zeros(0, dtype=np.int64))

@@ -5,7 +5,7 @@ import pytest
 
 from spdpeg.model import Dataset, Problem, Sample, estimate_lipschitz
 from spdpeg.oracles import (data_loss, estimate_noise, full_gradient,
-                            grad_composed, loss_value, stochastic_gradient)
+                            loss_value, stochastic_gradient)
 from spdpeg.prox import ProxSpec
 from spdpeg.sparse import SparseMatrix
 
@@ -138,42 +138,6 @@ def test_stochastic_gradient_monte_carlo_unbiased():
     std = per_sample.std(axis=0)
     err = np.abs(acc / n_draws - exact)
     assert np.all(err <= 3.0 * std / math.sqrt(n_draws) + 1e-12)
-
-
-def test_grad_composed_zero_dual():
-    rng = np.random.default_rng(8)
-    ds = dense_dataset(rng.standard_normal((6, 2)), [1.0, -1.0] * 3)
-    p = make_problem("logistic", 2)
-    x = np.array([0.5, -0.5])
-    got = grad_composed(p, ds, x, np.zeros(2), np.random.default_rng(1), 3)
-    ref = stochastic_gradient(p, ds, x, np.random.default_rng(1), 3)
-    np.testing.assert_array_equal(got.gradient, ref.gradient)
-
-
-def test_grad_composed_zero_features_gives_minus_Ft_lambda():
-    ds = Dataset([0, 0], [], [], [1.0], 2)
-    p = make_problem("logistic", 2)
-    got = grad_composed(p, ds, np.zeros(2), np.array([1.0, 2.0]),
-                        np.random.default_rng(0), 1)
-    np.testing.assert_allclose(got.gradient, [-1.0, -2.0])
-
-
-def test_grad_composed_full_batch_cancellation():
-    rng = np.random.default_rng(9)
-    ds = dense_dataset(rng.standard_normal((5, 2)), [1.0, -1.0, 1.0, -1.0, 1.0])
-    p = make_problem("logistic", 2)
-    x = rng.standard_normal(2)
-    lam = full_gradient(p, ds, x)
-    got = grad_composed(p, ds, x, lam, np.random.default_rng(0), 1,
-                        enumerate_all=True)
-    np.testing.assert_allclose(got.gradient, np.zeros(2), atol=1e-16)
-
-
-def test_grad_composed_dimension_mismatch():
-    ds = dense_dataset([[1.0, 0.0]], [1.0])
-    p = make_problem("logistic", 2)
-    with pytest.raises(ValueError, match="lambda"):
-        grad_composed(p, ds, np.zeros(2), np.zeros(3), np.random.default_rng(0), 1)
 
 
 def test_estimate_noise_single_sample():

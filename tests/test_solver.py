@@ -90,7 +90,8 @@ def test_update_z_soft_threshold():
                       SparseMatrix.from_dense(np.eye(1)))
     state = initial_state(problem, dataset)
     state.x = np.array([3.0])
-    np.testing.assert_allclose(update_z(state, problem, config), [2.0])
+    fx = problem.penalty.matvec(state.x)
+    np.testing.assert_allclose(update_z(state, fx, problem, config), [2.0])
 
 
 def test_update_z_zero_input_and_identity():
@@ -101,12 +102,13 @@ def test_update_z_zero_input_and_identity():
     prob_w = Problem("least-squares", ProxSpec("none"), ProxSpec("l1", 3.0), penalty)
     state = initial_state(prob_w, dataset)
     state.x = np.array([1.0, -2.0])
-    state.lam = config.gamma * penalty.matvec(state.x)
-    np.testing.assert_array_equal(update_z(state, prob_w, config), [0.0, 0.0])
+    fx = penalty.matvec(state.x)
+    state.lam = config.gamma * fx
+    np.testing.assert_array_equal(update_z(state, fx, prob_w, config), [0.0, 0.0])
     prob_0 = Problem("least-squares", ProxSpec("none"), ProxSpec("l1", 0.0), penalty)
     state.lam = np.array([0.3, -0.1])
-    np.testing.assert_allclose(update_z(state, prob_0, config),
-                               penalty.matvec(state.x) - state.lam / config.gamma)
+    np.testing.assert_allclose(update_z(state, fx, prob_0, config),
+                               fx - state.lam / config.gamma)
 
 
 def test_update_z_minimizes_augmented_lagrangian():
@@ -114,7 +116,7 @@ def test_update_z_minimizes_augmented_lagrangian():
     res = run(problem, dataset, config)
     state = res.state
     fx = problem.penalty.matvec(state.x)
-    z_opt = update_z(state, problem, config)
+    z_opt = update_z(state, fx, problem, config)
 
     def value(z):
         return (reg_value(problem.r2, z) + state.lam @ z
@@ -133,9 +135,11 @@ def test_stationary_point_is_fixed():
     state = initial_state(problem, dataset)
     state.x = np.ones(2)
     rng = np.random.default_rng(0)
-    z1 = update_z(state, problem, config)
+    fx = problem.penalty.matvec(state.x)
+    z1 = update_z(state, fx, problem, config)
     np.testing.assert_array_equal(z1, np.ones(2))
-    solver_mod.update_extragradient(state, z1, problem, dataset, config, sched, rng)
+    solver_mod.update_extragradient(state, fx, z1, problem, dataset, config,
+                                    sched, rng)
     np.testing.assert_array_equal(state.x, np.ones(2))
     np.testing.assert_array_equal(state.x_bar, np.ones(2))
     np.testing.assert_array_equal(state.lam, np.zeros(2))
