@@ -1,6 +1,6 @@
 """Stochastic primal-dual proximal extra-gradient solver and benchmark kit."""
 
-from .baselines import BaselineKind, run_eg_full, run_stoch_linadmm
+from .baselines import run_eg_full, run_stoch_linadmm
 from .data import ParseError, SplitSpec, normalize_features, parse_libsvm, \
     serialize_libsvm, split, synthesize
 from .model import (LOSS_KINDS, LOSS_LEAST_SQUARES, LOSS_LOGISTIC,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,18 +23,6 @@ from .solver import (DIVERGENCE_LIMIT, DivergenceError, SolverResult, SolverStat
                      evaluate_trace_record, initial_state, make_schedule,
                      project_ball, step_size)
 from .trace import TraceRecord
-
-
-@dataclass(frozen=True)
-class BaselineKind:
-    tag: str
-    step_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.tag not in ("EGFull", "StochLinADMM"):
-            raise ValueError(f"unknown baseline tag {self.tag!r}")
-        if not math.isfinite(self.step_scale) or self.step_scale <= 0:
-            raise ValueError("step_scale must be finite and positive")
 
 
 def run_eg_full(problem: Problem, dataset: Dataset, config: SolverConfig,
@@ -63,12 +51,13 @@ def run_stoch_linadmm(problem: Problem, dataset: Dataset, config: SolverConfig,
     penalty, gamma = problem.penalty, config.gamma
     trace: list[TraceRecord] = []
     t0 = time.perf_counter()
+    # F x of the current iterate, carried over from the previous iteration
+    fx = penalty.matvec(state.x)
     for k in range(config.max_iters):
         c = step_size(schedule, k) * step_scale
         gs = oracles.stochastic_gradient(problem, dataset, state.x, rng,
                                          config.batch_size,
                                          enumerate_all=config.full_batch)
-        fx = penalty.matvec(state.x)
         direction = (gs.gradient - penalty.rmatvec(state.lam)
                      + gamma * penalty.rmatvec(fx - state.z))
         x_next = apply_prox(problem.r1, state.x - c * direction, c)
@@ -89,6 +78,7 @@ def run_stoch_linadmm(problem: Problem, dataset: Dataset, config: SolverConfig,
         state.weighted_lambda_sum += lam_next
         state.raw_weight_sum += 1
         state.x, state.z, state.lam = x_next, z_next, lam_next
+        fx = fx_next
         state.k = k + 1
         state.max_dual_norm = max(state.max_dual_norm,
                                   float(np.linalg.norm(lam_next)))

@@ -333,10 +333,11 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
     converged = False
     iterations = 0
     for k in range(max_iters):
-        z = apply_prox(problem.r2, penalty.matvec(x) - lam / gamma, 1.0 / gamma)
+        fx = penalty.matvec(x)
+        z = apply_prox(problem.r2, fx - lam / gamma, 1.0 / gamma)
         g1 = oracles.full_gradient(problem, dataset, x)
         x_bar = apply_prox(problem.r1, x - c * (g1 - penalty.rmatvec(lam)), c)
-        lam_bar = lam - gamma * (penalty.matvec(x) - z)
+        lam_bar = lam - gamma * (fx - z)
         g2 = oracles.full_gradient(problem, dataset, x_bar)
         x = apply_prox(problem.r1, x - c * (g2 - penalty.rmatvec(lam_bar)), c)
         lam = lam - gamma * (penalty.matvec(x_bar) - z)

@@ -2,7 +2,8 @@
 
 A Dataset stores its samples in CSR layout (one sparse feature row per
 sample) so the oracles can vectorize over samples; individual samples are
-exposed as lightweight views.
+exposed as lightweight views. Datasets whose rows store every feature also
+carry a column-major copy for the full-data passes.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +101,18 @@ class Dataset:
         # stored entries per row when every row has the same count, else None
         self.uniform_row_length = (int(lengths[0]) if np.all(lengths == lengths[0])
                                    else None)
+
+    @cached_property
+    def dense_columns(self) -> np.ndarray | None:
+        """Read-only ``(d, n)`` copy of the features, built on first use, when
+        every row stores every feature and n, d >= 2 (the size guard of the
+        dense full passes in ``oracles``); None otherwise."""
+        n, d = self.n_samples, self.dimension
+        if self.uniform_row_length != d or n < 2 or d < 2:
+            return None
+        cols = self.data.reshape(n, d).T.copy()
+        cols.flags.writeable = False
+        return cols
 
     @classmethod
     def from_samples(cls, samples, dimension=None) -> "Dataset":

@@ -6,6 +6,15 @@ back through the sparse rows. The full gradient and the forced
 full-enumeration batch use the same accumulation code, which makes the
 unbiasedness identity hold to rounding rather than approximately.
 
+A full pass over a dataset whose rows store every feature, with n and d
+both at least 2 (``Dataset.dense_columns``), reduces over the leading axis
+of a dense array: the margins over the column-major copy, the gradient
+scatter over the row-major CSR values. numpy adds such a reduction lane by
+lane in index order starting from ``initial=0.0``, which is ``bincount``'s
+order, so both give the same bits as the CSR path that every other dataset
+takes. With a single kept lane (n or d equal to 1) numpy sums pairwise
+instead, hence the size guard.
+
 A sampled batch takes one of two paths:
 - one row: scalar arithmetic on that row's slice, with no array built for
   its margin, coefficient or label;
@@ -40,18 +49,18 @@ class NoiseStats:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
-    # evaluate in the branch that never overflows
+    # evaluate in the branch that never overflows; exp(-|t|) is exp(-t) for
+    # t >= 0 and exp(t) below, the argument each branch needs
     t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def margins(dataset: Dataset, x: np.ndarray) -> np.ndarray:
     """Per-sample decision values a_i^T x."""
+    cols = dataset.dense_columns
+    if cols is not None:
+        return np.add.reduce(cols * x[:, None], axis=0, initial=0.0)
     if dataset.indices.size == 0:
         return np.zeros(dataset.n_samples)
     return np.bincount(dataset.row_ids, weights=dataset.data * x[dataset.indices],
@@ -103,7 +112,10 @@ def _gradient_over_rows(problem: Problem, dataset: Dataset, x: np.ndarray,
     if rows is None:
         m = margins(dataset, x)
         coefs = _coefs(problem.loss, m, dataset.labels) / dataset.n_samples
-        if dataset.indices.size == 0:
+        if dataset.dense_columns is not None:
+            grad = np.add.reduce(dataset.data.reshape(-1, d) * coefs[:, None],
+                                 axis=0, initial=0.0)
+        elif dataset.indices.size == 0:
             grad = np.zeros(d)
         else:
             coef_rep = np.repeat(coefs, np.diff(dataset.indptr))

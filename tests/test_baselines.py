@@ -1,7 +1,6 @@
 import numpy as np
-import pytest
 
-from spdpeg.baselines import BaselineKind, run_eg_full, run_stoch_linadmm
+from spdpeg.baselines import run_eg_full, run_stoch_linadmm
 from spdpeg.data import synthesize
 from spdpeg.model import Dataset, Problem, Sample, SolverConfig, estimate_lipschitz
 from spdpeg.oracles import stochastic_gradient
@@ -22,15 +21,6 @@ def flr_instance(d=8, n=40, seed=3, gamma=0.1, iters=200, solver_seed=5, **cfg):
                           sigma_max_FtF=power_iteration_sigma_max(penalty),
                           eval_every=cfg.pop("eval_every", 50), **cfg)
     return problem, dataset, config
-
-
-def test_baseline_kind_validation():
-    BaselineKind("EGFull")
-    BaselineKind("StochLinADMM", 0.5)
-    with pytest.raises(ValueError):
-        BaselineKind("SGD")
-    with pytest.raises(ValueError):
-        BaselineKind("EGFull", 0.0)
 
 
 def test_eg_full_equals_forced_full_batch_run():
