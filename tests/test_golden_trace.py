@@ -12,6 +12,16 @@ The grid is 3 solvers x 2 seeds x 3 instances:
 - ``ls-ragged-b4``: least squares on rows of unequal length, one of them
   empty, at batch size 4, evaluated on a separate test set.
 
+Two more loops are pinned the same way:
+- ``bench.reference_optimum`` on the problem and training set of each of
+  the 3 instances, capped at ``REFERENCE_ITERS`` iterations: the digest
+  covers ``x.tobytes()``, the objective, the iteration count and the
+  converged flag (the convex instance runs to the cap, the other two stop
+  early);
+- ``bench.step_inequality_sweep`` in stochastic mode, in deterministic mode
+  and at a step scale that diverges part-way: the digest covers the whole
+  report, floats in their round-trip ``repr``.
+
 The digests pin the rounding of one numpy/BLAS build. Regenerate them with
 ``PYTHONPATH=src python tests/test_golden_trace.py`` only on a commit whose
 traces are known to be right, and say so in the change that does it.
@@ -20,6 +30,7 @@ traces are known to be right, and say so in the change that does it.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -61,6 +72,28 @@ GOLDEN = {
     "ls-ragged-b4/eg-full/seed1": "8bfb49ac3ba1f8c917f4d9334ed4cf1234f4f79584b3c2dc474e11e0039a4d0b",
     "ls-ragged-b4/slinadmm/seed0": "efdbcefc14e7fa2f5bbf273cdff2bb9c09581b650216e9eb84df95ce68930bd0",
     "ls-ragged-b4/slinadmm/seed1": "b0b2da844f7ca71ced4d40f1a9ca5079a7004f12535ea0368123fdf68ba3d7f1",
+}
+
+REFERENCE_ITERS = 4000
+REFERENCE_CHECK_EVERY = 500
+REFERENCE_GOLDEN = {
+    "convex-b1": "dcea4f757e2db506c4424a4bca15a45bbd296147d297a75d9dbea06cb6c277b9",
+    "sc-b16": "1605dc40385a4ed2ee9e3c37c04ef9632f7ef2bd3c92c160b4dfffa7f837065e",
+    "ls-ragged-b4": "414a48de6440a9ff6b8e39d14cc7642db21ed06ed1f1c2bb6d6512b712835a10",
+}
+
+SWEEPS = {
+    "stochastic": dict(d=8, n=40, steps=60, n_references=3,
+                       mode="stochastic", seed=1),
+    "deterministic": dict(d=8, n=40, steps=30, n_references=2,
+                          mode="deterministic", seed=1),
+    "divergent": dict(d=8, n=40, steps=30, n_references=2, seed=1,
+                      step_scale=100.0),
+}
+SWEEP_GOLDEN = {
+    "stochastic": "27ea4ab358ead2fa3f150de657a7ee9ac5a943125368ee6e64b3b6c44bad0242",
+    "deterministic": "0ca9d470dc50cd3ab273f3e32035ae4f3df299a12e201d3fa97d0969cd556776",
+    "divergent": "354f344a321c2fb65b73b8cfbe00d7ee8e467eb4c823eb945e7e64ded5e08a10",
 }
 
 
@@ -146,7 +179,45 @@ def test_golden_covers_grid():
     assert sorted(GOLDEN) == sorted(f"{i}/{n}/seed{s}" for i, n, s in CASES)
 
 
+def reference_digest(instance: str) -> str:
+    """sha256 of the capped reference's x, objective, iterations, converged."""
+    problem, train, _, config = INSTANCES[instance]()
+    ref = bench.reference_optimum(problem, train, config.gamma,
+                                  max_iters=REFERENCE_ITERS,
+                                  check_every=REFERENCE_CHECK_EVERY)
+    h = hashlib.sha256(ref.x.tobytes())
+    h.update(repr((ref.objective, ref.iterations, ref.converged)).encode())
+    return h.hexdigest()
+
+
+def sweep_digest(name: str) -> str:
+    report = bench.step_inequality_sweep(**SWEEPS[name])
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("instance", list(INSTANCES))
+def test_reference_matches_golden(instance):
+    assert reference_digest(instance) == REFERENCE_GOLDEN[instance]
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_sweep_matches_golden(name):
+    assert sweep_digest(name) == SWEEP_GOLDEN[name]
+
+
+def test_divergent_sweep_keeps_its_prefix():
+    report = bench.step_inequality_sweep(**SWEEPS["divergent"])
+    assert report["diverged_at"] is not None
+    assert report["steps"] == report["diverged_at"] > 0
+
+
 if __name__ == "__main__":
     for inst, name, seed in CASES:
         print(f'    "{inst}/{name}/seed{seed}": "{run_case(inst, name, seed)}",',
               file=sys.stdout)
+    print("REFERENCE_GOLDEN")
+    for inst in INSTANCES:
+        print(f'    "{inst}": "{reference_digest(inst)}",')
+    print("SWEEP_GOLDEN")
+    for name in SWEEPS:
+        print(f'    "{name}": "{sweep_digest(name)}",')
