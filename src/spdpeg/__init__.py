@@ -7,9 +7,8 @@ from .model import (LOSS_KINDS, LOSS_LEAST_SQUARES, LOSS_LOGISTIC,
                     REGIME_CONVEX, REGIME_SC_NONUNIFORM, REGIME_SC_UNIFORM,
                     REGIMES, Dataset, Problem, Sample, SolverConfig,
                     compute_L_tilde, estimate_lipschitz)
-from .oracles import (GradSample, NoiseStats, data_loss, estimate_noise,
-                      full_gradient, loss_value,
-                      stochastic_gradient)
+from .oracles import (NoiseStats, data_loss, estimate_noise, full_gradient,
+                      loss_value, stochastic_gradient)
 from .penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
                         load_penalty, precision_graph_from_data, save_penalty)
 from .prox import ProxSpec, apply_prox, prox_l1, prox_squared_l2, reg_value

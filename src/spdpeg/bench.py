@@ -28,11 +28,10 @@ from .model import (LOSS_LOGISTIC, Dataset, Problem, SolverConfig,
                     compute_L_tilde, estimate_lipschitz)
 from .penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
                         load_penalty, precision_graph_from_data)
-from .prox import ProxSpec, apply_prox, reg_value
+from .prox import ProxSpec
 from .solver import run as run_spdpeg
-from .solver import (DivergenceError, check_step_inequality, initial_state,
-                     make_schedule, relative_slack, update_extragradient,
-                     update_z)
+from .solver import (DivergenceError, check_step_inequality, extragradient,
+                     objective_from_margins, relative_slack, z_block)
 from .sparse import SparseMatrix, power_iteration_sigma_max
 from .trace import TraceRecord, read_trace_csv, write_trace_csv
 
@@ -163,9 +162,10 @@ def build_all(core: dict):
 
 def objective_value(problem: Problem, dataset: Dataset, x: np.ndarray) -> float:
     """Training objective: loss (with any folded ridge) + both regularizers."""
-    return (oracles.loss_value(problem, dataset, x)
-            + reg_value(problem.r1, x)
-            + reg_value(problem.r2, problem.penalty.matvec(x)))
+    x = oracles._check_x(dataset, x)
+    return objective_from_margins(problem, dataset.labels,
+                                  oracles.margins(dataset, x), x,
+                                  problem.penalty.matvec(x))
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +308,11 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
 
     The scheduled solvers shrink their steps, which is the wrong tool for a
     reference: with full gradients and a constant step the last iterate
-    settles geometrically on these instances. Stops when the objective
-    change between checkpoints drops below tol (relative); the best iterate
-    seen is returned and cached keyed by the problem/dataset fingerprints.
+    settles geometrically on these instances. An iteration is the solvers'
+    z block and ``extragradient`` step (which projects onto any feasible
+    ball) at c = 1/(1 + L_tilde). Stops when the objective change between
+    checkpoints drops below tol (relative); the best iterate seen is
+    returned and cached keyed by the problem/dataset fingerprints.
     """
     key = _reference_key(problem, dataset, gamma, tol)
     cache = {}
@@ -321,10 +323,12 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
             e = cache[key]
             return ReferenceSolution(e["objective"], np.asarray(e["x"]),
                                      e["iterations"], e["converged"])
-    lips = max(estimate_lipschitz(dataset, problem.loss) + problem.ridge, 1e-12)
-    sigma = power_iteration_sigma_max(problem.penalty) if problem.penalty.nnz else 0.0
-    c = 1.0 / (1.0 + compute_L_tilde(gamma, sigma, lips, 0.0))
+    c = 1.0 / (1.0 + derive_constants(problem, dataset, gamma, "convex")["L_tilde"])
     penalty = problem.penalty
+
+    def gradient(v):
+        return oracles.full_gradient(problem, dataset, v)
+
     x = np.zeros(dataset.dimension)
     lam = np.zeros(penalty.n_rows)
     best = math.inf
@@ -334,13 +338,9 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
     iterations = 0
     for k in range(max_iters):
         fx = penalty.matvec(x)
-        z = apply_prox(problem.r2, fx - lam / gamma, 1.0 / gamma)
-        g1 = oracles.full_gradient(problem, dataset, x)
-        x_bar = apply_prox(problem.r1, x - c * (g1 - penalty.rmatvec(lam)), c)
-        lam_bar = lam - gamma * (fx - z)
-        g2 = oracles.full_gradient(problem, dataset, x_bar)
-        x = apply_prox(problem.r1, x - c * (g2 - penalty.rmatvec(lam_bar)), c)
-        lam = lam - gamma * (penalty.matvec(x_bar) - z)
+        z = z_block(problem, gamma, fx, lam)
+        _, _, x, lam, _, _ = extragradient(problem, gamma, c, x, lam, fx, z,
+                                           gradient)
         iterations = k + 1
         if iterations % check_every == 0:
             f = objective_value(problem, dataset, x)
@@ -551,23 +551,13 @@ def step_inequality_sweep(d: int = 20, n: int = 100, steps: int = 1000,
     train, _, problem, derived = build_all(core)
     config = replace(make_config(core, derived, seed),
                      capture_steps=True, full_batch=(mode == "deterministic"))
-    schedule = make_schedule(problem, config)
-    rng = np.random.default_rng(config.seed)
-    state = initial_state(problem, train)
-    # drive the loop directly so a deliberately divergent step scale still
-    # yields an auditable prefix of captured steps
-    captures = []
-    diverged_at = None
-    for _ in range(steps):
-        fx = problem.penalty.matvec(state.x)
-        z_next = update_z(state, fx, problem, config)
-        try:
-            captures.append(update_extragradient(
-                state, fx, z_next, problem, train, config, schedule, rng,
-                step_scale, capture=True))
-        except DivergenceError as exc:
-            diverged_at = exc.iteration
-            break
+    # a deliberately divergent step scale still yields an auditable prefix
+    # of captured steps
+    try:
+        captures = run_spdpeg(problem, train, config, step_scale=step_scale).captures
+        diverged_at = None
+    except DivergenceError as exc:
+        captures, diverged_at = exc.captures, exc.iteration
     if not captures:
         raise ValueError("run diverged before completing a single step")
     rng_ref = np.random.default_rng(seed + 709)

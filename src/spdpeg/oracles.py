@@ -34,14 +34,6 @@ import numpy as np
 from .model import LOSS_LOGISTIC, Dataset, Problem, row_positions
 
 
-@dataclass
-class GradSample:
-    """A realized stochastic gradient together with the indices drawn."""
-
-    gradient: np.ndarray
-    sample_indices: np.ndarray
-
-
 @dataclass(frozen=True)
 class NoiseStats:
     empirical_bias_norm: float
@@ -202,7 +194,7 @@ def full_gradient(problem: Problem, dataset: Dataset, x: np.ndarray) -> np.ndarr
 
 def stochastic_gradient(problem: Problem, dataset: Dataset, x: np.ndarray,
                         rng: np.random.Generator, batch_size: int,
-                        enumerate_all: bool = False) -> GradSample:
+                        enumerate_all: bool = False) -> np.ndarray:
     """Average gradient over a uniform with-replacement batch.
 
     ``enumerate_all`` replaces sampling with a pass over every sample
@@ -210,12 +202,11 @@ def stochastic_gradient(problem: Problem, dataset: Dataset, x: np.ndarray,
     """
     x = _check_x(dataset, x)
     if enumerate_all:
-        return GradSample(_gradient_over_rows(problem, dataset, x, None),
-                          np.arange(dataset.n_samples, dtype=np.int64))
+        return _gradient_over_rows(problem, dataset, x, None)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     idx = rng.integers(0, dataset.n_samples, size=batch_size)
-    return GradSample(_gradient_over_rows(problem, dataset, x, idx), idx)
+    return _gradient_over_rows(problem, dataset, x, idx)
 
 
 def estimate_noise(problem: Problem, dataset: Dataset, x: np.ndarray,
@@ -230,7 +221,7 @@ def estimate_noise(problem: Problem, dataset: Dataset, x: np.ndarray,
     acc = np.zeros(dataset.dimension)
     acc_sq = 0.0
     for _ in range(trials):
-        diff = stochastic_gradient(problem, dataset, x, rng, 1).gradient - mean_grad
+        diff = stochastic_gradient(problem, dataset, x, rng, 1) - mean_grad
         acc += diff
         acc_sq += float(diff @ diff)
     return NoiseStats(float(np.linalg.norm(acc / trials)), acc_sq / trials)

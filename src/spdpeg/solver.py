@@ -11,10 +11,18 @@ augmented Lagrangian with penalty gamma. One iteration, run at step c:
      stochastic gradient drawn at x_bar and the predictor dual; lambda
      from the dual residual at x_bar.
 
-Outputs are weighted averages of the predictor iterates: uniform weights,
-or weights proportional to k+3 for the accelerated strongly convex regime.
-The step-size schedule is gated by the composite constant from
-``compute_L_tilde``; schedules and averaging weights live here too.
+``extragradient`` is the predictor/corrector for any step and gradient
+source: SPDPEG and its full-gradient limit ``eg-full`` call it with the
+scheduled step and drawn gradients, the reference optimum in ``bench``
+with a constant step and exact gradients.
+
+``drive`` is the one loop over ``max_iters``. It validates the inputs,
+owns the schedule, the random stream and the trace cadence, calls a step
+function per iteration and returns the weighted averages. Steps advance
+the state through ``advance`` (divergence guard and averaging). SPDPEG
+averages the predictor iterates: uniform weights, or weights proportional
+to k+3 for the accelerated strongly convex regime. The step-size schedule
+is gated by the composite constant from ``compute_L_tilde``.
 
 ``check_step_inequality`` evaluates, on captured steps, the per-step
 energy inequality that the update quintuple satisfies pathwise; it is the
@@ -40,11 +48,13 @@ DIVERGENCE_LIMIT = 1e12
 
 
 class DivergenceError(RuntimeError):
-    """An iterate left the finite range; ``iteration`` is the failing step."""
+    """An iterate left the finite range; ``iteration`` is the failing step and
+    ``captures`` the steps captured before it (empty unless capturing)."""
 
     def __init__(self, iteration: int, message: str):
         super().__init__(message)
         self.iteration = iteration
+        self.captures: list[StepCapture] = []
 
 
 @dataclass(frozen=True)
@@ -54,7 +64,6 @@ class Schedule:
     regime: str
     mu: float
     L_tilde: float
-    horizon: int
 
     def __post_init__(self):
         if self.regime not in REGIMES:
@@ -65,8 +74,6 @@ class Schedule:
             raise ValueError("strongly convex regimes require mu > 0")
         if self.L_tilde <= 0:
             raise ValueError("L_tilde must be positive")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
 
 
 def step_size(schedule: Schedule, k: int) -> float:
@@ -94,7 +101,7 @@ def make_schedule(problem: Problem, config: SolverConfig) -> Schedule:
     mu = 0.0 if config.regime == REGIME_CONVEX else problem.strong_convexity_mu
     L_tilde = compute_L_tilde(config.gamma, config.sigma_max_FtF,
                               config.lipschitz_L, mu)
-    return Schedule(config.regime, mu, L_tilde, config.max_iters)
+    return Schedule(config.regime, mu, L_tilde)
 
 
 def schedule_bracket_coefficients(config: SolverConfig, schedule: Schedule,
@@ -166,18 +173,69 @@ class StepInequalityReport:
     coefficient_negative: bool
 
 
-def project_ball(v: np.ndarray, radius: float) -> np.ndarray:
-    nrm = float(np.linalg.norm(v))
-    if nrm <= radius:
-        return v
-    return v * (radius / nrm)
+def prox_step(problem: Problem, v: np.ndarray, c: float) -> np.ndarray:
+    """prox of c*r1 at v, projected onto the feasible ball when there is one."""
+    x = apply_prox(problem.r1, v, c)
+    radius = problem.feasible_radius
+    if radius is None:
+        return x
+    nrm = float(np.linalg.norm(x))
+    return x if nrm <= radius else x * (radius / nrm)
+
+
+def z_block(problem: Problem, gamma: float, fx: np.ndarray,
+            lam: np.ndarray) -> np.ndarray:
+    """Exact z minimizer of the augmented Lagrangian at F x = fx and lam."""
+    return apply_prox(problem.r2, fx - lam / gamma, 1.0 / gamma)
 
 
 def update_z(state: SolverState, fx: np.ndarray, problem: Problem,
              config: SolverConfig) -> np.ndarray:
     """Exact z-block minimizer of the augmented Lagrangian at (x, lambda);
     fx must hold F @ state.x."""
-    return apply_prox(problem.r2, fx - state.lam / config.gamma, 1.0 / config.gamma)
+    return z_block(problem, config.gamma, fx, state.lam)
+
+
+def extragradient(problem: Problem, gamma: float, c: float, x: np.ndarray,
+                  lam: np.ndarray, fx: np.ndarray, z: np.ndarray, gradient):
+    """Predictor and corrector at step c from (x, lam), given fx = F x and
+    this iteration's z; ``gradient(v)`` returns the gradient drawn at v.
+
+    Returns (x_bar, lam_bar, x_next, lam_next, g1, g2), where g1 and g2 are
+    the gradients drawn at x and at x_bar.
+    """
+    penalty = problem.penalty
+    g1 = gradient(x)
+    x_bar = prox_step(problem, x - c * (g1 - penalty.rmatvec(lam)), c)
+    lam_bar = lam - gamma * (fx - z)
+    g2 = gradient(x_bar)
+    x_next = prox_step(problem, x - c * (g2 - penalty.rmatvec(lam_bar)), c)
+    lam_next = lam - gamma * (penalty.matvec(x_bar) - z)
+    return x_bar, lam_bar, x_next, lam_next, g1, g2
+
+
+def advance(state: SolverState, w: int, x_avg: np.ndarray, lam_avg: np.ndarray,
+            x_next: np.ndarray, z_next: np.ndarray, lam_next: np.ndarray) -> None:
+    """Guard the new iterate, add w times (x_avg, z_next, lam_avg) to the
+    weighted sums and move the state to (x_next, z_next, lam_next)."""
+    k = state.k
+    peak = 0.0
+    if x_next.size:
+        peak = float(np.max(np.abs(x_next)))
+    if lam_next.size:
+        peak = max(peak, float(np.max(np.abs(lam_next))))
+    if not math.isfinite(peak) or peak > DIVERGENCE_LIMIT:
+        raise DivergenceError(k, f"iterate diverged at iteration {k} (peak {peak!r})")
+    z_avg = z_next
+    if w != 1:  # 1 * v has the bits of v; skip the three multiplies
+        x_avg, z_avg, lam_avg = w * x_avg, w * z_next, w * lam_avg
+    state.weighted_x_sum += x_avg
+    state.weighted_z_sum += z_avg
+    state.weighted_lambda_sum += lam_avg
+    state.raw_weight_sum += w
+    state.x, state.z, state.lam = x_next, z_next, lam_next
+    state.k = k + 1
+    state.max_dual_norm = max(state.max_dual_norm, float(np.linalg.norm(lam_next)))
 
 
 def update_extragradient(state: SolverState, fx: np.ndarray, z_next: np.ndarray,
@@ -189,44 +247,18 @@ def update_extragradient(state: SolverState, fx: np.ndarray, z_next: np.ndarray,
     and z_next this iteration's z-block minimizer."""
     k = state.k
     c = step_size(schedule, k) * step_scale
-    gamma = config.gamma
-    penalty = problem.penalty
-    x_k, lam_k = state.x, state.lam
     full = config.full_batch
 
-    gs1 = oracles.stochastic_gradient(problem, dataset, x_k, rng,
-                                      config.batch_size, enumerate_all=full)
-    g1 = gs1.gradient
-    x_bar = apply_prox(problem.r1, x_k - c * (g1 - penalty.rmatvec(lam_k)), c)
-    if problem.feasible_radius is not None:
-        x_bar = project_ball(x_bar, problem.feasible_radius)
-    lam_bar = lam_k - gamma * (fx - z_next)
+    def gradient(v):
+        return oracles.stochastic_gradient(problem, dataset, v, rng,
+                                           config.batch_size, enumerate_all=full)
 
-    gs2 = oracles.stochastic_gradient(problem, dataset, x_bar, rng,
-                                      config.batch_size, enumerate_all=full)
-    g2 = gs2.gradient
-    x_next = apply_prox(problem.r1, x_k - c * (g2 - penalty.rmatvec(lam_bar)), c)
-    if problem.feasible_radius is not None:
-        x_next = project_ball(x_next, problem.feasible_radius)
-    lam_next = lam_k - gamma * (penalty.matvec(x_bar) - z_next)
-
-    peak = 0.0
-    if x_next.size:
-        peak = float(np.max(np.abs(x_next)))
-    if lam_next.size:
-        peak = max(peak, float(np.max(np.abs(lam_next))))
-    if not math.isfinite(peak) or peak > DIVERGENCE_LIMIT:
-        raise DivergenceError(k, f"iterate diverged at iteration {k} (peak {peak!r})")
-
+    x_k, lam_k = state.x, state.lam
+    x_bar, lam_bar, x_next, lam_next, g1, g2 = extragradient(
+        problem, config.gamma, c, x_k, lam_k, fx, z_next, gradient)
     w = k + 3 if schedule.regime == REGIME_SC_NONUNIFORM else 1
-    state.weighted_x_sum += w * x_bar
-    state.weighted_z_sum += w * z_next
-    state.weighted_lambda_sum += w * lam_bar
-    state.raw_weight_sum += w
-    state.x, state.z, state.lam = x_next, z_next, lam_next
+    advance(state, w, x_bar, lam_bar, x_next, z_next, lam_next)
     state.x_bar, state.lam_bar = x_bar, lam_bar
-    state.k = k + 1
-    state.max_dual_norm = max(state.max_dual_norm, float(np.linalg.norm(lam_next)))
 
     if not capture:
         return None
@@ -251,22 +283,13 @@ class SolverResult:
     captures: list[StepCapture] = field(default_factory=list)
 
 
-def analytic_weight_total(regime: str, max_iters: int) -> int:
-    """Exact integer total of the accumulation weights over a full run."""
-    if regime == REGIME_SC_NONUNIFORM:
-        return max_iters * (max_iters + 5) // 2
-    return max_iters
-
-
-def _validate_run_inputs(problem: Problem, dataset: Dataset, config: SolverConfig,
-                         test_dataset: Dataset | None) -> None:
-    if problem.penalty.n_cols != dataset.dimension:
-        raise ValueError(f"penalty has {problem.penalty.n_cols} columns but the "
-                         f"dataset dimension is {dataset.dimension}")
-    if test_dataset is not None and test_dataset.dimension != dataset.dimension:
-        raise ValueError("train and test dimensions differ")
-    if config.regime != REGIME_CONVEX and problem.strong_convexity_mu <= 0.0:
-        raise ValueError(f"regime {config.regime!r} requires strong_convexity_mu > 0")
+def objective_from_margins(problem: Problem, labels: np.ndarray, m: np.ndarray,
+                           x: np.ndarray, fx: np.ndarray) -> float:
+    """Training objective at x given its margins m and fx = F x: the loss
+    (with any folded ridge) plus both regularizers."""
+    return (oracles.loss_from_margins(problem.loss, labels, m)
+            + oracles.ridge_value(problem, x)
+            + reg_value(problem.r1, x) + reg_value(problem.r2, fx))
 
 
 def evaluate_trace_record(problem: Problem, dataset: Dataset,
@@ -279,9 +302,8 @@ def evaluate_trace_record(problem: Problem, dataset: Dataset,
     train_margins = oracles.margins(dataset, x_avg)
     test_margins = (train_margins if test_dataset is dataset
                     else oracles.margins(test_dataset, x_avg))
-    objective = (oracles.loss_from_margins(problem.loss, dataset.labels, train_margins)
-                 + oracles.ridge_value(problem, x_avg)
-                 + reg_value(problem.r1, x_avg) + reg_value(problem.r2, fx))
+    objective = objective_from_margins(problem, dataset.labels, train_margins,
+                                       x_avg, fx)
     test_loss = oracles.loss_from_margins(problem.loss, test_dataset.labels,
                                           test_margins)
     accuracy = float(np.mean((test_margins >= 0) == (test_dataset.labels > 0)))
@@ -290,19 +312,27 @@ def evaluate_trace_record(problem: Problem, dataset: Dataset,
                        feasibility, max_dual_norm)
 
 
-def run(problem: Problem, dataset: Dataset, config: SolverConfig,
-        test_dataset: Dataset | None = None,
-        step_scale: float = 1.0) -> SolverResult:
-    """Run for max_iters iterations and return averaged iterates plus trace.
+def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
+          test_dataset: Dataset | None, step) -> SolverResult:
+    """Run ``step(state, schedule, rng)`` for max_iters iterations and return
+    the averaged iterates plus trace.
 
-    Weighted sums are accumulated online with integer weights and
-    normalized once by the analytic total, so the averages match the
-    closed-form weights exactly. A trace record is emitted every
+    Each step advances the state by one iteration and returns its
+    StepCapture or None. Weighted sums are accumulated online with integer
+    weights and normalized once by their integer total, so the averages
+    match the closed-form weights exactly. A trace record is emitted every
     ``eval_every`` iterations (and at the final one), evaluated at the
     current running average. The random stream is owned by this call:
     identical (problem, dataset, config) give bit-identical trajectories.
+    A DivergenceError carries the steps captured before it.
     """
-    _validate_run_inputs(problem, dataset, config, test_dataset)
+    if problem.penalty.n_cols != dataset.dimension:
+        raise ValueError(f"penalty has {problem.penalty.n_cols} columns but the "
+                         f"dataset dimension is {dataset.dimension}")
+    if test_dataset is not None and test_dataset.dimension != dataset.dimension:
+        raise ValueError("train and test dimensions differ")
+    if config.regime != REGIME_CONVEX and problem.strong_convexity_mu <= 0.0:
+        raise ValueError(f"regime {config.regime!r} requires strong_convexity_mu > 0")
     eval_dataset = dataset if test_dataset is None else test_dataset
     schedule = make_schedule(problem, config)
     rng = np.random.default_rng(config.seed)
@@ -310,26 +340,41 @@ def run(problem: Problem, dataset: Dataset, config: SolverConfig,
     trace: list[TraceRecord] = []
     captures: list[StepCapture] = []
     t0 = time.perf_counter()
-    for k in range(config.max_iters):
+    try:
+        for done in range(1, config.max_iters + 1):
+            cap = step(state, schedule, rng)
+            if cap is not None:
+                captures.append(cap)
+            if done % config.eval_every == 0 or done == config.max_iters:
+                wsum = state.raw_weight_sum
+                trace.append(evaluate_trace_record(
+                    problem, dataset, eval_dataset,
+                    state.weighted_x_sum / wsum, state.weighted_z_sum / wsum,
+                    done, time.perf_counter() - t0, state.max_dual_norm))
+    except DivergenceError as exc:
+        exc.captures = captures
+        raise
+    wsum = state.raw_weight_sum
+    return SolverResult(x_avg=state.weighted_x_sum / wsum,
+                        z_avg=state.weighted_z_sum / wsum,
+                        lambda_avg=state.weighted_lambda_sum / wsum,
+                        trace=trace, state=state, captures=captures)
+
+
+def run(problem: Problem, dataset: Dataset, config: SolverConfig,
+        test_dataset: Dataset | None = None,
+        step_scale: float = 1.0) -> SolverResult:
+    """SPDPEG for max_iters iterations: averaged iterates plus trace (see
+    ``drive``); ``config.full_batch`` makes it ``eg-full``."""
+
+    def step(state, schedule, rng):
         fx = problem.penalty.matvec(state.x)
         z_next = update_z(state, fx, problem, config)
-        cap = update_extragradient(state, fx, z_next, problem, dataset, config,
-                                   schedule, rng, step_scale,
-                                   capture=config.capture_steps)
-        if cap is not None:
-            captures.append(cap)
-        done = k + 1
-        if done % config.eval_every == 0 or done == config.max_iters:
-            wsum = state.raw_weight_sum
-            trace.append(evaluate_trace_record(
-                problem, dataset, eval_dataset,
-                state.weighted_x_sum / wsum, state.weighted_z_sum / wsum,
-                done, time.perf_counter() - t0, state.max_dual_norm))
-    total = analytic_weight_total(schedule.regime, config.max_iters)
-    return SolverResult(x_avg=state.weighted_x_sum / total,
-                        z_avg=state.weighted_z_sum / total,
-                        lambda_avg=state.weighted_lambda_sum / total,
-                        trace=trace, state=state, captures=captures)
+        return update_extragradient(state, fx, z_next, problem, dataset, config,
+                                    schedule, rng, step_scale,
+                                    capture=config.capture_steps)
+
+    return drive(problem, dataset, config, test_dataset, step)
 
 
 def check_step_inequality(capture: StepCapture, problem: Problem,

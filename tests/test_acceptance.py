@@ -260,7 +260,7 @@ def test_criterion_09_structural_invariants():
                 == (t + 1) * (t + 6) // 2
     for t in (0, 1, 7, 99, 12_345):
         from spdpeg.solver import Schedule
-        sched = Schedule("sc-nonuniform", 1.0, 1.0, t + 1)
+        sched = Schedule("sc-nonuniform", 1.0, 1.0)
         total = sum(average_weight(sched, k, t) for k in range(t + 1))
         weight_sums_ok = weight_sums_ok and abs(total - 1.0) <= 1e-14
     gate(9, "structural invariants",

@@ -78,7 +78,7 @@ def test_stoch_linadmm_zero_penalty_is_prox_sgd():
     x = np.zeros(d)
     for k in range(40):
         c = step_size(sched, k)
-        g = stochastic_gradient(problem, dataset, x, rng2, 1).gradient
+        g = stochastic_gradient(problem, dataset, x, rng2, 1)
         x = apply_prox(problem.r1, x - c * g, c)
     np.testing.assert_allclose(res.state.x, x, rtol=1e-14, atol=1e-15)
 

@@ -60,6 +60,22 @@ def test_reference_optimum_cached(tmp_path):
     np.testing.assert_array_equal(a.x, b.x)
 
 
+def test_reference_optimum_stays_in_feasible_ball():
+    core = small_core()
+    train, _, problem, _ = bench.build_all(core)
+    free = bench.reference_optimum(problem, train, 0.1, max_iters=4000,
+                                   check_every=500)
+    radius = 0.5 * float(np.linalg.norm(free.x))
+    core["problem"]["feasible_radius"] = radius
+    train, _, ball, _ = bench.build_all(core)
+    ref = bench.reference_optimum(ball, train, 0.1, max_iters=4000,
+                                  check_every=500)
+    assert np.linalg.norm(ref.x) <= radius * (1 + 1e-12)
+    # the constrained optimum costs more, but beats the shrunk free optimum
+    assert ref.objective > free.objective
+    assert ref.objective <= bench.objective_value(ball, train, 0.5 * free.x)
+
+
 def test_reference_matches_convex_solver():
     cvxpy = pytest.importorskip("cvxpy")
     core = small_core()
@@ -226,6 +242,9 @@ def test_step_inequality_sweep_flags_inflated_steps():
     rep = bench.step_inequality_sweep(d=8, n=40, steps=30, n_references=2,
                                       seed=1, step_scale=100.0)
     assert rep["coefficient_negative_steps"] >= 1
+    # the run diverges part-way; the steps before it are still audited
+    assert rep["diverged_at"] is not None
+    assert rep["steps"] == rep["diverged_at"] > 0
 
 
 def test_max_workers_env(monkeypatch):

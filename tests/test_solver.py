@@ -31,34 +31,34 @@ def flr_instance(d=8, n=40, seed=3, gamma=0.1, iters=200, solver_seed=5, **cfg):
 
 
 def test_step_size_examples():
-    conv = Schedule("convex", 0.0, 12.0, 10)
+    conv = Schedule("convex", 0.0, 12.0)
     assert step_size(conv, 0) == pytest.approx(1.0 / 13.0)
-    scu = Schedule("sc-uniform", 1.0, 1.0, 10)
+    scu = Schedule("sc-uniform", 1.0, 1.0)
     assert step_size(scu, 0) == pytest.approx(2.0 / 3.0)
-    scn = Schedule("sc-nonuniform", 1.0, 1.0, 10)
+    scn = Schedule("sc-nonuniform", 1.0, 1.0)
     assert step_size(scn, 0) == pytest.approx(4.0 / 6.0)
 
 
 def test_schedule_rejects_sc_without_mu():
     with pytest.raises(ValueError):
-        Schedule("sc-nonuniform", 0.0, 1.0, 10)
+        Schedule("sc-nonuniform", 0.0, 1.0)
     with pytest.raises(ValueError):
-        Schedule("convex", 0.5, 1.0, 10)
+        Schedule("convex", 0.5, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["convex", "sc-uniform", "sc-nonuniform"]),
        st.floats(0.01, 10.0), st.floats(0.01, 100.0), st.integers(0, 500))
 def test_step_size_positive_decreasing(regime, mu, L_tilde, k):
-    sched = Schedule(regime, 0.0 if regime == "convex" else mu, L_tilde, 10)
+    sched = Schedule(regime, 0.0 if regime == "convex" else mu, L_tilde)
     assert step_size(sched, k) > 0
     assert step_size(sched, k + 1) < step_size(sched, k)
 
 
 def test_average_weight_examples():
-    uni = Schedule("convex", 0.0, 1.0, 10)
+    uni = Schedule("convex", 0.0, 1.0)
     assert average_weight(uni, 4, 9) == pytest.approx(0.1)
-    non = Schedule("sc-nonuniform", 1.0, 1.0, 10)
+    non = Schedule("sc-nonuniform", 1.0, 1.0)
     assert average_weight(non, 0, 0) == pytest.approx(1.0)
     weights = [average_weight(non, k, 3) for k in range(4)]
     np.testing.assert_allclose(weights, np.array([6.0, 8.0, 10.0, 12.0]) / 36.0)
@@ -68,7 +68,7 @@ def test_average_weight_examples():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(0, 2000))
 def test_nonuniform_weights_sum_to_one(t):
-    non = Schedule("sc-nonuniform", 1.0, 1.0, t + 1)
+    non = Schedule("sc-nonuniform", 1.0, 1.0)
     total = math.fsum(average_weight(non, k, t) for k in range(t + 1))
     assert abs(total - 1.0) <= 1e-14
 
