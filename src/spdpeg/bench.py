@@ -449,6 +449,11 @@ def _gap_curves(core: dict, seeds, reference: float):
     return iterations, np.stack(obj_curves), np.stack(feas_curves)
 
 
+def _grid_index(iterations: np.ndarray, t: int) -> int:
+    """Position of iteration t on a trace grid."""
+    return int(np.nonzero(iterations == t)[0][0])
+
+
 def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
                  iters: int = 100_000, seeds: int = 5, base_seed: int = 0,
                  d: int = 20, n: int = 200, eval_every: int = 100,
@@ -484,15 +489,19 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
                             "reference_iterations": ref.iterations,
                             "reference_converged": ref.converged}
     if "sc-nonuniform" in regimes or "sc-uniform" in regimes:
-        core = rate_core("sc", d=d, n=n, gamma=gamma, iters=iters,
+        # the schedule does not depend on the horizon, so a run to iters
+        # passes through the ordering iteration with the same bits as a run
+        # that stops there
+        core = rate_core("sc", d=d, n=n, gamma=gamma,
+                         iters=(iters if "sc-nonuniform" in regimes
+                                else ordering_iteration),
                          eval_every=eval_every)
         train, _, problem, _ = build_all(core)
         ref = reference_optimum(problem, train, core["config"]["gamma"],
                                 cache_path=cache_path)
-        non_gaps = None
+        its, obj_curves, feas_curves = _gap_curves(core, seed_list,
+                                                   ref.objective)
         if "sc-nonuniform" in regimes:
-            its, obj_curves, feas_curves = _gap_curves(core, seed_list,
-                                                       ref.objective)
             obj_fit = fit_rate(its, obj_curves.mean(axis=0), (window_lo, None))
             feas_fit = fit_rate(its, feas_curves.mean(axis=0), (window_lo, None))
             report["sc-nonuniform"] = {
@@ -503,25 +512,16 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
                 "reference_objective": ref.objective,
                 "reference_iterations": ref.iterations,
                 "reference_converged": ref.converged}
-            idx = int(np.nonzero(its == ordering_iteration)[0][0])
-            non_gaps = obj_curves[:, idx]
         if "sc-uniform" in regimes:
             # the uniform regime is checked as an ordering against the
             # accelerated one at a fixed iteration count, not as a slope
-            if non_gaps is None:
-                short = rate_core("sc", d=d, n=n, gamma=gamma,
-                                  iters=ordering_iteration,
-                                  eval_every=eval_every)
-                s_its, s_curves, _ = _gap_curves(short, seed_list, ref.objective)
-                non_gaps = s_curves[:, int(np.nonzero(
-                    s_its == ordering_iteration)[0][0])]
+            non_gaps = obj_curves[:, _grid_index(its, ordering_iteration)]
             uni_core = rate_core("sc", d=d, n=n, gamma=gamma,
                                  iters=ordering_iteration,
                                  eval_every=eval_every, regime="sc-uniform")
             uni_its, uni_curves, _ = _gap_curves(uni_core, seed_list,
                                                  ref.objective)
-            uidx = int(np.nonzero(uni_its == ordering_iteration)[0][0])
-            uni_gaps = uni_curves[:, uidx]
+            uni_gaps = uni_curves[:, _grid_index(uni_its, ordering_iteration)]
             report["ordering"] = {
                 "iteration": ordering_iteration,
                 "gap_uniform_median": float(np.median(uni_gaps)),

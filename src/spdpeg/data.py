@@ -128,13 +128,6 @@ def normalize_features(dataset: Dataset) -> tuple[Dataset, np.ndarray]:
     return scaled, scales
 
 
-def _dense_rows_dataset(features: np.ndarray, labels: np.ndarray) -> Dataset:
-    n, d = features.shape
-    indptr = d * np.arange(n + 1, dtype=np.int64)
-    indices = np.tile(np.arange(d, dtype=np.int64), n)
-    return Dataset(indptr, indices, features.ravel(), labels, d)
-
-
 def _components(d: int, edges) -> np.ndarray:
     parent = np.arange(d)
 
@@ -193,4 +186,4 @@ def synthesize(kind: str, d: int, n: int, noise: float,
     features = rng.standard_normal((n, d)) / math.sqrt(d)
     margins = features @ x_star + noise * rng.standard_normal(n)
     labels = np.where(margins >= 0, 1.0, -1.0)
-    return _dense_rows_dataset(features, labels), graph, x_star
+    return Dataset.from_dense_rows(features, labels), graph, x_star

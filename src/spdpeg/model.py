@@ -1,14 +1,13 @@
 """Problem data model: samples, datasets, problem bundles, solver configuration.
 
-A Dataset stores its samples in CSR layout (one sparse feature row per
-sample) so the oracles can vectorize over samples; individual samples are
-exposed as lightweight views. Datasets whose rows store every feature also
-carry a column-major copy for the full-data passes.
+A Dataset's features are a ``SparseMatrix`` (one CSR row per sample, the
+data matrix ``A``) so the oracles can vectorize over samples; individual
+samples are exposed as lightweight views. Datasets whose rows store every
+feature also carry a column-major copy for the full-data passes.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -66,38 +65,25 @@ def row_positions(indptr: np.ndarray, rows: np.ndarray
 
 
 class Dataset:
-    """Immutable collection of samples sharing a feature dimension."""
+    """Immutable collection of labeled samples sharing a feature dimension.
+
+    The features are a ``SparseMatrix`` with one row per sample, which
+    validates the CSR structure. ``indptr``, ``indices``, ``data``,
+    ``row_ids`` and ``dimension`` are that matrix's own fields under the
+    names the oracles use, not copies.
+    """
 
     def __init__(self, indptr, indices, data, labels, dimension):
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.indices = np.asarray(indices, dtype=np.int64)
-        self.data = np.asarray(data, dtype=np.float64)
         self.labels = np.asarray(labels, dtype=np.float64)
-        self.dimension = int(dimension)
         n = self.labels.size
         if n == 0:
             raise ValueError("dataset must contain at least one sample")
-        if self.dimension < 0:
-            raise ValueError("dimension must be nonnegative")
-        if self.indptr.shape != (n + 1,) or self.indptr[0] != 0 \
-                or np.any(np.diff(self.indptr) < 0) \
-                or self.indptr[-1] != self.indices.size \
-                or self.indices.size != self.data.size:
-            raise ValueError("inconsistent CSR structure")
-        if self.indices.size and (self.indices.min() < 0
-                                  or self.indices.max() >= self.dimension):
-            raise ValueError("feature index out of range")
-        lengths = np.diff(self.indptr)
-        row_ids = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        if self.indices.size > 1:
-            same = row_ids[1:] == row_ids[:-1]
-            if np.any(np.diff(self.indices)[same] <= 0):
-                raise ValueError("feature indices must be strictly increasing per sample")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("feature values must be finite")
-        self.row_ids = row_ids
+        self.features = f = SparseMatrix(n, int(dimension), indptr, indices, data)
+        self.indptr, self.indices, self.data = f.row_offsets, f.col_indices, f.values
+        self.row_ids, self.dimension = f.row_ids, f.n_cols
+        lengths = np.diff(self.indptr)
         # stored entries per row when every row has the same count, else None
         self.uniform_row_length = (int(lengths[0]) if np.all(lengths == lengths[0])
                                    else None)
@@ -115,24 +101,16 @@ class Dataset:
         return cols
 
     @classmethod
-    def from_samples(cls, samples, dimension=None) -> "Dataset":
-        samples = list(samples)
-        if not samples:
-            raise ValueError("dataset must contain at least one sample")
-        max_idx = max((int(s.indices.max()) for s in samples if s.indices.size),
-                      default=-1)
-        if dimension is None:
-            dimension = max_idx + 1
-        elif max_idx >= dimension:
-            raise ValueError("sample feature index exceeds requested dimension")
-        indptr = np.zeros(len(samples) + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([s.indices.size for s in samples])
-        indices = (np.concatenate([s.indices for s in samples])
-                   if indptr[-1] else np.zeros(0, dtype=np.int64))
-        data = (np.concatenate([s.values for s in samples])
-                if indptr[-1] else np.zeros(0))
-        labels = np.array([s.label for s in samples], dtype=np.float64)
-        return cls(indptr, indices, data, labels, dimension)
+    def from_dense_rows(cls, features, labels) -> "Dataset":
+        """Dataset of the rows of a 2-D array; every row stores every
+        feature, zeros included."""
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2:
+            raise ValueError("features must be a 2-D array")
+        n, d = features.shape
+        return cls(d * np.arange(n + 1, dtype=np.int64),
+                   np.tile(np.arange(d, dtype=np.int64), n),
+                   features.ravel(), labels, d)
 
     @property
     def n_samples(self) -> int:
@@ -164,13 +142,7 @@ class Dataset:
                            minlength=self.n_samples)
 
     def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.int64([self.n_samples, self.dimension]).tobytes())
-        h.update(self.indptr.tobytes())
-        h.update(self.indices.tobytes())
-        h.update(self.data.tobytes())
-        h.update(self.labels.tobytes())
-        return h.hexdigest()
+        return self.features.fingerprint(self.labels)
 
 
 @dataclass(frozen=True)

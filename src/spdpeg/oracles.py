@@ -6,14 +6,16 @@ back through the sparse rows. The full gradient and the forced
 full-enumeration batch use the same accumulation code, which makes the
 unbiasedness identity hold to rounding rather than approximately.
 
-A full pass over a dataset whose rows store every feature, with n and d
-both at least 2 (``Dataset.dense_columns``), reduces over the leading axis
-of a dense array: the margins over the column-major copy, the gradient
+A full pass uses the products of the data matrix ``A`` (the dataset's
+``features``): the margins are ``A @ x`` and the gradient scatter is
+``A.T @ coefs``, the ``bincount`` kernels of ``SparseMatrix.matvec`` and
+``rmatvec``. A dataset whose rows store every feature, with n and d both
+at least 2 (``Dataset.dense_columns``), reduces over the leading axis of a
+dense array instead: the margins over the column-major copy, the gradient
 scatter over the row-major CSR values. numpy adds such a reduction lane by
 lane in index order starting from ``initial=0.0``, which is ``bincount``'s
-order, so both give the same bits as the CSR path that every other dataset
-takes. With a single kept lane (n or d equal to 1) numpy sums pairwise
-instead, hence the size guard.
+order, so both give the same bits as the CSR products. With a single kept
+lane (n or d equal to 1) numpy sums pairwise instead, hence the size guard.
 
 A sampled batch takes one of two paths:
 - one row: scalar arithmetic on that row's slice, with no array built for
@@ -53,10 +55,7 @@ def margins(dataset: Dataset, x: np.ndarray) -> np.ndarray:
     cols = dataset.dense_columns
     if cols is not None:
         return np.add.reduce(cols * x[:, None], axis=0, initial=0.0)
-    if dataset.indices.size == 0:
-        return np.zeros(dataset.n_samples)
-    return np.bincount(dataset.row_ids, weights=dataset.data * x[dataset.indices],
-                       minlength=dataset.n_samples)
+    return dataset.features.matvec(x)
 
 
 def _coefs(loss: str, m: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -107,12 +106,8 @@ def _gradient_over_rows(problem: Problem, dataset: Dataset, x: np.ndarray,
         if dataset.dense_columns is not None:
             grad = np.add.reduce(dataset.data.reshape(-1, d) * coefs[:, None],
                                  axis=0, initial=0.0)
-        elif dataset.indices.size == 0:
-            grad = np.zeros(d)
         else:
-            coef_rep = np.repeat(coefs, np.diff(dataset.indptr))
-            grad = np.bincount(dataset.indices, weights=dataset.data * coef_rep,
-                               minlength=d)
+            grad = dataset.features.rmatvec(coefs)
     elif rows.size == 1:
         grad = _row_gradient(problem.loss, dataset, x, int(rows[0]))
     else:

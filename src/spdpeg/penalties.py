@@ -77,8 +77,7 @@ def precision_graph_from_data(dataset: Dataset, ridge: float = 1e-2,
     if ridge <= 0 or threshold <= 0:
         raise ValueError("ridge and threshold must be positive")
     d = dataset.dimension
-    dense = np.zeros((dataset.n_samples, d))
-    dense[dataset.row_ids, dataset.indices] = dataset.data
+    dense = dataset.features.to_dense()
     centered = dense - dense.mean(axis=0)
     cov = centered.T @ centered / dataset.n_samples
     precision = np.linalg.solve(cov + ridge * np.eye(d), np.eye(d))
@@ -93,8 +92,7 @@ def save_penalty(path, m: SparseMatrix) -> None:
     """Write 'rows cols nnz' then one 'row col value' triple per line."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{m.n_rows} {m.n_cols} {m.nnz}\n")
-        row_ids = np.repeat(np.arange(m.n_rows), np.diff(m.row_offsets))
-        for r, c, v in zip(row_ids, m.col_indices, m.values):
+        for r, c, v in zip(m.row_ids, m.col_indices, m.values):
             fh.write(f"{int(r)} {int(c)} {float(v)!r}\n")
 
 
@@ -133,4 +131,7 @@ def load_penalty(path) -> SparseMatrix:
                              "row-major sorted without duplicates")
         prev = (r, c)
         rows[k], cols[k], vals[k] = r, c, v
-    return SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
+    # the lines are row-major sorted, so row r starts after the entries of
+    # the rows before it
+    offsets = np.searchsorted(rows, np.arange(n_rows + 1))
+    return SparseMatrix(n_rows, n_cols, offsets, cols, vals)

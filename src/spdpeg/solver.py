@@ -104,15 +104,19 @@ def make_schedule(problem: Problem, config: SolverConfig) -> Schedule:
     return Schedule(config.regime, mu, L_tilde)
 
 
-def schedule_bracket_coefficients(config: SolverConfig, schedule: Schedule,
-                                  k: int) -> tuple[float, float]:
-    """The two step-dependent coefficients whose nonnegativity the analysis
+def _bracket_coefficients(config: SolverConfig, c: float) -> tuple[float, float]:
+    """The two coefficients at step size c whose nonnegativity the analysis
     relies on: (1/(2*gamma) - 4*c*sigma, 1/(2*c) - gamma*sigma/2 - 4*c*L^2)."""
-    c = step_size(schedule, k)
     sigma = config.sigma_max_FtF
     return (1.0 / (2.0 * config.gamma) - 4.0 * c * sigma,
             1.0 / (2.0 * c) - config.gamma * sigma / 2.0
             - 4.0 * c * config.lipschitz_L ** 2)
+
+
+def schedule_bracket_coefficients(config: SolverConfig, schedule: Schedule,
+                                  k: int) -> tuple[float, float]:
+    """The bracket coefficients at the step size of iteration k."""
+    return _bracket_coefficients(config, step_size(schedule, k))
 
 
 @dataclass
@@ -396,7 +400,6 @@ def check_step_inequality(capture: StepCapture, problem: Problem,
             raise ValueError(f"capture is missing {name}; rerun with capture enabled")
     z_ref, x_ref, lam_ref = (np.asarray(v, dtype=np.float64) for v in reference)
     c, gamma = capture.c, config.gamma
-    sigma, lips = config.sigma_max_FtF, config.lipschitz_L
     penalty = problem.penalty
 
     delta = capture.grad_x_stoch - capture.grad_x_full
@@ -416,8 +419,7 @@ def check_step_inequality(capture: StepCapture, problem: Problem,
     def sq(v):
         return float(v @ v)
 
-    bracket_lambda = 1.0 / (2.0 * gamma) - 4.0 * c * sigma
-    bracket_x = 1.0 / (2.0 * c) - gamma * sigma / 2.0 - 4.0 * c * lips ** 2
+    bracket_lambda, bracket_x = _bracket_coefficients(config, c)
     rhs = (sq(x_ref - capture.x_next) / (2.0 * c)
            - sq(x_ref - capture.x_prev) / (2.0 * c)
            - 4.0 * c * (delta_sq + delta_bar_sq)

@@ -1,13 +1,17 @@
 """Row-compressed sparse matrices and spectral estimation.
 
-The solver only ever needs three things from a penalty matrix: ``F @ x``,
-``F.T @ y``, and the largest eigenvalue of ``F.T F``. Everything here is
-plain numpy; accumulation uses ``np.bincount`` so empty rows and columns
-are handled exactly and summation order is deterministic.
+One CSR type serves both sparse matrices of the method: the penalty ``F``,
+of which the solver needs ``F @ x``, ``F.T @ y`` and the largest eigenvalue
+of ``F.T F``, and the data matrix ``A`` of a ``Dataset``, whose CSR margins
+``A @ x`` and full-gradient scatter ``A.T @ c`` are the same two products.
+All CSR validation lives here. Everything is plain numpy; accumulation uses
+``np.bincount`` so empty rows and columns are handled exactly and summation
+order is deterministic.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +42,8 @@ class SparseMatrix:
     row_offsets: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
-    # repeated row index per stored entry; derived, used by matvec
-    _row_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    # repeated row index per stored entry; derived, used by the products
+    row_ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         offsets = np.asarray(self.row_offsets, dtype=np.int64)
@@ -63,7 +67,7 @@ class SparseMatrix:
             same_row = row_ids[1:] == row_ids[:-1]
             if np.any(np.diff(cols)[same_row] <= 0):
                 raise ValueError("column indices must be strictly increasing within a row")
-        object.__setattr__(self, "_row_ids", row_ids)
+        object.__setattr__(self, "row_ids", row_ids)
         if not np.all(np.isfinite(vals)):
             raise ValueError("matrix values must be finite")
 
@@ -88,22 +92,6 @@ class SparseMatrix:
         return cls(a.shape[0], a.shape[1], np.cumsum(offsets),
                    cols, a[rows, cols])
 
-    @classmethod
-    def from_coo(cls, n_rows, n_cols, rows, cols, vals) -> "SparseMatrix":
-        """Build from unsorted triplets; duplicate positions are rejected."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
-            raise ValueError("row index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if rows.size > 1 and np.any((np.diff(rows) == 0) & (np.diff(cols) == 0)):
-            raise ValueError("duplicate entries")
-        offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(offsets, rows + 1, 1)
-        return cls(n_rows, n_cols, np.cumsum(offsets), cols, vals)
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Return ``M @ v``."""
         v = np.asarray(v, dtype=np.float64)
@@ -111,7 +99,7 @@ class SparseMatrix:
             raise ValueError(f"matvec expects a vector of length {self.n_cols}, got {v.shape}")
         if self.nnz == 0:
             return np.zeros(self.n_rows)
-        return np.bincount(self._row_ids, weights=self.values * v[self.col_indices],
+        return np.bincount(self.row_ids, weights=self.values * v[self.col_indices],
                            minlength=self.n_rows)
 
     def rmatvec(self, u: np.ndarray) -> np.ndarray:
@@ -121,23 +109,21 @@ class SparseMatrix:
             raise ValueError(f"rmatvec expects a vector of length {self.n_rows}, got {u.shape}")
         if self.nnz == 0:
             return np.zeros(self.n_cols)
-        return np.bincount(self.col_indices, weights=self.values * u[self._row_ids],
+        return np.bincount(self.col_indices, weights=self.values * u[self.row_ids],
                            minlength=self.n_cols)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))
-        out[self._row_ids, self.col_indices] = self.values
+        out[self.row_ids, self.col_indices] = self.values
         return out
 
-    def fingerprint(self) -> str:
-        """Hex digest of the structural content, for manifests and caches."""
-        import hashlib
-
+    def fingerprint(self, *extra: np.ndarray) -> str:
+        """Hex digest of the structural content, then of the ``extra``
+        arrays in order, for manifests and caches."""
         h = hashlib.sha256()
         h.update(np.int64([self.n_rows, self.n_cols]).tobytes())
-        h.update(self.row_offsets.tobytes())
-        h.update(self.col_indices.tobytes())
-        h.update(self.values.tobytes())
+        for a in (self.row_offsets, self.col_indices, self.values, *extra):
+            h.update(a.tobytes())
         return h.hexdigest()
 
 

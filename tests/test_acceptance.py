@@ -15,7 +15,7 @@ import pytest
 
 from spdpeg import bench
 from spdpeg.data import ParseError, parse_libsvm, serialize_libsvm
-from spdpeg.model import Dataset, Problem, Sample
+from spdpeg.model import Dataset, Problem
 from spdpeg.oracles import full_gradient, loss_value
 from spdpeg.prox import ProxSpec, apply_prox, prox_l1, reg_value
 from spdpeg.solver import (average_weight, make_schedule,
@@ -73,8 +73,7 @@ def test_criterion_01_prox_oracle_suite():
 def _random_instance(loss, rng, n=60, d=10, ridge=0.0):
     feats = rng.standard_normal((n, d)) / math.sqrt(d)
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    samples = [Sample(np.arange(d), f, b) for f, b in zip(feats, labels)]
-    dataset = Dataset.from_samples(samples, dimension=d)
+    dataset = Dataset.from_dense_rows(feats, labels)
     problem = Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
                       SparseMatrix.from_dense(np.eye(d)), ridge=ridge,
                       strong_convexity_mu=ridge)

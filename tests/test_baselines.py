@@ -2,7 +2,7 @@ import numpy as np
 
 from spdpeg.baselines import run_eg_full, run_stoch_linadmm
 from spdpeg.data import synthesize
-from spdpeg.model import Dataset, Problem, Sample, SolverConfig, estimate_lipschitz
+from spdpeg.model import Dataset, Problem, SolverConfig, estimate_lipschitz
 from spdpeg.oracles import stochastic_gradient
 from spdpeg.penalties import build_fused_matrix
 from spdpeg.prox import ProxSpec, apply_prox
@@ -39,8 +39,7 @@ def test_eg_full_quadratic_toy_reaches_normal_equations():
     d, n = 4, 30
     feats = rng.standard_normal((n, d))
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    samples = [Sample(np.arange(d), f, b) for f, b in zip(feats, labels)]
-    dataset = Dataset.from_samples(samples, dimension=d)
+    dataset = Dataset.from_dense_rows(feats, labels)
     penalty = build_fused_matrix(d)
     ridge = 0.5
     problem = Problem("least-squares", ProxSpec("none"), ProxSpec("l1", 0.0),
@@ -62,8 +61,7 @@ def test_stoch_linadmm_zero_penalty_is_prox_sgd():
     d, n = 3, 20
     feats = rng.standard_normal((n, d))
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    samples = [Sample(np.arange(d), f, b) for f, b in zip(feats, labels)]
-    dataset = Dataset.from_samples(samples, dimension=d)
+    dataset = Dataset.from_dense_rows(feats, labels)
     penalty = SparseMatrix(0, d, [0], [], [])
     problem = Problem("logistic", ProxSpec("l1", 0.01), ProxSpec("l1", 1.0),
                       penalty)

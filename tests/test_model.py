@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdpeg.data import synthesize
 from spdpeg.model import (Dataset, Problem, Sample, SolverConfig,
                           compute_L_tilde, estimate_lipschitz)
 from spdpeg.prox import ProxSpec
@@ -14,9 +15,9 @@ EYE2 = SparseMatrix.from_dense(np.eye(2))
 
 
 def make_dataset(rows, labels, d):
-    samples = [Sample(np.nonzero(r)[0], np.asarray(r, float)[np.nonzero(r)[0]], b)
-               for r, b in zip(np.asarray(rows, float), labels)]
-    return Dataset.from_samples(samples, dimension=d)
+    """Dataset of the nonzeros of ``rows`` in d features."""
+    m = SparseMatrix.from_dense(rows)
+    return Dataset(m.row_offsets, m.col_indices, m.values, labels, d)
 
 
 def test_sample_validation():
@@ -39,9 +40,73 @@ def test_dataset_roundtrips_samples():
 
 def test_dataset_rejects_empty_and_bad_labels():
     with pytest.raises(ValueError):
-        Dataset.from_samples([], dimension=2)
+        Dataset.from_dense_rows(np.zeros((0, 2)), [])
     with pytest.raises(ValueError):
         Dataset([0, 1], [0], [1.0], [2.0], 1)
+
+
+# two rows over three features: [1, 0, 2] and [0, 3, 0]
+GOOD_CSR = dict(indptr=[0, 2, 3], indices=[0, 2, 1], data=[1.0, 2.0, 3.0],
+                labels=[1.0, -1.0], dimension=3)
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(dict(indptr=[0, 2]), id="indptr-length"),
+    pytest.param(dict(indptr=[1, 2, 3]), id="indptr-start"),
+    pytest.param(dict(indptr=[0, 4, 3]), id="indptr-order"),
+    pytest.param(dict(indptr=[0, 2, 4]), id="nnz-mismatch"),
+    pytest.param(dict(data=[1.0, 2.0]), id="size-mismatch"),
+    pytest.param(dict(indices=[-1, 2, 1]), id="index-negative"),
+    pytest.param(dict(indices=[0, 3, 1]), id="index-beyond-d"),
+    pytest.param(dict(indices=[2, 2, 1]), id="index-repeated"),
+    pytest.param(dict(indices=[2, 0, 1]), id="index-decreasing"),
+    pytest.param(dict(data=[1.0, np.nan, 3.0]), id="value-nan"),
+    pytest.param(dict(data=[1.0, 2.0, -np.inf]), id="value-inf"),
+    pytest.param(dict(dimension=-1), id="dimension-negative"),
+    pytest.param(dict(indptr=[0], indices=[], data=[], labels=[]), id="no-labels"),
+    pytest.param(dict(labels=[1.0, 0.0]), id="label-not-pm1"),
+])
+def test_dataset_rejects_malformed_csr(bad):
+    Dataset(**GOOD_CSR)
+    with pytest.raises(ValueError):
+        Dataset(**{**GOOD_CSR, **bad})
+
+
+def test_dataset_fields_are_the_feature_matrix():
+    ds = Dataset(**GOOD_CSR)
+    f = ds.features
+    assert (ds.indptr is f.row_offsets and ds.indices is f.col_indices
+            and ds.data is f.values and ds.row_ids is f.row_ids)
+    assert (f.n_rows, f.n_cols) == (ds.n_samples, ds.dimension) == (2, 3)
+    np.testing.assert_array_equal(f.to_dense(), [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+
+
+def test_from_dense_rows_stores_every_feature():
+    ds = Dataset.from_dense_rows([[1.0, 0.0], [0.0, -2.0], [3.0, 4.0]],
+                                 [1.0, -1.0, 1.0])
+    np.testing.assert_array_equal(ds.indptr, [0, 2, 4, 6])
+    np.testing.assert_array_equal(ds.indices, [0, 1, 0, 1, 0, 1])
+    np.testing.assert_array_equal(ds.data, [1.0, 0.0, 0.0, -2.0, 3.0, 4.0])
+    assert ds.uniform_row_length == ds.dimension == 2
+    with pytest.raises(ValueError, match="2-D"):
+        Dataset.from_dense_rows([1.0, 2.0], [1.0])
+
+
+# generated with the implementation that predates Dataset.features; the
+# reference-optimum cache is keyed by these digests
+DATASET_FINGERPRINTS = {
+    "ragged": "88803a6f3079d89aea20d243b70602d731f6acd815b703d5d82c22d772d6a829",
+    "fused-signal": "99d5eec74c750f0d8357b913066469634b9ea127d80d91be10bafe98e560027d",
+}
+
+
+def test_dataset_fingerprint_is_pinned():
+    # three rows over four features, the middle one empty
+    ragged = Dataset([0, 2, 2, 5], [0, 3, 1, 2, 3],
+                     [1.5, -2.0, 0.25, 3.0, -1.0], [1.0, -1.0, 1.0], 4)
+    dense, _, _ = synthesize("fused-signal", d=5, n=7, noise=0.1, seed=3)
+    assert ragged.fingerprint() == DATASET_FINGERPRINTS["ragged"]
+    assert dense.fingerprint() == DATASET_FINGERPRINTS["fused-signal"]
 
 
 def test_dataset_rejects_index_beyond_dimension():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spdpeg.model import Dataset, Problem, Sample, estimate_lipschitz
+from spdpeg.model import Dataset, Problem, estimate_lipschitz
 from spdpeg.oracles import (data_loss, estimate_noise, full_gradient,
                             loss_value, stochastic_gradient)
 from spdpeg.prox import ProxSpec
@@ -11,9 +11,7 @@ from spdpeg.sparse import SparseMatrix
 
 
 def dense_dataset(rows, labels):
-    rows = np.asarray(rows, dtype=float)
-    samples = [Sample(np.arange(rows.shape[1]), r, b) for r, b in zip(rows, labels)]
-    return Dataset.from_samples(samples, dimension=rows.shape[1])
+    return Dataset.from_dense_rows(rows, labels)
 
 
 def make_problem(loss, d, ridge=0.0, mu=0.0):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spdpeg.model import Dataset, Sample
+from spdpeg.model import Dataset
 from spdpeg.penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
                               load_penalty, precision_graph_from_data,
                               save_penalty)
@@ -66,10 +66,9 @@ def test_graph_matrix_annihilates_componentwise_constants():
 
 def exact_diagonal_dataset():
     # sample rows chosen so the sample covariance is exactly diagonal
-    rows = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
-    samples = [Sample(np.array([0]), np.array([r[0]]), 1.0) if r[1] == 0
-               else Sample(np.array([1]), np.array([r[1]]), 1.0) for r in rows]
-    return Dataset.from_samples(samples, dimension=2)
+    # rows [1, 0], [-1, 0], [0, 1], [0, -1], each storing its one nonzero
+    return Dataset([0, 1, 2, 3, 4], [0, 0, 1, 1], [1.0, -1.0, 1.0, -1.0],
+                   np.ones(4), 2)
 
 
 def test_precision_graph_independent_features():
@@ -82,8 +81,7 @@ def test_precision_graph_correlated_pair():
     rng = np.random.default_rng(6)
     z = rng.standard_normal(50)
     rows = np.stack([z, z], axis=1)
-    samples = [Sample(np.array([0, 1]), r, 1.0) for r in rows]
-    ds = Dataset.from_samples(samples, dimension=2)
+    ds = Dataset.from_dense_rows(rows, np.ones(50))
     spec = precision_graph_from_data(ds, ridge=0.1, threshold=1e-6)
     assert len(spec.edges) == 1 and spec.edges[0][:2] == (0, 1)
     # closed form for the 2x2 inverse of [[v, v], [v, v]] + r*I
@@ -102,11 +100,9 @@ def test_precision_graph_permutation_equivariant():
     rng = np.random.default_rng(13)
     feats = rng.standard_normal((60, 4))
     feats[:, 3] = feats[:, 0] + 0.05 * rng.standard_normal(60)
-    samples = [Sample(np.arange(4), r, 1.0) for r in feats]
-    ds = Dataset.from_samples(samples, dimension=4)
+    ds = Dataset.from_dense_rows(feats, np.ones(60))
     perm = np.array([2, 0, 3, 1])  # new index of each old feature
-    permuted = [Sample(np.arange(4), r[np.argsort(perm)], 1.0) for r in feats]
-    ds_p = Dataset.from_samples(permuted, dimension=4)
+    ds_p = Dataset.from_dense_rows(feats[:, np.argsort(perm)], np.ones(60))
     base = precision_graph_from_data(ds, ridge=0.05, threshold=1e-2)
     remapped = sorted((min(perm[i], perm[j]), max(perm[i], perm[j]), round(w, 9))
                       for i, j, w in base.edges)
@@ -134,6 +130,9 @@ def test_penalty_file_strict_errors(tmp_path):
         load_penalty(path)
     path.write_text("1 2 2\n0 1 1.0\n0 0 2.0\n")
     with pytest.raises(ValueError, match="row-major"):
+        load_penalty(path)
+    path.write_text("2 2 2\n0 1 1.0\n0 1 2.0\n")
+    with pytest.raises(ValueError, match="line 3: .*without duplicates"):
         load_penalty(path)
     path.write_text("1 2 1\n0 5 1.0\n")
     with pytest.raises(ValueError, match="out of range"):

