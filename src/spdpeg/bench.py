@@ -219,8 +219,10 @@ def max_workers(n_jobs: int) -> int:
 
 def run_suite(core: dict, solvers, seeds, out_dir) -> dict:
     """Run the (solver, seed) grid and return the manifest dict."""
-    os.makedirs(out_dir, exist_ok=True)
     jobs = [(core, s, seed, str(out_dir), None) for s in solvers for seed in seeds]
+    if not jobs:
+        raise ValueError("run_suite needs at least one solver and one seed")
+    os.makedirs(out_dir, exist_ok=True)
     workers = max_workers(len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -289,13 +291,13 @@ class ReferenceSolution:
 
 
 def _reference_key(problem: Problem, dataset: Dataset, gamma: float,
-                   tol: float) -> str:
+                   max_iters: int, tol: float, check_every: int) -> str:
     h = hashlib.sha256()
     h.update(dataset.fingerprint().encode())
     h.update(problem.penalty.fingerprint().encode())
     payload = (problem.loss, problem.r1.kind, problem.r1.weight, problem.r2.kind,
                problem.r2.weight, problem.ridge, problem.feasible_radius,
-               gamma, tol)
+               gamma, max_iters, tol, check_every)
     h.update(repr(payload).encode())
     return h.hexdigest()
 
@@ -312,9 +314,11 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
     z block and ``extragradient`` step (which projects onto any feasible
     ball) at c = 1/(1 + L_tilde). Stops when the objective change between
     checkpoints drops below tol (relative); the best iterate seen is
-    returned and cached keyed by the problem/dataset fingerprints.
+    returned and cached keyed by the problem/dataset fingerprints and by
+    every argument that shapes the run, so a capped run is never returned
+    for an uncapped call.
     """
-    key = _reference_key(problem, dataset, gamma, tol)
+    key = _reference_key(problem, dataset, gamma, max_iters, tol, check_every)
     cache = {}
     if cache_path is not None and os.path.exists(cache_path):
         with open(cache_path, "r", encoding="utf-8") as fh:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import Dataset
 from .penalties import GraphSpec
+from .sparse import SparseMatrix
 
 SYNTHETIC_KINDS = ("fused-signal", "graph-logistic")
 
@@ -24,9 +25,10 @@ class ParseError(ValueError):
 def parse_libsvm(source) -> Dataset:
     """Parse sparse 'label idx:val ...' lines into a Dataset.
 
-    Indices are 1-based in the file and converted to 0-based; labels map to
-    +1 when positive and -1 otherwise; indices must be strictly increasing
-    within a line. The dimension is the largest index seen.
+    Indices are 1-based in the file and converted to 0-based; labels must be
+    finite and map to +1 when positive and -1 otherwise; indices must be
+    strictly increasing within a line. The dimension is the largest index
+    seen.
     """
     if isinstance(source, str):
         source = source.splitlines()
@@ -44,6 +46,8 @@ def parse_libsvm(source) -> Dataset:
             raw_label = float(tokens[0])
         except ValueError:
             raise ParseError(line_no, f"bad label {tokens[0]!r}") from None
+        if not math.isfinite(raw_label):
+            raise ParseError(line_no, f"non-finite label {tokens[0]!r}")
         idxs = np.empty(len(tokens) - 1, dtype=np.int64)
         vals = np.empty(len(tokens) - 1)
         prev = 0
@@ -75,11 +79,9 @@ def parse_libsvm(source) -> Dataset:
             max_idx = max(max_idx, int(idxs[-1]))
     if not labels:
         raise ParseError(1, "no samples found")
-    indices = (np.concatenate(all_indices) if indptr[-1]
-               else np.zeros(0, dtype=np.int64))
-    values = np.concatenate(all_values) if indptr[-1] else np.zeros(0)
-    return Dataset(np.asarray(indptr), indices, values, np.asarray(labels),
-                   max_idx + 1)
+    features = SparseMatrix(len(labels), max_idx + 1, indptr,
+                            np.concatenate(all_indices), np.concatenate(all_values))
+    return Dataset(features, labels)
 
 
 def serialize_libsvm(dataset: Dataset) -> str:
@@ -119,13 +121,10 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 def normalize_features(dataset: Dataset) -> tuple[Dataset, np.ndarray]:
     """Scale each feature column to max-abs 1; returns the scales used."""
     scales = np.zeros(dataset.dimension)
-    if dataset.indices.size:
-        np.maximum.at(scales, dataset.indices, np.abs(dataset.data))
+    np.maximum.at(scales, dataset.indices, np.abs(dataset.data))
     scales[scales == 0.0] = 1.0
-    data = dataset.data / scales[dataset.indices] if dataset.indices.size else dataset.data
-    scaled = Dataset(dataset.indptr, dataset.indices, data,
-                     dataset.labels, dataset.dimension)
-    return scaled, scales
+    values = dataset.data / scales[dataset.indices]
+    return Dataset(replace(dataset.features, values=values), dataset.labels), scales
 
 
 def _components(d: int, edges) -> np.ndarray:

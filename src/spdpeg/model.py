@@ -1,9 +1,11 @@
-"""Problem data model: samples, datasets, problem bundles, solver configuration.
+"""Problem data model: datasets, problem bundles, solver configuration.
 
 A Dataset's features are a ``SparseMatrix`` (one CSR row per sample, the
-data matrix ``A``) so the oracles can vectorize over samples; individual
-samples are exposed as lightweight views. Datasets whose rows store every
-feature also carry a column-major copy for the full-data passes.
+data matrix ``A``) so the oracles can vectorize over samples. Datasets whose
+rows store every feature also carry a column-major copy for the full-data
+passes. The matrix checks its structure where it is built (the parser,
+``from_dense_rows``) and the Dataset checks only the labels; ``subset``
+takes rows with ``SparseMatrix.take_rows``, which keeps them checked.
 """
 
 from __future__ import annotations
@@ -27,60 +29,24 @@ REGIME_SC_NONUNIFORM = "sc-nonuniform"
 REGIMES = (REGIME_CONVEX, REGIME_SC_UNIFORM, REGIME_SC_NONUNIFORM)
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One labeled sample: sparse feature vector plus a +-1 label."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    label: float
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-        if idx.shape != val.shape or idx.ndim != 1:
-            raise ValueError("indices and values must be 1-D arrays of equal length")
-        if idx.size and ((idx.min() < 0) or np.any(np.diff(idx) <= 0)):
-            raise ValueError("feature indices must be nonnegative and strictly increasing")
-        if self.label not in (-1.0, 1.0):
-            raise ValueError("label must be -1 or +1")
-
-    def dense(self, dimension: int) -> np.ndarray:
-        out = np.zeros(dimension)
-        out[self.indices] = self.values
-        return out
-
-
-def row_positions(indptr: np.ndarray, rows: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Stored-entry positions of the CSR ``rows``, row after row in the
-    given order (repeats included), and the length of each of those rows."""
-    starts = indptr[rows]
-    lengths = indptr[rows + 1] - starts
-    ends = np.cumsum(lengths)
-    return (np.arange(ends[-1] if ends.size else 0)
-            + np.repeat(starts - (ends - lengths), lengths)), lengths
-
-
 class Dataset:
     """Immutable collection of labeled samples sharing a feature dimension.
 
-    The features are a ``SparseMatrix`` with one row per sample, which
-    validates the CSR structure. ``indptr``, ``indices``, ``data``,
-    ``row_ids`` and ``dimension`` are that matrix's own fields under the
-    names the oracles use, not copies.
+    ``features`` is a checked ``SparseMatrix`` with one row per sample.
+    ``indptr``, ``indices``, ``data``, ``row_ids`` and ``dimension`` are
+    that matrix's own fields under the names the oracles use, not copies.
     """
 
-    def __init__(self, indptr, indices, data, labels, dimension):
+    def __init__(self, features: SparseMatrix, labels):
         self.labels = np.asarray(labels, dtype=np.float64)
-        n = self.labels.size
-        if n == 0:
+        if self.labels.size == 0:
             raise ValueError("dataset must contain at least one sample")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        self.features = f = SparseMatrix(n, int(dimension), indptr, indices, data)
+        if self.labels.shape != (features.n_rows,):
+            raise ValueError(f"expected one label per feature row ({features.n_rows}), "
+                             f"got labels of shape {self.labels.shape}")
+        self.features = f = features
         self.indptr, self.indices, self.data = f.row_offsets, f.col_indices, f.values
         self.row_ids, self.dimension = f.row_ids, f.n_cols
         lengths = np.diff(self.indptr)
@@ -108,32 +74,16 @@ class Dataset:
         if features.ndim != 2:
             raise ValueError("features must be a 2-D array")
         n, d = features.shape
-        return cls(d * np.arange(n + 1, dtype=np.int64),
-                   np.tile(np.arange(d, dtype=np.int64), n),
-                   features.ravel(), labels, d)
+        return cls(SparseMatrix(n, d, d * np.arange(n + 1, dtype=np.int64),
+                                np.tile(np.arange(d, dtype=np.int64), n),
+                                features.ravel()), labels)
 
     @property
     def n_samples(self) -> int:
         return int(self.labels.size)
 
-    def __len__(self) -> int:
-        return self.n_samples
-
-    def sample(self, i: int) -> Sample:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return Sample(self.indices[lo:hi], self.data[lo:hi], float(self.labels[i]))
-
-    @property
-    def samples(self) -> list[Sample]:
-        return [self.sample(i) for i in range(self.n_samples)]
-
     def subset(self, rows) -> "Dataset":
-        rows = np.asarray(rows, dtype=np.int64)
-        gather, counts = row_positions(self.indptr, rows)
-        indptr = np.zeros(rows.size + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(counts)
-        return Dataset(indptr, self.indices[gather], self.data[gather],
-                       self.labels[rows], self.dimension)
+        return Dataset(self.features.take_rows(rows), self.labels[rows])
 
     def row_norms_sq(self) -> np.ndarray:
         if self.indices.size == 0:

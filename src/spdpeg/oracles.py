@@ -29,18 +29,10 @@ A sampled batch takes one of two paths:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import LOSS_LOGISTIC, Dataset, Problem, row_positions
-
-
-@dataclass(frozen=True)
-class NoiseStats:
-    empirical_bias_norm: float
-    empirical_second_moment: float
-
+from .model import LOSS_LOGISTIC, Dataset, Problem
+from .sparse import row_positions
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     # evaluate in the branch that never overflows; exp(-|t|) is exp(-t) for
@@ -203,20 +195,3 @@ def stochastic_gradient(problem: Problem, dataset: Dataset, x: np.ndarray,
     idx = rng.integers(0, dataset.n_samples, size=batch_size)
     return _gradient_over_rows(problem, dataset, x, idx)
 
-
-def estimate_noise(problem: Problem, dataset: Dataset, x: np.ndarray,
-                   trials: int, seed: int) -> NoiseStats:
-    """Monte-Carlo estimate of the bias and second moment of single-sample gradients."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    x = _check_x(dataset, x)
-    rng = np.random.default_rng(seed)
-    mean_grad = full_gradient(problem, dataset, x)
-    # accumulate centered deviations so a noiseless oracle reports exactly 0
-    acc = np.zeros(dataset.dimension)
-    acc_sq = 0.0
-    for _ in range(trials):
-        diff = stochastic_gradient(problem, dataset, x, rng, 1) - mean_grad
-        acc += diff
-        acc_sq += float(diff @ diff)
-    return NoiseStats(float(np.linalg.norm(acc / trials)), acc_sq / trials)

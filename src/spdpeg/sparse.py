@@ -4,9 +4,12 @@ One CSR type serves both sparse matrices of the method: the penalty ``F``,
 of which the solver needs ``F @ x``, ``F.T @ y`` and the largest eigenvalue
 of ``F.T F``, and the data matrix ``A`` of a ``Dataset``, whose CSR margins
 ``A @ x`` and full-gradient scatter ``A.T @ c`` are the same two products.
-All CSR validation lives here. Everything is plain numpy; accumulation uses
-``np.bincount`` so empty rows and columns are handled exactly and summation
-order is deterministic.
+All CSR validation lives in ``SparseMatrix.__post_init__``, which runs once
+per matrix built from outside arrays. ``take_rows`` skips it: rows taken
+from a valid matrix are valid, and a split of 1e5 rows need not check them
+again. Everything is plain numpy; accumulation uses ``np.bincount`` so
+empty rows and columns are handled exactly and summation order is
+deterministic.
 """
 
 from __future__ import annotations
@@ -15,6 +18,17 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def row_positions(indptr: np.ndarray, rows: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Stored-entry positions of the CSR ``rows``, row after row in the
+    given order (repeats included), and the length of each of those rows."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    return (np.arange(ends[-1] if ends.size else 0)
+            + np.repeat(starts - (ends - lengths), lengths)), lengths
 
 
 class PowerIterationError(RuntimeError):
@@ -91,6 +105,22 @@ class SparseMatrix:
         np.add.at(offsets, rows + 1, 1)
         return cls(a.shape[0], a.shape[1], np.cumsum(offsets),
                    cols, a[rows, cols])
+
+    def take_rows(self, rows) -> "SparseMatrix":
+        """The given rows in the given order, repeats allowed. Rows of a
+        valid matrix are valid, so the fields are set without a check."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim != 1 or (rows.size and not 0 <= rows.min() <= rows.max() < self.n_rows):
+            raise IndexError(f"rows must be a 1-D array of indices below {self.n_rows}")
+        gather, lengths = row_positions(self.row_offsets, rows)
+        out = object.__new__(SparseMatrix)
+        for name, value in (
+                ("n_rows", rows.size), ("n_cols", self.n_cols),
+                ("row_offsets", np.concatenate(([0], np.cumsum(lengths)))),
+                ("col_indices", self.col_indices[gather]), ("values", self.values[gather]),
+                ("row_ids", np.repeat(np.arange(rows.size, dtype=np.int64), lengths))):
+            object.__setattr__(out, name, value)
+        return out
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Return ``M @ v``."""

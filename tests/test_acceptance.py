@@ -368,12 +368,12 @@ def test_criterion_10_parser_corpus():
                             f"!= ({n_samples}, {dimension})")
             continue
         for i, (label, feats) in enumerate(rows):
-            s = ds.sample(i)
-            got = list(zip((int(j) for j in s.indices),
-                           (float(v) for v in s.values)))
-            if s.label != label or got != feats:
+            lo, hi = ds.indptr[i], ds.indptr[i + 1]
+            got = list(zip((int(j) for j in ds.indices[lo:hi]),
+                           (float(v) for v in ds.data[lo:hi])))
+            if ds.labels[i] != label or got != feats:
                 failures.append(f"{name}: row {i} mismatch: "
-                                f"({s.label}, {got}) != ({label}, {feats})")
+                                f"({ds.labels[i]}, {got}) != ({label}, {feats})")
         # round-trip property on every valid case
         again = parse_libsvm(StringIO(serialize_libsvm(ds)))
         if not (np.array_equal(again.indptr, ds.indptr)

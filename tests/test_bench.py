@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from spdpeg import bench
+from spdpeg.sparse import SparseMatrix
 from spdpeg.trace import TraceRecord, read_trace_csv, write_trace_csv
 
 
@@ -60,6 +62,20 @@ def test_reference_optimum_cached(tmp_path):
     np.testing.assert_array_equal(a.x, b.x)
 
 
+def test_reference_cache_keeps_capped_runs_apart(tmp_path):
+    train, _, problem, _ = bench.build_all(small_core())
+    cache = tmp_path / "cache.json"
+    capped = bench.reference_optimum(problem, train, 0.1, max_iters=5,
+                                     cache_path=cache)
+    assert (capped.iterations, capped.converged) == (5, False)
+    full = bench.reference_optimum(problem, train, 0.1, cache_path=cache)
+    assert full.converged and full.iterations > 5
+    assert full.objective < capped.objective
+    bench.reference_optimum(problem, train, 0.1, max_iters=5, check_every=1,
+                            cache_path=cache)
+    assert len(json.loads(cache.read_text())) == 3
+
+
 def test_reference_optimum_stays_in_feasible_ball():
     core = small_core()
     train, _, problem, _ = bench.build_all(core)
@@ -104,6 +120,21 @@ def test_build_data_split_deterministic():
     assert train_a.n_samples == 24 and test_a.n_samples == 6
     np.testing.assert_array_equal(train_a.data, train_b.data)
     np.testing.assert_array_equal(test_a.labels, test_b.labels)
+
+
+def test_build_data_checks_a_split_dataset_once(monkeypatch):
+    sizes = []
+    check = SparseMatrix.__post_init__
+
+    def counted(self):
+        sizes.append(self.n_rows)
+        check(self)
+
+    monkeypatch.setattr(SparseMatrix, "__post_init__", counted)
+    data = {**small_core()["data"], "split": True, "split_seed": 3}
+    train, test, _ = bench.build_data(data)
+    assert sizes == [40]
+    assert (train.n_samples, test.n_samples) == (32, 8)
 
 
 def test_build_penalty_sources(tmp_path):

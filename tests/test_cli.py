@@ -70,6 +70,13 @@ def test_run_missing_data_file_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_without_seeds_fails_cleanly(tmp_path, capsys):
+    rc = main(["run", "--task", "flr", "--synthetic", "fused-signal:d=8,N=40",
+               "--seeds", "0", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_run_divergent_step_scale_guard(tmp_path, capsys):
     # malformed synthetic spec trips the input-error path
     rc = main(["run", "--task", "flr", "--synthetic", "bogus:d=4,N=10",

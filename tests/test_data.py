@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import csr_dataset
 from spdpeg.data import (ParseError, SplitSpec, normalize_features,
                          parse_libsvm, serialize_libsvm, split, synthesize)
 from spdpeg.model import estimate_lipschitz
@@ -14,10 +15,9 @@ from spdpeg.penalties import build_fused_matrix
 def test_parse_basic_line():
     ds = parse_libsvm("+1 1:0.5 3:2.0\n")
     assert ds.dimension == 3 and ds.n_samples == 1
-    s = ds.sample(0)
-    np.testing.assert_array_equal(s.indices, [0, 2])
-    np.testing.assert_array_equal(s.values, [0.5, 2.0])
-    assert s.label == 1.0
+    np.testing.assert_array_equal(ds.indices, [0, 2])
+    np.testing.assert_array_equal(ds.data, [0.5, 2.0])
+    np.testing.assert_array_equal(ds.labels, [1.0])
 
 
 def test_parse_zero_label_maps_to_minus_one():
@@ -43,6 +43,13 @@ def test_parse_error_carries_line_number():
         parse_libsvm("1 0:1\n")
     with pytest.raises(ParseError):
         parse_libsvm("")
+
+
+@pytest.mark.parametrize("label", ["nan", "inf", "-inf"])
+def test_parse_rejects_non_finite_label(label):
+    with pytest.raises(ParseError, match="non-finite label") as exc:
+        parse_libsvm(f"1 1:1\n{label} 2:1\n")
+    assert exc.value.line_no == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -90,12 +97,35 @@ def test_split_round_half_up():
 def test_split_preserves_multiset():
     ds, _, _ = synthesize("fused-signal", 5, 12, 0.1, 1)
     train, test = split(ds, SplitSpec(0.75, 9))
-    combined = sorted(
-        [(tuple(s.indices), tuple(s.values), s.label)
-         for s in train.samples + test.samples])
-    original = sorted(
-        [(tuple(s.indices), tuple(s.values), s.label) for s in ds.samples])
-    assert combined == original
+
+    def rows(part):
+        return [(*row, label)
+                for row, label in zip(part.features.to_dense().tolist(), part.labels)]
+
+    assert sorted(rows(train) + rows(test)) == sorted(rows(ds))
+
+
+# generated on the commit before Dataset.subset took its rows with
+# SparseMatrix.take_rows
+SPLIT_FINGERPRINTS = (
+    "64edd30e198fba7d9c1008e418d028fc9280d34b88215325ff4675d46687a5a2",
+    "fa430c437d664670465a96aba3573811c2a329d27c7ffdd9816afe1aed2babd5",
+)
+
+
+def test_split_of_ragged_dataset_is_pinned():
+    # eleven rows of one to four entries over six features, rows 3 and 8 empty
+    rng = np.random.default_rng(21)
+    lengths = rng.integers(1, 5, size=11)
+    lengths[[3, 8]] = 0
+    indices = np.concatenate([np.sort(rng.choice(6, size=k, replace=False))
+                              for k in lengths])
+    ds = csr_dataset(np.concatenate([[0], np.cumsum(lengths)]), indices,
+                     rng.standard_normal(indices.size),
+                     np.where(rng.random(11) < 0.5, 1.0, -1.0), 6)
+    train, test = split(ds, SplitSpec(0.6, 5))
+    assert (train.n_samples, test.n_samples) == (7, 4)
+    assert (train.fingerprint(), test.fingerprint()) == SPLIT_FINGERPRINTS
 
 
 def test_split_rejects_degenerate():
@@ -115,9 +145,8 @@ def test_synthesize_deterministic():
 
 def test_synthesize_noiseless_labels_separable():
     ds, _, x_star = synthesize("fused-signal", 6, 30, 0.0, 5)
-    for i in range(ds.n_samples):
-        margin = ds.sample(i).dense(6) @ x_star
-        assert (margin >= 0) == (ds.labels[i] > 0)
+    margins = ds.features.to_dense() @ x_star
+    np.testing.assert_array_equal(margins >= 0, ds.labels > 0)
 
 
 def test_synthesize_fused_truth_has_two_breakpoints():

@@ -12,8 +12,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import csr_dataset
 from spdpeg.data import synthesize
-from spdpeg.model import LOSS_LOGISTIC, Dataset, Problem
+from spdpeg.model import LOSS_LOGISTIC, Problem
 from spdpeg.oracles import _sigmoid, full_gradient, margins, stochastic_gradient
 from spdpeg.prox import ProxSpec
 from spdpeg.sparse import SparseMatrix
@@ -65,8 +66,8 @@ def dense_dataset(seed, n, d, stored_zeros=False):
         # explicitly stored zeros of both signs
         values[rng.random(n * d) < 0.3] = 0.0
         values[rng.random(n * d) < 0.2] = -0.0
-    return Dataset(d * np.arange(n + 1), np.tile(np.arange(d), n), values,
-                   np.where(rng.random(n) < 0.5, 1.0, -1.0), d)
+    return csr_dataset(d * np.arange(n + 1), np.tile(np.arange(d), n), values,
+                       np.where(rng.random(n) < 0.5, 1.0, -1.0), d)
 
 
 def problem_for(loss, d, ridge):
@@ -151,11 +152,11 @@ def test_dense_columns_layout_and_read_only():
 
 
 def test_ragged_and_sparse_datasets_have_no_dense_columns():
-    ragged = Dataset([0, 2, 5, 6], [0, 3, 0, 1, 4, 2], np.ones(6),
-                     [1.0, -1.0, 1.0], 5)
-    sparse = Dataset([0, 2, 4, 6], [0, 3, 1, 4, 2, 3], np.ones(6),
-                     [1.0, -1.0, 1.0], 5)
-    empty = Dataset([0, 0, 0, 0], [], [], [1.0, -1.0, 1.0], 3)
+    ragged = csr_dataset([0, 2, 5, 6], [0, 3, 0, 1, 4, 2], np.ones(6),
+                         [1.0, -1.0, 1.0], 5)
+    sparse = csr_dataset([0, 2, 4, 6], [0, 3, 1, 4, 2, 3], np.ones(6),
+                         [1.0, -1.0, 1.0], 5)
+    empty = csr_dataset([0, 0, 0, 0], [], [], [1.0, -1.0, 1.0], 3)
     for dataset in (ragged, sparse, empty):
         assert dataset.dense_columns is None
         x = np.linspace(-1.0, 1.0, dataset.dimension)

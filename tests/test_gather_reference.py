@@ -10,10 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spdpeg.model import Dataset, Problem, row_positions
+from conftest import csr_dataset
+from spdpeg.model import Problem
 from spdpeg.oracles import _coefs, _gradient_over_rows
 from spdpeg.prox import ProxSpec
-from spdpeg.sparse import SparseMatrix
+from spdpeg.sparse import SparseMatrix, row_positions
 
 
 def reference_gradient_over_rows(problem, dataset, x, rows):
@@ -58,8 +59,8 @@ def reference_subset(dataset, rows):
     gather = np.concatenate(
         [np.arange(dataset.indptr[r], dataset.indptr[r + 1]) for r in rows]
     ) if indptr[-1] else np.zeros(0, dtype=np.int64)
-    return Dataset(indptr, dataset.indices[gather], dataset.data[gather],
-                   dataset.labels[rows], dataset.dimension)
+    return csr_dataset(indptr, dataset.indices[gather], dataset.data[gather],
+                       dataset.labels[rows], dataset.dimension)
 
 
 def ragged_dataset(seed, n=40, d=15, empty_rows=(3, 17, 18)):
@@ -70,15 +71,15 @@ def ragged_dataset(seed, n=40, d=15, empty_rows=(3, 17, 18)):
                               for k in lengths])
     indptr = np.concatenate([[0], np.cumsum(lengths)])
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    return Dataset(indptr, indices, 3.0 * rng.standard_normal(indices.size),
-                   labels, d)
+    return csr_dataset(indptr, indices, 3.0 * rng.standard_normal(indices.size),
+                       labels, d)
 
 
 def dense_dataset(seed, n=40, d=15):
     rng = np.random.default_rng(seed)
-    return Dataset(d * np.arange(n + 1), np.tile(np.arange(d), n),
-                   3.0 * rng.standard_normal(n * d),
-                   np.where(rng.random(n) < 0.5, 1.0, -1.0), d)
+    return csr_dataset(d * np.arange(n + 1), np.tile(np.arange(d), n),
+                       3.0 * rng.standard_normal(n * d),
+                       np.where(rng.random(n) < 0.5, 1.0, -1.0), d)
 
 
 DATASETS = {"ragged": ragged_dataset, "dense": dense_dataset}
@@ -125,7 +126,7 @@ def test_empty_and_repeated_rows(loss, rows):
 
 @pytest.mark.parametrize("ridge", [0.0, 0.25])
 def test_dataset_of_empty_rows(ridge):
-    dataset = Dataset([0, 0, 0, 0], [], [], [1.0, -1.0, 1.0], 3)
+    dataset = csr_dataset([0, 0, 0, 0], [], [], [1.0, -1.0, 1.0], 3)
     problem = problem_for("logistic", 3, ridge)
     x = np.array([0.5, -1.0, 2.0])
     for rows in ([1], [0, 2], [2, 1, 1, 0]):

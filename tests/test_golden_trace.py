@@ -39,6 +39,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import csr_dataset
 from spdpeg import baselines, bench, solver
 from spdpeg.model import (LOSS_LEAST_SQUARES, Dataset, Problem, SolverConfig,
                           estimate_lipschitz)
@@ -106,7 +107,7 @@ def _ragged_dataset(rng: np.random.Generator, n: int, d: int,
     indptr = np.concatenate([[0], np.cumsum(lengths)])
     data = rng.standard_normal(indices.size)
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
-    return Dataset(indptr, indices, data, labels, d)
+    return csr_dataset(indptr, indices, data, labels, d)
 
 
 def _ragged_instance():

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import csr_dataset
 from spdpeg.data import synthesize
-from spdpeg.model import (Dataset, Problem, Sample, SolverConfig,
-                          compute_L_tilde, estimate_lipschitz)
+from spdpeg.model import (Dataset, Problem, SolverConfig, compute_L_tilde,
+                          estimate_lipschitz)
 from spdpeg.prox import ProxSpec
 from spdpeg.sparse import SparseMatrix
 
@@ -17,32 +18,29 @@ EYE2 = SparseMatrix.from_dense(np.eye(2))
 def make_dataset(rows, labels, d):
     """Dataset of the nonzeros of ``rows`` in d features."""
     m = SparseMatrix.from_dense(rows)
-    return Dataset(m.row_offsets, m.col_indices, m.values, labels, d)
-
-
-def test_sample_validation():
-    with pytest.raises(ValueError):
-        Sample(np.array([1, 1]), np.array([1.0, 2.0]), 1.0)
-    with pytest.raises(ValueError):
-        Sample(np.array([2, 1]), np.array([1.0, 2.0]), 1.0)
-    with pytest.raises(ValueError):
-        Sample(np.array([0]), np.array([1.0]), 0.5)
+    return csr_dataset(m.row_offsets, m.col_indices, m.values, labels, d)
 
 
 def test_dataset_roundtrips_samples():
     ds = make_dataset([[1.0, 0.0], [0.5, -2.0]], [1.0, -1.0], 2)
     assert ds.n_samples == 2 and ds.dimension == 2
-    s = ds.sample(1)
-    np.testing.assert_array_equal(s.dense(2), [0.5, -2.0])
-    assert s.label == -1.0
-    assert len(ds.samples) == 2
+    np.testing.assert_array_equal(ds.features.to_dense(), [[1.0, 0.0], [0.5, -2.0]])
+    np.testing.assert_array_equal(ds.labels, [1.0, -1.0])
 
 
 def test_dataset_rejects_empty_and_bad_labels():
     with pytest.raises(ValueError):
         Dataset.from_dense_rows(np.zeros((0, 2)), [])
     with pytest.raises(ValueError):
-        Dataset([0, 1], [0], [1.0], [2.0], 1)
+        csr_dataset([0, 1], [0], [1.0], [2.0], 1)
+
+
+def test_dataset_needs_one_label_per_row():
+    features = SparseMatrix.from_dense([[1.0, 0.0], [0.0, 2.0]])
+    Dataset(features, [1.0, -1.0])
+    for labels in ([1.0], [1.0, -1.0, 1.0], [[1.0, -1.0]]):
+        with pytest.raises(ValueError, match="one label per feature row"):
+            Dataset(features, labels)
 
 
 # two rows over three features: [1, 0, 2] and [0, 3, 0]
@@ -67,13 +65,13 @@ GOOD_CSR = dict(indptr=[0, 2, 3], indices=[0, 2, 1], data=[1.0, 2.0, 3.0],
     pytest.param(dict(labels=[1.0, 0.0]), id="label-not-pm1"),
 ])
 def test_dataset_rejects_malformed_csr(bad):
-    Dataset(**GOOD_CSR)
+    csr_dataset(**GOOD_CSR)
     with pytest.raises(ValueError):
-        Dataset(**{**GOOD_CSR, **bad})
+        csr_dataset(**{**GOOD_CSR, **bad})
 
 
 def test_dataset_fields_are_the_feature_matrix():
-    ds = Dataset(**GOOD_CSR)
+    ds = csr_dataset(**GOOD_CSR)
     f = ds.features
     assert (ds.indptr is f.row_offsets and ds.indices is f.col_indices
             and ds.data is f.values and ds.row_ids is f.row_ids)
@@ -102,8 +100,8 @@ DATASET_FINGERPRINTS = {
 
 def test_dataset_fingerprint_is_pinned():
     # three rows over four features, the middle one empty
-    ragged = Dataset([0, 2, 2, 5], [0, 3, 1, 2, 3],
-                     [1.5, -2.0, 0.25, 3.0, -1.0], [1.0, -1.0, 1.0], 4)
+    ragged = csr_dataset([0, 2, 2, 5], [0, 3, 1, 2, 3],
+                         [1.5, -2.0, 0.25, 3.0, -1.0], [1.0, -1.0, 1.0], 4)
     dense, _, _ = synthesize("fused-signal", d=5, n=7, noise=0.1, seed=3)
     assert ragged.fingerprint() == DATASET_FINGERPRINTS["ragged"]
     assert dense.fingerprint() == DATASET_FINGERPRINTS["fused-signal"]
@@ -117,8 +115,7 @@ def test_dataset_rejects_index_beyond_dimension():
 def test_subset_preserves_rows():
     ds = make_dataset([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]], [1.0, -1.0, 1.0], 2)
     sub = ds.subset([2, 0])
-    np.testing.assert_array_equal(sub.sample(0).dense(2), [3.0, 4.0])
-    np.testing.assert_array_equal(sub.sample(1).dense(2), [1.0, 0.0])
+    np.testing.assert_array_equal(sub.features.to_dense(), [[3.0, 4.0], [1.0, 0.0]])
     np.testing.assert_array_equal(sub.labels, [1.0, 1.0])
 
 
@@ -168,7 +165,7 @@ def test_estimate_lipschitz():
     ds = make_dataset([[2.0, 0.0], [1.0, 1.0]], [1.0, -1.0], 2)
     assert estimate_lipschitz(ds, "logistic") == pytest.approx(1.0)
     assert estimate_lipschitz(ds, "least-squares") == pytest.approx(4.0)
-    zero = Dataset([0, 0], [], [], [1.0], 2)
+    zero = csr_dataset([0, 0], [], [], [1.0], 2)
     assert estimate_lipschitz(zero, "logistic") == 0.0
     with pytest.raises(ValueError):
         estimate_lipschitz(ds, "hinge")

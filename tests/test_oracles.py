@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from spdpeg.model import Dataset, Problem, estimate_lipschitz
-from spdpeg.oracles import (data_loss, estimate_noise, full_gradient,
-                            loss_value, stochastic_gradient)
+from spdpeg.oracles import data_loss, full_gradient, loss_value, stochastic_gradient
 from spdpeg.prox import ProxSpec
 from spdpeg.sparse import SparseMatrix
 
@@ -22,7 +21,7 @@ def make_problem(loss, d, ridge=0.0, mu=0.0):
 
 def per_sample_gradient(problem, dataset, x, i):
     # independent dense computation of one sample's gradient
-    a = dataset.sample(i).dense(dataset.dimension)
+    a = dataset.features.to_dense()[i]
     b = dataset.labels[i]
     m = a @ x
     if problem.loss == "logistic":
@@ -136,24 +135,6 @@ def test_stochastic_gradient_monte_carlo_unbiased():
     std = per_sample.std(axis=0)
     err = np.abs(acc / n_draws - exact)
     assert np.all(err <= 3.0 * std / math.sqrt(n_draws) + 1e-12)
-
-
-def test_estimate_noise_single_sample():
-    ds = dense_dataset([[1.0, 2.0]], [1.0])
-    p = make_problem("logistic", 2)
-    stats = estimate_noise(p, ds, np.array([0.1, 0.2]), trials=50, seed=0)
-    assert stats.empirical_bias_norm == 0.0
-    assert stats.empirical_second_moment == 0.0
-
-
-def test_estimate_noise_symmetric_pair():
-    # gradients at x=0 are -b*a/2: choosing opposite a with equal b gives +-g
-    ds = dense_dataset([[2.0, 0.0], [-2.0, 0.0]], [1.0, 1.0])
-    p = make_problem("logistic", 2)
-    g = per_sample_gradient(p, ds, np.zeros(2), 0)
-    stats = estimate_noise(p, ds, np.zeros(2), trials=4000, seed=1)
-    assert stats.empirical_second_moment == pytest.approx(g @ g, rel=1e-12)
-    assert stats.empirical_bias_norm <= 3.0 * np.linalg.norm(g) / math.sqrt(4000)
 
 
 def test_lipschitz_witness():

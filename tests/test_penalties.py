@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import csr_dataset
 from spdpeg.model import Dataset
 from spdpeg.penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
                               load_penalty, precision_graph_from_data,
@@ -67,8 +68,8 @@ def test_graph_matrix_annihilates_componentwise_constants():
 def exact_diagonal_dataset():
     # sample rows chosen so the sample covariance is exactly diagonal
     # rows [1, 0], [-1, 0], [0, 1], [0, -1], each storing its one nonzero
-    return Dataset([0, 1, 2, 3, 4], [0, 0, 1, 1], [1.0, -1.0, 1.0, -1.0],
-                   np.ones(4), 2)
+    return csr_dataset([0, 1, 2, 3, 4], [0, 0, 1, 1], [1.0, -1.0, 1.0, -1.0],
+                       np.ones(4), 2)
 
 
 def test_precision_graph_independent_features():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import csr_dataset
 from spdpeg.model import Dataset, Problem, SolverConfig, estimate_lipschitz
 from spdpeg.penalties import build_fused_matrix
 from spdpeg.prox import ProxSpec, prox_l1, reg_value
@@ -74,7 +75,7 @@ def test_nonuniform_weights_sum_to_one(t):
 
 
 def zero_gradient_instance(d=2):
-    dataset = Dataset([0, 0], [], [], [1.0], d)
+    dataset = csr_dataset([0, 0], [], [], [1.0], d)
     penalty = SparseMatrix.from_dense(np.eye(d))
     problem = Problem("least-squares", ProxSpec("none"), ProxSpec("l1", 0.0),
                       penalty)
@@ -96,7 +97,7 @@ def test_update_z_soft_threshold():
 
 def test_update_z_zero_input_and_identity():
     penalty = SparseMatrix.from_dense([[2.0, 0.0], [0.0, 1.0]])
-    dataset = Dataset([0, 0], [], [], [1.0], 2)
+    dataset = csr_dataset([0, 0], [], [], [1.0], 2)
     config = SolverConfig(gamma=0.5, regime="convex", max_iters=1, seed=0,
                           lipschitz_L=1.0, sigma_max_FtF=4.0)
     prob_w = Problem("least-squares", ProxSpec("none"), ProxSpec("l1", 3.0), penalty)

@@ -135,3 +135,41 @@ def test_fingerprint_is_pinned():
         "b6dd5b4cfac1f4547db974c4d1e7ebb7412ddd0476cc2b0de17eef1b2cd9e754"
     assert zero.fingerprint() == \
         "9298a62c7efea8bcbd08a5cbe5d3f686e143a1daaf542820f44cbcb7d2c8c99b"
+
+
+# five rows over four features: ragged, rows 1 and 4 empty, a stored -0.0
+RAGGED = SparseMatrix(5, 4, [0, 2, 2, 5, 6, 6], [0, 3, 0, 1, 2, 3],
+                      [1.5, -0.0, 2.0, -3.0, 0.25, 4.0])
+
+
+def checked_take(m, rows):
+    """The gather of ``take_rows`` built through the checked constructor."""
+    rows = np.asarray(rows, dtype=np.int64)
+    starts, ends = m.row_offsets[rows], m.row_offsets[rows + 1]
+    gather = np.concatenate([np.arange(a, b) for a, b in zip(starts, ends)]
+                            + [np.zeros(0, dtype=np.int64)])
+    return SparseMatrix(rows.size, m.n_cols,
+                        np.concatenate([[0], np.cumsum(ends - starts)]),
+                        m.col_indices[gather], m.values[gather])
+
+
+@pytest.mark.parametrize("rows", [
+    pytest.param([0, 1, 2, 3, 4], id="all"),
+    pytest.param([3, 0, 2], id="ragged"),
+    pytest.param([1, 4], id="only-empty"),
+    pytest.param([4, 2, 2, 1, 2, 0], id="repeated"),
+    pytest.param([], id="none"),
+])
+def test_take_rows_equals_checked_gather(rows):
+    got, want = RAGGED.take_rows(rows), checked_take(RAGGED, rows)
+    assert got.shape == want.shape == (len(rows), 4)
+    for name in ("row_offsets", "col_indices", "values", "row_ids"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    np.testing.assert_array_equal(got.to_dense(), RAGGED.to_dense()[rows])
+
+
+def test_take_rows_rejects_rows_out_of_range():
+    for rows in ([5], [-1], [[0, 1]]):
+        with pytest.raises(IndexError):
+            RAGGED.take_rows(rows)
