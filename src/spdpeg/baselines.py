@@ -20,16 +20,14 @@ from .solver import SolverResult, advance, prox_step, step_size, z_block
 
 
 def run_eg_full(problem: Problem, dataset: Dataset, config: SolverConfig,
-                test_dataset: Dataset | None = None,
-                step_scale: float = 1.0) -> SolverResult:
+                test_dataset: Dataset | None = None) -> SolverResult:
     """Extra-gradient run with full gradients in both prox-gradient steps."""
     return solver.run(problem, dataset, replace(config, full_batch=True),
-                      test_dataset, step_scale)
+                      test_dataset)
 
 
 def run_stoch_linadmm(problem: Problem, dataset: Dataset, config: SolverConfig,
-                      test_dataset: Dataset | None = None,
-                      step_scale: float = 1.0) -> SolverResult:
+                      test_dataset: Dataset | None = None) -> SolverResult:
     """Stochastic linearized ADMM with the same schedule family.
 
     Per iteration: one gradient draw; x steps through the prox of r1 along
@@ -44,7 +42,7 @@ def run_stoch_linadmm(problem: Problem, dataset: Dataset, config: SolverConfig,
         nonlocal fx
         if fx is None:
             fx = penalty.matvec(state.x)
-        c = step_size(schedule, state.k) * step_scale
+        c = step_size(schedule, state.k)
         g = oracles.stochastic_gradient(problem, dataset, state.x, rng,
                                         config.batch_size,
                                         enumerate_all=config.full_batch)

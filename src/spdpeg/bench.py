@@ -138,16 +138,14 @@ def derive_constants(problem: Problem, train: Dataset, gamma: float,
             "L_tilde": compute_L_tilde(gamma, sigma, lips, mu)}
 
 
-def make_config(core: dict, derived: dict, seed: int,
-                full_batch: bool = False) -> SolverConfig:
+def make_config(core: dict, derived: dict, seed: int) -> SolverConfig:
     sc = core["config"]
     return SolverConfig(gamma=sc["gamma"], regime=sc["regime"],
                         max_iters=sc["iters"], seed=seed,
                         lipschitz_L=derived["lipschitz_L"],
                         sigma_max_FtF=derived["sigma_max_FtF"],
                         batch_size=sc.get("batch_size", 1),
-                        eval_every=sc.get("eval_every", 100),
-                        full_batch=full_batch)
+                        eval_every=sc.get("eval_every", 100))
 
 
 def build_all(core: dict):
@@ -554,14 +552,15 @@ def step_inequality_sweep(d: int = 20, n: int = 100, steps: int = 1000,
                      iters=steps, eval_every=steps)
     train, _, problem, derived = build_all(core)
     config = replace(make_config(core, derived, seed),
-                     capture_steps=True, full_batch=(mode == "deterministic"))
+                     full_batch=(mode == "deterministic"))
     # a deliberately divergent step scale still yields an auditable prefix
     # of captured steps
+    captures, diverged_at = [], None
     try:
-        captures = run_spdpeg(problem, train, config, step_scale=step_scale).captures
-        diverged_at = None
+        run_spdpeg(problem, train, config, step_scale=step_scale,
+                   captures=captures)
     except DivergenceError as exc:
-        captures, diverged_at = exc.captures, exc.iteration
+        diverged_at = exc.iteration
     if not captures:
         raise ValueError("run diverged before completing a single step")
     rng_ref = np.random.default_rng(seed + 709)

@@ -20,6 +20,11 @@ class ParseError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so it survives a worker-process hop
+        return type(self), (self.line_no, self.message)
 
 
 def parse_libsvm(source) -> Dataset:

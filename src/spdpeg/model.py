@@ -146,7 +146,6 @@ class SolverConfig:
     batch_size: int = 1
     eval_every: int = 100
     full_batch: bool = False
-    capture_steps: bool = False
 
     def __post_init__(self):
         if self.gamma <= 0:

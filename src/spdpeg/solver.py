@@ -18,23 +18,23 @@ with a constant step and exact gradients.
 
 ``drive`` is the one loop over ``max_iters``. It validates the inputs,
 owns the schedule, the random stream and the trace cadence, calls a step
-function per iteration and returns the weighted averages. Steps advance
-the state through ``advance`` (divergence guard and averaging). SPDPEG
-averages the predictor iterates: uniform weights, or weights proportional
-to k+3 for the accelerated strongly convex regime. The step-size schedule
-is gated by the composite constant from ``compute_L_tilde``.
+function per iteration and returns the weighted averages; it holds no
+audit state. Steps advance the state through ``advance`` (divergence
+guard and averaging). SPDPEG averages the predictor iterates: uniform
+weights, or weights proportional to k+3 for the accelerated strongly
+convex regime; ``compute_L_tilde`` gates the step-size schedule.
 
-``check_step_inequality`` evaluates, on captured steps, the per-step
-energy inequality that the update quintuple satisfies pathwise; it is the
-runtime-checkable core of the convergence analysis and is exercised by the
-``check-lemma1`` benchmark command.
+``check_step_inequality`` evaluates the per-step energy inequality that
+the update quintuple satisfies pathwise on steps captured into the
+caller's list by ``run(..., captures=caps)``; it is the runtime-checkable
+core of the convergence analysis, exercised by ``check-lemma1``.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,13 +48,15 @@ DIVERGENCE_LIMIT = 1e12
 
 
 class DivergenceError(RuntimeError):
-    """An iterate left the finite range; ``iteration`` is the failing step and
-    ``captures`` the steps captured before it (empty unless capturing)."""
+    """An iterate left the finite range; ``iteration`` is the failing step."""
 
     def __init__(self, iteration: int, message: str):
         super().__init__(message)
         self.iteration = iteration
-        self.captures: list[StepCapture] = []
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so it survives a worker-process hop
+        return type(self), (self.iteration, str(self))
 
 
 @dataclass(frozen=True)
@@ -246,7 +248,7 @@ def update_extragradient(state: SolverState, fx: np.ndarray, z_next: np.ndarray,
                          problem: Problem, dataset: Dataset, config: SolverConfig,
                          schedule: Schedule, rng: np.random.Generator,
                          step_scale: float = 1.0,
-                         capture: bool = False) -> StepCapture | None:
+                         captures: list | None = None) -> None:
     """Run the predictor/corrector step in place; fx must hold F @ state.x
     and z_next this iteration's z-block minimizer."""
     k = state.k
@@ -264,17 +266,17 @@ def update_extragradient(state: SolverState, fx: np.ndarray, z_next: np.ndarray,
     advance(state, w, x_bar, lam_bar, x_next, z_next, lam_next)
     state.x_bar, state.lam_bar = x_bar, lam_bar
 
-    if not capture:
-        return None
+    if captures is None:
+        return
     if full:
         g1_full, g2_full = g1, g2
     else:
         g1_full = oracles.full_gradient(problem, dataset, x_k)
         g2_full = oracles.full_gradient(problem, dataset, x_bar)
-    return StepCapture(k=k, c=c, x_prev=x_k, lam_prev=lam_k, z_next=z_next,
-                       x_bar=x_bar, lam_bar=lam_bar, x_next=x_next,
-                       lam_next=lam_next, grad_x_stoch=g1, grad_xbar_stoch=g2,
-                       grad_x_full=g1_full, grad_xbar_full=g2_full)
+    captures.append(StepCapture(
+        k=k, c=c, x_prev=x_k, lam_prev=lam_k, z_next=z_next, x_bar=x_bar,
+        lam_bar=lam_bar, x_next=x_next, lam_next=lam_next, grad_x_stoch=g1,
+        grad_xbar_stoch=g2, grad_x_full=g1_full, grad_xbar_full=g2_full))
 
 
 @dataclass
@@ -284,7 +286,6 @@ class SolverResult:
     lambda_avg: np.ndarray
     trace: list[TraceRecord]
     state: SolverState
-    captures: list[StepCapture] = field(default_factory=list)
 
 
 def objective_from_margins(problem: Problem, labels: np.ndarray, m: np.ndarray,
@@ -321,14 +322,12 @@ def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
     """Run ``step(state, schedule, rng)`` for max_iters iterations and return
     the averaged iterates plus trace.
 
-    Each step advances the state by one iteration and returns its
-    StepCapture or None. Weighted sums are accumulated online with integer
-    weights and normalized once by their integer total, so the averages
-    match the closed-form weights exactly. A trace record is emitted every
+    Each step advances the state by one iteration. Weighted sums are
+    accumulated online with integer weights and normalized once by their
+    integer total, so the averages match the closed-form weights exactly. A trace record is emitted every
     ``eval_every`` iterations (and at the final one), evaluated at the
     current running average. The random stream is owned by this call:
     identical (problem, dataset, config) give bit-identical trajectories.
-    A DivergenceError carries the steps captured before it.
     """
     if problem.penalty.n_cols != dataset.dimension:
         raise ValueError(f"penalty has {problem.penalty.n_cols} columns but the "
@@ -342,41 +341,34 @@ def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
     rng = np.random.default_rng(config.seed)
     state = initial_state(problem, dataset)
     trace: list[TraceRecord] = []
-    captures: list[StepCapture] = []
     t0 = time.perf_counter()
-    try:
-        for done in range(1, config.max_iters + 1):
-            cap = step(state, schedule, rng)
-            if cap is not None:
-                captures.append(cap)
-            if done % config.eval_every == 0 or done == config.max_iters:
-                wsum = state.raw_weight_sum
-                trace.append(evaluate_trace_record(
-                    problem, dataset, eval_dataset,
-                    state.weighted_x_sum / wsum, state.weighted_z_sum / wsum,
-                    done, time.perf_counter() - t0, state.max_dual_norm))
-    except DivergenceError as exc:
-        exc.captures = captures
-        raise
+    for done in range(1, config.max_iters + 1):
+        step(state, schedule, rng)
+        if done % config.eval_every == 0 or done == config.max_iters:
+            wsum = state.raw_weight_sum
+            trace.append(evaluate_trace_record(
+                problem, dataset, eval_dataset,
+                state.weighted_x_sum / wsum, state.weighted_z_sum / wsum,
+                done, time.perf_counter() - t0, state.max_dual_norm))
     wsum = state.raw_weight_sum
     return SolverResult(x_avg=state.weighted_x_sum / wsum,
                         z_avg=state.weighted_z_sum / wsum,
                         lambda_avg=state.weighted_lambda_sum / wsum,
-                        trace=trace, state=state, captures=captures)
+                        trace=trace, state=state)
 
 
 def run(problem: Problem, dataset: Dataset, config: SolverConfig,
-        test_dataset: Dataset | None = None,
-        step_scale: float = 1.0) -> SolverResult:
+        test_dataset: Dataset | None = None, step_scale: float = 1.0,
+        captures: list | None = None) -> SolverResult:
     """SPDPEG for max_iters iterations: averaged iterates plus trace (see
-    ``drive``); ``config.full_batch`` makes it ``eg-full``."""
+    ``drive``); ``config.full_batch`` makes it ``eg-full``. A ``captures``
+    list gets each completed step's StepCapture, also on DivergenceError."""
 
     def step(state, schedule, rng):
         fx = problem.penalty.matvec(state.x)
         z_next = update_z(state, fx, problem, config)
-        return update_extragradient(state, fx, z_next, problem, dataset, config,
-                                    schedule, rng, step_scale,
-                                    capture=config.capture_steps)
+        update_extragradient(state, fx, z_next, problem, dataset, config,
+                             schedule, rng, step_scale, captures)
 
     return drive(problem, dataset, config, test_dataset, step)
 
@@ -395,9 +387,6 @@ def check_step_inequality(capture: StepCapture, problem: Problem,
     become nonnegative under the scheduled steps, so they are reported
     together with a ``coefficient_negative`` flag.
     """
-    for name in ("grad_x_stoch", "grad_xbar_stoch", "grad_x_full", "grad_xbar_full"):
-        if getattr(capture, name) is None:
-            raise ValueError(f"capture is missing {name}; rerun with capture enabled")
     z_ref, x_ref, lam_ref = (np.asarray(v, dtype=np.float64) for v in reference)
     c, gamma = capture.c, config.gamma
     penalty = problem.penalty

@@ -156,6 +156,7 @@ def sc_rate_report(tmp_path_factory):
     return report
 
 
+@pytest.mark.slow
 def test_criterion_04_convex_rate(convex_rate_report):
     r = convex_rate_report["convex"]
     ok = (r["slope"] <= -0.35 and r["r_squared"] >= 0.9
@@ -167,6 +168,7 @@ def test_criterion_04_convex_rate(convex_rate_report):
              f"{convex_rate_report['elapsed']:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_05_accelerated_rate(sc_rate_report):
     r = sc_rate_report["sc-nonuniform"]
     ok = (r["slope"] <= -0.8 and r["r_squared"] >= 0.9
@@ -180,6 +182,7 @@ def test_criterion_05_accelerated_rate(sc_rate_report):
              f"{sc_rate_report['elapsed']:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_06_regime_ordering(sc_rate_report):
     o = sc_rate_report["ordering"]
     ok = o["gap_uniform_median"] >= o["gap_nonuniform_median"]
@@ -193,6 +196,7 @@ def test_criterion_06_regime_ordering(sc_rate_report):
 # -------------------------------------------------------------- criterion 7
 
 
+@pytest.mark.slow
 def test_criterion_07_comparative_benchmark():
     comp = bench.comparative_benchmark(d=50, n=1000, iters=10_000, seeds=5,
                                        base_seed=0)
@@ -238,10 +242,9 @@ def test_criterion_09_structural_invariants():
         core = bench.rate_core(family, d=12, n=80, iters=300, eval_every=300)
         train, test, problem, derived = bench.build_all(core)
         config = bench.make_config(core, derived, seed=1)
-        from dataclasses import replace
-        config = replace(config, capture_steps=True)
-        result = run(problem, train, config, test)
-        for cap in result.captures:
+        caps = []
+        result = run(problem, train, config, test, captures=caps)
+        for cap in caps:
             resid = (cap.lam_bar - cap.lam_next
                      - config.gamma * problem.penalty.matvec(cap.x_bar
                                                              - cap.x_prev))

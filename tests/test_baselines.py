@@ -101,13 +101,14 @@ def test_trace_schema_shared():
 
 
 def test_eg_full_deterministic_mode_slack_nonnegative():
-    problem, dataset, config = flr_instance(iters=40, capture_steps=True,
-                                            full_batch=True)
-    res = run_eg_full(problem, dataset, config)
+    # config.full_batch makes run the eg-full solver (see the test above)
+    problem, dataset, config = flr_instance(iters=40, full_batch=True)
+    caps = []
+    run(problem, dataset, config, captures=caps)
     from spdpeg.solver import check_step_inequality, relative_slack
     rng = np.random.default_rng(3)
     l = problem.penalty.n_rows
-    for cap in res.captures:
+    for cap in caps:
         ref = (rng.standard_normal(l), rng.standard_normal(8),
                rng.standard_normal(l))
         rep = check_step_inequality(cap, problem, config, ref)

@@ -77,11 +77,22 @@ def test_run_without_seeds_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_run_divergent_step_scale_guard(tmp_path, capsys):
-    # malformed synthetic spec trips the input-error path
+def test_run_malformed_synthetic_spec_fails_cleanly(tmp_path, capsys):
     rc = main(["run", "--task", "flr", "--synthetic", "bogus:d=4,N=10",
                "--iters", "10", "--out", str(tmp_path / "o")])
     assert rc == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_run_reports_worker_parse_error(tmp_path, capsys, monkeypatch):
+    # with two worker processes the ParseError crosses a process boundary
+    data_path = tmp_path / "bad.txt"
+    data_path.write_text("1 1:0.5 2:1.0\n-1 1:x\n")
+    monkeypatch.setenv("SPDPEG_THREADS", "2")
+    rc = main(["run", "--task", "flr", "--data", str(data_path),
+               "--iters", "10", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "error: line 2: bad feature value 'x'" in capsys.readouterr().err
 
 
 def test_verify_rates_small(tmp_path, capsys):

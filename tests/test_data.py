@@ -1,4 +1,5 @@
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -43,6 +44,15 @@ def test_parse_error_carries_line_number():
         parse_libsvm("1 0:1\n")
     with pytest.raises(ParseError):
         parse_libsvm("")
+
+
+def test_parse_error_survives_pickling():
+    with pytest.raises(ParseError) as exc:
+        parse_libsvm("1 1:1\n1 2:x\n")
+    err = pickle.loads(pickle.dumps(exc.value))
+    assert type(err) is ParseError
+    assert err.line_no == 2
+    assert str(err) == str(exc.value) == "line 2: bad feature value 'x'"
 
 
 @pytest.mark.parametrize("label", ["nan", "inf", "-inf"])

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -210,9 +211,10 @@ def test_same_seed_bitwise_identical():
 
 def test_dual_update_identity():
     # predictor/corrector duals differ by gamma * F (x_bar - x_prev)
-    problem, dataset, config = flr_instance(iters=80, capture_steps=True)
-    res = run(problem, dataset, config)
-    for cap in res.captures:
+    problem, dataset, config = flr_instance(iters=80)
+    caps = []
+    run(problem, dataset, config, captures=caps)
+    for cap in caps:
         lhs = cap.lam_bar - cap.lam_next
         rhs = config.gamma * problem.penalty.matvec(cap.x_bar - cap.x_prev)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
@@ -236,26 +238,26 @@ def test_weight_accumulation_matches_analytic_total():
 
 
 def test_running_average_matches_offline_weights():
-    problem, dataset, config = flr_instance(iters=100, capture_steps=True)
-    res = run(problem, dataset, config)
+    problem, dataset, config = flr_instance(iters=100)
+    caps = []
+    res = run(problem, dataset, config, captures=caps)
     sched = make_schedule(problem, config)
     t = config.max_iters - 1
-    x_off = sum(average_weight(sched, cap.k, t) * cap.x_bar for cap in res.captures)
-    z_off = sum(average_weight(sched, cap.k, t) * cap.z_next for cap in res.captures)
-    lam_off = sum(average_weight(sched, cap.k, t) * cap.lam_bar
-                  for cap in res.captures)
+    x_off = sum(average_weight(sched, cap.k, t) * cap.x_bar for cap in caps)
+    z_off = sum(average_weight(sched, cap.k, t) * cap.z_next for cap in caps)
+    lam_off = sum(average_weight(sched, cap.k, t) * cap.lam_bar for cap in caps)
     assert np.max(np.abs(x_off - res.x_avg)) <= 1e-12
     assert np.max(np.abs(z_off - res.z_avg)) <= 1e-12
     assert np.max(np.abs(lam_off - res.lambda_avg)) <= 1e-12
 
 
 def test_step_inequality_deterministic_mode():
-    problem, dataset, config = flr_instance(iters=50, capture_steps=True,
-                                            full_batch=True)
-    res = run(problem, dataset, config)
+    problem, dataset, config = flr_instance(iters=50, full_batch=True)
+    caps = []
+    res = run(problem, dataset, config, captures=caps)
     rng = np.random.default_rng(0)
     l = problem.penalty.n_rows
-    for cap in res.captures:
+    for cap in caps:
         assert cap.grad_x_stoch is cap.grad_x_full
         for ref in [(res.state.z, res.state.x, res.state.lam),
                     (rng.standard_normal(l), rng.standard_normal(8),
@@ -266,12 +268,13 @@ def test_step_inequality_deterministic_mode():
 
 
 def test_step_inequality_stochastic_mode():
-    problem, dataset, config = flr_instance(iters=120, capture_steps=True)
-    res = run(problem, dataset, config)
+    problem, dataset, config = flr_instance(iters=120)
+    caps = []
+    run(problem, dataset, config, captures=caps)
     rng = np.random.default_rng(1)
     l = problem.penalty.n_rows
     worst = np.inf
-    for cap in res.captures:
+    for cap in caps:
         for _ in range(5):
             ref = (rng.standard_normal(l), rng.standard_normal(8),
                    rng.standard_normal(l))
@@ -281,9 +284,10 @@ def test_step_inequality_stochastic_mode():
 
 
 def test_step_inequality_inflated_step_flags_coefficients():
-    problem, dataset, config = flr_instance(iters=10, capture_steps=True)
-    res = run(problem, dataset, config, step_scale=100.0)
-    rep = check_step_inequality(res.captures[0], problem, config,
+    problem, dataset, config = flr_instance(iters=10)
+    caps = []
+    run(problem, dataset, config, step_scale=100.0, captures=caps)
+    rep = check_step_inequality(caps[0], problem, config,
                                 (np.zeros(problem.penalty.n_rows), np.zeros(8),
                                  np.zeros(problem.penalty.n_rows)))
     assert rep.coefficient_negative
@@ -314,6 +318,24 @@ def test_divergence_guard():
     with pytest.raises(DivergenceError) as exc:
         run(problem, dataset, config, step_scale=1e9)
     assert isinstance(exc.value.iteration, int)
+
+
+def test_divergent_run_leaves_completed_steps_in_callers_list():
+    # a step scale of 100 diverges after some steps, not at the first one
+    problem, dataset, config = flr_instance(iters=2000)
+    caps = []
+    with pytest.raises(DivergenceError) as exc:
+        run(problem, dataset, config, step_scale=100.0, captures=caps)
+    assert exc.value.iteration > 0
+    assert len(caps) == exc.value.iteration
+    assert [cap.k for cap in caps] == list(range(exc.value.iteration))
+
+
+def test_divergence_error_survives_pickling():
+    err = pickle.loads(pickle.dumps(DivergenceError(7, "iterate diverged")))
+    assert type(err) is DivergenceError
+    assert err.iteration == 7
+    assert str(err) == "iterate diverged"
 
 
 def test_feasible_radius_projection():
