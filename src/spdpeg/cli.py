@@ -150,6 +150,10 @@ def cmd_check_lemma1(args) -> int:
               f"over {rep['steps']} steps x {rep['references']} references; "
               f"{rep['coefficient_negative_steps']} steps with a negative "
               f"bracket coefficient")
+        if rep["diverged_at"] is not None:
+            print(f"{mode}: the run diverged at iteration "
+                  f"{rep['diverged_at']}; only the {rep['steps']} completed "
+                  f"steps before it were audited")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(reports, fh, indent=2)

@@ -122,7 +122,7 @@ def test_check_lemma1_cli(tmp_path, capsys):
                "--references", "3", "--mode", "both", "--out", str(report_path)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "PASS" in out
+    assert "PASS" in out and "diverged" not in out
     reports = json.loads(report_path.read_text())
     assert {r["mode"] for r in reports} == {"deterministic", "stochastic"}
     assert all(r["min_relative_slack"] >= -1e-8 for r in reports)
@@ -136,6 +136,8 @@ def test_check_lemma1_flags_inflated_steps(capsys):
     assert rc == 0
     flagged = int(out.split("steps with a negative")[0].rsplit(";", 1)[1].strip())
     assert flagged >= 1
+    assert ("stochastic: the run diverged at iteration 15; only the 15 "
+            "completed steps before it were audited") in out
 
 
 def test_plotdata_cli(tmp_path, capsys):

@@ -4,17 +4,21 @@
 are the earlier implementations, kept here as the specification: on a
 dataset whose rows store every feature the library's margins and full
 gradient go through ``Dataset.dense_columns`` and must return the same
-bytes, and so must the sigmoid on any input.
+bytes, and so must the sigmoid on any input. ``one_shot_lane_sums`` is the
+untiled dense reduction that ``oracles._lane_sums`` computes tile by tile.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import csr_dataset
+from spdpeg import oracles
 from spdpeg.data import synthesize
-from spdpeg.model import LOSS_LOGISTIC, Problem
+from spdpeg.model import LOSS_LOGISTIC, Dataset, Problem
 from spdpeg.oracles import _sigmoid, full_gradient, margins, stochastic_gradient
 from spdpeg.prox import ProxSpec
 from spdpeg.sparse import SparseMatrix
@@ -161,3 +165,137 @@ def test_ragged_and_sparse_datasets_have_no_dense_columns():
         assert dataset.dense_columns is None
         x = np.linspace(-1.0, 1.0, dataset.dimension)
         assert margins(dataset, x).tobytes() == reference_margins(dataset, x).tobytes()
+
+
+# -- tiled dense passes -------------------------------------------------------
+
+def one_shot_lane_sums(matrix, weights):
+    """The dense full pass in one expression, with its n*d product."""
+    return np.add.reduce(matrix * weights[:, None], axis=0, initial=0.0)
+
+
+def one_shot_full_gradient(problem, dataset, x):
+    d = dataset.dimension
+    m = one_shot_lane_sums(dataset.dense_columns, x)
+    coefs = oracles._coefs(problem.loss, m, dataset.labels) / dataset.n_samples
+    grad = one_shot_lane_sums(dataset.data.reshape(-1, d), coefs)
+    if problem.ridge:
+        grad = grad + problem.ridge * x
+    return grad
+
+
+def multi_tile_dataset(seed, d=50):
+    """Dense rows spanning several tiles of both passes: the scatter's tiles
+    split the n rows (the last one partly filled), the margins' tiles split
+    the n lanes. Stored zeros of both signs open every later scatter tile,
+    and one feature stores -0.0 in every row."""
+    rows_per_tile = oracles._TILE // d
+    n = 5 * rows_per_tile + rows_per_tile // 3
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 3, (n, d))
+    values[rng.random((n, d)) < 0.1] = 0.0
+    values[rng.random((n, d)) < 0.1] = -0.0
+    starts = np.arange(rows_per_tile, n, rows_per_tile)
+    values[starts, : d // 2] = 0.0
+    values[starts, d // 2:] = -0.0
+    values[:, 3] = -0.0
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    return Dataset.from_dense_rows(values, labels)
+
+
+@pytest.fixture(scope="module")
+def big_dense():
+    dataset = multi_tile_dataset(11)
+    assert dataset.n_samples > 5 * (oracles._TILE // dataset.dimension)
+    return dataset
+
+
+def test_paper_scale_instances_fit_one_tile():
+    # d=20, n=200 runs the one-shot expression, with no tile loop
+    assert 20 * 200 <= oracles._TILE
+
+
+@pytest.mark.parametrize("loss", ["logistic", "least-squares"])
+@pytest.mark.parametrize("ridge", [0.0, 0.25])
+def test_multi_tile_full_passes_are_bitwise_one_shot(big_dense, loss, ridge):
+    d = big_dense.dimension
+    problem = problem_for(loss, d, ridge)
+    rng = np.random.default_rng(7)
+    points = [0.05 * rng.standard_normal(d), 3.0 * rng.standard_normal(d),
+              np.abs(rng.standard_normal(d))]
+    for x in points:
+        want_m = one_shot_lane_sums(big_dense.dense_columns, x)
+        assert margins(big_dense, x).tobytes() == want_m.tobytes()
+        want = one_shot_full_gradient(problem, big_dense, x).tobytes()
+        assert full_gradient(problem, big_dense, x).tobytes() == want
+        enumerated = stochastic_gradient(problem, big_dense, x,
+                                         np.random.default_rng(0), 1,
+                                         enumerate_all=True)
+        assert enumerated.tobytes() == want
+
+
+def test_multi_tile_matches_the_csr_kernels(big_dense):
+    problem = problem_for("logistic", big_dense.dimension, 0.0)
+    x = np.random.default_rng(8).standard_normal(big_dense.dimension)
+    assert (margins(big_dense, x).tobytes()
+            == reference_margins(big_dense, x).tobytes())
+    assert (full_gradient(problem, big_dense, x).tobytes()
+            == reference_full_gradient(problem, big_dense, x).tobytes())
+
+
+def test_synthesized_multi_tile_dataset_is_bitwise_one_shot():
+    dataset, _, _ = synthesize("fused-signal", 20, 3 * oracles._TILE // 20 + 7,
+                               0.1, 3)
+    problem = problem_for("logistic", 20, 0.0)
+    x = np.random.default_rng(9).standard_normal(20)
+    assert (margins(dataset, x).tobytes()
+            == one_shot_lane_sums(dataset.dense_columns, x).tobytes())
+    assert (full_gradient(problem, dataset, x).tobytes()
+            == one_shot_full_gradient(problem, dataset, x).tobytes())
+
+
+@pytest.mark.parametrize("tile", [16, 17, 40, 100])
+def test_every_tile_shape_is_bitwise_one_shot(monkeypatch, tile):
+    """Small tiles reach every case: lanes split (no carry), rows split
+    (with the carry), a lone last lane folded into the tile before it,
+    partly filled last tiles, and a short axis longer than a tile."""
+    monkeypatch.setattr(oracles, "_TILE", tile)
+    rng = np.random.default_rng(tile)
+    shapes = [(k, lanes) for k in (1, 2, 3, 8, 9, 21, 60)
+              for lanes in (2, 3, 8, 9, 17, 33, 70)]
+    for k, lanes in shapes:
+        matrix = rng.standard_normal((k, lanes)) * 10.0 ** rng.integers(-3, 3, (k, lanes))
+        matrix[rng.random((k, lanes)) < 0.2] = 0.0
+        matrix[rng.random((k, lanes)) < 0.2] = -0.0
+        matrix[:, 0] = -0.0
+        weights = rng.standard_normal(k)
+        for w in (weights, np.abs(weights)):
+            got = oracles._lane_sums(matrix, w)
+            assert got.tobytes() == one_shot_lane_sums(matrix, w).tobytes(), (k, lanes)
+
+
+@pytest.mark.parametrize("loss", ["logistic", "least-squares"])
+def test_small_tiles_keep_the_full_passes_bitwise(monkeypatch, loss):
+    monkeypatch.setattr(oracles, "_TILE", 24)
+    for n, d in ((200, 20), (7, 64), (30, 13)):
+        dataset = dense_dataset(n + d, n, d, stored_zeros=True)
+        _assert_full_passes_match(dataset, loss, 0.25, seed=n)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_full_passes_build_no_n_by_d_temporary(big_dense):
+    n, d = big_dense.n_samples, big_dense.dimension
+    problem = problem_for("logistic", d, 0.25)
+    x = np.random.default_rng(10).standard_normal(d)
+    assert big_dense.dense_columns is not None  # built before tracing
+    limit = n * d * 8 // 2
+    assert _peak_bytes(lambda: margins(big_dense, x)) < limit
+    assert _peak_bytes(lambda: full_gradient(problem, big_dense, x)) < limit
