@@ -435,10 +435,10 @@ def rate_core(family: str, d: int = 20, n: int = 200, data_seed: int = 12345,
 def _gap_curves(core: dict, seeds, reference: float):
     """Run the core once per seed; return (iterations, objective-gap curves,
     feasibility-gap curves) stacked over seeds."""
+    train, test, problem, derived = build_all(core)
     obj_curves, feas_curves = [], []
     iterations = None
     for seed in seeds:
-        train, test, problem, derived = build_all(core)
         config = make_config(core, derived, seed)
         result = run_spdpeg(problem, train, config, test)
         its = np.array([r.iteration for r in result.trace])

@@ -56,9 +56,11 @@ class Dataset:
 
     @cached_property
     def dense_columns(self) -> np.ndarray | None:
-        """Read-only ``(d, n)`` copy of the features, built on first use, when
-        every row stores every feature and n, d >= 2 (the size guard of the
-        dense full passes in ``oracles``); None otherwise."""
+        """Read-only, C-ordered ``(d, n)`` copy of the features, built on
+        first use, when every row stores every feature and n, d >= 2; None
+        otherwise. With a single lane (n or d equal to 1) the dense full
+        passes of ``oracles`` would not add in ``bincount``'s order, so such
+        datasets keep the CSR kernels."""
         n, d = self.n_samples, self.dimension
         if self.uniform_row_length != d or n < 2 or d < 2:
             return None

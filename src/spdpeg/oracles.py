@@ -10,15 +10,12 @@ A full pass uses the products of the data matrix ``A`` (the dataset's
 ``features``): the margins are ``A @ x`` and the gradient scatter is
 ``A.T @ coefs``, the ``bincount`` kernels of ``SparseMatrix.matvec`` and
 ``rmatvec``. A dataset whose rows store every feature, with n and d both
-at least 2 (``Dataset.dense_columns``), reduces over the leading axis of a
-dense array instead: the margins sum the ``(d, n)`` column-major copy
-weighted by x, the gradient scatter sums the ``(n, d)`` row-major CSR
-values weighted by the coefficients. numpy adds such a reduction lane by
-lane in index order starting from ``initial=0.0``, which is ``bincount``'s
-order, so both give the same bits as the CSR products. With a single kept
-lane (n or d equal to 1) numpy sums pairwise instead, hence the size guard.
-``_lane_sums`` runs that reduction tile by tile, with the same bits and
-no n*d product.
+at least 2 (``Dataset.dense_columns``), runs both through ``_lane_sums``
+on a dense array instead: the margins over the ``(d, n)`` column-major
+copy weighted by x, the gradient scatter over the ``(n, d)`` row-major CSR
+values weighted by the coefficients. ``_lane_sums`` adds each lane in
+index order from 0.0, which is ``bincount``'s order, so both give the same
+bits as the CSR products; its docstring says when that order holds.
 
 A sampled batch takes one of two paths:
 - one row: scalar arithmetic on that row's slice, with no array built for
@@ -42,63 +39,30 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     # t >= 0 and exp(t) below, the argument each branch needs
     t = np.asarray(t, dtype=np.float64)
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-# Elements in one tile of a dense full pass (1.25 MiB of float64, inside
-# the 2 MiB per-core L2 of the 2-core Xeon it was measured on). numpy's
-# broadcast multiply runs twice as slow when a tile row holds fewer than
-# 2,731 elements (a third of its 8,192-element ufunc buffer), so at d=50 the
-# margins need tiles of at least 136,550 elements; this is the next
-# multiple of 2**15. Medians of 30 alternating runs on the 80,000 x 50
-# training set of large-n-flr, numpy 2.4, at 2**16 / 2**17 / this /
-# 3 * 2**16 / 2**18 elements: margins 12.3 / 13.3 / 7.3 / 7.4 / 7.7 ms
-# (one-shot 9.7), scatter 11.6 / 12.7 / 12.8 / 12.9 / 13.3 ms (one-shot 19.0).
-_TILE = 5 * 2 ** 15
+    denom = 1.0 + e
+    return np.where(t >= 0, 1.0 / denom, e / denom)
 
 
 def _lane_sums(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(matrix * weights[:, None], axis=0, initial=0.0)``
-    over tiles of about ``_TILE`` elements through one reused buffer, with
-    the same bits. ``matrix`` is C-ordered with at least two lanes
-    (columns), as the size guard of ``Dataset.dense_columns`` ensures; every
-    tile keeps two or more, since with one lane numpy sums pairwise.
+    """``sum_i weights[i] * matrix[i, :]`` in one pass, with no n*d product
+    and the bits of ``np.add.reduce(matrix * weights[:, None], axis=0,
+    initial=0.0)``.
 
-    When the reduced axis is the shorter one (the margins over the ``(d, n)``
-    dense columns), a tile holds every row of a block of lanes; the lanes
-    are independent, so nothing is carried. Otherwise (the scatter over the
-    ``(n, d)`` CSR values) a tile holds every lane of a block of rows, and
-    each later tile first adds the running sums into its own first row,
-    which becomes ``acc + p``; the tile's reduction from 0.0 then adds
-    ``0.0 + (acc + p)``. That is ``acc + p`` because a running sum from 0.0
-    is never -0.0, so the bits are those of one sequential pass.
+    einsum's two-operand loop walks the rows in order and adds each row's
+    products into every lane (column), one multiply and one add at a time,
+    from 0.0. That is the order of the reduction above and of ``bincount``.
+    It holds only when
+    - ``matrix`` is C-contiguous: a Fortran-ordered one is summed down each
+      lane by another loop, with other bits;
+    - it has at least 2 rows and 2 lanes, as the size guard of
+      ``Dataset.dense_columns`` ensures: with one lane einsum sums in
+      another order;
+    - the numpy build's einsum does not fuse the multiply and the add (a
+      build whose SIMD baseline has no FMA, such as X86_V2). The canary
+      ``test_einsum_does_not_fuse_multiply_add`` in
+      ``tests/test_dense_columns.py`` fails first on a build that does.
     """
-    k, lanes = matrix.shape
-    if k * lanes <= _TILE:
-        # one tile: the loop would cost 12.5 us more per full_gradient on the
-        # paper-flr data (57.6 -> 70.1 us, medians of 40 runs of 2,000 calls)
-        return np.add.reduce(matrix * weights[:, None], axis=0, initial=0.0)
-    if k <= lanes:
-        # as in the margins: a tile holds every row of a block of lanes
-        rows, width = k, max(2, _TILE // k)
-    else:
-        # as in the scatter: a tile holds every lane of a block of rows
-        rows, width = max(1, _TILE // lanes), lanes
-    starts = list(range(0, lanes, width))
-    if lanes - starts[-1] == 1:
-        starts.pop()  # the last lane joins the tile before it
-    buf = np.empty(rows * (width + 1))
-    out = np.empty(lanes)
-    for a, b in zip(starts, starts[1:] + [lanes]):
-        acc = out[a:b]
-        for r in range(0, k, rows):
-            r_end = min(r + rows, k)
-            tile = buf[:(r_end - r) * (b - a)].reshape(r_end - r, b - a)
-            np.multiply(matrix[r:r_end, a:b], weights[r:r_end, None], out=tile)
-            if r:
-                tile[0] += acc
-            np.add.reduce(tile, axis=0, initial=0.0, out=acc)
-    return out
+    return np.einsum("ij,i->j", matrix, weights)
 
 
 def margins(dataset: Dataset, x: np.ndarray) -> np.ndarray:
@@ -111,7 +75,8 @@ def margins(dataset: Dataset, x: np.ndarray) -> np.ndarray:
 
 def _coefs(loss: str, m: np.ndarray, labels: np.ndarray) -> np.ndarray:
     if loss == LOSS_LOGISTIC:
-        return -labels * _sigmoid(-labels * m)
+        neg = -labels
+        return neg * _sigmoid(neg * m)
     return m - labels
 
 

@@ -137,6 +137,21 @@ def test_build_data_checks_a_split_dataset_once(monkeypatch):
     assert (train.n_samples, test.n_samples) == (32, 8)
 
 
+def test_verify_rates_builds_each_core_once(monkeypatch):
+    calls = []
+    build_all = bench.build_all
+
+    def counted(core):
+        calls.append(core["config"]["regime"])
+        return build_all(core)
+
+    monkeypatch.setattr(bench, "build_all", counted)
+    bench.verify_rates(iters=1000, seeds=5, d=8, n=40)
+    # one build for each reference and one for each core's five seeds
+    assert calls == ["convex", "convex", "sc-nonuniform", "sc-nonuniform",
+                     "sc-uniform"]
+
+
 def test_build_penalty_sources(tmp_path):
     cfg = {"synthetic": {"kind": "graph-logistic", "d": 6, "n": 30, "noise": 0.1,
                          "seed": 4}}

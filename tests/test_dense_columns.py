@@ -5,7 +5,8 @@ are the earlier implementations, kept here as the specification: on a
 dataset whose rows store every feature the library's margins and full
 gradient go through ``Dataset.dense_columns`` and must return the same
 bytes, and so must the sigmoid on any input. ``one_shot_lane_sums`` is the
-untiled dense reduction that ``oracles._lane_sums`` computes tile by tile.
+dense reduction, with its n*d product, whose bits ``oracles._lane_sums``
+computes in one einsum pass.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import pytest
 
 from conftest import csr_dataset
 from spdpeg import oracles
-from spdpeg.data import synthesize
+from spdpeg.data import (SplitSpec, parse_libsvm, serialize_libsvm, split,
+                         synthesize)
 from spdpeg.model import LOSS_LOGISTIC, Dataset, Problem
 from spdpeg.oracles import _sigmoid, full_gradient, margins, stochastic_gradient
 from spdpeg.prox import ProxSpec
@@ -167,7 +169,7 @@ def test_ragged_and_sparse_datasets_have_no_dense_columns():
         assert margins(dataset, x).tobytes() == reference_margins(dataset, x).tobytes()
 
 
-# -- tiled dense passes -------------------------------------------------------
+# -- one-pass dense reduction -------------------------------------------------
 
 def one_shot_lane_sums(matrix, weights):
     """The dense full pass in one expression, with its n*d product."""
@@ -184,18 +186,17 @@ def one_shot_full_gradient(problem, dataset, x):
     return grad
 
 
-def multi_tile_dataset(seed, d=50):
-    """Dense rows spanning several tiles of both passes: the scatter's tiles
-    split the n rows (the last one partly filled), the margins' tiles split
-    the n lanes. Stored zeros of both signs open every later scatter tile,
-    and one feature stores -0.0 in every row."""
-    rows_per_tile = oracles._TILE // d
-    n = 5 * rows_per_tile + rows_per_tile // 3
+def multi_tile_dataset(seed):
+    """17,472 dense rows of 50 features, with stored zeros of both signs.
+    Every 3,276th row stores only signed zeros, so a running sum meets
+    ``+-0.0`` products part way down every lane, and one feature stores
+    -0.0 in every row, so each of its products is -0.0."""
+    n, d = 17_472, 50
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 3, (n, d))
     values[rng.random((n, d)) < 0.1] = 0.0
     values[rng.random((n, d)) < 0.1] = -0.0
-    starts = np.arange(rows_per_tile, n, rows_per_tile)
+    starts = np.arange(3_276, n, 3_276)
     values[starts, : d // 2] = 0.0
     values[starts, d // 2:] = -0.0
     values[:, 3] = -0.0
@@ -206,13 +207,8 @@ def multi_tile_dataset(seed, d=50):
 @pytest.fixture(scope="module")
 def big_dense():
     dataset = multi_tile_dataset(11)
-    assert dataset.n_samples > 5 * (oracles._TILE // dataset.dimension)
+    assert (dataset.n_samples, dataset.dimension) == (17_472, 50)
     return dataset
-
-
-def test_paper_scale_instances_fit_one_tile():
-    # d=20, n=200 runs the one-shot expression, with no tile loop
-    assert 20 * 200 <= oracles._TILE
 
 
 @pytest.mark.parametrize("loss", ["logistic", "least-squares"])
@@ -244,8 +240,7 @@ def test_multi_tile_matches_the_csr_kernels(big_dense):
 
 
 def test_synthesized_multi_tile_dataset_is_bitwise_one_shot():
-    dataset, _, _ = synthesize("fused-signal", 20, 3 * oracles._TILE // 20 + 7,
-                               0.1, 3)
+    dataset, _, _ = synthesize("fused-signal", 20, 24_583, 0.1, 3)
     problem = problem_for("logistic", 20, 0.0)
     x = np.random.default_rng(9).standard_normal(20)
     assert (margins(dataset, x).tobytes()
@@ -254,13 +249,12 @@ def test_synthesized_multi_tile_dataset_is_bitwise_one_shot():
             == one_shot_full_gradient(problem, dataset, x).tobytes())
 
 
-@pytest.mark.parametrize("tile", [16, 17, 40, 100])
-def test_every_tile_shape_is_bitwise_one_shot(monkeypatch, tile):
-    """Small tiles reach every case: lanes split (no carry), rows split
-    (with the carry), a lone last lane folded into the tile before it,
-    partly filled last tiles, and a short axis longer than a tile."""
-    monkeypatch.setattr(oracles, "_TILE", tile)
-    rng = np.random.default_rng(tile)
+@pytest.mark.parametrize("seed", [16, 17, 40, 100])
+def test_every_tile_shape_is_bitwise_one_shot(seed):
+    """``_lane_sums`` against the reduction on 49 small shapes, from one
+    row to more rows than lanes and back, with stored zeros of both signs
+    and a lane of -0.0 under positive and mixed weights."""
+    rng = np.random.default_rng(seed)
     shapes = [(k, lanes) for k in (1, 2, 3, 8, 9, 21, 60)
               for lanes in (2, 3, 8, 9, 17, 33, 70)]
     for k, lanes in shapes:
@@ -275,11 +269,51 @@ def test_every_tile_shape_is_bitwise_one_shot(monkeypatch, tile):
 
 
 @pytest.mark.parametrize("loss", ["logistic", "least-squares"])
-def test_small_tiles_keep_the_full_passes_bitwise(monkeypatch, loss):
-    monkeypatch.setattr(oracles, "_TILE", 24)
+def test_small_tiles_keep_the_full_passes_bitwise(loss):
+    """Small dense sets with stored signed zeros, wide and tall, ridge on."""
     for n, d in ((200, 20), (7, 64), (30, 13)):
         dataset = dense_dataset(n + d, n, d, stored_zeros=True)
         _assert_full_passes_match(dataset, loss, 0.25, seed=n)
+
+
+def test_einsum_does_not_fuse_multiply_add():
+    """The canary of ``_lane_sums``'s build dependency. Lane by lane it
+    adds -1 * 1 and then (1 + 2**-30) * (1 + 2**-30). Rounded separately the
+    product is 1 + 2**-29 and the sum exactly 2**-29; a fused multiply-add
+    keeps the product's 2**-60 as well, and the golden digests would move."""
+    eps, want = 2.0 ** -30, 2.0 ** -29
+    matrix = np.empty((2, 16))
+    matrix[0], matrix[1] = -1.0, 1.0 + eps
+    got = oracles._lane_sums(matrix, np.array([1.0, 1.0 + eps]))
+    assert np.all(got == want), (
+        f"np.einsum fused multiply and add on numpy {np.__version__} "
+        f"({np.show_config(mode='dicts')['SIMD Extensions']}): got {got[0]!r}, "
+        f"want {want!r}, so the dense full passes lose bincount's bits")
+
+
+def test_dense_inputs_are_c_contiguous():
+    """``_lane_sums`` keeps its bits only on C-ordered input (a Fortran-
+    ordered one is summed in another order), so every way of building a
+    dense dataset must give C-ordered columns and rows."""
+    rng = np.random.default_rng(12)
+    rows = rng.standard_normal((30, 4))
+    labels = np.where(rng.random(30) < 0.5, 1.0, -1.0)
+    from_rows = Dataset.from_dense_rows(rows, labels)
+    synthesized, _, _ = synthesize("fused-signal", 6, 40, 0.1, 2)
+    train, test = split(synthesized, SplitSpec(0.75, 5))
+    datasets = [
+        from_rows,
+        Dataset.from_dense_rows(np.asfortranarray(rows), labels),
+        synthesized,
+        synthesized.subset(np.array([5, 1, 1, 30, 7])),
+        train, test,
+        parse_libsvm(serialize_libsvm(from_rows)),
+    ]
+    for dataset in datasets:
+        d = dataset.dimension
+        assert dataset.dense_columns is not None
+        assert dataset.dense_columns.flags.c_contiguous
+        assert dataset.data.reshape(-1, d).flags.c_contiguous
 
 
 def _peak_bytes(fn):
@@ -296,6 +330,7 @@ def test_dense_full_passes_build_no_n_by_d_temporary(big_dense):
     problem = problem_for("logistic", d, 0.25)
     x = np.random.default_rng(10).standard_normal(d)
     assert big_dense.dense_columns is not None  # built before tracing
-    limit = n * d * 8 // 2
-    assert _peak_bytes(lambda: margins(big_dense, x)) < limit
-    assert _peak_bytes(lambda: full_gradient(problem, big_dense, x)) < limit
+    # margins allocate about their own n-vector; full_gradient also holds
+    # the coefficients and the sigmoid's temporaries
+    assert _peak_bytes(lambda: margins(big_dense, x)) < 2 * n * 8
+    assert _peak_bytes(lambda: full_gradient(problem, big_dense, x)) < n * d * 8 // 2
