@@ -19,7 +19,8 @@ bits as the CSR products; its docstring says when that order holds.
 
 A sampled batch takes one of two paths:
 - one row: scalar arithmetic on that row's slice, with no array built for
-  its margin, coefficient or label;
+  its margin, coefficient or label; a row that stores every feature also
+  skips the gather of x and the scatter into a zero vector;
 - more rows: one gather of all drawn rows' stored entries, one stacked
   ``matmul`` per distinct row length for the margins, one coefficient call
   for the batch and one ``bincount`` scatter. The stacked ``matmul`` sums
@@ -36,11 +37,11 @@ from .sparse import row_positions
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     # evaluate in the branch that never overflows; exp(-|t|) is exp(-t) for
-    # t >= 0 and exp(t) below, the argument each branch needs
+    # t >= 0 and exp(t) below, the argument each branch needs; selecting the
+    # numerator first divides once, with the bits of either quotient
     t = np.asarray(t, dtype=np.float64)
     e = np.exp(-np.abs(t))
-    denom = 1.0 + e
-    return np.where(t >= 0, 1.0 / denom, e / denom)
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def _lane_sums(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -81,7 +82,9 @@ def _coefs(loss: str, m: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _check_x(dataset: Dataset, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    # contiguous, so that a full row's vals.dot(x) sums in the order of
+    # vals.dot(x[cols]); with a strided x the dot kernel takes another path
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape != (dataset.dimension,):
         raise ValueError(f"x must have length {dataset.dimension}, got {x.shape}")
     return x
@@ -134,8 +137,16 @@ def _gradient_over_rows(problem: Problem, dataset: Dataset, x: np.ndarray,
 
 def _row_gradient(loss: str, dataset: Dataset, x: np.ndarray, i: int) -> np.ndarray:
     lo, hi = dataset.indptr[i], dataset.indptr[i + 1]
-    cols, vals = dataset.indices[lo:hi], dataset.data[lo:hi]
-    m = vals @ x[cols]
+    vals = dataset.data[lo:hi]
+    # column indices strictly increase in [0, d), so a row that stores d
+    # entries has the columns arange(d): no gather of x and no scatter.
+    # vals.dot runs the kernel of vals @ v without the matmul ufunc's cost
+    full_row = hi - lo == dataset.dimension
+    if full_row:
+        m = vals.dot(x)
+    else:
+        cols = dataset.indices[lo:hi]
+        m = vals.dot(x[cols])
     b = dataset.labels[i]
     if loss == LOSS_LOGISTIC:
         # _sigmoid(-b*m) on a scalar, same branches and same np.exp
@@ -148,6 +159,8 @@ def _row_gradient(loss: str, dataset: Dataset, x: np.ndarray, i: int) -> np.ndar
         coef = -b * s
     else:
         coef = m - b
+    if full_row:
+        return coef * vals
     grad = np.zeros(dataset.dimension)
     grad[cols] = coef * vals
     return grad
@@ -203,12 +216,15 @@ def full_gradient(problem: Problem, dataset: Dataset, x: np.ndarray) -> np.ndarr
 
 
 def stochastic_gradient(problem: Problem, dataset: Dataset, x: np.ndarray,
-                        rng: np.random.Generator, batch_size: int,
+                        rng, batch_size: int,
                         enumerate_all: bool = False) -> np.ndarray:
     """Average gradient over a uniform with-replacement batch.
 
-    ``enumerate_all`` replaces sampling with a pass over every sample
-    (and does not touch the rng); the result then equals full_gradient.
+    ``rng`` is anything that answers ``integers(low, high, size)``: a
+    ``numpy.random.Generator``, or the block-drawn ``solver.SampleStream``
+    that ``solver.drive`` hands its steps. ``enumerate_all`` replaces
+    sampling with a pass over every sample (and does not touch the rng);
+    the result then equals full_gradient.
     """
     x = _check_x(dataset, x)
     if enumerate_all:

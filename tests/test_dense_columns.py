@@ -1,12 +1,12 @@
 """The dense-row full passes against the CSR kernels they replaced.
 
-``reference_margins``, ``reference_full_gradient`` and ``reference_sigmoid``
-are the earlier implementations, kept here as the specification: on a
-dataset whose rows store every feature the library's margins and full
-gradient go through ``Dataset.dense_columns`` and must return the same
-bytes, and so must the sigmoid on any input. ``one_shot_lane_sums`` is the
-dense reduction, with its n*d product, whose bits ``oracles._lane_sums``
-computes in one einsum pass.
+``reference_margins``, ``reference_full_gradient``, ``reference_sigmoid``
+and ``two_quotient_sigmoid`` are the earlier implementations, kept here as
+the specification: on a dataset whose rows store every feature the
+library's margins and full gradient go through ``Dataset.dense_columns``
+and must return the same bytes, and so must the sigmoid on any input.
+``one_shot_lane_sums`` is the dense reduction, with its n*d product, whose
+bits ``oracles._lane_sums`` computes in one einsum pass.
 """
 
 from __future__ import annotations
@@ -34,6 +34,14 @@ def reference_sigmoid(t):
     et = np.exp(t[~pos])
     out[~pos] = et / (1.0 + et)
     return out
+
+
+def two_quotient_sigmoid(t):
+    """Both quotients over every element, then a select."""
+    t = np.asarray(t, dtype=np.float64)
+    e = np.exp(-np.abs(t))
+    denom = 1.0 + e
+    return np.where(t >= 0, 1.0 / denom, e / denom)
 
 
 def reference_margins(dataset, x):
@@ -144,6 +152,21 @@ def test_sigmoid_is_bitwise_the_masked_version():
     assert _sigmoid(t).tobytes() == reference_sigmoid(t).tobytes()
     for part in (t[:0], t[:1], t[1:2], t[1:].reshape(-1, 2)):
         assert _sigmoid(part).tobytes() == reference_sigmoid(part).tobytes()
+    # NaN in gives NaN out; its sign bit comes from exp(-|t|) in the library
+    # and from exp(t) in the masked version, so only the position is compared
+    with_nan = np.concatenate([[np.nan, -np.nan, -0.0, 0.0], t])
+    got, want = _sigmoid(with_nan), reference_sigmoid(with_nan)
+    assert np.isnan(got[:2]).all() and np.isnan(want[:2]).all()
+    assert got[2:].tobytes() == want[2:].tobytes()
+
+
+def test_sigmoid_is_bitwise_the_two_quotient_select():
+    t = np.array([np.nan, -np.nan, 0.0, -0.0, 5e-324, -5e-324, 709.8, -709.8,
+                  800.0, -800.0, np.inf, -np.inf])
+    t = np.concatenate([t, np.random.default_rng(1).uniform(-50.0, 50.0, 4000)])
+    assert _sigmoid(t).tobytes() == two_quotient_sigmoid(t).tobytes()
+    assert (_sigmoid(t[2:].reshape(-1, 2)).tobytes()
+            == two_quotient_sigmoid(t[2:].reshape(-1, 2)).tobytes())
 
 
 def test_dense_columns_layout_and_read_only():

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import csr_dataset
 from spdpeg.model import Problem
-from spdpeg.oracles import _coefs, _gradient_over_rows
+from spdpeg.oracles import _coefs, _gradient_over_rows, stochastic_gradient
 from spdpeg.prox import ProxSpec
 from spdpeg.sparse import SparseMatrix, row_positions
 
@@ -107,6 +107,40 @@ def test_sampled_gradient_is_bitwise_the_row_loop(kind, loss, ridge, batch):
         rows = rng.integers(0, n, size=size)
         got = _gradient_over_rows(problem, dataset, x, rows)
         want = reference_gradient_over_rows(problem, dataset, x, rows)
+        assert got.tobytes() == want.tobytes()
+
+
+class _FixedRows:
+    """Answers every draw with the given rows, in turn."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def integers(self, low, high, size):
+        return np.array([next(self.rows)])
+
+
+@pytest.mark.parametrize("kind", sorted(DATASETS))
+@pytest.mark.parametrize("loss", ["logistic", "least-squares"])
+@pytest.mark.parametrize("ridge", [0.0, 0.25])
+def test_full_rows_skip_the_scatter_with_the_same_bits(kind, loss, ridge):
+    # every row of the dense set and some rows of the ragged one store all
+    # d features; x comes in as a strided view, which the oracle makes
+    # contiguous before the dot product
+    dataset = DATASETS[kind](seed=7)
+    n, d = dataset.n_samples, dataset.dimension
+    lengths = np.diff(dataset.indptr)
+    assert (lengths == d).any()
+    if kind == "ragged":
+        assert (lengths < d).any()
+    problem = problem_for(loss, d, ridge)
+    rng = np.random.default_rng(12)
+    for i in range(n):
+        x = (2.0 * rng.standard_normal(2 * d))[::2]
+        assert not x.flags.c_contiguous
+        got = stochastic_gradient(problem, dataset, x, _FixedRows([i]), 1)
+        want = reference_gradient_over_rows(problem, dataset, x,
+                                            np.array([i]))
         assert got.tobytes() == want.tobytes()
 
 

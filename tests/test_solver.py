@@ -320,6 +320,32 @@ def test_divergence_guard():
     assert isinstance(exc.value.iteration, int)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e12])
+@pytest.mark.parametrize("where", ["x", "lam"])
+def test_advance_rejects_a_non_finite_or_huge_entry(bad, where):
+    problem, dataset, _ = flr_instance()
+    state = initial_state(problem, dataset)
+    state.k = 5
+    x, lam = np.ones(dataset.dimension), np.ones(problem.penalty.n_rows)
+    (x if where == "x" else lam)[2] = bad
+    with pytest.raises(DivergenceError, match="at iteration 5") as exc:
+        solver_mod.advance(state, 1, x, lam, x, np.zeros_like(lam), lam)
+    assert exc.value.iteration == 5
+    assert state.k == 5 and state.raw_weight_sum == 0
+
+
+def test_advance_dual_norm_is_the_euclidean_norm():
+    problem, dataset, _ = flr_instance()
+    state = initial_state(problem, dataset)
+    rng = np.random.default_rng(6)
+    norms = []
+    for _ in range(50):
+        lam = rng.standard_normal(problem.penalty.n_rows) * 10.0 ** rng.integers(-6, 6)
+        solver_mod.advance(state, 1, state.x, lam, state.x, lam, lam)
+        norms.append(float(np.linalg.norm(lam)))
+        assert state.max_dual_norm == max(norms)
+
+
 def test_divergent_run_leaves_completed_steps_in_callers_list():
     # a step scale of 100 diverges after some steps, not at the first one
     problem, dataset, config = flr_instance(iters=2000)
