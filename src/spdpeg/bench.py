@@ -32,7 +32,7 @@ from .prox import ProxSpec
 from .solver import run as run_spdpeg
 from .solver import (DivergenceError, check_step_inequality, extragradient,
                      objective_from_margins, relative_slack, z_block)
-from .sparse import SparseMatrix, power_iteration_sigma_max
+from .sparse import SparseMatrix
 from .trace import TraceRecord, read_trace_csv, write_trace_csv
 
 SOLVERS = ("spdpeg", "eg-full", "slinadmm")
@@ -129,9 +129,12 @@ def build_problem(problem_cfg: dict, penalty: SparseMatrix) -> Problem:
 
 def derive_constants(problem: Problem, train: Dataset, gamma: float,
                      regime: str) -> dict:
+    """The step constants of a problem on its training set. The row norms
+    and the penalty's power iteration are cached on ``train`` and on
+    ``problem.penalty``, so deriving again for the same pair costs nothing."""
     lips_data = estimate_lipschitz(train, problem.loss)
     lips = max(lips_data + problem.ridge, 1e-12)
-    sigma = power_iteration_sigma_max(problem.penalty) if problem.penalty.nnz else 0.0
+    sigma = problem.penalty.sigma_max_FtF
     mu = 0.0 if regime == "convex" else problem.strong_convexity_mu
     return {"lipschitz_data": lips_data, "lipschitz_L": lips,
             "sigma_max_FtF": sigma,
@@ -312,19 +315,21 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
     z block and ``extragradient`` step (which projects onto any feasible
     ball) at c = 1/(1 + L_tilde). Stops when the objective change between
     checkpoints drops below tol (relative); the best iterate seen is
-    returned and cached keyed by the problem/dataset fingerprints and by
-    every argument that shapes the run, so a capped run is never returned
-    for an uncapped call.
+    returned. With a ``cache_path`` it is also cached, keyed by the
+    problem/dataset fingerprints and by every argument that shapes the run,
+    so a capped run is never returned for an uncapped call; the key, which
+    hashes the whole dataset, is computed only for a cache file.
     """
-    key = _reference_key(problem, dataset, gamma, max_iters, tol, check_every)
     cache = {}
-    if cache_path is not None and os.path.exists(cache_path):
-        with open(cache_path, "r", encoding="utf-8") as fh:
-            cache = json.load(fh)
-        if key in cache:
-            e = cache[key]
-            return ReferenceSolution(e["objective"], np.asarray(e["x"]),
-                                     e["iterations"], e["converged"])
+    if cache_path is not None:
+        key = _reference_key(problem, dataset, gamma, max_iters, tol, check_every)
+        if os.path.exists(cache_path):
+            with open(cache_path, "r", encoding="utf-8") as fh:
+                cache = json.load(fh)
+            if key in cache:
+                e = cache[key]
+                return ReferenceSolution(e["objective"], np.asarray(e["x"]),
+                                         e["iterations"], e["converged"])
     c = 1.0 / (1.0 + derive_constants(problem, dataset, gamma, "convex")["L_tilde"])
     penalty = problem.penalty
 
@@ -352,9 +357,11 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
                 converged = True
                 break
             prev = f
-    f = objective_value(problem, dataset, x)
-    if f < best:
-        best, best_x = f, x.copy()
+    # a loop that ended on a checkpoint has already evaluated this x
+    if iterations == 0 or iterations % check_every:
+        f = objective_value(problem, dataset, x)
+        if f < best:
+            best, best_x = f, x.copy()
     solution = ReferenceSolution(best, best_x, iterations, converged)
     if cache_path is not None:
         cache[key] = {"objective": best, "x": best_x.tolist(),

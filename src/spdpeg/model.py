@@ -33,8 +33,9 @@ class Dataset:
     """Immutable collection of labeled samples sharing a feature dimension.
 
     ``features`` is a checked ``SparseMatrix`` with one row per sample.
-    ``indptr``, ``indices``, ``data``, ``row_ids`` and ``dimension`` are
-    that matrix's own fields under the names the oracles use, not copies.
+    ``indptr``, ``indices``, ``data``, ``row_ids``, ``dimension`` and
+    ``uniform_row_length`` are that matrix's own fields under the names the
+    oracles use, not copies.
     """
 
     def __init__(self, features: SparseMatrix, labels):
@@ -49,10 +50,7 @@ class Dataset:
         self.features = f = features
         self.indptr, self.indices, self.data = f.row_offsets, f.col_indices, f.values
         self.row_ids, self.dimension = f.row_ids, f.n_cols
-        lengths = np.diff(self.indptr)
-        # stored entries per row when every row has the same count, else None
-        self.uniform_row_length = (int(lengths[0]) if np.all(lengths == lengths[0])
-                                   else None)
+        self.uniform_row_length = f.uniform_row_length
 
     @cached_property
     def dense_columns(self) -> np.ndarray | None:
@@ -92,6 +90,12 @@ class Dataset:
             return np.zeros(self.n_samples)
         return np.bincount(self.row_ids, weights=self.data ** 2,
                            minlength=self.n_samples)
+
+    @cached_property
+    def max_row_norm_sq(self) -> float:
+        """``max_i ||a_i||^2``, computed on first use and kept: like
+        ``dense_columns``, it assumes the arrays are not mutated in place."""
+        return float(self.row_norms_sq().max())
 
     def fingerprint(self) -> str:
         return self.features.fingerprint(self.labels)
@@ -190,10 +194,12 @@ def estimate_lipschitz(dataset: Dataset, loss: str) -> float:
     Logistic: 0.25 * max_i ||a_i||^2 (per-sample curvature of the logistic
     function tops out at 1/4). Least squares: max_i ||a_i||^2, the spectral
     norm of the per-sample Hessian a_i a_i^T. Excludes any folded ridge.
+    Reads the dataset's cached ``max_row_norm_sq``, so a second call on the
+    same dataset makes no pass over the rows.
     """
     if loss not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss!r}")
     if dataset.n_samples == 0:
         raise ValueError("dataset must be nonempty")
-    max_sq = float(dataset.row_norms_sq().max())
+    max_sq = dataset.max_row_norm_sq
     return 0.25 * max_sq if loss == LOSS_LOGISTIC else max_sq

@@ -25,7 +25,10 @@ A sampled batch takes one of two paths:
   ``matmul`` per distinct row length for the margins, one coefficient call
   for the batch and one ``bincount`` scatter. The stacked ``matmul`` sums
   each row in the order ``vals @ x[cols]`` does, so both paths give the
-  same bits as a loop over the rows; a segment sum would not.
+  same bits as a loop over the rows; a segment sum would not. Rows that
+  store every feature (d >= 2) are gathered whole, with no position array
+  and no gather of x, and scattered through ``_lane_sums``, with the same
+  bits.
 """
 
 from __future__ import annotations
@@ -189,13 +192,25 @@ def _batch_gradient(loss: str, dataset: Dataset, x: np.ndarray,
     # row_positions and _ragged_row_margins gives the same bits but made
     # sc-graph-b16 spdpeg.iter_us 33% slower (106 -> 141 us, 10 pairs).
     b, k = rows.size, dataset.uniform_row_length
+    d = dataset.dimension
+    if k == d >= 2:
+        # rows that store all d features, columns arange(d): gather whole
+        # rows and scatter with _lane_sums, which adds each lane in
+        # bincount's order (b >= 2 here). With a contiguous x, which
+        # _check_x ensures, the broadcast matmul sums each row in the order
+        # of vals @ x[cols]; a strided x takes another dot kernel
+        vals = dataset.data.reshape(-1, d)[rows]
+        m = (vals[:, None, :] @ x[:, None]).reshape(b)
+        grad = _lane_sums(vals, _coefs(loss, m, dataset.labels[rows]))
+        grad /= b
+        return grad
     if k is None:
         pos, lengths = row_positions(dataset.indptr, rows)
     else:
         pos, lengths = (dataset.indptr[rows][:, None] + np.arange(k)).ravel(), k
     if pos.size == 0:
         # bincount over no entries would return int64
-        return np.zeros(dataset.dimension)
+        return np.zeros(d)
     cols, vals = dataset.indices[pos], dataset.data[pos]
     xs = x[cols]
     if k is None:
@@ -204,7 +219,7 @@ def _batch_gradient(loss: str, dataset: Dataset, x: np.ndarray,
         m = (vals.reshape(b, 1, k) @ xs.reshape(b, k, 1)).reshape(b)
     coefs = _coefs(loss, m, dataset.labels[rows])
     grad = np.bincount(cols, weights=np.repeat(coefs, lengths) * vals,
-                       minlength=dataset.dimension)
+                       minlength=d)
     grad /= b
     return grad
 

@@ -31,6 +31,11 @@ def row_positions(indptr: np.ndarray, rows: np.ndarray
             + np.repeat(starts - (ends - lengths), lengths)), lengths
 
 
+def _uniform_length(lengths: np.ndarray) -> int | None:
+    return (int(lengths[0]) if lengths.size and np.all(lengths == lengths[0])
+            else None)
+
+
 class PowerIterationError(RuntimeError):
     """Raised when power iteration fails to converge within max_iter.
 
@@ -58,6 +63,14 @@ class SparseMatrix:
     values: np.ndarray
     # repeated row index per stored entry; derived, used by the products
     row_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    # stored entries per row when every row has the same count, else None
+    # (also for a matrix of no rows); derived, used by take_rows
+    uniform_row_length: int | None = field(init=False, repr=False, compare=False)
+    # sigma_max_FtF once computed. Not a functools.cached_property: that
+    # moves the fields into an instance __dict__, which made every matvec
+    # of the matrix about 10% slower (CPython 3.11)
+    _sigma_max_FtF: float | None = field(default=None, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         offsets = np.asarray(self.row_offsets, dtype=np.int64)
@@ -70,20 +83,32 @@ class SparseMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         if offsets.shape != (self.n_rows + 1,):
             raise ValueError("row_offsets must have length n_rows+1")
-        if offsets[0] != 0 or np.any(np.diff(offsets) < 0):
+        lengths = np.diff(offsets)
+        if offsets[0] != 0 or np.any(lengths < 0):
             raise ValueError("row_offsets must start at 0 and be nondecreasing")
         if offsets[-1] != cols.size or cols.size != vals.size:
             raise ValueError("row_offsets[-1] must equal the number of stored entries")
         if cols.size and (cols.min() < 0 or cols.max() >= self.n_cols):
             raise ValueError("column index out of range")
-        row_ids = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(offsets))
+        row_ids = np.repeat(np.arange(self.n_rows, dtype=np.int64), lengths)
         if cols.size > 1:
             same_row = row_ids[1:] == row_ids[:-1]
             if np.any(np.diff(cols)[same_row] <= 0):
                 raise ValueError("column indices must be strictly increasing within a row")
         object.__setattr__(self, "row_ids", row_ids)
+        object.__setattr__(self, "uniform_row_length", _uniform_length(lengths))
         if not np.all(np.isfinite(vals)):
             raise ValueError("matrix values must be finite")
+
+    @property
+    def sigma_max_FtF(self) -> float:
+        """``power_iteration_sigma_max`` of this matrix at its default
+        tolerance, computed on first use and kept. The fields are frozen,
+        but the arrays are not: like ``Dataset.dense_columns``, the cache
+        assumes they are not mutated in place."""
+        if self._sigma_max_FtF is None:
+            object.__setattr__(self, "_sigma_max_FtF", power_iteration_sigma_max(self))
+        return self._sigma_max_FtF
 
     @property
     def nnz(self) -> int:
@@ -108,17 +133,27 @@ class SparseMatrix:
 
     def take_rows(self, rows) -> "SparseMatrix":
         """The given rows in the given order, repeats allowed. Rows of a
-        valid matrix are valid, so the fields are set without a check."""
+        valid matrix are valid, so the fields are set without a check.
+        When every row stores the same k > 0 entries, whole rows are
+        gathered from a (n_rows, k) view, with no position array."""
         rows = np.asarray(rows, dtype=np.int64)
         if rows.ndim != 1 or (rows.size and not 0 <= rows.min() <= rows.max() < self.n_rows):
             raise IndexError(f"rows must be a 1-D array of indices below {self.n_rows}")
-        gather, lengths = row_positions(self.row_offsets, rows)
+        k = self.uniform_row_length
+        if k:
+            cols = self.col_indices.reshape(-1, k)[rows].ravel()
+            vals = self.values.reshape(-1, k)[rows].ravel()
+            lengths = np.full(rows.size, k, dtype=np.int64)
+        else:
+            gather, lengths = row_positions(self.row_offsets, rows)
+            cols, vals = self.col_indices[gather], self.values[gather]
         out = object.__new__(SparseMatrix)
         for name, value in (
                 ("n_rows", rows.size), ("n_cols", self.n_cols),
                 ("row_offsets", np.concatenate(([0], np.cumsum(lengths)))),
-                ("col_indices", self.col_indices[gather]), ("values", self.values[gather]),
-                ("row_ids", np.repeat(np.arange(rows.size, dtype=np.int64), lengths))):
+                ("col_indices", cols), ("values", vals),
+                ("row_ids", np.repeat(np.arange(rows.size, dtype=np.int64), lengths)),
+                ("uniform_row_length", _uniform_length(lengths))):
             object.__setattr__(out, name, value)
         return out
 

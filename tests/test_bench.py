@@ -1,10 +1,13 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from spdpeg import bench
+from spdpeg import bench, sparse
+from spdpeg.data import normalize_features
+from spdpeg.model import Dataset, estimate_lipschitz
 from spdpeg.sparse import SparseMatrix
 from spdpeg.trace import TraceRecord, read_trace_csv, write_trace_csv
 
@@ -74,6 +77,70 @@ def test_reference_cache_keeps_capped_runs_apart(tmp_path):
     bench.reference_optimum(problem, train, 0.1, max_iters=5, check_every=1,
                             cache_path=cache)
     assert len(json.loads(cache.read_text())) == 3
+
+
+def test_reference_cache_file_is_pinned(tmp_path):
+    # two capped runs, one ending between checkpoints and one on a
+    # checkpoint, a run of no iterations and a converged run; generated with
+    # the implementation that evaluated every final iterate again
+    train, _, problem, _ = bench.build_all(small_core())
+    cache = tmp_path / "cache.json"
+    for max_iters, check_every in ((50, 20), (40, 20), (0, 20), (100_000, 500)):
+        bench.reference_optimum(problem, train, 0.1, max_iters=max_iters,
+                                check_every=check_every, tol=1e-6,
+                                cache_path=cache)
+    assert hashlib.sha256(cache.read_bytes()).hexdigest() == \
+        "c99d45e62f663d0e3974c3d9ddd17a0206630e772c2ed6e8cd018389f587d1d2"
+
+
+def _count_calls(monkeypatch, owner, name, *aliases):
+    """Count the calls of ``owner.name``, also through the modules in
+    ``aliases`` that may have imported it by name."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for ns in (owner, *aliases):
+        monkeypatch.setattr(ns, name, counted, raising=False)
+    return calls
+
+
+def test_uncached_reference_redoes_no_dataset_work(monkeypatch):
+    hashes = _count_calls(monkeypatch, SparseMatrix, "fingerprint")
+    norms = _count_calls(monkeypatch, Dataset, "row_norms_sq")
+    powers = _count_calls(monkeypatch, sparse, "power_iteration_sigma_max", bench)
+    core = small_core()
+    core["data"].update(split=True, split_seed=3)
+    train, _, problem, derived = bench.build_all(core)
+    ref = bench.reference_optimum(problem, train, 0.1, max_iters=5)
+    assert (len(hashes), len(norms), len(powers)) == (0, 1, 1)
+    # the constants the reference steps with are the ones build_all derived
+    assert bench.derive_constants(problem, train, 0.1, "convex") == derived
+    assert (len(norms), len(powers)) == (1, 1)
+    assert ref.iterations == 5
+
+
+@pytest.mark.parametrize("max_iters, evaluations", [(5, 1), (7, 2), (10, 2), (0, 1)])
+def test_reference_evaluates_each_iterate_once(monkeypatch, max_iters, evaluations):
+    train, _, problem, _ = bench.build_all(small_core())
+    calls = _count_calls(monkeypatch, bench, "objective_value")
+    bench.reference_optimum(problem, train, 0.1, max_iters=max_iters,
+                            check_every=5)
+    assert len(calls) == evaluations
+
+
+def test_normalized_dataset_gets_its_own_lipschitz_constant():
+    train, _, _, _ = bench.build_all(small_core())
+    before = estimate_lipschitz(train, "logistic")
+    scaled, _ = normalize_features(train)
+    after = estimate_lipschitz(scaled, "logistic")
+    assert before == 0.25 * float(train.row_norms_sq().max())
+    assert after == 0.25 * float(scaled.row_norms_sq().max())
+    assert after != before
+    assert estimate_lipschitz(train, "least-squares") == 4.0 * before
 
 
 def test_reference_optimum_stays_in_feasible_ball():

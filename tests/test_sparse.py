@@ -90,6 +90,13 @@ def test_sigma_max_deterministic():
     assert a == b
 
 
+def test_sigma_max_is_cached_per_matrix():
+    m = SparseMatrix.from_dense([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+    assert m.sigma_max_FtF == power_iteration_sigma_max(m)
+    assert m.sigma_max_FtF is m.sigma_max_FtF
+    assert SparseMatrix(2, 3, [0, 0, 0], [], []).sigma_max_FtF == 0.0
+
+
 def test_sigma_max_zero_matrix():
     zero = SparseMatrix(2, 3, [0, 0, 0], [], [])
     assert power_iteration_sigma_max(zero) == 0.0
@@ -173,3 +180,26 @@ def test_take_rows_rejects_rows_out_of_range():
     for rows in ([5], [-1], [[0, 1]]):
         with pytest.raises(IndexError):
             RAGGED.take_rows(rows)
+
+
+# three rows of two stored entries each: take_rows gathers whole rows
+UNIFORM = SparseMatrix(3, 4, [0, 2, 4, 6], [0, 3, 1, 2, 0, 1],
+                       [1.5, -0.0, 2.0, -3.0, 0.25, 4.0])
+
+
+def test_uniform_row_length():
+    assert UNIFORM.uniform_row_length == 2
+    assert RAGGED.uniform_row_length is None
+    assert SparseMatrix(2, 3, [0, 0, 0], [], []).uniform_row_length == 0
+    assert SparseMatrix(0, 3, [0], [], []).uniform_row_length is None
+    assert UNIFORM.take_rows([2, 2, 0]).uniform_row_length == 2
+
+
+@pytest.mark.parametrize("rows", [[0, 1, 2], [2, 0], [1, 1, 1, 0], []])
+def test_take_rows_of_one_row_length_equals_checked_gather(rows):
+    got, want = UNIFORM.take_rows(rows), checked_take(UNIFORM, rows)
+    assert got.shape == want.shape == (len(rows), 4)
+    for name in ("row_offsets", "col_indices", "values", "row_ids"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    np.testing.assert_array_equal(got.to_dense(), UNIFORM.to_dense()[rows])
