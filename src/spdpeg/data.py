@@ -187,7 +187,8 @@ def synthesize(kind: str, d: int, n: int, noise: float,
             comp_vals[0] = 1.0
         lookup = dict(zip(comp_ids.tolist(), comp_vals))
         x_star = np.array([lookup[c] for c in comp])
-    features = rng.standard_normal((n, d)) / math.sqrt(d)
+    features = rng.standard_normal((n, d))
+    features /= math.sqrt(d)
     margins = features @ x_star + noise * rng.standard_normal(n)
     labels = np.where(margins >= 0, 1.0, -1.0)
     return Dataset.from_dense_rows(features, labels), graph, x_star

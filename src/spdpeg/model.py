@@ -1,23 +1,24 @@
 """Problem data model: datasets, problem bundles, solver configuration.
 
-A Dataset's features are a ``SparseMatrix`` (one CSR row per sample, the
-data matrix ``A``) so the oracles can vectorize over samples. Datasets whose
-rows store every feature also carry a column-major copy for the full-data
-passes. The matrix checks its structure where it is built (the parser,
-``from_dense_rows``) and the Dataset checks only the labels; ``subset``
-takes rows with ``SparseMatrix.take_rows``, which keeps them checked.
+A Dataset's rows are either a CSR ``SparseMatrix`` (the data matrix
+``A``), which the parser builds and checks, or, from ``from_dense_rows``
+and so ``synthesize``, one C-ordered ``(n, d)`` array, checked finite
+once. Dense rows store no column index or row id, since no pass of the
+library reads them; their CSR view is built on first read, for the CSR
+kernels when n or d is 1, ``normalize_features`` and ``serialize_libsvm``.
+``subset`` keeps rows checked and keeps the storage. Rows that store every
+feature also get a column-major copy for the full-data passes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .prox import ProxSpec
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, checked_rows, fingerprint_of
 
 LOSS_LOGISTIC = "logistic"
 LOSS_LEAST_SQUARES = "least-squares"
@@ -32,73 +33,128 @@ REGIMES = (REGIME_CONVEX, REGIME_SC_UNIFORM, REGIME_SC_NONUNIFORM)
 class Dataset:
     """Immutable collection of labeled samples sharing a feature dimension.
 
-    ``features`` is a checked ``SparseMatrix`` with one row per sample.
+    ``features`` is the CSR ``SparseMatrix`` of the samples, one row each.
     ``indptr``, ``indices``, ``data``, ``row_ids``, ``dimension`` and
     ``uniform_row_length`` are that matrix's own fields under the names the
-    oracles use, not copies.
+    oracles use, not copies. Dense rows build ``features`` on first read.
+    Lazy fields are properties over attributes that ``_store`` sets: a
+    ``functools.cached_property`` writes the instance ``__dict__``, which
+    slows every later attribute load (CPython 3.11). Caches assume the
+    arrays are not mutated in place.
     """
 
     def __init__(self, features: SparseMatrix, labels):
+        self._store(labels, features, None)
+
+    def _store(self, labels, features: SparseMatrix | None,
+               rows: np.ndarray | None) -> None:
+        n = features.n_rows if rows is None else rows.shape[0]
         self.labels = np.asarray(labels, dtype=np.float64)
         if self.labels.size == 0:
             raise ValueError("dataset must contain at least one sample")
         if not np.all(np.isin(self.labels, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
-        if self.labels.shape != (features.n_rows,):
-            raise ValueError(f"expected one label per feature row ({features.n_rows}), "
+        if self.labels.shape != (n,):
+            raise ValueError(f"expected one label per feature row ({n}), "
                              f"got labels of shape {self.labels.shape}")
-        self.features = f = features
-        self.indptr, self.indices, self.data = f.row_offsets, f.col_indices, f.values
-        self.row_ids, self.dimension = f.row_ids, f.n_cols
-        self.uniform_row_length = f.uniform_row_length
+        if rows is None:
+            self.indptr, self.data = features.row_offsets, features.values
+            self.dimension = features.n_cols
+            self.uniform_row_length = features.uniform_row_length
+        else:
+            d = rows.shape[1]
+            self.indptr, self.data = d * np.arange(n + 1, dtype=np.int64), rows.reshape(-1)
+            self.dimension = self.uniform_row_length = d
+        self._rows, self._features = rows, features
+        self._dense_columns = self._max_row_norm_sq = None
 
-    @cached_property
+    @classmethod
+    def from_dense_rows(cls, features, labels) -> "Dataset":
+        """Dataset of the rows of a 2-D array; every row stores every
+        feature, zeros included. A C-ordered float64 array is kept, not
+        copied."""
+        rows = np.ascontiguousarray(features, dtype=np.float64)
+        if rows.ndim != 2:
+            raise ValueError("features must be a 2-D array")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("matrix values must be finite")
+        out = object.__new__(cls)
+        out._store(labels, None, rows)
+        return out
+
+    @property
+    def features(self) -> SparseMatrix:
+        if self._features is None:  # dense rows: columns arange(d) in each
+            n, d = self._rows.shape
+            self._features = SparseMatrix.unchecked(
+                n, d, self.indptr, np.tile(np.arange(d, dtype=np.int64), n),
+                self.data, np.repeat(np.arange(n, dtype=np.int64), d), d)
+        return self._features
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.features.col_indices
+
+    @property
+    def row_ids(self) -> np.ndarray:
+        return self.features.row_ids
+
+    @property
     def dense_columns(self) -> np.ndarray | None:
         """Read-only, C-ordered ``(d, n)`` copy of the features, built on
         first use, when every row stores every feature and n, d >= 2; None
         otherwise. With a single lane (n or d equal to 1) the dense full
         passes of ``oracles`` would not add in ``bincount``'s order, so such
         datasets keep the CSR kernels."""
-        n, d = self.n_samples, self.dimension
-        if self.uniform_row_length != d or n < 2 or d < 2:
-            return None
-        cols = self.data.reshape(n, d).T.copy()
-        cols.flags.writeable = False
-        return cols
-
-    @classmethod
-    def from_dense_rows(cls, features, labels) -> "Dataset":
-        """Dataset of the rows of a 2-D array; every row stores every
-        feature, zeros included."""
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim != 2:
-            raise ValueError("features must be a 2-D array")
-        n, d = features.shape
-        return cls(SparseMatrix(n, d, d * np.arange(n + 1, dtype=np.int64),
-                                np.tile(np.arange(d, dtype=np.int64), n),
-                                features.ravel()), labels)
+        if self._dense_columns is None:
+            n, d = self.n_samples, self.dimension
+            if self.uniform_row_length == d and n >= 2 and d >= 2:
+                self._dense_columns = self.data.reshape(n, d).T.copy()
+                self._dense_columns.flags.writeable = False
+        return self._dense_columns
 
     @property
     def n_samples(self) -> int:
         return int(self.labels.size)
 
     def subset(self, rows) -> "Dataset":
-        return Dataset(self.features.take_rows(rows), self.labels[rows])
+        if self._rows is None:
+            return Dataset(self.features.take_rows(rows), self.labels[rows])
+        rows = checked_rows(rows, self.n_samples)
+        out = object.__new__(Dataset)
+        out._store(self.labels[rows], None, self._rows[rows])
+        return out
 
     def row_norms_sq(self) -> np.ndarray:
-        if self.indices.size == 0:
+        if self._rows is not None:
+            # column by column from 0.0: each row adds its squares in the
+            # order, and so with the bits, of a bincount over its entries
+            out = np.zeros(self.n_samples)
+            for col in self._rows.T:
+                out += col ** 2
+            return out
+        if self.data.size == 0:
             return np.zeros(self.n_samples)
         return np.bincount(self.row_ids, weights=self.data ** 2,
                            minlength=self.n_samples)
 
-    @cached_property
+    @property
     def max_row_norm_sq(self) -> float:
-        """``max_i ||a_i||^2``, computed on first use and kept: like
-        ``dense_columns``, it assumes the arrays are not mutated in place."""
-        return float(self.row_norms_sq().max())
+        """``max_i ||a_i||^2``, computed on first use and kept."""
+        if self._max_row_norm_sq is None:
+            self._max_row_norm_sq = float(self.row_norms_sq().max())
+        return self._max_row_norm_sq
 
     def fingerprint(self) -> str:
-        return self.features.fingerprint(self.labels)
+        if self._rows is None:
+            return self.features.fingerprint(self.labels)
+        # the bytes of features.fingerprint(labels), the column indices
+        # hashed a block of rows at a time from one array
+        n, d = self._rows.shape
+        step = max(1, (1 << 16) // max(d, 1))
+        cols = np.tile(np.arange(d, dtype=np.int64), step)
+        blocks = (cols[:d * min(step, n - lo)] for lo in range(0, n, step))
+        return fingerprint_of((n, d), (self.indptr, *blocks, self.data, self.labels))
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ A full pass uses the products of the data matrix ``A`` (the dataset's
 ``rmatvec``. A dataset whose rows store every feature, with n and d both
 at least 2 (``Dataset.dense_columns``), runs both through ``_lane_sums``
 on a dense array instead: the margins over the ``(d, n)`` column-major
-copy weighted by x, the gradient scatter over the ``(n, d)`` row-major CSR
-values weighted by the coefficients. ``_lane_sums`` adds each lane in
-index order from 0.0, which is ``bincount``'s order, so both give the same
-bits as the CSR products; its docstring says when that order holds.
+copy weighted by x, the gradient scatter over the ``(n, d)`` row-major
+values (``data``) weighted by the coefficients. ``_lane_sums`` adds each
+lane in index order from 0.0, which is ``bincount``'s order, so both give
+the same bits as the CSR products; its docstring says when that order holds.
 
 A sampled batch takes one of two paths:
 - one row: scalar arithmetic on that row's slice, with no array built for
@@ -41,10 +41,14 @@ from .sparse import row_positions
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     # evaluate in the branch that never overflows; exp(-|t|) is exp(-t) for
     # t >= 0 and exp(t) below, the argument each branch needs; selecting the
-    # numerator first divides once, with the bits of either quotient
-    t = np.asarray(t, dtype=np.float64)
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+    # numerator in place first divides once, with either quotient's bits
+    e = np.abs(t)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = e + 1.0
+    e[t >= 0] = 1.0
+    e /= den
+    return e
 
 
 def _lane_sums(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -80,7 +84,9 @@ def margins(dataset: Dataset, x: np.ndarray) -> np.ndarray:
 def _coefs(loss: str, m: np.ndarray, labels: np.ndarray) -> np.ndarray:
     if loss == LOSS_LOGISTIC:
         neg = -labels
-        return neg * _sigmoid(neg * m)
+        s = _sigmoid(neg * m)
+        s *= neg
+        return s
     return m - labels
 
 

@@ -77,7 +77,9 @@ def precision_graph_from_data(dataset: Dataset, ridge: float = 1e-2,
     if ridge <= 0 or threshold <= 0:
         raise ValueError("ridge and threshold must be positive")
     d = dataset.dimension
-    dense = dataset.features.to_dense()
+    # rows that store all d features are read as they are stored
+    dense = (dataset.data.reshape(dataset.n_samples, d)
+             if dataset.uniform_row_length == d else dataset.features.to_dense())
     centered = dense - dense.mean(axis=0)
     cov = centered.T @ centered / dataset.n_samples
     precision = np.linalg.solve(cov + ridge * np.eye(d), np.eye(d))

@@ -15,7 +15,7 @@ deterministic.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,6 +29,14 @@ def row_positions(indptr: np.ndarray, rows: np.ndarray
     ends = np.cumsum(lengths)
     return (np.arange(ends[-1] if ends.size else 0)
             + np.repeat(starts - (ends - lengths), lengths)), lengths
+
+
+def checked_rows(rows, n_rows: int) -> np.ndarray:
+    """``rows`` as a 1-D int64 array; IndexError unless each is in [0, n_rows)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or (rows.size and not 0 <= rows.min() <= rows.max() < n_rows):
+        raise IndexError(f"rows must be a 1-D array of indices below {n_rows}")
+    return rows
 
 
 def _uniform_length(lengths: np.ndarray) -> int | None:
@@ -131,14 +139,22 @@ class SparseMatrix:
         return cls(a.shape[0], a.shape[1], np.cumsum(offsets),
                    cols, a[rows, cols])
 
+    @classmethod
+    def unchecked(cls, *field_values) -> "SparseMatrix":
+        """The matrix of the given field values, in field order (``n_rows``
+        to ``uniform_row_length``), valid by construction: set as given,
+        with no check and no copy."""
+        out = object.__new__(cls)
+        for f, value in zip(fields(cls), field_values):
+            object.__setattr__(out, f.name, value)
+        return out
+
     def take_rows(self, rows) -> "SparseMatrix":
         """The given rows in the given order, repeats allowed. Rows of a
         valid matrix are valid, so the fields are set without a check.
         When every row stores the same k > 0 entries, whole rows are
         gathered from a (n_rows, k) view, with no position array."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 1 or (rows.size and not 0 <= rows.min() <= rows.max() < self.n_rows):
-            raise IndexError(f"rows must be a 1-D array of indices below {self.n_rows}")
+        rows = checked_rows(rows, self.n_rows)
         k = self.uniform_row_length
         if k:
             cols = self.col_indices.reshape(-1, k)[rows].ravel()
@@ -147,15 +163,10 @@ class SparseMatrix:
         else:
             gather, lengths = row_positions(self.row_offsets, rows)
             cols, vals = self.col_indices[gather], self.values[gather]
-        out = object.__new__(SparseMatrix)
-        for name, value in (
-                ("n_rows", rows.size), ("n_cols", self.n_cols),
-                ("row_offsets", np.concatenate(([0], np.cumsum(lengths)))),
-                ("col_indices", cols), ("values", vals),
-                ("row_ids", np.repeat(np.arange(rows.size, dtype=np.int64), lengths)),
-                ("uniform_row_length", _uniform_length(lengths))):
-            object.__setattr__(out, name, value)
-        return out
+        return SparseMatrix.unchecked(
+            rows.size, self.n_cols, np.concatenate(([0], np.cumsum(lengths))),
+            cols, vals, np.repeat(np.arange(rows.size, dtype=np.int64), lengths),
+            _uniform_length(lengths))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Return ``M @ v``."""
@@ -185,11 +196,17 @@ class SparseMatrix:
     def fingerprint(self, *extra: np.ndarray) -> str:
         """Hex digest of the structural content, then of the ``extra``
         arrays in order, for manifests and caches."""
-        h = hashlib.sha256()
-        h.update(np.int64([self.n_rows, self.n_cols]).tobytes())
-        for a in (self.row_offsets, self.col_indices, self.values, *extra):
-            h.update(a.tobytes())
-        return h.hexdigest()
+        return fingerprint_of(self.shape, (self.row_offsets, self.col_indices,
+                                           self.values, *extra))
+
+
+def fingerprint_of(shape: tuple[int, int], arrays) -> str:
+    """sha256 hex digest of ``shape`` as int64, then of each of ``arrays``."""
+    h = hashlib.sha256()
+    h.update(np.int64(shape).tobytes())
+    for a in arrays:
+        h.update(np.ascontiguousarray(a))
+    return h.hexdigest()
 
 
 def power_iteration_sigma_max(m: SparseMatrix, tol: float = 1e-10,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spdpeg import bench, sparse
-from spdpeg.data import normalize_features
+from spdpeg.data import normalize_features, serialize_libsvm
 from spdpeg.model import Dataset, estimate_lipschitz
 from spdpeg.sparse import SparseMatrix
 from spdpeg.trace import TraceRecord, read_trace_csv, write_trace_csv
@@ -109,14 +109,16 @@ def _count_calls(monkeypatch, owner, name, *aliases):
 
 
 def test_uncached_reference_redoes_no_dataset_work(monkeypatch):
-    hashes = _count_calls(monkeypatch, SparseMatrix, "fingerprint")
+    matrix_hashes = _count_calls(monkeypatch, SparseMatrix, "fingerprint")
+    dataset_hashes = _count_calls(monkeypatch, Dataset, "fingerprint")
     norms = _count_calls(monkeypatch, Dataset, "row_norms_sq")
     powers = _count_calls(monkeypatch, sparse, "power_iteration_sigma_max", bench)
     core = small_core()
     core["data"].update(split=True, split_seed=3)
     train, _, problem, derived = bench.build_all(core)
     ref = bench.reference_optimum(problem, train, 0.1, max_iters=5)
-    assert (len(hashes), len(norms), len(powers)) == (0, 1, 1)
+    assert (len(matrix_hashes), len(dataset_hashes), len(norms),
+            len(powers)) == (0, 0, 1, 1)
     # the constants the reference steps with are the ones build_all derived
     assert bench.derive_constants(problem, train, 0.1, "convex") == derived
     assert (len(norms), len(powers)) == (1, 1)
@@ -189,18 +191,33 @@ def test_build_data_split_deterministic():
     np.testing.assert_array_equal(test_a.labels, test_b.labels)
 
 
-def test_build_data_checks_a_split_dataset_once(monkeypatch):
-    sizes = []
-    check = SparseMatrix.__post_init__
+def test_build_data_checks_a_split_dataset_once(monkeypatch, tmp_path):
+    # checked once per build, never per split: dense rows are checked
+    # finite where they are synthesized and build no CSR matrix; parsed
+    # rows get one CSR check of the whole file
+    data = {**small_core()["data"], "split": True, "split_seed": 3}
+    path = tmp_path / "core.svm"
+    path.write_text(serialize_libsvm(bench.build_data({**data, "split": False})[0]))
+    csr_sizes, finite_sizes = [], []
+    check, isfinite = SparseMatrix.__post_init__, np.isfinite
 
-    def counted(self):
-        sizes.append(self.n_rows)
+    def counted_check(self):
+        csr_sizes.append(self.n_rows)
         check(self)
 
-    monkeypatch.setattr(SparseMatrix, "__post_init__", counted)
-    data = {**small_core()["data"], "split": True, "split_seed": 3}
+    def counted_isfinite(a, *args, **kwargs):
+        finite_sizes.append(np.size(a))
+        return isfinite(a, *args, **kwargs)
+
+    monkeypatch.setattr(SparseMatrix, "__post_init__", counted_check)
+    monkeypatch.setattr(np, "isfinite", counted_isfinite)
     train, test, _ = bench.build_data(data)
-    assert sizes == [40]
+    assert (csr_sizes, finite_sizes) == ([], [40 * 8])
+    assert (train.n_samples, test.n_samples) == (32, 8)
+    csr_sizes.clear()
+    train, test, _ = bench.build_data({"path": str(path), "split": True,
+                                       "split_seed": 3})
+    assert csr_sizes == [40]
     assert (train.n_samples, test.n_samples) == (32, 8)
 
 

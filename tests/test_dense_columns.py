@@ -169,6 +169,18 @@ def test_sigmoid_is_bitwise_the_two_quotient_select():
             == two_quotient_sigmoid(t[2:].reshape(-1, 2)).tobytes())
 
 
+def test_logistic_coefs_are_bitwise_the_product_form():
+    rng = np.random.default_rng(2)
+    m = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 745.0, -745.0, np.inf,
+                         -np.inf], 30.0 * rng.standard_normal(2000)])
+    for labels in (np.ones(m.size), -np.ones(m.size),
+                   np.where(rng.random(m.size) < 0.5, 1.0, -1.0)):
+        want = -labels * two_quotient_sigmoid(-labels * m)
+        for part in (slice(0, 1), slice(0, 16), slice(None)):
+            got = oracles._coefs(LOSS_LOGISTIC, m[part], labels[part])
+            assert got.tobytes() == want[part].tobytes()
+
+
 def test_dense_columns_layout_and_read_only():
     dataset = dense_dataset(1, 30, 6)
     cols = dataset.dense_columns

@@ -37,6 +37,20 @@ def test_prox_l1_zero_threshold_is_identity():
     np.testing.assert_array_equal(prox_l1(v, 0.0), v)
 
 
+def test_prox_l1_is_bitwise_the_closed_form():
+    # sign(v) * max(|v| - t, 0) gives +0.0 at v = -0.0 and -0.0 where a
+    # negative v is thresholded to zero; np.copysign(r, v) would give -0.0
+    # at v = -0.0
+    rng = np.random.default_rng(3)
+    v = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 0.5, -0.5, np.inf,
+                         -np.inf], rng.standard_normal(1000)])
+    for t in (0.0, 0.5, 2.0):
+        want = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        assert prox_l1(v, t).tobytes() == want.tobytes()
+    assert (prox_l1(np.array([-0.0, -0.25]), 0.5).tobytes()
+            == np.array([0.0, -0.0]).tobytes())
+
+
 def test_prox_l1_rejects_negative_threshold():
     with pytest.raises(ValueError):
         prox_l1(np.array([1.0]), -0.1)
