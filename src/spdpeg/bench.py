@@ -2,6 +2,8 @@
 
 Every run is described by a JSON-able config dict (the "core") holding the
 data source, penalty source, problem parameters, and solver parameters.
+Every seed loop is ``run_seeds`` on one ``build_all`` of its core (one per
+worker process with ``SPDPEG_THREADS``); a diverged run stops only itself.
 Rebuilding from the core is deterministic, which is what makes manifest
 replay reproduce trace files byte-for-byte: the solver columns are
 recomputed and must match; recorded wall-clock times are machine-dependent
@@ -177,22 +179,39 @@ def trace_filename(solver: str, seed: int) -> str:
     return f"trace_{solver}_seed{seed}.csv"
 
 
-def execute_run(core: dict, solver: str, seed: int, out_dir: str,
-                wall_override: list[float] | None = None) -> dict:
-    """Run one (solver, seed) job from a core config and write its trace."""
+def run_seeds(solver: str, built, core: dict, seeds) -> list:
+    """Run one solver on ``built``, the tuple ``build_all(core)`` returns,
+    once per seed; return each seed's SolverResult, or the DivergenceError
+    that stopped it, in seed order."""
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
-    train, test, problem, derived = build_all(core)
-    config = make_config(core, derived, seed)
-    result = _SOLVER_FNS[solver](problem, train, config, test)
+    train, test, problem, derived = built
+    fn = _SOLVER_FNS[solver]
+    results = []
+    for seed in seeds:
+        try:
+            results.append(fn(problem, train, make_config(core, derived, seed),
+                              test))
+        except DivergenceError as exc:
+            results.append(exc)
+    return results
+
+
+def _completed(results: list) -> list:
+    """``results`` of ``run_seeds``; raises the first divergence among them."""
+    for result in results:
+        if isinstance(result, DivergenceError):
+            raise result
+    return results
+
+
+def _suite_entry(solver: str, seed: int, result, out_dir) -> dict:
+    """Manifest entry of one run; a finished run's trace goes to out_dir."""
+    if isinstance(result, DivergenceError):
+        return {"solver": solver, "seed": seed,
+                "diverged_at": result.iteration, "error": str(result)}
     records = result.trace
-    if wall_override is not None:
-        if len(wall_override) != len(records):
-            raise ValueError("wall_seconds override length does not match trace")
-        records = [replace(r, wall_seconds=w)
-                   for r, w in zip(records, wall_override)]
-    path = os.path.join(out_dir, trace_filename(solver, seed))
-    write_trace_csv(path, records)
+    write_trace_csv(os.path.join(out_dir, trace_filename(solver, seed)), records)
     return {"solver": solver, "seed": seed,
             "trace_file": trace_filename(solver, seed),
             "wall_seconds": [r.wall_seconds for r in records],
@@ -200,13 +219,25 @@ def execute_run(core: dict, solver: str, seed: int, out_dir: str,
             "final_x_avg": result.x_avg.tolist(),
             "final_z_avg": result.z_avg.tolist(),
             "final_lambda_avg": result.lambda_avg.tolist(),
-            "max_dual_norm": result.state.max_dual_norm,
-            "derived": derived}
+            "max_dual_norm": result.state.max_dual_norm}
 
 
-def _run_job(args):
-    core, solver, seed, out_dir, wall = args
-    return execute_run(core, solver, seed, out_dir, wall)
+_worker_build = None  # (core, build) in a run_suite worker, or its error
+
+
+def _init_worker(core: dict) -> None:
+    global _worker_build
+    try:
+        _worker_build = core, build_all(core)
+    except Exception as exc:  # raised by each job: a failed initializer
+        _worker_build = exc   # would break the pool and lose the message
+
+
+def _worker_run(job):
+    if isinstance(_worker_build, Exception):
+        raise _worker_build
+    (core, built), (solver, seed) = _worker_build, job
+    return run_seeds(solver, built, core, [seed])[0], built[3]
 
 
 def max_workers(n_jobs: int) -> int:
@@ -219,25 +250,29 @@ def max_workers(n_jobs: int) -> int:
 
 
 def run_suite(core: dict, solvers, seeds, out_dir) -> dict:
-    """Run the (solver, seed) grid and return the manifest dict."""
-    jobs = [(core, s, seed, str(out_dir), None) for s in solvers for seed in seeds]
+    """Run the (solver, seed) grid on one build of the core (one per worker
+    process) and return the manifest dict."""
+    jobs = [(s, seed) for s in solvers for seed in seeds]
     if not jobs:
         raise ValueError("run_suite needs at least one solver and one seed")
     os.makedirs(out_dir, exist_ok=True)
     workers = max_workers(len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_run_job, jobs))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(core,)) as pool:
+            outcomes = list(pool.map(_worker_run, jobs))
     else:
-        entries = [_run_job(j) for j in jobs]
-    derived = entries[0].pop("derived")
-    for e in entries[1:]:
-        if e.pop("derived") != derived:
-            raise RuntimeError("worker runs disagree on derived constants")
-    manifest = {"format": "spdpeg-manifest", "schema": 1, "version": __version__,
-                "core": core, "derived": derived, "solvers": list(solvers),
-                "seeds": [int(s) for s in seeds], "runs": entries}
-    return manifest
+        built = build_all(core)
+        outcomes = [(r, built[3]) for s in solvers
+                    for r in run_seeds(s, built, core, seeds)]
+    derived = outcomes[0][1]
+    if any(d != derived for _, d in outcomes):
+        raise RuntimeError("worker runs disagree on derived constants")
+    entries = [_suite_entry(s, seed, r, out_dir)
+               for (s, seed), (r, _) in zip(jobs, outcomes)]
+    return {"format": "spdpeg-manifest", "schema": 1, "version": __version__,
+            "core": core, "derived": derived, "solvers": list(solvers),
+            "seeds": [int(s) for s in seeds], "runs": entries}
 
 
 def write_manifest(manifest: dict, out_dir) -> str:
@@ -257,25 +292,35 @@ def load_manifest(path) -> dict:
 
 
 def replay_manifest(manifest_path, out_dir) -> list[str]:
-    """Recompute every run in a manifest; recorded wall times are reused so
-    the rewritten trace files are byte-identical to the originals."""
+    """Recompute every run in a manifest on one build of its core; each run
+    must give its recorded entry again (a divergence at its iteration).
+    Recorded wall times are reused, so the rewritten trace files are
+    byte-identical to the originals."""
     manifest = load_manifest(manifest_path)
     os.makedirs(out_dir, exist_ok=True)
     core = manifest["core"]
-    _, _, _, derived = build_all(core)
+    built = build_all(core)
     for key, expect in manifest["derived"].items():
-        if derived[key] != expect:
+        if built[3][key] != expect:
             raise ValueError(f"derived constant {key} changed: manifest has "
-                             f"{expect!r}, recomputed {derived[key]!r}")
+                             f"{expect!r}, recomputed {built[3][key]!r}")
     written = []
     for entry in manifest["runs"]:
-        result = execute_run(core, entry["solver"], entry["seed"], str(out_dir),
-                             wall_override=entry["wall_seconds"])
-        if result["final_objective"] != entry["final_objective"]:
-            raise ValueError(f"replay of {entry['trace_file']} drifted: "
-                             f"{result['final_objective']!r} != "
-                             f"{entry['final_objective']!r}")
-        written.append(os.path.join(str(out_dir), entry["trace_file"]))
+        solver, seed = entry["solver"], entry["seed"]
+        [result] = run_seeds(solver, built, core, [seed])
+        if "wall_seconds" in entry and not isinstance(result, DivergenceError):
+            if len(entry["wall_seconds"]) != len(result.trace):
+                raise ValueError("wall_seconds override length does not match trace")
+            result.trace = [replace(r, wall_seconds=w)
+                            for r, w in zip(result.trace, entry["wall_seconds"])]
+        again = _suite_entry(solver, seed, result, out_dir)
+        if again != entry:
+            keys = sorted(k for k in entry.keys() | again.keys()
+                          if entry.get(k) != again.get(k))
+            raise ValueError(f"replay of {solver} seed {seed} drifted: "
+                             f"{', '.join(keys)} differ")
+        if "trace_file" in again:
+            written.append(os.path.join(str(out_dir), again["trace_file"]))
     return written
 
 
@@ -439,23 +484,14 @@ def rate_core(family: str, d: int = 20, n: int = 200, data_seed: int = 12345,
                        "batch_size": batch_size, "eval_every": eval_every}}
 
 
-def _gap_curves(core: dict, seeds, reference: float):
-    """Run the core once per seed; return (iterations, objective-gap curves,
-    feasibility-gap curves) stacked over seeds."""
-    train, test, problem, derived = build_all(core)
-    obj_curves, feas_curves = [], []
-    iterations = None
-    for seed in seeds:
-        config = make_config(core, derived, seed)
-        result = run_spdpeg(problem, train, config, test)
-        its = np.array([r.iteration for r in result.trace])
-        if iterations is None:
-            iterations = its
-        elif not np.array_equal(iterations, its):
-            raise ValueError("trace grids differ across seeds")
-        obj_curves.append(np.array([r.objective for r in result.trace]) - reference)
-        feas_curves.append(np.array([r.feasibility_gap for r in result.trace]))
-    return iterations, np.stack(obj_curves), np.stack(feas_curves)
+def _gap_curves(built, core: dict, seeds, reference: float):
+    """Run the core on its build once per seed; return (iterations,
+    objective-gap curves, feasibility-gap curves) stacked over seeds."""
+    results = _completed(run_seeds("spdpeg", built, core, seeds))
+    return (np.array([r.iteration for r in results[0].trace]),
+            np.array([[r.objective for r in res.trace] for res in results])
+            - reference,
+            np.array([[r.feasibility_gap for r in res.trace] for res in results]))
 
 
 def _grid_index(iterations: np.ndarray, t: int) -> int:
@@ -487,10 +523,11 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
     if "convex" in regimes:
         core = rate_core("convex", d=d, n=n, gamma=gamma, iters=iters,
                          eval_every=eval_every)
-        train, _, problem, _ = build_all(core)
+        built = build_all(core)
+        train, _, problem, _ = built
         ref = reference_optimum(problem, train, core["config"]["gamma"],
                                 cache_path=cache_path)
-        its, curves, _ = _gap_curves(core, seed_list, ref.objective)
+        its, curves, _ = _gap_curves(built, core, seed_list, ref.objective)
         fit = fit_rate(its, curves.mean(axis=0), (window_lo, None))
         report["convex"] = {"slope": fit.slope, "r_squared": fit.r_squared,
                             "window": fit.window,
@@ -505,10 +542,11 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
                          iters=(iters if "sc-nonuniform" in regimes
                                 else ordering_iteration),
                          eval_every=eval_every)
-        train, _, problem, _ = build_all(core)
+        built = build_all(core)
+        train, test, problem, _ = built
         ref = reference_optimum(problem, train, core["config"]["gamma"],
                                 cache_path=cache_path)
-        its, obj_curves, feas_curves = _gap_curves(core, seed_list,
+        its, obj_curves, feas_curves = _gap_curves(built, core, seed_list,
                                                    ref.objective)
         if "sc-nonuniform" in regimes:
             obj_fit = fit_rate(its, obj_curves.mean(axis=0), (window_lo, None))
@@ -528,7 +566,9 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
             uni_core = rate_core("sc", d=d, n=n, gamma=gamma,
                                  iters=ordering_iteration,
                                  eval_every=eval_every, regime="sc-uniform")
-            uni_its, uni_curves, _ = _gap_curves(uni_core, seed_list,
+            uni_built = (train, test, problem, derive_constants(
+                problem, train, uni_core["config"]["gamma"], "sc-uniform"))
+            uni_its, uni_curves, _ = _gap_curves(uni_built, uni_core, seed_list,
                                                  ref.objective)
             uni_gaps = uni_curves[:, _grid_index(uni_its, ordering_iteration)]
             report["ordering"] = {
@@ -696,14 +736,11 @@ def comparative_benchmark(d: int = 50, n: int = 1000, iters: int = 10_000,
     """Final objective of the stochastic solvers on the same instance/seeds."""
     core = rate_core("convex", d=d, n=n, data_seed=data_seed, iters=iters,
                      eval_every=iters)
-    train, test, problem, derived = build_all(core)
-    finals: dict = {"spdpeg": [], "slinadmm": []}
-    for i in range(seeds):
-        config = make_config(core, derived, base_seed + i)
-        finals["spdpeg"].append(
-            run_spdpeg(problem, train, config, test).trace[-1].objective)
-        finals["slinadmm"].append(
-            run_stoch_linadmm(problem, train, config, test).trace[-1].objective)
+    built = build_all(core)
+    seed_list = [base_seed + i for i in range(seeds)]
+    finals = {s: [r.trace[-1].objective
+                  for r in _completed(run_seeds(s, built, core, seed_list))]
+              for s in ("spdpeg", "slinadmm")}
     return {"iters": iters, "d": d, "n": n,
             "spdpeg_mean": float(np.mean(finals["spdpeg"])),
             "slinadmm_mean": float(np.mean(finals["slinadmm"])),

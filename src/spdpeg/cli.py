@@ -1,9 +1,10 @@
 """Command-line benchmark harness.
 
 Subcommands: ``run`` executes solvers and writes trace CSVs plus a JSON
-run manifest; ``verify-rates`` fits empirical convergence-rate slopes for
-the step-size regimes; ``check-lemma1`` audits the per-step inequality on
-instrumented runs; ``plotdata`` merges traces into tidy CSVs for figures.
+run manifest, and exits 1 when a run diverged; ``verify-rates`` fits
+empirical convergence-rate slopes for the step-size regimes;
+``check-lemma1`` audits the per-step inequality on instrumented runs;
+``plotdata`` merges traces into tidy CSVs for figures.
 """
 
 from __future__ import annotations
@@ -90,15 +91,20 @@ def cmd_run(args) -> int:
     manifest = bench.run_suite(core, solvers, seeds, args.out)
     path = bench.write_manifest(manifest, args.out)
     print(f"wrote {path}")
+    diverged = [e for e in manifest["runs"] if "diverged_at" in e]
     for entry in manifest["runs"]:
-        print(f"  {entry['trace_file']}: final objective "
-              f"{entry['final_objective']:.6g}, max ||lambda|| "
-              f"{entry['max_dual_norm']:.4g}")
+        if "trace_file" in entry:
+            print(f"  {entry['trace_file']}: final objective "
+                  f"{entry['final_objective']:.6g}, max ||lambda|| "
+                  f"{entry['max_dual_norm']:.4g}")
     d = manifest["derived"]
     print(f"  constants: L_hat={d['lipschitz_data']:.6g} "
           f"L={d['lipschitz_L']:.6g} sigma_max={d['sigma_max_FtF']:.6g} "
           f"L_tilde={d['L_tilde']:.6g}")
-    return 0
+    for entry in diverged:
+        print(f"error: {entry['solver']} seed {entry['seed']}: "
+              f"{entry['error']}", file=sys.stderr)
+    return 1 if diverged else 0
 
 
 def cmd_verify_rates(args) -> int:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,18 +89,6 @@ def parse_libsvm(source) -> Dataset:
     return Dataset(features, labels)
 
 
-def serialize_libsvm(dataset: Dataset) -> str:
-    """Inverse of parse_libsvm; float values use repr so they round-trip."""
-    lines = []
-    for i in range(dataset.n_samples):
-        lo, hi = dataset.indptr[i], dataset.indptr[i + 1]
-        parts = ["+1" if dataset.labels[i] > 0 else "-1"]
-        parts.extend(f"{int(c) + 1}:{float(v)!r}"
-                     for c, v in zip(dataset.indices[lo:hi], dataset.data[lo:hi]))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float
@@ -128,8 +116,12 @@ def normalize_features(dataset: Dataset) -> tuple[Dataset, np.ndarray]:
     scales = np.zeros(dataset.dimension)
     np.maximum.at(scales, dataset.indices, np.abs(dataset.data))
     scales[scales == 0.0] = 1.0
-    values = dataset.data / scales[dataset.indices]
-    return Dataset(replace(dataset.features, values=values), dataset.labels), scales
+    # |value| <= 1, so finite: the checked structure is reused unchecked
+    f = dataset.features
+    features = SparseMatrix.unchecked(
+        f.n_rows, f.n_cols, f.row_offsets, f.col_indices,
+        dataset.data / scales[dataset.indices], f.row_ids, f.uniform_row_length)
+    return Dataset(features, dataset.labels), scales
 
 
 def _components(d: int, edges) -> np.ndarray:

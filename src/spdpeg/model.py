@@ -5,7 +5,7 @@ A Dataset's rows are either a CSR ``SparseMatrix`` (the data matrix
 and so ``synthesize``, one C-ordered ``(n, d)`` array, checked finite
 once. Dense rows store no column index or row id, since no pass of the
 library reads them; their CSR view is built on first read, for the CSR
-kernels when n or d is 1, ``normalize_features`` and ``serialize_libsvm``.
+kernels when n or d is 1 and for ``normalize_features``.
 ``subset`` keeps rows checked and keeps the storage. Rows that store every
 feature also get a column-major copy for the full-data passes.
 """

@@ -90,14 +90,6 @@ def precision_graph_from_data(dataset: Dataset, ridge: float = 1e-2,
     return GraphSpec(edges, d)
 
 
-def save_penalty(path, m: SparseMatrix) -> None:
-    """Write 'rows cols nnz' then one 'row col value' triple per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{m.n_rows} {m.n_cols} {m.nnz}\n")
-        for r, c, v in zip(m.row_ids, m.col_indices, m.values):
-            fh.write(f"{int(r)} {int(c)} {float(v)!r}\n")
-
-
 def load_penalty(path) -> SparseMatrix:
     """Parse the penalty text format strictly; any deviation is an error."""
     with open(path, "r", encoding="utf-8") as fh:

@@ -92,15 +92,6 @@ def step_size(schedule: Schedule, k: int) -> float:
     return 2.0 / (schedule.mu * (k + 1.0) + 2.0 * schedule.L_tilde)
 
 
-def average_weight(schedule: Schedule, k: int, t: int) -> float:
-    """Weight of iterate k in the averaged output over iterations 0..t."""
-    if not 0 <= k <= t:
-        raise ValueError("need 0 <= k <= t")
-    if schedule.regime == REGIME_SC_NONUNIFORM:
-        return 2.0 * (k + 3.0) / ((t + 1.0) * (t + 6.0))
-    return 1.0 / (t + 1.0)
-
-
 def make_schedule(problem: Problem, config: SolverConfig) -> Schedule:
     """Schedule implied by a problem/config pair; mu drops to 0 when convex."""
     mu = 0.0 if config.regime == REGIME_CONVEX else problem.strong_convexity_mu
@@ -116,12 +107,6 @@ def _bracket_coefficients(config: SolverConfig, c: float) -> tuple[float, float]
     return (1.0 / (2.0 * config.gamma) - 4.0 * c * sigma,
             1.0 / (2.0 * c) - config.gamma * sigma / 2.0
             - 4.0 * c * config.lipschitz_L ** 2)
-
-
-def schedule_bracket_coefficients(config: SolverConfig, schedule: Schedule,
-                                  k: int) -> tuple[float, float]:
-    """The bracket coefficients at the step size of iteration k."""
-    return _bracket_coefficients(config, step_size(schedule, k))
 
 
 @dataclass

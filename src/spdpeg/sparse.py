@@ -127,19 +127,6 @@ class SparseMatrix:
         return (self.n_rows, self.n_cols)
 
     @classmethod
-    def from_dense(cls, array) -> "SparseMatrix":
-        a = np.asarray(array, dtype=np.float64)
-        if a.ndim != 2:
-            raise ValueError("expected a 2-D array")
-        rows, cols = np.nonzero(a)
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        offsets = np.zeros(a.shape[0] + 1, dtype=np.int64)
-        np.add.at(offsets, rows + 1, 1)
-        return cls(a.shape[0], a.shape[1], np.cumsum(offsets),
-                   cols, a[rows, cols])
-
-    @classmethod
     def unchecked(cls, *field_values) -> "SparseMatrix":
         """The matrix of the given field values, in field order (``n_rows``
         to ``uniform_row_length``), valid by construction: set as given,

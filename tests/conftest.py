@@ -3,6 +3,7 @@
 import numpy as np
 
 from spdpeg.model import Dataset
+from spdpeg.solver import Schedule, _bracket_coefficients, run, step_size
 from spdpeg.sparse import SparseMatrix
 
 
@@ -11,3 +12,59 @@ def csr_dataset(indptr, indices, data, labels, dimension):
     gets the full check of ``SparseMatrix``."""
     n = np.asarray(labels).size
     return Dataset(SparseMatrix(n, dimension, indptr, indices, data), labels)
+
+
+def average_weight(schedule: Schedule, k: int, t: int) -> float:
+    """Closed-form weight of iterate k in the averaged output over
+    iterations 0..t, which the solver accumulates online."""
+    if schedule.regime == "sc-nonuniform":
+        return 2.0 * (k + 3.0) / ((t + 1.0) * (t + 6.0))
+    return 1.0 / (t + 1.0)
+
+
+def schedule_bracket_coefficients(config, schedule: Schedule, k: int):
+    """The bracket coefficients at the step size of iteration k."""
+    return _bracket_coefficients(config, step_size(schedule, k))
+
+
+def sparse_from_dense(array) -> SparseMatrix:
+    """Checked CSR matrix of the nonzeros of a 2-D array."""
+    a = np.asarray(array, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError("expected a 2-D array")
+    rows, cols = np.nonzero(a)
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    offsets = np.zeros(a.shape[0] + 1, dtype=np.int64)
+    np.add.at(offsets, rows + 1, 1)
+    return SparseMatrix(a.shape[0], a.shape[1], np.cumsum(offsets),
+                        cols, a[rows, cols])
+
+
+def serialize_libsvm(dataset: Dataset) -> str:
+    """Inverse of parse_libsvm; float values use repr so they round-trip."""
+    lines = []
+    for i in range(dataset.n_samples):
+        lo, hi = dataset.indptr[i], dataset.indptr[i + 1]
+        parts = ["+1" if dataset.labels[i] > 0 else "-1"]
+        parts.extend(f"{int(c) + 1}:{float(v)!r}"
+                     for c, v in zip(dataset.indices[lo:hi], dataset.data[lo:hi]))
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
+
+
+def save_penalty(path, m: SparseMatrix) -> None:
+    """Write a penalty in the text format of ``penalties.load_penalty``:
+    'rows cols nnz', then one 'row col value' triple per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{m.n_rows} {m.n_cols} {m.nnz}\n")
+        for r, c, v in zip(m.row_ids, m.col_indices, m.values):
+            fh.write(f"{int(r)} {int(c)} {float(v)!r}\n")
+
+
+def diverge_for_seed(seed):
+    """``solver.run`` with 100x steps for ``seed``, so that run diverges."""
+    def run_diverging(problem, dataset, config, test_dataset=None):
+        return run(problem, dataset, config, test_dataset,
+                   step_scale=100.0 if config.seed == seed else 1.0)
+    return run_diverging

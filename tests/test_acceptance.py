@@ -13,14 +13,14 @@ from io import StringIO
 import numpy as np
 import pytest
 
+from conftest import (average_weight, schedule_bracket_coefficients,
+                      serialize_libsvm, sparse_from_dense)
 from spdpeg import bench
-from spdpeg.data import ParseError, parse_libsvm, serialize_libsvm
+from spdpeg.data import ParseError, parse_libsvm
 from spdpeg.model import Dataset, Problem
 from spdpeg.oracles import full_gradient, loss_value
 from spdpeg.prox import ProxSpec, apply_prox, prox_l1, reg_value
-from spdpeg.solver import (average_weight, make_schedule,
-                           schedule_bracket_coefficients, run)
-from spdpeg.sparse import SparseMatrix
+from spdpeg.solver import make_schedule, run
 
 
 def gate(num: int, name: str, ok: bool, detail: str) -> None:
@@ -75,7 +75,7 @@ def _random_instance(loss, rng, n=60, d=10, ridge=0.0):
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     dataset = Dataset.from_dense_rows(feats, labels)
     problem = Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
-                      SparseMatrix.from_dense(np.eye(d)), ridge=ridge,
+                      sparse_from_dense(np.eye(d)), ridge=ridge,
                       strong_convexity_mu=ridge)
     return problem, dataset, feats, labels
 

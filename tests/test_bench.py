@@ -1,13 +1,16 @@
 import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from conftest import diverge_for_seed, save_penalty, serialize_libsvm
 from spdpeg import bench, sparse
-from spdpeg.data import normalize_features, serialize_libsvm
+from spdpeg.data import normalize_features
 from spdpeg.model import Dataset, estimate_lipschitz
+from spdpeg.solver import run as run_spdpeg
 from spdpeg.sparse import SparseMatrix
 from spdpeg.trace import TraceRecord, read_trace_csv, write_trace_csv
 
@@ -221,19 +224,96 @@ def test_build_data_checks_a_split_dataset_once(monkeypatch, tmp_path):
     assert (train.n_samples, test.n_samples) == (32, 8)
 
 
-def test_verify_rates_builds_each_core_once(monkeypatch):
-    calls = []
+def test_build_data_checks_a_normalized_file_once(monkeypatch, tmp_path):
+    # the parser checks the file's matrix; scaling its values into [-1, 1]
+    # keeps that structure and needs no second check
+    path = tmp_path / "core.svm"
+    path.write_text(serialize_libsvm(bench.build_data(small_core()["data"])[0]))
+    raw, _, _ = bench.build_data({"path": str(path)})
+    csr_sizes = []
+    check = SparseMatrix.__post_init__
+
+    def counted_check(self):
+        csr_sizes.append(self.n_rows)
+        check(self)
+
+    monkeypatch.setattr(SparseMatrix, "__post_init__", counted_check)
+    train, _, _ = bench.build_data({"path": str(path), "normalize": True})
+    assert csr_sizes == [40]
+    scaled, _ = normalize_features(raw)
+    checked = SparseMatrix(raw.n_samples, raw.dimension, raw.indptr,
+                           raw.indices, scaled.data)
+    for name in ("row_offsets", "col_indices", "values", "row_ids"):
+        np.testing.assert_array_equal(getattr(train.features, name),
+                                      getattr(checked, name))
+    assert train.uniform_row_length == checked.uniform_row_length == 8
+
+
+def count_builds(monkeypatch, log):
+    """Append each ``bench.build_all`` call's regime to the file ``log``,
+    also from worker processes; return a reader of the calls so far."""
     build_all = bench.build_all
 
     def counted(core):
-        calls.append(core["config"]["regime"])
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(core["config"]["regime"] + "\n")
         return build_all(core)
 
     monkeypatch.setattr(bench, "build_all", counted)
+    return lambda: log.read_text().split() if log.exists() else []
+
+
+def test_verify_rates_builds_each_core_once(monkeypatch, tmp_path):
+    calls = count_builds(monkeypatch, tmp_path / "builds")
     bench.verify_rates(iters=1000, seeds=5, d=8, n=40)
-    # one build for each reference and one for each core's five seeds
-    assert calls == ["convex", "convex", "sc-nonuniform", "sc-nonuniform",
-                     "sc-uniform"]
+    # one build per family serves its reference and every seed; the
+    # uniform ordering runs reuse the sc build
+    assert calls() == ["convex", "sc-nonuniform"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_suite_and_replay_build_the_core_once(tmp_path, monkeypatch,
+                                                  threads):
+    monkeypatch.setenv("SPDPEG_THREADS", str(threads))
+    calls = count_builds(monkeypatch, tmp_path / "builds")
+    out = tmp_path / "out"
+    manifest = bench.run_suite(small_core(), bench.SOLVERS, range(5), out)
+    # one build per worker process, and with one worker none in the pool
+    assert len(manifest["runs"]) == 15 and 1 <= len(calls()) <= threads
+    (tmp_path / "builds").unlink()
+    written = bench.replay_manifest(bench.write_manifest(manifest, out),
+                                    tmp_path / "replay")
+    assert len(written) == 15 and len(calls()) == 1
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_suite_keeps_finished_runs_when_one_diverges(tmp_path, monkeypatch,
+                                                         threads):
+    monkeypatch.setenv("SPDPEG_THREADS", threads)
+    monkeypatch.setitem(bench._SOLVER_FNS, "spdpeg", diverge_for_seed(1))
+    core = small_core()
+    out = tmp_path / "out"
+    manifest = bench.run_suite(core, ("spdpeg", "slinadmm"), [0, 1], out)
+    mpath = bench.write_manifest(manifest, out)
+    diverged = manifest["runs"][1]
+    assert set(diverged) == {"solver", "seed", "diverged_at", "error"}
+    assert (diverged["solver"], diverged["seed"]) == ("spdpeg", 1)
+    assert diverged["diverged_at"] > 0
+    assert f"iteration {diverged['diverged_at']}" in diverged["error"]
+    finished = [e for e in manifest["runs"] if e is not diverged]
+    assert sorted(p.name for p in out.glob("trace_*.csv")) == sorted(
+        e["trace_file"] for e in finished)
+    # finished runs keep their entries: as in a suite that never diverged
+    clean = bench.run_suite(core, ("spdpeg", "slinadmm"), [0], tmp_path / "c")
+    for a, b in zip(clean["runs"], finished[:2]):
+        assert {**a, "wall_seconds": None} == {**b, "wall_seconds": None}
+    written = bench.replay_manifest(mpath, tmp_path / "replay")
+    assert [os.path.basename(p) for p in written] == [
+        e["trace_file"] for e in finished]
+    # without the divergent step the run finishes, which is a drift
+    monkeypatch.setitem(bench._SOLVER_FNS, "spdpeg", run_spdpeg)
+    with pytest.raises(ValueError, match="spdpeg seed 1 drifted"):
+        bench.replay_manifest(mpath, tmp_path / "replay2")
 
 
 def test_build_penalty_sources(tmp_path):
@@ -249,7 +329,6 @@ def test_build_penalty_sources(tmp_path):
     pm = bench.build_penalty({"source": "precision", "ridge": 0.1,
                               "threshold": 1e-4}, train, None)
     assert pm.n_cols == 6
-    from spdpeg.penalties import save_penalty
     path = tmp_path / "pen.txt"
     save_penalty(path, fused)
     fm = bench.build_penalty({"source": "file", "path": str(path)}, train, None)
@@ -265,7 +344,7 @@ def test_build_problem_ggrlr_folds_quadratic():
         derived["lipschitz_data"] + 1e-2)
 
 
-def test_execute_run_and_manifest_replay(tmp_path):
+def test_run_suite_and_manifest_replay(tmp_path):
     core = small_core()
     out = tmp_path / "out"
     manifest = bench.run_suite(core, ("spdpeg", "slinadmm"), [0, 1], out)

@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
+from conftest import diverge_for_seed, save_penalty, serialize_libsvm
+from spdpeg import bench
 from spdpeg.cli import main, parse_synthetic_spec
-from spdpeg.data import serialize_libsvm, synthesize
+from spdpeg.data import synthesize
 from spdpeg.trace import read_trace_csv
 
 
@@ -45,11 +47,31 @@ def test_run_replays_manifest_byte_identically(tmp_path):
     assert (out / name).read_bytes() == (replay / name).read_bytes()
 
 
+def test_run_reports_a_diverged_run_and_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(bench._SOLVER_FNS, "spdpeg", diverge_for_seed(1))
+    out = tmp_path / "out"
+    rc = main(["run", "--synthetic", "fused-signal:d=8,N=40", "--iters", "200",
+               "--seeds", "2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"wrote {out / 'manifest.json'}" in captured.out
+    assert "trace_spdpeg_seed0.csv: final objective" in captured.out
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: spdpeg seed 1: iterate diverged at iteration")
+    assert sorted(os.listdir(out)) == ["manifest.json", "trace_spdpeg_seed0.csv"]
+    # the replay meets the same divergence, which is a faithful replay
+    rc = main(["run", "--from-manifest", str(out / "manifest.json"),
+               "--out", str(tmp_path / "replay")])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"replayed {tmp_path / 'replay' / 'trace_spdpeg_seed0.csv'}"]
+
+
 def test_run_on_libsvm_file_with_penalty_file(tmp_path):
     ds, _, _ = synthesize("fused-signal", 6, 40, 0.2, 11)
     data_path = tmp_path / "data.txt"
     data_path.write_text(serialize_libsvm(ds))
-    from spdpeg.penalties import build_fused_matrix, save_penalty
+    from spdpeg.penalties import build_fused_matrix
     pen_path = tmp_path / "penalty.txt"
     save_penalty(pen_path, build_fused_matrix(6))
     out = tmp_path / "out"

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csr_dataset
-from spdpeg.data import (ParseError, SplitSpec, normalize_features,
-                         parse_libsvm, serialize_libsvm, split, synthesize)
+from conftest import csr_dataset, serialize_libsvm
+from spdpeg.data import (ParseError, SplitSpec, normalize_features, parse_libsvm,
+                         split, synthesize)
 from spdpeg.model import estimate_lipschitz
 from spdpeg.penalties import build_fused_matrix
 

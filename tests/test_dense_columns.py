@@ -16,14 +16,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import csr_dataset
+from conftest import csr_dataset, serialize_libsvm, sparse_from_dense
 from spdpeg import oracles
-from spdpeg.data import (SplitSpec, parse_libsvm, serialize_libsvm, split,
-                         synthesize)
+from spdpeg.data import SplitSpec, parse_libsvm, split, synthesize
 from spdpeg.model import LOSS_LOGISTIC, Dataset, Problem
 from spdpeg.oracles import _sigmoid, full_gradient, margins, stochastic_gradient
 from spdpeg.prox import ProxSpec
-from spdpeg.sparse import SparseMatrix
 
 
 def reference_sigmoid(t):
@@ -86,7 +84,7 @@ def dense_dataset(seed, n, d, stored_zeros=False):
 
 def problem_for(loss, d, ridge):
     return Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
-                   SparseMatrix.from_dense(np.eye(d)), ridge=ridge,
+                   sparse_from_dense(np.eye(d)), ridge=ridge,
                    strong_convexity_mu=ridge)
 
 

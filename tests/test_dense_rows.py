@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import sparse_from_dense
 from spdpeg import baselines, bench, solver
 from spdpeg.model import LOSS_KINDS, Dataset, Problem
 from spdpeg.oracles import full_gradient, margins, stochastic_gradient
@@ -67,7 +68,7 @@ def test_oracles_match_the_csr_twin(n, d, loss, view_reads):
     rows, labels = random_rows(n, d, 100 * n + d)
     dense, csr = Dataset.from_dense_rows(rows, labels), csr_twin(rows, labels)
     problem = Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
-                      SparseMatrix.from_dense(np.eye(d)), ridge=0.25,
+                      sparse_from_dense(np.eye(d)), ridge=0.25,
                       strong_convexity_mu=0.25)
     rng = np.random.default_rng(d)
     for x in (rng.standard_normal(d), 30.0 * rng.standard_normal(d), np.zeros(d)):

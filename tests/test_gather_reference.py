@@ -10,11 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import csr_dataset
+from conftest import csr_dataset, sparse_from_dense
 from spdpeg.model import Problem
 from spdpeg.oracles import _coefs, _gradient_over_rows, stochastic_gradient
 from spdpeg.prox import ProxSpec
-from spdpeg.sparse import SparseMatrix, row_positions
+from spdpeg.sparse import row_positions
 
 
 def reference_gradient_over_rows(problem, dataset, x, rows):
@@ -98,7 +98,7 @@ DATASETS = {"ragged": ragged_dataset, "dense": dense_dataset,
 
 def problem_for(loss, d, ridge):
     return Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
-                   SparseMatrix.from_dense(np.eye(d)), ridge=ridge,
+                   sparse_from_dense(np.eye(d)), ridge=ridge,
                    strong_convexity_mu=ridge)
 
 

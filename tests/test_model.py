@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csr_dataset
+from conftest import csr_dataset, sparse_from_dense
 from spdpeg.data import synthesize
 from spdpeg.model import (Dataset, Problem, SolverConfig, compute_L_tilde,
                           estimate_lipschitz)
 from spdpeg.prox import ProxSpec
-from spdpeg.sparse import SparseMatrix
 
-EYE2 = SparseMatrix.from_dense(np.eye(2))
+EYE2 = sparse_from_dense(np.eye(2))
 
 
 def make_dataset(rows, labels, d):
     """Dataset of the nonzeros of ``rows`` in d features."""
-    m = SparseMatrix.from_dense(rows)
+    m = sparse_from_dense(rows)
     return csr_dataset(m.row_offsets, m.col_indices, m.values, labels, d)
 
 
@@ -36,7 +35,7 @@ def test_dataset_rejects_empty_and_bad_labels():
 
 
 def test_dataset_needs_one_label_per_row():
-    features = SparseMatrix.from_dense([[1.0, 0.0], [0.0, 2.0]])
+    features = sparse_from_dense([[1.0, 0.0], [0.0, 2.0]])
     Dataset(features, [1.0, -1.0])
     for labels in ([1.0], [1.0, -1.0, 1.0], [[1.0, -1.0]]):
         with pytest.raises(ValueError, match="one label per feature row"):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sparse_from_dense
 from spdpeg.model import Dataset, Problem, estimate_lipschitz
 from spdpeg.oracles import data_loss, full_gradient, loss_value, stochastic_gradient
 from spdpeg.prox import ProxSpec
-from spdpeg.sparse import SparseMatrix
 
 
 def dense_dataset(rows, labels):
@@ -15,7 +15,7 @@ def dense_dataset(rows, labels):
 
 def make_problem(loss, d, ridge=0.0, mu=0.0):
     return Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
-                   SparseMatrix.from_dense(np.eye(d)), ridge=ridge,
+                   sparse_from_dense(np.eye(d)), ridge=ridge,
                    strong_convexity_mu=mu)
 
 

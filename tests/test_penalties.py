@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import csr_dataset
+from conftest import csr_dataset, save_penalty, sparse_from_dense
 from spdpeg.model import Dataset
 from spdpeg.penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
-                              load_penalty, precision_graph_from_data,
-                              save_penalty)
-from spdpeg.sparse import SparseMatrix, power_iteration_sigma_max
+                              load_penalty, precision_graph_from_data)
+from spdpeg.sparse import power_iteration_sigma_max
 
 
 def test_fused_matrix_small():
@@ -114,7 +113,7 @@ def test_precision_graph_permutation_equivariant():
 
 
 def test_penalty_file_roundtrip(tmp_path):
-    m = SparseMatrix.from_dense([[1.0, -1.5, 0.0], [0.0, 0.25, -1.0]])
+    m = sparse_from_dense([[1.0, -1.5, 0.0], [0.0, 0.25, -1.0]])
     path = tmp_path / "penalty.txt"
     save_penalty(path, m)
     loaded = load_penalty(path)

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csr_dataset
+from conftest import (average_weight, csr_dataset, schedule_bracket_coefficients,
+                      sparse_from_dense)
 from spdpeg.model import Dataset, Problem, SolverConfig, estimate_lipschitz
 from spdpeg.penalties import build_fused_matrix
 from spdpeg.prox import ProxSpec, prox_l1, reg_value
 from spdpeg.data import synthesize
-from spdpeg.solver import (DivergenceError, Schedule, average_weight,
-                           check_step_inequality, initial_state, make_schedule,
-                           relative_slack, run, schedule_bracket_coefficients,
+from spdpeg.solver import (DivergenceError, Schedule, check_step_inequality,
+                           initial_state, make_schedule, relative_slack, run,
                            step_size, update_z)
-from spdpeg.sparse import SparseMatrix, power_iteration_sigma_max
+from spdpeg.sparse import power_iteration_sigma_max
 from spdpeg import solver as solver_mod
 
 
@@ -77,7 +77,7 @@ def test_nonuniform_weights_sum_to_one(t):
 
 def zero_gradient_instance(d=2):
     dataset = csr_dataset([0, 0], [], [], [1.0], d)
-    penalty = SparseMatrix.from_dense(np.eye(d))
+    penalty = sparse_from_dense(np.eye(d))
     problem = Problem("least-squares", ProxSpec("none"), ProxSpec("l1", 0.0),
                       penalty)
     config = SolverConfig(gamma=1.0, regime="convex", max_iters=3, seed=0,
@@ -89,7 +89,7 @@ def zero_gradient_instance(d=2):
 def test_update_z_soft_threshold():
     problem, dataset, config = zero_gradient_instance(1)
     problem = Problem("least-squares", ProxSpec("none"), ProxSpec("l1", 1.0),
-                      SparseMatrix.from_dense(np.eye(1)))
+                      sparse_from_dense(np.eye(1)))
     state = initial_state(problem, dataset)
     state.x = np.array([3.0])
     fx = problem.penalty.matvec(state.x)
@@ -97,7 +97,7 @@ def test_update_z_soft_threshold():
 
 
 def test_update_z_zero_input_and_identity():
-    penalty = SparseMatrix.from_dense([[2.0, 0.0], [0.0, 1.0]])
+    penalty = sparse_from_dense([[2.0, 0.0], [0.0, 1.0]])
     dataset = csr_dataset([0, 0], [], [], [1.0], 2)
     config = SolverConfig(gamma=0.5, regime="convex", max_iters=1, seed=0,
                           lipschitz_L=1.0, sigma_max_FtF=4.0)

@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sparse_from_dense
 from spdpeg.sparse import (PowerIterationError, SparseMatrix,
                            power_iteration_sigma_max)
 
-FIRST_DIFF_2x3 = SparseMatrix.from_dense([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+FIRST_DIFF_2x3 = sparse_from_dense([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
 
 
 def test_matvec_first_difference():
@@ -15,7 +16,7 @@ def test_matvec_first_difference():
 
 
 def test_matvec_identity():
-    eye = SparseMatrix.from_dense(np.eye(3))
+    eye = sparse_from_dense(np.eye(3))
     np.testing.assert_array_equal(eye.matvec([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
 
 
@@ -45,7 +46,7 @@ def test_structure_validation():
 def test_basis_vectors_reproduce_entries():
     rng = np.random.default_rng(0)
     dense = np.round(rng.standard_normal((4, 6)) * (rng.random((4, 6)) < 0.4), 3)
-    m = SparseMatrix.from_dense(dense)
+    m = sparse_from_dense(dense)
     for j in range(6):
         e = np.zeros(6)
         e[j] = 1.0
@@ -61,7 +62,7 @@ def test_basis_vectors_reproduce_entries():
 def test_adjoint_identity(seed, n_rows, n_cols):
     rng = np.random.default_rng(seed)
     dense = rng.standard_normal((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.5)
-    m = SparseMatrix.from_dense(dense)
+    m = sparse_from_dense(dense)
     u = rng.standard_normal(n_cols)
     v = rng.standard_normal(n_rows)
     left = m.matvec(u) @ v
@@ -75,12 +76,12 @@ def test_sigma_max_first_difference():
 
 
 def test_sigma_max_identity():
-    eye = SparseMatrix.from_dense(np.eye(3))
+    eye = sparse_from_dense(np.eye(3))
     assert power_iteration_sigma_max(eye) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sigma_max_scalar():
-    m = SparseMatrix.from_dense([[2.0]])
+    m = sparse_from_dense([[2.0]])
     assert power_iteration_sigma_max(m) == pytest.approx(4.0, rel=1e-12)
 
 
@@ -91,7 +92,7 @@ def test_sigma_max_deterministic():
 
 
 def test_sigma_max_is_cached_per_matrix():
-    m = SparseMatrix.from_dense([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+    m = sparse_from_dense([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
     assert m.sigma_max_FtF == power_iteration_sigma_max(m)
     assert m.sigma_max_FtF is m.sigma_max_FtF
     assert SparseMatrix(2, 3, [0, 0, 0], [], []).sigma_max_FtF == 0.0
@@ -106,7 +107,7 @@ def test_sigma_max_rayleigh_lower_bound():
     rng = np.random.default_rng(7)
     for _ in range(20):
         dense = rng.standard_normal((5, 4))
-        m = SparseMatrix.from_dense(dense)
+        m = sparse_from_dense(dense)
         sigma = power_iteration_sigma_max(m, tol=1e-12)
         v = rng.standard_normal(4)
         rq = np.linalg.norm(m.matvec(v)) ** 2 / (v @ v)
@@ -114,7 +115,7 @@ def test_sigma_max_rayleigh_lower_bound():
 
 
 def test_sigma_max_nonconvergence_raises_with_estimate():
-    m = SparseMatrix.from_dense(np.diag([1.0, 0.9999]))
+    m = sparse_from_dense(np.diag([1.0, 0.9999]))
     with pytest.raises(PowerIterationError) as exc:
         power_iteration_sigma_max(m, tol=1e-16, max_iter=3)
     assert 0.9 < exc.value.last_estimate <= 1.0
@@ -126,9 +127,9 @@ def test_sigma_max_rejects_bad_tol():
 
 
 def test_fingerprint_tracks_content():
-    a = SparseMatrix.from_dense([[1.0, 0.0], [0.0, 2.0]])
-    b = SparseMatrix.from_dense([[1.0, 0.0], [0.0, 2.0]])
-    c = SparseMatrix.from_dense([[1.0, 0.0], [0.0, 3.0]])
+    a = sparse_from_dense([[1.0, 0.0], [0.0, 2.0]])
+    b = sparse_from_dense([[1.0, 0.0], [0.0, 2.0]])
+    c = sparse_from_dense([[1.0, 0.0], [0.0, 3.0]])
     assert a.fingerprint() == b.fingerprint() != c.fingerprint()
     labels = np.array([1.0, -1.0])
     assert a.fingerprint(labels) not in (a.fingerprint(), a.fingerprint(-labels))
