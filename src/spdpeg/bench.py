@@ -698,10 +698,12 @@ def write_plotdata(paths, out_path) -> tuple[str, str]:
 # timing
 
 
-def per_iteration_seconds(solver: str, core: dict, seed: int = 0,
+def per_iteration_seconds(solver: str, built, core: dict, seed: int = 0,
                           repeats: int = 3) -> float:
-    """Median wall seconds per iteration over a few short runs."""
-    train, test, problem, derived = build_all(core)
+    """Median wall seconds per iteration over a few short runs of ``core`` on
+    ``built``, the ``build_all`` of a core that may differ in ``iters`` and
+    ``eval_every``."""
+    train, test, problem, derived = built
     config = make_config(core, derived, seed)
     fn = _SOLVER_FNS[solver]
     times = []
@@ -720,10 +722,12 @@ def timing_scaling(ns=(1000, 100_000), d: int = 50, iters_stochastic: int = 6000
     for n in ns:
         core = rate_core("convex", d=d, n=n, iters=iters_stochastic,
                          eval_every=iters_stochastic)
-        report["spdpeg"][n] = per_iteration_seconds("spdpeg", core, seed)
+        built = build_all(core)
+        report["spdpeg"][n] = per_iteration_seconds("spdpeg", built, core, seed)
         core_full = rate_core("convex", d=d, n=n, iters=iters_full,
                               eval_every=iters_full)
-        report["eg-full"][n] = per_iteration_seconds("eg-full", core_full, seed)
+        report["eg-full"][n] = per_iteration_seconds("eg-full", built, core_full,
+                                                     seed)
     lo, hi = min(ns), max(ns)
     report["spdpeg_ratio"] = report["spdpeg"][hi] / report["spdpeg"][lo]
     report["eg_full_ratio"] = report["eg-full"][hi] / report["eg-full"][lo]

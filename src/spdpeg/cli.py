@@ -18,6 +18,7 @@ import sys
 from . import bench
 from .data import ParseError
 from .solver import DivergenceError
+from .sparse import PowerIterationError
 
 SYNTH_SPEC_HELP = "KIND:d=D,N=N[,noise=X] with KIND in {fused-signal, graph-logistic}"
 
@@ -267,7 +268,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, ParseError, DivergenceError, OSError) as exc:
+    except (ValueError, ParseError, DivergenceError, PowerIterationError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

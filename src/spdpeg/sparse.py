@@ -15,9 +15,12 @@ deterministic.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+_TINY = np.finfo(float).tiny
 
 
 def row_positions(indptr: np.ndarray, rows: np.ndarray
@@ -53,6 +56,10 @@ class PowerIterationError(RuntimeError):
     def __init__(self, message: str, last_estimate: float):
         super().__init__(message)
         self.last_estimate = last_estimate
+
+    def __reduce__(self):
+        # rebuilt from both arguments, so it survives a worker-process hop
+        return type(self), (str(self), self.last_estimate)
 
 
 @dataclass(frozen=True)
@@ -162,6 +169,10 @@ class SparseMatrix:
             raise ValueError(f"matvec expects a vector of length {self.n_cols}, got {v.shape}")
         if self.nnz == 0:
             return np.zeros(self.n_rows)
+        return self._matvec(v)
+
+    def _matvec(self, v: np.ndarray) -> np.ndarray:
+        """``matvec`` of a float64 vector of length ``n_cols``, unchecked."""
         return np.bincount(self.row_ids, weights=self.values * v[self.col_indices],
                            minlength=self.n_rows)
 
@@ -172,6 +183,10 @@ class SparseMatrix:
             raise ValueError(f"rmatvec expects a vector of length {self.n_rows}, got {u.shape}")
         if self.nnz == 0:
             return np.zeros(self.n_cols)
+        return self._rmatvec(u)
+
+    def _rmatvec(self, u: np.ndarray) -> np.ndarray:
+        """``rmatvec`` of a float64 vector of length ``n_rows``, unchecked."""
         return np.bincount(self.col_indices, weights=self.values * u[self.row_ids],
                            minlength=self.n_cols)
 
@@ -209,24 +224,25 @@ def power_iteration_sigma_max(m: SparseMatrix, tol: float = 1e-10,
         raise ValueError("tol must be positive")
     if m.n_cols == 0 or m.nnz == 0:
         return 0.0
+    # vectors built here need no checks; sqrt(w.dot(w)) is np.linalg.norm(w)
     v = np.ones(m.n_cols) / np.sqrt(m.n_cols)
-    w = m.rmatvec(m.matvec(v))
-    if np.linalg.norm(w) == 0.0:
+    w = m._rmatvec(m._matvec(v))
+    if w.dot(w) == 0.0:
         v = np.random.default_rng(0).standard_normal(m.n_cols)
-        v /= np.linalg.norm(v)
-        w = m.rmatvec(m.matvec(v))
-        if np.linalg.norm(w) == 0.0:
+        v /= math.sqrt(v.dot(v))
+        w = m._rmatvec(m._matvec(v))
+        if w.dot(w) == 0.0:
             return 0.0
     theta_old = np.inf
-    theta = float(v @ w)
+    theta = float(v.dot(w))
     for _ in range(max_iter):
-        nw = np.linalg.norm(w)
+        nw = math.sqrt(w.dot(w))
         if nw == 0.0:
             return 0.0
         v = w / nw
-        w = m.rmatvec(m.matvec(v))
-        theta = float(v @ w)
-        if abs(theta - theta_old) <= tol * max(abs(theta), np.finfo(float).tiny):
+        w = m._rmatvec(m._matvec(v))
+        theta = float(v.dot(w))
+        if abs(theta - theta_old) <= tol * max(abs(theta), _TINY):
             return theta
         theta_old = theta
     raise PowerIterationError(

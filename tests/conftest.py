@@ -4,7 +4,7 @@ import numpy as np
 
 from spdpeg.model import Dataset
 from spdpeg.solver import Schedule, _bracket_coefficients, run, step_size
-from spdpeg.sparse import SparseMatrix
+from spdpeg.sparse import PowerIterationError, SparseMatrix
 
 
 def csr_dataset(indptr, indices, data, labels, dimension):
@@ -68,3 +68,37 @@ def diverge_for_seed(seed):
         return run(problem, dataset, config, test_dataset,
                    step_scale=100.0 if config.seed == seed else 1.0)
     return run_diverging
+
+
+def reference_power_iteration(m: SparseMatrix, tol: float = 1e-10,
+                              max_iter: int = 10000) -> float:
+    """``power_iteration_sigma_max`` as it was written before its steps
+    skipped the checks of ``matvec``/``rmatvec``: public products,
+    ``np.linalg.norm`` and ``v @ w``. The bitwise reference of the lean loop."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if m.n_cols == 0 or m.nnz == 0:
+        return 0.0
+    v = np.ones(m.n_cols) / np.sqrt(m.n_cols)
+    w = m.rmatvec(m.matvec(v))
+    if np.linalg.norm(w) == 0.0:
+        v = np.random.default_rng(0).standard_normal(m.n_cols)
+        v /= np.linalg.norm(v)
+        w = m.rmatvec(m.matvec(v))
+        if np.linalg.norm(w) == 0.0:
+            return 0.0
+    theta_old = np.inf
+    theta = float(v @ w)
+    for _ in range(max_iter):
+        nw = np.linalg.norm(w)
+        if nw == 0.0:
+            return 0.0
+        v = w / nw
+        w = m.rmatvec(m.matvec(v))
+        theta = float(v @ w)
+        if abs(theta - theta_old) <= tol * max(abs(theta), np.finfo(float).tiny):
+            return theta
+        theta_old = theta
+    raise PowerIterationError(
+        f"power iteration did not converge in {max_iter} iterations "
+        f"(last estimate {theta!r})", theta)

@@ -271,6 +271,21 @@ def test_verify_rates_builds_each_core_once(monkeypatch, tmp_path):
     assert calls() == ["convex", "sc-nonuniform"]
 
 
+def test_timing_scaling_builds_each_n_once(monkeypatch):
+    build_all, built = bench.build_all, []
+
+    def counted(core):
+        built.append(core["data"]["synthetic"]["n"])
+        return build_all(core)
+
+    monkeypatch.setattr(bench, "build_all", counted)
+    report = bench.timing_scaling(ns=(100, 300), d=5, iters_stochastic=50,
+                                  iters_full=5)
+    # the spdpeg and eg-full runs of one n share its build
+    assert built == [100, 300]
+    assert list(report["spdpeg"]) == list(report["eg-full"]) == [100, 300]
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_run_suite_and_replay_build_the_core_once(tmp_path, monkeypatch,
                                                   threads):

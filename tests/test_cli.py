@@ -117,6 +117,19 @@ def test_run_reports_worker_parse_error(tmp_path, capsys, monkeypatch):
     assert "error: line 2: bad feature value 'x'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_reports_power_iteration_error(tmp_path, capsys, monkeypatch, threads):
+    # sigma_max of the fused penalty at d=300 needs more than 10,000 steps;
+    # with two workers the error crosses a process boundary
+    monkeypatch.setenv("SPDPEG_THREADS", threads)
+    rc = main(["run", "--task", "flr", "--synthetic", "fused-signal:d=300,N=500",
+               "--iters", "10", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(
+        "error: power iteration did not converge in 10000 iterations")
+
+
 def test_verify_rates_small(tmp_path, capsys):
     out = tmp_path / "rates"
     rc = main(["verify-rates", "--regime", "convex", "--iters", "2000",

@@ -1,10 +1,15 @@
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sparse_from_dense
+from conftest import reference_power_iteration, sparse_from_dense
+from spdpeg import bench
+from spdpeg.data import synthesize
+from spdpeg.penalties import build_fused_matrix, build_graph_matrix
 from spdpeg.sparse import (PowerIterationError, SparseMatrix,
                            power_iteration_sigma_max)
 
@@ -119,6 +124,65 @@ def test_sigma_max_nonconvergence_raises_with_estimate():
     with pytest.raises(PowerIterationError) as exc:
         power_iteration_sigma_max(m, tol=1e-16, max_iter=3)
     assert 0.9 < exc.value.last_estimate <= 1.0
+
+
+def test_power_iteration_error_survives_pickle():
+    err = pickle.loads(pickle.dumps(PowerIterationError("did not converge", 3.5)))
+    assert type(err) is PowerIterationError
+    assert (str(err), err.last_estimate) == ("did not converge", 3.5)
+
+
+def _random_sparse(seed: int) -> SparseMatrix:
+    """A random sparse matrix with at least one empty row and column."""
+    rng = np.random.default_rng(seed)
+    n_rows, n_cols = rng.integers(2, 30, size=2)
+    dense = rng.standard_normal((n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.4)
+    dense[rng.integers(n_rows)] = 0.0
+    dense[:, rng.integers(n_cols)] = 0.0
+    return sparse_from_dense(dense)
+
+
+def _graph_penalty(d: int, seed: int) -> SparseMatrix:
+    _, graph, _ = synthesize("graph-logistic", d, 4, 0.1, seed)
+    return build_graph_matrix(graph)
+
+
+GUARD_MATRICES = {
+    **{f"fused-d{d}": lambda d=d: build_fused_matrix(d) for d in (2, 3, 20, 50, 200)},
+    **{f"graph-d{d}-seed{seed}": lambda d=d, seed=seed: _graph_penalty(d, seed)
+       for d in (5, 20, 40) for seed in range(5)},
+    **{f"random-seed{seed}": lambda seed=seed: _random_sparse(seed)
+       for seed in range(10)},
+    "zero": lambda: SparseMatrix(2, 3, [0, 0, 0], [], []),
+    "stored-zeros": lambda: SparseMatrix(2, 3, [0, 1, 2], [0, 2], [0.0, 0.0]),
+}
+
+
+def _bits(fn, m, **kwargs):
+    """theta in hex, or the estimate in hex and the message it raised with."""
+    try:
+        return float.hex(fn(m, **kwargs))
+    except PowerIterationError as exc:
+        return float.hex(exc.last_estimate), str(exc)
+
+
+@pytest.mark.parametrize("name", GUARD_MATRICES)
+def test_power_iteration_is_bitwise_the_reference_loop(name):
+    m = GUARD_MATRICES[name]()
+    for kwargs in ({}, {"tol": 1e-12}, {"max_iter": 3}):
+        assert (_bits(power_iteration_sigma_max, m, **kwargs)
+                == _bits(reference_power_iteration, m, **kwargs)), kwargs
+
+
+def test_sigma_max_of_the_benchmark_cores_is_pinned():
+    pinned = {"convex": "0x1.fcd9248bc29e2p+1", "sc": "0x1.a4b023bb155b3p+2"}
+    for family, expect in pinned.items():
+        core = bench.rate_core(family)
+        train, _, graph = bench.build_data(core["data"])
+        penalty = bench.build_penalty(core["penalty"], train, graph)
+        assert float.hex(penalty.sigma_max_FtF) == expect, family
+    # the large-n workload's penalty is the fused one of d=50
+    assert float.hex(build_fused_matrix(50).sigma_max_FtF) == "0x1.ff7ead701d747p+1"
 
 
 def test_sigma_max_rejects_bad_tol():
