@@ -32,7 +32,11 @@ def parse_synthetic_spec(spec: str, seed: int) -> dict:
             if key not in ("d", "N", "n", "noise"):
                 raise ValueError(f"unknown synthetic field {key!r} "
                                  f"(expected {SYNTH_SPEC_HELP})")
-            fields["n" if key == "N" else key] = float(value)
+            number = float(value)
+            if key != "noise" and not number.is_integer():
+                raise ValueError(f"synthetic {key} must be a finite integer, "
+                                 f"got {value!r}")
+            fields["n" if key == "N" else key] = number
     if "d" not in fields or "n" not in fields:
         raise ValueError(f"synthetic spec needs d and N: {SYNTH_SPEC_HELP}")
     return {"kind": kind, "d": int(fields["d"]), "n": int(fields["n"]),

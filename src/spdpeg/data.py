@@ -12,6 +12,7 @@ from .penalties import GraphSpec
 from .sparse import SparseMatrix
 
 SYNTHETIC_KINDS = ("fused-signal", "graph-logistic")
+_MAX_INDEX = int(np.iinfo(np.int64).max)
 
 
 class ParseError(ValueError):
@@ -64,8 +65,9 @@ def parse_libsvm(source) -> Dataset:
                 idx = int(head)
             except ValueError:
                 raise ParseError(line_no, f"bad feature index {head!r}") from None
-            if idx < 1:
-                raise ParseError(line_no, f"feature index {idx} must be >= 1")
+            if not 1 <= idx <= _MAX_INDEX:
+                raise ParseError(line_no, f"feature index {idx} is not in "
+                                          f"[1, {_MAX_INDEX}]")
             if idx <= prev:
                 raise ParseError(line_no, f"feature index {idx} not strictly increasing")
             try:
@@ -120,7 +122,7 @@ def normalize_features(dataset: Dataset) -> tuple[Dataset, np.ndarray]:
     f = dataset.features
     features = SparseMatrix.unchecked(
         f.n_rows, f.n_cols, f.row_offsets, f.col_indices,
-        dataset.data / scales[dataset.indices], f.row_ids, f.uniform_row_length)
+        dataset.data / scales[dataset.indices], f.row_ids)
     return Dataset(features, dataset.labels), scales
 
 

@@ -34,9 +34,11 @@ class Dataset:
     """Immutable collection of labeled samples sharing a feature dimension.
 
     ``features`` is the CSR ``SparseMatrix`` of the samples, one row each.
-    ``indptr``, ``indices``, ``data``, ``row_ids``, ``dimension`` and
-    ``uniform_row_length`` are that matrix's own fields under the names the
-    oracles use, not copies. Dense rows build ``features`` on first read.
+    ``indptr``, ``indices``, ``data``, ``row_ids`` and ``dimension`` are
+    that matrix's own fields under the names the oracles use, not copies.
+    Dense rows build ``features`` on first read. ``full_rows`` says whether
+    every row stores all d features, so has the columns arange(d): column
+    indices strictly increase in [0, d), so that is when n*d are stored.
     Lazy fields are properties over attributes that ``_store`` sets: a
     ``functools.cached_property`` writes the instance ``__dict__``, which
     slows every later attribute load (CPython 3.11). Caches assume the
@@ -60,11 +62,11 @@ class Dataset:
         if rows is None:
             self.indptr, self.data = features.row_offsets, features.values
             self.dimension = features.n_cols
-            self.uniform_row_length = features.uniform_row_length
         else:
             d = rows.shape[1]
             self.indptr, self.data = d * np.arange(n + 1, dtype=np.int64), rows.reshape(-1)
-            self.dimension = self.uniform_row_length = d
+            self.dimension = d
+        self.full_rows = self.data.size == n * self.dimension
         self._rows, self._features = rows, features
         self._dense_columns = self._max_row_norm_sq = None
 
@@ -88,7 +90,7 @@ class Dataset:
             n, d = self._rows.shape
             self._features = SparseMatrix.unchecked(
                 n, d, self.indptr, np.tile(np.arange(d, dtype=np.int64), n),
-                self.data, np.repeat(np.arange(n, dtype=np.int64), d), d)
+                self.data, np.repeat(np.arange(n, dtype=np.int64), d))
         return self._features
 
     @property
@@ -108,7 +110,7 @@ class Dataset:
         datasets keep the CSR kernels."""
         if self._dense_columns is None:
             n, d = self.n_samples, self.dimension
-            if self.uniform_row_length == d and n >= 2 and d >= 2:
+            if self.full_rows and n >= 2 and d >= 2:
                 self._dense_columns = self.data.reshape(n, d).T.copy()
                 self._dense_columns.flags.writeable = False
         return self._dense_columns

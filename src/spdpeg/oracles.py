@@ -193,13 +193,8 @@ def _ragged_row_margins(vals: np.ndarray, xs: np.ndarray,
 
 def _batch_gradient(loss: str, dataset: Dataset, x: np.ndarray,
                     rows: np.ndarray) -> np.ndarray:
-    # When every row has the same length the batch is a single length
-    # group, gathered with one reshape. Sending such batches through
-    # row_positions and _ragged_row_margins gives the same bits but made
-    # sc-graph-b16 spdpeg.iter_us 33% slower (106 -> 141 us, 10 pairs).
-    b, k = rows.size, dataset.uniform_row_length
-    d = dataset.dimension
-    if k == d >= 2:
+    b, d = rows.size, dataset.dimension
+    if dataset.full_rows and d >= 2:
         # rows that store all d features, columns arange(d): gather whole
         # rows and scatter with _lane_sums, which adds each lane in
         # bincount's order (b >= 2 here). With a contiguous x, which
@@ -210,19 +205,12 @@ def _batch_gradient(loss: str, dataset: Dataset, x: np.ndarray,
         grad = _lane_sums(vals, _coefs(loss, m, dataset.labels[rows]))
         grad /= b
         return grad
-    if k is None:
-        pos, lengths = row_positions(dataset.indptr, rows)
-    else:
-        pos, lengths = (dataset.indptr[rows][:, None] + np.arange(k)).ravel(), k
+    pos, lengths = row_positions(dataset.indptr, rows)
     if pos.size == 0:
         # bincount over no entries would return int64
         return np.zeros(d)
     cols, vals = dataset.indices[pos], dataset.data[pos]
-    xs = x[cols]
-    if k is None:
-        m = _ragged_row_margins(vals, xs, lengths)
-    else:
-        m = (vals.reshape(b, 1, k) @ xs.reshape(b, k, 1)).reshape(b)
+    m = _ragged_row_margins(vals, x[cols], lengths)
     coefs = _coefs(loss, m, dataset.labels[rows])
     grad = np.bincount(cols, weights=np.repeat(coefs, lengths) * vals,
                        minlength=d)

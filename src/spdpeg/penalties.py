@@ -79,7 +79,7 @@ def precision_graph_from_data(dataset: Dataset, ridge: float = 1e-2,
     d = dataset.dimension
     # rows that store all d features are read as they are stored
     dense = (dataset.data.reshape(dataset.n_samples, d)
-             if dataset.uniform_row_length == d else dataset.features.to_dense())
+             if dataset.full_rows else dataset.features.to_dense())
     centered = dense - dense.mean(axis=0)
     cov = centered.T @ centered / dataset.n_samples
     precision = np.linalg.solve(cov + ridge * np.eye(d), np.eye(d))

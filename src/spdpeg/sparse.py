@@ -42,11 +42,6 @@ def checked_rows(rows, n_rows: int) -> np.ndarray:
     return rows
 
 
-def _uniform_length(lengths: np.ndarray) -> int | None:
-    return (int(lengths[0]) if lengths.size and np.all(lengths == lengths[0])
-            else None)
-
-
 class PowerIterationError(RuntimeError):
     """Raised when power iteration fails to converge within max_iter.
 
@@ -68,7 +63,8 @@ class SparseMatrix:
 
     row_offsets has length n_rows+1 and is nondecreasing with
     row_offsets[-1] == nnz; column indices are strictly increasing within
-    each row.
+    each row. The matrix records no row length: a dataset's layout is
+    ``Dataset.full_rows``.
     """
 
     n_rows: int
@@ -78,9 +74,6 @@ class SparseMatrix:
     values: np.ndarray
     # repeated row index per stored entry; derived, used by the products
     row_ids: np.ndarray = field(init=False, repr=False, compare=False)
-    # stored entries per row when every row has the same count, else None
-    # (also for a matrix of no rows); derived, used by take_rows
-    uniform_row_length: int | None = field(init=False, repr=False, compare=False)
     # sigma_max_FtF once computed. Not a functools.cached_property: that
     # moves the fields into an instance __dict__, which made every matvec
     # of the matrix about 10% slower (CPython 3.11)
@@ -111,7 +104,6 @@ class SparseMatrix:
             if np.any(np.diff(cols)[same_row] <= 0):
                 raise ValueError("column indices must be strictly increasing within a row")
         object.__setattr__(self, "row_ids", row_ids)
-        object.__setattr__(self, "uniform_row_length", _uniform_length(lengths))
         if not np.all(np.isfinite(vals)):
             raise ValueError("matrix values must be finite")
 
@@ -136,7 +128,7 @@ class SparseMatrix:
     @classmethod
     def unchecked(cls, *field_values) -> "SparseMatrix":
         """The matrix of the given field values, in field order (``n_rows``
-        to ``uniform_row_length``), valid by construction: set as given,
+        to ``row_ids``), valid by construction: set as given,
         with no check and no copy."""
         out = object.__new__(cls)
         for f, value in zip(fields(cls), field_values):
@@ -145,22 +137,13 @@ class SparseMatrix:
 
     def take_rows(self, rows) -> "SparseMatrix":
         """The given rows in the given order, repeats allowed. Rows of a
-        valid matrix are valid, so the fields are set without a check.
-        When every row stores the same k > 0 entries, whole rows are
-        gathered from a (n_rows, k) view, with no position array."""
+        valid matrix are valid, so the fields are set without a check."""
         rows = checked_rows(rows, self.n_rows)
-        k = self.uniform_row_length
-        if k:
-            cols = self.col_indices.reshape(-1, k)[rows].ravel()
-            vals = self.values.reshape(-1, k)[rows].ravel()
-            lengths = np.full(rows.size, k, dtype=np.int64)
-        else:
-            gather, lengths = row_positions(self.row_offsets, rows)
-            cols, vals = self.col_indices[gather], self.values[gather]
+        gather, lengths = row_positions(self.row_offsets, rows)
         return SparseMatrix.unchecked(
             rows.size, self.n_cols, np.concatenate(([0], np.cumsum(lengths))),
-            cols, vals, np.repeat(np.arange(rows.size, dtype=np.int64), lengths),
-            _uniform_length(lengths))
+            self.col_indices[gather], self.values[gather],
+            np.repeat(np.arange(rows.size, dtype=np.int64), lengths))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Return ``M @ v``."""

@@ -246,7 +246,7 @@ def test_build_data_checks_a_normalized_file_once(monkeypatch, tmp_path):
     for name in ("row_offsets", "col_indices", "values", "row_ids"):
         np.testing.assert_array_equal(getattr(train.features, name),
                                       getattr(checked, name))
-    assert train.uniform_row_length == checked.uniform_row_length == 8
+    assert train.full_rows and Dataset(checked, train.labels).full_rows
 
 
 def count_builds(monkeypatch, log):

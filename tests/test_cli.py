@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,6 +12,40 @@ from spdpeg.cli import main, parse_synthetic_spec
 from spdpeg.data import synthesize
 from spdpeg.trace import read_trace_csv
 
+# sha256 of the files the small verify-rates and check-lemma1 calls below
+# write. Regenerate only on a commit whose outputs are known to be right:
+#   PYTHONPATH=src python tests/test_cli.py
+RATES_GOLDEN = {
+    "convex": "0ddae43373f943551fd346b86d4fa9b1c3e93f7799f9c30a3d5fe37a858f79f6",
+    "all": "c627c7629bd933743ad07e59960bdb43b94450b72785645a353033ff61e60a35",
+}
+# test_golden_trace.SWEEP_GOLDEN hashes bench.step_inequality_sweep at seed 1
+# through json.dumps(sort_keys=True); the CLI runs seed 0 and writes the list
+# of reports indented, in insertion order. So these pin bytes it does not.
+LEMMA1_GOLDEN = {
+    "both": "f7e78bd5df3377e5c2148f793ed47dc0162172d43e274bf12d73477bae44c962",
+    "step-scale-100": "4144a95092ffb3ced1f8a0a4ab27fa380510f6f765e5baba59e212898a34d12b",
+}
+# the calls, each followed by "--out"
+RATES_ARGV = {
+    "convex": ["verify-rates", "--regime", "convex", "--iters", "2000",
+               "--seeds", "2", "--d", "8", "--n", "40", "--eval-every", "100"],
+    "all": ["verify-rates", "--regime", "all", "--iters", "1500",
+            "--seeds", "2", "--d", "8", "--n", "40", "--eval-every", "100"],
+}
+LEMMA1_ARGV = {
+    "both": ["check-lemma1", "--d", "8", "--n", "40", "--steps", "60",
+             "--references", "3", "--mode", "both"],
+    "step-scale-100": ["check-lemma1", "--d", "8", "--n", "40", "--steps", "30",
+                       "--references", "2", "--mode", "stochastic",
+                       "--step-scale", "100"],
+}
+
+
+def sha256_of(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
 
 def test_parse_synthetic_spec():
     spec = parse_synthetic_spec("fused-signal:d=12,N=80,noise=0.3", seed=7)
@@ -19,6 +55,7 @@ def test_parse_synthetic_spec():
         parse_synthetic_spec("fused-signal:d=12", seed=0)
     with pytest.raises(ValueError, match="unknown synthetic field"):
         parse_synthetic_spec("fused-signal:d=4,N=8,rho=2", seed=0)
+    assert parse_synthetic_spec("fused-signal:d=4,N=1e5", seed=0)["n"] == 100_000
 
 
 def test_run_writes_traces_and_manifest(tmp_path, capsys):
@@ -106,6 +143,16 @@ def test_run_malformed_synthetic_spec_fails_cleanly(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes", ["d=2.5,N=20", "d=1e400,N=20", "d=4,N=nan",
+                                   "d=4,N=-inf"])
+def test_run_rejects_a_synthetic_size_that_is_no_integer(tmp_path, capsys, sizes):
+    rc = main(["run", "--task", "flr", "--synthetic", f"fused-signal:{sizes}",
+               "--iters", "10", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: synthetic ") and "must be a finite integer" in line
+
+
 def test_run_reports_worker_parse_error(tmp_path, capsys, monkeypatch):
     # with two worker processes the ParseError crosses a process boundary
     data_path = tmp_path / "bad.txt"
@@ -132,43 +179,41 @@ def test_run_reports_power_iteration_error(tmp_path, capsys, monkeypatch, thread
 
 def test_verify_rates_small(tmp_path, capsys):
     out = tmp_path / "rates"
-    rc = main(["verify-rates", "--regime", "convex", "--iters", "2000",
-               "--seeds", "2", "--d", "8", "--n", "40", "--eval-every", "100",
-               "--out", str(out)])
+    rc = main([*RATES_ARGV["convex"], "--out", str(out)])
     assert rc == 0
     report = json.loads((out / "rates.json").read_text())
     assert report["convex"]["slope"] < 0.0
+    assert sha256_of(out / "rates.json") == RATES_GOLDEN["convex"]
     assert "slope=" in capsys.readouterr().out
 
 
 def test_verify_rates_ordering_small(tmp_path):
     out = tmp_path / "rates"
-    rc = main(["verify-rates", "--regime", "all", "--iters", "1500",
-               "--seeds", "2", "--d", "8", "--n", "40", "--eval-every", "100",
-               "--out", str(out)])
+    rc = main([*RATES_ARGV["all"], "--out", str(out)])
     assert rc == 0
     report = json.loads((out / "rates.json").read_text())
     assert "ordering" in report and "sc-nonuniform" in report
+    assert sha256_of(out / "rates.json") == RATES_GOLDEN["all"]
 
 
 def test_check_lemma1_cli(tmp_path, capsys):
     report_path = tmp_path / "lemma.json"
-    rc = main(["check-lemma1", "--d", "8", "--n", "40", "--steps", "60",
-               "--references", "3", "--mode", "both", "--out", str(report_path)])
+    rc = main([*LEMMA1_ARGV["both"], "--out", str(report_path)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "diverged" not in out
     reports = json.loads(report_path.read_text())
     assert {r["mode"] for r in reports} == {"deterministic", "stochastic"}
     assert all(r["min_relative_slack"] >= -1e-8 for r in reports)
+    assert sha256_of(report_path) == LEMMA1_GOLDEN["both"]
 
 
-def test_check_lemma1_flags_inflated_steps(capsys):
-    rc = main(["check-lemma1", "--d", "8", "--n", "40", "--steps", "30",
-               "--references", "2", "--mode", "stochastic",
-               "--step-scale", "100"])
+def test_check_lemma1_flags_inflated_steps(tmp_path, capsys):
+    report_path = tmp_path / "lemma.json"
+    rc = main([*LEMMA1_ARGV["step-scale-100"], "--out", str(report_path)])
     out = capsys.readouterr().out
     assert rc == 0
+    assert sha256_of(report_path) == LEMMA1_GOLDEN["step-scale-100"]
     flagged = int(out.split("steps with a negative")[0].rsplit(";", 1)[1].strip())
     assert flagged >= 1
     assert ("stochastic: the run diverged at iteration 15; only the 15 "
@@ -194,3 +239,14 @@ def test_plotdata_empty_glob(tmp_path, capsys):
                "--out", str(tmp_path / "plot.csv")])
     assert rc == 1
     assert "no trace files" in capsys.readouterr().err
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in RATES_ARGV.items():
+            main([*argv, "--out", os.path.join(tmp, name)])
+            print(f'RATES {name}: {sha256_of(os.path.join(tmp, name, "rates.json"))}')
+        for name, argv in LEMMA1_ARGV.items():
+            path = os.path.join(tmp, f"{name}.json")
+            main([*argv, "--out", path])
+            print(f"LEMMA1 {name}: {sha256_of(path)}")

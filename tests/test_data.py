@@ -44,6 +44,11 @@ def test_parse_error_carries_line_number():
         parse_libsvm("1 0:1\n")
     with pytest.raises(ParseError):
         parse_libsvm("")
+    # an index beyond int64 is a parse error, not an OverflowError
+    with pytest.raises(ParseError, match="index 99999999999999999999 is not in") as exc:
+        parse_libsvm("1 1:1\n1 99999999999999999999:1.0\n")
+    assert exc.value.line_no == 2
+    assert parse_libsvm("1 9223372036854775807:1\n").dimension == 2 ** 63 - 1
 
 
 def test_parse_error_survives_pickling():

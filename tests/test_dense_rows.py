@@ -106,8 +106,7 @@ def test_subset_matches_the_csr_twin(n, d, view_reads):
         for name in ("indptr", "data", "labels"):
             assert_same(getattr(got, name), getattr(want, name))
         assert_same(got.row_norms_sq(), want.row_norms_sq())
-        assert ((got.dimension, got.uniform_row_length)
-                == (want.dimension, want.uniform_row_length))
+        assert (got.dimension, got.full_rows) == (want.dimension, want.full_rows)
         assert got.fingerprint() == want.fingerprint()
     assert not any(r is dense for r in view_reads)
     for bad in ([n], [-1], [[0]]):
@@ -123,8 +122,8 @@ def test_csr_view_is_the_twins_matrix_built_once(n, d):
     dense, csr = Dataset.from_dense_rows(rows, labels), csr_twin(rows, labels)
     for got, want in ((dense, csr), (dense.subset([n - 1, 0]), csr.subset([n - 1, 0]))):
         f, g = got.features, want.features
-        assert (f.n_rows, f.n_cols, f.uniform_row_length) == (
-            g.n_rows, g.n_cols, g.uniform_row_length)
+        assert (f.n_rows, f.n_cols, got.full_rows) == (
+            g.n_rows, g.n_cols, want.full_rows)
         for name in ("row_offsets", "col_indices", "values", "row_ids"):
             assert_same(getattr(f, name), getattr(g, name))
         assert got.features is f

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import reference_power_iteration, sparse_from_dense
 from spdpeg import bench
 from spdpeg.data import synthesize
+from spdpeg.model import Dataset
 from spdpeg.penalties import build_fused_matrix, build_graph_matrix
 from spdpeg.sparse import (PowerIterationError, SparseMatrix,
                            power_iteration_sigma_max)
@@ -212,6 +213,9 @@ def test_fingerprint_is_pinned():
 # five rows over four features: ragged, rows 1 and 4 empty, a stored -0.0
 RAGGED = SparseMatrix(5, 4, [0, 2, 2, 5, 6, 6], [0, 3, 0, 1, 2, 3],
                       [1.5, -0.0, 2.0, -3.0, 0.25, 4.0])
+# three rows of two stored entries each: one row length, below n_cols
+UNIFORM = SparseMatrix(3, 4, [0, 2, 4, 6], [0, 3, 1, 2, 0, 1],
+                       [1.5, -0.0, 2.0, -3.0, 0.25, 4.0])
 
 
 def checked_take(m, rows):
@@ -225,20 +229,24 @@ def checked_take(m, rows):
                         m.col_indices[gather], m.values[gather])
 
 
-@pytest.mark.parametrize("rows", [
-    pytest.param([0, 1, 2, 3, 4], id="all"),
-    pytest.param([3, 0, 2], id="ragged"),
-    pytest.param([1, 4], id="only-empty"),
-    pytest.param([4, 2, 2, 1, 2, 0], id="repeated"),
-    pytest.param([], id="none"),
+@pytest.mark.parametrize("m, rows", [
+    pytest.param(RAGGED, [0, 1, 2, 3, 4], id="all"),
+    pytest.param(RAGGED, [3, 0, 2], id="ragged"),
+    pytest.param(RAGGED, [1, 4], id="only-empty"),
+    pytest.param(RAGGED, [4, 2, 2, 1, 2, 0], id="repeated"),
+    pytest.param(RAGGED, [], id="none"),
+    pytest.param(UNIFORM, [0, 1, 2], id="uniform-all"),
+    pytest.param(UNIFORM, [2, 0], id="uniform-reversed"),
+    pytest.param(UNIFORM, [1, 1, 1, 0], id="uniform-repeated"),
+    pytest.param(UNIFORM, [], id="uniform-none"),
 ])
-def test_take_rows_equals_checked_gather(rows):
-    got, want = RAGGED.take_rows(rows), checked_take(RAGGED, rows)
+def test_take_rows_equals_checked_gather(m, rows):
+    got, want = m.take_rows(rows), checked_take(m, rows)
     assert got.shape == want.shape == (len(rows), 4)
     for name in ("row_offsets", "col_indices", "values", "row_ids"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    np.testing.assert_array_equal(got.to_dense(), RAGGED.to_dense()[rows])
+    np.testing.assert_array_equal(got.to_dense(), m.to_dense()[rows])
 
 
 def test_take_rows_rejects_rows_out_of_range():
@@ -247,24 +255,15 @@ def test_take_rows_rejects_rows_out_of_range():
             RAGGED.take_rows(rows)
 
 
-# three rows of two stored entries each: take_rows gathers whole rows
-UNIFORM = SparseMatrix(3, 4, [0, 2, 4, 6], [0, 3, 1, 2, 0, 1],
-                       [1.5, -0.0, 2.0, -3.0, 0.25, 4.0])
-
-
-def test_uniform_row_length():
-    assert UNIFORM.uniform_row_length == 2
-    assert RAGGED.uniform_row_length is None
-    assert SparseMatrix(2, 3, [0, 0, 0], [], []).uniform_row_length == 0
-    assert SparseMatrix(0, 3, [0], [], []).uniform_row_length is None
-    assert UNIFORM.take_rows([2, 2, 0]).uniform_row_length == 2
-
-
-@pytest.mark.parametrize("rows", [[0, 1, 2], [2, 0], [1, 1, 1, 0], []])
-def test_take_rows_of_one_row_length_equals_checked_gather(rows):
-    got, want = UNIFORM.take_rows(rows), checked_take(UNIFORM, rows)
-    assert got.shape == want.shape == (len(rows), 4)
-    for name in ("row_offsets", "col_indices", "values", "row_ids"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    np.testing.assert_array_equal(got.to_dense(), UNIFORM.to_dense()[rows])
+def test_full_rows():
+    # one row length below d is not full; rows of every column are
+    assert not Dataset(UNIFORM, np.ones(3)).full_rows
+    assert not Dataset(RAGGED, np.ones(5)).full_rows
+    assert not Dataset(SparseMatrix(2, 3, [0, 0, 0], [], []), np.ones(2)).full_rows
+    assert Dataset(SparseMatrix(2, 0, [0, 0, 0], [], []), np.ones(2)).full_rows
+    full = Dataset(SparseMatrix(3, 2, [0, 2, 4, 6], [0, 1, 0, 1, 0, 1],
+                                [1.5, -0.0, 2.0, -3.0, 0.25, 4.0]), np.ones(3))
+    assert full.full_rows and full.subset([2, 2, 0]).full_rows
+    assert not Dataset(UNIFORM, np.ones(3)).subset([2, 2, 0]).full_rows
+    dense = Dataset.from_dense_rows(np.zeros((3, 1)), np.ones(3))
+    assert dense.full_rows and dense.subset([1]).full_rows
