@@ -10,6 +10,5 @@ from .model import Problem, SolverConfig, estimate_lipschitz
 from .penalties import build_fused_matrix
 from .prox import ProxSpec
 from .solver import run
-from .sparse import power_iteration_sigma_max
 
 __version__ = "0.1.0"

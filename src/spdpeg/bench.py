@@ -132,8 +132,9 @@ def build_problem(problem_cfg: dict, penalty: SparseMatrix) -> Problem:
 def derive_constants(problem: Problem, train: Dataset, gamma: float,
                      regime: str) -> dict:
     """The step constants of a problem on its training set. The row norms
-    and the penalty's power iteration are cached on ``train`` and on
-    ``problem.penalty``, so deriving again for the same pair costs nothing."""
+    are cached on ``train`` and ``sigma_max_FtF`` on ``problem.penalty``
+    (closed form for a fused penalty, power iteration for the others), so
+    deriving again for the same pair costs nothing."""
     lips_data = estimate_lipschitz(train, problem.loss)
     lips = max(lips_data + problem.ridge, 1e-12)
     sigma = problem.penalty.sigma_max_FtF
@@ -300,10 +301,13 @@ def replay_manifest(manifest_path, out_dir) -> list[str]:
     os.makedirs(out_dir, exist_ok=True)
     core = manifest["core"]
     built = build_all(core)
-    for key, expect in manifest["derived"].items():
-        if built[3][key] != expect:
+    # in derivation order, so a changed sigma_max_FtF is named, not the
+    # L_tilde that follows from it
+    for key, value in built[3].items():
+        expect = manifest["derived"].get(key, value)
+        if value != expect:
             raise ValueError(f"derived constant {key} changed: manifest has "
-                             f"{expect!r}, recomputed {built[3][key]!r}")
+                             f"{expect!r}, recomputed {value!r}")
     written = []
     for entry in manifest["runs"]:
         solver, seed = entry["solver"], entry["seed"]

@@ -41,7 +41,14 @@ class GraphSpec:
 
 def build_fused_matrix(d: int) -> SparseMatrix:
     """(d-1) x d first-difference matrix: ones on the diagonal, minus ones
-    on the superdiagonal."""
+    on the superdiagonal.
+
+    Its ``sigma_max_FtF`` is set in closed form, with no power iteration:
+    F^T F is the path-graph Laplacian, whose largest eigenvalue is
+    2 + 2 cos(pi/d) (Strang, SIAM Review 1999). One ulp up from the
+    rounded cosine form is never below the exact value and at most about
+    2 ulp above it (checked against 50-digit arithmetic for d = 2..5000),
+    so the step constant stays an upper bound."""
     if d < 2:
         raise ValueError("fused penalty needs dimension >= 2")
     cols = np.empty(2 * (d - 1), dtype=np.int64)
@@ -49,7 +56,10 @@ def build_fused_matrix(d: int) -> SparseMatrix:
     cols[1::2] = np.arange(1, d)
     vals = np.tile([1.0, -1.0], d - 1)
     offsets = 2 * np.arange(d, dtype=np.int64)
-    return SparseMatrix(d - 1, d, offsets, cols, vals)
+    m = SparseMatrix(d - 1, d, offsets, cols, vals)
+    object.__setattr__(m, "_sigma_max_FtF",
+                       math.nextafter(2.0 + 2.0 * math.cos(math.pi / d), math.inf))
+    return m
 
 
 def build_graph_matrix(spec: GraphSpec) -> SparseMatrix:

@@ -109,10 +109,12 @@ class SparseMatrix:
 
     @property
     def sigma_max_FtF(self) -> float:
-        """``power_iteration_sigma_max`` of this matrix at its default
-        tolerance, computed on first use and kept. The fields are frozen,
-        but the arrays are not: like ``Dataset.dense_columns``, the cache
-        assumes they are not mutated in place."""
+        """The largest eigenvalue of ``M.T M``: the value the builder set,
+        if any (``build_fused_matrix`` sets an upper bound in closed form),
+        otherwise ``power_iteration_sigma_max`` at its default tolerance,
+        computed on first use and kept. The fields are frozen, but the
+        arrays are not: like ``Dataset.dense_columns``, the cache assumes
+        they are not mutated in place."""
         if self._sigma_max_FtF is None:
             object.__setattr__(self, "_sigma_max_FtF", power_iteration_sigma_max(self))
         return self._sigma_max_FtF

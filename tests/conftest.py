@@ -62,6 +62,21 @@ def save_penalty(path, m: SparseMatrix) -> None:
             fh.write(f"{int(r)} {int(c)} {float(v)!r}\n")
 
 
+def count_calls(monkeypatch, owner, name, *aliases):
+    """Count the calls of ``owner.name``, also through the modules in
+    ``aliases`` that may have imported it by name."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for ns in (owner, *aliases):
+        monkeypatch.setattr(ns, name, counted, raising=False)
+    return calls
+
+
 def diverge_for_seed(seed):
     """``solver.run`` with 100x steps for ``seed``, so that run diverges."""
     def run_diverging(problem, dataset, config, test_dataset=None):

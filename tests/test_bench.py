@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from conftest import diverge_for_seed, save_penalty, serialize_libsvm
+from conftest import (count_calls, diverge_for_seed, save_penalty,
+                      serialize_libsvm)
 from spdpeg import bench, sparse
 from spdpeg.data import normalize_features
 from spdpeg.model import Dataset, estimate_lipschitz
@@ -84,8 +85,7 @@ def test_reference_cache_keeps_capped_runs_apart(tmp_path):
 
 def test_reference_cache_file_is_pinned(tmp_path):
     # two capped runs, one ending between checkpoints and one on a
-    # checkpoint, a run of no iterations and a converged run; generated with
-    # the implementation that evaluated every final iterate again
+    # checkpoint, a run of no iterations and a converged run
     train, _, problem, _ = bench.build_all(small_core())
     cache = tmp_path / "cache.json"
     for max_iters, check_every in ((50, 20), (40, 20), (0, 20), (100_000, 500)):
@@ -93,45 +93,31 @@ def test_reference_cache_file_is_pinned(tmp_path):
                                 check_every=check_every, tol=1e-6,
                                 cache_path=cache)
     assert hashlib.sha256(cache.read_bytes()).hexdigest() == \
-        "c99d45e62f663d0e3974c3d9ddd17a0206630e772c2ed6e8cd018389f587d1d2"
-
-
-def _count_calls(monkeypatch, owner, name, *aliases):
-    """Count the calls of ``owner.name``, also through the modules in
-    ``aliases`` that may have imported it by name."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    for ns in (owner, *aliases):
-        monkeypatch.setattr(ns, name, counted, raising=False)
-    return calls
+        "399f9f4810a182f53ee2afb8dc473323845eddd7d734c5c2a8a1b377a6b9daed"
 
 
 def test_uncached_reference_redoes_no_dataset_work(monkeypatch):
-    matrix_hashes = _count_calls(monkeypatch, SparseMatrix, "fingerprint")
-    dataset_hashes = _count_calls(monkeypatch, Dataset, "fingerprint")
-    norms = _count_calls(monkeypatch, Dataset, "row_norms_sq")
-    powers = _count_calls(monkeypatch, sparse, "power_iteration_sigma_max", bench)
+    matrix_hashes = count_calls(monkeypatch, SparseMatrix, "fingerprint")
+    dataset_hashes = count_calls(monkeypatch, Dataset, "fingerprint")
+    norms = count_calls(monkeypatch, Dataset, "row_norms_sq")
+    powers = count_calls(monkeypatch, sparse, "power_iteration_sigma_max", bench)
     core = small_core()
     core["data"].update(split=True, split_seed=3)
     train, _, problem, derived = bench.build_all(core)
     ref = bench.reference_optimum(problem, train, 0.1, max_iters=5)
+    # the fused penalty's sigma_max is set in closed form when it is built
     assert (len(matrix_hashes), len(dataset_hashes), len(norms),
-            len(powers)) == (0, 0, 1, 1)
+            len(powers)) == (0, 0, 1, 0)
     # the constants the reference steps with are the ones build_all derived
     assert bench.derive_constants(problem, train, 0.1, "convex") == derived
-    assert (len(norms), len(powers)) == (1, 1)
+    assert (len(norms), len(powers)) == (1, 0)
     assert ref.iterations == 5
 
 
 @pytest.mark.parametrize("max_iters, evaluations", [(5, 1), (7, 2), (10, 2), (0, 1)])
 def test_reference_evaluates_each_iterate_once(monkeypatch, max_iters, evaluations):
     train, _, problem, _ = bench.build_all(small_core())
-    calls = _count_calls(monkeypatch, bench, "objective_value")
+    calls = count_calls(monkeypatch, bench, "objective_value")
     bench.reference_optimum(problem, train, 0.1, max_iters=max_iters,
                             check_every=5)
     assert len(calls) == evaluations

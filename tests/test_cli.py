@@ -10,21 +10,22 @@ from conftest import diverge_for_seed, save_penalty, serialize_libsvm
 from spdpeg import bench
 from spdpeg.cli import main, parse_synthetic_spec
 from spdpeg.data import synthesize
+from spdpeg.penalties import build_fused_matrix
 from spdpeg.trace import read_trace_csv
 
 # sha256 of the files the small verify-rates and check-lemma1 calls below
 # write. Regenerate only on a commit whose outputs are known to be right:
 #   PYTHONPATH=src python tests/test_cli.py
 RATES_GOLDEN = {
-    "convex": "0ddae43373f943551fd346b86d4fa9b1c3e93f7799f9c30a3d5fe37a858f79f6",
-    "all": "c627c7629bd933743ad07e59960bdb43b94450b72785645a353033ff61e60a35",
+    "convex": "25a254aa3491559943962769544b612e95071015447968c2ef5fc9ff635a5088",
+    "all": "023bee7c576c2253cee60271e2da513d10b90c23269d04076a83ee311ec72a1b",
 }
 # test_golden_trace.SWEEP_GOLDEN hashes bench.step_inequality_sweep at seed 1
 # through json.dumps(sort_keys=True); the CLI runs seed 0 and writes the list
 # of reports indented, in insertion order. So these pin bytes it does not.
 LEMMA1_GOLDEN = {
-    "both": "f7e78bd5df3377e5c2148f793ed47dc0162172d43e274bf12d73477bae44c962",
-    "step-scale-100": "4144a95092ffb3ced1f8a0a4ab27fa380510f6f765e5baba59e212898a34d12b",
+    "both": "c49a7aebc1fa31baf550836d2a04dc74b50821a37829e22c3de69b97c8f42cf3",
+    "step-scale-100": "e14ef1070ecff9f9b173e3320e2f302c473efd98885f3ed5b3925026cf80e591",
 }
 # the calls, each followed by "--out"
 RATES_ARGV = {
@@ -108,7 +109,6 @@ def test_run_on_libsvm_file_with_penalty_file(tmp_path):
     ds, _, _ = synthesize("fused-signal", 6, 40, 0.2, 11)
     data_path = tmp_path / "data.txt"
     data_path.write_text(serialize_libsvm(ds))
-    from spdpeg.penalties import build_fused_matrix
     pen_path = tmp_path / "penalty.txt"
     save_penalty(pen_path, build_fused_matrix(6))
     out = tmp_path / "out"
@@ -166,15 +166,27 @@ def test_run_reports_worker_parse_error(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_run_reports_power_iteration_error(tmp_path, capsys, monkeypatch, threads):
-    # sigma_max of the fused penalty at d=300 needs more than 10,000 steps;
+    # a file penalty gets its sigma_max by power iteration, and for the
+    # first-difference matrix of d=300 that needs more than 10,000 steps;
     # with two workers the error crosses a process boundary
+    pen_path = tmp_path / "penalty.txt"
+    save_penalty(pen_path, build_fused_matrix(300))
     monkeypatch.setenv("SPDPEG_THREADS", threads)
     rc = main(["run", "--task", "flr", "--synthetic", "fused-signal:d=300,N=500",
-               "--iters", "10", "--out", str(tmp_path / "o")])
+               "--penalty-file", str(pen_path), "--iters", "10",
+               "--out", str(tmp_path / "o")])
     assert rc == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(
         "error: power iteration did not converge in 10000 iterations")
+
+
+def test_run_fused_penalty_of_d_300(tmp_path):
+    # the fused penalty's sigma_max is in closed form, so no power
+    # iteration limits its dimension
+    rc = main(["run", "--task", "flr", "--synthetic", "fused-signal:d=300,N=500",
+               "--iters", "10", "--out", str(tmp_path / "o")])
+    assert rc == 0
 
 
 def test_verify_rates_small(tmp_path, capsys):

@@ -55,12 +55,12 @@ SOLVER_FNS = {"spdpeg": solver.run, "eg-full": baselines.run_eg_full,
               "slinadmm": baselines.run_stoch_linadmm}
 
 GOLDEN = {
-    "convex-b1/spdpeg/seed0": "1d08f4ae613c2fd42ee32f25548c1e9453f74342e5def1a6876cc2025c61f98d",
-    "convex-b1/spdpeg/seed1": "160dcc209f7b567060fd9610a7cdfb7bff138ebfe22ad30b0442fca5172e1542",
-    "convex-b1/eg-full/seed0": "8ef19152ff52e54d295a54a37ff6e55b2818056424a10fcc97def0bd99cdae77",
-    "convex-b1/eg-full/seed1": "8ef19152ff52e54d295a54a37ff6e55b2818056424a10fcc97def0bd99cdae77",
-    "convex-b1/slinadmm/seed0": "d2f12f06b929c18797971ceccd383f250393dd3f945ffd7443892d8ca4d74223",
-    "convex-b1/slinadmm/seed1": "982764a9fbfa2f5325562b9638228977e08f4d4bfd595ca00f1662ad852bceab",
+    "convex-b1/spdpeg/seed0": "e913a0f26364b865c6ed491b5ec556df459a0d79188a15d999520fe0c0b0893e",
+    "convex-b1/spdpeg/seed1": "335b22e9d31672ab21dcd6889e02693f2a3912861d2651714355855b63cb4474",
+    "convex-b1/eg-full/seed0": "0eaf13775b2f0cc25f896a8987394ff946e439bbdf6213943d2f7798babd6c74",
+    "convex-b1/eg-full/seed1": "0eaf13775b2f0cc25f896a8987394ff946e439bbdf6213943d2f7798babd6c74",
+    "convex-b1/slinadmm/seed0": "eb7cf41bb84412da5ade4f00fe00e87afb38d01e7d9ee7c193e39727d99b4111",
+    "convex-b1/slinadmm/seed1": "a7dc25576c06f82a075334ae5c673396146a82ec46a024196a67471d2f9a6066",
     "sc-b16/spdpeg/seed0": "6d50fa87758ece2f8b5eb4d0e4265e4657f87d0f37613b7341bcba691d848c2b",
     "sc-b16/spdpeg/seed1": "f83d08dea69a1e60383409143c47639f50414bc2012e21b858744eea0b023644",
     "sc-b16/eg-full/seed0": "134e3cf7a30c371445535637f1533cd4145d2ece243de9dca4d34407bd64142d",
@@ -78,9 +78,9 @@ GOLDEN = {
 REFERENCE_ITERS = 4000
 REFERENCE_CHECK_EVERY = 500
 REFERENCE_GOLDEN = {
-    "convex-b1": "dcea4f757e2db506c4424a4bca15a45bbd296147d297a75d9dbea06cb6c277b9",
+    "convex-b1": "020ce0cbec332ddffbf2e03f3982bdc57d0f16eca22993fe2186d8c0a0867c05",
     "sc-b16": "1605dc40385a4ed2ee9e3c37c04ef9632f7ef2bd3c92c160b4dfffa7f837065e",
-    "ls-ragged-b4": "414a48de6440a9ff6b8e39d14cc7642db21ed06ed1f1c2bb6d6512b712835a10",
+    "ls-ragged-b4": "92a19c13cd965f4e70a5e0a0473eaa5a7f4cec668a20dcf85a7e836da527e9e3",
 }
 
 SWEEPS = {
@@ -92,9 +92,9 @@ SWEEPS = {
                       step_scale=100.0),
 }
 SWEEP_GOLDEN = {
-    "stochastic": "27ea4ab358ead2fa3f150de657a7ee9ac5a943125368ee6e64b3b6c44bad0242",
-    "deterministic": "0ca9d470dc50cd3ab273f3e32035ae4f3df299a12e201d3fa97d0969cd556776",
-    "divergent": "354f344a321c2fb65b73b8cfbe00d7ee8e467eb4c823eb945e7e64ded5e08a10",
+    "stochastic": "c5dace119c5e80d4972a16b542d2c9125b21d1325e56ad95181e08c37176b2b9",
+    "deterministic": "8125179d4bf5de8a44edf471f4a9566c00471a6e83cd3dd35d025194f471a0e2",
+    "divergent": "1fee75651200c8004f3b502ebec113e7b562fdd66ae7d9298ebfae41e295385b",
 }
 
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import csr_dataset, save_penalty, sparse_from_dense
+from conftest import count_calls, csr_dataset, save_penalty, sparse_from_dense
+from spdpeg import bench, sparse
 from spdpeg.model import Dataset
 from spdpeg.penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
                               load_penalty, precision_graph_from_data)
@@ -24,6 +25,33 @@ def test_fused_matrix_spectrum():
         exact = max(2.0 - 2.0 * math.cos(k * math.pi / d) for k in range(d))
         got = power_iteration_sigma_max(build_fused_matrix(d), tol=1e-13)
         assert got == pytest.approx(exact, rel=1e-8)
+
+
+def test_fused_sigma_max_bounds_the_exact_eigenvalue():
+    # mpmath is not a dependency of the package; it is used only here, as
+    # 50-digit arithmetic to check the closed form against
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for d in range(2, 5001):
+            got = build_fused_matrix(d).sigma_max_FtF
+            excess = mpmath.mpf(got) - (2 + 2 * mpmath.cos(mpmath.pi / d))
+            assert 0 <= excess <= 2 * math.ulp(got), d
+
+
+@pytest.mark.parametrize("d", [2, 3, 20, 250, 1000])
+def test_fused_sigma_max_matches_eigvalsh(d):
+    m = build_fused_matrix(d)
+    dense = m.to_dense()
+    exact = np.linalg.eigvalsh(dense.T @ dense).max()
+    assert m.sigma_max_FtF == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def test_only_non_fused_builds_run_the_power_iteration(monkeypatch):
+    calls = count_calls(monkeypatch, sparse, "power_iteration_sigma_max")
+    for family, expect in (("convex", 0), ("sc", 1)):
+        calls.clear()
+        bench.build_all(bench.rate_core(family))
+        assert len(calls) == expect, family
 
 
 def test_fused_matrix_row_sums_zero():

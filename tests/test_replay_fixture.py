@@ -1,0 +1,73 @@
+"""Committed run manifests replay byte for byte.
+
+``tests/data/replay/<task>/`` holds the manifest and trace CSVs of one
+``spdpeg run`` per task (``flr`` and ``ggrlr``): d=10, N=60, all three
+solvers, two seeds. Replaying each through ``spdpeg run --from-manifest``
+must rewrite every trace file byte for byte, so the manifest format, the
+derived constants and the solvers' bits are pinned across changes.
+
+Regenerate with ``PYTHONPATH=src python tests/test_replay_fixture.py`` only
+on a commit whose traces are known to be right, and say so in the change
+that does it.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+from spdpeg.cli import main
+from spdpeg.model import compute_L_tilde
+from spdpeg.penalties import build_fused_matrix
+from spdpeg.sparse import power_iteration_sigma_max
+
+FIXTURE = Path(__file__).resolve().parent / "data" / "replay"
+RUN_ARGV = {
+    "flr": ["--task", "flr", "--synthetic", "fused-signal:d=10,N=60"],
+    "ggrlr": ["--task", "ggrlr", "--synthetic", "graph-logistic:d=10,N=60"],
+}
+COMMON_ARGV = ["--solver", "all", "--seeds", "2", "--iters", "200",
+               "--eval-every", "50"]
+
+
+@pytest.mark.parametrize("task", list(RUN_ARGV))
+def test_committed_manifest_replays_byte_for_byte(task, tmp_path):
+    recorded = FIXTURE / task
+    traces = sorted(p.name for p in recorded.glob("trace_*.csv"))
+    assert len(traces) == 6
+    rc = main(["run", "--from-manifest", str(recorded / "manifest.json"),
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert sorted(p.name for p in tmp_path.glob("trace_*.csv")) == traces
+    for name in traces:
+        assert (tmp_path / name).read_bytes() == (recorded / name).read_bytes(), name
+
+
+def test_fused_manifest_with_the_power_iteration_sigma_fails(tmp_path, capsys):
+    # the fused sigma_max was a power iteration before it was set in closed
+    # form; a manifest written then records it and the L_tilde that follows
+    # from it, and no longer replays
+    manifest = json.loads((FIXTURE / "flr" / "manifest.json").read_text())
+    derived = manifest["derived"]
+    sigma = power_iteration_sigma_max(build_fused_matrix(10))
+    derived.update(sigma_max_FtF=sigma, L_tilde=compute_L_tilde(
+        manifest["core"]["config"]["gamma"], sigma, derived["lipschitz_L"], 0.0))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    rc = main(["run", "--from-manifest", str(path),
+               "--out", str(tmp_path / "replay")])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: derived constant sigma_max_FtF changed")
+
+
+if __name__ == "__main__":
+    for task, argv in RUN_ARGV.items():
+        out = FIXTURE / task
+        shutil.rmtree(out, ignore_errors=True)
+        if main(["run", *argv, *COMMON_ARGV, "--out", str(out)]) != 0:
+            sys.exit(f"the {task} run failed")
