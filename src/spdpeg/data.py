@@ -153,8 +153,9 @@ def synthesize(kind: str, d: int, n: int, noise: float,
         raise ValueError(f"unknown synthetic kind {kind!r}")
     if d < 2 or n < 2:
         raise ValueError("need d >= 2 and n >= 2")
-    if noise < 0:
-        raise ValueError("noise must be >= 0")
+    if not (math.isfinite(noise) and noise >= 0):
+        # a NaN noise makes every label -1, an infinite one drowns x*
+        raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
     rng = np.random.default_rng(seed)
     graph = None
     if kind == "fused-signal":

@@ -56,10 +56,11 @@ def build_fused_matrix(d: int) -> SparseMatrix:
     cols[1::2] = np.arange(1, d)
     vals = np.tile([1.0, -1.0], d - 1)
     offsets = 2 * np.arange(d, dtype=np.int64)
-    m = SparseMatrix(d - 1, d, offsets, cols, vals)
-    object.__setattr__(m, "_sigma_max_FtF",
-                       math.nextafter(2.0 + 2.0 * math.cos(math.pi / d), math.inf))
-    return m
+    row_ids = np.repeat(np.arange(d - 1, dtype=np.int64), 2)
+    # laid out here, valid by construction: no CSR check
+    return SparseMatrix.unchecked(
+        d - 1, d, offsets, cols, vals, row_ids,
+        math.nextafter(2.0 + 2.0 * math.cos(math.pi / d), math.inf))
 
 
 def build_graph_matrix(spec: GraphSpec) -> SparseMatrix:
@@ -128,6 +129,9 @@ def load_penalty(path) -> SparseMatrix:
             r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise ValueError(f"penalty file line {k + 2}: malformed entry") from None
+        if not math.isfinite(v):
+            raise ValueError(f"penalty file line {k + 2}: non-finite value "
+                             f"{parts[2]!r}")
         if not (0 <= r < n_rows and 0 <= c < n_cols):
             raise ValueError(f"penalty file line {k + 2}: index out of range")
         if (r, c) <= prev:

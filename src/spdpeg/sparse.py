@@ -130,8 +130,8 @@ class SparseMatrix:
     @classmethod
     def unchecked(cls, *field_values) -> "SparseMatrix":
         """The matrix of the given field values, in field order (``n_rows``
-        to ``row_ids``), valid by construction: set as given,
-        with no check and no copy."""
+        to ``row_ids``, then optionally ``_sigma_max_FtF``), valid by
+        construction: set as given, with no check and no copy."""
         out = object.__new__(cls)
         for f, value in zip(fields(cls), field_values):
             object.__setattr__(out, f.name, value)

@@ -85,6 +85,14 @@ def diverge_for_seed(seed):
     return run_diverging
 
 
+def logaddexp_logistic_losses(labels, m) -> np.ndarray:
+    """Per-sample logistic losses log(1 + exp(-b*m)) as
+    ``oracles.loss_from_margins`` took them before it used the split form:
+    ``np.logaddexp``, which calls libm per element. The tolerance reference
+    of the vectorised kernel, which differs from it in the last bits."""
+    return np.logaddexp(0.0, -np.asarray(labels) * np.asarray(m))
+
+
 def reference_power_iteration(m: SparseMatrix, tol: float = 1e-10,
                               max_iter: int = 10000) -> float:
     """``power_iteration_sigma_max`` as it was written before its steps

@@ -18,7 +18,7 @@ from spdpeg.trace import read_trace_csv
 #   PYTHONPATH=src python tests/test_cli.py
 RATES_GOLDEN = {
     "convex": "25a254aa3491559943962769544b612e95071015447968c2ef5fc9ff635a5088",
-    "all": "023bee7c576c2253cee60271e2da513d10b90c23269d04076a83ee311ec72a1b",
+    "all": "24db5ff32fae0e25b25e640e26e9769a018ec744b942703c42a754d053e1fbab",
 }
 # test_golden_trace.SWEEP_GOLDEN hashes bench.step_inequality_sweep at seed 1
 # through json.dumps(sort_keys=True); the CLI runs seed 0 and writes the list
@@ -151,6 +151,16 @@ def test_run_rejects_a_synthetic_size_that_is_no_integer(tmp_path, capsys, sizes
     assert rc == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: synthetic ") and "must be a finite integer" in line
+
+
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_run_rejects_non_finite_synthetic_noise(tmp_path, capsys, noise):
+    rc = main(["run", "--synthetic", f"fused-signal:d=20,N=200,noise={noise}",
+               "--iters", "10", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: noise must be finite and >= 0, got {noise}"
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_run_reports_worker_parse_error(tmp_path, capsys, monkeypatch):

@@ -186,6 +186,15 @@ def test_synthesize_rejects_bad_args():
         synthesize("fused-signal", 4, 10, -0.1, 0)
 
 
+@pytest.mark.parametrize("kind", ["fused-signal", "graph-logistic"])
+@pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+def test_synthesize_rejects_non_finite_noise(kind, noise):
+    # a NaN noise labels every sample -1; an infinite one makes the labels
+    # independent of x*
+    with pytest.raises(ValueError, match="noise must be finite"):
+        synthesize(kind, 6, 20, noise, 0)
+
+
 def test_normalize_features_scales_to_unit_max():
     ds = parse_libsvm("+1 1:2.0 2:0.5\n-1 1:-4.0\n")
     scaled, scales = normalize_features(ds)

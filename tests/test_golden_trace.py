@@ -5,6 +5,11 @@ CSV (without the ``wall_seconds`` column, the only one that may vary between
 runs) together with ``x_avg.tobytes()``. A refactor or a speedup that keeps
 these digests keeps every trace byte-identical.
 
+``XAVG_GOLDEN`` pins each case's trajectory apart from its evaluation: the
+sha256 of ``x_avg``, the final ``x`` and the final ``lam``. A change to how
+the trace columns are evaluated (the objective or test loss) moves a
+``GOLDEN`` digest but none of these; a change to a step moves both.
+
 The grid is 3 solvers x 2 seeds x 3 instances:
 - ``convex-b1``: the convex rate family (fused logistic) at batch size 1;
 - ``sc-b16``: the strongly convex rate family (graph-guided logistic) at
@@ -25,10 +30,12 @@ Two more loops are pinned the same way:
 The digests pin the rounding of one numpy/BLAS build. Regenerate them with
 ``PYTHONPATH=src python tests/test_golden_trace.py`` only on a commit whose
 traces are known to be right, and say so in the change that does it.
+Regenerate only the digests the change is meant to move.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -59,20 +66,41 @@ GOLDEN = {
     "convex-b1/spdpeg/seed1": "335b22e9d31672ab21dcd6889e02693f2a3912861d2651714355855b63cb4474",
     "convex-b1/eg-full/seed0": "0eaf13775b2f0cc25f896a8987394ff946e439bbdf6213943d2f7798babd6c74",
     "convex-b1/eg-full/seed1": "0eaf13775b2f0cc25f896a8987394ff946e439bbdf6213943d2f7798babd6c74",
-    "convex-b1/slinadmm/seed0": "eb7cf41bb84412da5ade4f00fe00e87afb38d01e7d9ee7c193e39727d99b4111",
-    "convex-b1/slinadmm/seed1": "a7dc25576c06f82a075334ae5c673396146a82ec46a024196a67471d2f9a6066",
+    "convex-b1/slinadmm/seed0": "8deb02235c740e6d37fc232a36c4a6fbbfdd0f5cb567b06edf80dbec486bcbc5",
+    "convex-b1/slinadmm/seed1": "b6abeabea25140959c4f7c647f25399c71f5b9421d23581aec9be5f718d74bca",
     "sc-b16/spdpeg/seed0": "6d50fa87758ece2f8b5eb4d0e4265e4657f87d0f37613b7341bcba691d848c2b",
     "sc-b16/spdpeg/seed1": "f83d08dea69a1e60383409143c47639f50414bc2012e21b858744eea0b023644",
     "sc-b16/eg-full/seed0": "134e3cf7a30c371445535637f1533cd4145d2ece243de9dca4d34407bd64142d",
     "sc-b16/eg-full/seed1": "134e3cf7a30c371445535637f1533cd4145d2ece243de9dca4d34407bd64142d",
     "sc-b16/slinadmm/seed0": "5e766565661e22da7a6699aa9e82dcc41358d0d2a073b79844d33ca514bc7c0d",
-    "sc-b16/slinadmm/seed1": "f72cc4bd2c9f06a9cc7ef84051343b5e9fb60a4f5dbf7391d4ac51c4b093d274",
+    "sc-b16/slinadmm/seed1": "16a9ff33ac478b416c33e8d8d16167b94a84890cab10118195b73ded1c2b43fc",
     "ls-ragged-b4/spdpeg/seed0": "e8d49b6db59d8557119e772a54cc0f510998370bebd933a474b560b0a23299c7",
     "ls-ragged-b4/spdpeg/seed1": "3df856c31834209c89215a3463617b4516e81819c9ef743ab1e03f5d776d0fe7",
     "ls-ragged-b4/eg-full/seed0": "8bfb49ac3ba1f8c917f4d9334ed4cf1234f4f79584b3c2dc474e11e0039a4d0b",
     "ls-ragged-b4/eg-full/seed1": "8bfb49ac3ba1f8c917f4d9334ed4cf1234f4f79584b3c2dc474e11e0039a4d0b",
     "ls-ragged-b4/slinadmm/seed0": "efdbcefc14e7fa2f5bbf273cdff2bb9c09581b650216e9eb84df95ce68930bd0",
     "ls-ragged-b4/slinadmm/seed1": "b0b2da844f7ca71ced4d40f1a9ca5079a7004f12535ea0368123fdf68ba3d7f1",
+}
+
+XAVG_GOLDEN = {
+    "convex-b1/spdpeg/seed0": "7ee669449507dcf22022277800c706a6f13f63e8fd085eabe1a741ae1c2aaf46",
+    "convex-b1/spdpeg/seed1": "387ab84629252a5d1e660e88786ed4e1b0d56997e2c249388ed02ef33fe31bfc",
+    "convex-b1/eg-full/seed0": "55f53184e344fd5c368222b711cc94e2fd0405005545273791b02ed4c20c5129",
+    "convex-b1/eg-full/seed1": "55f53184e344fd5c368222b711cc94e2fd0405005545273791b02ed4c20c5129",
+    "convex-b1/slinadmm/seed0": "d33dc8fa40ba882f203159402af285af5aae636119eebdccd499d547ded0c6b4",
+    "convex-b1/slinadmm/seed1": "758483b957b3bd8695cf40b2994ac62a5ff0ba1b2567a8bc5906256fb002ebca",
+    "sc-b16/spdpeg/seed0": "7cb018a1d140206ff1debc965c9b549e5c9d3e48ed70fd60b4ce4911d9fab647",
+    "sc-b16/spdpeg/seed1": "49fcedd60903167c68ce36086a5cd3dbb208c0c962fdc0dbd0fd59deaf493122",
+    "sc-b16/eg-full/seed0": "ea8070ab4bf537ebfd89b42112044ec08faa3fd61baf7d32cedeba5402e1154f",
+    "sc-b16/eg-full/seed1": "ea8070ab4bf537ebfd89b42112044ec08faa3fd61baf7d32cedeba5402e1154f",
+    "sc-b16/slinadmm/seed0": "c1c3045c51ddfb964b747442cb47931b683f1814a4fb6a02e7e057aff2cf943f",
+    "sc-b16/slinadmm/seed1": "70b12f89c460b25ab16a46cc63f33e10221b46eba17572cc6cacac8814ed306f",
+    "ls-ragged-b4/spdpeg/seed0": "58823812d28f13a4182adc19d0fd2fecb2dfa56f6da9fbdf47c68fd140ad74b8",
+    "ls-ragged-b4/spdpeg/seed1": "f9edfa7f65bcd39bd1ceaaae0ad93a380f42ba1bbdb4559117902ee0c8de7ee7",
+    "ls-ragged-b4/eg-full/seed0": "eb66a500c6e62ca7340bc8e4f7a5d43ddc61e7628e078cda9f843c47ec1c279f",
+    "ls-ragged-b4/eg-full/seed1": "eb66a500c6e62ca7340bc8e4f7a5d43ddc61e7628e078cda9f843c47ec1c279f",
+    "ls-ragged-b4/slinadmm/seed0": "ca135dd0d96328140188ab589e7c81631285ea41883ec5c3dc021eda28dcd68b",
+    "ls-ragged-b4/slinadmm/seed1": "fd111397c22221fc04332bd9f39c8d9df8436713eb9472737e2a202f2efc2590",
 }
 
 REFERENCE_ITERS = 4000
@@ -158,12 +186,25 @@ def trace_digest(result) -> str:
     return h.hexdigest()
 
 
-def run_case(instance: str, solver_name: str, seed: int) -> str:
+def iterate_digest(result) -> str:
+    """sha256 of ``x_avg``, the final ``x`` and the final ``lam``."""
+    h = hashlib.sha256(result.x_avg.tobytes())
+    h.update(result.state.x.tobytes())
+    h.update(result.state.lam.tobytes())
+    return h.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def run_result(instance: str, solver_name: str, seed: int):
+    """One run per case, shared by the trace and the iterate digests."""
     problem, train, test, config = INSTANCES[instance]()
     test_dataset = None if test is train else test
-    result = SOLVER_FNS[solver_name](problem, train, replace(config, seed=seed),
-                                     test_dataset)
-    return trace_digest(result)
+    return SOLVER_FNS[solver_name](problem, train, replace(config, seed=seed),
+                                   test_dataset)
+
+
+def run_case(instance: str, solver_name: str, seed: int) -> str:
+    return trace_digest(run_result(instance, solver_name, seed))
 
 
 CASES = [(inst, name, seed) for inst in INSTANCES for name in SOLVER_FNS
@@ -176,8 +217,17 @@ def test_trace_matches_golden(instance, solver_name, seed):
     assert run_case(instance, solver_name, seed) == GOLDEN[key]
 
 
+@pytest.mark.parametrize("instance,solver_name,seed", CASES)
+def test_iterates_match_golden(instance, solver_name, seed):
+    key = f"{instance}/{solver_name}/seed{seed}"
+    assert (iterate_digest(run_result(instance, solver_name, seed))
+            == XAVG_GOLDEN[key])
+
+
 def test_golden_covers_grid():
-    assert sorted(GOLDEN) == sorted(f"{i}/{n}/seed{s}" for i, n, s in CASES)
+    grid = sorted(f"{i}/{n}/seed{s}" for i, n, s in CASES)
+    assert sorted(GOLDEN) == grid
+    assert sorted(XAVG_GOLDEN) == grid
 
 
 def reference_digest(instance: str) -> str:
@@ -210,6 +260,10 @@ if __name__ == "__main__":
     for inst, name, seed in CASES:
         print(f'    "{inst}/{name}/seed{seed}": "{run_case(inst, name, seed)}",',
               file=sys.stdout)
+    print("XAVG_GOLDEN")
+    for inst, name, seed in CASES:
+        digest = iterate_digest(run_result(inst, name, seed))
+        print(f'    "{inst}/{name}/seed{seed}": "{digest}",')
     print("REFERENCE_GOLDEN")
     for inst in INSTANCES:
         print(f'    "{inst}": "{reference_digest(inst)}",')

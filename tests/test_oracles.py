@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import sparse_from_dense
+from conftest import logaddexp_logistic_losses, sparse_from_dense
+from spdpeg import oracles
 from spdpeg.model import Dataset, Problem, estimate_lipschitz
 from spdpeg.oracles import data_loss, full_gradient, loss_value, stochastic_gradient
 from spdpeg.prox import ProxSpec
@@ -155,3 +156,110 @@ def test_data_loss_excludes_ridge():
     p = make_problem("logistic", 1, ridge=1.0)
     x = np.array([2.0])
     assert loss_value(p, ds, x) == pytest.approx(data_loss("logistic", ds, x) + 2.0)
+
+
+# logistic loss arguments t = -b*m at which the split form and logaddexp
+# must agree to the bit: signed zeros, infinities, NaN, large magnitudes,
+# subnormal inputs and arguments whose loss is subnormal
+LOSS_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0,
+                       5e-324, -5e-324, 2.0 ** -1040, -(2.0 ** -1040),
+                       2.2250738585072014e-308, -2.2250738585072014e-308,
+                       -709.8, -740.0, -745.1, -746.0, 1e300, -1e300])
+
+
+def split_softplus(t):
+    """log(1 + exp(t)) in the split form, each step a fresh array."""
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+
+def _logistic_arguments(n, seed):
+    # margins at the scales a trace meets, and far out in both tails
+    rng = np.random.default_rng(seed)
+    scale = rng.choice([0.1, 1.0, 5.0, 40.0, 300.0], size=n)
+    return rng.standard_normal(n) * scale
+
+
+def test_logistic_loss_is_the_split_expression():
+    rng = np.random.default_rng(31)
+    n = 80_000
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    m = _logistic_arguments(n, 32)
+    labels_in, m_in = labels.copy(), m.copy()
+    want = split_softplus(-labels * m)
+    assert oracles._softplus(-labels * m).tobytes() == want.tobytes()
+    got = oracles.loss_from_margins("logistic", labels, m)
+    assert got.hex() == float(np.mean(want)).hex()
+    # the margins are reused for the accuracy, so they must stay
+    assert labels.tobytes() == labels_in.tobytes()
+    assert m.tobytes() == m_in.tobytes()
+    ls = oracles.loss_from_margins("least-squares", labels, m)
+    assert ls.hex() == float(0.5 * np.mean((m - labels) ** 2)).hex()
+
+
+def _ulps(a, b):
+    # both are losses, >= +0.0, so their bit patterns are ordered like them
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+def test_logistic_loss_is_within_4_ulp_of_logaddexp():
+    rng = np.random.default_rng(33)
+    n = 200_000
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    m = _logistic_arguments(n, 34)
+    want = logaddexp_logistic_losses(labels, m)
+    got = oracles._softplus(-labels * m)
+    assert _ulps(got, want).max() <= 4
+    loss = oracles.loss_from_margins("logistic", labels, m)
+    assert abs(loss - float(np.mean(want))) <= 4 * math.ulp(loss)
+
+
+def test_logistic_loss_edge_cases_match_logaddexp():
+    with np.errstate(invalid="ignore"):
+        want = logaddexp_logistic_losses(-np.ones(LOSS_EDGES.size), LOSS_EDGES)
+    got = oracles._softplus(LOSS_EDGES.copy())
+    assert np.isnan(got[4]) and np.isnan(want[4])
+    keep = ~np.isnan(want)
+    assert got[keep].tobytes() == want[keep].tobytes()
+    assert got[keep].tobytes() == split_softplus(LOSS_EDGES[keep]).tobytes()
+    assert 0.0 < got[LOSS_EDGES == -740.0][0] < 2.2250738585072014e-308
+    for t, loss in zip(LOSS_EDGES[keep], got[keep]):
+        # one margin of label -1: t = m
+        one = oracles.loss_from_margins("logistic", np.array([-1.0]),
+                                        np.array([t]))
+        assert one.hex() == float(loss).hex(), t
+
+
+def test_softplus_bits_do_not_depend_on_layout():
+    """The canary of ``_softplus``'s rounding contract. numpy's vectorised
+    ``exp`` and ``log1p`` run SIMD loops over the body of an array and may
+    take another path at its ends, on unaligned or strided memory, or in
+    place. Each element must get the bits it gets in the split form over
+    the whole contiguous array (a NaN only stays NaN), or a trace's loss
+    would depend on where its margins sit."""
+    t = np.concatenate([_logistic_arguments(80_000 - LOSS_EDGES.size, 35),
+                        LOSS_EDGES])
+    want = split_softplus(t)
+    layouts = {"length-1 slices": np.concatenate(
+        [oracles._softplus(t[i:i + 1].copy()) for i in range(t.size)])}
+    for offset in range(1, 9):
+        buf = t.copy()
+        layouts[f"offset {offset}"] = np.concatenate(
+            [want[:offset], oracles._softplus(buf[offset:])])
+    for stride in (2, 3, 7):
+        for start in (0, 1):
+            buf = t.copy()
+            oracles._softplus(buf[start::stride])
+            got = want.copy()
+            got[start::stride] = buf[start::stride]
+            layouts[f"stride {stride} from {start}"] = got
+    layouts["in place on a copy"] = oracles._softplus(t.copy())
+    nan = np.isnan(want)
+    for name, got in layouts.items():
+        # a NaN stays NaN; its sign and payload are no loss value
+        differ = np.flatnonzero((got.view(np.int64) != want.view(np.int64))
+                                & ~(nan & np.isnan(got)))
+        assert differ.size == 0, (
+            f"numpy {np.__version__} "
+            f"({np.show_config(mode='dicts')['SIMD Extensions']}): "
+            f"{differ.size} losses change bits under {name}, first at "
+            f"t={t[differ[0]]!r}: {got[differ[0]]!r} != {want[differ[0]]!r}")

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from spdpeg import bench, sparse
 from spdpeg.model import Dataset
 from spdpeg.penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
                               load_penalty, precision_graph_from_data)
-from spdpeg.sparse import power_iteration_sigma_max
+from spdpeg.sparse import SparseMatrix, power_iteration_sigma_max
 
 
 def test_fused_matrix_small():
@@ -52,6 +54,36 @@ def test_only_non_fused_builds_run_the_power_iteration(monkeypatch):
         calls.clear()
         bench.build_all(bench.rate_core(family))
         assert len(calls) == expect, family
+
+
+@pytest.mark.parametrize("d", [2, 3, 20, 250])
+def test_fused_matrix_equals_the_checked_construction(d):
+    # build_fused_matrix lays its arrays out itself and skips the CSR check
+    cols = np.ravel(np.column_stack((np.arange(d - 1), np.arange(1, d))))
+    checked = SparseMatrix(d - 1, d, 2 * np.arange(d), cols,
+                           np.tile([1.0, -1.0], d - 1))
+    object.__setattr__(checked, "_sigma_max_FtF", math.nextafter(
+        2.0 + 2.0 * math.cos(math.pi / d), math.inf))
+    built = build_fused_matrix(d)
+    for f in fields(SparseMatrix):
+        want, got = getattr(checked, f.name), getattr(built, f.name)
+        assert type(got) is type(want), f.name
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, f.name
+            assert got.flags.c_contiguous, f.name
+            assert got.tobytes() == want.tobytes(), f.name
+        else:
+            assert float(got).hex() == float(want).hex(), f.name
+
+
+def test_fused_build_penalty_runs_no_csr_check(monkeypatch):
+    train, _, graph = bench.build_data(bench.rate_core("sc")["data"])
+    calls = count_calls(monkeypatch, SparseMatrix, "__post_init__")
+    bench.build_penalty({"source": "fused"}, train, None)
+    assert len(calls) == 0
+    # the counter sees a checked build
+    bench.build_penalty({"source": "synthetic-graph"}, train, graph)
+    assert len(calls) == 1
 
 
 def test_fused_matrix_row_sums_zero():
@@ -168,3 +200,8 @@ def test_penalty_file_strict_errors(tmp_path):
     path.write_text("1 2 1\n0 1 abc\n")
     with pytest.raises(ValueError, match="line 2"):
         load_penalty(path)
+    for bad in ("nan", "inf", "-inf", "1e400"):
+        path.write_text(f"1 2 2\n0 0 1.0\n0 1 {bad}\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"penalty file line 3: non-finite value '{bad}'")):
+            load_penalty(path)
