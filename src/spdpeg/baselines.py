@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from . import oracles, solver
+from . import solver
 from .model import Dataset, Problem, SolverConfig
-from .solver import SolverResult, advance, prox_step, step_size, z_block
+from .solver import SolverResult, advance, step_size, z_block
 
 
 def run_eg_full(problem: Problem, dataset: Dataset, config: SolverConfig,
@@ -35,22 +35,19 @@ def run_stoch_linadmm(problem: Problem, dataset: Dataset, config: SolverConfig,
     gamma * F^T (F x - z); then the exact z block at the new x and a dual
     step. Averages (x, z, lambda) uniformly.
     """
-    penalty, gamma = problem.penalty, config.gamma
+    gamma, kern = config.gamma, solver.kernels(problem)
     fx = None  # F x of the current iterate, carried over from the previous step
 
     def step(state, schedule, rng):
         nonlocal fx
         if fx is None:
-            fx = penalty.matvec(state.x)
+            fx = kern.F(state.x)
         c = step_size(schedule, state.k)
-        g = oracles.stochastic_gradient(problem, dataset, state.x, rng,
-                                        config.batch_size,
-                                        enumerate_all=config.full_batch)
-        direction = (g - penalty.rmatvec(state.lam)
-                     + gamma * penalty.rmatvec(fx - state.z))
-        x_next = prox_step(problem, state.x - c * direction, c)
-        fx = penalty.matvec(x_next)
-        z_next = z_block(problem, gamma, fx, state.lam)
+        g = solver.drawn_gradient(problem, dataset, config, rng)(state.x)
+        direction = g - kern.Ft(state.lam) + gamma * kern.Ft(fx - state.z)
+        x_next = kern.prox_r1(state.x - c * direction, c)
+        fx = kern.F(x_next)
+        z_next = z_block(kern, gamma, fx, state.lam)
         lam_next = state.lam - gamma * (fx - z_next)
         advance(state, 1, x_next, lam_next, x_next, z_next, lam_next)
 

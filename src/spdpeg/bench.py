@@ -20,6 +20,7 @@ import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -32,8 +33,9 @@ from .penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
                         load_penalty, precision_graph_from_data)
 from .prox import ProxSpec
 from .solver import run as run_spdpeg
-from .solver import (DivergenceError, check_step_inequality, extragradient,
-                     objective_from_margins, relative_slack, z_block)
+from .solver import (DivergenceError, check_dimensions, check_step_inequality,
+                     extragradient, kernels, objective_from_margins,
+                     relative_slack, z_block)
 from .sparse import SparseMatrix
 from .trace import TraceRecord, read_trace_csv, write_trace_csv
 
@@ -295,9 +297,14 @@ def load_manifest(path) -> dict:
 def replay_manifest(manifest_path, out_dir) -> list[str]:
     """Recompute every run in a manifest on one build of its core; each run
     must give its recorded entry again (a divergence at its iteration).
-    Recorded wall times are reused, so the rewritten trace files are
-    byte-identical to the originals."""
+    Recorded wall times are reused, so each rewritten trace file must also
+    be byte-identical to the recorded one next to the manifest, if there is
+    one; they are read before a rerun into the same directory writes."""
     manifest = load_manifest(manifest_path)
+    here = Path(manifest_path).parent
+    recorded = {e["trace_file"]: (here / e["trace_file"]).read_bytes()
+                for e in manifest["runs"]
+                if "trace_file" in e and (here / e["trace_file"]).is_file()}
     os.makedirs(out_dir, exist_ok=True)
     core = manifest["core"]
     built = build_all(core)
@@ -324,7 +331,12 @@ def replay_manifest(manifest_path, out_dir) -> list[str]:
             raise ValueError(f"replay of {solver} seed {seed} drifted: "
                              f"{', '.join(keys)} differ")
         if "trace_file" in again:
-            written.append(os.path.join(str(out_dir), again["trace_file"]))
+            name = again["trace_file"]
+            path = os.path.join(str(out_dir), name)
+            if name in recorded and Path(path).read_bytes() != recorded[name]:
+                raise ValueError(f"replay of {solver} seed {seed} wrote {name}, "
+                                 f"which differs from the recorded file")
+            written.append(path)
     return written
 
 
@@ -369,6 +381,7 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
     so a capped run is never returned for an uncapped call; the key, which
     hashes the whole dataset, is computed only for a cache file.
     """
+    check_dimensions(problem, dataset)
     cache = {}
     if cache_path is not None:
         key = _reference_key(problem, dataset, gamma, max_iters, tol, check_every)
@@ -380,23 +393,22 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
                 return ReferenceSolution(e["objective"], np.asarray(e["x"]),
                                          e["iterations"], e["converged"])
     c = 1.0 / (1.0 + derive_constants(problem, dataset, gamma, "convex")["L_tilde"])
-    penalty = problem.penalty
+    kern = kernels(problem)
 
     def gradient(v):
-        return oracles.full_gradient(problem, dataset, v)
+        return oracles._gradient_over_rows(problem, dataset, v, None)
 
     x = np.zeros(dataset.dimension)
-    lam = np.zeros(penalty.n_rows)
+    lam = np.zeros(problem.penalty.n_rows)
     best = math.inf
     best_x = x.copy()
     prev = math.inf
     converged = False
     iterations = 0
     for k in range(max_iters):
-        fx = penalty.matvec(x)
-        z = z_block(problem, gamma, fx, lam)
-        _, _, x, lam, _, _ = extragradient(problem, gamma, c, x, lam, fx, z,
-                                           gradient)
+        fx = kern.F(x)
+        z = z_block(kern, gamma, fx, lam)
+        _, _, x, lam, _, _ = extragradient(kern, gamma, c, x, lam, fx, z, gradient)
         iterations = k + 1
         if iterations % check_every == 0:
             f = objective_value(problem, dataset, x)

@@ -68,7 +68,7 @@ class Dataset:
             self.dimension = d
         self.full_rows = self.data.size == n * self.dimension
         self._rows, self._features = rows, features
-        self._dense_columns = self._max_row_norm_sq = None
+        self._dense_columns = self._max_row_norm_sq = self._neg_labels_n = None
 
     @classmethod
     def from_dense_rows(cls, features, labels) -> "Dataset":
@@ -114,6 +114,14 @@ class Dataset:
                 self._dense_columns = self.data.reshape(n, d).T.copy()
                 self._dense_columns.flags.writeable = False
         return self._dense_columns
+
+    @property
+    def neg_labels_n(self) -> np.ndarray:
+        """-b*n per sample, exact for b = +-1: the divisor of the logistic
+        full pass, built on first use and kept."""
+        if self._neg_labels_n is None:
+            self._neg_labels_n = self.labels * -self.n_samples
+        return self._neg_labels_n
 
     @property
     def n_samples(self) -> int:

@@ -16,8 +16,10 @@ source: SPDPEG and its full-gradient limit ``eg-full`` call it with the
 scheduled step and drawn gradients, the reference optimum in ``bench``
 with a constant step and exact gradients.
 
-``drive`` is the one loop over ``max_iters``. It validates the inputs,
-owns the schedule, the sample stream and the trace cadence, calls a step
+``drive`` is the one loop over ``max_iters``. It validates the inputs
+(``check_dimensions``, as the reference in ``bench`` does), so the steps
+call only the ``kernels`` of the problem, resolved once per run. It owns
+the schedule, the sample stream and the trace cadence, calls a step
 function per iteration and returns the weighted averages; it holds no
 audit state. Steps advance the state through ``advance`` (divergence
 guard and averaging). SPDPEG averages the predictor iterates: uniform
@@ -35,16 +37,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import oracles
 from .model import (REGIME_CONVEX, REGIME_SC_NONUNIFORM, REGIMES, Dataset,
                     Problem, SolverConfig, compute_L_tilde)
-from .prox import apply_prox, reg_value
+from .prox import prox_kernel, reg_value
 from .trace import TraceRecord
 
 DIVERGENCE_LIMIT = 1e12
+_LIMIT_SQ = DIVERGENCE_LIMIT ** 2
 # Rows per block of a run's sample stream. At d=20, n=200 one
 # integers(size=1) call costs about 9 us and a row of a block about 0.3 us.
 SAMPLE_BLOCK = 512
@@ -167,30 +171,64 @@ class StepInequalityReport:
     coefficient_negative: bool
 
 
-def prox_step(problem: Problem, v: np.ndarray, c: float) -> np.ndarray:
-    """prox of c*r1 at v, projected onto the feasible ball when there is one."""
-    x = apply_prox(problem.r1, v, c)
-    radius = problem.feasible_radius
-    if radius is None:
-        return x
-    nrm = float(np.linalg.norm(x))
-    return x if nrm <= radius else x * (radius / nrm)
+class Kernels(NamedTuple):
+    """Unchecked kernels of float64 vectors of the right lengths, chosen once
+    per run by ``kernels``: F x, F^T y, and the prox ``(v, c)`` of c*r1
+    (then onto any feasible ball) and of c*r2."""
+
+    F: Callable
+    Ft: Callable
+    prox_r1: Callable
+    prox_r2: Callable
 
 
-def z_block(problem: Problem, gamma: float, fx: np.ndarray,
+def kernels(problem: Problem) -> Kernels:
+    """The iteration kernels of a problem that passed ``check_dimensions``."""
+    prox_r1, radius = prox_kernel(problem.r1), problem.feasible_radius
+    if radius is not None:
+        prox_free = prox_r1
+
+        def prox_r1(v, c):
+            x = prox_free(v, c)
+            nrm = float(np.linalg.norm(x))
+            return x if nrm <= radius else x * (radius / nrm)
+    return Kernels(*problem.penalty.products(), prox_r1, prox_kernel(problem.r2))
+
+
+def check_dimensions(problem: Problem, dataset: Dataset,
+                     test_dataset: Dataset | None = None) -> None:
+    """Raise ValueError unless the penalty and any test set have the
+    dataset's dimension, as the kernels assume."""
+    if problem.penalty.n_cols != dataset.dimension:
+        raise ValueError(f"penalty has {problem.penalty.n_cols} columns but the "
+                         f"dataset dimension is {dataset.dimension}")
+    if test_dataset is not None and test_dataset.dimension != dataset.dimension:
+        raise ValueError("train and test dimensions differ")
+
+
+def z_block(kern: Kernels, gamma: float, fx: np.ndarray,
             lam: np.ndarray) -> np.ndarray:
     """Exact z minimizer of the augmented Lagrangian at F x = fx and lam."""
-    return apply_prox(problem.r2, fx - lam / gamma, 1.0 / gamma)
+    return kern.prox_r2(fx - lam / gamma, 1.0 / gamma)
 
 
 def update_z(state: SolverState, fx: np.ndarray, problem: Problem,
-             config: SolverConfig) -> np.ndarray:
+             config: SolverConfig, kern: Kernels | None = None) -> np.ndarray:
     """Exact z-block minimizer of the augmented Lagrangian at (x, lambda);
-    fx must hold F @ state.x."""
-    return z_block(problem, config.gamma, fx, state.lam)
+    fx must hold F @ state.x. ``kern`` is the run's ``kernels(problem)``."""
+    return z_block(kern or kernels(problem), config.gamma, fx, state.lam)
 
 
-def extragradient(problem: Problem, gamma: float, c: float, x: np.ndarray,
+def drawn_gradient(problem: Problem, dataset: Dataset, config: SolverConfig, rng):
+    """``v -> `` the gradient at v over the next batch of ``rng``, or over
+    every row under ``full_batch``: ``oracles.stochastic_gradient`` without
+    the checks that the run's entry made."""
+    n, b, full = dataset.n_samples, config.batch_size, config.full_batch
+    return lambda v: oracles._gradient_over_rows(
+        problem, dataset, v, None if full else rng.integers(0, n, size=b))
+
+
+def extragradient(kern: Kernels, gamma: float, c: float, x: np.ndarray,
                   lam: np.ndarray, fx: np.ndarray, z: np.ndarray, gradient):
     """Predictor and corrector at step c from (x, lam), given fx = F x and
     this iteration's z; ``gradient(v)`` returns the gradient drawn at v.
@@ -198,13 +236,12 @@ def extragradient(problem: Problem, gamma: float, c: float, x: np.ndarray,
     Returns (x_bar, lam_bar, x_next, lam_next, g1, g2), where g1 and g2 are
     the gradients drawn at x and at x_bar.
     """
-    penalty = problem.penalty
     g1 = gradient(x)
-    x_bar = prox_step(problem, x - c * (g1 - penalty.rmatvec(lam)), c)
+    x_bar = kern.prox_r1(x - c * (g1 - kern.Ft(lam)), c)
     lam_bar = lam - gamma * (fx - z)
     g2 = gradient(x_bar)
-    x_next = prox_step(problem, x - c * (g2 - penalty.rmatvec(lam_bar)), c)
-    lam_next = lam - gamma * (penalty.matvec(x_bar) - z)
+    x_next = kern.prox_r1(x - c * (g2 - kern.Ft(lam_bar)), c)
+    lam_next = lam - gamma * (kern.F(x_bar) - z)
     return x_bar, lam_bar, x_next, lam_next, g1, g2
 
 
@@ -213,12 +250,16 @@ def advance(state: SolverState, w: int, x_avg: np.ndarray, lam_avg: np.ndarray,
     """Guard the new iterate, add w times (x_avg, z_next, lam_avg) to the
     weighted sums and move the state to (x_next, z_next, lam_next)."""
     k = state.k
-    # one numpy max over both blocks: it propagates a NaN, which Python's
-    # max drops when it comes second
-    both = np.concatenate((x_next, lam_next))
-    peak = float(np.abs(both).max()) if both.size else 0.0
-    if not math.isfinite(peak) or peak > DIVERGENCE_LIMIT:
-        raise DivergenceError(k, f"iterate diverged at iteration {k} (peak {peak!r})")
+    # an entry is at most its block's norm, so squared norms within the
+    # limit clear the step; on a NaN, an overflow or a large entry the peak
+    # decides, one numpy max over both blocks (it propagates a NaN, which
+    # Python's max drops when it comes second)
+    lam_sq = lam_next.dot(lam_next)
+    if not (x_next.dot(x_next) <= _LIMIT_SQ and lam_sq <= _LIMIT_SQ):
+        both = np.concatenate((x_next, lam_next))
+        peak = float(np.abs(both).max()) if both.size else 0.0
+        if not math.isfinite(peak) or peak > DIVERGENCE_LIMIT:
+            raise DivergenceError(k, f"iterate diverged at iteration {k} (peak {peak!r})")
     z_avg = z_next
     if w != 1:  # 1 * v has the bits of v; skip the three multiplies
         x_avg, z_avg, lam_avg = w * x_avg, w * z_next, w * lam_avg
@@ -229,28 +270,26 @@ def advance(state: SolverState, w: int, x_avg: np.ndarray, lam_avg: np.ndarray,
     state.x, state.z, state.lam = x_next, z_next, lam_next
     state.k = k + 1
     # np.linalg.norm of a 1-D float array is exactly sqrt(x.dot(x))
-    state.max_dual_norm = max(state.max_dual_norm,
-                              math.sqrt(lam_next.dot(lam_next)))
+    state.max_dual_norm = max(state.max_dual_norm, math.sqrt(lam_sq))
 
 
 def update_extragradient(state: SolverState, fx: np.ndarray, z_next: np.ndarray,
                          problem: Problem, dataset: Dataset, config: SolverConfig,
                          schedule: Schedule, rng, step_scale: float = 1.0,
-                         captures: list | None = None) -> None:
+                         captures: list | None = None,
+                         kern: Kernels | None = None) -> None:
     """Run the predictor/corrector step in place; fx must hold F @ state.x
     and z_next this iteration's z-block minimizer. ``rng`` is the sample
-    stream of ``oracles.stochastic_gradient``."""
+    stream of ``oracles.stochastic_gradient`` and ``kern`` the run's
+    ``kernels(problem)``."""
     k = state.k
     c = step_size(schedule, k) * step_scale
     full = config.full_batch
-
-    def gradient(v):
-        return oracles.stochastic_gradient(problem, dataset, v, rng,
-                                           config.batch_size, enumerate_all=full)
-
+    gradient = drawn_gradient(problem, dataset, config, rng)
     x_k, lam_k = state.x, state.lam
     x_bar, lam_bar, x_next, lam_next, g1, g2 = extragradient(
-        problem, config.gamma, c, x_k, lam_k, fx, z_next, gradient)
+        kern or kernels(problem), config.gamma, c, x_k, lam_k, fx, z_next,
+        gradient)
     w = k + 3 if schedule.regime == REGIME_SC_NONUNIFORM else 1
     advance(state, w, x_bar, lam_bar, x_next, z_next, lam_next)
     state.x_bar, state.lam_bar = x_bar, lam_bar
@@ -355,11 +394,7 @@ def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
     one ``integers`` call per gradient; only the generator's final state
     differs, by the unused rows of the last block, and nothing reads it.
     """
-    if problem.penalty.n_cols != dataset.dimension:
-        raise ValueError(f"penalty has {problem.penalty.n_cols} columns but the "
-                         f"dataset dimension is {dataset.dimension}")
-    if test_dataset is not None and test_dataset.dimension != dataset.dimension:
-        raise ValueError("train and test dimensions differ")
+    check_dimensions(problem, dataset, test_dataset)
     if config.regime != REGIME_CONVEX and problem.strong_convexity_mu <= 0.0:
         raise ValueError(f"regime {config.regime!r} requires strong_convexity_mu > 0")
     eval_dataset = dataset if test_dataset is None else test_dataset
@@ -390,11 +425,13 @@ def run(problem: Problem, dataset: Dataset, config: SolverConfig,
     ``drive``); ``config.full_batch`` makes it ``eg-full``. A ``captures``
     list gets each completed step's StepCapture, also on DivergenceError."""
 
+    kern = kernels(problem)
+
     def step(state, schedule, rng):
-        fx = problem.penalty.matvec(state.x)
-        z_next = update_z(state, fx, problem, config)
+        fx = kern.F(state.x)
+        z_next = update_z(state, fx, problem, config, kern)
         update_extragradient(state, fx, z_next, problem, dataset, config,
-                             schedule, rng, step_scale, captures)
+                             schedule, rng, step_scale, captures, kern)
 
     return drive(problem, dataset, config, test_dataset, step)
 

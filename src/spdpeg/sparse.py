@@ -147,17 +147,25 @@ class SparseMatrix:
             self.col_indices[gather], self.values[gather],
             np.repeat(np.arange(rows.size, dtype=np.int64), lengths))
 
+    def products(self):
+        """The unchecked ``matvec`` and ``rmatvec`` kernels, for float64
+        vectors of the right lengths, chosen once by a caller that checks its
+        vectors: with no stored entry ``bincount`` would return int64, so
+        those fill float zeros."""
+        if self.nnz == 0:
+            return (lambda v: np.zeros(self.n_rows)), (lambda u: np.zeros(self.n_cols))
+        return self._matvec, self._rmatvec
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Return ``M @ v``."""
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.n_cols,):
             raise ValueError(f"matvec expects a vector of length {self.n_cols}, got {v.shape}")
-        if self.nnz == 0:
-            return np.zeros(self.n_rows)
-        return self._matvec(v)
+        return self.products()[0](v)
 
     def _matvec(self, v: np.ndarray) -> np.ndarray:
-        """``matvec`` of a float64 vector of length ``n_cols``, unchecked."""
+        """``matvec`` of a float64 vector of length ``n_cols``, unchecked,
+        on a matrix with stored entries."""
         return np.bincount(self.row_ids, weights=self.values * v[self.col_indices],
                            minlength=self.n_rows)
 
@@ -166,12 +174,11 @@ class SparseMatrix:
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (self.n_rows,):
             raise ValueError(f"rmatvec expects a vector of length {self.n_rows}, got {u.shape}")
-        if self.nnz == 0:
-            return np.zeros(self.n_cols)
-        return self._rmatvec(u)
+        return self.products()[1](u)
 
     def _rmatvec(self, u: np.ndarray) -> np.ndarray:
-        """``rmatvec`` of a float64 vector of length ``n_rows``, unchecked."""
+        """``rmatvec`` of a float64 vector of length ``n_rows``, unchecked,
+        on a matrix with stored entries."""
         return np.bincount(self.col_indices, weights=self.values * u[self.row_ids],
                            minlength=self.n_cols)
 

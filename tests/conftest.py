@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from spdpeg import oracles
 from spdpeg.model import Dataset
 from spdpeg.solver import Schedule, _bracket_coefficients, run, step_size
 from spdpeg.sparse import PowerIterationError, SparseMatrix
@@ -125,3 +126,30 @@ def reference_power_iteration(m: SparseMatrix, tol: float = 1e-10,
     raise PowerIterationError(
         f"power iteration did not converge in {max_iter} iterations "
         f"(last estimate {theta!r})", theta)
+
+
+def reference_full_pass(problem, dataset, x) -> np.ndarray:
+    """``oracles._gradient_over_rows`` over every row as it was before the
+    logistic coefficients took one division by -b*n: ``_coefs(...) / n``
+    with the masked-select sigmoid, then the scatter. The bitwise reference
+    of the full pass."""
+    m = oracles.margins(dataset, x)
+    labels = dataset.labels
+    if problem.loss == "logistic":
+        neg = -labels
+        t = neg * m
+        s = np.exp(-np.abs(t))
+        den = s + 1.0
+        s[t >= 0] = 1.0
+        s /= den
+        s *= neg
+        coefs = s / dataset.n_samples
+    else:
+        coefs = (m - labels) / dataset.n_samples
+    if dataset.dense_columns is not None:
+        grad = oracles._lane_sums(dataset.data.reshape(-1, dataset.dimension), coefs)
+    else:
+        grad = dataset.features.rmatvec(coefs)
+    if problem.ridge:
+        grad = grad + problem.ridge * x
+    return grad

@@ -167,6 +167,24 @@ def test_sigmoid_is_bitwise_the_two_quotient_select():
             == two_quotient_sigmoid(t[2:].reshape(-1, 2)).tobytes())
 
 
+def test_sigmoid_bits_do_not_depend_on_layout():
+    """``_sigmoid`` takes exp of a negative t twice, in two arrays: as
+    exp(fmin(t, 0)) for the numerator and as exp(-|t|) for the denominator.
+    A value must get the same bits wherever it sits, so every layout must
+    give the two-quotient select's bits over the whole array."""
+    rng = np.random.default_rng(3)
+    t = np.concatenate([50.0 * rng.standard_normal(80_000 - 8),
+                        [0.0, -0.0, 5e-324, -5e-324, 800.0, -800.0, np.inf, -np.inf]])
+    want = two_quotient_sigmoid(t)
+    assert _sigmoid(t).tobytes() == want.tobytes()
+    singles = np.concatenate([_sigmoid(t[i:i + 1]) for i in range(t.size)])
+    assert singles.tobytes() == want.tobytes()
+    for offset in range(1, 9):
+        assert _sigmoid(t[offset:]).tobytes() == want[offset:].tobytes(), offset
+    for stride in (2, 3, 7):
+        assert _sigmoid(t[1::stride]).tobytes() == want[1::stride].tobytes(), stride
+
+
 def test_logistic_coefs_are_bitwise_the_product_form():
     rng = np.random.default_rng(2)
     m = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 745.0, -745.0, np.inf,

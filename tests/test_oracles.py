@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import logaddexp_logistic_losses, sparse_from_dense
+from conftest import (logaddexp_logistic_losses, reference_full_pass,
+                      sparse_from_dense)
 from spdpeg import oracles
 from spdpeg.model import Dataset, Problem, estimate_lipschitz
 from spdpeg.oracles import data_loss, full_gradient, loss_value, stochastic_gradient
@@ -263,3 +264,58 @@ def test_softplus_bits_do_not_depend_on_layout():
             f"({np.show_config(mode='dicts')['SIMD Extensions']}): "
             f"{differ.size} losses change bits under {name}, first at "
             f"t={t[differ[0]]!r}: {got[differ[0]]!r} != {want[differ[0]]!r}")
+
+
+# margins a logistic full pass must take bit for bit: signed zeros, +-800
+# (a saturated sigmoid), the smallest subnormal and others near it
+EDGE_MARGINS = np.array([0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, 1e-310,
+                         -1e-310, 2.2e-308, -2.2e-308, 36.0, -36.0])
+
+
+def edge_datasets(n, d, seed):
+    """A dense-row dataset and a CSR one (about a third of the entries
+    dropped) whose margins at ``e_0`` are the first column, which cycles
+    through ``EDGE_MARGINS``; the other columns are random."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, d))
+    rows[:, 0] = np.resize(EDGE_MARGINS, n)
+    labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    sparse = np.where(rng.random((n, d)) < 0.35, 0.0, rows)
+    sparse[:, 0] = rows[:, 0]
+    return (dense_dataset(rows, labels),
+            Dataset(sparse_from_dense(sparse), labels))
+
+
+@pytest.mark.parametrize("n", [1, 2, 200])
+@pytest.mark.parametrize("d", [1, 2, 20])
+@pytest.mark.parametrize("loss", ["logistic", "least-squares"])
+@pytest.mark.parametrize("ridge", [0.0, 0.3])
+def test_full_pass_is_bitwise_the_coefs_over_n(n, d, loss, ridge):
+    problem = make_problem(loss, d, ridge=ridge)
+    rng = np.random.default_rng(n * 100 + d)
+    points = [np.eye(d)[0], -np.eye(d)[0], np.zeros(d)]
+    points += [scale * rng.standard_normal(d) for scale in (0.1, 1.0, 30.0)
+               for _ in range(4)]
+    for dataset in edge_datasets(n, d, seed=n + d):
+        for x in points:
+            want = reference_full_pass(problem, dataset, x).tobytes()
+            assert full_gradient(problem, dataset, x).tobytes() == want
+            enumerated = stochastic_gradient(problem, dataset, x,
+                                             np.random.default_rng(0), 1,
+                                             enumerate_all=True)
+            assert enumerated.tobytes() == want
+
+
+def test_full_pass_coefficients_at_edge_margins(monkeypatch):
+    # margins handed straight to the pass, so that -0.0, which no sum from
+    # 0.0 returns, and every edge value meet both labels
+    d, m = 3, np.repeat(EDGE_MARGINS, 2)
+    labels = np.resize([1.0, -1.0], m.size)
+    rows = np.random.default_rng(4).standard_normal((m.size, d))
+    dataset = dense_dataset(rows, labels)
+    monkeypatch.setattr(oracles, "margins", lambda dataset, x: m.copy())
+    for ridge in (0.0, 0.3):
+        problem = make_problem("logistic", d, ridge=ridge)
+        x = np.array([0.5, -0.25, 2.0])
+        assert (full_gradient(problem, dataset, x).tobytes()
+                == reference_full_pass(problem, dataset, x).tobytes())

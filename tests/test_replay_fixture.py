@@ -47,6 +47,46 @@ def test_committed_manifest_replays_byte_for_byte(task, tmp_path):
         assert (tmp_path / name).read_bytes() == (recorded / name).read_bytes(), name
 
 
+def drifted_copy(tmp_path):
+    """A copy of the ``flr`` fixture in which one digit of an intermediate
+    objective of one trace file differs; the manifest is untouched."""
+    copy = tmp_path / "flr"
+    shutil.copytree(FIXTURE / "flr", copy)
+    path = copy / "trace_slinadmm_seed1.csv"
+    header, first, *rest = path.read_text().splitlines(keepends=True)
+    fields = first.split(",")
+    digit = fields[3][-2]
+    fields[3] = fields[3][:-2] + ("1" if digit != "1" else "2") + fields[3][-1]
+    path.write_text(header + ",".join(fields) + "".join(rest))
+    return copy
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_a_drifted_trace_file_fails_the_replay(tmp_path, capsys, in_place):
+    # read before the rerun, so a replay into the manifest's own directory
+    # compares the recorded bytes, not its own
+    copy = drifted_copy(tmp_path)
+    out = copy if in_place else tmp_path / "replay"
+    rc = main(["run", "--from-manifest", str(copy / "manifest.json"),
+               "--out", str(out)])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == ("error: replay of slinadmm seed 1 wrote "
+                    "trace_slinadmm_seed1.csv, which differs from the "
+                    "recorded file")
+
+
+def test_a_manifest_without_its_traces_replays_on_its_entries(tmp_path):
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    shutil.copy(FIXTURE / "flr" / "manifest.json", alone)
+    rc = main(["run", "--from-manifest", str(alone / "manifest.json"),
+               "--out", str(tmp_path / "replay")])
+    assert rc == 0
+    for path in (FIXTURE / "flr").glob("trace_*.csv"):
+        assert (tmp_path / "replay" / path.name).read_bytes() == path.read_bytes()
+
+
 def test_fused_manifest_with_the_power_iteration_sigma_fails(tmp_path, capsys):
     # the fused sigma_max was a power iteration before it was set in closed
     # form; a manifest written then records it and the L_tilde that follows
