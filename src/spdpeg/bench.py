@@ -135,8 +135,8 @@ def derive_constants(problem: Problem, train: Dataset, gamma: float,
                      regime: str) -> dict:
     """The step constants of a problem on its training set. The row norms
     are cached on ``train`` and ``sigma_max_FtF`` on ``problem.penalty``
-    (closed form for a fused penalty, power iteration for the others), so
-    deriving again for the same pair costs nothing."""
+    (closed form if fused, else a dense bound up to ``DENSE_SIGMA_MAX_D``
+    columns, power iteration above), so deriving again costs nothing."""
     lips_data = estimate_lipschitz(train, problem.loss)
     lips = max(lips_data + problem.ridge, 1e-12)
     sigma = problem.penalty.sigma_max_FtF

@@ -39,13 +39,6 @@ def _shrink(v: np.ndarray, weight: float, step: float) -> np.ndarray:
     return v / (1.0 + step * weight)
 
 
-def prox_squared_l2(v: np.ndarray, weight: float, step: float) -> np.ndarray:
-    """Prox of (weight/2)||.||^2 at step c: v / (1 + c*weight)."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    return _shrink(np.asarray(v, dtype=np.float64), weight, step)
-
-
 def prox_kernel(spec: ProxSpec):
     """``(v, step) -> `` the prox of step * (weighted regularizer) at a
     float64 v, for step > 0: ``apply_prox`` without its checks, with the

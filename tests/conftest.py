@@ -4,6 +4,7 @@ import numpy as np
 
 from spdpeg import oracles
 from spdpeg.model import Dataset
+from spdpeg.prox import ProxSpec, apply_prox
 from spdpeg.solver import Schedule, _bracket_coefficients, run, step_size
 from spdpeg.sparse import PowerIterationError, SparseMatrix
 
@@ -26,6 +27,12 @@ def average_weight(schedule: Schedule, k: int, t: int) -> float:
 def schedule_bracket_coefficients(config, schedule: Schedule, k: int):
     """The bracket coefficients at the step size of iteration k."""
     return _bracket_coefficients(config, step_size(schedule, k))
+
+
+def prox_squared_l2(v, weight: float, step: float) -> np.ndarray:
+    """Prox of (weight/2)||.||^2 at step c, v / (1 + c*weight): the
+    squared-l2 case of ``prox.apply_prox``, which rejects a step <= 0."""
+    return apply_prox(ProxSpec("squared-l2", weight), v, step)
 
 
 def sparse_from_dense(array) -> SparseMatrix:

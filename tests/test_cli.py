@@ -18,7 +18,7 @@ from spdpeg.trace import read_trace_csv
 #   PYTHONPATH=src python tests/test_cli.py
 RATES_GOLDEN = {
     "convex": "25a254aa3491559943962769544b612e95071015447968c2ef5fc9ff635a5088",
-    "all": "24db5ff32fae0e25b25e640e26e9769a018ec744b942703c42a754d053e1fbab",
+    "all": "e9f013890cf9a744c0bad8fee81a9d4ba96513eb46045f0f2db50f61a5a3fc45",
 }
 # test_golden_trace.SWEEP_GOLDEN hashes bench.step_inequality_sweep at seed 1
 # through json.dumps(sort_keys=True); the CLI runs seed 0 and writes the list

@@ -84,7 +84,7 @@ def test_an_empty_penalty_runs_as_a_penalty_of_stored_zeros(entry):
 
 
 CHECKED = [(SparseMatrix, "matvec"), (SparseMatrix, "rmatvec"),
-           (prox, "apply_prox"), (prox, "prox_l1"), (prox, "prox_squared_l2"),
+           (prox, "apply_prox"), (prox, "prox_l1"),
            (oracles, "stochastic_gradient"), (oracles, "full_gradient"),
            (oracles, "_check_x")]
 

@@ -68,12 +68,12 @@ GOLDEN = {
     "convex-b1/eg-full/seed1": "0eaf13775b2f0cc25f896a8987394ff946e439bbdf6213943d2f7798babd6c74",
     "convex-b1/slinadmm/seed0": "8deb02235c740e6d37fc232a36c4a6fbbfdd0f5cb567b06edf80dbec486bcbc5",
     "convex-b1/slinadmm/seed1": "b6abeabea25140959c4f7c647f25399c71f5b9421d23581aec9be5f718d74bca",
-    "sc-b16/spdpeg/seed0": "6d50fa87758ece2f8b5eb4d0e4265e4657f87d0f37613b7341bcba691d848c2b",
-    "sc-b16/spdpeg/seed1": "f83d08dea69a1e60383409143c47639f50414bc2012e21b858744eea0b023644",
-    "sc-b16/eg-full/seed0": "134e3cf7a30c371445535637f1533cd4145d2ece243de9dca4d34407bd64142d",
-    "sc-b16/eg-full/seed1": "134e3cf7a30c371445535637f1533cd4145d2ece243de9dca4d34407bd64142d",
-    "sc-b16/slinadmm/seed0": "5e766565661e22da7a6699aa9e82dcc41358d0d2a073b79844d33ca514bc7c0d",
-    "sc-b16/slinadmm/seed1": "16a9ff33ac478b416c33e8d8d16167b94a84890cab10118195b73ded1c2b43fc",
+    "sc-b16/spdpeg/seed0": "b1d9fedc7e8750cbe3f05ed8d51934937f8b6c2691ec96c43f2bf46741932839",
+    "sc-b16/spdpeg/seed1": "c6060a4b2cd071f5ebc04eef35afb002afed4e10348826066be2c5d0666b461a",
+    "sc-b16/eg-full/seed0": "d385189caba688397de342751a72f8c16011d6b3788b6b712a225eadcd5a642b",
+    "sc-b16/eg-full/seed1": "d385189caba688397de342751a72f8c16011d6b3788b6b712a225eadcd5a642b",
+    "sc-b16/slinadmm/seed0": "08acd837817819b7dd13a676386b6d200614a4b87c72418b967efa87386b4f42",
+    "sc-b16/slinadmm/seed1": "ab0990813a6e89a18a1aa00117ad35a4b710c6738c9dff5d9f99453d72ee3b9e",
     "ls-ragged-b4/spdpeg/seed0": "e8d49b6db59d8557119e772a54cc0f510998370bebd933a474b560b0a23299c7",
     "ls-ragged-b4/spdpeg/seed1": "3df856c31834209c89215a3463617b4516e81819c9ef743ab1e03f5d776d0fe7",
     "ls-ragged-b4/eg-full/seed0": "8bfb49ac3ba1f8c917f4d9334ed4cf1234f4f79584b3c2dc474e11e0039a4d0b",
@@ -89,12 +89,12 @@ XAVG_GOLDEN = {
     "convex-b1/eg-full/seed1": "55f53184e344fd5c368222b711cc94e2fd0405005545273791b02ed4c20c5129",
     "convex-b1/slinadmm/seed0": "d33dc8fa40ba882f203159402af285af5aae636119eebdccd499d547ded0c6b4",
     "convex-b1/slinadmm/seed1": "758483b957b3bd8695cf40b2994ac62a5ff0ba1b2567a8bc5906256fb002ebca",
-    "sc-b16/spdpeg/seed0": "7cb018a1d140206ff1debc965c9b549e5c9d3e48ed70fd60b4ce4911d9fab647",
-    "sc-b16/spdpeg/seed1": "49fcedd60903167c68ce36086a5cd3dbb208c0c962fdc0dbd0fd59deaf493122",
-    "sc-b16/eg-full/seed0": "ea8070ab4bf537ebfd89b42112044ec08faa3fd61baf7d32cedeba5402e1154f",
-    "sc-b16/eg-full/seed1": "ea8070ab4bf537ebfd89b42112044ec08faa3fd61baf7d32cedeba5402e1154f",
-    "sc-b16/slinadmm/seed0": "c1c3045c51ddfb964b747442cb47931b683f1814a4fb6a02e7e057aff2cf943f",
-    "sc-b16/slinadmm/seed1": "70b12f89c460b25ab16a46cc63f33e10221b46eba17572cc6cacac8814ed306f",
+    "sc-b16/spdpeg/seed0": "1018884e5e812cb665aa4f8befe188869d07591cf5915599b849a5d66185ac65",
+    "sc-b16/spdpeg/seed1": "8e7710f68b995afac98b74a0ae6c8587648799a5e5ba427681149d56d3338e60",
+    "sc-b16/eg-full/seed0": "880375b8226c6f53a696b644a8aed3e3238a40ba41c4995add6a1a18f4bbba45",
+    "sc-b16/eg-full/seed1": "880375b8226c6f53a696b644a8aed3e3238a40ba41c4995add6a1a18f4bbba45",
+    "sc-b16/slinadmm/seed0": "a28de418ba39eb2196f9854ccf09db6329aebd339c43763cde75f3f07ebed738",
+    "sc-b16/slinadmm/seed1": "2159d2e47466412c1b9dbbdf65bb8db2c59b1818ec830bc4922b789ec13122bf",
     "ls-ragged-b4/spdpeg/seed0": "58823812d28f13a4182adc19d0fd2fecb2dfa56f6da9fbdf47c68fd140ad74b8",
     "ls-ragged-b4/spdpeg/seed1": "f9edfa7f65bcd39bd1ceaaae0ad93a380f42ba1bbdb4559117902ee0c8de7ee7",
     "ls-ragged-b4/eg-full/seed0": "eb66a500c6e62ca7340bc8e4f7a5d43ddc61e7628e078cda9f843c47ec1c279f",
@@ -107,7 +107,7 @@ REFERENCE_ITERS = 4000
 REFERENCE_CHECK_EVERY = 500
 REFERENCE_GOLDEN = {
     "convex-b1": "020ce0cbec332ddffbf2e03f3982bdc57d0f16eca22993fe2186d8c0a0867c05",
-    "sc-b16": "1605dc40385a4ed2ee9e3c37c04ef9632f7ef2bd3c92c160b4dfffa7f837065e",
+    "sc-b16": "8ad600e949b75c83f98b0b9f47da9ca5832c04fe4f893154f77946b3d2a06147",
     "ls-ragged-b4": "92a19c13cd965f4e70a5e0a0473eaa5a7f4cec668a20dcf85a7e836da527e9e3",
 }
 

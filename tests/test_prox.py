@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from spdpeg.prox import ProxSpec, apply_prox, prox_l1, prox_squared_l2, reg_value
+from conftest import prox_squared_l2
+from spdpeg.prox import ProxSpec, apply_prox, prox_l1, reg_value
 
 finite_vec = arrays(np.float64, st.integers(1, 6),
                     elements=st.floats(-100, 100, allow_nan=False))

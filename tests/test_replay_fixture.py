@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from spdpeg import bench
 from spdpeg.cli import main
 from spdpeg.model import compute_L_tilde
 from spdpeg.penalties import build_fused_matrix
@@ -87,20 +88,38 @@ def test_a_manifest_without_its_traces_replays_on_its_entries(tmp_path):
         assert (tmp_path / "replay" / path.name).read_bytes() == path.read_bytes()
 
 
+def replay_with_sigma(tmp_path, task: str, sigma: float, mu: float) -> int:
+    """Exit code of replaying a copy of the ``task`` manifest that records
+    ``sigma`` as sigma_max_FtF and the L_tilde that follows from it."""
+    manifest = json.loads((FIXTURE / task / "manifest.json").read_text())
+    derived = manifest["derived"]
+    derived.update(sigma_max_FtF=sigma, L_tilde=compute_L_tilde(
+        manifest["core"]["config"]["gamma"], sigma, derived["lipschitz_L"], mu))
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    return main(["run", "--from-manifest", str(path),
+                 "--out", str(tmp_path / "replay")])
+
+
 def test_fused_manifest_with_the_power_iteration_sigma_fails(tmp_path, capsys):
     # the fused sigma_max was a power iteration before it was set in closed
     # form; a manifest written then records it and the L_tilde that follows
     # from it, and no longer replays
-    manifest = json.loads((FIXTURE / "flr" / "manifest.json").read_text())
-    derived = manifest["derived"]
     sigma = power_iteration_sigma_max(build_fused_matrix(10))
-    derived.update(sigma_max_FtF=sigma, L_tilde=compute_L_tilde(
-        manifest["core"]["config"]["gamma"], sigma, derived["lipschitz_L"], 0.0))
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    rc = main(["run", "--from-manifest", str(path),
-               "--out", str(tmp_path / "replay")])
-    assert rc == 1
+    assert replay_with_sigma(tmp_path, "flr", sigma, 0.0) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: derived constant sigma_max_FtF changed")
+
+
+def test_graph_manifest_with_the_power_iteration_sigma_fails(tmp_path, capsys):
+    # a graph penalty of d=10 took its sigma_max from power iteration before
+    # the dense bound, which lies above that Rayleigh quotient
+    core = json.loads((FIXTURE / "ggrlr" / "manifest.json").read_text())["core"]
+    _, _, problem, _ = bench.build_all(core)
+    sigma = power_iteration_sigma_max(problem.penalty)
+    assert sigma < problem.penalty.sigma_max_FtF
+    assert replay_with_sigma(tmp_path, "ggrlr", sigma,
+                             problem.strong_convexity_mu) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: derived constant sigma_max_FtF changed")
 

@@ -1,4 +1,5 @@
 
+import math
 import pickle
 
 import numpy as np
@@ -6,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_power_iteration, sparse_from_dense
-from spdpeg import bench
+from conftest import count_calls, reference_power_iteration, sparse_from_dense
+from spdpeg import bench, sparse
 from spdpeg.data import synthesize
 from spdpeg.model import Dataset
 from spdpeg.penalties import build_fused_matrix, build_graph_matrix
-from spdpeg.sparse import (PowerIterationError, SparseMatrix,
-                           power_iteration_sigma_max)
+from spdpeg.sparse import (DENSE_SIGMA_MAX_D, PowerIterationError, SparseMatrix,
+                           dense_sigma_max_bound, power_iteration_sigma_max)
 
 FIRST_DIFF_2x3 = sparse_from_dense([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
 
@@ -99,7 +100,7 @@ def test_sigma_max_deterministic():
 
 def test_sigma_max_is_cached_per_matrix():
     m = sparse_from_dense([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-    assert m.sigma_max_FtF == power_iteration_sigma_max(m)
+    assert m.sigma_max_FtF == dense_sigma_max_bound(m)
     assert m.sigma_max_FtF is m.sigma_max_FtF
     assert SparseMatrix(2, 3, [0, 0, 0], [], []).sigma_max_FtF == 0.0
 
@@ -175,13 +176,50 @@ def test_power_iteration_is_bitwise_the_reference_loop(name):
                 == _bits(reference_power_iteration, m, **kwargs)), kwargs
 
 
+# the most ulp by which dense_sigma_max_bound exceeds the exact eigenvalue
+# on the matrices below; the largest seen is about 2,200
+DENSE_BOUND_MAX_ULP = 4096
+
+
+def _core_penalty(family: str) -> SparseMatrix:
+    core = bench.rate_core(family)
+    train, _, graph = bench.build_data(core["data"])
+    return bench.build_penalty(core["penalty"], train, graph)
+
+
+def test_dense_sigma_max_bounds_the_exact_eigenvalue():
+    # mpmath is not a dependency of the package; it is used only in tests,
+    # as 50-digit arithmetic to check the bound against
+    mpmath = pytest.importorskip("mpmath")
+    matrices = {"sc": _core_penalty("sc"),
+                **{f"graph-d{d}-seed{seed}": _graph_penalty(d, seed)
+                   for d in (2, 3, 5, 10, 20, 30, 40) for seed in range(3)},
+                **{f"random-seed{seed}": _random_sparse(seed) for seed in range(10)}}
+    with mpmath.workdps(50):
+        for name, m in matrices.items():
+            got = m.sigma_max_FtF
+            a = mpmath.matrix(m.to_dense().tolist())
+            exact = max(mpmath.eigsy(a.T * a, eigvals_only=True))
+            excess = (mpmath.mpf(got) - exact) / math.ulp(got)
+            assert 0 <= excess <= DENSE_BOUND_MAX_ULP, (name, float(excess))
+
+
+def test_sigma_max_is_dense_up_to_the_cut_over(monkeypatch):
+    assert DENSE_SIGMA_MAX_D < 300  # a d=300 file penalty reaches the loop
+    dense = count_calls(monkeypatch, sparse, "dense_sigma_max_bound")
+    powers = count_calls(monkeypatch, sparse, "power_iteration_sigma_max")
+    for d, expect in ((DENSE_SIGMA_MAX_D, (1, 0)), (DENSE_SIGMA_MAX_D + 1, (0, 1))):
+        dense.clear()
+        powers.clear()
+        m = _graph_penalty(d, 0)
+        assert m.sigma_max_FtF == m.sigma_max_FtF > 0.0
+        assert (len(dense), len(powers)) == expect, d
+
+
 def test_sigma_max_of_the_benchmark_cores_is_pinned():
-    pinned = {"convex": "0x1.fcd924a17f22fp+1", "sc": "0x1.a4b023bb155b3p+2"}
+    pinned = {"convex": "0x1.fcd924a17f22fp+1", "sc": "0x1.a4b023d5e4baep+2"}
     for family, expect in pinned.items():
-        core = bench.rate_core(family)
-        train, _, graph = bench.build_data(core["data"])
-        penalty = bench.build_penalty(core["penalty"], train, graph)
-        assert float.hex(penalty.sigma_max_FtF) == expect, family
+        assert float.hex(_core_penalty(family).sigma_max_FtF) == expect, family
     # the large-n workload's penalty is the fused one of d=50
     assert float.hex(build_fused_matrix(50).sigma_max_FtF) == "0x1.ff7eadff22200p+1"
 
