@@ -31,7 +31,7 @@ from .model import (LOSS_LOGISTIC, Dataset, Problem, SolverConfig,
                     compute_L_tilde, estimate_lipschitz)
 from .penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
                         load_penalty, precision_graph_from_data)
-from .prox import ProxSpec
+from .prox import ProxSpec, prox_fused
 from .solver import run as run_spdpeg
 from .solver import (DivergenceError, check_dimensions, check_step_inequality,
                      extragradient, kernels, objective_from_margins,
@@ -344,16 +344,26 @@ def replay_manifest(manifest_path, out_dir) -> list[str]:
 # reference optima and rate fitting
 
 
+# an uncapped reference stops here at the latest
+UNCAPPED_ITERS = 1_000_000
+# iterations between the certificate checks of FISTA; a check costs about
+# one of its steps
+FISTA_CHECK_EVERY = 50
+_EPS = 2.0 ** -52
+
+
 @dataclass(frozen=True)
 class ReferenceSolution:
     objective: float
     x: np.ndarray
     iterations: int
     converged: bool
+    # bounds objective - f*; None for a capped call
+    certified_gap: float | None = None
 
 
 def _reference_key(problem: Problem, dataset: Dataset, gamma: float,
-                   max_iters: int, tol: float, check_every: int) -> str:
+                   max_iters: int | None, tol: float, check_every: int) -> str:
     h = hashlib.sha256()
     h.update(dataset.fingerprint().encode())
     h.update(problem.penalty.fingerprint().encode())
@@ -364,22 +374,251 @@ def _reference_key(problem: Problem, dataset: Dataset, gamma: float,
     return h.hexdigest()
 
 
+def _is_fused(penalty: SparseMatrix) -> bool:
+    """Whether the penalty's fields are those of ``build_fused_matrix``."""
+    d = penalty.n_cols
+    if d < 2 or penalty.shape != (d - 1, d):
+        return False
+    fused = build_fused_matrix(d)
+    return all(np.array_equal(getattr(penalty, name), getattr(fused, name))
+               for name in ("row_offsets", "col_indices", "values"))
+
+
+def duality_gap(problem: Problem, dataset: Dataset, x: np.ndarray,
+                nu: np.ndarray) -> float:
+    """Fenchel duality gap of x and a dual point nu of r2, an upper bound on
+    ``objective_value(x) - f*``, for  l(Ax) + g(x) + r2(Fx)  where g is r1
+    plus any folded ridge and feasible ball.
+
+    theta = l'(Ax)/n, and nu is clipped into r2's box |nu| <= r2.weight.
+    With w = A^T theta + F^T nu the dual value is -l*(theta) - g*(w):
+    l* is minus the mean binary entropy of p = -b*n*theta for the logistic
+    loss and mean(r^2/2 + b*r), r = n*theta, for least squares. For an l1
+    weight a alone, g* is the indicator of |w| <= a, so (theta, nu) are
+    scaled into it (Gap Safe: Ndiaye, Fercoq, Gramfort & Salmon, JMLR
+    2017); with a quadratic q (ridge plus any squared-l2 r1) it is
+    rho^2/(2q), with a ball of radius R it is R*rho, and with both the
+    Huber function of the two, where rho = ||(|w| - a)_+||_2.
+
+    Rounding margin, to first order in eps: each value is a sum of at most
+    n + d + l terms, each evaluated within a few ulp, so it is off by at
+    most (n + d + l + 16) eps times the sum of its terms' magnitudes
+    (Higham, Accuracy and Stability, 2002, sec. 4.2). The rounding of the
+    margins and of F x moves the objective by at most (d + 2) eps ||x||_1
+    (max|a_ij| max|l'| + l r2.weight max|f_ij|), and that of w is at most
+    err_w per entry, which is added to w's peak or to rho.
+    """
+    check_dimensions(problem, dataset)
+    x = oracles._check_x(dataset, x)
+    nu = np.asarray(nu, dtype=np.float64)
+    if nu.shape != (problem.penalty.n_rows,):
+        raise ValueError(f"nu must have length {problem.penalty.n_rows}, "
+                         f"got {nu.shape}")
+    return _objective_and_gap(problem, dataset, kernels(problem), x, nu)[1]
+
+
+def _xlogx(v: np.ndarray) -> np.ndarray:
+    return v * np.log(v, out=np.zeros_like(v), where=v > 0.0)
+
+
+def _objective_and_gap(problem: Problem, dataset: Dataset, kern, x: np.ndarray,
+                       nu: np.ndarray) -> tuple[float, float]:
+    """The objective at x, with ``objective_value``'s bits, and
+    ``duality_gap(problem, dataset, x, nu)``, through the run's kernels."""
+    n, d, l = dataset.n_samples, dataset.dimension, problem.penalty.n_rows
+    labels = dataset.labels
+    m = oracles.margins(dataset, x)
+    f = objective_from_margins(problem, labels, m, x, kern.F(x))
+    if problem.loss == LOSS_LOGISTIC:
+        p = oracles._sigmoid(-(labels * m))
+        theta = -labels * p / n
+        slope = 1.0  # the largest |l'| of a sample
+    else:
+        resid = m - labels
+        theta = resid / n
+        slope = float(np.max(np.abs(resid)))
+    w2 = problem.r2.weight
+    nu = np.clip(nu, -w2, w2)
+    w = oracles._scatter(dataset, theta) + kern.Ft(nu)
+    a_max = np.max(np.abs(dataset.data), initial=0.0)
+    f_max = np.max(np.abs(problem.penalty.values), initial=0.0)
+    err_w = (n + l + 8) * _EPS * (a_max * np.abs(theta).sum()
+                                  + f_max * np.abs(nu).sum())
+    r1, radius = problem.r1, problem.feasible_radius
+    a = r1.weight if r1.kind == "l1" else 0.0
+    q = problem.ridge + (r1.weight if r1.kind == "squared-l2" else 0.0)
+    scale, conj_g = 1.0, 0.0
+    if q == 0.0 and radius is None:
+        peak = float(np.max(np.abs(w), initial=0.0)) + err_w
+        if peak > a:
+            scale = a / peak
+    else:
+        rho = (float(np.linalg.norm(np.maximum(np.abs(w) - a, 0.0)))
+               + math.sqrt(d) * err_w)
+        if radius is None or (q > 0.0 and rho <= q * radius):
+            conj_g = rho * rho / (2.0 * q)
+        else:
+            conj_g = radius * rho - 0.5 * q * radius * radius
+    if problem.loss == LOSS_LOGISTIC:
+        p *= scale
+        conj_terms = _xlogx(p) + _xlogx(1.0 - p)
+    else:
+        resid *= scale
+        conj_terms = 0.5 * resid * resid + labels * resid
+    dual = -float(np.mean(conj_terms)) - conj_g
+    margin = _EPS * (
+        (n + d + l + 16) * (abs(f) + float(np.mean(np.abs(conj_terms))) + conj_g)
+        + (d + 2) * float(np.abs(x).sum()) * (a_max * slope + l * w2 * f_max))
+    return f, f - dual + margin
+
+
+def _smooth_lipschitz(problem: Problem, dataset: Dataset) -> float:
+    """Lipschitz constant of the gradient of the loss plus any folded
+    ridge: from the spectrum of A^T A / n for rows that store every
+    feature (an ``eigvalsh`` of the d x d Gram matrix, with the margin of
+    ``sparse.dense_sigma_max_bound``), else the per-sample bound. Rounded
+    up to 4 significant digits, so that FISTA's iterates do not depend on
+    the last bits of the BLAS and LAPACK calls."""
+    if dataset.full_rows:
+        n, d = dataset.n_samples, dataset.dimension
+        rows = dataset.data.reshape(n, d)
+        gram = rows.T @ rows
+        top = (np.max(np.linalg.eigvalsh(gram), initial=0.0)
+               + (n + d) * _EPS * np.trace(gram)) / n
+        lips = 0.25 * top if problem.loss == LOSS_LOGISTIC else top
+    else:
+        lips = estimate_lipschitz(dataset, problem.loss)
+    lips = max(float(lips) + problem.ridge, 1e-12)
+    unit = 10.0 ** (math.floor(math.log10(lips)) - 3)
+    return math.ceil(lips / unit) * unit
+
+
+def _fista_reference(problem: Problem, dataset: Dataset, tol: float,
+                     check_every: int) -> ReferenceSolution:
+    """FISTA (Beck & Teboulle, SIAM J. Imaging Sci. 2009) at step 1/L with
+    the exact prox of r1 + r2(F .) for a fused F, with the gradient
+    restart of O'Donoghue & Candes (Found. Comput. Math. 2015). Every
+    ``FISTA_CHECK_EVERY`` iterations the iterate is certified with the TV
+    prox's own dual, ``cumsum(v - t)[:-1] / step``."""
+    kern = kernels(problem)
+    step = 1.0 / _smooth_lipschitz(problem, dataset)
+    tv_weight = problem.r2.weight
+    every = min(check_every, FISTA_CHECK_EVERY)
+    x = y = np.zeros(dataset.dimension)
+    t = 1.0
+    f = gap = math.inf
+    prev, prev_at = math.inf, 0
+    converged = False
+    iterations = 0
+    while iterations < UNCAPPED_ITERS:
+        v = y - step * oracles._gradient_over_rows(problem, dataset, y, None)
+        x_next, tv = prox_fused(kern.prox_r1, v, step, tv_weight)
+        move = x_next - x
+        if (y - x_next).dot(move) > 0.0:  # momentum against descent
+            t, y = 1.0, x_next
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            y = x_next + ((t - 1.0) / t_next) * move
+            t = t_next
+        x = x_next
+        iterations += 1
+        if iterations % every and iterations < UNCAPPED_ITERS:
+            continue
+        f, gap = _objective_and_gap(problem, dataset, kern, x,
+                                    np.cumsum(v - tv)[:-1] / step)
+        bound = tol * max(1.0, abs(f))
+        if gap <= bound:
+            converged = True
+            break
+        if iterations - prev_at >= check_every:
+            if abs(prev - f) <= bound:
+                converged = True
+                break
+            prev, prev_at = f, iterations
+    return ReferenceSolution(f, x, iterations, converged, gap)
+
+
+def _extragradient_reference(problem: Problem, dataset: Dataset, gamma: float,
+                             max_iters: int | None, tol: float,
+                             check_every: int) -> ReferenceSolution:
+    """The solvers' z block and ``extragradient`` step at the constant step
+    c = 1/(1 + L_tilde), with full gradients: the scheduled solvers shrink
+    their steps, while this last iterate settles geometrically. Certified
+    at each checkpoint when uncapped (``max_iters`` None)."""
+    c = 1.0 / (1.0 + derive_constants(problem, dataset, gamma, "convex")["L_tilde"])
+    kern = kernels(problem)
+    certify = max_iters is None
+
+    def gradient(v):
+        return oracles._gradient_over_rows(problem, dataset, v, None)
+
+    def evaluate(x, lam):
+        if certify:  # lam is minus the dual point of r2
+            return _objective_and_gap(problem, dataset, kern, x, -lam)
+        return objective_value(problem, dataset, x), None
+
+    x = np.zeros(dataset.dimension)
+    lam = np.zeros(problem.penalty.n_rows)
+    best = math.inf
+    best_x = x.copy()
+    prev = math.inf
+    converged = False
+    iterations = 0
+    gap = None
+    for k in range(UNCAPPED_ITERS if certify else max_iters):
+        fx = kern.F(x)
+        z = z_block(kern, gamma, fx, lam)
+        _, _, x, lam, _, _ = extragradient(kern, gamma, c, x, lam, fx, z, gradient)
+        iterations = k + 1
+        if iterations % check_every == 0:
+            f, gap = evaluate(x, lam)
+            if f < best:
+                best, best_x = f, x.copy()
+            if ((certify and gap <= tol * max(1.0, abs(f)))
+                    or abs(prev - f) <= tol * max(1.0, abs(f))):
+                converged = True
+                break
+            prev = f
+    # a loop that ended on a checkpoint has already evaluated this x
+    if iterations == 0 or iterations % check_every:
+        f, gap = evaluate(x, lam)
+        if f < best:
+            best, best_x = f, x.copy()
+    # the gap bounds the last iterate's objective, so the best one's too
+    return ReferenceSolution(best, best_x, iterations, converged, gap)
+
+
 def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
-                      max_iters: int = 1_000_000, tol: float = 1e-10,
+                      max_iters: int | None = None, tol: float = 1e-10,
                       check_every: int = 2000,
                       cache_path=None) -> ReferenceSolution:
-    """High-accuracy optimum via constant-step full-gradient extra-gradient.
+    """High-accuracy optimum; uncapped (``max_iters`` None) it is certified.
 
-    The scheduled solvers shrink their steps, which is the wrong tool for a
-    reference: with full gradients and a constant step the last iterate
-    settles geometrically on these instances. An iteration is the solvers'
-    z block and ``extragradient`` step (which projects onto any feasible
-    ball) at c = 1/(1 + L_tilde). Stops when the objective change between
-    checkpoints drops below tol (relative); the best iterate seen is
-    returned. With a ``cache_path`` it is also cached, keyed by the
-    problem/dataset fingerprints and by every argument that shapes the run,
-    so a capped run is never returned for an uncapped call; the key, which
-    hashes the whole dataset, is computed only for a cache file.
+    An uncapped call returns ``certified_gap``, a Fenchel duality gap
+    (``duality_gap``) that bounds ``objective - f*``, and stops at the
+    first check where that gap is at most tol * max(1, |objective|), or
+    when the objective changes by at most that much over ``check_every``
+    iterations, or after ``UNCAPPED_ITERS``; ``converged`` says that one of
+    the first two happened.
+    - A fused penalty with no feasible ball runs FISTA with the exact prox
+      of r1 + r2(F .), checked every ``FISTA_CHECK_EVERY`` iterations.
+    - Every other problem runs the extragradient loop of a capped call,
+      certified at its checkpoints with the dual point -lambda.
+
+    A capped call (an int ``max_iters``) runs, whatever the penalty, at
+    most ``max_iters`` iterations of the solvers' z block and
+    ``extragradient`` step (which projects onto any feasible ball) at the
+    constant step c = 1/(1 + L_tilde). It evaluates the objective every
+    ``check_every`` iterations, stops when it changes by at most tol
+    (relative) between checkpoints, returns the best iterate seen, computes
+    no certificate and reports ``certified_gap`` None.
+
+    With a ``cache_path`` the result is also cached, keyed by the
+    problem/dataset fingerprints and by every argument that shapes the
+    run, so a capped run is never returned for an uncapped call; the key,
+    which hashes the whole dataset, is computed only for a cache file. An
+    entry without ``certified_gap`` (a capped one, or one written before
+    certificates) loads with None.
     """
     check_dimensions(problem, dataset)
     cache = {}
@@ -391,42 +630,21 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
             if key in cache:
                 e = cache[key]
                 return ReferenceSolution(e["objective"], np.asarray(e["x"]),
-                                         e["iterations"], e["converged"])
-    c = 1.0 / (1.0 + derive_constants(problem, dataset, gamma, "convex")["L_tilde"])
-    kern = kernels(problem)
-
-    def gradient(v):
-        return oracles._gradient_over_rows(problem, dataset, v, None)
-
-    x = np.zeros(dataset.dimension)
-    lam = np.zeros(problem.penalty.n_rows)
-    best = math.inf
-    best_x = x.copy()
-    prev = math.inf
-    converged = False
-    iterations = 0
-    for k in range(max_iters):
-        fx = kern.F(x)
-        z = z_block(kern, gamma, fx, lam)
-        _, _, x, lam, _, _ = extragradient(kern, gamma, c, x, lam, fx, z, gradient)
-        iterations = k + 1
-        if iterations % check_every == 0:
-            f = objective_value(problem, dataset, x)
-            if f < best:
-                best, best_x = f, x.copy()
-            if abs(prev - f) <= tol * max(1.0, abs(f)):
-                converged = True
-                break
-            prev = f
-    # a loop that ended on a checkpoint has already evaluated this x
-    if iterations == 0 or iterations % check_every:
-        f = objective_value(problem, dataset, x)
-        if f < best:
-            best, best_x = f, x.copy()
-    solution = ReferenceSolution(best, best_x, iterations, converged)
+                                         e["iterations"], e["converged"],
+                                         e.get("certified_gap"))
+    if (max_iters is None and problem.feasible_radius is None
+            and _is_fused(problem.penalty)):
+        solution = _fista_reference(problem, dataset, tol, check_every)
+    else:
+        solution = _extragradient_reference(problem, dataset, gamma, max_iters,
+                                            tol, check_every)
     if cache_path is not None:
-        cache[key] = {"objective": best, "x": best_x.tolist(),
-                      "iterations": iterations, "converged": converged}
+        entry = {"objective": solution.objective, "x": solution.x.tolist(),
+                 "iterations": solution.iterations,
+                 "converged": solution.converged}
+        if solution.certified_gap is not None:
+            entry["certified_gap"] = solution.certified_gap
+        cache[key] = entry
         with open(cache_path, "w", encoding="utf-8") as fh:
             json.dump(cache, fh)
     return solution
@@ -515,6 +733,22 @@ def _grid_index(iterations: np.ndarray, t: int) -> int:
     return int(np.nonzero(iterations == t)[0][0])
 
 
+def _reference_report(ref: ReferenceSolution, iterations: np.ndarray,
+                      mean_gaps: np.ndarray, fit: RateFit) -> dict:
+    """The reference's entries of a regime's report. The trace points in
+    the fit window whose mean gap is below 10x the reference's certificate
+    are those where the reference's own error may reach a tenth of the
+    gap; a non-positive gap counts."""
+    lo, hi = fit.window
+    in_window = (iterations >= lo) & (iterations <= hi)
+    near = in_window & (mean_gaps < 10.0 * ref.certified_gap)
+    return {"reference_objective": ref.objective,
+            "reference_iterations": ref.iterations,
+            "reference_converged": ref.converged,
+            "reference_certified_gap": ref.certified_gap,
+            "window_points_below_10x_certificate": int(np.sum(near))}
+
+
 def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
                  iters: int = 100_000, seeds: int = 5, base_seed: int = 0,
                  d: int = 20, n: int = 200, eval_every: int = 100,
@@ -544,12 +778,11 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
         ref = reference_optimum(problem, train, core["config"]["gamma"],
                                 cache_path=cache_path)
         its, curves, _ = _gap_curves(built, core, seed_list, ref.objective)
-        fit = fit_rate(its, curves.mean(axis=0), (window_lo, None))
+        mean_gaps = curves.mean(axis=0)
+        fit = fit_rate(its, mean_gaps, (window_lo, None))
         report["convex"] = {"slope": fit.slope, "r_squared": fit.r_squared,
                             "window": fit.window,
-                            "reference_objective": ref.objective,
-                            "reference_iterations": ref.iterations,
-                            "reference_converged": ref.converged}
+                            **_reference_report(ref, its, mean_gaps, fit)}
     if "sc-nonuniform" in regimes or "sc-uniform" in regimes:
         # the schedule does not depend on the horizon, so a run to iters
         # passes through the ordering iteration with the same bits as a run
@@ -565,16 +798,15 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
         its, obj_curves, feas_curves = _gap_curves(built, core, seed_list,
                                                    ref.objective)
         if "sc-nonuniform" in regimes:
-            obj_fit = fit_rate(its, obj_curves.mean(axis=0), (window_lo, None))
+            mean_gaps = obj_curves.mean(axis=0)
+            obj_fit = fit_rate(its, mean_gaps, (window_lo, None))
             feas_fit = fit_rate(its, feas_curves.mean(axis=0), (window_lo, None))
             report["sc-nonuniform"] = {
                 "slope": obj_fit.slope, "r_squared": obj_fit.r_squared,
                 "window": obj_fit.window,
                 "feasibility_slope": feas_fit.slope,
                 "feasibility_r_squared": feas_fit.r_squared,
-                "reference_objective": ref.objective,
-                "reference_iterations": ref.iterations,
-                "reference_converged": ref.converged}
+                **_reference_report(ref, its, mean_gaps, obj_fit)}
         if "sc-uniform" in regimes:
             # the uniform regime is checked as an ordering against the
             # accelerated one at a fixed iteration count, not as a slope

@@ -132,7 +132,10 @@ def cmd_verify_rates(args) -> int:
         if regime in report:
             r = report[regime]
             print(f"{regime}: slope={r['slope']:.3f} r2={r['r_squared']:.3f} "
-                  f"window={r['window']}")
+                  f"window={r['window']} reference gap<="
+                  f"{r['reference_certified_gap']:.2g} "
+                  f"({r['window_points_below_10x_certificate']} window points "
+                  f"below 10x)")
             if "feasibility_slope" in r:
                 print(f"{regime}: feasibility slope={r['feasibility_slope']:.3f} "
                       f"r2={r['feasibility_r_squared']:.3f}")

@@ -161,10 +161,16 @@ def loss_value(problem: Problem, dataset: Dataset, x: np.ndarray) -> float:
     return data_loss(problem.loss, dataset, x) + ridge_value(problem, x)
 
 
+def _scatter(dataset: Dataset, coefs: np.ndarray) -> np.ndarray:
+    """``A.T @ coefs`` over all rows: the scatter of a full pass."""
+    if dataset.dense_columns is not None:
+        return _lane_sums(dataset.data.reshape(-1, dataset.dimension), coefs)
+    return dataset.features.rmatvec(coefs)
+
+
 def _gradient_over_rows(problem: Problem, dataset: Dataset, x: np.ndarray,
                         rows: np.ndarray | None) -> np.ndarray:
     """Average per-sample gradient over the given rows (all rows if None)."""
-    d = dataset.dimension
     if rows is None:
         m = margins(dataset, x)
         if problem.loss == LOSS_LOGISTIC:  # _coefs(...) / n, bit for bit
@@ -173,10 +179,7 @@ def _gradient_over_rows(problem: Problem, dataset: Dataset, x: np.ndarray,
             coefs /= dataset.neg_labels_n
         else:
             coefs = _coefs(problem.loss, m, dataset.labels) / dataset.n_samples
-        if dataset.dense_columns is not None:
-            grad = _lane_sums(dataset.data.reshape(-1, d), coefs)
-        else:
-            grad = dataset.features.rmatvec(coefs)
+        grad = _scatter(dataset, coefs)
     elif rows.size == 1:
         grad = _row_gradient(problem.loss, dataset, x, int(rows[0]))
     else:

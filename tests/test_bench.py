@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import (count_calls, diverge_for_seed, save_penalty,
-                      serialize_libsvm)
-from spdpeg import bench, sparse
+                      serialize_libsvm, sparse_from_dense)
+from spdpeg import bench, oracles, prox, solver, sparse
 from spdpeg.data import normalize_features
-from spdpeg.model import Dataset, estimate_lipschitz
+from spdpeg.model import Dataset, Problem, estimate_lipschitz
+from spdpeg.penalties import GraphSpec, build_fused_matrix, build_graph_matrix
+from spdpeg.prox import ProxSpec, prox_tv
 from spdpeg.solver import run as run_spdpeg
 from spdpeg.sparse import SparseMatrix
 from spdpeg.trace import TraceRecord, read_trace_csv, write_trace_csv
@@ -75,8 +77,10 @@ def test_reference_cache_keeps_capped_runs_apart(tmp_path):
     capped = bench.reference_optimum(problem, train, 0.1, max_iters=5,
                                      cache_path=cache)
     assert (capped.iterations, capped.converged) == (5, False)
+    assert capped.certified_gap is None
     full = bench.reference_optimum(problem, train, 0.1, cache_path=cache)
     assert full.converged and full.iterations > 5
+    assert full.certified_gap is not None
     assert full.objective < capped.objective
     bench.reference_optimum(problem, train, 0.1, max_iters=5, check_every=1,
                             cache_path=cache)
@@ -167,6 +171,136 @@ def test_reference_matches_convex_solver():
     cp_problem.solve()
     assert ref.objective == pytest.approx(cp_problem.value, abs=1e-6)
     assert ref.objective >= cp_problem.value - 1e-9
+
+
+def test_reference_certifies_itself():
+    # runs where the cvxpy cross-check above is skipped, on its instance
+    train, _, problem, _ = bench.build_all(small_core())
+    ref = bench.reference_optimum(problem, train, 0.1)
+    assert ref.converged
+    assert ref.certified_gap <= 1e-10 * max(1.0, abs(ref.objective))
+    assert bench.objective_value(problem, train, ref.x) == ref.objective
+
+
+def tv_dual(problem, dataset, x):
+    """The dual point of r2 that one prox-gradient step from x gives on a
+    fused penalty, as the FISTA reference takes it."""
+    step = 1.0 / bench._smooth_lipschitz(problem, dataset)
+    v = x - step * oracles.full_gradient(problem, dataset, x)
+    return np.cumsum(v - prox_tv(v, step * problem.r2.weight))[:-1] / step
+
+
+def tiny_problem(loss, r1, ridge=0.0, radius=None, fused=True):
+    rng = np.random.default_rng(11)
+    n, d = 30, 6
+    dataset = Dataset.from_dense_rows(rng.standard_normal((n, d)),
+                                      np.where(rng.random(n) < 0.5, 1.0, -1.0))
+    penalty = (build_fused_matrix(d) if fused else build_graph_matrix(
+        GraphSpec(((0, 2, 1.0), (1, 3, -0.5), (2, 5, 2.0), (3, 4, 1.0)), d)))
+    return Problem(loss, ProxSpec(*r1), ProxSpec("l1", 0.05), penalty,
+                   ridge=ridge, feasible_radius=radius), dataset
+
+
+GAP_CASES = {
+    "logistic-l1": dict(loss="logistic", r1=("l1", 0.02)),
+    "least-squares-l1": dict(loss="least-squares", r1=("l1", 0.02)),
+    "logistic-ridge": dict(loss="logistic", r1=("none", 0.0), ridge=0.05),
+    "least-squares-ridge-graph": dict(loss="least-squares", r1=("none", 0.0),
+                                      ridge=0.05, fused=False),
+    "logistic-l1-ball": dict(loss="logistic", r1=("l1", 0.02), radius=0.03),
+    "logistic-none-ball": dict(loss="logistic", r1=("none", 0.0), radius=0.03),
+    "logistic-l1-ridge-ball": dict(loss="logistic", r1=("l1", 0.02),
+                                   ridge=0.05, radius=0.03),
+    "least-squares-squared-l2": dict(loss="least-squares",
+                                     r1=("squared-l2", 0.1)),
+}
+
+
+@pytest.mark.parametrize("case", GAP_CASES)
+def test_duality_gap_bounds_the_suboptimality(case):
+    problem, dataset = tiny_problem(**GAP_CASES[case])
+    ref = bench.reference_optimum(problem, dataset, 0.1)
+    assert ref.converged and ref.certified_gap <= 1e-10
+    # f* from a long extragradient run; the gap must cover f(x) - f* for
+    # any x and any nu, including points close to the optimum
+    long = bench.reference_optimum(problem, dataset, 0.1, max_iters=30_000,
+                                   check_every=1000, tol=0.0)
+    f_star = min(long.objective, ref.objective)
+    assert ref.certified_gap >= ref.objective - f_star
+    rng = np.random.default_rng(5)
+    d, l = dataset.dimension, problem.penalty.n_rows
+    points = [np.zeros(d), long.x, ref.x]
+    points += [ref.x + s * rng.standard_normal(d) for s in (1e-8, 1e-4, 1e-1, 1.0)]
+    if problem.feasible_radius is not None:
+        points = [p * min(1.0, problem.feasible_radius / np.linalg.norm(p))
+                  if p.any() else p for p in points]
+    for x in points:
+        duals = [np.zeros(l), rng.standard_normal(l), 0.05 * rng.standard_normal(l)]
+        if bench._is_fused(problem.penalty):
+            nu = tv_dual(problem, dataset, x)
+            duals += [nu, 2.0 * nu]
+        for nu in duals:
+            gap = bench.duality_gap(problem, dataset, x, nu)
+            assert gap >= bench.objective_value(problem, dataset, x) - f_star
+            # nu is taken clipped into r2's box
+            box = problem.r2.weight
+            assert gap == bench.duality_gap(problem, dataset, x,
+                                            np.clip(nu, -box, box))
+
+
+def test_fista_and_extragradient_references_agree():
+    train, _, problem, _ = bench.build_all(small_core())
+    fista = bench.reference_optimum(problem, train, 0.1)
+    eg = bench.reference_optimum(problem, train, 0.1, max_iters=30_000,
+                                 check_every=1000, tol=0.0)
+    eg_gap = bench.duality_gap(problem, train, eg.x, tv_dual(problem, train, eg.x))
+    assert abs(fista.objective - eg.objective) <= fista.certified_gap + eg_gap
+    # f* is at most eg.objective, so FISTA's certificate alone covers it
+    assert fista.objective <= eg.objective + fista.certified_gap
+
+
+def test_duality_gap_checks_its_inputs():
+    problem, dataset = tiny_problem("logistic", ("l1", 0.02))
+    with pytest.raises(ValueError, match="x must have length 6"):
+        bench.duality_gap(problem, dataset, np.zeros(5), np.zeros(5))
+    with pytest.raises(ValueError, match="nu must have length 5"):
+        bench.duality_gap(problem, dataset, np.zeros(6), np.zeros(6))
+
+
+def test_only_a_fused_penalty_is_fused():
+    assert bench._is_fused(build_fused_matrix(5))
+    assert bench._is_fused(sparse_from_dense(build_fused_matrix(5).to_dense()))
+    assert not bench._is_fused(sparse_from_dense(-build_fused_matrix(5).to_dense()))
+    assert not bench._is_fused(tiny_problem("logistic", ("l1", 0.0),
+                                           fused=False)[0].penalty)
+    assert not bench._is_fused(SparseMatrix(0, 1, [0], [], []))
+
+
+def test_uncapped_fused_reference_runs_fista_only(monkeypatch):
+    train, _, problem, _ = bench.build_all(small_core())
+    steps = count_calls(monkeypatch, solver, "extragradient", bench)
+    tv_steps = count_calls(monkeypatch, prox, "prox_tv")
+    ref = bench.reference_optimum(problem, train, 0.1)
+    assert (len(steps), len(tv_steps)) == (0, ref.iterations)
+    # a capped call runs the extragradient loop, whatever the penalty
+    capped = bench.reference_optimum(problem, train, 0.1, max_iters=300,
+                                     check_every=100)
+    assert (len(steps), len(tv_steps)) == (300, ref.iterations)
+    assert capped.certified_gap is None
+
+
+def test_reference_cache_entry_without_a_certificate_loads(tmp_path):
+    train, _, problem, _ = bench.build_all(small_core())
+    cache = tmp_path / "cache.json"
+    ref = bench.reference_optimum(problem, train, 0.1, cache_path=cache)
+    entries = json.loads(cache.read_text())
+    [entry] = entries.values()
+    assert entry["certified_gap"] == ref.certified_gap
+    del entry["certified_gap"]  # as written before certificates
+    cache.write_text(json.dumps(entries))
+    again = bench.reference_optimum(problem, train, 0.1, cache_path=cache)
+    assert again.certified_gap is None
+    assert (again.objective, again.iterations) == (ref.objective, ref.iterations)
 
 
 def test_build_data_split_deterministic():

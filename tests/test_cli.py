@@ -17,8 +17,8 @@ from spdpeg.trace import read_trace_csv
 # write. Regenerate only on a commit whose outputs are known to be right:
 #   PYTHONPATH=src python tests/test_cli.py
 RATES_GOLDEN = {
-    "convex": "25a254aa3491559943962769544b612e95071015447968c2ef5fc9ff635a5088",
-    "all": "e9f013890cf9a744c0bad8fee81a9d4ba96513eb46045f0f2db50f61a5a3fc45",
+    "convex": "abbfd62e2905b6bedd281ba2c2e49ba5af015fd3fe68b07429bff684d9c95637",
+    "all": "befd910bb86166b3e7c8492f9773b44b436bd5b0ad0449bba22bcc348c19890e",
 }
 # test_golden_trace.SWEEP_GOLDEN hashes bench.step_inequality_sweep at seed 1
 # through json.dumps(sort_keys=True); the CLI runs seed 0 and writes the list

@@ -163,6 +163,14 @@ def test_build_run_and_reference_read_no_csr_view(view_reads):
     assert view_reads == []
 
 
+def test_uncapped_fused_reference_reads_no_csr_view(view_reads):
+    # FISTA's step constant and certificate read the dense rows
+    core = bench.rate_core("convex", d=8, n=40, iters=300, eval_every=100)
+    train, _, problem, _ = bench.build_all(core)
+    ref = bench.reference_optimum(problem, train, 0.1)
+    assert ref.certified_gap is not None and view_reads == []
+
+
 def test_build_data_memory_is_about_the_rows():
     # a synthetic split holds its rows once: no index arrays, no re-check
     n, d = 20_000, 50

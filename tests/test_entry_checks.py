@@ -1,11 +1,11 @@
 """Inputs are checked once, where a run enters; the iterations run kernels.
 
 ``solver.drive`` (so ``solver.run``, ``baselines.run_eg_full`` and
-``baselines.run_stoch_linadmm``) and ``bench.reference_optimum`` check the
-penalty width and the test set's dimension before their loops. The loops
-then call ``SparseMatrix._matvec``/``_rmatvec``, the resolved proxes and
-``oracles._gradient_over_rows``, never the checked public wrappers, which
-trace evaluation still calls.
+``baselines.run_stoch_linadmm``) and ``bench.reference_optimum``, capped or
+certified, check the penalty width and the test set's dimension before their
+loops. The loops then call ``SparseMatrix._matvec``/``_rmatvec``, the
+resolved proxes and ``oracles._gradient_over_rows``, never the checked
+public wrappers, which trace evaluation still calls.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import count_calls
 from spdpeg import bench, oracles, prox, solver
 from spdpeg.baselines import run_eg_full, run_stoch_linadmm
 from spdpeg.data import synthesize
@@ -34,7 +35,13 @@ def reference(problem, dataset, config, test_dataset=None):
                                    max_iters=config.max_iters, check_every=10)
 
 
-ENTRIES = {**SOLVERS, "reference": reference}
+def certified(problem, dataset, config, test_dataset=None):
+    # the uncapped reference: FISTA on a fused penalty with no ball, else the
+    # certified extragradient loop
+    return bench.reference_optimum(problem, dataset, config.gamma)
+
+
+ENTRIES = {**SOLVERS, "reference": reference, "certified": certified}
 
 
 def instance(penalty=None, batch_size=1, iters=30):
@@ -73,7 +80,7 @@ def test_an_empty_penalty_runs_as_a_penalty_of_stored_zeros(entry):
     empty = SparseMatrix(3, D, [0, 0, 0, 0], [], [])
     zeros = SparseMatrix(3, D, [0, 1, 2, 3], [0, 2, 5], [0.0, -0.0, 0.0])
     got, want = (ENTRIES[entry](*instance(penalty)) for penalty in (empty, zeros))
-    if entry == "reference":
+    if entry in ("reference", "certified"):
         assert got.x.tobytes() == want.x.tobytes()
         assert got.objective == want.objective
         return
@@ -92,7 +99,8 @@ CHECKED = [(SparseMatrix, "matvec"), (SparseMatrix, "rmatvec"),
 @pytest.mark.parametrize("entry,batch_size,r1,radius", [
     ("spdpeg", 1, "l1", None), ("spdpeg", 4, "squared-l2", 0.5),
     ("eg-full", 1, "none", None), ("slinadmm", 1, "l1", None),
-    ("slinadmm", 4, "squared-l2", 0.5), ("reference", 1, "l1", 0.5)])
+    ("slinadmm", 4, "squared-l2", 0.5), ("reference", 1, "l1", 0.5),
+    ("certified", 1, "l1", None), ("certified", 1, "squared-l2", 0.5)])
 def test_iterations_call_no_checked_wrapper(monkeypatch, entry, batch_size,
                                             r1, radius):
     outside, inside, evaluating = {}, {}, []
@@ -119,10 +127,17 @@ def test_iterations_call_no_checked_wrapper(monkeypatch, entry, batch_size,
                         evaluation(solver.evaluate_trace_record))
     monkeypatch.setattr(bench, "objective_value",
                         evaluation(bench.objective_value))
+    certificates = count_calls(monkeypatch, bench, "_objective_and_gap")
+    monkeypatch.setattr(bench, "_objective_and_gap",
+                        evaluation(bench._objective_and_gap))
     problem, dataset, config = instance(batch_size=batch_size, iters=40)
     problem = replace(problem, r1=ProxSpec(r1, 0.0 if r1 == "none" else 0.05),
                       feasible_radius=radius)
     ENTRIES[entry](problem, dataset, config)
     assert outside == {}
+    if entry == "certified":
+        # its checkpoints run kernels too
+        assert certificates and inside == {}
+        return
     # the counters are live: evaluation still goes through the checks
     assert inside["matvec"] > 0

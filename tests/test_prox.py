@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import prox_squared_l2
-from spdpeg.prox import ProxSpec, apply_prox, prox_l1, reg_value
+from spdpeg.prox import (ProxSpec, apply_prox, prox_fused, prox_kernel, prox_l1,
+                         prox_tv, reg_value)
 
 finite_vec = arrays(np.float64, st.integers(1, 6),
                     elements=st.floats(-100, 100, allow_nan=False))
@@ -115,3 +116,85 @@ def test_reg_value():
     assert reg_value(ProxSpec("none"), np.array([3.0])) == 0.0
     assert reg_value(ProxSpec("l1", 2.0), np.array([1.0, -2.0])) == pytest.approx(6.0)
     assert reg_value(ProxSpec("squared-l2", 2.0), np.array([3.0])) == pytest.approx(9.0)
+
+
+def dual_tv(vs, weights, iters=20_000):
+    """TV prox of each row of ``vs`` by projected gradient on its dual,
+    min over |u| <= weight of ||v - F^T u||^2 / 2 with F the fused matrix,
+    at step 1/4 (||F F^T|| < 4); returns v - F^T u."""
+    bound = np.asarray(weights)[:, None]
+    u = np.zeros((vs.shape[0], vs.shape[1] - 1))
+
+    def primal(u):
+        t = vs.copy()
+        t[:, :-1] -= u
+        t[:, 1:] += u
+        return t
+
+    for _ in range(iters):
+        t = primal(u)
+        u = np.clip(u + 0.25 * (t[:, :-1] - t[:, 1:]), -bound, bound)
+    return primal(u)
+
+
+def test_prox_tv_matches_a_dual_projected_gradient_solver():
+    rng = np.random.default_rng(2013)
+    worst = 0.0
+    for d in (2, 5, 13, 30):
+        count = 13 if d < 30 else 11  # 50 inputs in all
+        vs = rng.standard_normal((count, d)) * rng.choice([0.1, 1.0, 10.0],
+                                                          size=(count, 1))
+        weights = rng.uniform(0.01, 3.0, size=count)
+        want = dual_tv(vs, weights)
+        for v, weight, w in zip(vs, weights, want):
+            t = prox_tv(v, weight)
+            worst = max(worst, float(np.abs(t - w).max()))
+            # its dual lies in the box and gives v - t = F^T u
+            u = np.cumsum(v - t)
+            assert np.abs(u[:-1]).max() <= weight * (1 + 1e-12)
+            assert abs(u[-1]) <= 1e-12 * (1 + np.abs(v).sum())
+    assert worst <= 1e-9
+
+
+def test_prox_tv_of_two_entries():
+    # the pair moves together by the weight, or meets at its mean
+    np.testing.assert_allclose(prox_tv(np.array([3.0, -1.0]), 0.5), [2.5, -0.5])
+    np.testing.assert_allclose(prox_tv(np.array([-1.0, 3.0]), 0.5), [-0.5, 2.5])
+    np.testing.assert_allclose(prox_tv(np.array([3.0, -1.0]), 2.5), [1.0, 1.0])
+    np.testing.assert_allclose(prox_tv(np.array([0.25, 0.75]), 0.25), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("c", [0.3, -1.7, 123.456, 0.0])
+@pytest.mark.parametrize("d", [2, 3, 50])
+def test_prox_tv_keeps_a_constant_input(c, d):
+    for weight in (0.1, 1.0, 1e3):
+        t = prox_tv(np.full(d, c), weight)
+        assert np.all(t == t[0])
+        assert abs(t[0] - c) <= 8 * 2.0 ** -52 * (abs(c) + weight)
+
+
+def test_prox_tv_of_weight_zero_is_the_input():
+    v = np.random.default_rng(4).standard_normal(9)
+    t = prox_tv(v, 0.0)
+    assert t.tobytes() == v.tobytes() and t is not v
+
+
+@pytest.mark.parametrize("kind", ["l1", "squared-l2", "none"])
+def test_prox_fused_is_r1_prox_of_the_tv_prox(kind):
+    rng = np.random.default_rng(7)
+    spec = ProxSpec(kind, 0.0 if kind == "none" else 0.4)
+    for _ in range(20):
+        v = rng.standard_normal(8) * 2.0
+        step, tv_weight = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.0, 1.0))
+        x, t = prox_fused(prox_kernel(spec), v, step, tv_weight)
+        assert t.tobytes() == prox_tv(v, step * tv_weight).tobytes()
+        assert x.tobytes() == apply_prox(spec, t, step).tobytes()
+
+        # and x minimizes step * (r1 + tv_weight * TV) + ||. - v||^2 / 2
+        def objective(y):
+            return (step * (reg_value(spec, y) + tv_weight * np.abs(np.diff(y)).sum())
+                    + 0.5 * ((y - v) ** 2).sum())
+
+        perturbed = x + rng.standard_normal((200, 8)) * rng.choice(
+            [1e-6, 1e-3, 1e-1], size=(200, 1))
+        assert min(map(objective, perturbed)) >= objective(x) - 1e-12
