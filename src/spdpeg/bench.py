@@ -31,7 +31,7 @@ from .model import (LOSS_LOGISTIC, Dataset, Problem, SolverConfig,
                     compute_L_tilde, estimate_lipschitz)
 from .penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
                         load_penalty, precision_graph_from_data)
-from .prox import ProxSpec, prox_fused
+from .prox import ProxSpec, prox_dual, prox_fused
 from .solver import run as run_spdpeg
 from .solver import (DivergenceError, check_dimensions, check_step_inequality,
                      extragradient, kernels, objective_from_margins,
@@ -496,15 +496,20 @@ def _smooth_lipschitz(problem: Problem, dataset: Dataset) -> float:
 def _fista_reference(problem: Problem, dataset: Dataset, tol: float,
                      check_every: int) -> ReferenceSolution:
     """FISTA (Beck & Teboulle, SIAM J. Imaging Sci. 2009) at step 1/L with
-    the exact prox of r1 + r2(F .) for a fused F, with the gradient
-    restart of O'Donoghue & Candes (Found. Comput. Math. 2015). Every
-    ``FISTA_CHECK_EVERY`` iterations the iterate is certified with the TV
-    prox's own dual, ``cumsum(v - t)[:-1] / step``."""
+    the gradient restart of O'Donoghue & Candes (Found. Comput. Math.
+    2015) and a prox of r1 + r2(F .) that also returns a dual point nu of
+    step * r2: for a fused F with no ball the exact ``prox_fused``, whose
+    TV prox gives nu = ``cumsum(v - t)[:-1]``, else ``prox_dual``,
+    warm-started from the previous iteration's nu. Every
+    ``FISTA_CHECK_EVERY`` iterations the iterate is certified with nu /
+    step."""
     kern = kernels(problem)
     step = 1.0 / _smooth_lipschitz(problem, dataset)
-    tv_weight = problem.r2.weight
+    weight, sigma = problem.r2.weight, problem.penalty.sigma_max_FtF
+    fused = problem.feasible_radius is None and _is_fused(problem.penalty)
     every = min(check_every, FISTA_CHECK_EVERY)
     x = y = np.zeros(dataset.dimension)
+    nu = np.zeros(problem.penalty.n_rows)
     t = 1.0
     f = gap = math.inf
     prev, prev_at = math.inf, 0
@@ -512,7 +517,11 @@ def _fista_reference(problem: Problem, dataset: Dataset, tol: float,
     iterations = 0
     while iterations < UNCAPPED_ITERS:
         v = y - step * oracles._gradient_over_rows(problem, dataset, y, None)
-        x_next, tv = prox_fused(kern.prox_r1, v, step, tv_weight)
+        if fused:
+            x_next, tv = prox_fused(kern.prox_r1, v, step, weight)
+        else:
+            x_next, nu = prox_dual(kern.prox_r1, kern.F, kern.Ft, sigma, v,
+                                   step, weight, nu)
         move = x_next - x
         if (y - x_next).dot(move) > 0.0:  # momentum against descent
             t, y = 1.0, x_next
@@ -524,8 +533,9 @@ def _fista_reference(problem: Problem, dataset: Dataset, tol: float,
         iterations += 1
         if iterations % every and iterations < UNCAPPED_ITERS:
             continue
-        f, gap = _objective_and_gap(problem, dataset, kern, x,
-                                    np.cumsum(v - tv)[:-1] / step)
+        if fused:
+            nu = np.cumsum(v - tv)[:-1]
+        f, gap = _objective_and_gap(problem, dataset, kern, x, nu / step)
         bound = tol * max(1.0, abs(f))
         if gap <= bound:
             converged = True
@@ -539,23 +549,17 @@ def _fista_reference(problem: Problem, dataset: Dataset, tol: float,
 
 
 def _extragradient_reference(problem: Problem, dataset: Dataset, gamma: float,
-                             max_iters: int | None, tol: float,
+                             max_iters: int, tol: float,
                              check_every: int) -> ReferenceSolution:
     """The solvers' z block and ``extragradient`` step at the constant step
-    c = 1/(1 + L_tilde), with full gradients: the scheduled solvers shrink
-    their steps, while this last iterate settles geometrically. Certified
-    at each checkpoint when uncapped (``max_iters`` None)."""
+    c = 1/(1 + L_tilde), with full gradients, for ``max_iters`` iterations
+    at most: the scheduled solvers shrink their steps, while this last
+    iterate settles geometrically. Returns the best iterate seen."""
     c = 1.0 / (1.0 + derive_constants(problem, dataset, gamma, "convex")["L_tilde"])
     kern = kernels(problem)
-    certify = max_iters is None
 
     def gradient(v):
         return oracles._gradient_over_rows(problem, dataset, v, None)
-
-    def evaluate(x, lam):
-        if certify:  # lam is minus the dual point of r2
-            return _objective_and_gap(problem, dataset, kern, x, -lam)
-        return objective_value(problem, dataset, x), None
 
     x = np.zeros(dataset.dimension)
     lam = np.zeros(problem.penalty.n_rows)
@@ -564,28 +568,25 @@ def _extragradient_reference(problem: Problem, dataset: Dataset, gamma: float,
     prev = math.inf
     converged = False
     iterations = 0
-    gap = None
-    for k in range(UNCAPPED_ITERS if certify else max_iters):
+    for k in range(max_iters):
         fx = kern.F(x)
         z = z_block(kern, gamma, fx, lam)
         _, _, x, lam, _, _ = extragradient(kern, gamma, c, x, lam, fx, z, gradient)
         iterations = k + 1
         if iterations % check_every == 0:
-            f, gap = evaluate(x, lam)
+            f = objective_value(problem, dataset, x)
             if f < best:
                 best, best_x = f, x.copy()
-            if ((certify and gap <= tol * max(1.0, abs(f)))
-                    or abs(prev - f) <= tol * max(1.0, abs(f))):
+            if abs(prev - f) <= tol * max(1.0, abs(f)):
                 converged = True
                 break
             prev = f
     # a loop that ended on a checkpoint has already evaluated this x
     if iterations == 0 or iterations % check_every:
-        f, gap = evaluate(x, lam)
+        f = objective_value(problem, dataset, x)
         if f < best:
             best, best_x = f, x.copy()
-    # the gap bounds the last iterate's objective, so the best one's too
-    return ReferenceSolution(best, best_x, iterations, converged, gap)
+    return ReferenceSolution(best, best_x, iterations, converged)
 
 
 def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
@@ -594,16 +595,17 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
                       cache_path=None) -> ReferenceSolution:
     """High-accuracy optimum; uncapped (``max_iters`` None) it is certified.
 
-    An uncapped call returns ``certified_gap``, a Fenchel duality gap
-    (``duality_gap``) that bounds ``objective - f*``, and stops at the
-    first check where that gap is at most tol * max(1, |objective|), or
-    when the objective changes by at most that much over ``check_every``
-    iterations, or after ``UNCAPPED_ITERS``; ``converged`` says that one of
-    the first two happened.
-    - A fused penalty with no feasible ball runs FISTA with the exact prox
-      of r1 + r2(F .), checked every ``FISTA_CHECK_EVERY`` iterations.
-    - Every other problem runs the extragradient loop of a capped call,
-      certified at its checkpoints with the dual point -lambda.
+    An uncapped call runs FISTA at step 1/L with a prox of r1 + r2(F .)
+    that also yields a dual point of r2: the exact ``prox_fused`` for a
+    fused penalty with no feasible ball, else ``prox_dual``, projected
+    gradient on r2's dual box warm-started from the previous iteration.
+    Every ``FISTA_CHECK_EVERY`` iterations it computes ``certified_gap``, a
+    Fenchel duality gap (``duality_gap``) at that dual point that bounds
+    ``objective - f*``. It stops at the first check where that gap is at
+    most tol * max(1, |objective|), or when the objective changes by at
+    most that much over ``check_every`` iterations, or after
+    ``UNCAPPED_ITERS``; ``converged`` says that one of the first two
+    happened.
 
     A capped call (an int ``max_iters``) runs, whatever the penalty, at
     most ``max_iters`` iterations of the solvers' z block and
@@ -632,8 +634,7 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
                 return ReferenceSolution(e["objective"], np.asarray(e["x"]),
                                          e["iterations"], e["converged"],
                                          e.get("certified_gap"))
-    if (max_iters is None and problem.feasible_radius is None
-            and _is_fused(problem.penalty)):
+    if max_iters is None:
         solution = _fista_reference(problem, dataset, tol, check_every)
     else:
         solution = _extragradient_reference(problem, dataset, gamma, max_iters,

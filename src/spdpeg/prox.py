@@ -1,4 +1,5 @@
-"""Closed-form proximal mappings for the separable regularizers."""
+"""Proximal mappings: closed forms for the separable regularizers, and the
+prox of r1 plus a fused or any l1 penalty of F x."""
 
 from __future__ import annotations
 
@@ -117,6 +118,37 @@ def prox_fused(prox_r1, v: np.ndarray, step: float,
     for a squared l2 norm too, since TV is positively homogeneous."""
     t = prox_tv(v, step * tv_weight)
     return prox_r1(t, step), t
+
+
+# most projected-gradient steps of one ``prox_dual`` call; warm-started from
+# the previous call's dual, it mostly stops after a step or two
+DUAL_PROX_ITERS = 20
+
+
+def prox_dual(prox_r1, F, Ft, sigma: float, v: np.ndarray, step: float,
+              weight: float, nu: np.ndarray,
+              iters: int = DUAL_PROX_ITERS) -> tuple[np.ndarray, np.ndarray]:
+    """Prox of step * (r1 + weight * ||F .||_1) at v, for any F, given
+    ``prox_r1(v, step)`` (which may fold a feasible ball in), F's products
+    ``F`` and ``Ft`` and sigma >= sigma_max(F^T F).
+
+    Projected gradient ascent on the dual nu, in the box |nu| <= step *
+    weight, at step 1/sigma: u(nu) = prox_r1(v - F^T nu, step), and the
+    dual's gradient F u(nu) is sigma-Lipschitz. Starts from nu and stops
+    when a step leaves nu unchanged bit for bit, or after ``iters`` steps.
+    Returns (u(nu), nu). With sigma or weight 0 it takes no step and
+    returns (prox_r1(v, step), zeros)."""
+    box = step * weight
+    if sigma == 0.0 or box == 0.0:
+        return prox_r1(v, step), np.zeros_like(nu)
+    u = prox_r1(v - Ft(nu), step)
+    for _ in range(iters):
+        nu_next = np.clip(nu + F(u) / sigma, -box, box)
+        if np.array_equal(nu_next, nu):
+            break
+        nu = nu_next
+        u = prox_r1(v - Ft(nu), step)
+    return u, nu
 
 
 def apply_prox(spec: ProxSpec, v: np.ndarray, step: float) -> np.ndarray:

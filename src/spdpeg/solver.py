@@ -13,8 +13,8 @@ augmented Lagrangian with penalty gamma. One iteration, run at step c:
 
 ``extragradient`` is the predictor/corrector for any step and gradient
 source: SPDPEG and its full-gradient limit ``eg-full`` call it with the
-scheduled step and drawn gradients, the reference optimum in ``bench``
-with a constant step and exact gradients.
+scheduled step and drawn gradients, a capped reference optimum in
+``bench`` with a constant step and exact gradients.
 
 ``drive`` is the one loop over ``max_iters``. It validates the inputs
 (``check_dimensions``, as the reference in ``bench`` does), so the steps

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,15 +249,45 @@ def test_duality_gap_bounds_the_suboptimality(case):
                                             np.clip(nu, -box, box))
 
 
-def test_fista_and_extragradient_references_agree():
+def dual_prox_gap(problem, dataset, x):
+    """The duality gap at x with the dual point of r2 that one
+    ``prox_dual`` call from 0 gives after a prox-gradient step from x."""
+    kern = solver.kernels(problem)
+    step = 1.0 / bench._smooth_lipschitz(problem, dataset)
+    v = x - step * oracles.full_gradient(problem, dataset, x)
+    _, nu = prox.prox_dual(kern.prox_r1, kern.F, kern.Ft,
+                           problem.penalty.sigma_max_FtF, v, step,
+                           problem.r2.weight, np.zeros(problem.penalty.n_rows))
+    return bench.duality_gap(problem, dataset, x, nu / step)
+
+
+def reference_instances():
+    """(fused, graph, ball) problems with their training sets: the small
+    fused core, the sc core at its size, and the fused core in a ball of
+    half the radius of its optimum (about 13.3)."""
     train, _, problem, _ = bench.build_all(small_core())
-    fista = bench.reference_optimum(problem, train, 0.1)
-    eg = bench.reference_optimum(problem, train, 0.1, max_iters=30_000,
-                                 check_every=1000, tol=0.0)
-    eg_gap = bench.duality_gap(problem, train, eg.x, tv_dual(problem, train, eg.x))
-    assert abs(fista.objective - eg.objective) <= fista.certified_gap + eg_gap
-    # f* is at most eg.objective, so FISTA's certificate alone covers it
-    assert fista.objective <= eg.objective + fista.certified_gap
+    graph_train, _, graph, _ = bench.build_all(
+        bench.rate_core("sc", d=8, n=40, iters=300, eval_every=100))
+    return {"fused": (problem, train), "graph": (graph, graph_train),
+            "ball": (replace(problem, feasible_radius=6.6), train)}
+
+
+def test_fista_and_extragradient_references_agree():
+    for name, (problem, train) in reference_instances().items():
+        fista = bench.reference_optimum(problem, train, 0.1)
+        eg = bench.reference_optimum(problem, train, 0.1, max_iters=30_000,
+                                     check_every=1000, tol=0.0)
+        eg_gap = (bench.duality_gap(problem, train, eg.x,
+                                    tv_dual(problem, train, eg.x))
+                  if name == "fused" else dual_prox_gap(problem, train, eg.x))
+        assert abs(fista.objective - eg.objective) <= fista.certified_gap + eg_gap, name
+        # f* is at most eg.objective, so FISTA's certificate alone covers it
+        assert fista.objective <= eg.objective + fista.certified_gap, name
+        if name == "fused":
+            free = fista.objective
+        if name == "ball":  # and the ball binds
+            assert np.linalg.norm(fista.x) <= 6.6 * (1 + 1e-12)
+            assert fista.objective > free
 
 
 def test_duality_gap_checks_its_inputs():
@@ -276,16 +307,27 @@ def test_only_a_fused_penalty_is_fused():
     assert not bench._is_fused(SparseMatrix(0, 1, [0], [], []))
 
 
-def test_uncapped_fused_reference_runs_fista_only(monkeypatch):
-    train, _, problem, _ = bench.build_all(small_core())
+@pytest.mark.parametrize("penalty", ["fused", "graph", "ball", "empty"])
+def test_uncapped_reference_runs_fista_only(monkeypatch, penalty):
+    instances = reference_instances()
+    problem, train = instances["fused" if penalty == "empty" else penalty]
+    if penalty == "empty":
+        problem = replace(problem, penalty=SparseMatrix(3, 8, [0, 0, 0, 0], [], []))
     steps = count_calls(monkeypatch, solver, "extragradient", bench)
+    fista = count_calls(monkeypatch, bench, "_fista_reference")
     tv_steps = count_calls(monkeypatch, prox, "prox_tv")
+    dual_steps = count_calls(monkeypatch, prox, "prox_dual", bench)
     ref = bench.reference_optimum(problem, train, 0.1)
-    assert (len(steps), len(tv_steps)) == (0, ref.iterations)
+    # the exact TV prox for a fused penalty with no ball, else the dual prox
+    prox_steps = ((ref.iterations, 0) if penalty == "fused"
+                  else (0, ref.iterations))
+    assert len(steps) == 0 and len(fista) == 1
+    assert (len(tv_steps), len(dual_steps)) == prox_steps
     # a capped call runs the extragradient loop, whatever the penalty
     capped = bench.reference_optimum(problem, train, 0.1, max_iters=300,
                                      check_every=100)
-    assert (len(steps), len(tv_steps)) == (300, ref.iterations)
+    assert len(steps) == 300 and len(fista) == 1
+    assert (len(tv_steps), len(dual_steps)) == prox_steps
     assert capped.certified_gap is None
 
 

@@ -18,7 +18,7 @@ from spdpeg.trace import read_trace_csv
 #   PYTHONPATH=src python tests/test_cli.py
 RATES_GOLDEN = {
     "convex": "abbfd62e2905b6bedd281ba2c2e49ba5af015fd3fe68b07429bff684d9c95637",
-    "all": "befd910bb86166b3e7c8492f9773b44b436bd5b0ad0449bba22bcc348c19890e",
+    "all": "f7906fff3f161a3dc5a9c4b6b504dbb70fd1ca38f315744434f98caa38ddf767",
 }
 # test_golden_trace.SWEEP_GOLDEN hashes bench.step_inequality_sweep at seed 1
 # through json.dumps(sort_keys=True); the CLI runs seed 0 and writes the list

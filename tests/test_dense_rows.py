@@ -171,6 +171,14 @@ def test_uncapped_fused_reference_reads_no_csr_view(view_reads):
     assert ref.certified_gap is not None and view_reads == []
 
 
+def test_uncapped_graph_reference_reads_no_csr_view(view_reads):
+    # and nor does the dual prox of a graph penalty
+    core = bench.rate_core("sc", d=8, n=40, iters=300, eval_every=100)
+    train, _, problem, _ = bench.build_all(core)
+    ref = bench.reference_optimum(problem, train, 0.05)
+    assert ref.certified_gap is not None and view_reads == []
+
+
 def test_build_data_memory_is_about_the_rows():
     # a synthetic split holds its rows once: no index arrays, no re-check
     n, d = 20_000, 50

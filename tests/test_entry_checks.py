@@ -36,8 +36,8 @@ def reference(problem, dataset, config, test_dataset=None):
 
 
 def certified(problem, dataset, config, test_dataset=None):
-    # the uncapped reference: FISTA on a fused penalty with no ball, else the
-    # certified extragradient loop
+    # the uncapped reference: FISTA, with the TV prox on a fused penalty with
+    # no ball, else with the dual prox
     return bench.reference_optimum(problem, dataset, config.gamma)
 
 
@@ -83,6 +83,9 @@ def test_an_empty_penalty_runs_as_a_penalty_of_stored_zeros(entry):
     if entry in ("reference", "certified"):
         assert got.x.tobytes() == want.x.tobytes()
         assert got.objective == want.objective
+        if entry == "certified":
+            assert got.converged
+            assert got.certified_gap <= 1e-10 * max(1.0, abs(got.objective))
         return
     for name in ("x_avg", "z_avg", "lambda_avg"):
         a, b = getattr(got, name), getattr(want, name)

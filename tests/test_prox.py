@@ -5,8 +5,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import prox_squared_l2
-from spdpeg.prox import (ProxSpec, apply_prox, prox_fused, prox_kernel, prox_l1,
-                         prox_tv, reg_value)
+from spdpeg.model import Problem
+from spdpeg.penalties import GraphSpec, build_fused_matrix, build_graph_matrix
+from spdpeg.prox import (ProxSpec, apply_prox, prox_dual, prox_fused,
+                         prox_kernel, prox_l1, prox_tv, reg_value)
+from spdpeg.solver import kernels
+from spdpeg.sparse import SparseMatrix
 
 finite_vec = arrays(np.float64, st.integers(1, 6),
                     elements=st.floats(-100, 100, allow_nan=False))
@@ -198,3 +202,86 @@ def test_prox_fused_is_r1_prox_of_the_tv_prox(kind):
         perturbed = x + rng.standard_normal((200, 8)) * rng.choice(
             [1e-6, 1e-3, 1e-1], size=(200, 1))
         assert min(map(objective, perturbed)) >= objective(x) - 1e-12
+
+
+GRAPH = GraphSpec(((0, 2, 1.0), (1, 3, -0.5), (2, 5, 2.0), (3, 4, 1.0),
+                   (0, 5, 0.3), (1, 4, 4.0)), 6)
+
+
+def dual_prox_kernels(penalty, kind="l1", radius=None):
+    """The prox_r1, F and Ft kernels and sigma of a problem with this
+    penalty and r1, as the reference passes them to ``prox_dual``."""
+    r1 = ProxSpec(kind, 0.0 if kind == "none" else 0.4)
+    kern = kernels(Problem("logistic", r1, ProxSpec("l1", 0.1), penalty,
+                           feasible_radius=radius))
+    return kern.prox_r1, kern.F, kern.Ft, penalty.sigma_max_FtF
+
+
+@pytest.mark.parametrize("kind", ["none", "l1", "squared-l2"])
+def test_prox_dual_on_a_fused_matrix_is_prox_fused(kind):
+    rng = np.random.default_rng(8)
+    prox_r1, F, Ft, sigma = dual_prox_kernels(build_fused_matrix(8), kind)
+    for _ in range(20):
+        v = rng.standard_normal(8) * 2.0
+        step, weight = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.0, 1.0))
+        u, nu = prox_dual(prox_r1, F, Ft, sigma, v, step, weight, np.zeros(7),
+                          iters=2000)
+        assert np.abs(u - prox_fused(prox_r1, v, step, weight)[0]).max() <= 1e-9
+        assert np.abs(nu).max() <= step * weight
+
+
+@pytest.mark.parametrize("kind", ["none", "l1", "squared-l2"])
+def test_prox_dual_warm_started_matches_a_long_run(kind):
+    # capped calls, each from the last one's dual, reach the prox of a
+    # 10,000-step call; that prox minimizes the composite objective
+    rng = np.random.default_rng(9)
+    spec = ProxSpec(kind, 0.0 if kind == "none" else 0.4)
+    penalty = build_graph_matrix(GRAPH)
+    prox_r1, F, Ft, sigma = dual_prox_kernels(penalty, kind)
+    dense = penalty.to_dense()
+    for _ in range(5):
+        v = rng.standard_normal(6) * 2.0
+        step, weight = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.05, 1.0))
+        want, _ = prox_dual(prox_r1, F, Ft, sigma, v, step, weight,
+                            np.zeros(6), iters=10_000)
+        nu = np.zeros(6)
+        for _ in range(1000):
+            u, nu_next = prox_dual(prox_r1, F, Ft, sigma, v, step, weight, nu)
+            if np.array_equal(nu_next, nu):
+                break
+            nu = nu_next
+            assert np.abs(nu).max() <= step * weight
+        assert np.abs(u - want).max() <= 1e-9
+
+        def objective(y):
+            return (step * (reg_value(spec, y) + weight * np.abs(dense @ y).sum())
+                    + 0.5 * ((y - v) ** 2).sum())
+
+        perturbed = want + rng.standard_normal((200, 6)) * rng.choice(
+            [1e-6, 1e-3, 1e-1], size=(200, 1))
+        assert min(map(objective, perturbed)) >= objective(want) - 1e-12
+
+
+@pytest.mark.parametrize("penalty", [SparseMatrix(3, 6, [0, 0, 0, 0], [], []),
+                                     build_graph_matrix(GRAPH)])
+def test_prox_dual_without_a_penalty_is_the_r1_prox(penalty):
+    # no stored entry gives sigma 0; a weight of 0 leaves r1 alone too
+    prox_r1, F, Ft, sigma = dual_prox_kernels(penalty)
+    v = np.random.default_rng(10).standard_normal(6)
+    start = np.ones(penalty.n_rows)
+    for s, weight in ((sigma, 0.0), (0.0, 0.5)):
+        u, nu = prox_dual(prox_r1, F, Ft, s, v, 0.7, weight, start)
+        assert u.tobytes() == prox_r1(v, 0.7).tobytes()
+        assert nu.tobytes() == np.zeros(penalty.n_rows).tobytes()
+
+
+def test_prox_dual_stays_in_the_ball():
+    rng = np.random.default_rng(11)
+    prox_r1, F, Ft, sigma = dual_prox_kernels(build_graph_matrix(GRAPH),
+                                              radius=0.3)
+    nu = np.zeros(6)
+    for _ in range(20):
+        v = rng.standard_normal(6) * 3.0
+        u, nu = prox_dual(prox_r1, F, Ft, sigma, v, 0.5, 0.4, nu)
+        assert np.linalg.norm(u) <= 0.3 * (1 + 1e-12)
+        assert np.abs(nu).max() <= 0.5 * 0.4
