@@ -7,7 +7,8 @@ once. Dense rows store no column index or row id, since no pass of the
 library reads them; their CSR view is built on first read, for the CSR
 kernels when n or d is 1 and for ``normalize_features``.
 ``subset`` keeps rows checked and keeps the storage. Rows that store every
-feature also get a column-major copy for the full-data passes.
+feature have one dense layout, the ``(n, d)`` view ``dense_rows`` of their
+values, which every full-data pass reads; no other copy is kept.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ class Dataset:
     Dense rows build ``features`` on first read. ``full_rows`` says whether
     every row stores all d features, so has the columns arange(d): column
     indices strictly increase in [0, d), so that is when n*d are stored.
+    ``dense_rows`` is then the ``(n, d)`` view of ``data`` if n, d >= 2,
+    else None.
     Lazy fields are properties over attributes that ``_store`` sets: a
     ``functools.cached_property`` writes the instance ``__dict__``, which
     slows every later attribute load (CPython 3.11). Caches assume the
@@ -67,8 +70,13 @@ class Dataset:
             self.indptr, self.data = d * np.arange(n + 1, dtype=np.int64), rows.reshape(-1)
             self.dimension = d
         self.full_rows = self.data.size == n * self.dimension
+        # the full passes' rows; with one row or one lane the scatter would
+        # not add in bincount's order, so those datasets keep the CSR kernels
+        self.dense_rows = (self.data.reshape(n, self.dimension)
+                           if self.full_rows and n >= 2 and self.dimension >= 2
+                           else None)
         self._rows, self._features = rows, features
-        self._dense_columns = self._max_row_norm_sq = self._neg_labels_n = None
+        self._max_row_norm_sq = self._neg_labels_n = None
 
     @classmethod
     def from_dense_rows(cls, features, labels) -> "Dataset":
@@ -100,20 +108,6 @@ class Dataset:
     @property
     def row_ids(self) -> np.ndarray:
         return self.features.row_ids
-
-    @property
-    def dense_columns(self) -> np.ndarray | None:
-        """Read-only, C-ordered ``(d, n)`` copy of the features, built on
-        first use, when every row stores every feature and n, d >= 2; None
-        otherwise. With a single lane (n or d equal to 1) the dense full
-        passes of ``oracles`` would not add in ``bincount``'s order, so such
-        datasets keep the CSR kernels."""
-        if self._dense_columns is None:
-            n, d = self.n_samples, self.dimension
-            if self.full_rows and n >= 2 and d >= 2:
-                self._dense_columns = self.data.reshape(n, d).T.copy()
-                self._dense_columns.flags.writeable = False
-        return self._dense_columns
 
     @property
     def neg_labels_n(self) -> np.ndarray:

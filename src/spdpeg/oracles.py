@@ -10,12 +10,12 @@ A full pass uses the products of the data matrix ``A`` (the dataset's
 ``features``): the margins are ``A @ x`` and the gradient scatter is
 ``A.T @ coefs``, the ``bincount`` kernels of ``SparseMatrix.matvec`` and
 ``rmatvec``. A dataset whose rows store every feature, with n and d both
-at least 2 (``Dataset.dense_columns``), runs both through ``_lane_sums``
-on a dense array instead: the margins over the ``(d, n)`` column-major
-copy weighted by x, the gradient scatter over the ``(n, d)`` row-major
-values (``data``) weighted by the coefficients. ``_lane_sums`` adds each
-lane in index order from 0.0, which is ``bincount``'s order, so both give
-the same bits as the CSR products; its docstring says when that order holds.
+at least 2, runs both over its one dense layout, the ``(n, d)`` rows
+``Dataset.dense_rows``: each margin is the row's BLAS ``dot`` with x
+(``np.vecdot``), the kernel and so the bits of the sampled paths'
+``vals.dot(x)``, and the scatter is ``_lane_sums`` over the same rows,
+which adds each lane in index order from 0.0, ``bincount``'s order, so it
+has the bits of ``rmatvec``; its docstring says when that order holds.
 The logistic coefficients of a full pass, ``-b * sigmoid(-b*m) / n``, take
 -(b*m) in place over the margins and one division by
 ``Dataset.neg_labels_n`` (-b*n), which for b = +-1 has the bits of the
@@ -29,10 +29,10 @@ A sampled batch takes one of two paths:
 - one row: scalar arithmetic on that row's slice, with no array built for
   its margin, coefficient or label; a row that stores every feature also
   skips the gather of x and the scatter into a zero vector;
-- more rows: one gather of all drawn rows' stored entries, one stacked
-  ``matmul`` per distinct row length for the margins, one coefficient call
-  for the batch and one ``bincount`` scatter. The stacked ``matmul`` sums
-  each row in the order ``vals @ x[cols]`` does, so both paths give the
+- more rows: one gather of all drawn rows' stored entries, one
+  ``np.vecdot`` per distinct row length for the margins, one coefficient
+  call for the batch and one ``bincount`` scatter. ``np.vecdot`` runs the
+  dot kernel of ``vals @ x[cols]`` on each row, so both paths give the
   same bits as a loop over the rows; a segment sum would not. Rows that
   store every feature (d >= 2) are gathered whole, with no position array
   and no gather of x, and scattered through ``_lane_sums``, with the same
@@ -74,7 +74,7 @@ def _lane_sums(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     - ``matrix`` is C-contiguous: a Fortran-ordered one is summed down each
       lane by another loop, with other bits;
     - it has at least 2 rows and 2 lanes, as the size guard of
-      ``Dataset.dense_columns`` ensures: with one lane einsum sums in
+      ``Dataset.dense_rows`` ensures: with one lane einsum sums in
       another order;
     - the numpy build's einsum does not fuse the multiply and the add (a
       build whose SIMD baseline has no FMA, such as X86_V2). The canary
@@ -86,9 +86,9 @@ def _lane_sums(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def margins(dataset: Dataset, x: np.ndarray) -> np.ndarray:
     """Per-sample decision values a_i^T x."""
-    cols = dataset.dense_columns
-    if cols is not None:
-        return _lane_sums(cols, x)
+    rows = dataset.dense_rows
+    if rows is not None:
+        return np.vecdot(rows, x)
     return dataset.features.matvec(x)
 
 
@@ -163,8 +163,9 @@ def loss_value(problem: Problem, dataset: Dataset, x: np.ndarray) -> float:
 
 def _scatter(dataset: Dataset, coefs: np.ndarray) -> np.ndarray:
     """``A.T @ coefs`` over all rows: the scatter of a full pass."""
-    if dataset.dense_columns is not None:
-        return _lane_sums(dataset.data.reshape(-1, dataset.dimension), coefs)
+    rows = dataset.dense_rows
+    if rows is not None:
+        return _lane_sums(rows, coefs)
     return dataset.features.rmatvec(coefs)
 
 
@@ -222,17 +223,16 @@ def _row_gradient(loss: str, dataset: Dataset, x: np.ndarray, i: int) -> np.ndar
 
 def _ragged_row_margins(vals: np.ndarray, xs: np.ndarray,
                         lengths: np.ndarray) -> np.ndarray:
-    """Dot product of each of the concatenated rows, one stacked matmul per
-    distinct row length. A (g, 1, k) @ (g, k, 1) matmul runs the dot kernel
-    of ``vals @ x[cols]`` on each row, so every margin has the batch-1
-    path's summation order."""
+    """Dot product of each of the concatenated rows, one ``np.vecdot`` per
+    distinct row length, which runs the dot kernel of ``vals @ x[cols]`` on
+    each row, so every margin has the batch-1 path's summation order."""
     out = np.empty(lengths.size)
     offsets = np.cumsum(lengths) - lengths
     # a Python set of the few lengths in a batch is cheaper than np.unique
     for k in set(lengths.tolist()):
         group = lengths == k
         pos = offsets[group][:, None] + np.arange(k)
-        out[group] = (vals[pos][:, None, :] @ xs[pos][:, :, None]).reshape(-1)
+        out[group] = np.vecdot(vals[pos], xs[pos])
     return out
 
 
@@ -243,10 +243,10 @@ def _batch_gradient(loss: str, dataset: Dataset, x: np.ndarray,
         # rows that store all d features, columns arange(d): gather whole
         # rows and scatter with _lane_sums, which adds each lane in
         # bincount's order (b >= 2 here). With a contiguous x, which
-        # _check_x ensures, the broadcast matmul sums each row in the order
-        # of vals @ x[cols]; a strided x takes another dot kernel
+        # _check_x ensures, vecdot sums each row in the order of
+        # vals @ x[cols]; a strided x takes another dot kernel
         vals = dataset.data.reshape(-1, d)[rows]
-        m = (vals[:, None, :] @ x[:, None]).reshape(b)
+        m = np.vecdot(vals, x)
         grad = _lane_sums(vals, _coefs(loss, m, dataset.labels[rows]))
         grad /= b
         return grad

@@ -117,7 +117,7 @@ class SparseMatrix:
         else ``dense_sigma_max_bound`` up to ``DENSE_SIGMA_MAX_D`` columns,
         else ``power_iteration_sigma_max`` (a Rayleigh quotient, which can
         fall just below). Computed on first use and kept; like
-        ``Dataset.dense_columns``, it assumes no array is mutated in place."""
+        ``Dataset.max_row_norm_sq``, it assumes no array is mutated in place."""
         if self._sigma_max_FtF is None:
             object.__setattr__(self, "_sigma_max_FtF", (
                 dense_sigma_max_bound(self) if self.n_cols <= DENSE_SIGMA_MAX_D

@@ -153,8 +153,8 @@ def reference_full_pass(problem, dataset, x) -> np.ndarray:
         coefs = s / dataset.n_samples
     else:
         coefs = (m - labels) / dataset.n_samples
-    if dataset.dense_columns is not None:
-        grad = oracles._lane_sums(dataset.data.reshape(-1, dataset.dimension), coefs)
+    if dataset.dense_rows is not None:
+        grad = oracles._lane_sums(dataset.dense_rows, coefs)
     else:
         grad = dataset.features.rmatvec(coefs)
     if problem.ridge:

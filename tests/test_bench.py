@@ -98,7 +98,7 @@ def test_reference_cache_file_is_pinned(tmp_path):
                                 check_every=check_every, tol=1e-6,
                                 cache_path=cache)
     assert hashlib.sha256(cache.read_bytes()).hexdigest() == \
-        "399f9f4810a182f53ee2afb8dc473323845eddd7d734c5c2a8a1b377a6b9daed"
+        "b3674458aa1f05479ba3473a8fc173446aa64e53d2fa87a2e2c7757e84b12215"
 
 
 def test_uncached_reference_redoes_no_dataset_work(monkeypatch):

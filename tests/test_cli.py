@@ -17,8 +17,8 @@ from spdpeg.trace import read_trace_csv
 # write. Regenerate only on a commit whose outputs are known to be right:
 #   PYTHONPATH=src python tests/test_cli.py
 RATES_GOLDEN = {
-    "convex": "abbfd62e2905b6bedd281ba2c2e49ba5af015fd3fe68b07429bff684d9c95637",
-    "all": "f7906fff3f161a3dc5a9c4b6b504dbb70fd1ca38f315744434f98caa38ddf767",
+    "convex": "f6f43cd09f3815c8f57600ab387d9b6d7cf4509ca91ec9f85c2535be072d406d",
+    "all": "46d3742734bca7a311ebe58bef706fa079cda3eaf3fbd76bc5573a266b47f5db",
 }
 # test_golden_trace.SWEEP_GOLDEN hashes bench.step_inequality_sweep at seed 1
 # through json.dumps(sort_keys=True); the CLI runs seed 0 and writes the list

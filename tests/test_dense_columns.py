@@ -1,12 +1,16 @@
-"""The dense-row full passes against the CSR kernels they replaced.
+"""The dense-row full passes: one ``(n, d)`` layout and the row's ``dot``.
 
-``reference_margins``, ``reference_full_gradient``, ``reference_sigmoid``
-and ``two_quotient_sigmoid`` are the earlier implementations, kept here as
-the specification: on a dataset whose rows store every feature the
-library's margins and full gradient go through ``Dataset.dense_columns``
-and must return the same bytes, and so must the sigmoid on any input.
-``one_shot_lane_sums`` is the dense reduction, with its n*d product, whose
-bits ``oracles._lane_sums`` computes in one einsum pass.
+A dataset whose rows store every feature, n and d >= 2, once also kept a
+``(d, n)`` column copy for its margins (hence this module's name). Its full
+passes now read only ``Dataset.dense_rows``: each margin is the row's BLAS
+``dot`` with x, the batch-1 path's ``vals.dot(x[cols])``, and the scatter
+is ``_lane_sums`` over the same rows, with the bits of the CSR ``rmatvec``.
+``reference_margins`` and ``reference_full_gradient`` state that contract
+over the CSR arrays (``bincount`` margins for every other dataset), and
+``reference_sigmoid`` and ``two_quotient_sigmoid`` are earlier sigmoids,
+kept as its specification. ``one_shot_lane_sums`` is the dense reduction,
+with its n*d product, whose bits ``oracles._lane_sums`` computes in one
+einsum pass.
 """
 
 from __future__ import annotations
@@ -42,8 +46,19 @@ def two_quotient_sigmoid(t):
     return np.where(t >= 0, 1.0 / denom, e / denom)
 
 
+def row_dot_margins(dataset, x):
+    """Each row's ``vals.dot(x[cols])``, the batch-1 path's kernel, in a
+    loop over the CSR rows."""
+    indptr, indices, data = dataset.indptr, dataset.indices, dataset.data
+    return np.array([data[lo:hi].dot(x[indices[lo:hi]])
+                     for lo, hi in zip(indptr[:-1], indptr[1:])])
+
+
 def reference_margins(dataset, x):
-    """One ``bincount`` over every stored entry."""
+    """The row dots where every row stores every feature and n, d >= 2,
+    else one ``bincount`` over every stored entry."""
+    if dataset.full_rows and min(dataset.n_samples, dataset.dimension) >= 2:
+        return row_dot_margins(dataset, x)
     if dataset.indices.size == 0:
         return np.zeros(dataset.n_samples)
     return np.bincount(dataset.row_ids, weights=dataset.data * x[dataset.indices],
@@ -113,6 +128,8 @@ def _assert_full_passes_match(dataset, loss, ridge, seed):
         assert got_m.tobytes() == reference_margins(dataset, x).tobytes()
         want = reference_full_gradient(problem, dataset, x).tobytes()
         assert full_gradient(problem, dataset, x).tobytes() == want
+        # a strided x: full_gradient makes it contiguous for the dot kernel
+        assert full_gradient(problem, dataset, np.repeat(x, 2)[::2]).tobytes() == want
         enumerated = stochastic_gradient(problem, dataset, x,
                                          np.random.default_rng(0), 1,
                                          enumerate_all=True)
@@ -125,7 +142,7 @@ def _assert_full_passes_match(dataset, loss, ridge, seed):
 @pytest.mark.parametrize("stored_zeros", [False, True])
 def test_full_passes_are_bitwise_the_csr_kernels(n, d, loss, ridge, stored_zeros):
     dataset = dense_dataset(n * 1000 + d, n, d, stored_zeros)
-    assert (dataset.dense_columns is None) == (n < 2 or d < 2)
+    assert (dataset.dense_rows is None) == (n < 2 or d < 2)
     _assert_full_passes_match(dataset, loss, ridge, seed=n + d)
 
 
@@ -133,7 +150,7 @@ def test_full_passes_are_bitwise_the_csr_kernels(n, d, loss, ridge, stored_zeros
 @pytest.mark.parametrize("loss", ["logistic", "least-squares"])
 def test_synthesized_datasets_take_the_dense_path(kind, loss):
     dataset, _, _ = synthesize(kind, 20, 200, 0.1, 3)
-    assert dataset.dense_columns is not None
+    assert np.shares_memory(dataset.dense_rows, dataset.data)
     _assert_full_passes_match(dataset, loss, 0.0, seed=5)
 
 
@@ -197,27 +214,94 @@ def test_logistic_coefs_are_bitwise_the_product_form():
             assert got.tobytes() == want[part].tobytes()
 
 
-def test_dense_columns_layout_and_read_only():
-    dataset = dense_dataset(1, 30, 6)
-    cols = dataset.dense_columns
-    assert cols.shape == (6, 30) and cols.dtype == np.float64
-    assert cols.tobytes() == dataset.data.reshape(30, 6).T.copy().tobytes()
-    assert dataset.dense_columns is cols
-    assert not cols.flags.writeable
-    with pytest.raises(ValueError):
-        cols[0, 0] = 1.0
+def test_dense_rows_are_the_values_viewed_once():
+    """The one dense layout is a view: no copy of the values is made or kept."""
+    for n, d in ((30, 6), (2, 2), (5, 64)):
+        dataset = dense_dataset(n + d, n, d)
+        rows = dataset.dense_rows
+        assert rows.shape == (n, d) and rows.flags.c_contiguous
+        assert np.shares_memory(rows, dataset.data)
+        assert rows.tobytes() == dataset.data.tobytes()
+    for n, d in ((1, 6), (30, 1), (1, 1)):
+        assert dense_dataset(n + d, n, d).dense_rows is None
 
 
-def test_ragged_and_sparse_datasets_have_no_dense_columns():
+def test_ragged_and_sparse_datasets_keep_the_bincount_margins():
     ragged = csr_dataset([0, 2, 5, 6], [0, 3, 0, 1, 4, 2], np.ones(6),
                          [1.0, -1.0, 1.0], 5)
     sparse = csr_dataset([0, 2, 4, 6], [0, 3, 1, 4, 2, 3], np.ones(6),
                          [1.0, -1.0, 1.0], 5)
     empty = csr_dataset([0, 0, 0, 0], [], [], [1.0, -1.0, 1.0], 3)
     for dataset in (ragged, sparse, empty):
-        assert dataset.dense_columns is None
+        assert dataset.dense_rows is None
         x = np.linspace(-1.0, 1.0, dataset.dimension)
-        assert margins(dataset, x).tobytes() == reference_margins(dataset, x).tobytes()
+        assert (margins(dataset, x).tobytes()
+                == dataset.features.matvec(x).tobytes()
+                == reference_margins(dataset, x).tobytes())
+
+
+class _Rows:
+    """An rng stand-in that draws the given rows."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.int64)
+
+    def integers(self, low, high, size):
+        assert size == self.rows.size
+        return self.rows
+
+
+@pytest.mark.parametrize("n,d", [(2, 2), (200, 20), (7, 64), (40, 300)])
+def test_full_pass_and_draws_give_one_margin_per_row(n, d, monkeypatch):
+    """The margin of a row is the same bits whether a full pass, a batch-1
+    draw or a batch-16 draw computes it."""
+    dataset = dense_dataset(n + 7 * d, n, d, stored_zeros=True)
+    problem = problem_for("least-squares", d, 0.0)
+    x = 30.0 * np.random.default_rng(d).standard_normal(d)
+    full = margins(dataset, x)
+    assert full.tobytes() == row_dot_margins(dataset, x).tobytes()
+    # batch 1 on a full row returns (m - b) * row, with no array built
+    for i in range(n):
+        got = stochastic_gradient(problem, dataset, x, _Rows([i]), 1)
+        want = (full[i] - dataset.labels[i]) * dataset.dense_rows[i]
+        assert got.tobytes() == want.tobytes(), i
+    # batch 16 hands its margins to the coefficients
+    seen, coefs = [], oracles._coefs
+    monkeypatch.setattr(oracles, "_coefs",
+                        lambda loss, m, labels: seen.append(m.copy())
+                        or coefs(loss, m, labels))
+    drawn = np.arange(16 * (n // 16 + 1)) * 7 % n
+    for batch in drawn.reshape(-1, 16):
+        stochastic_gradient(problem, dataset, x, _Rows(batch), 16)
+    assert np.concatenate(seen).tobytes() == full[drawn].tobytes()
+
+
+@pytest.mark.parametrize("n,d", SHAPES)
+def test_scatter_is_the_csr_rmatvec(n, d):
+    dataset = dense_dataset(3 * n + d, n, d, stored_zeros=True)
+    rng = np.random.default_rng(n * d)
+    for coefs in (rng.standard_normal(n), np.abs(rng.standard_normal(n)),
+                  -np.zeros(n), 1e-3 * rng.standard_normal(n)):
+        assert (oracles._scatter(dataset, coefs).tobytes()
+                == dataset.features.rmatvec(coefs).tobytes())
+
+
+def test_vecdot_is_the_row_dot():
+    """The canary of the row dots' build dependency: ``np.vecdot`` must run
+    each row through the dot kernel of ``vals.dot(x)``, both for the full
+    pass's rows against one x and for the draws' gathered rows against
+    gathered x, at every width up to 300 and with signed zeros. A numpy
+    whose ``vecdot`` sums otherwise moves the golden digests."""
+    rng = np.random.default_rng(21)
+    for d in range(2, 301):
+        g = 1 + d % 5
+        rows = rng.standard_normal((g, d)) * 10.0 ** rng.integers(-3, 3, (g, d))
+        rows[rng.random((g, d)) < 0.2] = -0.0
+        xs = rng.standard_normal((g, d))
+        want = np.array([r.dot(xs[0]) for r in rows])
+        assert np.vecdot(rows, xs[0]).tobytes() == want.tobytes(), d
+        want = np.array([r.dot(v) for r, v in zip(rows, xs)])
+        assert np.vecdot(rows, xs).tobytes() == want.tobytes(), d
 
 
 # -- one-pass dense reduction -------------------------------------------------
@@ -228,10 +312,10 @@ def one_shot_lane_sums(matrix, weights):
 
 
 def one_shot_full_gradient(problem, dataset, x):
-    d = dataset.dimension
-    m = one_shot_lane_sums(dataset.dense_columns, x)
+    rows = dataset.data.reshape(dataset.n_samples, dataset.dimension)
+    m = np.array([row.dot(x) for row in rows])
     coefs = oracles._coefs(problem.loss, m, dataset.labels) / dataset.n_samples
-    grad = one_shot_lane_sums(dataset.data.reshape(-1, d), coefs)
+    grad = one_shot_lane_sums(rows, coefs)
     if problem.ridge:
         grad = grad + problem.ridge * x
     return grad
@@ -271,7 +355,7 @@ def test_multi_tile_full_passes_are_bitwise_one_shot(big_dense, loss, ridge):
     points = [0.05 * rng.standard_normal(d), 3.0 * rng.standard_normal(d),
               np.abs(rng.standard_normal(d))]
     for x in points:
-        want_m = one_shot_lane_sums(big_dense.dense_columns, x)
+        want_m = row_dot_margins(big_dense, x)
         assert margins(big_dense, x).tobytes() == want_m.tobytes()
         want = one_shot_full_gradient(problem, big_dense, x).tobytes()
         assert full_gradient(problem, big_dense, x).tobytes() == want
@@ -295,7 +379,7 @@ def test_synthesized_multi_tile_dataset_is_bitwise_one_shot():
     problem = problem_for("logistic", 20, 0.0)
     x = np.random.default_rng(9).standard_normal(20)
     assert (margins(dataset, x).tobytes()
-            == one_shot_lane_sums(dataset.dense_columns, x).tobytes())
+            == np.array([row.dot(x) for row in dataset.dense_rows]).tobytes())
     assert (full_gradient(problem, dataset, x).tobytes()
             == one_shot_full_gradient(problem, dataset, x).tobytes())
 
@@ -345,7 +429,7 @@ def test_einsum_does_not_fuse_multiply_add():
 def test_dense_inputs_are_c_contiguous():
     """``_lane_sums`` keeps its bits only on C-ordered input (a Fortran-
     ordered one is summed in another order), so every way of building a
-    dense dataset must give C-ordered columns and rows."""
+    dense dataset must give C-ordered rows, a view of the values."""
     rng = np.random.default_rng(12)
     rows = rng.standard_normal((30, 4))
     labels = np.where(rng.random(30) < 0.5, 1.0, -1.0)
@@ -362,8 +446,8 @@ def test_dense_inputs_are_c_contiguous():
     ]
     for dataset in datasets:
         d = dataset.dimension
-        assert dataset.dense_columns is not None
-        assert dataset.dense_columns.flags.c_contiguous
+        assert dataset.dense_rows.flags.c_contiguous
+        assert np.shares_memory(dataset.dense_rows, dataset.data)
         assert dataset.data.reshape(-1, d).flags.c_contiguous
 
 
@@ -380,7 +464,6 @@ def test_dense_full_passes_build_no_n_by_d_temporary(big_dense):
     n, d = big_dense.n_samples, big_dense.dimension
     problem = problem_for("logistic", d, 0.25)
     x = np.random.default_rng(10).standard_normal(d)
-    assert big_dense.dense_columns is not None  # built before tracing
     # margins allocate about their own n-vector; full_gradient also holds
     # the coefficients and the sigmoid's temporaries
     assert _peak_bytes(lambda: margins(big_dense, x)) < 2 * n * 8

@@ -10,6 +10,7 @@ twin's bytes, and so must the CSR view it builds when one is read.
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,3 +194,43 @@ def test_build_data_memory_is_about_the_rows():
     assert built[0].n_samples + built[1].n_samples == n
     assert peak <= 2.5 * 8 * n * d
     assert kept <= 1.25 * 8 * n * d
+
+
+def test_full_passes_keep_no_copy_of_the_rows():
+    # the full passes read the rows in place: after a build, a full
+    # gradient and a trace evaluation keep at most an n-vector or two
+    n, d = 20_000, 50
+    core = bench.rate_core("convex", d=d, n=n)
+    tracemalloc.start()
+    try:
+        train, test, problem, _ = bench.build_all(core)
+        built = tracemalloc.get_traced_memory()[0]
+        x = np.random.default_rng(4).standard_normal(d)
+        full_gradient(problem, train, x)
+        solver.evaluate_trace_record(problem, train, test, x,
+                                     problem.penalty.matvec(x), 1, 0.0, 0.0)
+        kept = tracemalloc.get_traced_memory()[0] - built
+    finally:
+        tracemalloc.stop()
+    assert train.n_samples == n and train.dense_rows is not None
+    assert kept <= 0.1 * 8 * n * d
+
+
+@pytest.mark.parametrize("family, batch", [("convex", 1), ("sc", 16)])
+def test_runs_match_the_csr_twin(family, batch):
+    # whole runs, not single oracle calls: every trace record (wall clock
+    # aside) and x_avg of the dense rows are the twin's bytes
+    core = bench.rate_core(family, d=12, n=300, iters=400, eval_every=50,
+                           batch_size=batch)
+    core["data"].update(split=True, split_seed=3)
+    train, test, problem, derived = bench.build_all(core)
+    config = bench.make_config(core, derived, 1)
+    twin_train, twin_test = (csr_twin(ds.dense_rows, ds.labels)
+                             for ds in (train, test))
+    assert twin_train.dense_rows is not None
+    for run in (solver.run, baselines.run_eg_full):
+        got = run(problem, train, config, test)
+        want = run(problem, twin_train, config, twin_test)
+        assert_same(got.x_avg, want.x_avg)
+        assert (repr([replace(r, wall_seconds=0.0) for r in got.trace])
+                == repr([replace(r, wall_seconds=0.0) for r in want.trace]))

@@ -63,16 +63,16 @@ SOLVER_FNS = {"spdpeg": solver.run, "eg-full": baselines.run_eg_full,
 
 GOLDEN = {
     "convex-b1/spdpeg/seed0": "e913a0f26364b865c6ed491b5ec556df459a0d79188a15d999520fe0c0b0893e",
-    "convex-b1/spdpeg/seed1": "335b22e9d31672ab21dcd6889e02693f2a3912861d2651714355855b63cb4474",
-    "convex-b1/eg-full/seed0": "0eaf13775b2f0cc25f896a8987394ff946e439bbdf6213943d2f7798babd6c74",
-    "convex-b1/eg-full/seed1": "0eaf13775b2f0cc25f896a8987394ff946e439bbdf6213943d2f7798babd6c74",
+    "convex-b1/spdpeg/seed1": "f7b4eaa3c266b73af4c0eda276d5030e6a45b978460f8a6ed2825280dbca7664",
+    "convex-b1/eg-full/seed0": "56c6786a71a0d94c06fe64efe636dcb78396329910ec4a463bb54bddaf2004d0",
+    "convex-b1/eg-full/seed1": "56c6786a71a0d94c06fe64efe636dcb78396329910ec4a463bb54bddaf2004d0",
     "convex-b1/slinadmm/seed0": "8deb02235c740e6d37fc232a36c4a6fbbfdd0f5cb567b06edf80dbec486bcbc5",
     "convex-b1/slinadmm/seed1": "b6abeabea25140959c4f7c647f25399c71f5b9421d23581aec9be5f718d74bca",
-    "sc-b16/spdpeg/seed0": "b1d9fedc7e8750cbe3f05ed8d51934937f8b6c2691ec96c43f2bf46741932839",
-    "sc-b16/spdpeg/seed1": "c6060a4b2cd071f5ebc04eef35afb002afed4e10348826066be2c5d0666b461a",
-    "sc-b16/eg-full/seed0": "d385189caba688397de342751a72f8c16011d6b3788b6b712a225eadcd5a642b",
-    "sc-b16/eg-full/seed1": "d385189caba688397de342751a72f8c16011d6b3788b6b712a225eadcd5a642b",
-    "sc-b16/slinadmm/seed0": "08acd837817819b7dd13a676386b6d200614a4b87c72418b967efa87386b4f42",
+    "sc-b16/spdpeg/seed0": "1083247c4476be85ea77a4d6ee5e0b9684686880663cb698f92e3ae14b6a76ea",
+    "sc-b16/spdpeg/seed1": "3383357fd733f4e6257466ae541e6db49c4db9c34149d8c872ddab6c8e2fb0ea",
+    "sc-b16/eg-full/seed0": "6327008f825d6ac08b1f36210f8e0ec1c919407d5b0e89e38c2eae6d6a356714",
+    "sc-b16/eg-full/seed1": "6327008f825d6ac08b1f36210f8e0ec1c919407d5b0e89e38c2eae6d6a356714",
+    "sc-b16/slinadmm/seed0": "8e0ab6e7d8e402d2f02e0207ee4a7caed52676ea0aac3bf49b89642e35336642",
     "sc-b16/slinadmm/seed1": "ab0990813a6e89a18a1aa00117ad35a4b710c6738c9dff5d9f99453d72ee3b9e",
     "ls-ragged-b4/spdpeg/seed0": "e8d49b6db59d8557119e772a54cc0f510998370bebd933a474b560b0a23299c7",
     "ls-ragged-b4/spdpeg/seed1": "3df856c31834209c89215a3463617b4516e81819c9ef743ab1e03f5d776d0fe7",
@@ -85,14 +85,14 @@ GOLDEN = {
 XAVG_GOLDEN = {
     "convex-b1/spdpeg/seed0": "7ee669449507dcf22022277800c706a6f13f63e8fd085eabe1a741ae1c2aaf46",
     "convex-b1/spdpeg/seed1": "387ab84629252a5d1e660e88786ed4e1b0d56997e2c249388ed02ef33fe31bfc",
-    "convex-b1/eg-full/seed0": "55f53184e344fd5c368222b711cc94e2fd0405005545273791b02ed4c20c5129",
-    "convex-b1/eg-full/seed1": "55f53184e344fd5c368222b711cc94e2fd0405005545273791b02ed4c20c5129",
+    "convex-b1/eg-full/seed0": "7cc29c0078dcdd4a2af569318638ae8fc90fac071ed2876193b52730c7dceccc",
+    "convex-b1/eg-full/seed1": "7cc29c0078dcdd4a2af569318638ae8fc90fac071ed2876193b52730c7dceccc",
     "convex-b1/slinadmm/seed0": "d33dc8fa40ba882f203159402af285af5aae636119eebdccd499d547ded0c6b4",
     "convex-b1/slinadmm/seed1": "758483b957b3bd8695cf40b2994ac62a5ff0ba1b2567a8bc5906256fb002ebca",
     "sc-b16/spdpeg/seed0": "1018884e5e812cb665aa4f8befe188869d07591cf5915599b849a5d66185ac65",
     "sc-b16/spdpeg/seed1": "8e7710f68b995afac98b74a0ae6c8587648799a5e5ba427681149d56d3338e60",
-    "sc-b16/eg-full/seed0": "880375b8226c6f53a696b644a8aed3e3238a40ba41c4995add6a1a18f4bbba45",
-    "sc-b16/eg-full/seed1": "880375b8226c6f53a696b644a8aed3e3238a40ba41c4995add6a1a18f4bbba45",
+    "sc-b16/eg-full/seed0": "d37d907469adfba6dfad6ecf55253ce6bc176e89539eda5f85f31ef90a5bf641",
+    "sc-b16/eg-full/seed1": "d37d907469adfba6dfad6ecf55253ce6bc176e89539eda5f85f31ef90a5bf641",
     "sc-b16/slinadmm/seed0": "a28de418ba39eb2196f9854ccf09db6329aebd339c43763cde75f3f07ebed738",
     "sc-b16/slinadmm/seed1": "2159d2e47466412c1b9dbbdf65bb8db2c59b1818ec830bc4922b789ec13122bf",
     "ls-ragged-b4/spdpeg/seed0": "58823812d28f13a4182adc19d0fd2fecb2dfa56f6da9fbdf47c68fd140ad74b8",
@@ -106,8 +106,8 @@ XAVG_GOLDEN = {
 REFERENCE_ITERS = 4000
 REFERENCE_CHECK_EVERY = 500
 REFERENCE_GOLDEN = {
-    "convex-b1": "020ce0cbec332ddffbf2e03f3982bdc57d0f16eca22993fe2186d8c0a0867c05",
-    "sc-b16": "8ad600e949b75c83f98b0b9f47da9ca5832c04fe4f893154f77946b3d2a06147",
+    "convex-b1": "2251be6edfff2a49e5fd5ceb5cdee35e14038a6ec8256c70febe78f3f9ffaaae",
+    "sc-b16": "a743d7dec8efbd3899aedd5ddd8e8157a0ebd7848559c2e2493c973a4d1f4caf",
     "ls-ragged-b4": "92a19c13cd965f4e70a5e0a0473eaa5a7f4cec668a20dcf85a7e836da527e9e3",
 }
 
