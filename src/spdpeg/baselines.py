@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from . import solver
 from .model import Dataset, Problem, SolverConfig
 from .solver import SolverResult, advance, step_size, z_block
@@ -35,20 +37,25 @@ def run_stoch_linadmm(problem: Problem, dataset: Dataset, config: SolverConfig,
     gamma * F^T (F x - z); then the exact z block at the new x and a dual
     step. Averages (x, z, lambda) uniformly.
     """
-    gamma, kern = config.gamma, solver.kernels(problem)
-    fx = None  # F x of the current iterate, carried over from the previous step
+    # gamma and each step size as 0-d arrays: see ``solver``
+    gamma, kern = np.array(config.gamma), solver.kernels(problem)
 
-    def step(state, schedule, rng):
-        nonlocal fx
-        if fx is None:
-            fx = kern.F(state.x)
-        c = step_size(schedule, state.k)
-        g = solver.drawn_gradient(problem, dataset, config, rng)(state.x)
-        direction = g - kern.Ft(state.lam) + gamma * kern.Ft(fx - state.z)
-        x_next = kern.prox_r1(state.x - c * direction, c)
-        fx = kern.F(x_next)
-        z_next = z_block(kern, gamma, fx, state.lam)
-        lam_next = state.lam - gamma * (fx - z_next)
-        advance(state, 1, x_next, lam_next, x_next, z_next, lam_next)
+    def make_step(schedule, rng):
+        gradient = solver.drawn_gradient(problem, dataset, config, rng)
+        fx = None  # F x of the current iterate, carried over from the previous step
 
-    return solver.drive(problem, dataset, config, test_dataset, step)
+        def step(state):
+            nonlocal fx
+            if fx is None:
+                fx = kern.F(state.x)
+            c = step_size(schedule, state.k)
+            direction = (gradient(state.x) - kern.Ft(state.lam)
+                         + gamma * kern.Ft(fx - state.z))
+            x_next = kern.prox_r1(state.x - np.array(c) * direction, c)
+            fx = kern.F(x_next)
+            z_next = z_block(kern, gamma, fx, state.lam)
+            lam_next = state.lam - gamma * (fx - z_next)
+            advance(state, 1, x_next, lam_next, x_next, z_next, lam_next)
+        return step
+
+    return solver.drive(problem, dataset, config, test_dataset, make_step)

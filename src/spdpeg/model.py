@@ -76,7 +76,7 @@ class Dataset:
                            if self.full_rows and n >= 2 and self.dimension >= 2
                            else None)
         self._rows, self._features = rows, features
-        self._max_row_norm_sq = self._neg_labels_n = None
+        self._max_row_norm_sq = self._neg_labels = self._neg_labels_n = None
 
     @classmethod
     def from_dense_rows(cls, features, labels) -> "Dataset":
@@ -110,6 +110,14 @@ class Dataset:
         return self.features.row_ids
 
     @property
+    def neg_labels(self) -> np.ndarray:
+        """-b per sample, built on first use and kept: the signs of the
+        logistic coefficients."""
+        if self._neg_labels is None:
+            self._neg_labels = -self.labels
+        return self._neg_labels
+
+    @property
     def neg_labels_n(self) -> np.ndarray:
         """-b*n per sample, exact for b = +-1: the divisor of the logistic
         full pass, built on first use and kept."""
@@ -126,7 +134,7 @@ class Dataset:
             return Dataset(self.features.take_rows(rows), self.labels[rows])
         rows = checked_rows(rows, self.n_samples)
         out = object.__new__(Dataset)
-        out._store(self.labels[rows], None, self._rows[rows])
+        out._store(self.labels.take(rows), None, self._rows.take(rows, axis=0))
         return out
 
     def row_norms_sq(self) -> np.ndarray:

@@ -17,34 +17,42 @@ at least 2, runs both over its one dense layout, the ``(n, d)`` rows
 which adds each lane in index order from 0.0, ``bincount``'s order, so it
 has the bits of ``rmatvec``; its docstring says when that order holds.
 The logistic coefficients of a full pass, ``-b * sigmoid(-b*m) / n``, take
--(b*m) in place over the margins and one division by
-``Dataset.neg_labels_n`` (-b*n), which for b = +-1 has the bits of the
-product followed by the division.
+(-b)*m in place over the margins (``Dataset.neg_labels``) and one division
+by ``Dataset.neg_labels_n`` (-b*n), which for b = +-1 have the bits of
+-(b*m) and of the product followed by the division.
 
 The loops of ``solver`` and ``bench`` call ``_gradient_over_rows`` on the
 inputs their entries checked; ``full_gradient`` and ``stochastic_gradient``
-are its checked entries.
-
-A sampled batch takes one of two paths:
+are its checked entries. Its sampled paths are ``draw_kernel``, which the
+solvers resolve once per run. A sampled batch takes one of three paths:
 - one row: scalar arithmetic on that row's slice, with no array built for
   its margin, coefficient or label; a row that stores every feature also
   skips the gather of x and the scatter into a zero vector;
-- more rows: one gather of all drawn rows' stored entries, one
+- more rows that store every feature (d >= 2): the rows are gathered whole
+  with ``take``, with no position array and no gather of x; their margins
+  are one ``np.vecdot``, which runs the dot kernel of ``vals @ x[cols]`` on
+  each row, and the scatter is ``_lane_sums``, with ``bincount``'s bits;
+- more rows otherwise: one gather of all drawn rows' stored entries, one
   ``np.vecdot`` per distinct row length for the margins, one coefficient
-  call for the batch and one ``bincount`` scatter. ``np.vecdot`` runs the
-  dot kernel of ``vals @ x[cols]`` on each row, so both paths give the
-  same bits as a loop over the rows; a segment sum would not. Rows that
-  store every feature (d >= 2) are gathered whole, with no position array
-  and no gather of x, and scattered through ``_lane_sums``, with the same
-  bits.
+  call for the batch and one ``bincount`` scatter.
+All three give the bits of a loop over the rows; a segment sum would not.
+Their scalar operands are 0-d float64 arrays, as in ``solver``.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from .model import LOSS_LOGISTIC, Dataset, Problem
 from .sparse import row_positions
+
+# read-only 0-d operands: numpy applies them faster than Python floats
+# (NEP 50's scalar path), with the same bits
+_ONE, _ZERO = np.array(1.0), np.array(0.0)
+_ONE.flags.writeable = _ZERO.flags.writeable = False
+
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
     # the branch that never overflows: 1/(1 + exp(-t)) for t >= 0 and
@@ -55,8 +63,8 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
     e = np.abs(t)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    e += 1.0
-    num = np.fmin(t, 0.0)
+    e += _ONE
+    num = np.fmin(t, _ZERO)
     np.exp(num, out=num)
     num /= e
     return num
@@ -92,12 +100,16 @@ def margins(dataset: Dataset, x: np.ndarray) -> np.ndarray:
     return dataset.features.matvec(x)
 
 
+def _logistic_coefs(m: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """-b * sigmoid(-b*m), given neg = -b."""
+    s = _sigmoid(neg * m)
+    s *= neg
+    return s
+
+
 def _coefs(loss: str, m: np.ndarray, labels: np.ndarray) -> np.ndarray:
     if loss == LOSS_LOGISTIC:
-        neg = -labels
-        s = _sigmoid(neg * m)
-        s *= neg
-        return s
+        return _logistic_coefs(m, -labels)
     return m - labels
 
 
@@ -172,25 +184,59 @@ def _scatter(dataset: Dataset, coefs: np.ndarray) -> np.ndarray:
 def _gradient_over_rows(problem: Problem, dataset: Dataset, x: np.ndarray,
                         rows: np.ndarray | None) -> np.ndarray:
     """Average per-sample gradient over the given rows (all rows if None)."""
-    if rows is None:
-        m = margins(dataset, x)
-        if problem.loss == LOSS_LOGISTIC:  # _coefs(...) / n, bit for bit
-            m *= dataset.labels
-            coefs = _sigmoid(np.negative(m, out=m))
-            coefs /= dataset.neg_labels_n
-        else:
-            coefs = _coefs(problem.loss, m, dataset.labels) / dataset.n_samples
-        grad = _scatter(dataset, coefs)
-    elif rows.size == 1:
-        grad = _row_gradient(problem.loss, dataset, x, int(rows[0]))
+    if rows is not None:
+        return draw_kernel(problem, dataset, rows.size)(x, rows)
+    m = margins(dataset, x)
+    if problem.loss == LOSS_LOGISTIC:  # _coefs(...) / n, bit for bit
+        m *= dataset.neg_labels
+        coefs = _sigmoid(m)
+        coefs /= dataset.neg_labels_n
     else:
-        grad = _batch_gradient(problem.loss, dataset, x, rows)
+        coefs = _coefs(problem.loss, m, dataset.labels) / dataset.n_samples
+    grad = _scatter(dataset, coefs)
     if problem.ridge:
         grad = grad + problem.ridge * x
     return grad
 
 
-def _row_gradient(loss: str, dataset: Dataset, x: np.ndarray, i: int) -> np.ndarray:
+def draw_kernel(problem: Problem, dataset: Dataset, batch_size: int):
+    """``(x, rows) -> `` the average gradient, folded ridge included, over
+    ``batch_size`` drawn ``rows`` (int64 indices below n) at a contiguous
+    float64 x: the sampled paths of ``_gradient_over_rows``, chosen and
+    bound once. A strided x would take another dot kernel in
+    ``np.vecdot``; ``_lane_sums`` keeps ``bincount``'s order, since a batch
+    of whole rows here has at least 2 rows and 2 lanes."""
+    loss, d = problem.loss, dataset.dimension
+    if batch_size == 1:
+        rows_gradient = partial(_row_gradient, loss, dataset)
+    elif dataset.full_rows and d >= 2:
+        # rows that store all d features have the columns arange(d)
+        matrix = dataset.data.reshape(-1, d)
+        logistic = loss == LOSS_LOGISTIC
+        signed = dataset.neg_labels if logistic else dataset.labels
+        divisor = np.array(float(batch_size))
+
+        def rows_gradient(x, rows):
+            vals = matrix.take(rows, axis=0)
+            m = np.vecdot(vals, x)
+            if logistic:
+                coefs = _logistic_coefs(m, signed.take(rows))
+            else:
+                coefs = m - signed.take(rows)
+            grad = _lane_sums(vals, coefs)
+            grad /= divisor
+            return grad
+    else:
+        rows_gradient = partial(_ragged_gradient, loss, dataset)
+    if not problem.ridge:
+        return rows_gradient
+    ridge = np.array(problem.ridge)
+    return lambda x, rows: rows_gradient(x, rows) + ridge * x
+
+
+def _row_gradient(loss: str, dataset: Dataset, x: np.ndarray,
+                  rows: np.ndarray) -> np.ndarray:
+    i = int(rows[0])
     lo, hi = dataset.indptr[i], dataset.indptr[i + 1]
     vals = dataset.data[lo:hi]
     # column indices strictly increase in [0, d), so a row that stores d
@@ -236,20 +282,9 @@ def _ragged_row_margins(vals: np.ndarray, xs: np.ndarray,
     return out
 
 
-def _batch_gradient(loss: str, dataset: Dataset, x: np.ndarray,
-                    rows: np.ndarray) -> np.ndarray:
-    b, d = rows.size, dataset.dimension
-    if dataset.full_rows and d >= 2:
-        # rows that store all d features, columns arange(d): gather whole
-        # rows and scatter with _lane_sums, which adds each lane in
-        # bincount's order (b >= 2 here). With a contiguous x, which
-        # _check_x ensures, vecdot sums each row in the order of
-        # vals @ x[cols]; a strided x takes another dot kernel
-        vals = dataset.data.reshape(-1, d)[rows]
-        m = np.vecdot(vals, x)
-        grad = _lane_sums(vals, _coefs(loss, m, dataset.labels[rows]))
-        grad /= b
-        return grad
+def _ragged_gradient(loss: str, dataset: Dataset, x: np.ndarray,
+                     rows: np.ndarray) -> np.ndarray:
+    d = dataset.dimension
     pos, lengths = row_positions(dataset.indptr, rows)
     if pos.size == 0:
         # bincount over no entries would return int64
@@ -259,7 +294,7 @@ def _batch_gradient(loss: str, dataset: Dataset, x: np.ndarray,
     coefs = _coefs(loss, m, dataset.labels[rows])
     grad = np.bincount(cols, weights=np.repeat(coefs, lengths) * vals,
                        minlength=d)
-    grad /= b
+    grad /= rows.size
     return grad
 
 

@@ -9,6 +9,10 @@ from dataclasses import dataclass
 import numpy as np
 
 PROX_KINDS = ("none", "l1", "squared-l2")
+# a read-only 0-d zero: numpy applies a 0-d float64 operand faster than a
+# Python float (NEP 50's scalar path), with the same bits
+_ZERO = np.array(0.0)
+_ZERO.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -26,7 +30,7 @@ class ProxSpec:
 
 
 def _soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:
-    return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+    return np.sign(v) * np.maximum(np.abs(v) - threshold, _ZERO)
 
 
 def prox_l1(v: np.ndarray, threshold: float) -> np.ndarray:
@@ -42,13 +46,23 @@ def _shrink(v: np.ndarray, weight: float, step: float) -> np.ndarray:
 
 def prox_kernel(spec: ProxSpec):
     """``(v, step) -> `` the prox of step * (weighted regularizer) at a
-    float64 v, for step > 0: ``apply_prox`` without its checks, with the
-    kind dispatched once."""
+    float64 v, for a float step > 0: ``apply_prox`` without its checks, with
+    the kind dispatched once. The l1 kernel keeps the threshold of its last
+    step as a 0-d array, so a run makes it once per step size."""
     weight = spec.weight
     if spec.kind == "none" or weight == 0.0:
         return lambda v, step: v
     if spec.kind == "l1":
-        return lambda v, step: _soft_threshold(v, step * weight)
+        last = (None, None)  # a step and its threshold
+
+        def soft_threshold(v, step):
+            nonlocal last
+            seen, threshold = last
+            if step != seen:
+                threshold = np.array(step * weight)
+                last = (step, threshold)
+            return _soft_threshold(v, threshold)
+        return soft_threshold
     return lambda v, step: _shrink(v, weight, step)
 
 

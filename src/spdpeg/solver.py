@@ -18,13 +18,18 @@ scheduled step and drawn gradients, a capped reference optimum in
 
 ``drive`` is the one loop over ``max_iters``. It validates the inputs
 (``check_dimensions``, as the reference in ``bench`` does), so the steps
-call only the ``kernels`` of the problem, resolved once per run. It owns
-the schedule, the sample stream and the trace cadence, calls a step
-function per iteration and returns the weighted averages; it holds no
-audit state. Steps advance the state through ``advance`` (divergence
-guard and averaging). SPDPEG averages the predictor iterates: uniform
-weights, or weights proportional to k+3 for the accelerated strongly
-convex regime; ``compute_L_tilde`` gates the step-size schedule.
+call only kernels resolved once per run: the ``kernels`` of the problem
+and the ``drawn_gradient`` of the run's sample stream. Their scalar
+operands (gamma, the batch divisor, the ridge) are 0-d float64 arrays
+made once per run, and the step size one made once per step: numpy
+applies a 0-d array faster than a Python float (NEP 50's scalar path),
+with the same bits. ``drive`` owns the schedule, the sample stream and the
+trace cadence, builds the step function once and calls it per iteration,
+and returns the weighted averages; it holds no audit state. Steps advance
+the state through ``advance`` (divergence guard and averaging). SPDPEG
+averages the predictor iterates: uniform weights, or weights proportional
+to k+3 for the accelerated strongly convex regime; ``compute_L_tilde``
+gates the step-size schedule.
 
 ``check_step_inequality`` evaluates the per-step energy inequality that
 the update quintuple satisfies pathwise on steps captured into the
@@ -206,41 +211,50 @@ def check_dimensions(problem: Problem, dataset: Dataset,
         raise ValueError("train and test dimensions differ")
 
 
-def z_block(kern: Kernels, gamma: float, fx: np.ndarray,
+def z_block(kern: Kernels, gamma, fx: np.ndarray,
             lam: np.ndarray) -> np.ndarray:
-    """Exact z minimizer of the augmented Lagrangian at F x = fx and lam."""
-    return kern.prox_r2(fx - lam / gamma, 1.0 / gamma)
+    """Exact z minimizer of the augmented Lagrangian at F x = fx and lam;
+    gamma is a float or, faster, a 0-d float64 array."""
+    return kern.prox_r2(fx - lam / gamma, 1.0 / float(gamma))
 
 
 def update_z(state: SolverState, fx: np.ndarray, problem: Problem,
-             config: SolverConfig, kern: Kernels | None = None) -> np.ndarray:
+             config: SolverConfig, kern: Kernels | None = None,
+             gamma: np.ndarray | None = None) -> np.ndarray:
     """Exact z-block minimizer of the augmented Lagrangian at (x, lambda);
-    fx must hold F @ state.x. ``kern`` is the run's ``kernels(problem)``."""
-    return z_block(kern or kernels(problem), config.gamma, fx, state.lam)
+    fx must hold F @ state.x. ``kern`` is the run's ``kernels(problem)`` and
+    ``gamma`` its ``config.gamma`` as a 0-d array."""
+    return z_block(kern or kernels(problem),
+                   config.gamma if gamma is None else gamma, fx, state.lam)
 
 
 def drawn_gradient(problem: Problem, dataset: Dataset, config: SolverConfig, rng):
     """``v -> `` the gradient at v over the next batch of ``rng``, or over
     every row under ``full_batch``: ``oracles.stochastic_gradient`` without
-    the checks that the run's entry made."""
-    n, b, full = dataset.n_samples, config.batch_size, config.full_batch
-    return lambda v: oracles._gradient_over_rows(
-        problem, dataset, v, None if full else rng.integers(0, n, size=b))
+    the checks that the run's entry made, with its ``oracles.draw_kernel``
+    resolved here, once per run."""
+    if config.full_batch:
+        return lambda v: oracles._gradient_over_rows(problem, dataset, v, None)
+    n, b = dataset.n_samples, config.batch_size
+    kernel, draw = oracles.draw_kernel(problem, dataset, b), rng.integers
+    return lambda v: kernel(v, draw(0, n, b))
 
 
-def extragradient(kern: Kernels, gamma: float, c: float, x: np.ndarray,
+def extragradient(kern: Kernels, gamma, c: float, x: np.ndarray,
                   lam: np.ndarray, fx: np.ndarray, z: np.ndarray, gradient):
     """Predictor and corrector at step c from (x, lam), given fx = F x and
     this iteration's z; ``gradient(v)`` returns the gradient drawn at v.
+    gamma is a float or, faster, a 0-d float64 array.
 
     Returns (x_bar, lam_bar, x_next, lam_next, g1, g2), where g1 and g2 are
     the gradients drawn at x and at x_bar.
     """
+    step = np.array(c)
     g1 = gradient(x)
-    x_bar = kern.prox_r1(x - c * (g1 - kern.Ft(lam)), c)
+    x_bar = kern.prox_r1(x - step * (g1 - kern.Ft(lam)), c)
     lam_bar = lam - gamma * (fx - z)
     g2 = gradient(x_bar)
-    x_next = kern.prox_r1(x - c * (g2 - kern.Ft(lam_bar)), c)
+    x_next = kern.prox_r1(x - step * (g2 - kern.Ft(lam_bar)), c)
     lam_next = lam - gamma * (kern.F(x_bar) - z)
     return x_bar, lam_bar, x_next, lam_next, g1, g2
 
@@ -262,7 +276,8 @@ def advance(state: SolverState, w: int, x_avg: np.ndarray, lam_avg: np.ndarray,
             raise DivergenceError(k, f"iterate diverged at iteration {k} (peak {peak!r})")
     z_avg = z_next
     if w != 1:  # 1 * v has the bits of v; skip the three multiplies
-        x_avg, z_avg, lam_avg = w * x_avg, w * z_next, w * lam_avg
+        wf = np.array(float(w))  # exact below 2**53, as numpy casts an int
+        x_avg, z_avg, lam_avg = wf * x_avg, wf * z_next, wf * lam_avg
     state.weighted_x_sum += x_avg
     state.weighted_z_sum += z_avg
     state.weighted_lambda_sum += lam_avg
@@ -277,19 +292,22 @@ def update_extragradient(state: SolverState, fx: np.ndarray, z_next: np.ndarray,
                          problem: Problem, dataset: Dataset, config: SolverConfig,
                          schedule: Schedule, rng, step_scale: float = 1.0,
                          captures: list | None = None,
-                         kern: Kernels | None = None) -> None:
+                         kern: Kernels | None = None,
+                         gamma: np.ndarray | None = None,
+                         gradient: Callable | None = None) -> None:
     """Run the predictor/corrector step in place; fx must hold F @ state.x
     and z_next this iteration's z-block minimizer. ``rng`` is the sample
-    stream of ``oracles.stochastic_gradient`` and ``kern`` the run's
-    ``kernels(problem)``."""
+    stream of ``oracles.stochastic_gradient``; ``kern``, ``gamma`` and
+    ``gradient`` are the run's ``kernels(problem)``, ``config.gamma`` as a
+    0-d array and ``drawn_gradient(problem, dataset, config, rng)``."""
     k = state.k
     c = step_size(schedule, k) * step_scale
     full = config.full_batch
-    gradient = drawn_gradient(problem, dataset, config, rng)
     x_k, lam_k = state.x, state.lam
     x_bar, lam_bar, x_next, lam_next, g1, g2 = extragradient(
-        kern or kernels(problem), config.gamma, c, x_k, lam_k, fx, z_next,
-        gradient)
+        kern or kernels(problem), config.gamma if gamma is None else gamma,
+        c, x_k, lam_k, fx, z_next,
+        gradient or drawn_gradient(problem, dataset, config, rng))
     w = k + 3 if schedule.regime == REGIME_SC_NONUNIFORM else 1
     advance(state, w, x_bar, lam_bar, x_next, z_next, lam_next)
     state.x_bar, state.lam_bar = x_bar, lam_bar
@@ -377,9 +395,10 @@ class SampleStream:
 
 
 def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
-          test_dataset: Dataset | None, step) -> SolverResult:
-    """Run ``step(state, schedule, rng)`` for max_iters iterations and return
-    the averaged iterates plus trace.
+          test_dataset: Dataset | None, make_step) -> SolverResult:
+    """Run ``step(state)`` for max_iters iterations, where ``step =
+    make_step(schedule, rng)`` is built once, and return the averaged
+    iterates plus trace.
 
     Each step advances the state by one iteration. Weighted sums are
     accumulated online with integer weights and normalized once by their
@@ -388,8 +407,8 @@ def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
     final one), evaluated at the current running average.
 
     The random stream is owned by this call: identical (problem, dataset,
-    config) give bit-identical trajectories. Steps get ``rng`` as a
-    ``SampleStream``, which draws the indices in blocks and is the only
+    config) give bit-identical trajectories. ``make_step`` gets ``rng`` as
+    a ``SampleStream``, which draws the indices in blocks and is the only
     consumer of ``default_rng(config.seed)``. So they see the indices of
     one ``integers`` call per gradient; only the generator's final state
     differs, by the unused rows of the last block, and nothing reads it.
@@ -401,10 +420,11 @@ def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
     schedule = make_schedule(problem, config)
     rng = SampleStream(np.random.default_rng(config.seed))
     state = initial_state(problem, dataset)
+    step = make_step(schedule, rng)
     trace: list[TraceRecord] = []
     t0 = time.perf_counter()
     for done in range(1, config.max_iters + 1):
-        step(state, schedule, rng)
+        step(state)
         if done % config.eval_every == 0 or done == config.max_iters:
             wsum = state.raw_weight_sum
             trace.append(evaluate_trace_record(
@@ -425,15 +445,20 @@ def run(problem: Problem, dataset: Dataset, config: SolverConfig,
     ``drive``); ``config.full_batch`` makes it ``eg-full``. A ``captures``
     list gets each completed step's StepCapture, also on DivergenceError."""
 
-    kern = kernels(problem)
+    kern, gamma = kernels(problem), np.array(config.gamma)
 
-    def step(state, schedule, rng):
-        fx = kern.F(state.x)
-        z_next = update_z(state, fx, problem, config, kern)
-        update_extragradient(state, fx, z_next, problem, dataset, config,
-                             schedule, rng, step_scale, captures, kern)
+    def make_step(schedule, rng):
+        gradient = drawn_gradient(problem, dataset, config, rng)
 
-    return drive(problem, dataset, config, test_dataset, step)
+        def step(state):
+            fx = kern.F(state.x)
+            z_next = update_z(state, fx, problem, config, kern, gamma)
+            update_extragradient(state, fx, z_next, problem, dataset, config,
+                                 schedule, rng, step_scale, captures, kern,
+                                 gamma, gradient)
+        return step
+
+    return drive(problem, dataset, config, test_dataset, make_step)
 
 
 def check_step_inequality(capture: StepCapture, problem: Problem,

@@ -265,11 +265,10 @@ def test_full_pass_and_draws_give_one_margin_per_row(n, d, monkeypatch):
         got = stochastic_gradient(problem, dataset, x, _Rows([i]), 1)
         want = (full[i] - dataset.labels[i]) * dataset.dense_rows[i]
         assert got.tobytes() == want.tobytes(), i
-    # batch 16 hands its margins to the coefficients
-    seen, coefs = [], oracles._coefs
-    monkeypatch.setattr(oracles, "_coefs",
-                        lambda loss, m, labels: seen.append(m.copy())
-                        or coefs(loss, m, labels))
+    # batch 16 computes its margins in the draw kernel's one np.vecdot
+    seen, vecdot = [], np.vecdot
+    monkeypatch.setattr(np, "vecdot",
+                        lambda *args: seen.append(vecdot(*args)) or seen[-1])
     drawn = np.arange(16 * (n // 16 + 1)) * 7 % n
     for batch in drawn.reshape(-1, 16):
         stochastic_gradient(problem, dataset, x, _Rows(batch), 16)

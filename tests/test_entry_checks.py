@@ -4,8 +4,8 @@
 ``baselines.run_stoch_linadmm``) and ``bench.reference_optimum``, capped or
 certified, check the penalty width and the test set's dimension before their
 loops. The loops then call ``SparseMatrix._matvec``/``_rmatvec``, the
-resolved proxes and ``oracles._gradient_over_rows``, never the checked
-public wrappers, which trace evaluation still calls.
+resolved proxes, ``oracles.draw_kernel`` and ``oracles._gradient_over_rows``,
+never the checked public wrappers, which trace evaluation still calls.
 """
 
 from __future__ import annotations

@@ -174,7 +174,7 @@ class _FixedBatches:
 def test_dense_row_batches_keep_the_scatter_bits(loss, ridge, batch, scale):
     # batches of rows that store all d features are gathered whole and
     # scattered by _lane_sums; x comes in as a strided view, which the
-    # oracle makes contiguous before the stacked matmul
+    # oracle makes contiguous before the np.vecdot
     dataset = dense_dataset(seed=8)
     n, d = dataset.n_samples, dataset.dimension
     problem = problem_for(loss, d, ridge)
