@@ -26,7 +26,8 @@ import numpy as np
 
 from . import __version__, oracles
 from .baselines import run_eg_full, run_stoch_linadmm
-from .data import SplitSpec, normalize_features, parse_libsvm, split, synthesize
+from .data import (SplitSpec, normalize_features, parse_libsvm, split, split_order,
+                   synthesize)
 from .model import (LOSS_LOGISTIC, Dataset, Problem, SolverConfig,
                     compute_L_tilde, estimate_lipschitz)
 from .penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
@@ -67,27 +68,33 @@ def _sha256_file(path) -> str:
 
 
 def build_data(data_cfg: dict) -> tuple[Dataset, Dataset, GraphSpec | None]:
-    """Return (train, test, graph); test equals train when split is off."""
-    graph = None
+    """Return (train, test, graph); test equals train when split is off.
+    A synthetic split is born in split order, so its train and test are
+    two views of one array and the rows are held once."""
+    spec = (SplitSpec(data_cfg.get("train_fraction", 0.8), data_cfg["split_seed"])
+            if data_cfg.get("split", False) else None)
     if "synthetic" in data_cfg:
         s = data_cfg["synthetic"]
-        dataset, graph, _ = synthesize(s["kind"], s["d"], s["n"],
-                                       s["noise"], s["seed"])
-    else:
-        path = data_cfg["path"]
-        if data_cfg.get("sha256"):
-            digest = _sha256_file(path)
-            if digest != data_cfg["sha256"]:
-                raise ValueError(f"data file {path} hash mismatch: {digest}")
-        with open(path, "r", encoding="utf-8") as fh:
-            dataset = parse_libsvm(fh)
-        if data_cfg.get("normalize"):
-            dataset, _ = normalize_features(dataset)
-    if data_cfg.get("split", False):
-        train, test = split(dataset, SplitSpec(data_cfg.get("train_fraction", 0.8),
-                                               data_cfg["split_seed"]))
-        return train, test, graph
-    return dataset, dataset, graph
+        args = (s["kind"], s["d"], s["n"], s["noise"], s["seed"])
+        if spec is None:
+            dataset, graph, _ = synthesize(*args)
+            return dataset, dataset, graph
+        order, n_train = split_order(s["n"], spec)
+        dataset, graph, _ = synthesize(*args, order)
+        return (dataset.subset(slice(0, n_train)),
+                dataset.subset(slice(n_train, None)), graph)
+    path = data_cfg["path"]
+    if data_cfg.get("sha256"):
+        digest = _sha256_file(path)
+        if digest != data_cfg["sha256"]:
+            raise ValueError(f"data file {path} hash mismatch: {digest}")
+    with open(path, "r", encoding="utf-8") as fh:
+        dataset = parse_libsvm(fh)
+    if data_cfg.get("normalize"):
+        dataset, _ = normalize_features(dataset)
+    if spec is None:
+        return dataset, dataset, None
+    return (*split(dataset, spec), None)
 
 
 def build_penalty(pen_cfg: dict, train: Dataset,

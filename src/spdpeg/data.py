@@ -1,4 +1,12 @@
-"""Dataset ingestion, splitting, and synthetic problem generation."""
+"""Dataset ingestion, splitting, and synthetic problem generation.
+
+``split_order`` is the split rule, a seeded permutation and the train
+size. ``split`` takes its two parts of a dataset. ``synthesize``, given the
+permutation as ``order``, draws its rows in blocks of ``SYNTH_BLOCK``
+straight into that order, so a synthetic split is two slices of one
+array; under one BLAS thread its rows and labels keep the bits of one
+draw of every row, then split.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +17,10 @@ import numpy as np
 
 from .model import Dataset
 from .penalties import GraphSpec
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, checked_rows
 
 SYNTHETIC_KINDS = ("fused-signal", "graph-logistic")
+SYNTH_BLOCK = 4096  # rows drawn, scaled and multiplied per block by synthesize
 _MAX_INDEX = int(np.iinfo(np.int64).max)
 
 
@@ -101,16 +110,21 @@ class SplitSpec:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
 
 
-def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Deterministic shuffled split; |train| = round-half-up(fraction * N)."""
-    n = dataset.n_samples
+def split_order(n: int, spec: SplitSpec) -> tuple[np.ndarray, int]:
+    """The split rule: a seeded permutation of range(n) whose first
+    ``n_train`` = round-half-up(fraction * n) entries are the train rows."""
     if n < 2:
         raise ValueError("need at least two samples to split")
     n_train = int(math.floor(spec.train_fraction * n + 0.5))
     if n_train < 1 or n_train >= n:
         raise ValueError(f"degenerate split: {n_train}/{n - n_train}")
-    perm = np.random.default_rng(spec.seed).permutation(n)
-    return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
+    return np.random.default_rng(spec.seed).permutation(n), n_train
+
+
+def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
+    """Deterministic shuffled split by ``split_order``."""
+    order, n_train = split_order(dataset.n_samples, spec)
+    return dataset.subset(order[:n_train]), dataset.subset(order[n_train:])
 
 
 def normalize_features(dataset: Dataset) -> tuple[Dataset, np.ndarray]:
@@ -140,23 +154,9 @@ def _components(d: int, edges) -> np.ndarray:
     return np.array([find(i) for i in range(d)])
 
 
-def synthesize(kind: str, d: int, n: int, noise: float,
-               seed: int) -> tuple[Dataset, GraphSpec | None, np.ndarray]:
-    """Generate a labeled dataset with known ground truth.
-
-    fused-signal: piecewise-constant truth with three segments; labels are
-    sign(a^T x* + noise * g) on Gaussian features scaled to unit expected
-    norm. graph-logistic: truth constant on the components of a random
-    graph (about half of them zeroed), returned together with the graph.
-    """
-    if kind not in SYNTHETIC_KINDS:
-        raise ValueError(f"unknown synthetic kind {kind!r}")
-    if d < 2 or n < 2:
-        raise ValueError("need d >= 2 and n >= 2")
-    if not (math.isfinite(noise) and noise >= 0):
-        # a NaN noise makes every label -1, an infinite one drowns x*
-        raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
-    rng = np.random.default_rng(seed)
+def _ground_truth(kind: str, d: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, GraphSpec | None]:
+    """``synthesize``'s x* and graph, the first draws of its stream."""
     graph = None
     if kind == "fused-signal":
         n_seg = min(3, d)
@@ -182,8 +182,62 @@ def synthesize(kind: str, d: int, n: int, noise: float,
             comp_vals[0] = 1.0
         lookup = dict(zip(comp_ids.tolist(), comp_vals))
         x_star = np.array([lookup[c] for c in comp])
-    features = rng.standard_normal((n, d))
-    features /= math.sqrt(d)
-    margins = features @ x_star + noise * rng.standard_normal(n)
+    return x_star, graph
+
+
+def _inverse_permutation(order, n: int) -> np.ndarray:
+    """dest with dest[order[p]] = p; ValueError unless ``order`` permutes
+    range(n)."""
+    order = np.asarray(order)
+    dest = np.full(n, -1, dtype=np.int64)  # a -1 left over is a missed row
+    if order.shape == (n,):
+        dest[checked_rows(order, n)] = np.arange(n)
+    if dest.min() < 0:
+        raise ValueError(f"order must be a permutation of range({n})")
+    return dest
+
+
+def synthesize(kind: str, d: int, n: int, noise: float, seed: int,
+               order=None) -> tuple[Dataset, GraphSpec | None, np.ndarray]:
+    """Generate a labeled dataset with known ground truth.
+
+    fused-signal: piecewise-constant truth with three segments; labels are
+    sign(a^T x* + noise * g) on Gaussian features scaled to unit expected
+    norm. graph-logistic: truth constant on the components of a random
+    graph (about half of them zeroed), returned together with the graph.
+
+    The features are drawn in blocks of ``SYNTH_BLOCK`` rows: each block is
+    scaled, its margins are taken with ``block @ x_star``, and it is written
+    into its place in one ``(n, d)`` array, so row p holds stream row
+    ``order[p]`` (stream order when ``order`` is None). The noise and the
+    labels are computed in stream order, then taken in ``order``. So a
+    permuted dataset is born permuted and the rows are never held twice.
+    The Generator's stream does not depend on the block size. Under one
+    BLAS thread the blocked products give the one-shot product's bits;
+    under more, a margin may move in its last bit, as the one-shot
+    product's margins already do between thread counts.
+    """
+    if kind not in SYNTHETIC_KINDS:
+        raise ValueError(f"unknown synthetic kind {kind!r}")
+    if d < 2 or n < 2:
+        raise ValueError("need d >= 2 and n >= 2")
+    if not (math.isfinite(noise) and noise >= 0):
+        # a NaN noise makes every label -1, an infinite one drowns x*
+        raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
+    rng = np.random.default_rng(seed)
+    x_star, graph = _ground_truth(kind, d, rng)
+    dest = None if order is None else _inverse_permutation(order, n)
+    scale = math.sqrt(d)
+    features, buf = np.empty((n, d)), np.empty((min(SYNTH_BLOCK, n), d))
+    margins = np.empty(n)
+    for lo in range(0, n, SYNTH_BLOCK):
+        hi = min(lo + SYNTH_BLOCK, n)
+        block = rng.standard_normal(out=buf[:hi - lo])
+        block /= scale
+        margins[lo:hi] = block @ x_star
+        features[slice(lo, hi) if dest is None else dest[lo:hi]] = block
+    margins += noise * rng.standard_normal(n)
     labels = np.where(margins >= 0, 1.0, -1.0)
+    if order is not None:
+        labels = labels.take(order)
     return Dataset.from_dense_rows(features, labels), graph, x_star

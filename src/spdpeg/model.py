@@ -6,7 +6,8 @@ and so ``synthesize``, one C-ordered ``(n, d)`` array, checked finite
 once. Dense rows store no column index or row id, since no pass of the
 library reads them; their CSR view is built on first read, for the CSR
 kernels when n or d is 1 and for ``normalize_features``.
-``subset`` keeps rows checked and keeps the storage. Rows that store every
+``subset`` keeps rows checked and keeps the storage; a slice of dense
+rows is a view of them, any other selection a copy. Rows that store every
 feature have one dense layout, the ``(n, d)`` view ``dense_rows`` of their
 values, which every full-data pass reads; no other copy is kept.
 """
@@ -29,6 +30,8 @@ REGIME_CONVEX = "convex"
 REGIME_SC_UNIFORM = "sc-uniform"
 REGIME_SC_NONUNIFORM = "sc-nonuniform"
 REGIMES = (REGIME_CONVEX, REGIME_SC_UNIFORM, REGIME_SC_NONUNIFORM)
+
+NORM_BLOCK = 4096  # rows per block of row_norms_sq over dense rows
 
 
 class Dataset:
@@ -130,6 +133,14 @@ class Dataset:
         return int(self.labels.size)
 
     def subset(self, rows) -> "Dataset":
+        """The given rows: a slice of dense rows is a view of them, any
+        other selection a copy."""
+        if isinstance(rows, slice):
+            if self._rows is not None and rows.step in (None, 1):
+                out = object.__new__(Dataset)
+                out._store(self.labels[rows], None, self._rows[rows])
+                return out
+            rows = np.arange(self.n_samples)[rows]
         if self._rows is None:
             return Dataset(self.features.take_rows(rows), self.labels[rows])
         rows = checked_rows(rows, self.n_samples)
@@ -139,11 +150,14 @@ class Dataset:
 
     def row_norms_sq(self) -> np.ndarray:
         if self._rows is not None:
-            # column by column from 0.0: each row adds its squares in the
-            # order, and so with the bits, of a bincount over its entries
+            # column by column from 0.0, a block of rows at a time: each row
+            # adds its squares in the order, and so with the bits, of a
+            # bincount over its entries
             out = np.zeros(self.n_samples)
-            for col in self._rows.T:
-                out += col ** 2
+            for lo in range(0, self.n_samples, NORM_BLOCK):
+                acc = out[lo:lo + NORM_BLOCK]
+                for col in self._rows[lo:lo + NORM_BLOCK].T:
+                    acc += col ** 2
             return out
         if self.data.size == 0:
             return np.zeros(self.n_samples)

@@ -1,8 +1,10 @@
 """Helpers shared by the test modules."""
 
+import math
+
 import numpy as np
 
-from spdpeg import oracles
+from spdpeg import data, oracles
 from spdpeg.model import Dataset
 from spdpeg.prox import ProxSpec, apply_prox
 from spdpeg.solver import Schedule, _bracket_coefficients, run, step_size
@@ -160,3 +162,26 @@ def reference_full_pass(problem, dataset, x) -> np.ndarray:
     if problem.ridge:
         grad = grad + problem.ridge * x
     return grad
+
+
+def one_shot_synthesize(kind, d, n, noise, seed):
+    """``data.synthesize`` as it drew before its blocks: every feature in
+    one draw, one scale and one product. The bitwise reference of the
+    blocked draw."""
+    rng = np.random.default_rng(seed)
+    x_star, graph = data._ground_truth(kind, d, rng)
+    features = rng.standard_normal((n, d))
+    features /= math.sqrt(d)
+    margins = features @ x_star + noise * rng.standard_normal(n)
+    labels = np.where(margins >= 0, 1.0, -1.0)
+    return Dataset.from_dense_rows(features, labels), graph, x_star
+
+
+def column_row_norms_sq(rows) -> np.ndarray:
+    """``Dataset.row_norms_sq`` of dense rows as it was before its blocks:
+    column by column over all n rows. The bitwise reference of the blocked
+    loop."""
+    out = np.zeros(rows.shape[0])
+    for col in rows.T:
+        out += col ** 2
+    return out

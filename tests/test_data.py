@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csr_dataset, serialize_libsvm
-from spdpeg.data import (ParseError, SplitSpec, normalize_features, parse_libsvm,
-                         split, synthesize)
+from conftest import csr_dataset, one_shot_synthesize, serialize_libsvm
+from spdpeg import bench
+from spdpeg.data import (SYNTH_BLOCK, SYNTHETIC_KINDS, ParseError, SplitSpec,
+                         normalize_features, parse_libsvm, split, split_order,
+                         synthesize)
 from spdpeg.model import estimate_lipschitz
 from spdpeg.penalties import build_fused_matrix
 
@@ -149,6 +151,78 @@ def test_split_rejects_degenerate():
         split(ds, SplitSpec(0.9, 0))
     with pytest.raises(ValueError):
         SplitSpec(1.0, 0)
+
+
+def test_split_order_is_the_split_rule():
+    order, n_train = split_order(7, SplitSpec(0.5, 3))
+    assert n_train == 4  # round half up: 3.5 -> 4
+    np.testing.assert_array_equal(order, np.random.default_rng(3).permutation(7))
+    for n, fraction in ((2, 0.9), (2, 0.2), (10, 0.01)):
+        with pytest.raises(ValueError, match="degenerate split"):
+            split_order(n, SplitSpec(fraction, 0))
+    with pytest.raises(ValueError, match="at least two samples"):
+        split_order(1, SplitSpec(0.5, 0))
+
+
+def assert_same_rows(got, want):
+    for name in ("data", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+    assert got.fingerprint() == want.fingerprint()
+    assert got.max_row_norm_sq == want.max_row_norm_sq
+
+
+BLOCK_SIZES = (2, 3, 5, 200, SYNTH_BLOCK - 1, SYNTH_BLOCK, SYNTH_BLOCK + 1,
+               2 * SYNTH_BLOCK + 3)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+def test_synthesize_is_the_one_shot_draw(kind, n):
+    for d in (2, 20, 50):
+        args = (kind, d, n, 0.1, n + d)
+        got, want = synthesize(*args), one_shot_synthesize(*args)
+        assert_same_rows(got[0], want[0])
+        assert got[1] == want[1]
+        assert got[2].tobytes() == want[2].tobytes()
+
+
+def build_or_error(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+def test_synthetic_split_is_born_as_the_old_split(kind, n):
+    # build_data draws a split in its order; the rows, labels and errors are
+    # those of splitting the one-shot draw
+    for d in (2, 20, 50):
+        for fraction, seed in ((0.8, 1), (0.5, 7), (0.9, 3), (0.25, 11)):
+            s = {"kind": kind, "d": d, "n": n, "noise": 0.1, "seed": seed}
+            spec = SplitSpec(fraction, seed + 5)
+            got = build_or_error(lambda: bench.build_data(
+                {"synthetic": s, "split": True, "train_fraction": fraction,
+                 "split_seed": seed + 5}))
+            want = build_or_error(lambda: split(one_shot_synthesize(**s)[0], spec))
+            if isinstance(want, str):
+                assert got == want and want.startswith("degenerate split")
+                continue
+            for g, w in zip(got, want):
+                assert_same_rows(g, w)
+            # one array: the test rows start where the train rows end
+            train, test = got[0].data, got[1].data
+            assert train.ctypes.data + train.nbytes == test.ctypes.data
+
+
+def test_synthesize_rejects_an_order_that_is_no_permutation():
+    for order in ([0, 1, 2], [0, 1, 1, 3], [[0, 1, 2, 3]], np.arange(5)):
+        with pytest.raises(ValueError, match="permutation"):
+            synthesize("fused-signal", 3, 4, 0.1, 0, order)
+    with pytest.raises(IndexError):
+        synthesize("fused-signal", 3, 4, 0.1, 0, [0, 1, 2, 4])
 
 
 def test_synthesize_deterministic():

@@ -15,9 +15,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import sparse_from_dense
+from conftest import column_row_norms_sq, sparse_from_dense
 from spdpeg import baselines, bench, solver
-from spdpeg.model import LOSS_KINDS, Dataset, Problem
+from spdpeg.model import LOSS_KINDS, NORM_BLOCK, Dataset, Problem
 from spdpeg.oracles import full_gradient, margins, stochastic_gradient
 from spdpeg.penalties import precision_graph_from_data
 from spdpeg.prox import ProxSpec
@@ -117,6 +117,47 @@ def test_subset_matches_the_csr_twin(n, d, view_reads):
         dense.subset([])
 
 
+@pytest.mark.parametrize("n, d", [(1, 3), (NORM_BLOCK - 1, 2), (NORM_BLOCK, 7),
+                                  (NORM_BLOCK + 1, 20), (2 * NORM_BLOCK + 3, 50)])
+def test_blocked_row_norms_are_the_column_loop(n, d):
+    rows, labels = random_rows(n, d, 5 * n + d)
+    rows *= np.random.default_rng(d).uniform(1e-3, 1e3, size=(n, 1))
+    assert_same(Dataset.from_dense_rows(rows, labels).row_norms_sq(),
+                column_row_norms_sq(rows))
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (17, 2), (33, 7), (64, 20)])
+def test_slice_subset_is_a_view_with_the_index_subsets_bytes(n, d):
+    rows, labels = random_rows(n, d, 11 * n + d)
+    dense = Dataset.from_dense_rows(rows, labels)
+    for cut in (slice(0, n // 2), slice(n // 3, None), slice(1, n - 1),
+                slice(None), slice(-3, None)):
+        got, want = dense.subset(cut), dense.subset(np.arange(n)[cut])
+        assert np.shares_memory(got.data, rows)
+        assert not np.shares_memory(want.data, rows)
+        for name in ("indptr", "data", "labels"):
+            assert_same(getattr(got, name), getattr(want, name))
+        assert (got.dimension, got.full_rows) == (want.dimension, want.full_rows)
+        if want.dense_rows is None:  # one row keeps the CSR kernels
+            assert got.dense_rows is None
+        else:
+            assert_same(got.dense_rows, want.dense_rows)
+        assert got.fingerprint() == want.fingerprint()
+        assert_same(got.row_norms_sq(), want.row_norms_sq())
+        f, g = got.features, want.features
+        assert (f.n_rows, f.n_cols) == (g.n_rows, g.n_cols)
+        for name in ("row_offsets", "col_indices", "values", "row_ids"):
+            assert_same(getattr(f, name), getattr(g, name))
+    # a strided slice, and any slice of CSR rows, is the index subset's copy
+    for ds, cut in ((dense, slice(None, None, 2)),
+                    (csr_twin(rows, labels), slice(1, None))):
+        got, want = ds.subset(cut), ds.subset(np.arange(n)[cut])
+        assert not np.shares_memory(got.data, ds.data)
+        assert got.fingerprint() == want.fingerprint()
+    with pytest.raises(ValueError, match="at least one sample"):
+        dense.subset(slice(n, None))
+
+
 @pytest.mark.parametrize("n, d", SHAPES + [(4, 0)])
 def test_csr_view_is_the_twins_matrix_built_once(n, d):
     rows, labels = random_rows(n, d, 3 * n + d)
@@ -181,7 +222,8 @@ def test_uncapped_graph_reference_reads_no_csr_view(view_reads):
 
 
 def test_build_data_memory_is_about_the_rows():
-    # a synthetic split holds its rows once: no index arrays, no re-check
+    # a synthetic split is born in split order and holds its rows once: no
+    # full copy coexists with train and test, no index arrays, no re-check
     n, d = 20_000, 50
     cfg = {"synthetic": {"kind": "fused-signal", "d": d, "n": n, "noise": 0.1,
                          "seed": 1}, "split": True, "split_seed": 2}
@@ -192,7 +234,7 @@ def test_build_data_memory_is_about_the_rows():
     finally:
         tracemalloc.stop()
     assert built[0].n_samples + built[1].n_samples == n
-    assert peak <= 2.5 * 8 * n * d
+    assert peak <= 1.75 * 8 * n * d
     assert kept <= 1.25 * 8 * n * d
 
 
