@@ -18,7 +18,7 @@ import numpy as np
 
 from . import solver
 from .model import Dataset, Problem, SolverConfig
-from .solver import SolverResult, advance, step_size, z_block
+from .solver import SolverResult, advance, step_size, update_z
 
 
 def run_eg_full(problem: Problem, dataset: Dataset, config: SolverConfig,
@@ -53,7 +53,7 @@ def run_stoch_linadmm(problem: Problem, dataset: Dataset, config: SolverConfig,
                          + gamma * kern.Ft(fx - state.z))
             x_next = kern.prox_r1(state.x - np.array(c) * direction, c)
             fx = kern.F(x_next)
-            z_next = z_block(kern, gamma, fx, state.lam)
+            z_next = update_z(kern, gamma, fx, state.lam)
             lam_next = state.lam - gamma * (fx - z_next)
             advance(state, 1, x_next, lam_next, x_next, z_next, lam_next)
         return step

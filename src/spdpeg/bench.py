@@ -35,8 +35,8 @@ from .penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
 from .prox import ProxSpec, prox_dual, prox_fused
 from .solver import run as run_spdpeg
 from .solver import (DivergenceError, check_dimensions, check_step_inequality,
-                     extragradient, kernels, objective_from_margins,
-                     relative_slack, z_block)
+                     kernels, objective_from_margins, relative_slack,
+                     update_extragradient, update_z)
 from .sparse import SparseMatrix
 from .trace import TraceRecord, read_trace_csv, write_trace_csv
 
@@ -558,7 +558,7 @@ def _fista_reference(problem: Problem, dataset: Dataset, tol: float,
 def _extragradient_reference(problem: Problem, dataset: Dataset, gamma: float,
                              max_iters: int, tol: float,
                              check_every: int) -> ReferenceSolution:
-    """The solvers' z block and ``extragradient`` step at the constant step
+    """``update_z`` and ``update_extragradient`` at the constant step
     c = 1/(1 + L_tilde), with full gradients, for ``max_iters`` iterations
     at most: the scheduled solvers shrink their steps, while this last
     iterate settles geometrically. Returns the best iterate seen."""
@@ -577,8 +577,9 @@ def _extragradient_reference(problem: Problem, dataset: Dataset, gamma: float,
     iterations = 0
     for k in range(max_iters):
         fx = kern.F(x)
-        z = z_block(kern, gamma, fx, lam)
-        _, _, x, lam, _, _ = extragradient(kern, gamma, c, x, lam, fx, z, gradient)
+        z = update_z(kern, gamma, fx, lam)
+        _, _, x, lam, _, _ = update_extragradient(kern, gamma, c, x, lam, fx, z,
+                                                  gradient)
         iterations = k + 1
         if iterations % check_every == 0:
             f = objective_value(problem, dataset, x)
@@ -615,8 +616,8 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
     happened.
 
     A capped call (an int ``max_iters``) runs, whatever the penalty, at
-    most ``max_iters`` iterations of the solvers' z block and
-    ``extragradient`` step (which projects onto any feasible ball) at the
+    most ``max_iters`` iterations of the solvers' ``update_z`` and
+    ``update_extragradient`` (which projects onto any feasible ball) at the
     constant step c = 1/(1 + L_tilde). It evaluates the objective every
     ``check_every`` iterations, stops when it changes by at most tol
     (relative) between checkpoints, returns the best iterate seen, computes

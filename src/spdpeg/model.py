@@ -31,7 +31,7 @@ REGIME_SC_UNIFORM = "sc-uniform"
 REGIME_SC_NONUNIFORM = "sc-nonuniform"
 REGIMES = (REGIME_CONVEX, REGIME_SC_UNIFORM, REGIME_SC_NONUNIFORM)
 
-NORM_BLOCK = 4096  # rows per block of row_norms_sq over dense rows
+NORM_BLOCK = 4096  # rows per block of the finiteness check and row_norms_sq
 
 
 class Dataset:
@@ -89,8 +89,9 @@ class Dataset:
         rows = np.ascontiguousarray(features, dtype=np.float64)
         if rows.ndim != 2:
             raise ValueError("features must be a 2-D array")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("matrix values must be finite")
+        for lo in range(0, len(rows), NORM_BLOCK):  # no n×d bool array
+            if not np.isfinite(rows[lo:lo + NORM_BLOCK]).all():
+                raise ValueError("matrix values must be finite")
         out = object.__new__(cls)
         out._store(labels, None, rows)
         return out

@@ -11,10 +11,10 @@ augmented Lagrangian with penalty gamma. One iteration, run at step c:
      stochastic gradient drawn at x_bar and the predictor dual; lambda
      from the dual residual at x_bar.
 
-``extragradient`` is the predictor/corrector for any step and gradient
-source: SPDPEG and its full-gradient limit ``eg-full`` call it with the
-scheduled step and drawn gradients, a capped reference optimum in
-``bench`` with a constant step and exact gradients.
+``update_z`` (step 1) and ``update_extragradient`` (steps 2-3, at any
+step and gradient source) are the step's kernels: SPDPEG and ``eg-full``
+call both with the scheduled step, a capped reference optimum in ``bench``
+with a constant one, and the linearized ADMM baseline calls ``update_z``.
 
 ``drive`` is the one loop over ``max_iters``. It validates the inputs
 (``check_dimensions``, as the reference in ``bench`` does), so the steps
@@ -120,13 +120,11 @@ def _bracket_coefficients(config: SolverConfig, c: float) -> tuple[float, float]
 
 @dataclass
 class SolverState:
-    """The update quintuple plus online weighted averages."""
+    """The iterate (x, z, lambda) plus online weighted averages."""
 
     x: np.ndarray
     z: np.ndarray
     lam: np.ndarray
-    x_bar: np.ndarray
-    lam_bar: np.ndarray
     k: int
     weighted_x_sum: np.ndarray
     weighted_z_sum: np.ndarray
@@ -137,8 +135,7 @@ class SolverState:
 
 def initial_state(problem: Problem, dataset: Dataset) -> SolverState:
     d, l = dataset.dimension, problem.penalty.n_rows
-    return SolverState(x=np.zeros(d), z=np.zeros(l), lam=np.zeros(l),
-                       x_bar=np.zeros(d), lam_bar=np.zeros(l), k=0,
+    return SolverState(x=np.zeros(d), z=np.zeros(l), lam=np.zeros(l), k=0,
                        weighted_x_sum=np.zeros(d), weighted_z_sum=np.zeros(l),
                        weighted_lambda_sum=np.zeros(l), raw_weight_sum=0)
 
@@ -211,21 +208,11 @@ def check_dimensions(problem: Problem, dataset: Dataset,
         raise ValueError("train and test dimensions differ")
 
 
-def z_block(kern: Kernels, gamma, fx: np.ndarray,
-            lam: np.ndarray) -> np.ndarray:
+def update_z(kern: Kernels, gamma, fx: np.ndarray,
+             lam: np.ndarray) -> np.ndarray:
     """Exact z minimizer of the augmented Lagrangian at F x = fx and lam;
     gamma is a float or, faster, a 0-d float64 array."""
     return kern.prox_r2(fx - lam / gamma, 1.0 / float(gamma))
-
-
-def update_z(state: SolverState, fx: np.ndarray, problem: Problem,
-             config: SolverConfig, kern: Kernels | None = None,
-             gamma: np.ndarray | None = None) -> np.ndarray:
-    """Exact z-block minimizer of the augmented Lagrangian at (x, lambda);
-    fx must hold F @ state.x. ``kern`` is the run's ``kernels(problem)`` and
-    ``gamma`` its ``config.gamma`` as a 0-d array."""
-    return z_block(kern or kernels(problem),
-                   config.gamma if gamma is None else gamma, fx, state.lam)
 
 
 def drawn_gradient(problem: Problem, dataset: Dataset, config: SolverConfig, rng):
@@ -240,8 +227,9 @@ def drawn_gradient(problem: Problem, dataset: Dataset, config: SolverConfig, rng
     return lambda v: kernel(v, draw(0, n, b))
 
 
-def extragradient(kern: Kernels, gamma, c: float, x: np.ndarray,
-                  lam: np.ndarray, fx: np.ndarray, z: np.ndarray, gradient):
+def update_extragradient(kern: Kernels, gamma, c: float, x: np.ndarray,
+                         lam: np.ndarray, fx: np.ndarray, z: np.ndarray,
+                         gradient):
     """Predictor and corrector at step c from (x, lam), given fx = F x and
     this iteration's z; ``gradient(v)`` returns the gradient drawn at v.
     gamma is a float or, faster, a 0-d float64 array.
@@ -286,43 +274,6 @@ def advance(state: SolverState, w: int, x_avg: np.ndarray, lam_avg: np.ndarray,
     state.k = k + 1
     # np.linalg.norm of a 1-D float array is exactly sqrt(x.dot(x))
     state.max_dual_norm = max(state.max_dual_norm, math.sqrt(lam_sq))
-
-
-def update_extragradient(state: SolverState, fx: np.ndarray, z_next: np.ndarray,
-                         problem: Problem, dataset: Dataset, config: SolverConfig,
-                         schedule: Schedule, rng, step_scale: float = 1.0,
-                         captures: list | None = None,
-                         kern: Kernels | None = None,
-                         gamma: np.ndarray | None = None,
-                         gradient: Callable | None = None) -> None:
-    """Run the predictor/corrector step in place; fx must hold F @ state.x
-    and z_next this iteration's z-block minimizer. ``rng`` is the sample
-    stream of ``oracles.stochastic_gradient``; ``kern``, ``gamma`` and
-    ``gradient`` are the run's ``kernels(problem)``, ``config.gamma`` as a
-    0-d array and ``drawn_gradient(problem, dataset, config, rng)``."""
-    k = state.k
-    c = step_size(schedule, k) * step_scale
-    full = config.full_batch
-    x_k, lam_k = state.x, state.lam
-    x_bar, lam_bar, x_next, lam_next, g1, g2 = extragradient(
-        kern or kernels(problem), config.gamma if gamma is None else gamma,
-        c, x_k, lam_k, fx, z_next,
-        gradient or drawn_gradient(problem, dataset, config, rng))
-    w = k + 3 if schedule.regime == REGIME_SC_NONUNIFORM else 1
-    advance(state, w, x_bar, lam_bar, x_next, z_next, lam_next)
-    state.x_bar, state.lam_bar = x_bar, lam_bar
-
-    if captures is None:
-        return
-    if full:
-        g1_full, g2_full = g1, g2
-    else:
-        g1_full = oracles.full_gradient(problem, dataset, x_k)
-        g2_full = oracles.full_gradient(problem, dataset, x_bar)
-    captures.append(StepCapture(
-        k=k, c=c, x_prev=x_k, lam_prev=lam_k, z_next=z_next, x_bar=x_bar,
-        lam_bar=lam_bar, x_next=x_next, lam_next=lam_next, grad_x_stoch=g1,
-        grad_xbar_stoch=g2, grad_x_full=g1_full, grad_xbar_full=g2_full))
 
 
 @dataclass
@@ -449,13 +400,26 @@ def run(problem: Problem, dataset: Dataset, config: SolverConfig,
 
     def make_step(schedule, rng):
         gradient = drawn_gradient(problem, dataset, config, rng)
+        nonuniform = schedule.regime == REGIME_SC_NONUNIFORM
 
         def step(state):
-            fx = kern.F(state.x)
-            z_next = update_z(state, fx, problem, config, kern, gamma)
-            update_extragradient(state, fx, z_next, problem, dataset, config,
-                                 schedule, rng, step_scale, captures, kern,
-                                 gamma, gradient)
+            k, x, lam = state.k, state.x, state.lam
+            c = step_size(schedule, k) * step_scale
+            fx = kern.F(x)
+            z = update_z(kern, gamma, fx, lam)
+            x_bar, lam_bar, x_next, lam_next, g1, g2 = update_extragradient(
+                kern, gamma, c, x, lam, fx, z, gradient)
+            advance(state, k + 3 if nonuniform else 1, x_bar, lam_bar,
+                    x_next, z, lam_next)
+            if captures is not None:
+                g1_full, g2_full = (g1, g2) if config.full_batch else (
+                    oracles.full_gradient(problem, dataset, x),
+                    oracles.full_gradient(problem, dataset, x_bar))
+                captures.append(StepCapture(
+                    k=k, c=c, x_prev=x, lam_prev=lam, z_next=z, x_bar=x_bar,
+                    lam_bar=lam_bar, x_next=x_next, lam_next=lam_next,
+                    grad_x_stoch=g1, grad_xbar_stoch=g2, grad_x_full=g1_full,
+                    grad_xbar_full=g2_full))
         return step
 
     return drive(problem, dataset, config, test_dataset, make_step)

@@ -313,7 +313,7 @@ def test_uncapped_reference_runs_fista_only(monkeypatch, penalty):
     problem, train = instances["fused" if penalty == "empty" else penalty]
     if penalty == "empty":
         problem = replace(problem, penalty=SparseMatrix(3, 8, [0, 0, 0, 0], [], []))
-    steps = count_calls(monkeypatch, solver, "extragradient", bench)
+    steps = count_calls(monkeypatch, solver, "update_extragradient", bench)
     fista = count_calls(monkeypatch, bench, "_fista_reference")
     tv_steps = count_calls(monkeypatch, prox, "prox_tv")
     dual_steps = count_calls(monkeypatch, prox, "prox_dual", bench)

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (average_weight, csr_dataset, schedule_bracket_coefficients,
-                      sparse_from_dense)
+from conftest import (average_weight, count_calls, csr_dataset,
+                      schedule_bracket_coefficients, sparse_from_dense)
 from spdpeg.model import Dataset, Problem, SolverConfig, estimate_lipschitz
 from spdpeg.penalties import build_fused_matrix
 from spdpeg.prox import ProxSpec, prox_l1, reg_value
 from spdpeg.data import synthesize
 from spdpeg.solver import (DivergenceError, Schedule, check_step_inequality,
-                           initial_state, make_schedule, relative_slack, run,
-                           step_size, update_z)
+                           drawn_gradient, initial_state, kernels, make_schedule,
+                           relative_slack, run, step_size, update_extragradient,
+                           update_z)
 from spdpeg.sparse import power_iteration_sigma_max
+from spdpeg import baselines, bench
 from spdpeg import solver as solver_mod
 
 
@@ -93,7 +95,8 @@ def test_update_z_soft_threshold():
     state = initial_state(problem, dataset)
     state.x = np.array([3.0])
     fx = problem.penalty.matvec(state.x)
-    np.testing.assert_allclose(update_z(state, fx, problem, config), [2.0])
+    np.testing.assert_allclose(
+        update_z(kernels(problem), config.gamma, fx, state.lam), [2.0])
 
 
 def test_update_z_zero_input_and_identity():
@@ -106,11 +109,13 @@ def test_update_z_zero_input_and_identity():
     state.x = np.array([1.0, -2.0])
     fx = penalty.matvec(state.x)
     state.lam = config.gamma * fx
-    np.testing.assert_array_equal(update_z(state, fx, prob_w, config), [0.0, 0.0])
+    np.testing.assert_array_equal(
+        update_z(kernels(prob_w), config.gamma, fx, state.lam), [0.0, 0.0])
     prob_0 = Problem("least-squares", ProxSpec("none"), ProxSpec("l1", 0.0), penalty)
     state.lam = np.array([0.3, -0.1])
-    np.testing.assert_allclose(update_z(state, fx, prob_0, config),
-                               fx - state.lam / config.gamma)
+    np.testing.assert_allclose(
+        update_z(kernels(prob_0), config.gamma, fx, state.lam),
+        fx - state.lam / config.gamma)
 
 
 def test_update_z_minimizes_augmented_lagrangian():
@@ -118,7 +123,7 @@ def test_update_z_minimizes_augmented_lagrangian():
     res = run(problem, dataset, config)
     state = res.state
     fx = problem.penalty.matvec(state.x)
-    z_opt = update_z(state, fx, problem, config)
+    z_opt = update_z(kernels(problem), config.gamma, fx, state.lam)
 
     def value(z):
         return (reg_value(problem.r2, z) + state.lam @ z
@@ -136,16 +141,18 @@ def test_stationary_point_is_fixed():
     sched = make_schedule(problem, config)
     state = initial_state(problem, dataset)
     state.x = np.ones(2)
-    rng = np.random.default_rng(0)
+    kern = kernels(problem)
+    gradient = drawn_gradient(problem, dataset, config, np.random.default_rng(0))
     fx = problem.penalty.matvec(state.x)
-    z1 = update_z(state, fx, problem, config)
+    z1 = update_z(kern, config.gamma, fx, state.lam)
     np.testing.assert_array_equal(z1, np.ones(2))
-    solver_mod.update_extragradient(state, fx, z1, problem, dataset, config,
-                                    sched, rng)
-    np.testing.assert_array_equal(state.x, np.ones(2))
-    np.testing.assert_array_equal(state.x_bar, np.ones(2))
-    np.testing.assert_array_equal(state.lam, np.zeros(2))
-    np.testing.assert_array_equal(state.lam_bar, np.zeros(2))
+    x_bar, lam_bar, x1, lam1, _, _ = update_extragradient(
+        kern, config.gamma, step_size(sched, 0), state.x, state.lam, fx, z1,
+        gradient)
+    np.testing.assert_array_equal(x1, np.ones(2))
+    np.testing.assert_array_equal(x_bar, np.ones(2))
+    np.testing.assert_array_equal(lam1, np.zeros(2))
+    np.testing.assert_array_equal(lam_bar, np.zeros(2))
 
 
 def test_single_iteration_matches_hand_execution():
@@ -161,7 +168,8 @@ def test_single_iteration_matches_hand_execution():
                           lipschitz_L=estimate_lipschitz(dataset, "least-squares"),
                           sigma_max_FtF=power_iteration_sigma_max(penalty),
                           batch_size=2, eval_every=1)
-    res = run(problem, dataset, config)
+    caps = []
+    res = run(problem, dataset, config, captures=caps)
 
     L_tilde = max(8 * config.gamma * config.sigma_max_FtF,
                   math.sqrt(8 * config.lipschitz_L ** 2
@@ -186,14 +194,38 @@ def test_single_iteration_matches_hand_execution():
     lam1 = lam0 - config.gamma * (F @ x_bar - z1)
 
     np.testing.assert_allclose(res.state.x, x1, rtol=1e-14, atol=1e-15)
-    np.testing.assert_allclose(res.state.x_bar, x_bar, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(caps[0].x_bar, x_bar, rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(res.state.lam, lam1, rtol=1e-14, atol=1e-15)
-    np.testing.assert_allclose(res.state.lam_bar, lam_bar, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(caps[0].lam_bar, lam_bar, rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(res.state.z, z1, rtol=1e-14, atol=1e-15)
     # single-iteration averages equal the first iterates
     np.testing.assert_allclose(res.x_avg, x_bar, rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(res.z_avg, z1, rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(res.lambda_avg, lam_bar, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("name, per_iter", [("spdpeg", (1, 1)), ("eg-full", (1, 1)),
+                                            ("slinadmm", (1, 0))])
+def test_each_loop_calls_the_traced_step_once_per_iteration(monkeypatch, name,
+                                                            per_iter):
+    # the benchmark's traced run times these two names in every loop
+    problem, dataset, config = flr_instance(iters=30, eval_every=10)
+    z_calls = count_calls(monkeypatch, solver_mod, "update_z", baselines, bench)
+    eg_calls = count_calls(monkeypatch, solver_mod, "update_extragradient",
+                           bench)
+    bench._SOLVER_FNS[name](problem, dataset, config)
+    assert (len(z_calls), len(eg_calls)) == (30 * per_iter[0], 30 * per_iter[1])
+
+
+def test_capped_reference_calls_the_traced_step_once_per_iteration(monkeypatch):
+    problem, dataset, config = flr_instance()
+    z_calls = count_calls(monkeypatch, solver_mod, "update_z", baselines, bench)
+    eg_calls = count_calls(monkeypatch, solver_mod, "update_extragradient",
+                           bench)
+    ref = bench.reference_optimum(problem, dataset, config.gamma, max_iters=40,
+                                  check_every=10)
+    assert ref.iterations == 40
+    assert len(z_calls) == len(eg_calls) == 40
 
 
 def test_same_seed_bitwise_identical():
