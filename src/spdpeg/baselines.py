@@ -1,13 +1,14 @@
 """Comparison solvers on the shared driver, trace schema and averaging.
 
 Both baselines run through ``solver.drive``, which owns the loop, the
-schedule, the random stream, the trace cadence and the final averages.
+trace cadence and the final averages, and resolves a run's schedule,
+kernels, gamma and drawn gradient (with its random stream) once.
 ``run_eg_full`` is the deterministic limit of the extra-gradient solver
 (both gradient draws replaced by the full gradient), so its per-iteration
 cost scales with the dataset size. ``run_stoch_linadmm`` supplies only its
-step: a single-draw linearized stochastic ADMM, that is one prox-gradient
-step on the full augmented Lagrangian linearization, then the exact z
-block and a dual ascent step, with uniform averaging.
+step, built from those: a single-draw linearized stochastic ADMM, that is
+one prox-gradient step on the full augmented Lagrangian linearization,
+then the exact z block and a dual ascent step, with uniform averaging.
 """
 
 from __future__ import annotations
@@ -37,17 +38,13 @@ def run_stoch_linadmm(problem: Problem, dataset: Dataset, config: SolverConfig,
     gamma * F^T (F x - z); then the exact z block at the new x and a dual
     step. Averages (x, z, lambda) uniformly.
     """
-    # gamma and each step size as 0-d arrays: see ``solver``
-    gamma, kern = np.array(config.gamma), solver.kernels(problem)
-
-    def make_step(schedule, rng):
-        gradient = solver.drawn_gradient(problem, dataset, config, rng)
-        fx = None  # F x of the current iterate, carried over from the previous step
+    def make_step(schedule, kern, gamma, gradient):
+        # F x of the current iterate, carried over from the previous step;
+        # each step size is a 0-d array, as gamma is: see ``solver``
+        fx = kern.F(np.zeros(dataset.dimension))
 
         def step(state):
             nonlocal fx
-            if fx is None:
-                fx = kern.F(state.x)
             c = step_size(schedule, state.k)
             direction = (gradient(state.x) - kern.Ft(state.lam)
                          + gamma * kern.Ft(fx - state.z))

@@ -523,7 +523,7 @@ def _fista_reference(problem: Problem, dataset: Dataset, tol: float,
     converged = False
     iterations = 0
     while iterations < UNCAPPED_ITERS:
-        v = y - step * oracles._gradient_over_rows(problem, dataset, y, None)
+        v = y - step * oracles._gradient_over_rows(problem, dataset, y)
         if fused:
             x_next, tv = prox_fused(kern.prox_r1, v, step, weight)
         else:
@@ -566,7 +566,7 @@ def _extragradient_reference(problem: Problem, dataset: Dataset, gamma: float,
     kern = kernels(problem)
 
     def gradient(v):
-        return oracles._gradient_over_rows(problem, dataset, v, None)
+        return oracles._gradient_over_rows(problem, dataset, v)
 
     x = np.zeros(dataset.dimension)
     lam = np.zeros(problem.penalty.n_rows)
@@ -763,7 +763,7 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
                  d: int = 20, n: int = 200, eval_every: int = 100,
                  ordering_iteration: int | None = None,
                  gamma: float | None = None,
-                 cache_path=None, window_lo: int = 100) -> dict:
+                 cache_path=None) -> dict:
     """Fit empirical convergence slopes for the requested regimes.
 
     Convex regime: the mean objective gap of the uniformly averaged output
@@ -788,7 +788,7 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
                                 cache_path=cache_path)
         its, curves, _ = _gap_curves(built, core, seed_list, ref.objective)
         mean_gaps = curves.mean(axis=0)
-        fit = fit_rate(its, mean_gaps, (window_lo, None))
+        fit = fit_rate(its, mean_gaps)
         report["convex"] = {"slope": fit.slope, "r_squared": fit.r_squared,
                             "window": fit.window,
                             **_reference_report(ref, its, mean_gaps, fit)}
@@ -808,8 +808,8 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
                                                    ref.objective)
         if "sc-nonuniform" in regimes:
             mean_gaps = obj_curves.mean(axis=0)
-            obj_fit = fit_rate(its, mean_gaps, (window_lo, None))
-            feas_fit = fit_rate(its, feas_curves.mean(axis=0), (window_lo, None))
+            obj_fit = fit_rate(its, mean_gaps)
+            feas_fit = fit_rate(its, feas_curves.mean(axis=0))
             report["sc-nonuniform"] = {
                 "slope": obj_fit.slope, "r_squared": obj_fit.r_squared,
                 "window": obj_fit.window,
@@ -843,8 +843,8 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
 
 def step_inequality_sweep(d: int = 20, n: int = 100, steps: int = 1000,
                           n_references: int = 10, mode: str = "stochastic",
-                          seed: int = 0, data_seed: int = 2024,
-                          gamma: float = 0.1, step_scale: float = 1.0) -> dict:
+                          seed: int = 0, gamma: float = 0.1,
+                          step_scale: float = 1.0) -> dict:
     """Instrument a run and audit the per-step inequality against random
     reference points; returns the worst (minimum) relative slack seen."""
     if mode not in ("stochastic", "deterministic"):
@@ -852,7 +852,7 @@ def step_inequality_sweep(d: int = 20, n: int = 100, steps: int = 1000,
     if d > 50 or n > 200:
         raise ValueError("inequality sweeps are meant for small instances "
                          "(d <= 50, n <= 200)")
-    core = rate_core("convex", d=d, n=n, data_seed=data_seed, gamma=gamma,
+    core = rate_core("convex", d=d, n=n, data_seed=2024, gamma=gamma,
                      iters=steps, eval_every=steps)
     train, _, problem, derived = build_all(core)
     config = replace(make_config(core, derived, seed),
@@ -955,16 +955,15 @@ def write_plotdata(paths, out_path) -> tuple[str, str]:
 # timing
 
 
-def per_iteration_seconds(solver: str, built, core: dict, seed: int = 0,
-                          repeats: int = 3) -> float:
-    """Median wall seconds per iteration over a few short runs of ``core`` on
+def per_iteration_seconds(solver: str, built, core: dict, seed: int = 0) -> float:
+    """Median wall seconds per iteration over three short runs of ``core`` on
     ``built``, the ``build_all`` of a core that may differ in ``iters`` and
     ``eval_every``."""
     train, test, problem, derived = built
     config = make_config(core, derived, seed)
     fn = _SOLVER_FNS[solver]
     times = []
-    for _ in range(repeats):
+    for _ in range(3):
         t0 = time.perf_counter()
         fn(problem, train, config, test)
         times.append((time.perf_counter() - t0) / config.max_iters)
@@ -992,11 +991,9 @@ def timing_scaling(ns=(1000, 100_000), d: int = 50, iters_stochastic: int = 6000
 
 
 def comparative_benchmark(d: int = 50, n: int = 1000, iters: int = 10_000,
-                          seeds: int = 5, base_seed: int = 0,
-                          data_seed: int = 12345) -> dict:
+                          seeds: int = 5, base_seed: int = 0) -> dict:
     """Final objective of the stochastic solvers on the same instance/seeds."""
-    core = rate_core("convex", d=d, n=n, data_seed=data_seed, iters=iters,
-                     eval_every=iters)
+    core = rate_core("convex", d=d, n=n, iters=iters, eval_every=iters)
     built = build_all(core)
     seed_list = [base_seed + i for i in range(seeds)]
     finals = {s: [r.trace[-1].objective

@@ -21,10 +21,11 @@ The logistic coefficients of a full pass, ``-b * sigmoid(-b*m) / n``, take
 by ``Dataset.neg_labels_n`` (-b*n), which for b = +-1 have the bits of
 -(b*m) and of the product followed by the division.
 
-The loops of ``solver`` and ``bench`` call ``_gradient_over_rows`` on the
-inputs their entries checked; ``full_gradient`` and ``stochastic_gradient``
-are its checked entries. Its sampled paths are ``draw_kernel``, which the
-solvers resolve once per run. A sampled batch takes one of three paths:
+``_gradient_over_rows`` is the one full pass and ``draw_kernel`` the one
+sampled path. The loops of ``solver`` and ``bench`` call them on the inputs
+their entries checked, the solvers resolving ``draw_kernel`` once per run;
+``full_gradient`` and ``stochastic_gradient`` are their checked entries. A
+sampled batch takes one of three paths:
 - one row: scalar arithmetic on that row's slice, with no array built for
   its margin, coefficient or label; a row that stores every feature also
   skips the gather of x and the scatter into a zero vector;
@@ -181,11 +182,9 @@ def _scatter(dataset: Dataset, coefs: np.ndarray) -> np.ndarray:
     return dataset.features.rmatvec(coefs)
 
 
-def _gradient_over_rows(problem: Problem, dataset: Dataset, x: np.ndarray,
-                        rows: np.ndarray | None) -> np.ndarray:
-    """Average per-sample gradient over the given rows (all rows if None)."""
-    if rows is not None:
-        return draw_kernel(problem, dataset, rows.size)(x, rows)
+def _gradient_over_rows(problem: Problem, dataset: Dataset,
+                        x: np.ndarray) -> np.ndarray:
+    """Average per-sample gradient over every row: the full pass."""
     m = margins(dataset, x)
     if problem.loss == LOSS_LOGISTIC:  # _coefs(...) / n, bit for bit
         m *= dataset.neg_labels
@@ -202,10 +201,10 @@ def _gradient_over_rows(problem: Problem, dataset: Dataset, x: np.ndarray,
 def draw_kernel(problem: Problem, dataset: Dataset, batch_size: int):
     """``(x, rows) -> `` the average gradient, folded ridge included, over
     ``batch_size`` drawn ``rows`` (int64 indices below n) at a contiguous
-    float64 x: the sampled paths of ``_gradient_over_rows``, chosen and
-    bound once. A strided x would take another dot kernel in
-    ``np.vecdot``; ``_lane_sums`` keeps ``bincount``'s order, since a batch
-    of whole rows here has at least 2 rows and 2 lanes."""
+    float64 x: the sampled paths, chosen and bound once. A strided x would
+    take another dot kernel in ``np.vecdot``; ``_lane_sums`` keeps
+    ``bincount``'s order, since a batch of whole rows here has at least 2
+    rows and 2 lanes."""
     loss, d = problem.loss, dataset.dimension
     if batch_size == 1:
         rows_gradient = partial(_row_gradient, loss, dataset)
@@ -301,7 +300,7 @@ def _ragged_gradient(loss: str, dataset: Dataset, x: np.ndarray,
 def full_gradient(problem: Problem, dataset: Dataset, x: np.ndarray) -> np.ndarray:
     """Exact average of per-sample gradients (plus the folded ridge)."""
     x = _check_x(dataset, x)
-    return _gradient_over_rows(problem, dataset, x, None)
+    return _gradient_over_rows(problem, dataset, x)
 
 
 def stochastic_gradient(problem: Problem, dataset: Dataset, x: np.ndarray,
@@ -309,17 +308,16 @@ def stochastic_gradient(problem: Problem, dataset: Dataset, x: np.ndarray,
                         enumerate_all: bool = False) -> np.ndarray:
     """Average gradient over a uniform with-replacement batch.
 
-    ``rng`` is anything that answers ``integers(low, high, size)``: a
-    ``numpy.random.Generator``, or the block-drawn ``solver.SampleStream``
-    that ``solver.drive`` hands its steps. ``enumerate_all`` replaces
-    sampling with a pass over every sample (and does not touch the rng);
-    the result then equals full_gradient.
+    ``rng`` is a ``numpy.random.Generator`` (anything that answers
+    ``integers(low, high, size)``), called once for the batch's indices.
+    ``enumerate_all`` replaces sampling with a pass over every sample (and
+    does not touch the rng); the result then equals full_gradient.
     """
     x = _check_x(dataset, x)
     if enumerate_all:
-        return _gradient_over_rows(problem, dataset, x, None)
+        return _gradient_over_rows(problem, dataset, x)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     idx = rng.integers(0, dataset.n_samples, size=batch_size)
-    return _gradient_over_rows(problem, dataset, x, idx)
+    return draw_kernel(problem, dataset, batch_size)(x, idx)
 

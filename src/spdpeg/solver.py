@@ -17,15 +17,15 @@ call both with the scheduled step, a capped reference optimum in ``bench``
 with a constant one, and the linearized ADMM baseline calls ``update_z``.
 
 ``drive`` is the one loop over ``max_iters``. It validates the inputs
-(``check_dimensions``, as the reference in ``bench`` does), so the steps
-call only kernels resolved once per run: the ``kernels`` of the problem
-and the ``drawn_gradient`` of the run's sample stream. Their scalar
-operands (gamma, the batch divisor, the ridge) are 0-d float64 arrays
-made once per run, and the step size one made once per step: numpy
-applies a 0-d array faster than a Python float (NEP 50's scalar path),
-with the same bits. ``drive`` owns the schedule, the sample stream and the
-trace cadence, builds the step function once and calls it per iteration,
-and returns the weighted averages; it holds no audit state. Steps advance
+(``check_dimensions``, as the reference in ``bench`` does) and then
+resolves the run once: the schedule, the ``kernels`` of the problem, gamma
+and the ``drawn_gradient`` over the run's generator. It builds the step
+function from those, so the steps call only kernels, and calls it per
+iteration. Their scalar operands (gamma, the batch divisor, the ridge) are
+0-d float64 arrays made once per run, and the step size one made once per
+step: numpy applies a 0-d array faster than a Python float (NEP 50's
+scalar path), with the same bits. ``drive`` owns the trace cadence and
+returns the weighted averages; it holds no audit state. Steps advance
 the state through ``advance`` (divergence guard and averaging). SPDPEG
 averages the predictor iterates: uniform weights, or weights proportional
 to k+3 for the accelerated strongly convex regime; ``compute_L_tilde``
@@ -54,7 +54,7 @@ from .trace import TraceRecord
 
 DIVERGENCE_LIMIT = 1e12
 _LIMIT_SQ = DIVERGENCE_LIMIT ** 2
-# Rows per block of a run's sample stream. At d=20, n=200 one
+# Batches per generator call of a run's drawn gradient. At d=20, n=200 one
 # integers(size=1) call costs about 9 us and a row of a block about 0.3 us.
 SAMPLE_BLOCK = 512
 
@@ -215,16 +215,29 @@ def update_z(kern: Kernels, gamma, fx: np.ndarray,
     return kern.prox_r2(fx - lam / gamma, 1.0 / float(gamma))
 
 
-def drawn_gradient(problem: Problem, dataset: Dataset, config: SolverConfig, rng):
-    """``v -> `` the gradient at v over the next batch of ``rng``, or over
-    every row under ``full_batch``: ``oracles.stochastic_gradient`` without
-    the checks that the run's entry made, with its ``oracles.draw_kernel``
-    resolved here, once per run."""
+def drawn_gradient(problem: Problem, dataset: Dataset, config: SolverConfig,
+                   rng: np.random.Generator):
+    """``v -> `` the gradient at v over the next batch drawn from ``rng``, or
+    over every row under ``full_batch``: ``oracles.stochastic_gradient``
+    without the checks that the run's entry made, with its
+    ``oracles.draw_kernel`` resolved here, once per run.
+
+    The batches are the rows of ``(SAMPLE_BLOCK, batch)`` blocks, each drawn
+    in one ``rng.integers`` call when its first row is needed. The generator
+    fills a block in row order, so these are the arrays of one
+    ``rng.integers(0, n, size=batch)`` call per gradient while this closure
+    is the generator's only consumer."""
     if config.full_batch:
-        return lambda v: oracles._gradient_over_rows(problem, dataset, v, None)
+        return lambda v: oracles._gradient_over_rows(problem, dataset, v)
     n, b = dataset.n_samples, config.batch_size
-    kernel, draw = oracles.draw_kernel(problem, dataset, b), rng.integers
-    return lambda v: kernel(v, draw(0, n, b))
+    kernel = oracles.draw_kernel(problem, dataset, b)
+
+    def batches():
+        while True:
+            yield from rng.integers(0, n, size=(SAMPLE_BLOCK, b))
+
+    rows = batches()
+    return lambda v: kernel(v, next(rows))
 
 
 def update_extragradient(kern: Kernels, gamma, c: float, x: np.ndarray,
@@ -259,7 +272,7 @@ def advance(state: SolverState, w: int, x_avg: np.ndarray, lam_avg: np.ndarray,
     lam_sq = lam_next.dot(lam_next)
     if not (x_next.dot(x_next) <= _LIMIT_SQ and lam_sq <= _LIMIT_SQ):
         both = np.concatenate((x_next, lam_next))
-        peak = float(np.abs(both).max()) if both.size else 0.0
+        peak = float(np.abs(both).max())
         if not math.isfinite(peak) or peak > DIVERGENCE_LIMIT:
             raise DivergenceError(k, f"iterate diverged at iteration {k} (peak {peak!r})")
     z_avg = z_next
@@ -314,42 +327,12 @@ def evaluate_trace_record(problem: Problem, dataset: Dataset,
                        feasibility, max_dual_norm)
 
 
-class SampleStream:
-    """Sample indices from ``rng``, drawn ``SAMPLE_BLOCK`` rows at a time.
-
-    ``integers(low, high, size)`` returns the next row of a
-    ``(SAMPLE_BLOCK, size)`` block drawn in one ``rng.integers`` call. The
-    generator fills a block in row order, so the rows are the arrays that
-    one ``rng.integers(low, high, size=size)`` per request would return;
-    a stream serves one (low, high, size), as a run needs. A block is drawn
-    only when a request needs it: a run that never samples draws nothing.
-    """
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._args = None
-        self._block = None
-        self._next = SAMPLE_BLOCK
-
-    def integers(self, low: int, high: int, size: int) -> np.ndarray:
-        args = (low, high, size)
-        if args != self._args:
-            if self._args is not None:
-                raise ValueError(f"stream draws {self._args}, not {args}")
-            self._args = args
-        if self._next == SAMPLE_BLOCK:
-            self._block = self._rng.integers(low, high, size=(SAMPLE_BLOCK, size))
-            self._next = 0
-        row = self._block[self._next]
-        self._next += 1
-        return row
-
-
 def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
           test_dataset: Dataset | None, make_step) -> SolverResult:
     """Run ``step(state)`` for max_iters iterations, where ``step =
-    make_step(schedule, rng)`` is built once, and return the averaged
-    iterates plus trace.
+    make_step(schedule, kern, gamma, gradient)`` is built once from the
+    run's schedule, its ``kernels``, gamma as a 0-d array and its
+    ``drawn_gradient``, and return the averaged iterates plus trace.
 
     Each step advances the state by one iteration. Weighted sums are
     accumulated online with integer weights and normalized once by their
@@ -358,20 +341,20 @@ def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
     final one), evaluated at the current running average.
 
     The random stream is owned by this call: identical (problem, dataset,
-    config) give bit-identical trajectories. ``make_step`` gets ``rng`` as
-    a ``SampleStream``, which draws the indices in blocks and is the only
-    consumer of ``default_rng(config.seed)``. So they see the indices of
-    one ``integers`` call per gradient; only the generator's final state
+    config) give bit-identical trajectories. ``default_rng(config.seed)``
+    has one consumer, the drawn gradient, so a run sees the indices of one
+    ``integers`` call per gradient; only the generator's final state
     differs, by the unused rows of the last block, and nothing reads it.
     """
     check_dimensions(problem, dataset, test_dataset)
     if config.regime != REGIME_CONVEX and problem.strong_convexity_mu <= 0.0:
         raise ValueError(f"regime {config.regime!r} requires strong_convexity_mu > 0")
     eval_dataset = dataset if test_dataset is None else test_dataset
-    schedule = make_schedule(problem, config)
-    rng = SampleStream(np.random.default_rng(config.seed))
+    step = make_step(make_schedule(problem, config), kernels(problem),
+                     np.array(config.gamma),
+                     drawn_gradient(problem, dataset, config,
+                                    np.random.default_rng(config.seed)))
     state = initial_state(problem, dataset)
-    step = make_step(schedule, rng)
     trace: list[TraceRecord] = []
     t0 = time.perf_counter()
     for done in range(1, config.max_iters + 1):
@@ -396,10 +379,7 @@ def run(problem: Problem, dataset: Dataset, config: SolverConfig,
     ``drive``); ``config.full_batch`` makes it ``eg-full``. A ``captures``
     list gets each completed step's StepCapture, also on DivergenceError."""
 
-    kern, gamma = kernels(problem), np.array(config.gamma)
-
-    def make_step(schedule, rng):
-        gradient = drawn_gradient(problem, dataset, config, rng)
+    def make_step(schedule, kern, gamma, gradient):
         nonuniform = schedule.regime == REGIME_SC_NONUNIFORM
 
         def step(state):

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import csr_dataset, sparse_from_dense
 from spdpeg.model import Problem
-from spdpeg.oracles import _coefs, _gradient_over_rows, stochastic_gradient
+from spdpeg.oracles import _coefs, draw_kernel, stochastic_gradient
 from spdpeg.prox import ProxSpec
 from spdpeg.sparse import row_positions
 
@@ -116,7 +116,7 @@ def test_sampled_gradient_is_bitwise_the_row_loop(kind, loss, ridge, batch):
         # large x so that both branches of the sigmoid are taken
         x = 2.0 * rng.standard_normal(d)
         rows = rng.integers(0, n, size=size)
-        got = _gradient_over_rows(problem, dataset, x, rows)
+        got = draw_kernel(problem, dataset, rows.size)(x, rows)
         want = reference_gradient_over_rows(problem, dataset, x, rows)
         assert got.tobytes() == want.tobytes()
 
@@ -197,7 +197,7 @@ def test_empty_and_repeated_rows(loss, rows):
     problem = problem_for(loss, dataset.dimension, 0.0)
     x = np.random.default_rng(4).standard_normal(dataset.dimension)
     rows = np.array(rows, dtype=np.int64)
-    got = _gradient_over_rows(problem, dataset, x, rows)
+    got = draw_kernel(problem, dataset, rows.size)(x, rows)
     want = reference_gradient_over_rows(problem, dataset, x, rows)
     assert got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
@@ -210,7 +210,7 @@ def test_dataset_of_empty_rows(ridge):
     x = np.array([0.5, -1.0, 2.0])
     for rows in ([1], [0, 2], [2, 1, 1, 0]):
         rows = np.array(rows, dtype=np.int64)
-        got = _gradient_over_rows(problem, dataset, x, rows)
+        got = draw_kernel(problem, dataset, rows.size)(x, rows)
         want = reference_gradient_over_rows(problem, dataset, x, rows)
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()

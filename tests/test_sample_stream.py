@@ -1,11 +1,10 @@
-"""The block-drawn sample stream against one generator call per gradient.
+"""The block-drawn batches of a run against one generator call per gradient.
 
-``solver.drive`` hands its steps a ``SampleStream``, which draws the
-sample indices ``SAMPLE_BLOCK`` rows at a time. Every row must be the
-array that one ``integers(0, n, size=batch)`` call on the same generator
-would have returned, inside a block, across block boundaries and at the
-end of a run that stops inside a block. A counting generator pins how
-few calls that takes.
+``solver.drawn_gradient`` draws the sample indices ``SAMPLE_BLOCK`` batches
+at a time. Every batch must be the array that one ``integers(0, n,
+size=batch)`` call on the same generator would have returned, inside a
+block, across block boundaries and at the end of a run that stops inside a
+block. A counting generator pins how few calls that takes.
 """
 
 from __future__ import annotations
@@ -15,36 +14,16 @@ import math
 import numpy as np
 import pytest
 
+from spdpeg import oracles
 from spdpeg import solver as solver_mod
 from spdpeg.baselines import run_eg_full, run_stoch_linadmm
 from spdpeg.model import Dataset, Problem, SolverConfig, estimate_lipschitz
 from spdpeg.penalties import build_fused_matrix
 from spdpeg.prox import ProxSpec
-from spdpeg.solver import SAMPLE_BLOCK, SampleStream, run
+from spdpeg.solver import SAMPLE_BLOCK, drawn_gradient, run
 from spdpeg.sparse import power_iteration_sigma_max
 
 SIZES = [1, 2, 200, 80_000]
-
-
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("batch", [1, 16])
-def test_stream_rows_are_the_per_call_draws(n, batch):
-    # two block boundaries crossed, and the last block left part used
-    stream = SampleStream(np.random.default_rng(n + batch))
-    rng = np.random.default_rng(n + batch)
-    for _ in range(2 * SAMPLE_BLOCK + 37):
-        want = rng.integers(0, n, size=batch)
-        got = stream.integers(0, n, size=batch)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-
-def test_stream_serves_one_range_and_size():
-    stream = SampleStream(np.random.default_rng(0))
-    stream.integers(0, 10, size=1)
-    for args in ((0, 11, 1), (0, 10, 2), (1, 10, 1)):
-        with pytest.raises(ValueError, match="stream draws"):
-            stream.integers(*args)
 
 
 def _instance(n, batch, iters, seed=3, d=3):
@@ -62,31 +41,57 @@ def _instance(n, batch, iters, seed=3, d=3):
     return problem, dataset, config
 
 
-class _Recorder:
-    """Passes requests to ``source`` and keeps a copy of every row served."""
+def _recording_kernels(monkeypatch):
+    """Make every ``oracles.draw_kernel`` keep a copy of the rows it is
+    served; returns that list."""
+    served = []
+    real = oracles.draw_kernel
 
-    def __init__(self, source):
-        self.source = source
-        self.rows = []
+    def draw_kernel(problem, dataset, batch_size):
+        kernel = real(problem, dataset, batch_size)
 
-    def integers(self, low, high, size):
-        row = self.source.integers(low, high, size=size)
-        self.rows.append(row.copy())
-        return row
+        def recorded(x, rows):
+            served.append(rows.copy())
+            return kernel(x, rows)
+        return recorded
+
+    monkeypatch.setattr(oracles, "draw_kernel", draw_kernel)
+    return served
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("batch", [1, 16])
+def test_stream_rows_are_the_per_call_draws(monkeypatch, n, batch):
+    # two block boundaries crossed, and the last block left part used
+    problem, dataset, config = _instance(n, batch, 1)
+    served = _recording_kernels(monkeypatch)
+    gradient = drawn_gradient(problem, dataset, config,
+                              np.random.default_rng(n + batch))
+    x = np.zeros(dataset.dimension)
+    for _ in range(2 * SAMPLE_BLOCK + 37):
+        gradient(x)
+    rng = np.random.default_rng(n + batch)
+    assert len(served) == 2 * SAMPLE_BLOCK + 37
+    for got in served:
+        want = rng.integers(0, n, size=batch)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def _per_call_gradient(problem, dataset, config, rng):
+    """``solver.drawn_gradient`` with one ``integers`` call per gradient."""
+    kernel = oracles.draw_kernel(problem, dataset, config.batch_size)
+    n, b = dataset.n_samples, config.batch_size
+    return lambda v: kernel(v, rng.integers(0, n, size=b))
 
 
 def _recorded_run(monkeypatch, solve, instance, blocked):
-    made = []
-
-    def stream(rng):
-        made.append(_Recorder(SampleStream(rng) if blocked else rng))
-        return made[-1]
-
-    monkeypatch.setattr(solver_mod, "SampleStream", stream)
+    served = _recording_kernels(monkeypatch)
+    if not blocked:
+        monkeypatch.setattr(solver_mod, "drawn_gradient", _per_call_gradient)
     result = solve(*instance)
     monkeypatch.undo()
-    (recorder,) = made
-    return result, recorder.rows
+    return result, served
 
 
 # SPDPEG draws twice per step and SLinADMM once; 300 and 600 steps both
