@@ -369,18 +369,6 @@ class ReferenceSolution:
     certified_gap: float | None = None
 
 
-def _reference_key(problem: Problem, dataset: Dataset, gamma: float,
-                   max_iters: int | None, tol: float, check_every: int) -> str:
-    h = hashlib.sha256()
-    h.update(dataset.fingerprint().encode())
-    h.update(problem.penalty.fingerprint().encode())
-    payload = (problem.loss, problem.r1.kind, problem.r1.weight, problem.r2.kind,
-               problem.r2.weight, problem.ridge, problem.feasible_radius,
-               gamma, max_iters, tol, check_every)
-    h.update(repr(payload).encode())
-    return h.hexdigest()
-
-
 def _is_fused(penalty: SparseMatrix) -> bool:
     """Whether the penalty's fields are those of ``build_fused_matrix``."""
     d = penalty.n_cols
@@ -508,8 +496,11 @@ def _fista_reference(problem: Problem, dataset: Dataset, tol: float,
     step * r2: for a fused F with no ball the exact ``prox_fused``, whose
     TV prox gives nu = ``cumsum(v - t)[:-1]``, else ``prox_dual``,
     warm-started from the previous iteration's nu. Every
-    ``FISTA_CHECK_EVERY`` iterations the iterate is certified with nu /
-    step."""
+    min(check_every, ``FISTA_CHECK_EVERY``) iterations the iterate is
+    certified with nu / step, and the run stops once that gap is at most
+    tol * max(1, |f|) or no lower than two checks before: the gap has then
+    reached the floor that the rounding allowance of its dual point sets
+    (``err_w`` in ``_objective_and_gap``, through the dual scaling)."""
     kern = kernels(problem)
     step = 1.0 / _smooth_lipschitz(problem, dataset)
     weight, sigma = problem.r2.weight, problem.penalty.sigma_max_FtF
@@ -519,7 +510,7 @@ def _fista_reference(problem: Problem, dataset: Dataset, tol: float,
     nu = np.zeros(problem.penalty.n_rows)
     t = 1.0
     f = gap = math.inf
-    prev, prev_at = math.inf, 0
+    before = last = math.inf  # the gaps of the two checks before this one
     converged = False
     iterations = 0
     while iterations < UNCAPPED_ITERS:
@@ -543,15 +534,10 @@ def _fista_reference(problem: Problem, dataset: Dataset, tol: float,
         if fused:
             nu = np.cumsum(v - tv)[:-1]
         f, gap = _objective_and_gap(problem, dataset, kern, x, nu / step)
-        bound = tol * max(1.0, abs(f))
-        if gap <= bound:
+        if gap <= tol * max(1.0, abs(f)) or gap >= before:
             converged = True
             break
-        if iterations - prev_at >= check_every:
-            if abs(prev - f) <= bound:
-                converged = True
-                break
-            prev, prev_at = f, iterations
+        before, last = last, gap
     return ReferenceSolution(f, x, iterations, converged, gap)
 
 
@@ -599,21 +585,19 @@ def _extragradient_reference(problem: Problem, dataset: Dataset, gamma: float,
 
 def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
                       max_iters: int | None = None, tol: float = 1e-10,
-                      check_every: int = 2000,
-                      cache_path=None) -> ReferenceSolution:
+                      check_every: int = 2000) -> ReferenceSolution:
     """High-accuracy optimum; uncapped (``max_iters`` None) it is certified.
 
     An uncapped call runs FISTA at step 1/L with a prox of r1 + r2(F .)
     that also yields a dual point of r2: the exact ``prox_fused`` for a
     fused penalty with no feasible ball, else ``prox_dual``, projected
     gradient on r2's dual box warm-started from the previous iteration.
-    Every ``FISTA_CHECK_EVERY`` iterations it computes ``certified_gap``, a
-    Fenchel duality gap (``duality_gap``) at that dual point that bounds
-    ``objective - f*``. It stops at the first check where that gap is at
-    most tol * max(1, |objective|), or when the objective changes by at
-    most that much over ``check_every`` iterations, or after
-    ``UNCAPPED_ITERS``; ``converged`` says that one of the first two
-    happened.
+    Every min(``check_every``, ``FISTA_CHECK_EVERY``) iterations it
+    computes ``certified_gap``, a Fenchel duality gap (``duality_gap``) at
+    that dual point that bounds ``objective - f*``. It stops at the first
+    check where that gap is at most tol * max(1, |objective|) or no lower
+    than at the check two before, or after ``UNCAPPED_ITERS``;
+    ``converged`` says that one of the first two happened.
 
     A capped call (an int ``max_iters``) runs, whatever the penalty, at
     most ``max_iters`` iterations of the solvers' ``update_z`` and
@@ -622,41 +606,12 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
     ``check_every`` iterations, stops when it changes by at most tol
     (relative) between checkpoints, returns the best iterate seen, computes
     no certificate and reports ``certified_gap`` None.
-
-    With a ``cache_path`` the result is also cached, keyed by the
-    problem/dataset fingerprints and by every argument that shapes the
-    run, so a capped run is never returned for an uncapped call; the key,
-    which hashes the whole dataset, is computed only for a cache file. An
-    entry without ``certified_gap`` (a capped one, or one written before
-    certificates) loads with None.
     """
     check_dimensions(problem, dataset)
-    cache = {}
-    if cache_path is not None:
-        key = _reference_key(problem, dataset, gamma, max_iters, tol, check_every)
-        if os.path.exists(cache_path):
-            with open(cache_path, "r", encoding="utf-8") as fh:
-                cache = json.load(fh)
-            if key in cache:
-                e = cache[key]
-                return ReferenceSolution(e["objective"], np.asarray(e["x"]),
-                                         e["iterations"], e["converged"],
-                                         e.get("certified_gap"))
     if max_iters is None:
-        solution = _fista_reference(problem, dataset, tol, check_every)
-    else:
-        solution = _extragradient_reference(problem, dataset, gamma, max_iters,
-                                            tol, check_every)
-    if cache_path is not None:
-        entry = {"objective": solution.objective, "x": solution.x.tolist(),
-                 "iterations": solution.iterations,
-                 "converged": solution.converged}
-        if solution.certified_gap is not None:
-            entry["certified_gap"] = solution.certified_gap
-        cache[key] = entry
-        with open(cache_path, "w", encoding="utf-8") as fh:
-            json.dump(cache, fh)
-    return solution
+        return _fista_reference(problem, dataset, tol, check_every)
+    return _extragradient_reference(problem, dataset, gamma, max_iters, tol,
+                                    check_every)
 
 
 @dataclass(frozen=True)
@@ -762,8 +717,7 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
                  iters: int = 100_000, seeds: int = 5, base_seed: int = 0,
                  d: int = 20, n: int = 200, eval_every: int = 100,
                  ordering_iteration: int | None = None,
-                 gamma: float | None = None,
-                 cache_path=None) -> dict:
+                 gamma: float | None = None) -> dict:
     """Fit empirical convergence slopes for the requested regimes.
 
     Convex regime: the mean objective gap of the uniformly averaged output
@@ -778,14 +732,18 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
         ordering_iteration = min(10_000, iters)
     if ordering_iteration != iters and ordering_iteration % eval_every != 0:
         raise ValueError("ordering_iteration must land on the trace grid")
+    if ("sc-nonuniform" in regimes and "sc-uniform" in regimes
+            and ordering_iteration > iters):
+        # the sc-nonuniform run that the ordering reads stops at iters
+        raise ValueError(f"ordering_iteration {ordering_iteration} lies past "
+                         f"iters {iters}")
     report: dict = {"seeds": seed_list, "iters": iters}
     if "convex" in regimes:
         core = rate_core("convex", d=d, n=n, gamma=gamma, iters=iters,
                          eval_every=eval_every)
         built = build_all(core)
         train, _, problem, _ = built
-        ref = reference_optimum(problem, train, core["config"]["gamma"],
-                                cache_path=cache_path)
+        ref = reference_optimum(problem, train, core["config"]["gamma"])
         its, curves, _ = _gap_curves(built, core, seed_list, ref.objective)
         mean_gaps = curves.mean(axis=0)
         fit = fit_rate(its, mean_gaps)
@@ -802,8 +760,7 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
                          eval_every=eval_every)
         built = build_all(core)
         train, test, problem, _ = built
-        ref = reference_optimum(problem, train, core["config"]["gamma"],
-                                cache_path=cache_path)
+        ref = reference_optimum(problem, train, core["config"]["gamma"])
         its, obj_curves, feas_curves = _gap_curves(built, core, seed_list,
                                                    ref.objective)
         if "sc-nonuniform" in regimes:

@@ -115,14 +115,12 @@ def cmd_run(args) -> int:
 def cmd_verify_rates(args) -> int:
     regimes = (("convex", "sc-uniform", "sc-nonuniform")
                if args.regime == "all" else (args.regime,))
-    cache = args.cache or (os.path.join(args.out, "reference_cache.json")
-                           if args.out else None)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
     report = bench.verify_rates(regimes=regimes, iters=args.iters,
                                 seeds=args.seeds, base_seed=args.seed,
                                 d=args.d, n=args.n, eval_every=args.eval_every,
-                                gamma=args.gamma, cache_path=cache)
+                                gamma=args.gamma)
     if args.out:
         path = os.path.join(args.out, "rates.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -241,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rates.add_argument("--n", type=int, default=200)
     p_rates.add_argument("--eval-every", type=int, default=100)
     p_rates.add_argument("--gamma", type=float, default=None)
-    p_rates.add_argument("--cache", help="reference-optimum cache file")
     p_rates.add_argument("--out")
     p_rates.set_defaults(fn=cmd_verify_rates)
 

@@ -194,7 +194,7 @@ class SparseMatrix:
 
     def fingerprint(self, *extra: np.ndarray) -> str:
         """Hex digest of the structural content, then of the ``extra``
-        arrays in order, for manifests and caches."""
+        arrays in order; the data tests pin matrices and datasets by it."""
         return fingerprint_of(self.shape, (self.row_offsets, self.col_indices,
                                            self.values, *extra))
 

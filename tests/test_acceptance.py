@@ -134,24 +134,21 @@ def test_criterion_03_per_step_inequality():
 
 
 @pytest.fixture(scope="module")
-def convex_rate_report(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("refs") / "cache.json"
+def convex_rate_report():
     t0 = time.perf_counter()
     report = bench.verify_rates(regimes=("convex",), iters=100_000, seeds=5,
-                                base_seed=0, d=20, n=200, eval_every=100,
-                                cache_path=cache)
+                                base_seed=0, d=20, n=200, eval_every=100)
     report["elapsed"] = time.perf_counter() - t0
     return report
 
 
 @pytest.fixture(scope="module")
-def sc_rate_report(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("refs_sc") / "cache.json"
+def sc_rate_report():
     t0 = time.perf_counter()
     report = bench.verify_rates(regimes=("sc-uniform", "sc-nonuniform"),
                                 iters=100_000, seeds=5, base_seed=0, d=20,
                                 n=200, eval_every=100,
-                                ordering_iteration=10_000, cache_path=cache)
+                                ordering_iteration=10_000)
     report["elapsed"] = time.perf_counter() - t0
     return report
 

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import os
 from dataclasses import replace
@@ -59,46 +58,43 @@ def test_fit_rate_drops_nonpositive_and_reports_window():
         bench.fit_rate(t, -np.ones(5))
 
 
-def test_reference_optimum_cached(tmp_path):
-    core = small_core()
-    train, _, problem, _ = bench.build_all(core)
-    cache = tmp_path / "cache.json"
-    a = bench.reference_optimum(problem, train, 0.1, max_iters=50_000,
-                                cache_path=cache)
-    assert cache.exists()
-    b = bench.reference_optimum(problem, train, 0.1, max_iters=50_000,
-                                cache_path=cache)
-    assert a.objective == b.objective and a.iterations == b.iterations
-    np.testing.assert_array_equal(a.x, b.x)
-
-
-def test_reference_cache_keeps_capped_runs_apart(tmp_path):
-    train, _, problem, _ = bench.build_all(small_core())
-    cache = tmp_path / "cache.json"
-    capped = bench.reference_optimum(problem, train, 0.1, max_iters=5,
-                                     cache_path=cache)
-    assert (capped.iterations, capped.converged) == (5, False)
-    assert capped.certified_gap is None
-    full = bench.reference_optimum(problem, train, 0.1, cache_path=cache)
-    assert full.converged and full.iterations > 5
-    assert full.certified_gap is not None
-    assert full.objective < capped.objective
-    bench.reference_optimum(problem, train, 0.1, max_iters=5, check_every=1,
-                            cache_path=cache)
-    assert len(json.loads(cache.read_text())) == 3
-
-
-def test_reference_cache_file_is_pinned(tmp_path):
+def test_capped_references_are_pinned():
     # two capped runs, one ending between checkpoints and one on a
     # checkpoint, a run of no iterations and a converged run
     train, _, problem, _ = bench.build_all(small_core())
-    cache = tmp_path / "cache.json"
+    h = hashlib.sha256()
+    capped = []
     for max_iters, check_every in ((50, 20), (40, 20), (0, 20), (100_000, 500)):
-        bench.reference_optimum(problem, train, 0.1, max_iters=max_iters,
-                                check_every=check_every, tol=1e-6,
-                                cache_path=cache)
-    assert hashlib.sha256(cache.read_bytes()).hexdigest() == \
-        "b3674458aa1f05479ba3473a8fc173446aa64e53d2fa87a2e2c7757e84b12215"
+        ref = bench.reference_optimum(problem, train, 0.1, max_iters=max_iters,
+                                      check_every=check_every, tol=1e-6)
+        assert ref.certified_gap is None
+        h.update(repr((ref.objective, ref.iterations, ref.converged)).encode())
+        h.update(ref.x.tobytes())
+        capped.append(ref)
+    assert h.hexdigest() == \
+        "f29d249bdc92e53f99feafab39477ccf4865eb09c64581747184ea38345ebd34"
+    assert [(r.iterations, r.converged) for r in capped] == \
+        [(50, False), (40, False), (0, False), (15_000, True)]
+    full = bench.reference_optimum(problem, train, 0.1)
+    assert full.converged and full.certified_gap is not None
+    assert full.objective < min(r.objective for r in capped)
+
+
+@pytest.mark.parametrize("family, iterations, certificate", [
+    ("convex", 350, "0x1.499eaced9eb4ep-41"),
+    ("sc", 200, "0x1.9113e51a4c6f3p-44"),
+])
+def test_fista_stops_once_its_gap_stops_falling(monkeypatch, family, iterations,
+                                                certificate):
+    # at tol 0 no gap is small enough, so the run stops on its floor: a
+    # gap no lower than two checks before
+    core = small_core() if family == "convex" else bench.rate_core("sc", d=8, n=40)
+    train, _, problem, _ = bench.build_all(core)
+    steps = count_calls(monkeypatch, oracles, "_gradient_over_rows")
+    ref = bench.reference_optimum(problem, train, core["config"]["gamma"], tol=0.0)
+    assert len(steps) == ref.iterations == iterations
+    assert ref.converged
+    assert ref.certified_gap.hex() == certificate
 
 
 def test_uncached_reference_redoes_no_dataset_work(monkeypatch):
@@ -116,7 +112,7 @@ def test_uncached_reference_redoes_no_dataset_work(monkeypatch):
     # the constants the reference steps with are the ones build_all derived
     assert bench.derive_constants(problem, train, 0.1, "convex") == derived
     assert (len(norms), len(powers)) == (1, 0)
-    assert ref.iterations == 5
+    assert (ref.iterations, ref.converged, ref.certified_gap) == (5, False, None)
 
 
 @pytest.mark.parametrize("max_iters, evaluations", [(5, 1), (7, 2), (10, 2), (0, 1)])
@@ -331,20 +327,6 @@ def test_uncapped_reference_runs_fista_only(monkeypatch, penalty):
     assert capped.certified_gap is None
 
 
-def test_reference_cache_entry_without_a_certificate_loads(tmp_path):
-    train, _, problem, _ = bench.build_all(small_core())
-    cache = tmp_path / "cache.json"
-    ref = bench.reference_optimum(problem, train, 0.1, cache_path=cache)
-    entries = json.loads(cache.read_text())
-    [entry] = entries.values()
-    assert entry["certified_gap"] == ref.certified_gap
-    del entry["certified_gap"]  # as written before certificates
-    cache.write_text(json.dumps(entries))
-    again = bench.reference_optimum(problem, train, 0.1, cache_path=cache)
-    assert again.certified_gap is None
-    assert (again.objective, again.iterations) == (ref.objective, ref.iterations)
-
-
 def test_build_data_split_deterministic():
     cfg = {"synthetic": {"kind": "fused-signal", "d": 6, "n": 30, "noise": 0.1,
                          "seed": 4}, "split": True, "train_fraction": 0.8,
@@ -431,6 +413,20 @@ def test_verify_rates_builds_each_core_once(monkeypatch, tmp_path):
     # one build per family serves its reference and every seed; the
     # uniform ordering runs reuse the sc build
     assert calls() == ["convex", "sc-nonuniform"]
+
+
+def test_verify_rates_rejects_an_ordering_past_the_sc_run(monkeypatch, tmp_path):
+    calls = count_builds(monkeypatch, tmp_path / "builds")
+    # the sc-nonuniform run stops at iters, off the ordering iteration
+    with pytest.raises(ValueError, match="ordering_iteration 400 .* iters 300"):
+        bench.verify_rates(regimes=("sc-uniform", "sc-nonuniform"), iters=300,
+                           seeds=1, d=8, n=40, ordering_iteration=400)
+    assert calls() == []
+    # alone, the uniform regime runs the sc core to the ordering iteration
+    report = bench.verify_rates(regimes=("sc-uniform",), iters=300, seeds=1,
+                                d=8, n=40, ordering_iteration=400)
+    assert report["ordering"]["iteration"] == 400
+    assert calls() == ["sc-nonuniform"]
 
 
 def test_timing_scaling_builds_each_n_once(monkeypatch):

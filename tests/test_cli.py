@@ -203,6 +203,7 @@ def test_verify_rates_small(tmp_path, capsys):
     out = tmp_path / "rates"
     rc = main([*RATES_ARGV["convex"], "--out", str(out)])
     assert rc == 0
+    assert [p.name for p in out.iterdir()] == ["rates.json"]
     report = json.loads((out / "rates.json").read_text())
     assert report["convex"]["slope"] < 0.0
     assert sha256_of(out / "rates.json") == RATES_GOLDEN["convex"]
