@@ -8,14 +8,16 @@ unbiasedness identity hold to rounding rather than approximately.
 
 A full pass uses the products of the data matrix ``A`` (the dataset's
 ``features``): the margins are ``A @ x`` and the gradient scatter is
-``A.T @ coefs``, the ``bincount`` kernels of ``SparseMatrix.matvec`` and
-``rmatvec``. A dataset whose rows store every feature, with n and d both
-at least 2, runs both over its one dense layout, the ``(n, d)`` rows
-``Dataset.dense_rows``: each margin is the row's BLAS ``dot`` with x
-(``np.vecdot``), the kernel and so the bits of the sampled paths'
-``vals.dot(x)``, and the scatter is ``_lane_sums`` over the same rows,
-which adds each lane in index order from 0.0, ``bincount``'s order, so it
-has the bits of ``rmatvec``; its docstring says when that order holds.
+``A.T @ coefs``, the kernels of ``SparseMatrix.matvec`` and ``rmatvec``
+(one BLAS product of the dense matrix up to ``sparse.BLAS_MAX_VALUES``
+values, ``bincount`` above). A dataset whose rows store every feature,
+with n and d both at least 2, runs both over its one dense layout, the
+``(n, d)`` rows ``Dataset.dense_rows``: each margin is the row's BLAS
+``dot`` with x (``np.vecdot``), the kernel and so the bits of the sampled
+paths' ``vals.dot(x)``, and the scatter is ``_lane_sums`` over the same
+rows, with the bits of ``rmatvec``: one BLAS ``coefs.dot(rows)`` up to the
+cut-over, above it an einsum that adds each lane in index order from 0.0,
+``bincount``'s order; its docstring says when each holds.
 The logistic coefficients of a full pass, ``-b * sigmoid(-b*m) / n``, take
 (-b)*m in place over the margins (``Dataset.neg_labels``) and one division
 by ``Dataset.neg_labels_n`` (-b*n), which for b = +-1 have the bits of
@@ -32,11 +34,13 @@ sampled batch takes one of three paths:
 - more rows that store every feature (d >= 2): the rows are gathered whole
   with ``take``, with no position array and no gather of x; their margins
   are one ``np.vecdot``, which runs the dot kernel of ``vals @ x[cols]`` on
-  each row, and the scatter is ``_lane_sums``, with ``bincount``'s bits;
+  each row, and the scatter is ``_lane_sums``: one BLAS product up to the
+  cut-over (16 rows of 20), ``bincount``'s bits above;
 - more rows otherwise: one gather of all drawn rows' stored entries, one
   ``np.vecdot`` per distinct row length for the margins, one coefficient
   call for the batch and one ``bincount`` scatter.
-All three give the bits of a loop over the rows; a segment sum would not.
+All three give the bits of a loop over the rows (with the BLAS product as
+the scatter of a small batch of whole rows); a segment sum would not.
 Their scalar operands are 0-d float64 arrays, as in ``solver``.
 """
 
@@ -47,7 +51,7 @@ from functools import partial
 import numpy as np
 
 from .model import LOSS_LOGISTIC, Dataset, Problem
-from .sparse import row_positions
+from .sparse import BLAS_MAX_VALUES, row_positions
 
 # read-only 0-d operands: numpy applies them faster than Python floats
 # (NEP 50's scalar path), with the same bits
@@ -72,14 +76,20 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 
 def _lane_sums(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``sum_i weights[i] * matrix[i, :]`` in one pass, with no n*d product
-    and the bits of ``np.add.reduce(matrix * weights[:, None], axis=0,
-    initial=0.0)``.
+    """``sum_i weights[i] * matrix[i, :]`` in one pass, with no n*d product.
 
-    einsum's two-operand loop walks the rows in order and adds each row's
-    products into every lane (column), one multiply and one add at a time,
-    from 0.0. That is the order of the reduction above and of ``bincount``.
-    It holds only when
+    Up to ``BLAS_MAX_VALUES`` values it is one BLAS ``weights.dot(matrix)``
+    (the bits of ``matrix.T.dot(weights)``, so of ``SparseMatrix.rmatvec``
+    on such a matrix): 1.5 against 6.1 us for einsum at 200x20. Its bits
+    are the BLAS kernel's, which sums in blocks and may fuse multiply and
+    add; up to the cut-over they did not depend on the thread count
+    (``test_blas_products_do_not_depend_on_the_thread_count``).
+
+    Above it, one ``np.einsum``, with the bits of ``np.add.reduce(matrix *
+    weights[:, None], axis=0, initial=0.0)``: einsum's two-operand loop
+    walks the rows in order and adds each row's products into every lane
+    (column), one multiply and one add at a time, from 0.0. That is the
+    order of the reduction and of ``bincount``. It holds only when
     - ``matrix`` is C-contiguous: a Fortran-ordered one is summed down each
       lane by another loop, with other bits;
     - it has at least 2 rows and 2 lanes, as the size guard of
@@ -89,7 +99,10 @@ def _lane_sums(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
       build whose SIMD baseline has no FMA, such as X86_V2). The canary
       ``test_einsum_does_not_fuse_multiply_add`` in
       ``tests/test_dense_columns.py`` fails first on a build that does.
+    Above the cut-over BLAS would give bits that follow the thread count.
     """
+    if matrix.size <= BLAS_MAX_VALUES:
+        return weights.dot(matrix)
     return np.einsum("ij,i->j", matrix, weights)
 
 
@@ -202,9 +215,10 @@ def draw_kernel(problem: Problem, dataset: Dataset, batch_size: int):
     """``(x, rows) -> `` the average gradient, folded ridge included, over
     ``batch_size`` drawn ``rows`` (int64 indices below n) at a contiguous
     float64 x: the sampled paths, chosen and bound once. A strided x would
-    take another dot kernel in ``np.vecdot``; ``_lane_sums`` keeps
-    ``bincount``'s order, since a batch of whole rows here has at least 2
-    rows and 2 lanes."""
+    take another dot kernel in ``np.vecdot``. ``_lane_sums`` is one BLAS
+    product up to ``BLAS_MAX_VALUES`` values, and above keeps ``bincount``'s
+    order, since a batch of whole rows here has at least 2 rows and 2
+    lanes."""
     loss, d = problem.loss, dataset.dimension
     if batch_size == 1:
         rows_gradient = partial(_row_gradient, loss, dataset)

@@ -192,7 +192,7 @@ def kernels(problem: Problem) -> Kernels:
 
         def prox_r1(v, c):
             x = prox_free(v, c)
-            nrm = float(np.linalg.norm(x))
+            nrm = math.sqrt(x.dot(x))  # np.linalg.norm(x), bit for bit
             return x if nrm <= radius else x * (radius / nrm)
     return Kernels(*problem.penalty.products(), prox_r1, prox_kernel(problem.r2))
 
@@ -322,7 +322,8 @@ def evaluate_trace_record(problem: Problem, dataset: Dataset,
     test_loss = oracles.loss_from_margins(problem.loss, test_dataset.labels,
                                           test_margins)
     accuracy = float(np.mean((test_margins >= 0) == (test_dataset.labels > 0)))
-    feasibility = float(np.linalg.norm(fx - z_avg))
+    residual = fx - z_avg
+    feasibility = math.sqrt(residual.dot(residual))  # np.linalg.norm's bits
     return TraceRecord(iteration, wall_seconds, objective, test_loss, accuracy,
                        feasibility, max_dual_norm)
 

@@ -7,9 +7,13 @@ of ``F.T F``, and the data matrix ``A`` of a ``Dataset``, whose CSR margins
 All CSR validation lives in ``SparseMatrix.__post_init__``, which runs once
 per matrix built from outside arrays. ``take_rows`` skips it: rows taken
 from a valid matrix are valid, and a split of 1e5 rows need not check them
-again. Everything is plain numpy; accumulation uses ``np.bincount`` so
-empty rows and columns are handled exactly and summation order is
-deterministic.
+again. Everything is plain numpy. A matrix of at most ``BLAS_MAX_VALUES``
+values (``n_rows * n_cols``) takes each product as one BLAS ``dot`` of its
+dense form, with the bits of that BLAS build's kernel; larger ones
+accumulate with ``np.bincount``, which handles empty rows and columns
+exactly and sums each entry in CSR order from 0.0. For a fused difference
+matrix the two agree bit for bit (each output sums at most two nonzero
+products); for other matrices they differ in the last bits.
 """
 
 from __future__ import annotations
@@ -24,6 +28,11 @@ _TINY = np.finfo(float).tiny
 # most columns whose sigma_max_FtF is a dense eigensolve: about where
 # eigvalsh stops beating the power iteration (3.5x slower at d=300, 2-core x86)
 DENSE_SIGMA_MAX_D = 200
+# most values a product takes as one BLAS call (a penalty's F x and F^T y,
+# the dense-row scatter of ``oracles._lane_sums``): up to here the BLAS
+# kernels gave the same bits under 1 and 2 OpenBLAS threads and beat
+# bincount and einsum; above, their bits followed the thread count
+BLAS_MAX_VALUES = 8192
 
 
 def row_positions(indptr: np.ndarray, rows: np.ndarray
@@ -82,6 +91,10 @@ class SparseMatrix:
     # of the matrix about 10% slower (CPython 3.11)
     _sigma_max_FtF: float | None = field(default=None, init=False, repr=False,
                                          compare=False)
+    # the dense matrix of a small matrix's BLAS products, set by ``products``
+    # on first use, like _sigma_max_FtF
+    _dense: np.ndarray | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     def __post_init__(self):
         offsets = np.asarray(self.row_offsets, dtype=np.int64)
@@ -155,10 +168,17 @@ class SparseMatrix:
     def products(self):
         """The unchecked ``matvec`` and ``rmatvec`` kernels, for float64
         vectors of the right lengths, chosen once by a caller that checks its
-        vectors: with no stored entry ``bincount`` would return int64, so
-        those fill float zeros."""
+        vectors: with no stored entry, float zeros (``bincount`` would return
+        int64); up to ``BLAS_MAX_VALUES`` values, ``dense.dot`` and
+        ``dense.T.dot`` of the dense matrix, which is made once and kept (so
+        one inf in v gives NaN in every row, 0 * inf); else the ``bincount``
+        kernels ``_matvec`` and ``_rmatvec``."""
         if self.nnz == 0:
             return (lambda v: np.zeros(self.n_rows)), (lambda u: np.zeros(self.n_cols))
+        if self.n_rows * self.n_cols <= BLAS_MAX_VALUES:
+            if self._dense is None:
+                object.__setattr__(self, "_dense", self.to_dense())
+            return self._dense.dot, self._dense.T.dot
         return self._matvec, self._rmatvec
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -235,12 +255,13 @@ def power_iteration_sigma_max(m: SparseMatrix, tol: float = 1e-10,
     if m.n_cols == 0 or m.nnz == 0:
         return 0.0
     # vectors built here need no checks; sqrt(w.dot(w)) is np.linalg.norm(w)
+    matvec, rmatvec = m.products()
     v = np.ones(m.n_cols) / np.sqrt(m.n_cols)
-    w = m._rmatvec(m._matvec(v))
+    w = rmatvec(matvec(v))
     if w.dot(w) == 0.0:
         v = np.random.default_rng(0).standard_normal(m.n_cols)
         v /= math.sqrt(v.dot(v))
-        w = m._rmatvec(m._matvec(v))
+        w = rmatvec(matvec(v))
         if w.dot(w) == 0.0:
             return 0.0
     theta_old = np.inf
@@ -250,7 +271,7 @@ def power_iteration_sigma_max(m: SparseMatrix, tol: float = 1e-10,
         if nw == 0.0:
             return 0.0
         v = w / nw
-        w = m._rmatvec(m._matvec(v))
+        w = rmatvec(matvec(v))
         theta = float(v.dot(w))
         if abs(theta - theta_old) <= tol * max(abs(theta), _TINY):
             return theta

@@ -58,21 +58,42 @@ def test_fit_rate_drops_nonpositive_and_reports_window():
         bench.fit_rate(t, -np.ones(5))
 
 
-def test_capped_references_are_pinned():
-    # two capped runs, one ending between checkpoints and one on a
-    # checkpoint, a run of no iterations and a converged run
+CAPPED_REFERENCES_DIGEST = \
+    "75b0371b45bac00975a10e838eec08bc522b40bb34af0b338156d0e17d44e7a2"
+FLOOR_CERTIFICATES = {"convex": (350, "0x1.48beaced9eb4fp-41"),
+                      "sc": (150, "0x1.9113e51a4c6f3p-44")}
+
+
+def capped_references():
+    """Two capped runs, one ending between checkpoints and one on a
+    checkpoint, a run of no iterations and a converged run, on the small
+    core: their sha256 over (objective, iterations, converged) and x, the
+    references, and the build."""
     train, _, problem, _ = bench.build_all(small_core())
     h = hashlib.sha256()
     capped = []
     for max_iters, check_every in ((50, 20), (40, 20), (0, 20), (100_000, 500)):
         ref = bench.reference_optimum(problem, train, 0.1, max_iters=max_iters,
                                       check_every=check_every, tol=1e-6)
-        assert ref.certified_gap is None
         h.update(repr((ref.objective, ref.iterations, ref.converged)).encode())
         h.update(ref.x.tobytes())
         capped.append(ref)
-    assert h.hexdigest() == \
-        "f29d249bdc92e53f99feafab39477ccf4865eb09c64581747184ea38345ebd34"
+    return h.hexdigest(), capped, (train, problem)
+
+
+def floor_reference(family):
+    """The uncapped reference at tol 0 on the d=8 core of a family: no gap
+    is small enough, so it stops on its floor, a gap no lower than two
+    checks before."""
+    core = small_core() if family == "convex" else bench.rate_core("sc", d=8, n=40)
+    train, _, problem, _ = bench.build_all(core)
+    return bench.reference_optimum(problem, train, core["config"]["gamma"], tol=0.0)
+
+
+def test_capped_references_are_pinned():
+    digest, capped, (train, problem) = capped_references()
+    assert all(ref.certified_gap is None for ref in capped)
+    assert digest == CAPPED_REFERENCES_DIGEST
     assert [(r.iterations, r.converged) for r in capped] == \
         [(50, False), (40, False), (0, False), (15_000, True)]
     full = bench.reference_optimum(problem, train, 0.1)
@@ -80,18 +101,11 @@ def test_capped_references_are_pinned():
     assert full.objective < min(r.objective for r in capped)
 
 
-@pytest.mark.parametrize("family, iterations, certificate", [
-    ("convex", 350, "0x1.499eaced9eb4ep-41"),
-    ("sc", 200, "0x1.9113e51a4c6f3p-44"),
-])
-def test_fista_stops_once_its_gap_stops_falling(monkeypatch, family, iterations,
-                                                certificate):
-    # at tol 0 no gap is small enough, so the run stops on its floor: a
-    # gap no lower than two checks before
-    core = small_core() if family == "convex" else bench.rate_core("sc", d=8, n=40)
-    train, _, problem, _ = bench.build_all(core)
+@pytest.mark.parametrize("family", sorted(FLOOR_CERTIFICATES))
+def test_fista_stops_once_its_gap_stops_falling(monkeypatch, family):
     steps = count_calls(monkeypatch, oracles, "_gradient_over_rows")
-    ref = bench.reference_optimum(problem, train, core["config"]["gamma"], tol=0.0)
+    ref = floor_reference(family)
+    iterations, certificate = FLOOR_CERTIFICATES[family]
     assert len(steps) == ref.iterations == iterations
     assert ref.converged
     assert ref.certified_gap.hex() == certificate
@@ -650,3 +664,13 @@ def test_run_suite_parallel_matches_serial(tmp_path, monkeypatch):
     for a, b in zip(serial["runs"], parallel["runs"]):
         assert a["final_objective"] == b["final_objective"]
         assert a["final_x_avg"] == b["final_x_avg"]
+
+
+if __name__ == "__main__":
+    # regenerates the two pins above; run as
+    # PYTHONPATH=src python tests/test_bench.py
+    print(f'CAPPED_REFERENCES_DIGEST = "{capped_references()[0]}"')
+    for family in sorted(FLOOR_CERTIFICATES):
+        ref = floor_reference(family)
+        print(f'FLOOR_CERTIFICATES["{family}"] = '
+              f'({ref.iterations}, "{ref.certified_gap.hex()}")')

@@ -17,14 +17,14 @@ from spdpeg.trace import read_trace_csv
 # write. Regenerate only on a commit whose outputs are known to be right:
 #   PYTHONPATH=src python tests/test_cli.py
 RATES_GOLDEN = {
-    "convex": "f6f43cd09f3815c8f57600ab387d9b6d7cf4509ca91ec9f85c2535be072d406d",
-    "all": "46d3742734bca7a311ebe58bef706fa079cda3eaf3fbd76bc5573a266b47f5db",
+    "convex": "7555caeca6c7c07fc9888bfe505df8959a1766c0662a1995bdfaefdaaf999da5",
+    "all": "ecae7d1e803edc66c439c13d7f29f5e9dfb32a480ea53472c083216ee2c3c0e5",
 }
 # test_golden_trace.SWEEP_GOLDEN hashes bench.step_inequality_sweep at seed 1
 # through json.dumps(sort_keys=True); the CLI runs seed 0 and writes the list
 # of reports indented, in insertion order. So these pin bytes it does not.
 LEMMA1_GOLDEN = {
-    "both": "c49a7aebc1fa31baf550836d2a04dc74b50821a37829e22c3de69b97c8f42cf3",
+    "both": "878e2d657a1654fffca913487684a0390c65a926050205f04321d38815f3b76f",
     "step-scale-100": "e14ef1070ecff9f9b173e3320e2f302c473efd98885f3ed5b3925026cf80e591",
 }
 # the calls, each followed by "--out"

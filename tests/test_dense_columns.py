@@ -5,16 +5,22 @@ A dataset whose rows store every feature, n and d >= 2, once also kept a
 passes now read only ``Dataset.dense_rows``: each margin is the row's BLAS
 ``dot`` with x, the batch-1 path's ``vals.dot(x[cols])``, and the scatter
 is ``_lane_sums`` over the same rows, with the bits of the CSR ``rmatvec``.
+Up to ``sparse.BLAS_MAX_VALUES`` values both are one BLAS product of the
+dense matrix; above it the scatter is ``bincount``'s order.
 ``reference_margins`` and ``reference_full_gradient`` state that contract
-over the CSR arrays (``bincount`` margins for every other dataset), and
-``reference_sigmoid`` and ``two_quotient_sigmoid`` are earlier sigmoids,
-kept as its specification. ``one_shot_lane_sums`` is the dense reduction,
-with its n*d product, whose bits ``oracles._lane_sums`` computes in one
-einsum pass.
+over the CSR arrays (for every other dataset the BLAS ``dense.dot(x)`` up
+to the cut-over and ``bincount`` margins above), and ``reference_sigmoid``
+and ``two_quotient_sigmoid`` are earlier sigmoids, kept as its
+specification. ``one_shot_lane_sums`` is the dense reduction, with its n*d
+product, whose bits ``oracles._lane_sums`` computes in one einsum pass
+above the cut-over.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -25,7 +31,9 @@ from spdpeg import oracles
 from spdpeg.data import SplitSpec, parse_libsvm, split, synthesize
 from spdpeg.model import LOSS_LOGISTIC, Dataset, Problem
 from spdpeg.oracles import _sigmoid, full_gradient, margins, stochastic_gradient
+from spdpeg.penalties import build_fused_matrix
 from spdpeg.prox import ProxSpec
+from spdpeg.sparse import BLAS_MAX_VALUES
 
 
 def reference_sigmoid(t):
@@ -54,19 +62,31 @@ def row_dot_margins(dataset, x):
                      for lo, hi in zip(indptr[:-1], indptr[1:])])
 
 
+def blas_sized(dataset):
+    """Whether the dataset's CSR products are BLAS products of its dense
+    matrix: it stores an entry and has at most ``BLAS_MAX_VALUES`` values."""
+    return (dataset.indices.size > 0
+            and dataset.n_samples * dataset.dimension <= BLAS_MAX_VALUES)
+
+
 def reference_margins(dataset, x):
     """The row dots where every row stores every feature and n, d >= 2,
-    else one ``bincount`` over every stored entry."""
+    else the BLAS ``dense.dot(x)`` up to the cut-over, else one
+    ``bincount`` over every stored entry."""
     if dataset.full_rows and min(dataset.n_samples, dataset.dimension) >= 2:
         return row_dot_margins(dataset, x)
     if dataset.indices.size == 0:
         return np.zeros(dataset.n_samples)
+    if blas_sized(dataset):
+        return dataset.features.to_dense().dot(x)
     return np.bincount(dataset.row_ids, weights=dataset.data * x[dataset.indices],
                        minlength=dataset.n_samples)
 
 
 def reference_full_gradient(problem, dataset, x):
-    """Margins, coefficients, then one ``bincount`` scatter into d bins."""
+    """Margins, coefficients, then the scatter: one BLAS
+    ``coefs.dot(dense)`` up to the cut-over, else one ``bincount`` into d
+    bins."""
     d = dataset.dimension
     m = reference_margins(dataset, x)
     labels = dataset.labels
@@ -77,6 +97,8 @@ def reference_full_gradient(problem, dataset, x):
     coefs = coefs / dataset.n_samples
     if dataset.indices.size == 0:
         grad = np.zeros(d)
+    elif blas_sized(dataset):
+        grad = coefs.dot(dataset.features.to_dense())
     else:
         coef_rep = np.repeat(coefs, np.diff(dataset.indptr))
         grad = np.bincount(dataset.indices, weights=dataset.data * coef_rep,
@@ -310,6 +332,14 @@ def one_shot_lane_sums(matrix, weights):
     return np.add.reduce(matrix * weights[:, None], axis=0, initial=0.0)
 
 
+def lane_sums_spec(matrix, weights):
+    """``_lane_sums``'s specification: the BLAS ``weights.dot(matrix)`` up
+    to ``BLAS_MAX_VALUES`` values, the one-shot reduction above."""
+    if matrix.size <= BLAS_MAX_VALUES:
+        return weights.dot(matrix)
+    return one_shot_lane_sums(matrix, weights)
+
+
 def one_shot_full_gradient(problem, dataset, x):
     rows = dataset.data.reshape(dataset.n_samples, dataset.dimension)
     m = np.array([row.dot(x) for row in rows])
@@ -385,12 +415,16 @@ def test_synthesized_multi_tile_dataset_is_bitwise_one_shot():
 
 @pytest.mark.parametrize("seed", [16, 17, 40, 100])
 def test_every_tile_shape_is_bitwise_one_shot(seed):
-    """``_lane_sums`` against the reduction on 49 small shapes, from one
-    row to more rows than lanes and back, with stored zeros of both signs
-    and a lane of -0.0 under positive and mixed weights."""
+    """``_lane_sums`` against its specification on 49 small shapes, from
+    one row to more rows than lanes and back, and on shapes on both sides
+    of the cut-over, with stored zeros of both signs and a lane of -0.0
+    under positive and mixed weights: the BLAS product up to
+    ``BLAS_MAX_VALUES`` values, the one-shot reduction above."""
     rng = np.random.default_rng(seed)
     shapes = [(k, lanes) for k in (1, 2, 3, 8, 9, 21, 60)
               for lanes in (2, 3, 8, 9, 17, 33, 70)]
+    shapes += [(2, 4096), (2, 4097), (163, 50), (164, 50), (409, 20),
+               (410, 20), (4096, 2), (4097, 2)]
     for k, lanes in shapes:
         matrix = rng.standard_normal((k, lanes)) * 10.0 ** rng.integers(-3, 3, (k, lanes))
         matrix[rng.random((k, lanes)) < 0.2] = 0.0
@@ -399,7 +433,7 @@ def test_every_tile_shape_is_bitwise_one_shot(seed):
         weights = rng.standard_normal(k)
         for w in (weights, np.abs(weights)):
             got = oracles._lane_sums(matrix, w)
-            assert got.tobytes() == one_shot_lane_sums(matrix, w).tobytes(), (k, lanes)
+            assert got.tobytes() == lane_sums_spec(matrix, w).tobytes(), (k, lanes)
 
 
 @pytest.mark.parametrize("loss", ["logistic", "least-squares"])
@@ -411,12 +445,13 @@ def test_small_tiles_keep_the_full_passes_bitwise(loss):
 
 
 def test_einsum_does_not_fuse_multiply_add():
-    """The canary of ``_lane_sums``'s build dependency. Lane by lane it
-    adds -1 * 1 and then (1 + 2**-30) * (1 + 2**-30). Rounded separately the
-    product is 1 + 2**-29 and the sum exactly 2**-29; a fused multiply-add
-    keeps the product's 2**-60 as well, and the golden digests would move."""
+    """The canary of ``_lane_sums``'s build dependency above the cut-over,
+    where it is one einsum. Lane by lane it adds -1 * 1 and then
+    (1 + 2**-30) * (1 + 2**-30). Rounded separately the product is
+    1 + 2**-29 and the sum exactly 2**-29; a fused multiply-add keeps the
+    product's 2**-60 as well, and the golden digests would move."""
     eps, want = 2.0 ** -30, 2.0 ** -29
-    matrix = np.empty((2, 16))
+    matrix = np.empty((2, BLAS_MAX_VALUES // 2 + 1))
     matrix[0], matrix[1] = -1.0, 1.0 + eps
     got = oracles._lane_sums(matrix, np.array([1.0, 1.0 + eps]))
     assert np.all(got == want), (
@@ -467,3 +502,66 @@ def test_dense_full_passes_build_no_n_by_d_temporary(big_dense):
     # the coefficients and the sigmoid's temporaries
     assert _peak_bytes(lambda: margins(big_dense, x)) < 2 * n * 8
     assert _peak_bytes(lambda: full_gradient(problem, big_dense, x)) < n * d * 8 // 2
+
+
+# -- the BLAS products up to the cut-over ------------------------------------
+
+BLAS_SHAPES = [(2, 2), (16, 20), (200, 20), (409, 20), (163, 50), (2, 4096)]
+
+_BLAS_BYTES = """
+import numpy as np
+from spdpeg import oracles
+from spdpeg.sparse import BLAS_MAX_VALUES, SparseMatrix
+for n, d in {shapes}:
+    assert n * d <= BLAS_MAX_VALUES
+    rng = np.random.default_rng(n * d)
+    dense = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 3, (n, d))
+    dense[rng.random((n, d)) < 0.1] = -0.0
+    m = SparseMatrix(n, d, d * np.arange(n + 1), np.tile(np.arange(d), n),
+                     dense.ravel())
+    matvec, rmatvec = m.products()
+    v, u = rng.standard_normal(d), rng.standard_normal(n)
+    for out in (oracles._lane_sums(dense, u), matvec(v), rmatvec(u)):
+        print(out.tobytes().hex())
+"""
+
+
+def test_blas_products_do_not_depend_on_the_thread_count():
+    """The canary of the cut-over: up to ``BLAS_MAX_VALUES`` values the
+    scatter and both dense products must give the same bytes under 1 and 2
+    OpenBLAS threads (above it they did not). Two processes, one per count."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_BYTES.format(shapes=BLAS_SHAPES)],
+            env=env, capture_output=True, text=True, check=True)
+        outputs.append(proc.stdout)
+    assert outputs[0].count("\n") == 3 * len(BLAS_SHAPES)
+    assert outputs[0] == outputs[1]
+
+
+def edge_vector(rng, size):
+    """Random magnitudes from 1e-300 to 1e300 with +-0.0, subnormals and
+    +-1e300 mixed in."""
+    v = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    for value in (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300):
+        v[rng.random(size) < 0.05] = value
+    return v
+
+
+@pytest.mark.parametrize("d", [2, 3, 20, 50, 91])
+def test_fused_dense_products_are_the_bincount_kernels(d):
+    """A fused matrix's BLAS products keep ``bincount``'s bits: each output
+    sums at most two nonzero products, so batch-1 fused runs do not move."""
+    penalty = build_fused_matrix(d)
+    matvec, rmatvec = penalty.products()
+    assert penalty._dense is not None  # (d - 1) * d <= BLAS_MAX_VALUES
+    rng = np.random.default_rng(d)
+    for _ in range(400):
+        v, u = edge_vector(rng, d), edge_vector(rng, d - 1)
+        assert matvec(v).tobytes() == penalty._matvec(v).tobytes()
+        assert rmatvec(u).tobytes() == penalty._rmatvec(u).tobytes()

@@ -2,7 +2,9 @@
 
 ``reference_gradient_over_rows`` and ``reference_subset`` are the earlier
 implementations, kept here as the specification: the library's sampled
-gradient and ``Dataset.subset`` must return the same bytes.
+gradient and ``Dataset.subset`` must return the same bytes. A batch of
+whole rows of at most ``sparse.BLAS_MAX_VALUES`` values is scattered by
+one BLAS product of the per-row coefficients and the gathered rows.
 """
 
 from __future__ import annotations
@@ -14,11 +16,13 @@ from conftest import csr_dataset, sparse_from_dense
 from spdpeg.model import Problem
 from spdpeg.oracles import _coefs, draw_kernel, stochastic_gradient
 from spdpeg.prox import ProxSpec
-from spdpeg.sparse import row_positions
+from spdpeg.sparse import BLAS_MAX_VALUES, row_positions
 
 
 def reference_gradient_over_rows(problem, dataset, x, rows):
-    """One dot product and one coefficient call per drawn row."""
+    """One dot product and one coefficient call per drawn row, then one
+    ``bincount`` scatter, or, for rows that store all d >= 2 features and
+    at most ``BLAS_MAX_VALUES`` values, the BLAS ``coefs.dot(rows)``."""
     d = dataset.dimension
     indptr, indices, data, labels = (dataset.indptr, dataset.indices,
                                      dataset.data, dataset.labels)
@@ -31,7 +35,7 @@ def reference_gradient_over_rows(problem, dataset, x, rows):
         grad = np.zeros(d)
         grad[cols] = coef * vals
     else:
-        col_parts, weight_parts = [], []
+        col_parts, weight_parts, coefs, row_parts = [], [], [], []
         for i in rows:
             lo, hi = indptr[i], indptr[i + 1]
             cols, vals = indices[lo:hi], data[lo:hi]
@@ -39,7 +43,12 @@ def reference_gradient_over_rows(problem, dataset, x, rows):
                           labels[i:i + 1])[0]
             col_parts.append(cols)
             weight_parts.append(coef * vals)
-        if col_parts and sum(c.size for c in col_parts):
+            coefs.append(coef)
+            row_parts.append(vals)
+        if (dataset.full_rows and d >= 2
+                and rows.size * d <= BLAS_MAX_VALUES):
+            grad = np.array(coefs).dot(np.stack(row_parts))
+        elif col_parts and sum(c.size for c in col_parts):
             grad = np.bincount(np.concatenate(col_parts),
                                weights=np.concatenate(weight_parts),
                                minlength=d)
@@ -185,6 +194,24 @@ def test_dense_row_batches_keep_the_scatter_bits(loss, ridge, batch, scale):
         rows = rng.integers(0, n, size=batch)
         got = stochastic_gradient(problem, dataset, x, _FixedBatches([rows]),
                                   batch)
+        want = reference_gradient_over_rows(problem, dataset, x, rows)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("loss", ["logistic", "least-squares"])
+@pytest.mark.parametrize("batch", [16, 27, 28, 64])
+def test_wide_dense_row_batches_cross_the_cut_over(loss, batch):
+    # 300 features: a batch of up to 27 rows is one BLAS product, from 28
+    # rows on the scatter is einsum's, with bincount's bits
+    dataset = dense_dataset(seed=10, n=70, d=300)
+    n, d = dataset.n_samples, dataset.dimension
+    assert (batch * d <= BLAS_MAX_VALUES) == (batch <= 27)
+    problem = problem_for(loss, d, 0.0)
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        x = rng.standard_normal(d)
+        rows = rng.integers(0, n, size=batch)
+        got = draw_kernel(problem, dataset, batch)(x, rows)
         want = reference_gradient_over_rows(problem, dataset, x, rows)
         assert got.tobytes() == want.tobytes()
 

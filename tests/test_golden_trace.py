@@ -39,7 +39,6 @@ import functools
 import hashlib
 import json
 import os
-import sys
 import tempfile
 from dataclasses import replace
 
@@ -64,41 +63,41 @@ SOLVER_FNS = {"spdpeg": solver.run, "eg-full": baselines.run_eg_full,
 GOLDEN = {
     "convex-b1/spdpeg/seed0": "e913a0f26364b865c6ed491b5ec556df459a0d79188a15d999520fe0c0b0893e",
     "convex-b1/spdpeg/seed1": "f7b4eaa3c266b73af4c0eda276d5030e6a45b978460f8a6ed2825280dbca7664",
-    "convex-b1/eg-full/seed0": "56c6786a71a0d94c06fe64efe636dcb78396329910ec4a463bb54bddaf2004d0",
-    "convex-b1/eg-full/seed1": "56c6786a71a0d94c06fe64efe636dcb78396329910ec4a463bb54bddaf2004d0",
+    "convex-b1/eg-full/seed0": "07ea4f5e66f89977d1d2019ee8d5a17017248246c9a14d4d9964172da23b2183",
+    "convex-b1/eg-full/seed1": "07ea4f5e66f89977d1d2019ee8d5a17017248246c9a14d4d9964172da23b2183",
     "convex-b1/slinadmm/seed0": "8deb02235c740e6d37fc232a36c4a6fbbfdd0f5cb567b06edf80dbec486bcbc5",
     "convex-b1/slinadmm/seed1": "b6abeabea25140959c4f7c647f25399c71f5b9421d23581aec9be5f718d74bca",
-    "sc-b16/spdpeg/seed0": "1083247c4476be85ea77a4d6ee5e0b9684686880663cb698f92e3ae14b6a76ea",
-    "sc-b16/spdpeg/seed1": "3383357fd733f4e6257466ae541e6db49c4db9c34149d8c872ddab6c8e2fb0ea",
-    "sc-b16/eg-full/seed0": "6327008f825d6ac08b1f36210f8e0ec1c919407d5b0e89e38c2eae6d6a356714",
-    "sc-b16/eg-full/seed1": "6327008f825d6ac08b1f36210f8e0ec1c919407d5b0e89e38c2eae6d6a356714",
-    "sc-b16/slinadmm/seed0": "8e0ab6e7d8e402d2f02e0207ee4a7caed52676ea0aac3bf49b89642e35336642",
-    "sc-b16/slinadmm/seed1": "ab0990813a6e89a18a1aa00117ad35a4b710c6738c9dff5d9f99453d72ee3b9e",
-    "ls-ragged-b4/spdpeg/seed0": "e8d49b6db59d8557119e772a54cc0f510998370bebd933a474b560b0a23299c7",
-    "ls-ragged-b4/spdpeg/seed1": "3df856c31834209c89215a3463617b4516e81819c9ef743ab1e03f5d776d0fe7",
-    "ls-ragged-b4/eg-full/seed0": "8bfb49ac3ba1f8c917f4d9334ed4cf1234f4f79584b3c2dc474e11e0039a4d0b",
-    "ls-ragged-b4/eg-full/seed1": "8bfb49ac3ba1f8c917f4d9334ed4cf1234f4f79584b3c2dc474e11e0039a4d0b",
-    "ls-ragged-b4/slinadmm/seed0": "efdbcefc14e7fa2f5bbf273cdff2bb9c09581b650216e9eb84df95ce68930bd0",
-    "ls-ragged-b4/slinadmm/seed1": "b0b2da844f7ca71ced4d40f1a9ca5079a7004f12535ea0368123fdf68ba3d7f1",
+    "sc-b16/spdpeg/seed0": "87e99656bbb4e9ab4752e90d542ad0b531b1f5e5023898a5820069ce0d93ba1d",
+    "sc-b16/spdpeg/seed1": "5d9d2ead44890900ad0edb710282af015e2e3093d6690a252ec37fb3d098aa97",
+    "sc-b16/eg-full/seed0": "647975f88e25170451ba0cb52f5352baabb5642a17137e23d97a89dfef5b2d7f",
+    "sc-b16/eg-full/seed1": "647975f88e25170451ba0cb52f5352baabb5642a17137e23d97a89dfef5b2d7f",
+    "sc-b16/slinadmm/seed0": "084e4e5f1302ac2b77ec81df529db58b590ad6fd70183baeb68d22af60685358",
+    "sc-b16/slinadmm/seed1": "e534e4dab7339c46b507fd3b28b11143b87db34eca1405031ab27c1ffe3dc2aa",
+    "ls-ragged-b4/spdpeg/seed0": "b13efe61ef41389ebba4d8855b6ca5d4c85f527e1a6efef643033adecef593a9",
+    "ls-ragged-b4/spdpeg/seed1": "b069a56feabff349cc3423952a179ca7c62ff244b9441c9a9f4133b8a434b187",
+    "ls-ragged-b4/eg-full/seed0": "defe4cd86b30ae38bb4ae69eb7336bc82db1e75945e58347728b127b45d9bbbe",
+    "ls-ragged-b4/eg-full/seed1": "defe4cd86b30ae38bb4ae69eb7336bc82db1e75945e58347728b127b45d9bbbe",
+    "ls-ragged-b4/slinadmm/seed0": "084c656f6f9069bc2c7ead03ae648f38cc2cb230742f20e79363ed0586f2c37e",
+    "ls-ragged-b4/slinadmm/seed1": "ab1c04c27a9dc773e6e447d1a9ea54a04279beac0f49467c3901e47a5e3029d1",
 }
 
 XAVG_GOLDEN = {
     "convex-b1/spdpeg/seed0": "7ee669449507dcf22022277800c706a6f13f63e8fd085eabe1a741ae1c2aaf46",
     "convex-b1/spdpeg/seed1": "387ab84629252a5d1e660e88786ed4e1b0d56997e2c249388ed02ef33fe31bfc",
-    "convex-b1/eg-full/seed0": "7cc29c0078dcdd4a2af569318638ae8fc90fac071ed2876193b52730c7dceccc",
-    "convex-b1/eg-full/seed1": "7cc29c0078dcdd4a2af569318638ae8fc90fac071ed2876193b52730c7dceccc",
+    "convex-b1/eg-full/seed0": "1253f9cb24c22718b2d3f84de64a95107bf45c82d8b8afc08eefe4f807f4face",
+    "convex-b1/eg-full/seed1": "1253f9cb24c22718b2d3f84de64a95107bf45c82d8b8afc08eefe4f807f4face",
     "convex-b1/slinadmm/seed0": "d33dc8fa40ba882f203159402af285af5aae636119eebdccd499d547ded0c6b4",
     "convex-b1/slinadmm/seed1": "758483b957b3bd8695cf40b2994ac62a5ff0ba1b2567a8bc5906256fb002ebca",
-    "sc-b16/spdpeg/seed0": "1018884e5e812cb665aa4f8befe188869d07591cf5915599b849a5d66185ac65",
-    "sc-b16/spdpeg/seed1": "8e7710f68b995afac98b74a0ae6c8587648799a5e5ba427681149d56d3338e60",
-    "sc-b16/eg-full/seed0": "d37d907469adfba6dfad6ecf55253ce6bc176e89539eda5f85f31ef90a5bf641",
-    "sc-b16/eg-full/seed1": "d37d907469adfba6dfad6ecf55253ce6bc176e89539eda5f85f31ef90a5bf641",
-    "sc-b16/slinadmm/seed0": "a28de418ba39eb2196f9854ccf09db6329aebd339c43763cde75f3f07ebed738",
-    "sc-b16/slinadmm/seed1": "2159d2e47466412c1b9dbbdf65bb8db2c59b1818ec830bc4922b789ec13122bf",
+    "sc-b16/spdpeg/seed0": "41e35bf44ca4ecf9275a6f5de3d36750e1685a1ae34ffa5513f38c67874fe645",
+    "sc-b16/spdpeg/seed1": "1051f1cabee69e5a8e39058a4946451a087693ef56bc9bee35477a6f0621caf0",
+    "sc-b16/eg-full/seed0": "d5776d4b5001d5933dd91bde9ae21dfbef0627331fd85b50cea046b2b30c59b3",
+    "sc-b16/eg-full/seed1": "d5776d4b5001d5933dd91bde9ae21dfbef0627331fd85b50cea046b2b30c59b3",
+    "sc-b16/slinadmm/seed0": "ceb18a10938f01824488cd5be5619c1c7912890a93e5deded90bb4eea3877800",
+    "sc-b16/slinadmm/seed1": "4af0027fa91f414a72186f329334f90c5f27f601e0120965f65df2601b77b23d",
     "ls-ragged-b4/spdpeg/seed0": "58823812d28f13a4182adc19d0fd2fecb2dfa56f6da9fbdf47c68fd140ad74b8",
     "ls-ragged-b4/spdpeg/seed1": "f9edfa7f65bcd39bd1ceaaae0ad93a380f42ba1bbdb4559117902ee0c8de7ee7",
-    "ls-ragged-b4/eg-full/seed0": "eb66a500c6e62ca7340bc8e4f7a5d43ddc61e7628e078cda9f843c47ec1c279f",
-    "ls-ragged-b4/eg-full/seed1": "eb66a500c6e62ca7340bc8e4f7a5d43ddc61e7628e078cda9f843c47ec1c279f",
+    "ls-ragged-b4/eg-full/seed0": "5dd727084f1a3ed5fd2b7402e245f55af58abe459fa4beedf2061cac4c9729dd",
+    "ls-ragged-b4/eg-full/seed1": "5dd727084f1a3ed5fd2b7402e245f55af58abe459fa4beedf2061cac4c9729dd",
     "ls-ragged-b4/slinadmm/seed0": "ca135dd0d96328140188ab589e7c81631285ea41883ec5c3dc021eda28dcd68b",
     "ls-ragged-b4/slinadmm/seed1": "fd111397c22221fc04332bd9f39c8d9df8436713eb9472737e2a202f2efc2590",
 }
@@ -106,9 +105,9 @@ XAVG_GOLDEN = {
 REFERENCE_ITERS = 4000
 REFERENCE_CHECK_EVERY = 500
 REFERENCE_GOLDEN = {
-    "convex-b1": "2251be6edfff2a49e5fd5ceb5cdee35e14038a6ec8256c70febe78f3f9ffaaae",
-    "sc-b16": "a743d7dec8efbd3899aedd5ddd8e8157a0ebd7848559c2e2493c973a4d1f4caf",
-    "ls-ragged-b4": "92a19c13cd965f4e70a5e0a0473eaa5a7f4cec668a20dcf85a7e836da527e9e3",
+    "convex-b1": "e095694b089e3abbd2235abd5f6df0ae73f7257643864d3c1189d535b71c74f6",
+    "sc-b16": "c3e4acaa0063ae5add453a483c16008a6c3ed590c9d1a177731e084019a52d06",
+    "ls-ragged-b4": "2045caf16122abeb6d0d5b832de28cd30089147bc79117a9cff51da4df573f07",
 }
 
 SWEEPS = {
@@ -121,7 +120,7 @@ SWEEPS = {
 }
 SWEEP_GOLDEN = {
     "stochastic": "c5dace119c5e80d4972a16b542d2c9125b21d1325e56ad95181e08c37176b2b9",
-    "deterministic": "8125179d4bf5de8a44edf471f4a9566c00471a6e83cd3dd35d025194f471a0e2",
+    "deterministic": "ce280c627768f923723a8a8db9a06b4498aa90d6c6550e8d8bc8ebab42919922",
     "divergent": "1fee75651200c8004f3b502ebec113e7b562fdd66ae7d9298ebfae41e295385b",
 }
 
@@ -257,9 +256,9 @@ def test_sweep_matches_golden(name):
 
 
 if __name__ == "__main__":
+    print("GOLDEN")
     for inst, name, seed in CASES:
-        print(f'    "{inst}/{name}/seed{seed}": "{run_case(inst, name, seed)}",',
-              file=sys.stdout)
+        print(f'    "{inst}/{name}/seed{seed}": "{run_case(inst, name, seed)}",')
     print("XAVG_GOLDEN")
     for inst, name, seed in CASES:
         digest = iterate_digest(run_result(inst, name, seed))

@@ -10,7 +10,7 @@ from spdpeg import bench, sparse
 from spdpeg.model import Dataset
 from spdpeg.penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
                               load_penalty, precision_graph_from_data)
-from spdpeg.sparse import SparseMatrix, power_iteration_sigma_max
+from spdpeg.sparse import BLAS_MAX_VALUES, SparseMatrix, power_iteration_sigma_max
 
 
 def test_fused_matrix_small():
@@ -72,8 +72,15 @@ def test_fused_matrix_equals_the_checked_construction(d):
             assert got.dtype == want.dtype and got.shape == want.shape, f.name
             assert got.flags.c_contiguous, f.name
             assert got.tobytes() == want.tobytes(), f.name
+        elif want is None:  # a lazy field, set on first use
+            assert got is None, f.name
         else:
             assert float(got).hex() == float(want).hex(), f.name
+    checked.products(), built.products()
+    if (d - 1) * d <= BLAS_MAX_VALUES:
+        assert built._dense.tobytes() == checked._dense.tobytes()
+    else:
+        assert built._dense is None and checked._dense is None
 
 
 def test_fused_build_penalty_runs_no_csr_check(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -352,6 +353,25 @@ def test_divergence_guard():
     assert isinstance(exc.value.iteration, int)
 
 
+@pytest.mark.parametrize("family, full_batch, step_scale, iteration", [
+    ("convex", False, 1e9, 1), ("convex", False, 100.0, 16),
+    ("convex", True, 1e9, 1), ("convex", True, 100.0, 17),
+    ("sc", False, 1e9, 0), ("sc", False, 100.0, 12),
+    ("sc", True, 1e9, 0), ("sc", True, 100.0, 13),
+])
+def test_rate_cores_diverge_at_their_pinned_iteration(family, full_batch,
+                                                      step_scale, iteration):
+    # the d=20 fused convex and graph sc cores, spdpeg and eg-full; the
+    # penalty's dense products make one inf a NaN in every row (0 * inf),
+    # which must not move the step the guard stops at
+    core = bench.rate_core(family, iters=2000)
+    train, _, problem, derived = bench.build_all(core)
+    config = replace(bench.make_config(core, derived, 1), full_batch=full_batch)
+    with pytest.raises(DivergenceError) as exc:
+        run(problem, train, config, step_scale=step_scale)
+    assert exc.value.iteration == iteration
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2e12])
 @pytest.mark.parametrize("where", ["x", "lam"])
 def test_advance_rejects_a_non_finite_or_huge_entry(bad, where):
@@ -376,6 +396,25 @@ def test_advance_dual_norm_is_the_euclidean_norm():
         solver_mod.advance(state, 1, state.x, lam, state.x, lam, lam)
         norms.append(float(np.linalg.norm(lam)))
         assert state.max_dual_norm == max(norms)
+
+
+def test_sqrt_of_the_self_dot_is_the_norm():
+    # the ball projection and the trace's feasibility take
+    # math.sqrt(v.dot(v)) for np.linalg.norm(v) of a 1-D vector
+    rng = np.random.default_rng(9)
+    vectors = [rng.standard_normal(k) * 10.0 ** rng.integers(-200, 200, k)
+               for k in (0, 1, 2, 7, 20, 49, 300) for _ in range(20)]
+    for bad in (np.inf, -np.inf, np.nan, -np.nan, 1e300):
+        for v in vectors[80:100]:  # the 20-element vectors
+            v = v.copy()
+            v[rng.integers(v.size)] = bad
+            vectors.append(v)
+    vectors.append(np.array([np.inf, np.nan]))
+    vectors.append(np.array([-0.0, 5e-324]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for v in vectors:
+            assert (np.float64(math.sqrt(v.dot(v))).tobytes()
+                    == np.float64(np.linalg.norm(v)).tobytes()), v
 
 
 def test_divergent_run_leaves_completed_steps_in_callers_list():
