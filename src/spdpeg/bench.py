@@ -68,9 +68,8 @@ def _sha256_file(path) -> str:
 
 
 def build_data(data_cfg: dict) -> tuple[Dataset, Dataset, GraphSpec | None]:
-    """Return (train, test, graph); test equals train when split is off.
-    A synthetic split is born in split order, so its train and test are
-    two views of one array and the rows are held once."""
+    """Return (train, test, graph); test equals train when split is off,
+    and a synthetic split is two views of one array (``synthesize``)."""
     spec = (SplitSpec(data_cfg.get("train_fraction", 0.8), data_cfg["split_seed"])
             if data_cfg.get("split", False) else None)
     if "synthetic" in data_cfg:
@@ -141,9 +140,8 @@ def build_problem(problem_cfg: dict, penalty: SparseMatrix) -> Problem:
 def derive_constants(problem: Problem, train: Dataset, gamma: float,
                      regime: str) -> dict:
     """The step constants of a problem on its training set. The row norms
-    are cached on ``train`` and ``sigma_max_FtF`` on ``problem.penalty``
-    (closed form if fused, else a dense bound up to ``DENSE_SIGMA_MAX_D``
-    columns, power iteration above), so deriving again costs nothing."""
+    are cached on ``train`` and ``SparseMatrix.sigma_max_FtF`` on
+    ``problem.penalty``, so deriving again costs nothing."""
     lips_data = estimate_lipschitz(train, problem.loss)
     lips = max(lips_data + problem.ridge, 1e-12)
     sigma = problem.penalty.sigma_max_FtF
@@ -488,24 +486,25 @@ def _smooth_lipschitz(problem: Problem, dataset: Dataset) -> float:
     return math.ceil(lips / unit) * unit
 
 
-def _fista_reference(problem: Problem, dataset: Dataset, tol: float,
-                     check_every: int) -> ReferenceSolution:
+def _fista_reference(problem: Problem, dataset: Dataset,
+                     tol: float) -> ReferenceSolution:
     """FISTA (Beck & Teboulle, SIAM J. Imaging Sci. 2009) at step 1/L with
     the gradient restart of O'Donoghue & Candes (Found. Comput. Math.
     2015) and a prox of r1 + r2(F .) that also returns a dual point nu of
     step * r2: for a fused F with no ball the exact ``prox_fused``, whose
     TV prox gives nu = ``cumsum(v - t)[:-1]``, else ``prox_dual``,
     warm-started from the previous iteration's nu. Every
-    min(check_every, ``FISTA_CHECK_EVERY``) iterations the iterate is
-    certified with nu / step, and the run stops once that gap is at most
-    tol * max(1, |f|) or no lower than two checks before: the gap has then
-    reached the floor that the rounding allowance of its dual point sets
-    (``err_w`` in ``_objective_and_gap``, through the dual scaling)."""
+    ``FISTA_CHECK_EVERY`` iterations the iterate is certified with nu / step
+    (``duality_gap``), and the run stops once that gap is at most
+    tol * max(1, |f|) or no lower than two checks before, or after
+    ``UNCAPPED_ITERS``; ``converged`` says that one of the first two
+    happened. A gap no lower than two checks before has reached the floor
+    that the rounding allowance of its dual point sets (``err_w`` in
+    ``_objective_and_gap``, through the dual scaling)."""
     kern = kernels(problem)
     step = 1.0 / _smooth_lipschitz(problem, dataset)
     weight, sigma = problem.r2.weight, problem.penalty.sigma_max_FtF
     fused = problem.feasible_radius is None and _is_fused(problem.penalty)
-    every = min(check_every, FISTA_CHECK_EVERY)
     x = y = np.zeros(dataset.dimension)
     nu = np.zeros(problem.penalty.n_rows)
     t = 1.0
@@ -529,7 +528,7 @@ def _fista_reference(problem: Problem, dataset: Dataset, tol: float,
             t = t_next
         x = x_next
         iterations += 1
-        if iterations % every and iterations < UNCAPPED_ITERS:
+        if iterations % FISTA_CHECK_EVERY and iterations < UNCAPPED_ITERS:
             continue
         if fused:
             nu = np.cumsum(v - tv)[:-1]
@@ -544,10 +543,13 @@ def _fista_reference(problem: Problem, dataset: Dataset, tol: float,
 def _extragradient_reference(problem: Problem, dataset: Dataset, gamma: float,
                              max_iters: int, tol: float,
                              check_every: int) -> ReferenceSolution:
-    """``update_z`` and ``update_extragradient`` at the constant step
-    c = 1/(1 + L_tilde), with full gradients, for ``max_iters`` iterations
-    at most: the scheduled solvers shrink their steps, while this last
-    iterate settles geometrically. Returns the best iterate seen."""
+    """``update_z`` and ``update_extragradient`` (which projects onto any
+    feasible ball) at the constant step c = 1/(1 + L_tilde), with full
+    gradients, for ``max_iters`` iterations at most: the scheduled solvers
+    shrink their steps, while this last iterate settles geometrically. The
+    objective is evaluated every ``check_every`` iterations, and the run
+    stops once it changes by at most tol (relative) between checks.
+    Returns the best iterate seen, with no certificate."""
     c = 1.0 / (1.0 + derive_constants(problem, dataset, gamma, "convex")["L_tilde"])
     kern = kernels(problem)
 
@@ -586,30 +588,14 @@ def _extragradient_reference(problem: Problem, dataset: Dataset, gamma: float,
 def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
                       max_iters: int | None = None, tol: float = 1e-10,
                       check_every: int = 2000) -> ReferenceSolution:
-    """High-accuracy optimum; uncapped (``max_iters`` None) it is certified.
-
-    An uncapped call runs FISTA at step 1/L with a prox of r1 + r2(F .)
-    that also yields a dual point of r2: the exact ``prox_fused`` for a
-    fused penalty with no feasible ball, else ``prox_dual``, projected
-    gradient on r2's dual box warm-started from the previous iteration.
-    Every min(``check_every``, ``FISTA_CHECK_EVERY``) iterations it
-    computes ``certified_gap``, a Fenchel duality gap (``duality_gap``) at
-    that dual point that bounds ``objective - f*``. It stops at the first
-    check where that gap is at most tol * max(1, |objective|) or no lower
-    than at the check two before, or after ``UNCAPPED_ITERS``;
-    ``converged`` says that one of the first two happened.
-
-    A capped call (an int ``max_iters``) runs, whatever the penalty, at
-    most ``max_iters`` iterations of the solvers' ``update_z`` and
-    ``update_extragradient`` (which projects onto any feasible ball) at the
-    constant step c = 1/(1 + L_tilde). It evaluates the objective every
-    ``check_every`` iterations, stops when it changes by at most tol
-    (relative) between checkpoints, returns the best iterate seen, computes
-    no certificate and reports ``certified_gap`` None.
-    """
+    """High-accuracy optimum. An uncapped call (``max_iters`` None) is
+    ``_fista_reference``, whose ``certified_gap`` bounds ``objective - f*``.
+    A capped call (an int ``max_iters``), whatever the penalty, is
+    ``_extragradient_reference`` and reports ``certified_gap`` None;
+    ``gamma`` and ``check_every`` serve capped calls only."""
     check_dimensions(problem, dataset)
     if max_iters is None:
-        return _fista_reference(problem, dataset, tol, check_every)
+        return _fista_reference(problem, dataset, tol)
     return _extragradient_reference(problem, dataset, gamma, max_iters, tol,
                                     check_every)
 
@@ -626,17 +612,16 @@ class RateFit:
             raise ValueError("r_squared must lie in [0, 1]")
 
 
-def fit_rate(iterations, values, window=(100, None)) -> RateFit:
-    """Least-squares slope of log(value) against log(iteration).
+def fit_rate(iterations, values) -> RateFit:
+    """Least-squares slope of log(value) against log(iteration), over the
+    iterations from 100 on.
 
     Non-positive values cannot be logged and are dropped, which shrinks the
     window; raises when fewer than three points survive.
     """
     it = np.asarray(iterations, dtype=np.float64)
     vals = np.asarray(values, dtype=np.float64)
-    lo, hi = window
-    hi = it.max() if hi is None else hi
-    mask = (it >= lo) & (it <= hi) & (vals > 0.0) & np.isfinite(vals)
+    mask = (it >= 100) & (vals > 0.0) & np.isfinite(vals)
     if mask.sum() < 3:
         raise ValueError("rate-fit window is empty after dropping non-positive gaps")
     x = np.log(it[mask])
@@ -738,59 +723,48 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
         raise ValueError(f"ordering_iteration {ordering_iteration} lies past "
                          f"iters {iters}")
     report: dict = {"seeds": seed_list, "iters": iters}
-    if "convex" in regimes:
-        core = rate_core("convex", d=d, n=n, gamma=gamma, iters=iters,
+    # (family, regime fitted, iterations) of each build. The schedule does
+    # not depend on the horizon, so an sc run to iters passes through the
+    # ordering iteration with the same bits as a run that stops there
+    builds = [("convex", "convex", iters)] if "convex" in regimes else []
+    if "sc-nonuniform" in regimes or "sc-uniform" in regimes:
+        builds.append(("sc", "sc-nonuniform", iters if "sc-nonuniform" in regimes
+                       else ordering_iteration))
+    for family, regime, horizon in builds:
+        core = rate_core(family, d=d, n=n, gamma=gamma, iters=horizon,
                          eval_every=eval_every)
         built = build_all(core)
         train, _, problem, _ = built
         ref = reference_optimum(problem, train, core["config"]["gamma"])
-        its, curves, _ = _gap_curves(built, core, seed_list, ref.objective)
-        mean_gaps = curves.mean(axis=0)
-        fit = fit_rate(its, mean_gaps)
-        report["convex"] = {"slope": fit.slope, "r_squared": fit.r_squared,
-                            "window": fit.window,
-                            **_reference_report(ref, its, mean_gaps, fit)}
-    if "sc-nonuniform" in regimes or "sc-uniform" in regimes:
-        # the schedule does not depend on the horizon, so a run to iters
-        # passes through the ordering iteration with the same bits as a run
-        # that stops there
-        core = rate_core("sc", d=d, n=n, gamma=gamma,
-                         iters=(iters if "sc-nonuniform" in regimes
-                                else ordering_iteration),
-                         eval_every=eval_every)
-        built = build_all(core)
-        train, test, problem, _ = built
-        ref = reference_optimum(problem, train, core["config"]["gamma"])
         its, obj_curves, feas_curves = _gap_curves(built, core, seed_list,
                                                    ref.objective)
-        if "sc-nonuniform" in regimes:
+        if regime in regimes:
             mean_gaps = obj_curves.mean(axis=0)
-            obj_fit = fit_rate(its, mean_gaps)
-            feas_fit = fit_rate(its, feas_curves.mean(axis=0))
-            report["sc-nonuniform"] = {
-                "slope": obj_fit.slope, "r_squared": obj_fit.r_squared,
-                "window": obj_fit.window,
-                "feasibility_slope": feas_fit.slope,
-                "feasibility_r_squared": feas_fit.r_squared,
-                **_reference_report(ref, its, mean_gaps, obj_fit)}
-        if "sc-uniform" in regimes:
-            # the uniform regime is checked as an ordering against the
-            # accelerated one at a fixed iteration count, not as a slope
-            non_gaps = obj_curves[:, _grid_index(its, ordering_iteration)]
-            uni_core = rate_core("sc", d=d, n=n, gamma=gamma,
-                                 iters=ordering_iteration,
-                                 eval_every=eval_every, regime="sc-uniform")
-            uni_built = (train, test, problem, derive_constants(
-                problem, train, uni_core["config"]["gamma"], "sc-uniform"))
-            uni_its, uni_curves, _ = _gap_curves(uni_built, uni_core, seed_list,
-                                                 ref.objective)
-            uni_gaps = uni_curves[:, _grid_index(uni_its, ordering_iteration)]
-            report["ordering"] = {
-                "iteration": ordering_iteration,
-                "gap_uniform_median": float(np.median(uni_gaps)),
-                "gap_nonuniform_median": float(np.median(non_gaps)),
-                "gap_uniform_mean": float(np.mean(uni_gaps)),
-                "gap_nonuniform_mean": float(np.mean(non_gaps))}
+            fit = fit_rate(its, mean_gaps)
+            entry = {"slope": fit.slope, "r_squared": fit.r_squared,
+                     "window": fit.window}
+            if family == "sc":
+                feas_fit = fit_rate(its, feas_curves.mean(axis=0))
+                entry.update(feasibility_slope=feas_fit.slope,
+                             feasibility_r_squared=feas_fit.r_squared)
+            report[regime] = {**entry, **_reference_report(ref, its, mean_gaps, fit)}
+    if "sc-uniform" in regimes:
+        # the uniform regime is checked as an ordering against the
+        # accelerated one at a fixed iteration count, not as a slope. Its
+        # runs take the loop's last build, the sc one: make_config reads L
+        # and sigma_max of its constants, and neither depends on the regime
+        non_gaps = obj_curves[:, _grid_index(its, ordering_iteration)]
+        uni_core = rate_core("sc", d=d, n=n, gamma=gamma, iters=ordering_iteration,
+                             eval_every=eval_every, regime="sc-uniform")
+        uni_its, uni_curves, _ = _gap_curves(built, uni_core, seed_list,
+                                             ref.objective)
+        uni_gaps = uni_curves[:, _grid_index(uni_its, ordering_iteration)]
+        report["ordering"] = {
+            "iteration": ordering_iteration,
+            "gap_uniform_median": float(np.median(uni_gaps)),
+            "gap_nonuniform_median": float(np.median(non_gaps)),
+            "gap_uniform_mean": float(np.mean(uni_gaps)),
+            "gap_nonuniform_mean": float(np.mean(non_gaps))}
     return report
 
 
@@ -912,12 +886,12 @@ def write_plotdata(paths, out_path) -> tuple[str, str]:
 # timing
 
 
-def per_iteration_seconds(solver: str, built, core: dict, seed: int = 0) -> float:
-    """Median wall seconds per iteration over three short runs of ``core`` on
-    ``built``, the ``build_all`` of a core that may differ in ``iters`` and
-    ``eval_every``."""
+def per_iteration_seconds(solver: str, built, core: dict) -> float:
+    """Median wall seconds per iteration over three short seed-0 runs of
+    ``core`` on ``built``, the ``build_all`` of a core that may differ in
+    ``iters`` and ``eval_every``."""
     train, test, problem, derived = built
-    config = make_config(core, derived, seed)
+    config = make_config(core, derived, 0)
     fn = _SOLVER_FNS[solver]
     times = []
     for _ in range(3):
@@ -928,7 +902,7 @@ def per_iteration_seconds(solver: str, built, core: dict, seed: int = 0) -> floa
 
 
 def timing_scaling(ns=(1000, 100_000), d: int = 50, iters_stochastic: int = 6000,
-                   iters_full: int = 30, seed: int = 0) -> dict:
+                   iters_full: int = 30) -> dict:
     """Per-iteration cost of the stochastic solver vs the full-gradient one
     as the sample count grows; the full-gradient cost scales with n."""
     report: dict = {"ns": list(ns), "spdpeg": {}, "eg-full": {}}
@@ -936,11 +910,10 @@ def timing_scaling(ns=(1000, 100_000), d: int = 50, iters_stochastic: int = 6000
         core = rate_core("convex", d=d, n=n, iters=iters_stochastic,
                          eval_every=iters_stochastic)
         built = build_all(core)
-        report["spdpeg"][n] = per_iteration_seconds("spdpeg", built, core, seed)
+        report["spdpeg"][n] = per_iteration_seconds("spdpeg", built, core)
         core_full = rate_core("convex", d=d, n=n, iters=iters_full,
                               eval_every=iters_full)
-        report["eg-full"][n] = per_iteration_seconds("eg-full", built, core_full,
-                                                     seed)
+        report["eg-full"][n] = per_iteration_seconds("eg-full", built, core_full)
     lo, hi = min(ns), max(ns)
     report["spdpeg_ratio"] = report["spdpeg"][hi] / report["spdpeg"][lo]
     report["eg_full_ratio"] = report["eg-full"][hi] / report["eg-full"][lo]

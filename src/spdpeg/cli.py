@@ -44,7 +44,7 @@ def parse_synthetic_spec(spec: str, seed: int) -> dict:
 
 
 def _build_core(args) -> dict:
-    if args.data is None and args.synthetic is None and not args.from_manifest:
+    if args.data is None and args.synthetic is None:
         default_kind = "fused-signal" if args.task == "flr" else "graph-logistic"
         args.synthetic = f"{default_kind}:d=20,N=200"
     if args.data is not None:

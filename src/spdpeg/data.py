@@ -1,11 +1,9 @@
 """Dataset ingestion, splitting, and synthetic problem generation.
 
 ``split_order`` is the split rule, a seeded permutation and the train
-size. ``split`` takes its two parts of a dataset. ``synthesize``, given the
-permutation as ``order``, draws its rows in blocks of ``SYNTH_BLOCK``
-straight into that order, so a synthetic split is two slices of one
-array; under one BLAS thread its rows and labels keep the bits of one
-draw of every row, then split.
+size. ``split`` takes its two parts of a dataset; ``synthesize``, given the
+permutation as ``order``, draws its rows straight into that order, so a
+synthetic split is two slices of one array (its docstring gives the bits).
 """
 
 from __future__ import annotations

@@ -1,15 +1,10 @@
 """Problem data model: datasets, problem bundles, solver configuration.
 
-A Dataset's rows are either a CSR ``SparseMatrix`` (the data matrix
-``A``), which the parser builds and checks, or, from ``from_dense_rows``
-and so ``synthesize``, one C-ordered ``(n, d)`` array, checked finite
-once. Dense rows store no column index or row id, since no pass of the
-library reads them; their CSR view is built on first read, for the CSR
-kernels when n or d is 1 and for ``normalize_features``.
-``subset`` keeps rows checked and keeps the storage; a slice of dense
-rows is a view of them, any other selection a copy. Rows that store every
-feature have one dense layout, the ``(n, d)`` view ``dense_rows`` of their
-values, which every full-data pass reads; no other copy is kept.
+A ``Dataset`` holds its rows either as a CSR ``SparseMatrix`` (the data
+matrix ``A``), which the parser builds and checks, or, from
+``from_dense_rows`` and so ``synthesize``, as one C-ordered ``(n, d)``
+array, checked finite once. Its docstring gives the layout that the full
+passes read and when the CSR view of dense rows is built.
 """
 
 from __future__ import annotations
@@ -20,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prox import ProxSpec
-from .sparse import SparseMatrix, checked_rows, fingerprint_of
+from .sparse import SparseMatrix, checked_rows
 
 LOSS_LOGISTIC = "logistic"
 LOSS_LEAST_SQUARES = "least-squares"
@@ -40,11 +35,13 @@ class Dataset:
     ``features`` is the CSR ``SparseMatrix`` of the samples, one row each.
     ``indptr``, ``indices``, ``data``, ``row_ids`` and ``dimension`` are
     that matrix's own fields under the names the oracles use, not copies.
-    Dense rows build ``features`` on first read. ``full_rows`` says whether
-    every row stores all d features, so has the columns arange(d): column
-    indices strictly increase in [0, d), so that is when n*d are stored.
-    ``dense_rows`` is then the ``(n, d)`` view of ``data`` if n, d >= 2,
-    else None.
+    Dense rows store no column index or row id and build ``features`` on
+    first read, for the CSR kernels when n or d is 1 and for
+    ``normalize_features``. ``full_rows`` says whether every row stores all
+    d features, so has the columns arange(d): column indices strictly
+    increase in [0, d), so that is when n*d are stored. ``dense_rows`` is
+    then the ``(n, d)`` view of ``data`` if n, d >= 2, else None: the one
+    layout every full-data pass reads; no other copy is kept.
     Lazy fields are properties over attributes that ``_store`` sets: a
     ``functools.cached_property`` writes the instance ``__dict__``, which
     slows every later attribute load (CPython 3.11). Caches assume the
@@ -171,17 +168,6 @@ class Dataset:
         if self._max_row_norm_sq is None:
             self._max_row_norm_sq = float(self.row_norms_sq().max())
         return self._max_row_norm_sq
-
-    def fingerprint(self) -> str:
-        if self._rows is None:
-            return self.features.fingerprint(self.labels)
-        # the bytes of features.fingerprint(labels), the column indices
-        # hashed a block of rows at a time from one array
-        n, d = self._rows.shape
-        step = max(1, (1 << 16) // max(d, 1))
-        cols = np.tile(np.arange(d, dtype=np.int64), step)
-        blocks = (cols[:d * min(step, n - lo)] for lo in range(0, n, step))
-        return fingerprint_of((n, d), (self.indptr, *blocks, self.data, self.labels))
 
 
 @dataclass(frozen=True)

@@ -2,46 +2,25 @@
 
 Both supported losses have per-sample gradients of the form coef * a_i,
 so batch gradients reduce to one coefficient per drawn sample scattered
-back through the sparse rows. The full gradient and the forced
-full-enumeration batch use the same accumulation code, which makes the
+back through the rows. ``_gradient_over_rows`` is the one full pass and
+``draw_kernel`` the one sampled path (its docstring gives the three paths
+and their bits); ``full_gradient`` and ``stochastic_gradient`` are their
+checked entries, and the loops of ``solver`` and ``bench`` call the
+kernels on the inputs their entries checked. The full gradient and the
+forced full-enumeration batch share one pass, which makes the
 unbiasedness identity hold to rounding rather than approximately.
 
-A full pass uses the products of the data matrix ``A`` (the dataset's
-``features``): the margins are ``A @ x`` and the gradient scatter is
-``A.T @ coefs``, the kernels of ``SparseMatrix.matvec`` and ``rmatvec``
-(one BLAS product of the dense matrix up to ``sparse.BLAS_MAX_VALUES``
-values, ``bincount`` above). A dataset whose rows store every feature,
-with n and d both at least 2, runs both over its one dense layout, the
-``(n, d)`` rows ``Dataset.dense_rows``: each margin is the row's BLAS
-``dot`` with x (``np.vecdot``), the kernel and so the bits of the sampled
-paths' ``vals.dot(x)``, and the scatter is ``_lane_sums`` over the same
-rows, with the bits of ``rmatvec``: one BLAS ``coefs.dot(rows)`` up to the
-cut-over, above it an einsum that adds each lane in index order from 0.0,
-``bincount``'s order; its docstring says when each holds.
-The logistic coefficients of a full pass, ``-b * sigmoid(-b*m) / n``, take
-(-b)*m in place over the margins (``Dataset.neg_labels``) and one division
-by ``Dataset.neg_labels_n`` (-b*n), which for b = +-1 have the bits of
--(b*m) and of the product followed by the division.
-
-``_gradient_over_rows`` is the one full pass and ``draw_kernel`` the one
-sampled path. The loops of ``solver`` and ``bench`` call them on the inputs
-their entries checked, the solvers resolving ``draw_kernel`` once per run;
-``full_gradient`` and ``stochastic_gradient`` are their checked entries. A
-sampled batch takes one of three paths:
-- one row: scalar arithmetic on that row's slice, with no array built for
-  its margin, coefficient or label; a row that stores every feature also
-  skips the gather of x and the scatter into a zero vector;
-- more rows that store every feature (d >= 2): the rows are gathered whole
-  with ``take``, with no position array and no gather of x; their margins
-  are one ``np.vecdot``, which runs the dot kernel of ``vals @ x[cols]`` on
-  each row, and the scatter is ``_lane_sums``: one BLAS product up to the
-  cut-over (16 rows of 20), ``bincount``'s bits above;
-- more rows otherwise: one gather of all drawn rows' stored entries, one
-  ``np.vecdot`` per distinct row length for the margins, one coefficient
-  call for the batch and one ``bincount`` scatter.
-All three give the bits of a loop over the rows (with the BLAS product as
-the scatter of a small batch of whole rows); a segment sum would not.
-Their scalar operands are 0-d float64 arrays, as in ``solver``.
+A full pass takes the margins ``A @ x`` and the scatter ``A.T @ coefs``
+of the data matrix ``A``: over the rows ``Dataset.dense_rows`` when a
+dataset has them, as each row's BLAS ``dot`` with x (``np.vecdot``, the
+kernel and so the bits of the sampled paths' ``vals.dot(x)``) and
+``_lane_sums`` (whose docstring states its bits), else through
+``SparseMatrix.products``. The logistic coefficients of a full pass,
+``-b * sigmoid(-b*m) / n``, take (-b)*m in place over the margins
+(``Dataset.neg_labels``) and one division by ``Dataset.neg_labels_n``
+(-b*n), which for b = +-1 have the bits of -(b*m) and of the product
+followed by the division. Scalar operands are 0-d float64 arrays, as in
+``solver``.
 """
 
 from __future__ import annotations
@@ -214,11 +193,20 @@ def _gradient_over_rows(problem: Problem, dataset: Dataset,
 def draw_kernel(problem: Problem, dataset: Dataset, batch_size: int):
     """``(x, rows) -> `` the average gradient, folded ridge included, over
     ``batch_size`` drawn ``rows`` (int64 indices below n) at a contiguous
-    float64 x: the sampled paths, chosen and bound once. A strided x would
-    take another dot kernel in ``np.vecdot``. ``_lane_sums`` is one BLAS
-    product up to ``BLAS_MAX_VALUES`` values, and above keeps ``bincount``'s
-    order, since a batch of whole rows here has at least 2 rows and 2
-    lanes."""
+    float64 x, by one of three paths, chosen and bound once:
+    - one row: scalar arithmetic on that row's slice, with no array built
+      for its margin, coefficient or label; a row that stores every
+      feature also skips the gather of x and the scatter;
+    - more rows that store every feature (d >= 2): the rows taken whole,
+      one ``np.vecdot`` for their margins and the scatter ``_lane_sums``,
+      which keeps ``bincount``'s order above its cut-over, since such a
+      batch has at least 2 rows and 2 lanes;
+    - more rows otherwise: one gather of their stored entries, one
+      ``np.vecdot`` per distinct row length and one ``bincount`` scatter.
+    ``np.vecdot`` runs the dot kernel of ``vals @ x[cols]`` on each row (a
+    strided x would take another). So all three give the bits of a loop
+    over the rows, with the BLAS product as the scatter of a small batch of
+    whole rows; a segment sum would not."""
     loss, d = problem.loss, dataset.dimension
     if batch_size == 1:
         rows_gradient = partial(_row_gradient, loss, dataset)

@@ -16,20 +16,13 @@ step and gradient source) are the step's kernels: SPDPEG and ``eg-full``
 call both with the scheduled step, a capped reference optimum in ``bench``
 with a constant one, and the linearized ADMM baseline calls ``update_z``.
 
-``drive`` is the one loop over ``max_iters``. It validates the inputs
-(``check_dimensions``, as the reference in ``bench`` does) and then
-resolves the run once: the schedule, the ``kernels`` of the problem, gamma
-and the ``drawn_gradient`` over the run's generator. It builds the step
-function from those, so the steps call only kernels, and calls it per
-iteration. Their scalar operands (gamma, the batch divisor, the ridge) are
-0-d float64 arrays made once per run, and the step size one made once per
-step: numpy applies a 0-d array faster than a Python float (NEP 50's
-scalar path), with the same bits. ``drive`` owns the trace cadence and
-returns the weighted averages; it holds no audit state. Steps advance
-the state through ``advance`` (divergence guard and averaging). SPDPEG
-averages the predictor iterates: uniform weights, or weights proportional
-to k+3 for the accelerated strongly convex regime; ``compute_L_tilde``
-gates the step-size schedule.
+``drive`` is the one loop over ``max_iters`` (its docstring says how it
+resolves a run); steps advance the state through ``advance``. The steps'
+scalar operands (gamma, the batch divisor, the ridge, and once per step
+the step size) are 0-d float64 arrays: numpy applies them faster than a
+Python float (NEP 50's scalar path), with the same bits. SPDPEG averages
+the predictor iterates: uniform weights, or weights proportional to k+3
+for the accelerated strongly convex regime.
 
 ``check_step_inequality`` evaluates the per-step energy inequality that
 the update quintuple satisfies pathwise on steps captured into the
@@ -226,7 +219,8 @@ def drawn_gradient(problem: Problem, dataset: Dataset, config: SolverConfig,
     in one ``rng.integers`` call when its first row is needed. The generator
     fills a block in row order, so these are the arrays of one
     ``rng.integers(0, n, size=batch)`` call per gradient while this closure
-    is the generator's only consumer."""
+    is the generator's only consumer; only the generator's final state
+    differs, by the unused rows of the last block, and nothing reads it."""
     if config.full_batch:
         return lambda v: oracles._gradient_over_rows(problem, dataset, v)
     n, b = dataset.n_samples, config.batch_size
@@ -333,7 +327,10 @@ def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
     """Run ``step(state)`` for max_iters iterations, where ``step =
     make_step(schedule, kern, gamma, gradient)`` is built once from the
     run's schedule, its ``kernels``, gamma as a 0-d array and its
-    ``drawn_gradient``, and return the averaged iterates plus trace.
+    ``drawn_gradient``, and return the averaged iterates plus trace. The
+    inputs are checked here (``check_dimensions``, and mu > 0 for a strongly
+    convex regime), so the steps call only kernels; ``drive`` holds no
+    audit state.
 
     Each step advances the state by one iteration. Weighted sums are
     accumulated online with integer weights and normalized once by their
@@ -341,11 +338,10 @@ def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
     A trace record is emitted every ``eval_every`` iterations (and at the
     final one), evaluated at the current running average.
 
-    The random stream is owned by this call: identical (problem, dataset,
-    config) give bit-identical trajectories. ``default_rng(config.seed)``
-    has one consumer, the drawn gradient, so a run sees the indices of one
-    ``integers`` call per gradient; only the generator's final state
-    differs, by the unused rows of the last block, and nothing reads it.
+    The random stream is owned by this call: ``default_rng(config.seed)``
+    has one consumer, the drawn gradient, so its batches are those its
+    docstring states, and identical (problem, dataset, config) give
+    bit-identical trajectories.
     """
     check_dimensions(problem, dataset, test_dataset)
     if config.regime != REGIME_CONVEX and problem.strong_convexity_mu <= 0.0:

@@ -1,24 +1,18 @@
 """Row-compressed sparse matrices and spectral estimation.
 
-One CSR type serves both sparse matrices of the method: the penalty ``F``,
-of which the solver needs ``F @ x``, ``F.T @ y`` and the largest eigenvalue
-of ``F.T F``, and the data matrix ``A`` of a ``Dataset``, whose CSR margins
-``A @ x`` and full-gradient scatter ``A.T @ c`` are the same two products.
-All CSR validation lives in ``SparseMatrix.__post_init__``, which runs once
-per matrix built from outside arrays. ``take_rows`` skips it: rows taken
-from a valid matrix are valid, and a split of 1e5 rows need not check them
-again. Everything is plain numpy. A matrix of at most ``BLAS_MAX_VALUES``
-values (``n_rows * n_cols``) takes each product as one BLAS ``dot`` of its
-dense form, with the bits of that BLAS build's kernel; larger ones
-accumulate with ``np.bincount``, which handles empty rows and columns
-exactly and sums each entry in CSR order from 0.0. For a fused difference
-matrix the two agree bit for bit (each output sums at most two nonzero
-products); for other matrices they differ in the last bits.
+One CSR type serves both sparse matrices of the method: the penalty
+``F``, of which the solver needs ``F @ x``, ``F.T @ y`` and the largest
+eigenvalue of ``F.T F``, and the data matrix ``A`` of a ``Dataset``,
+whose margins ``A @ x`` and full-gradient scatter ``A.T @ c`` are the
+same two products; ``SparseMatrix.products`` gives their kernels and
+bits. All CSR validation lives in ``SparseMatrix.__post_init__``, once
+per matrix built from outside arrays; ``take_rows`` skips it, since rows
+of a valid matrix are valid and a split of 1e5 rows need not check them
+again.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field, fields
 
@@ -169,10 +163,14 @@ class SparseMatrix:
         """The unchecked ``matvec`` and ``rmatvec`` kernels, for float64
         vectors of the right lengths, chosen once by a caller that checks its
         vectors: with no stored entry, float zeros (``bincount`` would return
-        int64); up to ``BLAS_MAX_VALUES`` values, ``dense.dot`` and
-        ``dense.T.dot`` of the dense matrix, which is made once and kept (so
-        one inf in v gives NaN in every row, 0 * inf); else the ``bincount``
-        kernels ``_matvec`` and ``_rmatvec``."""
+        int64); up to ``BLAS_MAX_VALUES`` values (``n_rows * n_cols``),
+        ``dense.dot`` and ``dense.T.dot`` of the dense matrix, made once and
+        kept, with the bits of the BLAS build's kernel (one inf in v gives
+        NaN in every row, 0 * inf); else ``_matvec`` and ``_rmatvec``, whose
+        ``bincount`` handles empty rows and columns exactly and sums each
+        entry in CSR order from 0.0. The two agree bit for bit on a fused
+        difference matrix (each output sums at most two nonzero products)
+        and differ in the last bits on others."""
         if self.nnz == 0:
             return (lambda v: np.zeros(self.n_rows)), (lambda u: np.zeros(self.n_cols))
         if self.n_rows * self.n_cols <= BLAS_MAX_VALUES:
@@ -211,21 +209,6 @@ class SparseMatrix:
         out = np.zeros((self.n_rows, self.n_cols))
         out[self.row_ids, self.col_indices] = self.values
         return out
-
-    def fingerprint(self, *extra: np.ndarray) -> str:
-        """Hex digest of the structural content, then of the ``extra``
-        arrays in order; the data tests pin matrices and datasets by it."""
-        return fingerprint_of(self.shape, (self.row_offsets, self.col_indices,
-                                           self.values, *extra))
-
-
-def fingerprint_of(shape: tuple[int, int], arrays) -> str:
-    """sha256 hex digest of ``shape`` as int64, then of each of ``arrays``."""
-    h = hashlib.sha256()
-    h.update(np.int64(shape).tobytes())
-    for a in arrays:
-        h.update(np.ascontiguousarray(a))
-    return h.hexdigest()
 
 
 def dense_sigma_max_bound(m: SparseMatrix) -> float:

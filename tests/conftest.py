@@ -1,5 +1,6 @@
 """Helpers shared by the test modules."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,18 @@ def csr_dataset(indptr, indices, data, labels, dimension):
     gets the full check of ``SparseMatrix``."""
     n = np.asarray(labels).size
     return Dataset(SparseMatrix(n, dimension, indptr, indices, data), labels)
+
+
+def fingerprint(obj, *extra) -> str:
+    """sha256 hex digest of a ``SparseMatrix``: its shape as int64, its CSR
+    arrays, then the ``extra`` arrays in order. A ``Dataset`` is hashed as
+    its ``features``, then its labels. The data pins are these digests."""
+    if isinstance(obj, Dataset):
+        return fingerprint(obj.features, obj.labels, *extra)
+    h = hashlib.sha256(np.int64(obj.shape).tobytes())
+    for a in (obj.row_offsets, obj.col_indices, obj.values, *extra):
+        h.update(np.ascontiguousarray(a))
+    return h.hexdigest()
 
 
 def average_weight(schedule: Schedule, k: int, t: int) -> float:

@@ -43,7 +43,7 @@ def test_trace_csv_rejects_bad_header(tmp_path):
 
 def test_fit_rate_recovers_power_law():
     t = np.arange(50, 5001, 50)
-    fit = bench.fit_rate(t, 3.0 * t ** -0.7, (100, None))
+    fit = bench.fit_rate(t, 3.0 * t ** -0.7)
     assert fit.slope == pytest.approx(-0.7, abs=1e-9)
     assert fit.r_squared == pytest.approx(1.0)
     assert fit.window == (100, 5000)
@@ -112,8 +112,6 @@ def test_fista_stops_once_its_gap_stops_falling(monkeypatch, family):
 
 
 def test_uncached_reference_redoes_no_dataset_work(monkeypatch):
-    matrix_hashes = count_calls(monkeypatch, SparseMatrix, "fingerprint")
-    dataset_hashes = count_calls(monkeypatch, Dataset, "fingerprint")
     norms = count_calls(monkeypatch, Dataset, "row_norms_sq")
     powers = count_calls(monkeypatch, sparse, "power_iteration_sigma_max", bench)
     core = small_core()
@@ -121,8 +119,7 @@ def test_uncached_reference_redoes_no_dataset_work(monkeypatch):
     train, _, problem, derived = bench.build_all(core)
     ref = bench.reference_optimum(problem, train, 0.1, max_iters=5)
     # the fused penalty's sigma_max is set in closed form when it is built
-    assert (len(matrix_hashes), len(dataset_hashes), len(norms),
-            len(powers)) == (0, 0, 1, 0)
+    assert (len(norms), len(powers)) == (1, 0)
     # the constants the reference steps with are the ones build_all derived
     assert bench.derive_constants(problem, train, 0.1, "convex") == derived
     assert (len(norms), len(powers)) == (1, 0)
@@ -423,10 +420,18 @@ def count_builds(monkeypatch, log):
 
 def test_verify_rates_builds_each_core_once(monkeypatch, tmp_path):
     calls = count_builds(monkeypatch, tmp_path / "builds")
+    derive, derived = bench.derive_constants, []
+
+    def counted(problem, train, gamma, regime):
+        derived.append(regime)
+        return derive(problem, train, gamma, regime)
+
+    monkeypatch.setattr(bench, "derive_constants", counted)
     bench.verify_rates(iters=1000, seeds=5, d=8, n=40)
     # one build per family serves its reference and every seed; the
-    # uniform ordering runs reuse the sc build
+    # uniform ordering runs reuse the sc build and its constants
     assert calls() == ["convex", "sc-nonuniform"]
+    assert derived == ["convex", "sc-nonuniform"]
 
 
 def test_verify_rates_rejects_an_ordering_past_the_sc_run(monkeypatch, tmp_path):

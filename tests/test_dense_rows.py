@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import column_row_norms_sq, sparse_from_dense
+from conftest import column_row_norms_sq, fingerprint, sparse_from_dense
 from spdpeg import baselines, bench, solver
 from spdpeg.model import LOSS_KINDS, NORM_BLOCK, Dataset, Problem
 from spdpeg.oracles import full_gradient, margins, stochastic_gradient
@@ -93,8 +93,9 @@ def test_row_norms_and_fingerprint_match_the_csr_twin(n, d, view_reads):
     dense, csr = Dataset.from_dense_rows(rows, labels), csr_twin(rows, labels)
     assert_same(dense.row_norms_sq(), csr.row_norms_sq())
     assert dense.max_row_norm_sq == csr.max_row_norm_sq
-    assert dense.fingerprint() == csr.fingerprint()
+    # the digest hashes the CSR view, so check the reads first
     assert not any(r is dense for r in view_reads)
+    assert fingerprint(dense) == fingerprint(csr)
 
 
 @pytest.mark.parametrize("n, d", SHAPES)
@@ -108,7 +109,7 @@ def test_subset_matches_the_csr_twin(n, d, view_reads):
             assert_same(getattr(got, name), getattr(want, name))
         assert_same(got.row_norms_sq(), want.row_norms_sq())
         assert (got.dimension, got.full_rows) == (want.dimension, want.full_rows)
-        assert got.fingerprint() == want.fingerprint()
+        assert fingerprint(got) == fingerprint(want)
     assert not any(r is dense for r in view_reads)
     for bad in ([n], [-1], [[0]]):
         with pytest.raises(IndexError):
@@ -142,7 +143,7 @@ def test_slice_subset_is_a_view_with_the_index_subsets_bytes(n, d):
             assert got.dense_rows is None
         else:
             assert_same(got.dense_rows, want.dense_rows)
-        assert got.fingerprint() == want.fingerprint()
+        assert fingerprint(got) == fingerprint(want)
         assert_same(got.row_norms_sq(), want.row_norms_sq())
         f, g = got.features, want.features
         assert (f.n_rows, f.n_cols) == (g.n_rows, g.n_cols)
@@ -153,7 +154,7 @@ def test_slice_subset_is_a_view_with_the_index_subsets_bytes(n, d):
                     (csr_twin(rows, labels), slice(1, None))):
         got, want = ds.subset(cut), ds.subset(np.arange(n)[cut])
         assert not np.shares_memory(got.data, ds.data)
-        assert got.fingerprint() == want.fingerprint()
+        assert fingerprint(got) == fingerprint(want)
     with pytest.raises(ValueError, match="at least one sample"):
         dense.subset(slice(n, None))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csr_dataset, sparse_from_dense
+from conftest import csr_dataset, fingerprint, sparse_from_dense
 from spdpeg.data import synthesize
 from spdpeg.model import (Dataset, Problem, SolverConfig, compute_L_tilde,
                           estimate_lipschitz)
@@ -89,8 +89,8 @@ def test_from_dense_rows_stores_every_feature():
         Dataset.from_dense_rows([1.0, 2.0], [1.0])
 
 
-# generated with the implementation that predates Dataset.features; the
-# reference-optimum cache is keyed by these digests
+# generated with the implementation that predates Dataset.features; they pin
+# the bytes a dataset holds, hashed by ``conftest.fingerprint``
 DATASET_FINGERPRINTS = {
     "ragged": "88803a6f3079d89aea20d243b70602d731f6acd815b703d5d82c22d772d6a829",
     "fused-signal": "99d5eec74c750f0d8357b913066469634b9ea127d80d91be10bafe98e560027d",
@@ -102,8 +102,8 @@ def test_dataset_fingerprint_is_pinned():
     ragged = csr_dataset([0, 2, 2, 5], [0, 3, 1, 2, 3],
                          [1.5, -2.0, 0.25, 3.0, -1.0], [1.0, -1.0, 1.0], 4)
     dense, _, _ = synthesize("fused-signal", d=5, n=7, noise=0.1, seed=3)
-    assert ragged.fingerprint() == DATASET_FINGERPRINTS["ragged"]
-    assert dense.fingerprint() == DATASET_FINGERPRINTS["fused-signal"]
+    assert fingerprint(ragged) == DATASET_FINGERPRINTS["ragged"]
+    assert fingerprint(dense) == DATASET_FINGERPRINTS["fused-signal"]
 
 
 def test_dataset_rejects_index_beyond_dimension():
@@ -173,5 +173,5 @@ def test_estimate_lipschitz():
 def test_fingerprint_distinguishes_datasets():
     a = make_dataset([[1.0, 0.0]], [1.0], 2)
     b = make_dataset([[1.0, 0.0]], [-1.0], 2)
-    assert a.fingerprint() != b.fingerprint()
-    assert a.fingerprint() == make_dataset([[1.0, 0.0]], [1.0], 2).fingerprint()
+    assert fingerprint(a) != fingerprint(b)
+    assert fingerprint(a) == fingerprint(make_dataset([[1.0, 0.0]], [1.0], 2))
