@@ -472,9 +472,9 @@ def _smooth_lipschitz(problem: Problem, dataset: Dataset) -> float:
     ``sparse.dense_sigma_max_bound``), else the per-sample bound. Rounded
     up to 4 significant digits, so that FISTA's iterates do not depend on
     the last bits of the BLAS and LAPACK calls."""
-    if dataset.full_rows:
-        n, d = dataset.n_samples, dataset.dimension
-        rows = dataset.data.reshape(n, d)
+    rows = dataset.dense_rows
+    if rows is not None:
+        n, d = rows.shape
         gram = rows.T @ rows
         top = (np.max(np.linalg.eigvalsh(gram), initial=0.0)
                + (n + d) * _EPS * np.trace(gram)) / n
@@ -634,6 +634,13 @@ def fit_rate(iterations, values) -> RateFit:
                    (int(it[mask].min()), int(it[mask].max())))
 
 
+# task, synthetic kind, penalty source, gamma and regime of each rate family
+_RATE_FAMILIES = {
+    "convex": ("flr", "fused-signal", "fused", 0.1, "convex"),
+    "sc": ("ggrlr", "graph-logistic", "synthetic-graph", 0.05, "sc-nonuniform"),
+}
+
+
 def rate_core(family: str, d: int = 20, n: int = 200, data_seed: int = 12345,
               gamma: float | None = None, iters: int = 100_000,
               eval_every: int = 100, regime: str | None = None,
@@ -646,25 +653,18 @@ def rate_core(family: str, d: int = 20, n: int = 200, data_seed: int = 12345,
     gamma * sigma_max(F^T F) around or below one, which keeps the
     step-dependent bracket coefficients nonnegative from the first step.
     """
-    if family == "convex":
-        data = {"synthetic": {"kind": "fused-signal", "d": d, "n": n,
-                              "noise": 0.1, "seed": data_seed}}
-        penalty = {"source": "fused"}
-        problem = {"task": "flr", "lambda_reg": 5e-3, "gamma_reg": 5e-4}
-        gamma = 0.1 if gamma is None else gamma
-        regime = "convex" if regime is None else regime
-    elif family == "sc":
-        data = {"synthetic": {"kind": "graph-logistic", "d": d, "n": n,
-                              "noise": 0.1, "seed": data_seed}}
-        penalty = {"source": "synthetic-graph"}
-        problem = {"task": "ggrlr", "lambda_reg": 1e-5, "gamma_reg": 1e-2}
-        gamma = 0.05 if gamma is None else gamma
-        regime = "sc-nonuniform" if regime is None else regime
-    else:
+    if family not in _RATE_FAMILIES:
         raise ValueError(f"unknown rate family {family!r}")
-    return {"data": data, "penalty": penalty, "problem": problem,
-            "config": {"gamma": gamma, "regime": regime, "iters": iters,
-                       "batch_size": batch_size, "eval_every": eval_every}}
+    task, kind, source, family_gamma, family_regime = _RATE_FAMILIES[family]
+    lambda_reg, gamma_reg = TASK_DEFAULTS[task]
+    return {"data": {"synthetic": {"kind": kind, "d": d, "n": n, "noise": 0.1,
+                                   "seed": data_seed}},
+            "penalty": {"source": source},
+            "problem": {"task": task, "lambda_reg": lambda_reg, "gamma_reg": gamma_reg},
+            "config": {"gamma": family_gamma if gamma is None else gamma,
+                       "regime": family_regime if regime is None else regime,
+                       "iters": iters, "batch_size": batch_size,
+                       "eval_every": eval_every}}
 
 
 def _gap_curves(built, core: dict, seeds, reference: float):
@@ -712,6 +712,8 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
     requested, their gaps at ``ordering_iteration`` are compared (uniform
     averaging should not beat nonuniform averaging there).
     """
+    if seeds < 1 or eval_every < 1:
+        raise ValueError(f"seeds and eval_every must be >= 1, got {seeds}, {eval_every}")
     seed_list = [base_seed + i for i in range(seeds)]
     if ordering_iteration is None:
         ordering_iteration = min(10_000, iters)
@@ -780,6 +782,8 @@ def step_inequality_sweep(d: int = 20, n: int = 100, steps: int = 1000,
     reference points; returns the worst (minimum) relative slack seen."""
     if mode not in ("stochastic", "deterministic"):
         raise ValueError(f"unknown mode {mode!r}")
+    if n_references < 1:
+        raise ValueError(f"n_references must be >= 1, got {n_references}")
     if d > 50 or n > 200:
         raise ValueError("inequality sweeps are meant for small instances "
                          "(d <= 50, n <= 200)")

@@ -35,13 +35,13 @@ class Dataset:
     ``features`` is the CSR ``SparseMatrix`` of the samples, one row each.
     ``indptr``, ``indices``, ``data``, ``row_ids`` and ``dimension`` are
     that matrix's own fields under the names the oracles use, not copies.
-    Dense rows store no column index or row id and build ``features`` on
-    first read, for the CSR kernels when n or d is 1 and for
-    ``normalize_features``. ``full_rows`` says whether every row stores all
-    d features, so has the columns arange(d): column indices strictly
-    increase in [0, d), so that is when n*d are stored. ``dense_rows`` is
-    then the ``(n, d)`` view of ``data`` if n, d >= 2, else None: the one
-    layout every full-data pass reads; no other copy is kept.
+    ``dense_rows`` is the one row-layout fact: the ``(n, d)`` view of
+    ``data`` when every row stores all d features, so has the columns
+    arange(d) (column indices strictly increase in [0, d), so that is when
+    n*d are stored), else None. It is the layout every full-data pass
+    reads; no other copy is kept. Rows from ``from_dense_rows`` store no
+    column index or row id and build ``features`` on first read, for
+    ``normalize_features``.
     Lazy fields are properties over attributes that ``_store`` sets: a
     ``functools.cached_property`` writes the instance ``__dict__``, which
     slows every later attribute load (CPython 3.11). Caches assume the
@@ -66,16 +66,11 @@ class Dataset:
             self.indptr, self.data = features.row_offsets, features.values
             self.dimension = features.n_cols
         else:
-            d = rows.shape[1]
+            self.dimension = d = rows.shape[1]
             self.indptr, self.data = d * np.arange(n + 1, dtype=np.int64), rows.reshape(-1)
-            self.dimension = d
-        self.full_rows = self.data.size == n * self.dimension
-        # the full passes' rows; with one row or one lane the scatter would
-        # not add in bincount's order, so those datasets keep the CSR kernels
         self.dense_rows = (self.data.reshape(n, self.dimension)
-                           if self.full_rows and n >= 2 and self.dimension >= 2
-                           else None)
-        self._rows, self._features = rows, features
+                           if self.data.size == n * self.dimension else None)
+        self._features = features
         self._max_row_norm_sq = self._neg_labels = self._neg_labels_n = None
 
     @classmethod
@@ -96,7 +91,7 @@ class Dataset:
     @property
     def features(self) -> SparseMatrix:
         if self._features is None:  # dense rows: columns arange(d) in each
-            n, d = self._rows.shape
+            n, d = self.dense_rows.shape
             self._features = SparseMatrix.unchecked(
                 n, d, self.indptr, np.tile(np.arange(d, dtype=np.int64), n),
                 self.data, np.repeat(np.arange(n, dtype=np.int64), d))
@@ -131,30 +126,31 @@ class Dataset:
         return int(self.labels.size)
 
     def subset(self, rows) -> "Dataset":
-        """The given rows: a slice of dense rows is a view of them, any
-        other selection a copy."""
+        """The given rows: a unit-step slice of dense rows is a view of
+        them, any other selection a copy."""
         if isinstance(rows, slice):
-            if self._rows is not None and rows.step in (None, 1):
+            if self.dense_rows is not None and rows.step in (None, 1):
                 out = object.__new__(Dataset)
-                out._store(self.labels[rows], None, self._rows[rows])
+                out._store(self.labels[rows], None, self.dense_rows[rows])
                 return out
             rows = np.arange(self.n_samples)[rows]
-        if self._rows is None:
+        if self.dense_rows is None:
             return Dataset(self.features.take_rows(rows), self.labels[rows])
         rows = checked_rows(rows, self.n_samples)
         out = object.__new__(Dataset)
-        out._store(self.labels.take(rows), None, self._rows.take(rows, axis=0))
+        out._store(self.labels.take(rows), None, self.dense_rows.take(rows, axis=0))
         return out
 
     def row_norms_sq(self) -> np.ndarray:
-        if self._rows is not None:
+        rows = self.dense_rows
+        if rows is not None:
             # column by column from 0.0, a block of rows at a time: each row
             # adds its squares in the order, and so with the bits, of a
             # bincount over its entries
             out = np.zeros(self.n_samples)
             for lo in range(0, self.n_samples, NORM_BLOCK):
                 acc = out[lo:lo + NORM_BLOCK]
-                for col in self._rows[lo:lo + NORM_BLOCK].T:
+                for col in rows[lo:lo + NORM_BLOCK].T:
                     acc += col ** 2
             return out
         if self.data.size == 0:

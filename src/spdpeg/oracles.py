@@ -71,9 +71,8 @@ def _lane_sums(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     order of the reduction and of ``bincount``. It holds only when
     - ``matrix`` is C-contiguous: a Fortran-ordered one is summed down each
       lane by another loop, with other bits;
-    - it has at least 2 rows and 2 lanes, as the size guard of
-      ``Dataset.dense_rows`` ensures: with one lane einsum sums in
-      another order;
+    - it has at least 2 lanes: a one-lane scatter sums in einsum's own
+      order, neither ``bincount``'s nor the reduction's;
     - the numpy build's einsum does not fuse the multiply and the add (a
       build whose SIMD baseline has no FMA, such as X86_V2). The canary
       ``test_einsum_does_not_fuse_multiply_add`` in
@@ -197,23 +196,20 @@ def draw_kernel(problem: Problem, dataset: Dataset, batch_size: int):
     - one row: scalar arithmetic on that row's slice, with no array built
       for its margin, coefficient or label; a row that stores every
       feature also skips the gather of x and the scatter;
-    - more rows that store every feature (d >= 2): the rows taken whole,
-      one ``np.vecdot`` for their margins and the scatter ``_lane_sums``,
-      which keeps ``bincount``'s order above its cut-over, since such a
-      batch has at least 2 rows and 2 lanes;
+    - more rows of ``Dataset.dense_rows``: the rows taken whole, one
+      ``np.vecdot`` for their margins and the scatter ``_lane_sums``;
     - more rows otherwise: one gather of their stored entries, one
       ``np.vecdot`` per distinct row length and one ``bincount`` scatter.
     ``np.vecdot`` runs the dot kernel of ``vals @ x[cols]`` on each row (a
     strided x would take another). So all three give the bits of a loop
     over the rows, with the BLAS product as the scatter of a small batch of
-    whole rows; a segment sum would not."""
-    loss, d = problem.loss, dataset.dimension
+    whole rows and einsum's own order for a batch of one-lane rows above
+    the cut-over; a segment sum would not."""
     if batch_size == 1:
-        rows_gradient = partial(_row_gradient, loss, dataset)
-    elif dataset.full_rows and d >= 2:
-        # rows that store all d features have the columns arange(d)
-        matrix = dataset.data.reshape(-1, d)
-        logistic = loss == LOSS_LOGISTIC
+        rows_gradient = partial(_row_gradient, problem.loss, dataset)
+    elif dataset.dense_rows is not None:
+        matrix = dataset.dense_rows
+        logistic = problem.loss == LOSS_LOGISTIC
         signed = dataset.neg_labels if logistic else dataset.labels
         divisor = np.array(float(batch_size))
 
@@ -228,7 +224,7 @@ def draw_kernel(problem: Problem, dataset: Dataset, batch_size: int):
             grad /= divisor
             return grad
     else:
-        rows_gradient = partial(_ragged_gradient, loss, dataset)
+        rows_gradient = partial(_ragged_gradient, problem.loss, dataset)
     if not problem.ridge:
         return rows_gradient
     ridge = np.array(problem.ridge)

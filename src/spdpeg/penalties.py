@@ -75,8 +75,8 @@ def build_graph_matrix(spec: GraphSpec) -> SparseMatrix:
     return SparseMatrix(n_edges, spec.dimension, offsets, cols, vals)
 
 
-def precision_graph_from_data(dataset: Dataset, ridge: float = 1e-2,
-                              threshold: float = 1e-3) -> GraphSpec:
+def precision_graph_from_data(dataset: Dataset, ridge: float,
+                              threshold: float) -> GraphSpec:
     """Edges from the thresholded ridge-regularized precision matrix.
 
     Computes the empirical feature covariance C, inverts C + ridge*I with a
@@ -88,9 +88,8 @@ def precision_graph_from_data(dataset: Dataset, ridge: float = 1e-2,
     if ridge <= 0 or threshold <= 0:
         raise ValueError("ridge and threshold must be positive")
     d = dataset.dimension
-    # rows that store all d features are read as they are stored
-    dense = (dataset.data.reshape(dataset.n_samples, d)
-             if dataset.full_rows else dataset.features.to_dense())
+    rows = dataset.dense_rows
+    dense = dataset.features.to_dense() if rows is None else rows
     centered = dense - dense.mean(axis=0)
     cov = centered.T @ centered / dataset.n_samples
     precision = np.linalg.solve(cov + ridge * np.eye(d), np.eye(d))

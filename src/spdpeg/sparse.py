@@ -70,7 +70,7 @@ class SparseMatrix:
     row_offsets has length n_rows+1 and is nondecreasing with
     row_offsets[-1] == nnz; column indices are strictly increasing within
     each row. The matrix records no row length: a dataset's layout is
-    ``Dataset.full_rows``.
+    ``Dataset.dense_rows``.
     """
 
     n_rows: int

@@ -401,7 +401,8 @@ def test_build_data_checks_a_normalized_file_once(monkeypatch, tmp_path):
     for name in ("row_offsets", "col_indices", "values", "row_ids"):
         np.testing.assert_array_equal(getattr(train.features, name),
                                       getattr(checked, name))
-    assert train.full_rows and Dataset(checked, train.labels).full_rows
+    assert train.dense_rows is not None
+    assert Dataset(checked, train.labels).dense_rows is not None
 
 
 def count_builds(monkeypatch, log):

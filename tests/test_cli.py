@@ -243,6 +243,25 @@ def test_check_lemma1_flags_inflated_steps(tmp_path, capsys):
             "completed steps before it were audited") in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-rates", "--seeds", "0", "--iters", "300", "--d", "8", "--n", "40"],
+    ["verify-rates", "--seeds", "-2", "--iters", "300", "--d", "8", "--n", "40"],
+    ["verify-rates", "--eval-every", "0", "--iters", "20000"],
+    ["check-lemma1", "--references", "0"],
+    ["check-lemma1", "--references", "-3"],
+])
+def test_rate_and_lemma_commands_reject_empty_inputs(argv, capsys, monkeypatch):
+    # no seed, no trace grid or no reference point: one error line, and
+    # nothing built first
+    builds = []
+    monkeypatch.setattr(bench, "build_all", builds.append)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and "must be >= 1" in line
+    assert builds == [] and "PASS" not in captured.out
+
+
 def test_plotdata_cli(tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "--task", "flr", "--synthetic", "fused-signal:d=6,N=30",

@@ -1,7 +1,7 @@
 """The dense-row full passes: one ``(n, d)`` layout and the row's ``dot``.
 
-A dataset whose rows store every feature, n and d >= 2, once also kept a
-``(d, n)`` column copy for its margins (hence this module's name). Its full
+A dataset whose rows store every feature used to keep a ``(d, n)``
+column copy for its margins as well (hence this module's name). Its full
 passes now read only ``Dataset.dense_rows``: each margin is the row's BLAS
 ``dot`` with x, the batch-1 path's ``vals.dot(x[cols])``, and the scatter
 is ``_lane_sums`` over the same rows, with the bits of the CSR ``rmatvec``.
@@ -70,11 +70,12 @@ def blas_sized(dataset):
 
 
 def reference_margins(dataset, x):
-    """The row dots where every row stores every feature and n, d >= 2,
-    else the BLAS ``dense.dot(x)`` up to the cut-over, else one
-    ``bincount`` over every stored entry."""
-    if dataset.full_rows and min(dataset.n_samples, dataset.dimension) >= 2:
-        return row_dot_margins(dataset, x)
+    """The row dots, summed from +0.0, where every row stores every feature
+    (a one-feature row's BLAS ``dot`` is its product, which keeps a -0.0;
+    ``np.vecdot`` adds it to +0.0), else the BLAS ``dense.dot(x)`` up to the
+    cut-over, else one ``bincount`` over every stored entry."""
+    if dataset.dense_rows is not None:
+        return row_dot_margins(dataset, x) + 0.0
     if dataset.indices.size == 0:
         return np.zeros(dataset.n_samples)
     if blas_sized(dataset):
@@ -164,7 +165,7 @@ def _assert_full_passes_match(dataset, loss, ridge, seed):
 @pytest.mark.parametrize("stored_zeros", [False, True])
 def test_full_passes_are_bitwise_the_csr_kernels(n, d, loss, ridge, stored_zeros):
     dataset = dense_dataset(n * 1000 + d, n, d, stored_zeros)
-    assert (dataset.dense_rows is None) == (n < 2 or d < 2)
+    assert np.shares_memory(dataset.dense_rows, dataset.data)
     _assert_full_passes_match(dataset, loss, ridge, seed=n + d)
 
 
@@ -238,14 +239,12 @@ def test_logistic_coefs_are_bitwise_the_product_form():
 
 def test_dense_rows_are_the_values_viewed_once():
     """The one dense layout is a view: no copy of the values is made or kept."""
-    for n, d in ((30, 6), (2, 2), (5, 64)):
+    for n, d in ((30, 6), (2, 2), (5, 64), (1, 6), (30, 1), (1, 1)):
         dataset = dense_dataset(n + d, n, d)
         rows = dataset.dense_rows
         assert rows.shape == (n, d) and rows.flags.c_contiguous
         assert np.shares_memory(rows, dataset.data)
         assert rows.tobytes() == dataset.data.tobytes()
-    for n, d in ((1, 6), (30, 1), (1, 1)):
-        assert dense_dataset(n + d, n, d).dense_rows is None
 
 
 def test_ragged_and_sparse_datasets_keep_the_bincount_margins():

@@ -25,6 +25,8 @@ from spdpeg.sparse import SparseMatrix
 
 SHAPES = [(1, 1), (1, 2), (1, 7), (2, 1), (9, 1), (2, 2), (17, 2), (33, 7),
           (64, 20)]
+# one lane and one row on both sides of sparse.BLAS_MAX_VALUES
+CUT_OVER_SHAPES = [(8192, 1), (8193, 1), (1, 8192), (1, 8193)]
 
 
 def random_rows(n, d, seed):
@@ -64,12 +66,13 @@ def view_reads(monkeypatch):
 
 
 @pytest.mark.parametrize("loss", LOSS_KINDS)
-@pytest.mark.parametrize("n, d", SHAPES)
+@pytest.mark.parametrize("n, d", SHAPES + CUT_OVER_SHAPES)
 def test_oracles_match_the_csr_twin(n, d, loss, view_reads):
     rows, labels = random_rows(n, d, 100 * n + d)
     dense, csr = Dataset.from_dense_rows(rows, labels), csr_twin(rows, labels)
+    # the oracles read only the penalty's width
     problem = Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
-                      sparse_from_dense(np.eye(d)), ridge=0.25,
+                      sparse_from_dense(np.ones((1, d))), ridge=0.25,
                       strong_convexity_mu=0.25)
     rng = np.random.default_rng(d)
     for x in (rng.standard_normal(d), 30.0 * rng.standard_normal(d), np.zeros(d)):
@@ -82,8 +85,8 @@ def test_oracles_match_the_csr_twin(n, d, loss, view_reads):
                                         np.random.default_rng(seed), batch),
                     stochastic_gradient(problem, csr, x,
                                         np.random.default_rng(seed), batch))
-    # only the CSR kernels of a single lane read the view
-    assert any(r is dense for r in view_reads) == (n < 2 or d < 2)
+    # no path reads the CSR view, of either dataset, at any shape
+    assert view_reads == []
 
 
 @pytest.mark.parametrize("n, d", SHAPES + [(3000, 50), (3, 70_000)])
@@ -108,7 +111,8 @@ def test_subset_matches_the_csr_twin(n, d, view_reads):
         for name in ("indptr", "data", "labels"):
             assert_same(getattr(got, name), getattr(want, name))
         assert_same(got.row_norms_sq(), want.row_norms_sq())
-        assert (got.dimension, got.full_rows) == (want.dimension, want.full_rows)
+        assert got.dimension == want.dimension
+        assert_same(got.dense_rows, want.dense_rows)
         assert fingerprint(got) == fingerprint(want)
     assert not any(r is dense for r in view_reads)
     for bad in ([n], [-1], [[0]]):
@@ -138,22 +142,20 @@ def test_slice_subset_is_a_view_with_the_index_subsets_bytes(n, d):
         assert not np.shares_memory(want.data, rows)
         for name in ("indptr", "data", "labels"):
             assert_same(getattr(got, name), getattr(want, name))
-        assert (got.dimension, got.full_rows) == (want.dimension, want.full_rows)
-        if want.dense_rows is None:  # one row keeps the CSR kernels
-            assert got.dense_rows is None
-        else:
-            assert_same(got.dense_rows, want.dense_rows)
+        assert got.dimension == want.dimension
+        assert_same(got.dense_rows, want.dense_rows)
         assert fingerprint(got) == fingerprint(want)
         assert_same(got.row_norms_sq(), want.row_norms_sq())
         f, g = got.features, want.features
         assert (f.n_rows, f.n_cols) == (g.n_rows, g.n_cols)
         for name in ("row_offsets", "col_indices", "values", "row_ids"):
             assert_same(getattr(f, name), getattr(g, name))
-    # a strided slice, and any slice of CSR rows, is the index subset's copy
-    for ds, cut in ((dense, slice(None, None, 2)),
-                    (csr_twin(rows, labels), slice(1, None))):
+    # a strided slice is the index subset's copy; a unit-step slice of rows
+    # parsed as CSR is a view of them too
+    for ds, cut, view in ((dense, slice(None, None, 2), False),
+                          (csr_twin(rows, labels), slice(1, None), True)):
         got, want = ds.subset(cut), ds.subset(np.arange(n)[cut])
-        assert not np.shares_memory(got.data, ds.data)
+        assert np.shares_memory(got.data, ds.data) == view
         assert fingerprint(got) == fingerprint(want)
     with pytest.raises(ValueError, match="at least one sample"):
         dense.subset(slice(n, None))
@@ -165,8 +167,8 @@ def test_csr_view_is_the_twins_matrix_built_once(n, d):
     dense, csr = Dataset.from_dense_rows(rows, labels), csr_twin(rows, labels)
     for got, want in ((dense, csr), (dense.subset([n - 1, 0]), csr.subset([n - 1, 0]))):
         f, g = got.features, want.features
-        assert (f.n_rows, f.n_cols, got.full_rows) == (
-            g.n_rows, g.n_cols, want.full_rows)
+        assert (f.n_rows, f.n_cols) == (g.n_rows, g.n_cols)
+        assert_same(got.dense_rows, want.dense_rows)
         for name in ("row_offsets", "col_indices", "values", "row_ids"):
             assert_same(getattr(f, name), getattr(g, name))
         assert got.features is f

@@ -21,8 +21,8 @@ from spdpeg.sparse import BLAS_MAX_VALUES, row_positions
 
 def reference_gradient_over_rows(problem, dataset, x, rows):
     """One dot product and one coefficient call per drawn row, then one
-    ``bincount`` scatter, or, for rows that store all d >= 2 features and
-    at most ``BLAS_MAX_VALUES`` values, the BLAS ``coefs.dot(rows)``."""
+    ``bincount`` scatter, or, for rows that store all d features and at
+    most ``BLAS_MAX_VALUES`` values, the BLAS ``coefs.dot(rows)``."""
     d = dataset.dimension
     indptr, indices, data, labels = (dataset.indptr, dataset.indices,
                                      dataset.data, dataset.labels)
@@ -45,8 +45,7 @@ def reference_gradient_over_rows(problem, dataset, x, rows):
             weight_parts.append(coef * vals)
             coefs.append(coef)
             row_parts.append(vals)
-        if (dataset.full_rows and d >= 2
-                and rows.size * d <= BLAS_MAX_VALUES):
+        if dataset.dense_rows is not None and rows.size * d <= BLAS_MAX_VALUES:
             grad = np.array(coefs).dot(np.stack(row_parts))
         elif col_parts and sum(c.size for c in col_parts):
             grad = np.bincount(np.concatenate(col_parts),
@@ -212,6 +211,25 @@ def test_wide_dense_row_batches_cross_the_cut_over(loss, batch):
         x = rng.standard_normal(d)
         rows = rng.integers(0, n, size=batch)
         got = draw_kernel(problem, dataset, batch)(x, rows)
+        want = reference_gradient_over_rows(problem, dataset, x, rows)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("loss", ["logistic", "least-squares"])
+@pytest.mark.parametrize("n, d", [(8192, 1), (8193, 1), (1, 8192), (1, 8193)])
+def test_one_lane_and_one_row_batches_are_dense_row_batches(loss, n, d):
+    # one feature or one sample on both sides of the cut-over: a batch of
+    # 16 such rows is a batch of dense rows like any other
+    dataset = dense_dataset(seed=15, n=n, d=d)
+    # the draws read only the penalty's width: no d x d identity
+    problem = Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
+                      sparse_from_dense(np.ones((1, d))), ridge=0.25,
+                      strong_convexity_mu=0.25)
+    rng = np.random.default_rng(16)
+    for _ in range(10):
+        x = rng.standard_normal(d)
+        rows = rng.integers(0, n, size=16)
+        got = draw_kernel(problem, dataset, 16)(x, rows)
         want = reference_gradient_over_rows(problem, dataset, x, rows)
         assert got.tobytes() == want.tobytes()
 

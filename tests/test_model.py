@@ -84,7 +84,7 @@ def test_from_dense_rows_stores_every_feature():
     np.testing.assert_array_equal(ds.indptr, [0, 2, 4, 6])
     np.testing.assert_array_equal(ds.indices, [0, 1, 0, 1, 0, 1])
     np.testing.assert_array_equal(ds.data, [1.0, 0.0, 0.0, -2.0, 3.0, 4.0])
-    assert ds.full_rows and ds.dimension == 2
+    assert ds.dense_rows is not None and ds.dimension == 2
     with pytest.raises(ValueError, match="2-D"):
         Dataset.from_dense_rows([1.0, 2.0], [1.0])
 

@@ -295,14 +295,18 @@ def test_take_rows_rejects_rows_out_of_range():
 
 
 def test_full_rows():
-    # one row length below d is not full; rows of every column are
-    assert not Dataset(UNIFORM, np.ones(3)).full_rows
-    assert not Dataset(RAGGED, np.ones(5)).full_rows
-    assert not Dataset(SparseMatrix(2, 3, [0, 0, 0], [], []), np.ones(2)).full_rows
-    assert Dataset(SparseMatrix(2, 0, [0, 0, 0], [], []), np.ones(2)).full_rows
+    # one row length below d is not full; rows of every column are, and
+    # only those have dense rows, at every n and d
+    assert Dataset(UNIFORM, np.ones(3)).dense_rows is None
+    assert Dataset(RAGGED, np.ones(5)).dense_rows is None
+    assert Dataset(SparseMatrix(2, 3, [0, 0, 0], [], []), np.ones(2)).dense_rows is None
+    empty = Dataset(SparseMatrix(2, 0, [0, 0, 0], [], []), np.ones(2))
+    assert empty.dense_rows.shape == (2, 0)
     full = Dataset(SparseMatrix(3, 2, [0, 2, 4, 6], [0, 1, 0, 1, 0, 1],
                                 [1.5, -0.0, 2.0, -3.0, 0.25, 4.0]), np.ones(3))
-    assert full.full_rows and full.subset([2, 2, 0]).full_rows
-    assert not Dataset(UNIFORM, np.ones(3)).subset([2, 2, 0]).full_rows
+    assert full.dense_rows.shape == (3, 2)
+    assert full.subset([2, 2, 0]).dense_rows.shape == (3, 2)
+    assert Dataset(UNIFORM, np.ones(3)).subset([2, 2, 0]).dense_rows is None
     dense = Dataset.from_dense_rows(np.zeros((3, 1)), np.ones(3))
-    assert dense.full_rows and dense.subset([1]).full_rows
+    assert dense.dense_rows.shape == (3, 1)
+    assert dense.subset([1]).dense_rows.shape == (1, 1)
