@@ -263,7 +263,6 @@ def run_suite(core: dict, solvers, seeds, out_dir) -> dict:
     jobs = [(s, seed) for s in solvers for seed in seeds]
     if not jobs:
         raise ValueError("run_suite needs at least one solver and one seed")
-    os.makedirs(out_dir, exist_ok=True)
     workers = max_workers(len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
@@ -276,6 +275,7 @@ def run_suite(core: dict, solvers, seeds, out_dir) -> dict:
     derived = outcomes[0][1]
     if any(d != derived for _, d in outcomes):
         raise RuntimeError("worker runs disagree on derived constants")
+    os.makedirs(out_dir, exist_ok=True)
     entries = [_suite_entry(s, seed, r, out_dir)
                for (s, seed), (r, _) in zip(jobs, outcomes)]
     return {"format": "spdpeg-manifest", "schema": 1, "version": __version__,
@@ -310,7 +310,6 @@ def replay_manifest(manifest_path, out_dir) -> list[str]:
     recorded = {e["trace_file"]: (here / e["trace_file"]).read_bytes()
                 for e in manifest["runs"]
                 if "trace_file" in e and (here / e["trace_file"]).is_file()}
-    os.makedirs(out_dir, exist_ok=True)
     core = manifest["core"]
     built = build_all(core)
     # in derivation order, so a changed sigma_max_FtF is named, not the
@@ -320,6 +319,7 @@ def replay_manifest(manifest_path, out_dir) -> list[str]:
         if value != expect:
             raise ValueError(f"derived constant {key} changed: manifest has "
                              f"{expect!r}, recomputed {value!r}")
+    os.makedirs(out_dir, exist_ok=True)
     written = []
     for entry in manifest["runs"]:
         solver, seed = entry["solver"], entry["seed"]

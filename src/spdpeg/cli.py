@@ -83,8 +83,14 @@ def _build_core(args) -> dict:
             "config": config}
 
 
+def _check_out(out) -> None:
+    """Fail before any work, making nothing, when ``--out`` names a file."""
+    if out and os.path.exists(out) and not os.path.isdir(out):
+        raise ValueError(f"--out {out} exists and is not a directory")
+
+
 def cmd_run(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    _check_out(args.out)
     if args.from_manifest:
         written = bench.replay_manifest(args.from_manifest, args.out)
         for path in written:
@@ -113,15 +119,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify_rates(args) -> int:
+    _check_out(args.out)
     regimes = (("convex", "sc-uniform", "sc-nonuniform")
                if args.regime == "all" else (args.regime,))
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
     report = bench.verify_rates(regimes=regimes, iters=args.iters,
                                 seeds=args.seeds, base_seed=args.seed,
                                 d=args.d, n=args.n, eval_every=args.eval_every,
                                 gamma=args.gamma)
     if args.out:
+        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "rates.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

@@ -41,7 +41,9 @@ def parse_libsvm(source) -> Dataset:
     Indices are 1-based in the file and converted to 0-based; labels must be
     finite and map to +1 when positive and -1 otherwise; indices must be
     strictly increasing within a line. The dimension is the largest index
-    seen.
+    seen. When every row stores all d features, only the ``(n, d)`` values
+    are kept, as ``Dataset.from_dense_rows`` keeps them; they were checked
+    finite here.
     """
     if isinstance(source, str):
         source = source.splitlines()
@@ -93,8 +95,11 @@ def parse_libsvm(source) -> Dataset:
             max_idx = max(max_idx, int(idxs[-1]))
     if not labels:
         raise ParseError(1, "no samples found")
-    features = SparseMatrix(len(labels), max_idx + 1, indptr,
-                            np.concatenate(all_indices), np.concatenate(all_values))
+    n, d = len(labels), max_idx + 1
+    values = np.concatenate(all_values)
+    if values.size == n * d:  # increasing indices below d: d in every row
+        return Dataset._of_rows(labels, values.reshape(n, d))
+    features = SparseMatrix(n, d, indptr, np.concatenate(all_indices), values)
     return Dataset(features, labels)
 
 
@@ -139,7 +144,8 @@ def normalize_features(dataset: Dataset) -> tuple[Dataset, np.ndarray]:
 
 
 def _components(d: int, edges) -> np.ndarray:
-    parent = np.arange(d)
+    # a list, not an array: each parent[a] of an array is a scalar access
+    parent = list(range(d))
 
     def find(a):
         while parent[a] != a:
@@ -154,7 +160,15 @@ def _components(d: int, edges) -> np.ndarray:
 
 def _ground_truth(kind: str, d: int,
                   rng: np.random.Generator) -> tuple[np.ndarray, GraphSpec | None]:
-    """``synthesize``'s x* and graph, the first draws of its stream."""
+    """``synthesize``'s x* and graph, the first draws of its stream.
+
+    The graph's edges are drawn in rounds: one ``integers(0, d)`` call of
+    one pair per edge still missing, its pairs added in order. A pair adds
+    at most one edge, so a round cannot overshoot, and the draws stop on
+    the pair where one call per pair would stop. Each bounded integer below
+    2**32 takes one 32-bit word of the bit generator, which keeps its half
+    word between calls, so the edges and the stream are those of one
+    ``integers(0, d, size=2)`` call per pair."""
     graph = None
     if kind == "fused-signal":
         n_seg = min(3, d)
@@ -167,9 +181,9 @@ def _ground_truth(kind: str, d: int,
         n_edges = min(int(1.2 * d) + 1, d * (d - 1) // 2)
         chosen: set[tuple[int, int]] = set()
         while len(chosen) < n_edges:
-            i, j = rng.integers(0, d, size=2)
-            if i != j:
-                chosen.add((min(i, j), max(i, j)))
+            for i, j in rng.integers(0, d, size=(n_edges - len(chosen), 2)).tolist():
+                if i != j:
+                    chosen.add((min(i, j), max(i, j)))
         edges = tuple((i, j, 1.0) for i, j in sorted(chosen))
         graph = GraphSpec(edges, d)
         comp = _components(d, edges)
@@ -178,8 +192,7 @@ def _ground_truth(kind: str, d: int,
         comp_vals[rng.random(comp_ids.size) < 0.5] = 0.0
         if np.all(comp_vals == 0.0):
             comp_vals[0] = 1.0
-        lookup = dict(zip(comp_ids.tolist(), comp_vals))
-        x_star = np.array([lookup[c] for c in comp])
+        x_star = comp_vals[np.searchsorted(comp_ids, comp)]
     return x_star, graph
 
 

@@ -1,9 +1,10 @@
 """Problem data model: datasets, problem bundles, solver configuration.
 
 A ``Dataset`` holds its rows either as a CSR ``SparseMatrix`` (the data
-matrix ``A``), which the parser builds and checks, or, from
-``from_dense_rows`` and so ``synthesize``, as one C-ordered ``(n, d)``
-array, checked finite once. Its docstring gives the layout that the full
+matrix ``A``), which the parser builds and checks for ragged rows, or as
+one C-ordered ``(n, d)`` array, checked finite once: from
+``from_dense_rows`` (so ``synthesize``), and from the parser when every
+row stores every feature. Its docstring gives the layout that the full
 passes read and when the CSR view of dense rows is built.
 """
 
@@ -39,9 +40,9 @@ class Dataset:
     ``data`` when every row stores all d features, so has the columns
     arange(d) (column indices strictly increase in [0, d), so that is when
     n*d are stored), else None. It is the layout every full-data pass
-    reads; no other copy is kept. Rows from ``from_dense_rows`` store no
-    column index or row id and build ``features`` on first read, for
-    ``normalize_features``.
+    reads; no other copy is kept. Rows from ``from_dense_rows`` or a parsed
+    file of full rows store no column index or row id and build
+    ``features`` on first read, for ``normalize_features``.
     Lazy fields are properties over attributes that ``_store`` sets: a
     ``functools.cached_property`` writes the instance ``__dict__``, which
     slows every later attribute load (CPython 3.11). Caches assume the
@@ -57,7 +58,7 @@ class Dataset:
         self.labels = np.asarray(labels, dtype=np.float64)
         if self.labels.size == 0:
             raise ValueError("dataset must contain at least one sample")
-        if not np.all(np.isin(self.labels, (-1.0, 1.0))):
+        if not np.all(np.abs(self.labels) == 1.0):  # NaN fails too
             raise ValueError("labels must be -1 or +1")
         if self.labels.shape != (n,):
             raise ValueError(f"expected one label per feature row ({n}), "
@@ -84,6 +85,12 @@ class Dataset:
         for lo in range(0, len(rows), NORM_BLOCK):  # no n×d bool array
             if not np.isfinite(rows[lo:lo + NORM_BLOCK]).all():
                 raise ValueError("matrix values must be finite")
+        return cls._of_rows(labels, rows)
+
+    @classmethod
+    def _of_rows(cls, labels, rows: np.ndarray) -> "Dataset":
+        """Dataset of a C-ordered float64 ``(n, d)`` array whose values are
+        known finite, kept as it is and not checked again."""
         out = object.__new__(cls)
         out._store(labels, None, rows)
         return out
@@ -130,16 +137,13 @@ class Dataset:
         them, any other selection a copy."""
         if isinstance(rows, slice):
             if self.dense_rows is not None and rows.step in (None, 1):
-                out = object.__new__(Dataset)
-                out._store(self.labels[rows], None, self.dense_rows[rows])
-                return out
+                return Dataset._of_rows(self.labels[rows], self.dense_rows[rows])
             rows = np.arange(self.n_samples)[rows]
         if self.dense_rows is None:
             return Dataset(self.features.take_rows(rows), self.labels[rows])
         rows = checked_rows(rows, self.n_samples)
-        out = object.__new__(Dataset)
-        out._store(self.labels.take(rows), None, self.dense_rows.take(rows, axis=0))
-        return out
+        return Dataset._of_rows(self.labels.take(rows),
+                                self.dense_rows.take(rows, axis=0))
 
     def row_norms_sq(self) -> np.ndarray:
         rows = self.dense_rows

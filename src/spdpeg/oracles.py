@@ -204,7 +204,10 @@ def draw_kernel(problem: Problem, dataset: Dataset, batch_size: int):
     strided x would take another). So all three give the bits of a loop
     over the rows, with the BLAS product as the scatter of a small batch of
     whole rows and einsum's own order for a batch of one-lane rows above
-    the cut-over; a segment sum would not."""
+    the cut-over; a segment sum would not. One zero's sign differs: at
+    d = 1 a batch-1 draw's one-entry dot keeps a -0.0 product as its
+    margin, where ``np.vecdot`` (the full pass, a batch) gives +0.0; the
+    coefficient and the gradient are the same."""
     if batch_size == 1:
         rows_gradient = partial(_row_gradient, problem.loss, dataset)
     elif dataset.dense_rows is not None:

@@ -190,6 +190,38 @@ def one_shot_synthesize(kind, d, n, noise, seed):
     return Dataset.from_dense_rows(features, labels), graph, x_star
 
 
+def per_pair_graph_truth(d, rng):
+    """The graph-logistic branch of ``data._ground_truth`` as it drew before
+    its edge rounds: one ``integers(0, d, size=2)`` call per candidate edge,
+    a union-find on a numpy array and x* through a dict of component values.
+    The bitwise reference of the edges, x* and the generator's stream."""
+    n_edges = min(int(1.2 * d) + 1, d * (d - 1) // 2)
+    chosen = set()
+    while len(chosen) < n_edges:
+        i, j = rng.integers(0, d, size=2)
+        if i != j:
+            chosen.add((min(i, j), max(i, j)))
+    edges = tuple((i, j, 1.0) for i, j in sorted(chosen))
+    parent = np.arange(d)
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j, _ in edges:
+        parent[find(i)] = find(j)
+    comp = np.array([find(i) for i in range(d)])
+    comp_ids = np.unique(comp)
+    comp_vals = rng.standard_normal(comp_ids.size)
+    comp_vals[rng.random(comp_ids.size) < 0.5] = 0.0
+    if np.all(comp_vals == 0.0):
+        comp_vals[0] = 1.0
+    lookup = dict(zip(comp_ids.tolist(), comp_vals))
+    return np.array([lookup[c] for c in comp]), edges
+
+
 def column_row_norms_sq(rows) -> np.ndarray:
     """``Dataset.row_norms_sq`` of dense rows as it was before its blocks:
     column by column over all n rows. The bitwise reference of the blocked

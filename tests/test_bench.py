@@ -351,11 +351,14 @@ def test_build_data_split_deterministic():
 
 def test_build_data_checks_a_split_dataset_once(monkeypatch, tmp_path):
     # checked once per build, never per split: dense rows are checked
-    # finite where they are synthesized and build no CSR matrix; parsed
-    # rows get one CSR check of the whole file
+    # finite where they are synthesized or parsed and build no CSR matrix;
+    # parsed ragged rows get one CSR check of the whole file
     data = {**small_core()["data"], "split": True, "split_seed": 3}
-    path = tmp_path / "core.svm"
-    path.write_text(serialize_libsvm(bench.build_data({**data, "split": False})[0]))
+    path, ragged = tmp_path / "core.svm", tmp_path / "ragged.svm"
+    text = serialize_libsvm(bench.build_data({**data, "split": False})[0])
+    path.write_text(text)
+    first, rest = text.split("\n", 1)  # row 0 loses its last feature
+    ragged.write_text(first.rsplit(" ", 1)[0] + "\n" + rest)
     csr_sizes, finite_sizes = [], []
     check, isfinite = SparseMatrix.__post_init__, np.isfinite
 
@@ -372,16 +375,18 @@ def test_build_data_checks_a_split_dataset_once(monkeypatch, tmp_path):
     train, test, _ = bench.build_data(data)
     assert (csr_sizes, finite_sizes) == ([], [40 * 8])
     assert (train.n_samples, test.n_samples) == (32, 8)
-    csr_sizes.clear()
-    train, test, _ = bench.build_data({"path": str(path), "split": True,
-                                       "split_seed": 3})
-    assert csr_sizes == [40]
-    assert (train.n_samples, test.n_samples) == (32, 8)
+    for file, checks in ((path, []), (ragged, [40])):
+        csr_sizes.clear()
+        train, test, _ = bench.build_data({"path": str(file), "split": True,
+                                           "split_seed": 3})
+        assert csr_sizes == checks
+        assert (train.n_samples, test.n_samples) == (32, 8)
 
 
 def test_build_data_checks_a_normalized_file_once(monkeypatch, tmp_path):
-    # the parser checks the file's matrix; scaling its values into [-1, 1]
-    # keeps that structure and needs no second check
+    # the parser checks the file's values and keeps its full rows dense;
+    # scaling the values into [-1, 1] keeps the structure of the CSR view
+    # and needs no check of it
     path = tmp_path / "core.svm"
     path.write_text(serialize_libsvm(bench.build_data(small_core()["data"])[0]))
     raw, _, _ = bench.build_data({"path": str(path)})
@@ -394,7 +399,7 @@ def test_build_data_checks_a_normalized_file_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(SparseMatrix, "__post_init__", counted_check)
     train, _, _ = bench.build_data({"path": str(path), "normalize": True})
-    assert csr_sizes == [40]
+    assert csr_sizes == []
     scaled, _ = normalize_features(raw)
     checked = SparseMatrix(raw.n_samples, raw.dimension, raw.indptr,
                            raw.indices, scaled.data)

@@ -262,6 +262,38 @@ def test_rate_and_lemma_commands_reject_empty_inputs(argv, capsys, monkeypatch):
     assert builds == [] and "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--seeds", "0"],
+    ["run", "--iters", "0", "--seeds", "1"],
+    ["run", "--synthetic", "fused-signal:d=1,N=10"],
+    ["verify-rates", "--seeds", "0"],
+])
+def test_rejected_input_leaves_no_output_directory(argv, tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(argv + ["--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--synthetic", "fused-signal:d=6,N=30", "--iters", "20"],
+    ["run", "--from-manifest", "manifest.json"],
+    ["verify-rates", "--iters", "300", "--d", "8", "--n", "40"],
+])
+def test_out_naming_a_file_fails_before_any_work(argv, tmp_path, capsys,
+                                                 monkeypatch):
+    calls = []
+    for name in ("run_suite", "replay_manifest", "verify_rates"):
+        monkeypatch.setattr(bench, name, lambda *a, name=name, **k: calls.append(name))
+    out = tmp_path / "d"
+    out.write_text("kept")
+    assert main(argv + ["--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: --out {out} exists and is not a directory"
+    assert calls == [] and out.read_text() == "kept"
+
+
 def test_plotdata_cli(tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "--task", "flr", "--synthetic", "fused-signal:d=6,N=30",

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import pickle
 
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import csr_dataset, fingerprint, one_shot_synthesize, serialize_libsvm
+from conftest import (csr_dataset, fingerprint, one_shot_synthesize,
+                      per_pair_graph_truth, serialize_libsvm)
 from spdpeg import bench
 from spdpeg.data import (SYNTH_BLOCK, SYNTHETIC_KINDS, ParseError, SplitSpec,
-                         normalize_features, parse_libsvm, split, split_order,
-                         synthesize)
+                         _ground_truth, normalize_features, parse_libsvm,
+                         split, split_order, synthesize)
 from spdpeg.model import estimate_lipschitz
 from spdpeg.penalties import build_fused_matrix
 
@@ -251,6 +253,44 @@ def test_synthesize_graph_truth_constant_on_components():
         assert x_star[i] == x_star[j]
 
 
+# sha256 over a grid of synthesize("graph-logistic", ...) results (data,
+# labels, edges, x*) and, from _ground_truth on a fresh generator, the
+# generator's state and next draws; recorded before the edge draws took
+# rounds. Print it with `PYTHONPATH=src python tests/test_data.py`.
+GRAPH_SYNTH_DIGEST = "256f0984f118dbb65213a8d607b494fce745f81ec17e73242c64e388a9995f9c"
+
+
+def graph_synthesizer_digest() -> str:
+    h = hashlib.sha256()
+    for d in (2, 3, 5, 20, 123, 300):
+        for seed in (0, 1, 7, 12345, 2 ** 63 + 5):
+            ds, graph, x_star = synthesize("graph-logistic", d, 12, 0.1, seed)
+            h.update(fingerprint(ds, np.array(graph.edges), x_star).encode())
+            rng = np.random.default_rng(seed)
+            _ground_truth("graph-logistic", d, rng)
+            h.update(repr(rng.bit_generator.state).encode())
+            h.update(rng.integers(0, d, size=3))
+            h.update(rng.standard_normal(3))
+    return h.hexdigest()
+
+
+def test_graph_synthesizer_is_pinned():
+    assert graph_synthesizer_digest() == GRAPH_SYNTH_DIGEST
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 20, 50, 123, 300])
+def test_graph_truth_is_the_per_pair_draw(d):
+    # the edges, x* and the generator's state after them are those of one
+    # integers(0, d, size=2) call per candidate edge
+    for seed in range(40):
+        got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+        x_star, graph = _ground_truth("graph-logistic", d, got_rng)
+        want_x, want_edges = per_pair_graph_truth(d, want_rng)
+        assert graph.edges == want_edges
+        assert x_star.tobytes() == want_x.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 def test_synthesize_rejects_bad_args():
     with pytest.raises(ValueError):
         synthesize("spiral", 4, 10, 0.1, 0)
@@ -278,3 +318,7 @@ def test_normalize_features_scales_to_unit_max():
     np.testing.assert_allclose(col_max, [1.0, 1.0])
     # normalization changes the worst-case smoothness bound
     assert estimate_lipschitz(scaled, "logistic") != estimate_lipschitz(ds, "logistic")
+
+
+if __name__ == "__main__":
+    print(f'GRAPH_SYNTH_DIGEST = "{graph_synthesizer_digest()}"')

@@ -324,6 +324,20 @@ def test_vecdot_is_the_row_dot():
         assert np.vecdot(rows, xs).tobytes() == want.tobytes(), d
 
 
+@pytest.mark.parametrize("loss", ["logistic", "least-squares"])
+def test_one_feature_draw_keeps_a_zero_margins_sign(loss):
+    # the one exception to one margin per row, at d = 1: with x = 0 the
+    # batch-1 draw's one-entry dot keeps the -0.0 product, np.vecdot adds it
+    # to +0.0. The coefficients, and so the gradients, are the same
+    ds = Dataset.from_dense_rows([[-2.0]], [1.0])
+    x = np.zeros(1)
+    assert np.signbit(ds.dense_rows[0].dot(x))
+    assert not np.signbit(margins(ds, x)[0])
+    problem = problem_for(loss, 1, 0.0)
+    drawn = oracles.draw_kernel(problem, ds, 1)(x, np.zeros(1, dtype=np.int64))
+    assert drawn.tobytes() == full_gradient(problem, ds, x).tobytes()
+
+
 # -- one-pass dense reduction -------------------------------------------------
 
 def one_shot_lane_sums(matrix, weights):

@@ -15,8 +15,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import column_row_norms_sq, fingerprint, sparse_from_dense
+from conftest import (column_row_norms_sq, fingerprint, serialize_libsvm,
+                      sparse_from_dense)
 from spdpeg import baselines, bench, solver
+from spdpeg.data import normalize_features, parse_libsvm
 from spdpeg.model import LOSS_KINDS, NORM_BLOCK, Dataset, Problem
 from spdpeg.oracles import full_gradient, margins, stochastic_gradient
 from spdpeg.penalties import precision_graph_from_data
@@ -255,6 +257,32 @@ def test_build_data_memory_is_about_the_rows():
     assert built[0].n_samples + built[1].n_samples == n
     assert peak <= 1.375 * 8 * n * d
     assert kept <= 1.10 * 8 * n * d
+
+
+def test_parsed_full_rows_keep_only_their_values():
+    # a LIBSVM file whose rows all store every feature parses into dense
+    # rows: its (n, d) values, with no column indices or row ids, and the
+    # CSR twin's bytes, also once normalize_features builds the CSR view
+    n, d = 2000, 50
+    rows, labels = random_rows(n, d, 12)
+    twin = csr_twin(rows, labels)
+    text = serialize_libsvm(twin)
+    tracemalloc.start()
+    try:
+        parsed = parse_libsvm(text)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert parsed.dense_rows is not None
+    assert kept <= 1.10 * 8 * n * d
+    assert fingerprint(parsed) == fingerprint(twin)
+    (got, got_scales), (want, want_scales) = (normalize_features(ds)
+                                              for ds in (parsed, twin))
+    assert fingerprint(got) == fingerprint(want)
+    assert got_scales.tobytes() == want_scales.tobytes()
+    # a ragged file keeps its CSR matrix
+    ragged = parse_libsvm("+1 1:2.0 3:1.5\n-1 2:-4.0\n")
+    assert ragged.dense_rows is None and ragged.indices.tolist() == [0, 2, 1]
 
 
 def test_full_passes_keep_no_copy_of_the_rows():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import prox_squared_l2
 from spdpeg.model import Problem
 from spdpeg.penalties import GraphSpec, build_fused_matrix, build_graph_matrix
-from spdpeg.prox import (ProxSpec, apply_prox, prox_dual, prox_fused,
-                         prox_kernel, prox_l1, prox_tv, reg_value)
+from spdpeg.prox import (DUAL_PROX_ITERS, ProxSpec, apply_prox, prox_dual,
+                         prox_fused, prox_kernel, prox_l1, prox_tv, reg_value)
 from spdpeg.solver import kernels
 from spdpeg.sparse import SparseMatrix
 
@@ -285,3 +287,52 @@ def test_prox_dual_stays_in_the_ball():
         u, nu = prox_dual(prox_r1, F, Ft, sigma, v, 0.5, 0.4, nu)
         assert np.linalg.norm(u) <= 0.3 * (1 + 1e-12)
         assert np.abs(nu).max() <= 0.5 * 0.4
+
+
+def clip_prox_dual(prox_r1, F, Ft, sigma, v, step, weight, nu,
+                   iters=DUAL_PROX_ITERS):
+    """``prox_dual`` as it was written before its dual step took plain
+    ufuncs: ``np.clip`` into the box and ``np.array_equal``, with Python
+    float operands. The bitwise reference of the lean loop."""
+    box = step * weight
+    if sigma == 0.0 or box == 0.0:
+        return prox_r1(v, step), np.zeros_like(nu)
+    u = prox_r1(v - Ft(nu), step)
+    for _ in range(iters):
+        nu_next = np.clip(nu + F(u) / sigma, -box, box)
+        if np.array_equal(nu_next, nu):
+            break
+        nu = nu_next
+        u = prox_r1(v - Ft(nu), step)
+    return u, nu
+
+
+def test_prox_dual_clips_with_np_clips_bits():
+    # dual steps that land on +-0, on +-box, just inside and outside the box
+    # and at +-inf, from starts of either zero sign
+    step, weight = 0.5, 0.7
+    box = step * weight
+    edges = [0.0, -0.0, box, -box, 2.0 * box, -2.0 * box, 5e-324, -5e-324,
+             math.inf, -math.inf]
+    edges += [math.nextafter(e, t) for e in (box, -box)
+              for t in (0.0, math.inf, -math.inf)]
+    t = np.array(edges)
+    assert (np.minimum(np.maximum(t, -box), box).tobytes()
+            == np.clip(t, -box, box).tobytes())
+    prox_r1 = prox_kernel(ProxSpec("l1", 0.3))
+    v = np.linspace(-1.0, 1.0, t.size)
+    for sigma in (1.0, 3.0, 0.25):
+        for start in (np.zeros(t.size), -np.zeros(t.size), t.clip(-box, box)):
+            for scale in (1.0, -1.0, 0.5):
+                def F(u, scale=scale, sigma=sigma):
+                    return scale * sigma * t + 0.0 * u
+
+                def Ft(nu):
+                    return nu[::-1].copy()
+
+                for iters in (1, 2, DUAL_PROX_ITERS):
+                    got = prox_dual(prox_r1, F, Ft, sigma, v, step, weight,
+                                    start, iters)
+                    want = clip_prox_dual(prox_r1, F, Ft, sigma, v, step,
+                                          weight, start, iters)
+                    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]

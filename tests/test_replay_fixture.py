@@ -109,6 +109,7 @@ def test_fused_manifest_with_the_power_iteration_sigma_fails(tmp_path, capsys):
     assert replay_with_sigma(tmp_path, "flr", sigma, 0.0) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: derived constant sigma_max_FtF changed")
+    assert not (tmp_path / "replay").exists()
 
 
 def test_graph_manifest_with_the_power_iteration_sigma_fails(tmp_path, capsys):
