@@ -2,8 +2,9 @@
 
 Every run is described by a JSON-able config dict (the "core") holding the
 data source, penalty source, problem parameters, and solver parameters.
-Every seed loop is ``run_seeds`` on one ``build_all`` of its core (one per
-worker process with ``SPDPEG_THREADS``); a diverged run stops only itself.
+Every seed loop is ``run_jobs`` on one ``build_all`` of its core, made in
+the calling process (``SPDPEG_THREADS`` worker processes receive that
+build and never build); a diverged run stops only itself.
 Rebuilding from the core is deterministic, which is what makes manifest
 replay reproduce trace files byte-for-byte: the solver columns are
 recomputed and must match; recorded wall-clock times are machine-dependent
@@ -28,7 +29,7 @@ from . import __version__, oracles
 from .baselines import run_eg_full, run_stoch_linadmm
 from .data import (SplitSpec, normalize_features, parse_libsvm, split, split_order,
                    synthesize)
-from .model import (LOSS_LOGISTIC, Dataset, Problem, SolverConfig,
+from .model import (LOSS_LOGISTIC, REGIMES, Dataset, Problem, SolverConfig,
                     compute_L_tilde, estimate_lipschitz)
 from .penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
                         load_penalty, precision_graph_from_data)
@@ -187,26 +188,8 @@ def trace_filename(solver: str, seed: int) -> str:
     return f"trace_{solver}_seed{seed}.csv"
 
 
-def run_seeds(solver: str, built, core: dict, seeds) -> list:
-    """Run one solver on ``built``, the tuple ``build_all(core)`` returns,
-    once per seed; return each seed's SolverResult, or the DivergenceError
-    that stopped it, in seed order."""
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}")
-    train, test, problem, derived = built
-    fn = _SOLVER_FNS[solver]
-    results = []
-    for seed in seeds:
-        try:
-            results.append(fn(problem, train, make_config(core, derived, seed),
-                              test))
-        except DivergenceError as exc:
-            results.append(exc)
-    return results
-
-
 def _completed(results: list) -> list:
-    """``results`` of ``run_seeds``; raises the first divergence among them."""
+    """``results`` of ``run_jobs``; raises the first divergence among them."""
     for result in results:
         if isinstance(result, DivergenceError):
             raise result
@@ -230,22 +213,24 @@ def _suite_entry(solver: str, seed: int, result, out_dir) -> dict:
             "max_dual_norm": result.state.max_dual_norm}
 
 
-_worker_build = None  # (core, build) in a run_suite worker, or its error
-
-
-def _init_worker(core: dict) -> None:
-    global _worker_build
+def _run_job(built, solver: str, config: SolverConfig):
+    train, test, problem, _ = built
     try:
-        _worker_build = core, build_all(core)
-    except Exception as exc:  # raised by each job: a failed initializer
-        _worker_build = exc   # would break the pool and lose the message
+        return _SOLVER_FNS[solver](problem, train, config, test)
+    except DivergenceError as exc:
+        return exc
 
 
-def _worker_run(job):
-    if isinstance(_worker_build, Exception):
-        raise _worker_build
-    (core, built), (solver, seed) = _worker_build, job
-    return run_seeds(solver, built, core, [seed])[0], built[3]
+_pool_build = None  # the build that a run_jobs worker received
+
+
+def _receive_build(built) -> None:
+    global _pool_build
+    _pool_build = built
+
+
+def _pool_job(job):
+    return _run_job(_pool_build, *job)
 
 
 def max_workers(n_jobs: int) -> int:
@@ -257,29 +242,39 @@ def max_workers(n_jobs: int) -> int:
     return max(1, min(cap, n_jobs))
 
 
+def run_jobs(core: dict, built, jobs) -> list:
+    """Run each (solver, seed) job on ``built``, the tuple ``build_all``
+    returned in the caller (for ``core``, or for a core that differs in
+    its config only); return each job's SolverResult, or the
+    DivergenceError that stopped it, in job order. The configs are made
+    here; with ``max_workers`` above 1 the jobs run in a process pool whose
+    workers receive ``built`` (inherited under fork, pickled under spawn),
+    so no worker builds."""
+    for solver, _ in jobs:
+        if solver not in SOLVERS:
+            raise ValueError(f"unknown solver {solver!r}")
+    jobs = [(solver, make_config(core, built[3], seed)) for solver, seed in jobs]
+    workers = max_workers(len(jobs))
+    if workers == 1:
+        return [_run_job(built, *job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers, initializer=_receive_build,
+                             initargs=(built,)) as pool:
+        return list(pool.map(_pool_job, jobs))
+
+
 def run_suite(core: dict, solvers, seeds, out_dir) -> dict:
-    """Run the (solver, seed) grid on one build of the core (one per worker
-    process) and return the manifest dict."""
+    """Run the (solver, seed) grid on one build of the core and return the
+    manifest dict."""
     jobs = [(s, seed) for s in solvers for seed in seeds]
     if not jobs:
         raise ValueError("run_suite needs at least one solver and one seed")
-    workers = max_workers(len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(core,)) as pool:
-            outcomes = list(pool.map(_worker_run, jobs))
-    else:
-        built = build_all(core)
-        outcomes = [(r, built[3]) for s in solvers
-                    for r in run_seeds(s, built, core, seeds)]
-    derived = outcomes[0][1]
-    if any(d != derived for _, d in outcomes):
-        raise RuntimeError("worker runs disagree on derived constants")
+    built = build_all(core)
+    results = run_jobs(core, built, jobs)
     os.makedirs(out_dir, exist_ok=True)
     entries = [_suite_entry(s, seed, r, out_dir)
-               for (s, seed), (r, _) in zip(jobs, outcomes)]
+               for (s, seed), r in zip(jobs, results)]
     return {"format": "spdpeg-manifest", "schema": 1, "version": __version__,
-            "core": core, "derived": derived, "solvers": list(solvers),
+            "core": core, "derived": built[3], "solvers": list(solvers),
             "seeds": [int(s) for s in seeds], "runs": entries}
 
 
@@ -304,26 +299,30 @@ def replay_manifest(manifest_path, out_dir) -> list[str]:
     must give its recorded entry again (a divergence at its iteration).
     Recorded wall times are reused, so each rewritten trace file must also
     be byte-identical to the recorded one next to the manifest, if there is
-    one; they are read before a rerun into the same directory writes."""
+    one; they are read before a rerun into the same directory writes. A
+    key that the replay reads and the manifest lacks is a ValueError."""
     manifest = load_manifest(manifest_path)
     here = Path(manifest_path).parent
+    try:
+        core, runs = manifest["core"], manifest["runs"]
+        jobs = [(e["solver"], e["seed"]) for e in runs]
+        built = build_all(core)
+        # in derivation order, so a changed sigma_max_FtF is named, not the
+        # L_tilde that follows from it
+        for key, value in built[3].items():
+            expect = manifest["derived"].get(key, value)
+            if value != expect:
+                raise ValueError(f"derived constant {key} changed: manifest "
+                                 f"has {expect!r}, recomputed {value!r}")
+        results = run_jobs(core, built, jobs)
+    except KeyError as exc:
+        raise ValueError(f"manifest lacks key {exc.args[0]!r}") from None
     recorded = {e["trace_file"]: (here / e["trace_file"]).read_bytes()
-                for e in manifest["runs"]
+                for e in runs
                 if "trace_file" in e and (here / e["trace_file"]).is_file()}
-    core = manifest["core"]
-    built = build_all(core)
-    # in derivation order, so a changed sigma_max_FtF is named, not the
-    # L_tilde that follows from it
-    for key, value in built[3].items():
-        expect = manifest["derived"].get(key, value)
-        if value != expect:
-            raise ValueError(f"derived constant {key} changed: manifest has "
-                             f"{expect!r}, recomputed {value!r}")
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    for entry in manifest["runs"]:
-        solver, seed = entry["solver"], entry["seed"]
-        [result] = run_seeds(solver, built, core, [seed])
+    for entry, (solver, seed), result in zip(runs, jobs, results):
         if "wall_seconds" in entry and not isinstance(result, DivergenceError):
             if len(entry["wall_seconds"]) != len(result.trace):
                 raise ValueError("wall_seconds override length does not match trace")
@@ -670,7 +669,7 @@ def rate_core(family: str, d: int = 20, n: int = 200, data_seed: int = 12345,
 def _gap_curves(built, core: dict, seeds, reference: float):
     """Run the core on its build once per seed; return (iterations,
     objective-gap curves, feasibility-gap curves) stacked over seeds."""
-    results = _completed(run_seeds("spdpeg", built, core, seeds))
+    results = _completed(run_jobs(core, built, [("spdpeg", s) for s in seeds]))
     return (np.array([r.iteration for r in results[0].trace]),
             np.array([[r.objective for r in res.trace] for res in results])
             - reference,
@@ -714,6 +713,9 @@ def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
     """
     if seeds < 1 or eval_every < 1:
         raise ValueError(f"seeds and eval_every must be >= 1, got {seeds}, {eval_every}")
+    if not regimes or not set(regimes) <= set(REGIMES):
+        raise ValueError(f"regimes must be a nonempty subset of {REGIMES}, "
+                         f"got {regimes!r}")
     seed_list = [base_seed + i for i in range(seeds)]
     if ordering_iteration is None:
         ordering_iteration = min(10_000, iters)
@@ -929,9 +931,8 @@ def comparative_benchmark(d: int = 50, n: int = 1000, iters: int = 10_000,
     """Final objective of the stochastic solvers on the same instance/seeds."""
     core = rate_core("convex", d=d, n=n, iters=iters, eval_every=iters)
     built = build_all(core)
-    seed_list = [base_seed + i for i in range(seeds)]
-    finals = {s: [r.trace[-1].objective
-                  for r in _completed(run_seeds(s, built, core, seed_list))]
+    finals = {s: [r.trace[-1].objective for r in _completed(run_jobs(
+                  core, built, [(s, base_seed + i) for i in range(seeds)]))]
               for s in ("spdpeg", "slinadmm")}
     return {"iters": iters, "d": d, "n": n,
             "spdpeg_mean": float(np.mean(finals["spdpeg"])),

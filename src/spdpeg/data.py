@@ -31,7 +31,7 @@ class ParseError(ValueError):
         self.message = message
 
     def __reduce__(self):
-        # rebuilt from both arguments, so it survives a worker-process hop
+        # rebuilt from both arguments, so it survives pickling
         return type(self), (self.line_no, self.message)
 
 
@@ -131,7 +131,13 @@ def split(dataset: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 
 
 def normalize_features(dataset: Dataset) -> tuple[Dataset, np.ndarray]:
-    """Scale each feature column to max-abs 1; returns the scales used."""
+    """Scale each feature column to max-abs 1; returns the scales used.
+    Dense rows stay dense rows, with the bytes the CSR path gives them."""
+    rows = dataset.dense_rows
+    if rows is not None:
+        scales = np.abs(rows).max(axis=0)
+        scales[scales == 0.0] = 1.0
+        return Dataset._of_rows(dataset.labels, rows / scales), scales
     scales = np.zeros(dataset.dimension)
     np.maximum.at(scales, dataset.indices, np.abs(dataset.data))
     scales[scales == 0.0] = 1.0

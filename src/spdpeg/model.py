@@ -42,7 +42,7 @@ class Dataset:
     n*d are stored), else None. It is the layout every full-data pass
     reads; no other copy is kept. Rows from ``from_dense_rows`` or a parsed
     file of full rows store no column index or row id and build
-    ``features`` on first read, for ``normalize_features``.
+    ``features`` on first read; no module of this package reads it.
     Lazy fields are properties over attributes that ``_store`` sets: a
     ``functools.cached_property`` writes the instance ``__dict__``, which
     slows every later attribute load (CPython 3.11). Caches assume the

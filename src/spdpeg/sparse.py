@@ -59,7 +59,7 @@ class PowerIterationError(RuntimeError):
         self.last_estimate = last_estimate
 
     def __reduce__(self):
-        # rebuilt from both arguments, so it survives a worker-process hop
+        # rebuilt from both arguments, so it survives pickling
         return type(self), (str(self), self.last_estimate)
 
 

@@ -1,7 +1,10 @@
 import hashlib
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import pytest
 from conftest import (count_calls, diverge_for_seed, save_penalty,
                       serialize_libsvm, sparse_from_dense)
 from spdpeg import bench, oracles, prox, solver, sparse
-from spdpeg.data import normalize_features
+from spdpeg.data import ParseError, normalize_features
 from spdpeg.model import Dataset, Problem, estimate_lipschitz
 from spdpeg.penalties import GraphSpec, build_fused_matrix, build_graph_matrix
 from spdpeg.prox import ProxSpec, prox_tv
@@ -385,8 +388,8 @@ def test_build_data_checks_a_split_dataset_once(monkeypatch, tmp_path):
 
 def test_build_data_checks_a_normalized_file_once(monkeypatch, tmp_path):
     # the parser checks the file's values and keeps its full rows dense;
-    # scaling the values into [-1, 1] keeps the structure of the CSR view
-    # and needs no check of it
+    # scaling the values into [-1, 1] keeps them dense rows, whose CSR view
+    # has the structure of the parsed file's, and needs no check
     path = tmp_path / "core.svm"
     path.write_text(serialize_libsvm(bench.build_data(small_core()["data"])[0]))
     raw, _, _ = bench.build_data({"path": str(path)})
@@ -412,7 +415,8 @@ def test_build_data_checks_a_normalized_file_once(monkeypatch, tmp_path):
 
 def count_builds(monkeypatch, log):
     """Append each ``bench.build_all`` call's regime to the file ``log``,
-    also from worker processes; return a reader of the calls so far."""
+    also from worker processes, where none should build; return a reader
+    of the calls so far."""
     build_all = bench.build_all
 
     def counted(core):
@@ -476,12 +480,64 @@ def test_run_suite_and_replay_build_the_core_once(tmp_path, monkeypatch,
     calls = count_builds(monkeypatch, tmp_path / "builds")
     out = tmp_path / "out"
     manifest = bench.run_suite(small_core(), bench.SOLVERS, range(5), out)
-    # one build per worker process, and with one worker none in the pool
-    assert len(manifest["runs"]) == 15 and 1 <= len(calls()) <= threads
+    # one build, in this process: the workers receive it
+    assert len(manifest["runs"]) == 15 and calls() == ["convex"]
     (tmp_path / "builds").unlink()
     written = bench.replay_manifest(bench.write_manifest(manifest, out),
                                     tmp_path / "replay")
-    assert len(written) == 15 and len(calls()) == 1
+    assert len(written) == 15 and calls() == ["convex"]
+    (tmp_path / "builds").unlink()
+    bench.verify_rates(iters=300, seeds=2, d=8, n=40)
+    assert calls() == ["convex", "sc-nonuniform"]
+    (tmp_path / "builds").unlink()
+    bench.comparative_benchmark(d=8, n=40, iters=100, seeds=2)
+    assert calls() == ["convex"]
+
+
+def test_a_build_error_starts_no_pool(tmp_path, monkeypatch):
+    # the build runs in the calling process, so its error is raised there
+    # before any worker starts
+    monkeypatch.setenv("SPDPEG_THREADS", "2")
+    pools = []
+
+    def no_pool(*args, **kwargs):
+        pools.append(kwargs)
+        raise RuntimeError("a pool was started")
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("1 1:0.5 2:1.0\n-1 1:x\n")
+    with pytest.raises(ParseError, match="line 2: bad feature value 'x'"):
+        bench.run_suite({**small_core(), "data": {"path": str(bad)}},
+                        bench.SOLVERS, [0, 1], tmp_path / "o")
+    core = small_core()
+    core["problem"]["task"] = "lasso"
+    with pytest.raises(ValueError, match="unknown task 'lasso'"):
+        bench.run_suite(core, bench.SOLVERS, [0, 1], tmp_path / "o")
+    assert pools == [] and not (tmp_path / "o").exists()
+    # the control: a core that builds reaches the pool
+    with pytest.raises(RuntimeError, match="a pool was started"):
+        bench.run_suite(small_core(), bench.SOLVERS, [0, 1], tmp_path / "o")
+    assert [p["max_workers"] for p in pools] == [2]
+
+
+def test_verify_rates_report_is_the_same_on_two_workers(monkeypatch):
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SPDPEG_THREADS", threads)
+        reports.append(bench.verify_rates(iters=300, seeds=3, d=8, n=40))
+    assert reports[0] == reports[1]
+    assert set(reports[0]) == {"seeds", "iters", "convex", "sc-nonuniform",
+                               "ordering"}
+
+
+@pytest.mark.parametrize("regimes", [(), ("convx",), ("convex", "sc"),
+                                     "convex", ["sc-uniform", None]])
+def test_verify_rates_rejects_unknown_regimes(monkeypatch, tmp_path, regimes):
+    calls = count_builds(monkeypatch, tmp_path / "builds")
+    with pytest.raises(ValueError, match="regimes must be a nonempty subset"):
+        bench.verify_rates(regimes=regimes, iters=300, seeds=1, d=8, n=40)
+    assert calls() == []
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -675,6 +731,29 @@ def test_run_suite_parallel_matches_serial(tmp_path, monkeypatch):
     for a, b in zip(serial["runs"], parallel["runs"]):
         assert a["final_objective"] == b["final_objective"]
         assert a["final_x_avg"] == b["final_x_avg"]
+
+
+def test_spawned_workers_give_the_serial_manifest(tmp_path, monkeypatch):
+    # spawned workers (macOS's default start method) inherit nothing, so the
+    # build reaches them pickled. Replaying their manifest here, serially,
+    # must give every entry and trace file again byte for byte
+    script = ("import multiprocessing, sys\n"
+              "from spdpeg import bench\n"
+              "multiprocessing.set_start_method('spawn')\n"
+              "assert bench.max_workers(6) == 2\n"
+              "core = bench.rate_core('sc', d=8, n=40, iters=300, eval_every=100)\n"
+              "manifest = bench.run_suite(core, bench.SOLVERS, [0, 1], sys.argv[1])\n"
+              "bench.write_manifest(manifest, sys.argv[1])\n")
+    paths = (str(Path(bench.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "SPDPEG_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    subprocess.run([sys.executable, "-c", script, str(tmp_path / "spawn")],
+                   env=env, check=True, timeout=300)
+    monkeypatch.setenv("SPDPEG_THREADS", "1")
+    written = bench.replay_manifest(tmp_path / "spawn" / "manifest.json",
+                                    tmp_path / "serial")
+    assert len(written) == 6
 
 
 if __name__ == "__main__":

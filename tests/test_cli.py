@@ -164,7 +164,8 @@ def test_run_rejects_non_finite_synthetic_noise(tmp_path, capsys, noise):
 
 
 def test_run_reports_worker_parse_error(tmp_path, capsys, monkeypatch):
-    # with two worker processes the ParseError crosses a process boundary
+    # with two workers the build still runs in this process, so the
+    # ParseError is raised here before any worker starts
     data_path = tmp_path / "bad.txt"
     data_path.write_text("1 1:0.5 2:1.0\n-1 1:x\n")
     monkeypatch.setenv("SPDPEG_THREADS", "2")
@@ -178,7 +179,7 @@ def test_run_reports_worker_parse_error(tmp_path, capsys, monkeypatch):
 def test_run_reports_power_iteration_error(tmp_path, capsys, monkeypatch, threads):
     # a file penalty gets its sigma_max by power iteration, and for the
     # first-difference matrix of d=300 that needs more than 10,000 steps;
-    # with two workers the error crosses a process boundary
+    # with two workers too, the build and its error stay in this process
     pen_path = tmp_path / "penalty.txt"
     save_penalty(pen_path, build_fused_matrix(300))
     monkeypatch.setenv("SPDPEG_THREADS", threads)

@@ -262,7 +262,7 @@ def test_build_data_memory_is_about_the_rows():
 def test_parsed_full_rows_keep_only_their_values():
     # a LIBSVM file whose rows all store every feature parses into dense
     # rows: its (n, d) values, with no column indices or row ids, and the
-    # CSR twin's bytes, also once normalize_features builds the CSR view
+    # CSR twin's bytes, also once normalized
     n, d = 2000, 50
     rows, labels = random_rows(n, d, 12)
     twin = csr_twin(rows, labels)
@@ -283,6 +283,31 @@ def test_parsed_full_rows_keep_only_their_values():
     # a ragged file keeps its CSR matrix
     ragged = parse_libsvm("+1 1:2.0 3:1.5\n-1 2:-4.0\n")
     assert ragged.dense_rows is None and ragged.indices.tolist() == [0, 2, 1]
+
+
+def test_a_normalized_file_of_full_rows_keeps_only_its_values(tmp_path):
+    # normalize_features keeps dense rows dense, with the scales and values
+    # of the CSR path: a max-abs per stored column entry, one division each
+    n, d = 2000, 50
+    rows, labels = random_rows(n, d, 13)
+    rows[:, 3], rows[:, 7] = 0.0, -0.0  # columns whose scale becomes 1
+    twin = csr_twin(rows, labels)
+    path = tmp_path / "full.svm"
+    path.write_text(serialize_libsvm(twin))
+    tracemalloc.start()
+    try:
+        dataset, _, _ = bench.build_data({"path": str(path), "normalize": True})
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert dataset.dense_rows is not None
+    assert kept <= 1.10 * 8 * n * d
+    scales = np.zeros(d)
+    np.maximum.at(scales, twin.indices, np.abs(twin.data))
+    scales[scales == 0.0] = 1.0
+    assert_same(normalize_features(dataset)[1], np.ones(d))
+    assert_same(normalize_features(twin)[1], scales)
+    assert_same(dataset.data, twin.data / scales[twin.indices])
 
 
 def test_full_passes_keep_no_copy_of_the_rows():

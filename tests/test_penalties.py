@@ -64,7 +64,12 @@ def test_fused_matrix_equals_the_checked_construction(d):
                            np.tile([1.0, -1.0], d - 1))
     object.__setattr__(checked, "_sigma_max_FtF", math.nextafter(
         2.0 + 2.0 * math.cos(math.pi / d), math.inf))
-    built = build_fused_matrix(d)
+    assert_same_fields(build_fused_matrix(d), checked)
+
+
+def assert_same_fields(built: SparseMatrix, checked: SparseMatrix) -> None:
+    """Every field of ``built`` has the type and bytes of the checked
+    construction's, and so has the dense matrix of its BLAS products."""
     for f in fields(SparseMatrix):
         want, got = getattr(checked, f.name), getattr(built, f.name)
         assert type(got) is type(want), f.name
@@ -77,19 +82,52 @@ def test_fused_matrix_equals_the_checked_construction(d):
         else:
             assert float(got).hex() == float(want).hex(), f.name
     checked.products(), built.products()
-    if (d - 1) * d <= BLAS_MAX_VALUES:
+    if checked.nnz and checked.n_rows * checked.n_cols <= BLAS_MAX_VALUES:
         assert built._dense.tobytes() == checked._dense.tobytes()
     else:
         assert built._dense is None and checked._dense is None
 
 
-def test_fused_build_penalty_runs_no_csr_check(monkeypatch):
+def graph_specs():
+    rng = np.random.default_rng(8)
+    yield GraphSpec((), 3)
+    yield GraphSpec(((0, 1, 1.0),), 2)
+    yield GraphSpec(((0, 2, -0.5), (1, 2, 2.0**-1074), (1, 3, 3.0)), 4)
+    yield bench.build_data(bench.rate_core("sc")["data"])[2]
+    yield precision_graph_from_data(Dataset.from_dense_rows(
+        rng.standard_normal((50, 12)), np.ones(50)), 1e-2, 1e-3)
+    # wide enough that the dense matrix of the products is not made
+    d = 200
+    pairs = sorted({tuple(sorted(p)) for p in rng.integers(0, d, (400, 2))
+                    if p[0] != p[1]})
+    yield GraphSpec(tuple((i, j, float(w)) for (i, j), w in
+                          zip(pairs, rng.standard_normal(len(pairs)))), d)
+
+
+def test_graph_matrix_equals_the_checked_construction():
+    # build_graph_matrix sets its fields unchecked, since GraphSpec's checks
+    # imply every CSR invariant
+    for spec in graph_specs():
+        n = len(spec.edges)
+        cols = np.array([c for i, j, _ in spec.edges for c in (i, j)],
+                        dtype=np.int64)
+        vals = np.array([v for _, _, w in spec.edges for v in (w, -w)])
+        checked = SparseMatrix(n, spec.dimension, 2 * np.arange(n + 1), cols,
+                               vals)
+        assert_same_fields(build_graph_matrix(spec), checked)
+
+
+def test_fused_build_penalty_runs_no_csr_check(monkeypatch, tmp_path):
     train, _, graph = bench.build_data(bench.rate_core("sc")["data"])
+    save_penalty(tmp_path / "penalty.txt", build_fused_matrix(train.dimension))
     calls = count_calls(monkeypatch, SparseMatrix, "__post_init__")
     bench.build_penalty({"source": "fused"}, train, None)
+    # nor does a graph penalty, valid by GraphSpec's checks
+    bench.build_penalty({"source": "synthetic-graph"}, train, graph)
     assert len(calls) == 0
     # the counter sees a checked build
-    bench.build_penalty({"source": "synthetic-graph"}, train, graph)
+    bench.build_penalty({"source": "file", "path": str(tmp_path / "penalty.txt")},
+                        train, None)
     assert len(calls) == 1
 
 

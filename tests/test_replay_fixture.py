@@ -36,16 +36,20 @@ COMMON_ARGV = ["--solver", "all", "--seeds", "2", "--iters", "200",
 
 
 @pytest.mark.parametrize("task", list(RUN_ARGV))
-def test_committed_manifest_replays_byte_for_byte(task, tmp_path):
+def test_committed_manifest_replays_byte_for_byte(task, tmp_path, monkeypatch):
+    # in this process and on two workers alike
     recorded = FIXTURE / task
     traces = sorted(p.name for p in recorded.glob("trace_*.csv"))
     assert len(traces) == 6
-    rc = main(["run", "--from-manifest", str(recorded / "manifest.json"),
-               "--out", str(tmp_path)])
-    assert rc == 0
-    assert sorted(p.name for p in tmp_path.glob("trace_*.csv")) == traces
-    for name in traces:
-        assert (tmp_path / name).read_bytes() == (recorded / name).read_bytes(), name
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SPDPEG_THREADS", threads)
+        out = tmp_path / threads
+        rc = main(["run", "--from-manifest", str(recorded / "manifest.json"),
+                   "--out", str(out)])
+        assert rc == 0
+        assert sorted(p.name for p in out.glob("trace_*.csv")) == traces
+        for name in traces:
+            assert (out / name).read_bytes() == (recorded / name).read_bytes(), name
 
 
 def drifted_copy(tmp_path):
@@ -86,6 +90,35 @@ def test_a_manifest_without_its_traces_replays_on_its_entries(tmp_path):
     assert rc == 0
     for path in (FIXTURE / "flr").glob("trace_*.csv"):
         assert (tmp_path / "replay" / path.name).read_bytes() == path.read_bytes()
+
+
+def without(manifest: dict, *path) -> dict:
+    """``manifest`` with the key at the end of ``path`` deleted."""
+    *parents, key = path
+    inner = manifest
+    for step in parents:
+        inner = inner[step]
+    del inner[key]
+    return manifest
+
+
+@pytest.mark.parametrize("path", [
+    ("core",), ("derived",), ("runs",), ("runs", 3, "solver"),
+    ("runs", 0, "seed"), ("core", "data"), ("core", "penalty"),
+    ("core", "problem"), ("core", "config"), ("core", "data", "split_seed"),
+    ("core", "data", "synthetic", "kind"), ("core", "penalty", "source"),
+    ("core", "problem", "lambda_reg"), ("core", "config", "regime"),
+    ("core", "config", "iters")], ids=lambda path: ".".join(map(str, path)))
+def test_a_manifest_that_lacks_a_key_is_one_error_line(tmp_path, capsys, path):
+    manifest = json.loads((FIXTURE / "flr" / "manifest.json").read_text())
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(without(manifest, *path)))
+    rc = main(["run", "--from-manifest", str(mpath),
+               "--out", str(tmp_path / "replay")])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: manifest lacks key {path[-1]!r}"
+    assert not (tmp_path / "replay").exists()
 
 
 def replay_with_sigma(tmp_path, task: str, sigma: float, mu: float) -> int:
