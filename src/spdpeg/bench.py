@@ -287,10 +287,23 @@ def write_manifest(manifest: dict, out_dir) -> str:
 
 
 def load_manifest(path) -> dict:
+    """The run manifest at ``path``: a ValueError names a section of the
+    wrong type. A missing one is left to the replay's key check."""
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != "spdpeg-manifest":
+    if not isinstance(manifest, dict) or manifest.get("format") != "spdpeg-manifest":
         raise ValueError(f"{path} is not a run manifest")
+    core = manifest.get("core", {})
+    sections = {"core": core, "derived": manifest.get("derived", {})}
+    if isinstance(core, dict):
+        sections.update((k, core.get(k, {}))
+                        for k in ("data", "penalty", "problem", "config"))
+    for key, value in sections.items():
+        if not isinstance(value, dict):
+            raise ValueError(f"manifest key {key!r} must be an object")
+    runs = manifest.get("runs", [])
+    if not isinstance(runs, list) or not all(isinstance(e, dict) for e in runs):
+        raise ValueError("manifest key 'runs' must be a list of objects")
     return manifest
 
 

@@ -203,10 +203,6 @@ class Problem:
         if self.feasible_radius is not None and self.feasible_radius <= 0:
             raise ValueError("feasible_radius must be positive when given")
 
-    @property
-    def dimension(self) -> int:
-        return self.penalty.n_cols
-
 
 @dataclass(frozen=True)
 class SolverConfig:

@@ -3,24 +3,24 @@
 Both supported losses have per-sample gradients of the form coef * a_i,
 so batch gradients reduce to one coefficient per drawn sample scattered
 back through the rows. ``_gradient_over_rows`` is the one full pass and
-``draw_kernel`` the one sampled path (its docstring gives the three paths
-and their bits); ``full_gradient`` and ``stochastic_gradient`` are their
-checked entries, and the loops of ``solver`` and ``bench`` call the
-kernels on the inputs their entries checked. The full gradient and the
-forced full-enumeration batch share one pass, which makes the
-unbiasedness identity hold to rounding rather than approximately.
+``draw_kernel`` binds the sampled kernel once per layout and batch size
+(its docstring gives the kernels and their bits); ``full_gradient`` and
+``stochastic_gradient`` are their checked entries, and the loops of
+``solver`` and ``bench`` call the kernels on the inputs their entries
+checked. The full gradient and the forced full-enumeration batch share
+one pass, which makes the unbiasedness identity hold to rounding.
 
 A full pass takes the margins ``A @ x`` and the scatter ``A.T @ coefs``
 of the data matrix ``A``: over the rows ``Dataset.dense_rows`` when a
 dataset has them, as each row's BLAS ``dot`` with x (``np.vecdot``, the
 kernel and so the bits of the sampled paths' ``vals.dot(x)``) and
-``_lane_sums`` (whose docstring states its bits), else through
-``SparseMatrix.products``. The logistic coefficients of a full pass,
-``-b * sigmoid(-b*m) / n``, take (-b)*m in place over the margins
-(``Dataset.neg_labels``) and one division by ``Dataset.neg_labels_n``
-(-b*n), which for b = +-1 have the bits of -(b*m) and of the product
-followed by the division. Scalar operands are 0-d float64 arrays, as in
-``solver``.
+``_lane_sums`` (whose docstring states its bits), else by the kernels of
+``SparseMatrix.products``, not the checked ``matvec`` and ``rmatvec``.
+The logistic coefficients of a full pass, ``-b * sigmoid(-b*m) / n``,
+take (-b)*m in place over the margins (``Dataset.neg_labels``) and one
+division by ``Dataset.neg_labels_n`` (-b*n), which for b = +-1 have the
+bits of -(b*m) and of the product followed by the division. Scalar
+operands are 0-d float64 arrays, as in ``solver``.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ def margins(dataset: Dataset, x: np.ndarray) -> np.ndarray:
     rows = dataset.dense_rows
     if rows is not None:
         return np.vecdot(rows, x)
-    return dataset.features.matvec(x)
+    return dataset.features.products()[0](x)
 
 
 def _logistic_coefs(m: np.ndarray, neg: np.ndarray) -> np.ndarray:
@@ -106,7 +106,7 @@ def _coefs(loss: str, m: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _check_x(dataset: Dataset, x) -> np.ndarray:
-    # contiguous, so that a full row's vals.dot(x) sums in the order of
+    # contiguous, so that a dense row's vals.dot(x) sums in the order of
     # vals.dot(x[cols]); with a strided x the dot kernel takes another path
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape != (dataset.dimension,):
@@ -170,7 +170,7 @@ def _scatter(dataset: Dataset, coefs: np.ndarray) -> np.ndarray:
     rows = dataset.dense_rows
     if rows is not None:
         return _lane_sums(rows, coefs)
-    return dataset.features.rmatvec(coefs)
+    return dataset.features.products()[1](coefs)
 
 
 def _gradient_over_rows(problem: Problem, dataset: Dataset,
@@ -192,26 +192,35 @@ def _gradient_over_rows(problem: Problem, dataset: Dataset,
 def draw_kernel(problem: Problem, dataset: Dataset, batch_size: int):
     """``(x, rows) -> `` the average gradient, folded ridge included, over
     ``batch_size`` drawn ``rows`` (int64 indices below n) at a contiguous
-    float64 x, by one of three paths, chosen and bound once:
-    - one row: scalar arithmetic on that row's slice, with no array built
-      for its margin, coefficient or label; a row that stores every
-      feature also skips the gather of x and the scatter;
-    - more rows of ``Dataset.dense_rows``: the rows taken whole, one
-      ``np.vecdot`` for their margins and the scatter ``_lane_sums``;
-    - more rows otherwise: one gather of their stored entries, one
-      ``np.vecdot`` per distinct row length and one ``bincount`` scatter.
-    ``np.vecdot`` runs the dot kernel of ``vals @ x[cols]`` on each row (a
-    strided x would take another). So all three give the bits of a loop
-    over the rows, with the BLAS product as the scatter of a small batch of
-    whole rows and einsum's own order for a batch of one-lane rows above
-    the cut-over; a segment sum would not. One zero's sign differs: at
+    float64 x, by the kernel of the layout and batch size, bound once:
+    - one row of ``Dataset.dense_rows``: its ``dot`` with x times the
+      scalar ``_row_coef``, with no ``indptr``, gather or scatter;
+    - more rows of ``dense_rows``: the rows taken whole, one ``np.vecdot``
+      for their margins and the scatter ``_lane_sums``;
+    - CSR rows: ``_row_gradient`` for one, which gathers x and scatters;
+      for more, one gather of their stored entries, one ``np.vecdot`` per
+      distinct row length and one ``bincount`` scatter.
+    A dense row is the memory of its CSR slice; a CSR row of all d features
+    gathers x itself and writes every entry, a -0.0 included. ``np.vecdot``
+    runs the dot kernel of ``vals @ x[cols]`` on each row (a strided x
+    would take another). So all four give the bits of a loop over the rows,
+    with the BLAS product as the scatter of a small batch of whole rows and
+    einsum's own order for a batch of one-lane rows above the cut-over. At
     d = 1 a batch-1 draw's one-entry dot keeps a -0.0 product as its
     margin, where ``np.vecdot`` (the full pass, a batch) gives +0.0; the
     coefficient and the gradient are the same."""
-    if batch_size == 1:
-        rows_gradient = partial(_row_gradient, problem.loss, dataset)
-    elif dataset.dense_rows is not None:
-        matrix = dataset.dense_rows
+    matrix = dataset.dense_rows
+    if matrix is None:
+        rows_gradient = partial(_row_gradient if batch_size == 1
+                                else _ragged_gradient, problem.loss, dataset)
+    elif batch_size == 1:
+        loss, labels = problem.loss, dataset.labels
+
+        def rows_gradient(x, rows):
+            i = rows[0]
+            vals = matrix[i]
+            return _row_coef(loss, vals.dot(x), labels[i]) * vals
+    else:
         logistic = problem.loss == LOSS_LOGISTIC
         signed = dataset.neg_labels if logistic else dataset.labels
         divisor = np.array(float(batch_size))
@@ -226,44 +235,33 @@ def draw_kernel(problem: Problem, dataset: Dataset, batch_size: int):
             grad = _lane_sums(vals, coefs)
             grad /= divisor
             return grad
-    else:
-        rows_gradient = partial(_ragged_gradient, problem.loss, dataset)
     if not problem.ridge:
         return rows_gradient
     ridge = np.array(problem.ridge)
     return lambda x, rows: rows_gradient(x, rows) + ridge * x
 
 
-def _row_gradient(loss: str, dataset: Dataset, x: np.ndarray,
-                  rows: np.ndarray) -> np.ndarray:
-    i = int(rows[0])
-    lo, hi = dataset.indptr[i], dataset.indptr[i + 1]
-    vals = dataset.data[lo:hi]
-    # column indices strictly increase in [0, d), so a row that stores d
-    # entries has the columns arange(d): no gather of x and no scatter.
-    # vals.dot runs the kernel of vals @ v without the matmul ufunc's cost
-    full_row = hi - lo == dataset.dimension
-    if full_row:
-        m = vals.dot(x)
-    else:
-        cols = dataset.indices[lo:hi]
-        m = vals.dot(x[cols])
-    b = dataset.labels[i]
+def _row_coef(loss: str, m, b):
+    # _coefs of one row's margin and label: _sigmoid's branches and np.exp
     if loss == LOSS_LOGISTIC:
-        # _sigmoid(-b*m) on a scalar, same branches and same np.exp
         t = -b * m
         if t >= 0:
             s = 1.0 / (1.0 + np.exp(-t))
         else:
             et = np.exp(t)
             s = et / (1.0 + et)
-        coef = -b * s
-    else:
-        coef = m - b
-    if full_row:
-        return coef * vals
+        return -b * s
+    return m - b
+
+
+def _row_gradient(loss: str, dataset: Dataset, x: np.ndarray,
+                  rows: np.ndarray) -> np.ndarray:
+    i = int(rows[0])
+    lo, hi = dataset.indptr[i], dataset.indptr[i + 1]
+    cols, vals = dataset.indices[lo:hi], dataset.data[lo:hi]
     grad = np.zeros(dataset.dimension)
-    grad[cols] = coef * vals
+    # vals.dot runs the kernel of vals @ v without the matmul ufunc's cost
+    grad[cols] = _row_coef(loss, vals.dot(x[cols]), dataset.labels[i]) * vals
     return grad
 
 

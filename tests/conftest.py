@@ -64,6 +64,16 @@ def sparse_from_dense(array) -> SparseMatrix:
                         cols, a[rows, cols])
 
 
+def ragged_copy(dataset: Dataset, seed: int) -> Dataset:
+    """``dataset`` of dense rows with about 30% of its entries dropped at
+    random: CSR rows of several lengths below d."""
+    rows = dataset.dense_rows
+    kept = np.random.default_rng(seed).random(rows.shape) >= 0.3
+    out = Dataset(sparse_from_dense(rows * kept), dataset.labels)
+    assert out.dense_rows is None
+    return out
+
+
 def serialize_libsvm(dataset: Dataset) -> str:
     """Inverse of parse_libsvm; float values use repr so they round-trip."""
     lines = []

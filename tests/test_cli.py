@@ -6,7 +6,8 @@ import tempfile
 import numpy as np
 import pytest
 
-from conftest import diverge_for_seed, save_penalty, serialize_libsvm
+from conftest import (diverge_for_seed, ragged_copy, save_penalty,
+                      serialize_libsvm)
 from spdpeg import bench
 from spdpeg.cli import main, parse_synthetic_spec
 from spdpeg.data import synthesize
@@ -27,6 +28,23 @@ LEMMA1_GOLDEN = {
     "both": "878e2d657a1654fffca913487684a0390c65a926050205f04321d38815f3b76f",
     "step-scale-100": "e14ef1070ecff9f9b173e3320e2f302c473efd98885f3ed5b3925026cf80e591",
 }
+# sha256 of each trace CSV, without its wall_seconds column, that the
+# ragged_argv run writes on the file of write_ragged_libsvm, per batch
+# size; the same command prints them
+RAGGED_GOLDEN = {
+    1: {"trace_eg-full_seed0.csv": "610a244fc86530f46adb6d86d2c14d28b8ca362577f5ff03c83bbd61f6c999c0",
+        "trace_eg-full_seed1.csv": "610a244fc86530f46adb6d86d2c14d28b8ca362577f5ff03c83bbd61f6c999c0",
+        "trace_slinadmm_seed0.csv": "2539e55e91ebb2e88cd56bd1d926e1f22251b7d4768e3dfff16bbfad28200faa",
+        "trace_slinadmm_seed1.csv": "09871e66309750c822281dc2f8301a09bb5c5ba21ee559dc1c5ed635834e1e4e",
+        "trace_spdpeg_seed0.csv": "4a359d2dddaac39d8d204048315480c307861353173edcf15485e13eb2adfbfa",
+        "trace_spdpeg_seed1.csv": "cd36ab0610a63ce11b0536a57ef393022b5f99b909725e9a39df8da6cf22c7b2"},
+    4: {"trace_eg-full_seed0.csv": "610a244fc86530f46adb6d86d2c14d28b8ca362577f5ff03c83bbd61f6c999c0",
+        "trace_eg-full_seed1.csv": "610a244fc86530f46adb6d86d2c14d28b8ca362577f5ff03c83bbd61f6c999c0",
+        "trace_slinadmm_seed0.csv": "6c14e091814759020c31a6ddc45fff05ba2c80e11d8b6eb96d356af09e9a04e7",
+        "trace_slinadmm_seed1.csv": "56f18e589c59864604e50c4b5bb8c46694970d3726de09d164f1205cadbf4d90",
+        "trace_spdpeg_seed0.csv": "d3cd24e94e0d1b0fb8b588d44f5c09fb92ddacdb81456cce173cc6e58499946d",
+        "trace_spdpeg_seed1.csv": "de28a0a83fbbad61b2eeb0b0e4ce0df2f0ee8013846bf53e1f2289a6ca5574d9"},
+}
 # the calls, each followed by "--out"
 RATES_ARGV = {
     "convex": ["verify-rates", "--regime", "convex", "--iters", "2000",
@@ -46,6 +64,35 @@ LEMMA1_ARGV = {
 def sha256_of(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def write_ragged_libsvm(path) -> None:
+    """A LIBSVM file of ragged rows: a seeded graph-logistic set with about
+    30% of its entries dropped."""
+    ds, _, _ = synthesize("graph-logistic", 8, 60, 0.1, 21)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(serialize_libsvm(ragged_copy(ds, 22)))
+
+
+def ragged_argv(data_path, batch_size: int) -> list[str]:
+    """The precision-penalty run of every solver on a ragged data file:
+    CSR normalisation, both CSR draw kernels and the CSR full passes."""
+    return ["run", "--task", "ggrlr", "--data", str(data_path), "--normalize",
+            "--solver", "all", "--seeds", "2", "--iters", "200",
+            "--eval-every", "50", "--batch-size", str(batch_size)]
+
+
+def trace_digests(out) -> dict:
+    """sha256 of each trace CSV in ``out``, without its wall_seconds column."""
+    digests = {}
+    for name in sorted(os.listdir(out)):
+        if name.startswith("trace_"):
+            with open(os.path.join(out, name), encoding="utf-8") as fh:
+                rows = [line.split(",") for line in fh.read().splitlines()]
+            wall = rows[0].index("wall_seconds")
+            text = "\n".join(",".join(r[:wall] + r[wall + 1:]) for r in rows)
+            digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
 
 
 def test_parse_synthetic_spec():
@@ -120,6 +167,21 @@ def test_run_on_libsvm_file_with_penalty_file(tmp_path):
     assert manifest["core"]["data"]["normalize"] is True
     assert manifest["core"]["data"]["sha256"]
     assert manifest["core"]["penalty"]["source"] == "file"
+
+
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_run_on_a_ragged_libsvm_file_is_pinned_and_replays(tmp_path, batch_size):
+    data_path = tmp_path / "ragged.txt"
+    write_ragged_libsvm(data_path)
+    out = tmp_path / "out"
+    assert main([*ragged_argv(data_path, batch_size), "--out", str(out)]) == 0
+    digests = trace_digests(out)
+    assert digests == RAGGED_GOLDEN[batch_size]
+    replay = tmp_path / "replay"
+    assert main(["run", "--from-manifest", str(out / "manifest.json"),
+                 "--out", str(replay)]) == 0
+    for name in digests:
+        assert (replay / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_run_missing_data_file_fails_cleanly(tmp_path, capsys):
@@ -325,3 +387,9 @@ if __name__ == "__main__":
             path = os.path.join(tmp, f"{name}.json")
             main([*argv, "--out", path])
             print(f"LEMMA1 {name}: {sha256_of(path)}")
+        write_ragged_libsvm(os.path.join(tmp, "ragged.txt"))
+        for batch_size in (1, 4):
+            out = os.path.join(tmp, f"ragged-b{batch_size}")
+            main([*ragged_argv(os.path.join(tmp, "ragged.txt"), batch_size),
+                  "--out", out])
+            print(f"RAGGED {batch_size}: {trace_digests(out)}")

@@ -3,9 +3,11 @@
 ``solver.drive`` (so ``solver.run``, ``baselines.run_eg_full`` and
 ``baselines.run_stoch_linadmm``) and ``bench.reference_optimum``, capped or
 certified, check the penalty width and the test set's dimension before their
-loops. The loops then call ``SparseMatrix._matvec``/``_rmatvec``, the
+loops. The loops then call the kernels of ``SparseMatrix.products``, the
 resolved proxes, ``oracles.draw_kernel`` and ``oracles._gradient_over_rows``,
-never the checked public wrappers, which trace evaluation still calls.
+never the checked public wrappers, which trace evaluation still calls. That
+holds on rows of either layout: ``Dataset.dense_rows`` and ragged CSR rows,
+whose full passes run the data matrix's ``products`` kernels.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import count_calls
+from conftest import count_calls, ragged_copy
 from spdpeg import bench, oracles, prox, solver
 from spdpeg.baselines import run_eg_full, run_stoch_linadmm
 from spdpeg.data import synthesize
@@ -44,8 +46,10 @@ def certified(problem, dataset, config, test_dataset=None):
 ENTRIES = {**SOLVERS, "reference": reference, "certified": certified}
 
 
-def instance(penalty=None, batch_size=1, iters=30):
+def instance(penalty=None, batch_size=1, iters=30, ragged=False):
     dataset, _, _ = synthesize("fused-signal", D, 40, 0.1, 7)
+    if ragged:
+        dataset = ragged_copy(dataset, 5)
     problem = Problem("logistic", ProxSpec("l1", 1e-3), ProxSpec("l1", 1e-2),
                       build_fused_matrix(D) if penalty is None else penalty)
     config = SolverConfig(gamma=0.1, regime="convex", max_iters=iters, seed=3,
@@ -99,13 +103,18 @@ CHECKED = [(SparseMatrix, "matvec"), (SparseMatrix, "rmatvec"),
            (oracles, "_check_x")]
 
 
-@pytest.mark.parametrize("entry,batch_size,r1,radius", [
-    ("spdpeg", 1, "l1", None), ("spdpeg", 4, "squared-l2", 0.5),
-    ("eg-full", 1, "none", None), ("slinadmm", 1, "l1", None),
-    ("slinadmm", 4, "squared-l2", 0.5), ("reference", 1, "l1", 0.5),
-    ("certified", 1, "l1", None), ("certified", 1, "squared-l2", 0.5)])
+CASES = [("spdpeg", 1, "l1", None), ("spdpeg", 4, "squared-l2", 0.5),
+         ("eg-full", 1, "none", None), ("slinadmm", 1, "l1", None),
+         ("slinadmm", 4, "squared-l2", 0.5), ("reference", 1, "l1", 0.5),
+         ("certified", 1, "l1", None), ("certified", 1, "squared-l2", 0.5)]
+
+
+@pytest.mark.parametrize("entry,batch_size,r1,radius,ragged", [
+    pytest.param(*case, ragged,
+                 id="-".join(map(str, case)) + ("-ragged" if ragged else ""))
+    for ragged in (False, True) for case in CASES])
 def test_iterations_call_no_checked_wrapper(monkeypatch, entry, batch_size,
-                                            r1, radius):
+                                            r1, radius, ragged):
     outside, inside, evaluating = {}, {}, []
 
     def counted(name, fn):
@@ -133,7 +142,8 @@ def test_iterations_call_no_checked_wrapper(monkeypatch, entry, batch_size,
     certificates = count_calls(monkeypatch, bench, "_objective_and_gap")
     monkeypatch.setattr(bench, "_objective_and_gap",
                         evaluation(bench._objective_and_gap))
-    problem, dataset, config = instance(batch_size=batch_size, iters=40)
+    problem, dataset, config = instance(batch_size=batch_size, iters=40,
+                                        ragged=ragged)
     problem = replace(problem, r1=ProxSpec(r1, 0.0 if r1 == "none" else 0.05),
                       feasible_radius=radius)
     ENTRIES[entry](problem, dataset, config)

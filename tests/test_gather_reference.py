@@ -144,8 +144,10 @@ class _FixedRows:
 @pytest.mark.parametrize("ridge", [0.0, 0.25])
 def test_full_rows_skip_the_scatter_with_the_same_bits(kind, loss, ridge):
     # every row of the dense set and some rows of the ragged one store all
-    # d features; x comes in as a strided view, which the oracle makes
-    # contiguous before the dot product
+    # d features. A dense row skips the gather and the scatter; a full CSR
+    # row gathers x[arange(d)], which is x, and writes every entry of the
+    # scattered gradient, so both have the reference's bytes. x comes in as
+    # a strided view, which the oracle makes contiguous before the dot
     dataset = DATASETS[kind](seed=7)
     n, d = dataset.n_samples, dataset.dimension
     lengths = np.diff(dataset.indptr)

@@ -127,9 +127,8 @@ def test_problem_mu_needs_folded_ridge():
     with pytest.raises(ValueError, match="strong_convexity_mu"):
         Problem("logistic", ProxSpec("none"), ProxSpec("l1", 1.0), EYE2,
                 strong_convexity_mu=0.1)
-    p = Problem("logistic", ProxSpec("none"), ProxSpec("l1", 1.0), EYE2,
-                ridge=0.1, strong_convexity_mu=0.1)
-    assert p.dimension == 2
+    Problem("logistic", ProxSpec("none"), ProxSpec("l1", 1.0), EYE2,
+            ridge=0.1, strong_convexity_mu=0.1)
 
 
 def test_config_validation():

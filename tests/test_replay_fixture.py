@@ -121,6 +121,45 @@ def test_a_manifest_that_lacks_a_key_is_one_error_line(tmp_path, capsys, path):
     assert not (tmp_path / "replay").exists()
 
 
+def replaced(manifest: dict, path, value):
+    """``manifest`` with the value at the end of ``path`` (the whole
+    manifest for an empty path) replaced by ``value``."""
+    if not path:
+        return value
+    *parents, key = path
+    inner = manifest
+    for step in parents:
+        inner = inner[step]
+    inner[key] = value
+    return manifest
+
+
+@pytest.mark.parametrize("path,value,message", [
+    ((), [1, 2], "{mpath} is not a run manifest"),
+    ((), "manifest", "{mpath} is not a run manifest"),
+    (("runs",), [1], "manifest key 'runs' must be a list of objects"),
+    (("runs",), {}, "manifest key 'runs' must be a list of objects"),
+    (("core",), [], "manifest key 'core' must be an object"),
+    (("core", "data"), 1, "manifest key 'data' must be an object"),
+    (("core", "penalty"), "fused", "manifest key 'penalty' must be an object"),
+    (("core", "problem"), None, "manifest key 'problem' must be an object"),
+    (("core", "config"), [], "manifest key 'config' must be an object"),
+    (("derived",), 3.0, "manifest key 'derived' must be an object")],
+    ids=["list", "string", "runs-of-numbers", "runs-object", "core-list",
+         "core.data", "core.penalty", "core.problem", "core.config", "derived"])
+def test_a_manifest_of_the_wrong_shape_is_one_error_line(tmp_path, capsys, path,
+                                                         value, message):
+    manifest = json.loads((FIXTURE / "flr" / "manifest.json").read_text())
+    mpath = tmp_path / "manifest.json"
+    mpath.write_text(json.dumps(replaced(manifest, path, value)))
+    rc = main(["run", "--from-manifest", str(mpath),
+               "--out", str(tmp_path / "replay")])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: " + message.format(mpath=mpath)
+    assert not (tmp_path / "replay").exists()
+
+
 def replay_with_sigma(tmp_path, task: str, sigma: float, mu: float) -> int:
     """Exit code of replaying a copy of the ``task`` manifest that records
     ``sigma`` as sigma_max_FtF and the L_tilde that follows from it."""
