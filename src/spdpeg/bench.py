@@ -21,6 +21,7 @@ import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,42 @@ TASK_DEFAULTS = {  # (lambda_reg for r2, gamma_reg for r1/ridge)
     "flr": (5e-3, 5e-4),
     "ggrlr": (1e-5, 1e-2),
 }
+
+# Every key of a core, by section, as (kind,) or (kind, default). A kind is
+# a JSON type (int: within int64; float: a finite number; Real: any
+# number, for a key whose constructor rejects a non-finite one; str,
+# bool), a list of one kind, a tuple of the allowed values or a function
+# of the object that gives them, a dict describing a nested object, or
+# None for an object that its reader checks. Bounds are left to the
+# constructors that the builders call (SplitSpec, synthesize, Problem,
+# SolverConfig). A key with no default may be absent: it is off, or its
+# reader needs it.
+CORE = {
+    "data": {"path": (str,), "synthetic": ({"kind": (str,), "d": (int,), "n": (int,),
+                                           "noise": (Real,), "seed": (int,)},),
+             "sha256": (str, None), "normalize": (bool, False), "split": (bool, False),
+             "train_fraction": (Real, 0.8), "split_seed": (int,)},
+    "penalty": {"source": (("fused", "synthetic-graph", "precision", "file"),),
+                "path": (str,), "sha256": (str, None), "ridge": (float, 1e-2),
+                "threshold": (float, 1e-3)},
+    "problem": {"task": (TASKS,), "lambda_reg": (Real,), "gamma_reg": (Real,),
+                "feasible_radius": (float, None)},
+    "config": {"gamma": (float,), "regime": (str,), "iters": (int,),
+               "batch_size": (int, 1), "eval_every": (int, 100)},
+}
+# the sections of a core; build_all checks the config, as it reads gamma and
+# regime, and each other section is checked by its builder
+_SECTIONS = {**dict.fromkeys(CORE, (None,)), "config": (CORE["config"],)}
+_RUN = {"solver": (str,), "seed": (int,), "diverged_at": (int,), "error": (str,),
+        "trace_file": (lambda entry: (trace_filename(entry["solver"], entry["seed"]),),),
+        "final_objective": (float,), "max_dual_norm": (float,),
+        **dict.fromkeys(("wall_seconds", "final_x_avg", "final_z_avg",
+                         "final_lambda_avg"), ([float],))}
+# the replay compares each derived constant with the one it derives
+MANIFEST = {"format": (str,), "schema": (int,), "version": (str,), "solvers": ([str],),
+            "seeds": ([int],), "core": (None,), "derived": (None,), "runs": ([_RUN],)}
+_KIND_NAMES = {int: "64-bit integer", float: "finite number", Real: "number",
+               str: "string", bool: "boolean"}
 TRACE_FILE_RE = re.compile(r"trace_(?P<solver>[a-z\-]+)_seed(?P<seed>\d+)\.csv$")
 
 _SOLVER_FNS = {
@@ -64,15 +101,69 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _check_sha256(kind: str, path, expect: str | None) -> None:
+    """A ValueError unless the file at ``path`` has the sha256 ``expect``,
+    when one is given."""
+    digest = _sha256_file(path) if expect else expect
+    if digest != expect:
+        raise ValueError(f"{kind} file {path} hash mismatch: {digest}")
+
+
 # ---------------------------------------------------------------------------
 # building problems from config dicts
+
+
+def _fits(value, kind) -> bool:
+    """Whether ``value`` is a JSON value of ``kind``, a type or a list of
+    one: a bool is no number and a float no integer."""
+    if type(value) is int:
+        return kind in (int, float, Real) and -2 ** 63 <= value < 2 ** 63
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_fits(v, kind[0]) for v in value)
+    if isinstance(value, float):
+        return kind is Real or kind is float and math.isfinite(value)
+    return type(value) is kind
+
+
+def checked(section, spec: dict | None, path: str) -> dict:
+    """``section``, the object at ``path``, with the defaults of the keys
+    of ``spec`` (a section of ``CORE``, or ``MANIFEST``) filled in. One ValueError
+    names the first key that ``spec`` lacks or the first value of the
+    wrong kind, in nested objects too. An absent key with no default stays
+    absent, so that its reader's KeyError names it."""
+    if not isinstance(section, dict):
+        raise ValueError(f"manifest key {path.rpartition('.')[2]!r} must be an object")
+    if spec is None:  # an object that its reader checks
+        return section
+    for key, value in section.items():
+        if key not in spec:
+            raise ValueError(f"{path} has unknown key {key!r}")
+        kind, where = spec[key][0], f"{path}.{key}"
+        if isinstance(kind, type) or isinstance(kind, list) and isinstance(kind[0], type):
+            if not _fits(value, kind):
+                name = (f"a list of {_KIND_NAMES[kind[0]]}s" if isinstance(kind, list)
+                        else f"a {_KIND_NAMES[kind]}")
+                raise ValueError(f"{where} must be {name}, got {value!r}")
+        elif kind is None or isinstance(kind, dict):
+            checked(value, kind, where)
+        elif isinstance(kind, list):  # a list of objects
+            if not _fits(value, [dict]):
+                raise ValueError(f"manifest key {key!r} must be a list of objects")
+            for i, item in enumerate(value):
+                checked(item, kind[0], f"{where}[{i}]")
+        else:
+            allowed = kind if isinstance(kind, tuple) else kind(section)
+            if value not in allowed:
+                raise ValueError(f"{where}: unknown {key} {value!r}, not in {allowed}")
+    return {**{key: leaf[1] for key, leaf in spec.items() if len(leaf) > 1}, **section}
 
 
 def build_data(data_cfg: dict) -> tuple[Dataset, Dataset, GraphSpec | None]:
     """Return (train, test, graph); test equals train when split is off,
     and a synthetic split is two views of one array (``synthesize``)."""
-    spec = (SplitSpec(data_cfg.get("train_fraction", 0.8), data_cfg["split_seed"])
-            if data_cfg.get("split", False) else None)
+    data_cfg = checked(data_cfg, CORE["data"], "core.data")
+    spec = (SplitSpec(data_cfg["train_fraction"], data_cfg["split_seed"])
+            if data_cfg["split"] else None)
     if "synthetic" in data_cfg:
         s = data_cfg["synthetic"]
         args = (s["kind"], s["d"], s["n"], s["noise"], s["seed"])
@@ -84,13 +175,10 @@ def build_data(data_cfg: dict) -> tuple[Dataset, Dataset, GraphSpec | None]:
         return (dataset.subset(slice(0, n_train)),
                 dataset.subset(slice(n_train, None)), graph)
     path = data_cfg["path"]
-    if data_cfg.get("sha256"):
-        digest = _sha256_file(path)
-        if digest != data_cfg["sha256"]:
-            raise ValueError(f"data file {path} hash mismatch: {digest}")
+    _check_sha256("data", path, data_cfg["sha256"])
     with open(path, "r", encoding="utf-8") as fh:
         dataset = parse_libsvm(fh)
-    if data_cfg.get("normalize"):
+    if data_cfg["normalize"]:
         dataset, _ = normalize_features(dataset)
     if spec is None:
         return dataset, dataset, None
@@ -99,6 +187,7 @@ def build_data(data_cfg: dict) -> tuple[Dataset, Dataset, GraphSpec | None]:
 
 def build_penalty(pen_cfg: dict, train: Dataset,
                   graph: GraphSpec | None) -> SparseMatrix:
+    pen_cfg = checked(pen_cfg, CORE["penalty"], "core.penalty")
     source = pen_cfg["source"]
     if source == "fused":
         return build_fused_matrix(train.dimension)
@@ -108,26 +197,18 @@ def build_penalty(pen_cfg: dict, train: Dataset,
                              "synthetic dataset or another penalty source")
         return build_graph_matrix(graph)
     if source == "precision":
-        spec = precision_graph_from_data(train, pen_cfg.get("ridge", 1e-2),
-                                         pen_cfg.get("threshold", 1e-3))
-        return build_graph_matrix(spec)
-    if source == "file":
-        if pen_cfg.get("sha256"):
-            digest = _sha256_file(pen_cfg["path"])
-            if digest != pen_cfg["sha256"]:
-                raise ValueError(f"penalty file hash mismatch: {digest}")
-        return load_penalty(pen_cfg["path"])
-    raise ValueError(f"unknown penalty source {source!r}")
+        return build_graph_matrix(precision_graph_from_data(
+            train, pen_cfg["ridge"], pen_cfg["threshold"]))
+    _check_sha256("penalty", pen_cfg["path"], pen_cfg["sha256"])  # the file source
+    return load_penalty(pen_cfg["path"])
 
 
 def build_problem(problem_cfg: dict, penalty: SparseMatrix) -> Problem:
-    task = problem_cfg["task"]
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}")
+    problem_cfg = checked(problem_cfg, CORE["problem"], "core.problem")
     lambda_reg = problem_cfg["lambda_reg"]
     gamma_reg = problem_cfg["gamma_reg"]
-    radius = problem_cfg.get("feasible_radius")
-    if task == "flr":
+    radius = problem_cfg["feasible_radius"]
+    if problem_cfg["task"] == "flr":
         return Problem(LOSS_LOGISTIC, ProxSpec("l1", gamma_reg),
                        ProxSpec("l1", lambda_reg), penalty,
                        feasible_radius=radius)
@@ -153,17 +234,19 @@ def derive_constants(problem: Problem, train: Dataset, gamma: float,
 
 
 def make_config(core: dict, derived: dict, seed: int) -> SolverConfig:
-    sc = core["config"]
+    sc = checked(core["config"], CORE["config"], "core.config")
     return SolverConfig(gamma=sc["gamma"], regime=sc["regime"],
                         max_iters=sc["iters"], seed=seed,
                         lipschitz_L=derived["lipschitz_L"],
                         sigma_max_FtF=derived["sigma_max_FtF"],
-                        batch_size=sc.get("batch_size", 1),
-                        eval_every=sc.get("eval_every", 100))
+                        batch_size=sc["batch_size"], eval_every=sc["eval_every"])
 
 
 def build_all(core: dict):
-    """Rebuild (train, test, problem, derived) from a core config dict."""
+    """Rebuild (train, test, problem, derived) from a core config dict.
+    Each section is checked where it enters: the config here, for the
+    constants, and again where ``make_config`` reads it."""
+    checked(core, _SECTIONS, "core")
     train, test, graph = build_data(core["data"])
     penalty = build_penalty(core["penalty"], train, graph)
     problem = build_problem(core["problem"], penalty)
@@ -234,12 +317,12 @@ def _pool_job(job):
 
 
 def max_workers(n_jobs: int) -> int:
-    cap = os.environ.get("SPDPEG_THREADS", "1")
+    """``SPDPEG_THREADS``, an integer (below 1 means 1), capped at n_jobs."""
+    threads = os.environ.get("SPDPEG_THREADS", "1")
     try:
-        cap = max(1, int(cap))
+        return max(1, min(int(threads), n_jobs))
     except ValueError:
-        cap = 1
-    return max(1, min(cap, n_jobs))
+        raise ValueError(f"SPDPEG_THREADS must be an integer, got {threads!r}") from None
 
 
 def run_jobs(core: dict, built, jobs) -> list:
@@ -280,31 +363,20 @@ def run_suite(core: dict, solvers, seeds, out_dir) -> dict:
 
 def write_manifest(manifest: dict, out_dir) -> str:
     path = os.path.join(out_dir, "manifest.json")
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return path
 
 
 def load_manifest(path) -> dict:
-    """The run manifest at ``path``: a ValueError names a section of the
-    wrong type. A missing one is left to the replay's key check."""
+    """The run manifest at ``path``, checked against ``MANIFEST``; its core
+    is checked where ``build_all`` reads it."""
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     if not isinstance(manifest, dict) or manifest.get("format") != "spdpeg-manifest":
         raise ValueError(f"{path} is not a run manifest")
-    core = manifest.get("core", {})
-    sections = {"core": core, "derived": manifest.get("derived", {})}
-    if isinstance(core, dict):
-        sections.update((k, core.get(k, {}))
-                        for k in ("data", "penalty", "problem", "config"))
-    for key, value in sections.items():
-        if not isinstance(value, dict):
-            raise ValueError(f"manifest key {key!r} must be an object")
-    runs = manifest.get("runs", [])
-    if not isinstance(runs, list) or not all(isinstance(e, dict) for e in runs):
-        raise ValueError("manifest key 'runs' must be a list of objects")
-    return manifest
+    return checked(manifest, MANIFEST, "manifest")
 
 
 def replay_manifest(manifest_path, out_dir) -> list[str]:
@@ -314,16 +386,16 @@ def replay_manifest(manifest_path, out_dir) -> list[str]:
     be byte-identical to the recorded one next to the manifest, if there is
     one; they are read before a rerun into the same directory writes. A
     key that the replay reads and the manifest lacks is a ValueError."""
-    manifest = load_manifest(manifest_path)
     here = Path(manifest_path).parent
     try:
+        manifest = load_manifest(manifest_path)
         core, runs = manifest["core"], manifest["runs"]
         jobs = [(e["solver"], e["seed"]) for e in runs]
         built = build_all(core)
         # in derivation order, so a changed sigma_max_FtF is named, not the
         # L_tilde that follows from it
         for key, value in built[3].items():
-            expect = manifest["derived"].get(key, value)
+            expect = manifest["derived"][key]
             if value != expect:
                 raise ValueError(f"derived constant {key} changed: manifest "
                                  f"has {expect!r}, recomputed {value!r}")
@@ -655,9 +727,10 @@ _RATE_FAMILIES = {
 
 def rate_core(family: str, d: int = 20, n: int = 200, data_seed: int = 12345,
               gamma: float | None = None, iters: int = 100_000,
-              eval_every: int = 100, regime: str | None = None,
-              batch_size: int = 1) -> dict:
-    """Core config for the rate-verification instances.
+              regime: str | None = None, **config) -> dict:
+    """Core config for the rate-verification instances; ``config`` holds
+    further keys of its config section (``batch_size``, ``eval_every``),
+    and one not given takes its ``CORE`` default.
 
     convex family: fused-penalty logistic regression, no strong convexity.
     sc family: graph-guided logistic regression with the quadratic folded in
@@ -675,8 +748,7 @@ def rate_core(family: str, d: int = 20, n: int = 200, data_seed: int = 12345,
             "problem": {"task": task, "lambda_reg": lambda_reg, "gamma_reg": gamma_reg},
             "config": {"gamma": family_gamma if gamma is None else gamma,
                        "regime": family_regime if regime is None else regime,
-                       "iters": iters, "batch_size": batch_size,
-                       "eval_every": eval_every}}
+                       "iters": iters, **config}}
 
 
 def _gap_curves(built, core: dict, seeds, reference: float):
@@ -710,9 +782,9 @@ def _reference_report(ref: ReferenceSolution, iterations: np.ndarray,
             "window_points_below_10x_certificate": int(np.sum(near))}
 
 
-def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"),
-                 iters: int = 100_000, seeds: int = 5, base_seed: int = 0,
-                 d: int = 20, n: int = 200, eval_every: int = 100,
+def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"), iters: int = 100_000,
+                 seeds: int = 5, base_seed: int = 0, d: int = 20, n: int = 200,
+                 eval_every: int = CORE["config"]["eval_every"][1],
                  ordering_iteration: int | None = None,
                  gamma: float | None = None) -> dict:
     """Fit empirical convergence slopes for the requested regimes.
@@ -799,6 +871,8 @@ def step_inequality_sweep(d: int = 20, n: int = 100, steps: int = 1000,
         raise ValueError(f"unknown mode {mode!r}")
     if n_references < 1:
         raise ValueError(f"n_references must be >= 1, got {n_references}")
+    if not 0 < step_scale < math.inf:
+        raise ValueError(f"step_scale must be finite and > 0, got {step_scale}")
     if d > 50 or n > 200:
         raise ValueError("inequality sweeps are meant for small instances "
                          "(d <= 50, n <= 200)")

@@ -21,6 +21,8 @@ from .solver import DivergenceError
 from .sparse import PowerIterationError
 
 SYNTH_SPEC_HELP = "KIND:d=D,N=N[,noise=X] with KIND in {fused-signal, graph-logistic}"
+# core sections, whose (kind, default) leaves give the options their defaults
+DATA, PENALTY, CONFIG = (bench.CORE[s] for s in ("data", "penalty", "config"))
 
 
 def parse_synthetic_spec(spec: str, seed: int) -> dict:
@@ -47,15 +49,13 @@ def _build_core(args) -> dict:
     if args.data is None and args.synthetic is None:
         default_kind = "fused-signal" if args.task == "flr" else "graph-logistic"
         args.synthetic = f"{default_kind}:d=20,N=200"
+    data = {"split": True, "train_fraction": args.train_fraction,
+            "split_seed": args.data_seed + 1}
     if args.data is not None:
-        data = {"path": args.data, "sha256": bench._sha256_file(args.data),
-                "normalize": bool(args.normalize), "split": True,
-                "train_fraction": args.train_fraction,
-                "split_seed": args.data_seed + 1}
+        data.update(path=args.data, sha256=bench._sha256_file(args.data),
+                    normalize=bool(args.normalize))
     else:
-        data = {"synthetic": parse_synthetic_spec(args.synthetic, args.data_seed),
-                "split": True, "train_fraction": args.train_fraction,
-                "split_seed": args.data_seed + 1}
+        data["synthetic"] = parse_synthetic_spec(args.synthetic, args.data_seed)
     if args.penalty_file:
         penalty = {"source": "file", "path": args.penalty_file,
                    "sha256": bench._sha256_file(args.penalty_file)}
@@ -130,7 +130,7 @@ def cmd_verify_rates(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, "rates.json")
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
+            json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         print(f"wrote {path}")
     for regime in ("convex", "sc-nonuniform"):
         if regime in report:
@@ -174,7 +174,7 @@ def cmd_check_lemma1(args) -> int:
                   f"steps before it were audited")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(reports, fh, indent=2)
+            json.dump(reports, fh, indent=2, allow_nan=False)
         print(f"wrote {args.out}")
     if worst < -1e-8:
         print(f"FAIL: minimum relative slack {worst:.3e} < -1e-8", file=sys.stderr)
@@ -218,15 +218,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="weight of the composed l1 term (task default)")
     p_run.add_argument("--gamma-reg", type=float, default=None,
                        help="weight of the plain regularizer (task default)")
-    p_run.add_argument("--batch-size", type=int, default=1)
-    p_run.add_argument("--eval-every", type=int, default=100)
+    p_run.add_argument("--batch-size", type=int, default=CONFIG["batch_size"][1])
+    p_run.add_argument("--eval-every", type=int, default=CONFIG["eval_every"][1])
     p_run.add_argument("--penalty-file", help="penalty matrix text file")
     p_run.add_argument("--normalize", action="store_true",
                        help="scale each feature to max-abs 1")
-    p_run.add_argument("--train-fraction", type=float, default=0.8)
+    p_run.add_argument("--train-fraction", type=float, default=DATA["train_fraction"][1])
     p_run.add_argument("--data-seed", type=int, default=12345)
-    p_run.add_argument("--precision-ridge", type=float, default=1e-2)
-    p_run.add_argument("--precision-threshold", type=float, default=1e-3)
+    p_run.add_argument("--precision-ridge", type=float, default=PENALTY["ridge"][1])
+    p_run.add_argument("--precision-threshold", type=float, default=PENALTY["threshold"][1])
     p_run.add_argument("--feasible-radius", type=float, default=None)
     p_run.add_argument("--from-manifest",
                        help="replay a previous run manifest byte-for-byte")
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rates.add_argument("--seed", type=int, default=0)
     p_rates.add_argument("--d", type=int, default=20)
     p_rates.add_argument("--n", type=int, default=200)
-    p_rates.add_argument("--eval-every", type=int, default=100)
+    p_rates.add_argument("--eval-every", type=int, default=CONFIG["eval_every"][1])
     p_rates.add_argument("--gamma", type=float, default=None)
     p_rates.add_argument("--out")
     p_rates.set_defaults(fn=cmd_verify_rates)

@@ -194,13 +194,13 @@ class Problem:
             raise ValueError("the composed regularizer must be an l1 norm")
         if not math.isfinite(self.ridge) or self.ridge < 0:
             raise ValueError("ridge must be finite and >= 0")
-        if self.strong_convexity_mu < 0:
+        if not self.strong_convexity_mu >= 0:
             raise ValueError("strong_convexity_mu must be >= 0")
         if self.strong_convexity_mu > self.ridge:
             raise ValueError(
                 "strong_convexity_mu may not exceed the folded ridge term; "
                 "only the explicit quadratic makes the loss provably strongly convex")
-        if self.feasible_radius is not None and self.feasible_radius <= 0:
+        if self.feasible_radius is not None and not self.feasible_radius > 0:
             raise ValueError("feasible_radius must be positive when given")
 
 
@@ -219,7 +219,7 @@ class SolverConfig:
     full_batch: bool = False
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("gamma must be positive")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
@@ -227,9 +227,9 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not (0 <= int(self.seed) < 2 ** 64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if self.lipschitz_L <= 0:
+        if not self.lipschitz_L > 0:
             raise ValueError("lipschitz_L must be positive")
-        if self.sigma_max_FtF < 0:
+        if not self.sigma_max_FtF >= 0:
             raise ValueError("sigma_max_FtF must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
@@ -244,7 +244,7 @@ def compute_L_tilde(gamma: float, sigma_max: float, lipschitz_L: float,
     max(8*gamma*sigma_max + mu, sqrt(8*L^2 + gamma*sigma_max) + mu); pass
     mu=0 for the general convex regime.
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     for name, v in (("sigma_max", sigma_max), ("lipschitz_L", lipschitz_L), ("mu", mu)):
         if not math.isfinite(v) or v < 0:

@@ -88,7 +88,7 @@ def precision_graph_from_data(dataset: Dataset, ridge: float,
     """
     if dataset.n_samples < 2:
         raise ValueError("need at least two samples to estimate a covariance")
-    if ridge <= 0 or threshold <= 0:
+    if not (ridge > 0 and threshold > 0):
         raise ValueError("ridge and threshold must be positive")
     d = dataset.dimension
     rows = dataset.dense_rows

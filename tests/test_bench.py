@@ -589,6 +589,23 @@ def test_build_penalty_sources(tmp_path):
     np.testing.assert_array_equal(fm.to_dense(), fused.to_dense())
 
 
+def test_a_file_whose_sha256_changed_is_rejected(tmp_path):
+    # a recorded sha256 is compared before the file is read; an empty one,
+    # or none, skips the comparison
+    data, pen = tmp_path / "data.svm", tmp_path / "pen.txt"
+    data.write_text(serialize_libsvm(bench.build_data(small_core()["data"])[0]))
+    save_penalty(pen, build_fused_matrix(4))
+    train, _, _ = bench.build_data({"path": str(data), "sha256": ""})
+    with pytest.raises(ValueError, match=f"data file {data} hash mismatch: "
+                                         f"{bench._sha256_file(data)}"):
+        bench.build_data({"path": str(data), "sha256": "0" * 64})
+    wrong = {"source": "file", "path": str(pen), "sha256": "0" * 64}
+    with pytest.raises(ValueError, match=f"penalty file {pen} hash mismatch"):
+        bench.build_penalty(wrong, train, None)
+    right = {**wrong, "sha256": bench._sha256_file(pen)}
+    assert bench.build_penalty(right, train, None).shape == (3, 4)
+
+
 def test_build_problem_ggrlr_folds_quadratic():
     core = bench.rate_core("sc", d=6, n=30, iters=10)
     train, _, problem, derived = bench.build_all(core)
@@ -716,8 +733,11 @@ def test_max_workers_env(monkeypatch):
     monkeypatch.setenv("SPDPEG_THREADS", "4")
     assert bench.max_workers(8) == 4
     assert bench.max_workers(2) == 2
-    monkeypatch.setenv("SPDPEG_THREADS", "junk")
+    monkeypatch.setenv("SPDPEG_THREADS", "0")
     assert bench.max_workers(8) == 1
+    monkeypatch.setenv("SPDPEG_THREADS", "junk")
+    with pytest.raises(ValueError, match="SPDPEG_THREADS must be an integer, got 'junk'"):
+        bench.max_workers(8)
 
 
 def test_run_suite_parallel_matches_serial(tmp_path, monkeypatch):

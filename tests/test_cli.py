@@ -306,37 +306,81 @@ def test_check_lemma1_flags_inflated_steps(tmp_path, capsys):
             "completed steps before it were audited") in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify-rates", "--seeds", "0", "--iters", "300", "--d", "8", "--n", "40"],
-    ["verify-rates", "--seeds", "-2", "--iters", "300", "--d", "8", "--n", "40"],
-    ["verify-rates", "--eval-every", "0", "--iters", "20000"],
-    ["check-lemma1", "--references", "0"],
-    ["check-lemma1", "--references", "-3"],
-])
-def test_rate_and_lemma_commands_reject_empty_inputs(argv, capsys, monkeypatch):
-    # no seed, no trace grid or no reference point: one error line, and
-    # nothing built first
+EMPTY_INPUTS = [
+    (["verify-rates", "--seeds", "0", "--iters", "300", "--d", "8", "--n", "40"],
+     "must be >= 1"),
+    (["verify-rates", "--seeds", "-2", "--iters", "300", "--d", "8", "--n", "40"],
+     "must be >= 1"),
+    (["verify-rates", "--eval-every", "0", "--iters", "20000"], "must be >= 1"),
+    (["check-lemma1", "--references", "0"], "must be >= 1"),
+    (["check-lemma1", "--references", "-3"], "must be >= 1"),
+    *((["check-lemma1", "--step-scale", scale], "step_scale must be finite and > 0")
+      for scale in ("nan", "inf", "0", "-1")),
+]
+
+
+@pytest.mark.parametrize("argv,message", EMPTY_INPUTS,
+                         ids=[f"argv{i}" for i in range(len(EMPTY_INPUTS))])
+def test_rate_and_lemma_commands_reject_empty_inputs(argv, message, capsys,
+                                                     monkeypatch):
+    # no seed, no trace grid, no reference point or no step: one error line,
+    # and nothing built first
     builds = []
     monkeypatch.setattr(bench, "build_all", builds.append)
     assert main(argv) == 1
     captured = capsys.readouterr()
     [line] = captured.err.splitlines()
-    assert line.startswith("error: ") and "must be >= 1" in line
+    assert line.startswith("error: ") and message in line
     assert builds == [] and "PASS" not in captured.out
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--seeds", "0"],
-    ["run", "--iters", "0", "--seeds", "1"],
-    ["run", "--synthetic", "fused-signal:d=1,N=10"],
-    ["verify-rates", "--seeds", "0"],
-])
-def test_rejected_input_leaves_no_output_directory(argv, tmp_path, capsys):
+REJECTED_INPUTS = [
+    (["run", "--seeds", "0"], None),
+    (["run", "--iters", "0", "--seeds", "1"], None),
+    (["run", "--synthetic", "fused-signal:d=1,N=10"], None),
+    (["verify-rates", "--seeds", "0"], None),
+    # a non-finite value is named by its key, before any run
+    *((["run", "--iters", "20", "--seeds", "1", option, value], key)
+      for option, key in (("--gamma", "core.config.gamma"),
+                          ("--feasible-radius", "core.problem.feasible_radius"))
+      for value in ("nan", "inf")),
+    (["run", "--task", "ggrlr", "--data", "{data}", "--iters", "20", "--seeds", "1",
+      "--precision-ridge", "nan"], "core.penalty.ridge"),
+    (["verify-rates", "--iters", "300", "--d", "8", "--n", "40", "--gamma", "nan"],
+     "core.config.gamma"),
+    (["check-lemma1", "--steps", "20", "--gamma", "nan"], "core.config.gamma"),
+]
+
+
+@pytest.mark.parametrize("argv,key", REJECTED_INPUTS,
+                         ids=[f"argv{i}" for i in range(len(REJECTED_INPUTS))])
+def test_rejected_input_leaves_no_output_directory(argv, key, tmp_path, capsys):
+    data = tmp_path / "data.txt"
+    data.write_text(serialize_libsvm(synthesize("fused-signal", 6, 30, 0.1, 0)[0]))
     out = tmp_path / "d"
+    argv = [arg.format(data=data) for arg in argv]
     assert main(argv + ["--out", str(out)]) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: ")
+    if key is not None:
+        assert line.startswith(f"error: {key} must be a finite number, got ")
     assert not out.exists()
+
+
+def test_a_manifest_is_strict_json(tmp_path):
+    # no bare NaN or Infinity, which strict JSON parsers reject; a value
+    # that would need one fails the write and leaves no manifest
+    out = tmp_path / "o"
+    assert main(["run", "--synthetic", "fused-signal:d=6,N=30", "--iters", "20",
+                 "--seeds", "1", "--out", str(out)]) == 0
+
+    def no_constant(name):
+        raise AssertionError(f"manifest holds {name}")
+
+    json.loads((out / "manifest.json").read_text(), parse_constant=no_constant)
+    with pytest.raises(ValueError, match="Out of range float values"):
+        bench.write_manifest({"derived": {"L_tilde": float("nan")}}, tmp_path)
+    assert not (tmp_path / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ from conftest import csr_dataset, fingerprint, sparse_from_dense
 from spdpeg.data import synthesize
 from spdpeg.model import (Dataset, Problem, SolverConfig, compute_L_tilde,
                           estimate_lipschitz)
+from spdpeg.penalties import precision_graph_from_data
 from spdpeg.prox import ProxSpec
 
 EYE2 = sparse_from_dense(np.eye(2))
@@ -140,6 +141,39 @@ def test_config_validation():
                 dict(sigma_max_FtF=-1.0), dict(batch_size=0), dict(eval_every=0)):
         with pytest.raises(ValueError):
             SolverConfig(**{**good, **bad})
+
+
+NAN = float("nan")
+GOOD_CONFIG = dict(gamma=1.0, regime="convex", max_iters=10, seed=3,
+                   lipschitz_L=1.0, sigma_max_FtF=0.0)
+
+
+def _problem(**kwargs) -> Problem:
+    return Problem("logistic", ProxSpec("none"), ProxSpec("l1", 1.0), EYE2,
+                   ridge=0.1, **kwargs)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: SolverConfig(**{**GOOD_CONFIG, "gamma": NAN}), "gamma must be positive"),
+    (lambda: SolverConfig(**{**GOOD_CONFIG, "lipschitz_L": NAN}),
+     "lipschitz_L must be positive"),
+    (lambda: SolverConfig(**{**GOOD_CONFIG, "sigma_max_FtF": NAN}),
+     "sigma_max_FtF must be >= 0"),
+    (lambda: _problem(strong_convexity_mu=NAN), "strong_convexity_mu must be >= 0"),
+    (lambda: _problem(feasible_radius=NAN), "feasible_radius must be positive"),
+    (lambda: compute_L_tilde(NAN, 1.0, 1.0, 0.0), "gamma must be positive"),
+    (lambda: precision_graph_from_data(synthesize("fused-signal", 4, 20, 0.1, 0)[0],
+                                       NAN, 1e-3), "ridge and threshold must be positive"),
+    (lambda: precision_graph_from_data(synthesize("fused-signal", 4, 20, 0.1, 0)[0],
+                                       1e-2, NAN), "ridge and threshold must be positive"),
+], ids=["config-gamma", "config-lipschitz_L", "config-sigma_max_FtF", "problem-mu",
+        "problem-feasible_radius", "L_tilde-gamma", "precision-ridge",
+        "precision-threshold"])
+def test_a_nan_fails_each_positivity_check(build, message):
+    # a NaN compares false with anything, so each check is written as
+    # "not v > 0" (or "not v >= 0"), which it fails
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_L_tilde_examples():

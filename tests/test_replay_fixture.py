@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import shutil
 import sys
+from copy import deepcopy
 from pathlib import Path
 
 import pytest
@@ -144,9 +145,35 @@ def replaced(manifest: dict, path, value):
     (("core", "penalty"), "fused", "manifest key 'penalty' must be an object"),
     (("core", "problem"), None, "manifest key 'problem' must be an object"),
     (("core", "config"), [], "manifest key 'config' must be an object"),
-    (("derived",), 3.0, "manifest key 'derived' must be an object")],
+    (("derived",), 3.0, "manifest key 'derived' must be an object"),
+    # a leaf is checked against bench.CORE or bench.MANIFEST before any
+    # build: the message names its key path and what it must be
+    (("core", "config", "iters"), "200",
+     "core.config.iters must be a 64-bit integer, got '200'"),
+    (("core", "data", "synthetic", "n"), 60.0,
+     "core.data.synthetic.n must be a 64-bit integer, got 60.0"),
+    (("core", "data", "synthetic", "d"), 10 ** 30,
+     f"core.data.synthetic.d must be a 64-bit integer, got {10 ** 30}"),
+    (("core", "problem", "lambda_reg"), "0.005",
+     "core.problem.lambda_reg must be a number, got '0.005'"),
+    (("core", "config", "gamma"), True, "core.config.gamma must be a finite number, got True"),
+    (("core", "config", "gamma"), float("nan"),
+     "core.config.gamma must be a finite number, got nan"),
+    (("core", "data", "split"), "yes", "core.data.split must be a boolean, got 'yes'"),
+    (("core", "config", "foo"), 1, "core.config has unknown key 'foo'"),
+    (("core", "foo"), {}, "core has unknown key 'foo'"),
+    (("foo",), 1, "manifest has unknown key 'foo'"),
+    (("runs", 0, "seed"), "0", "manifest.runs[0].seed must be a 64-bit integer, got '0'"),
+    (("runs", 0, "wall_seconds"), [None],
+     "manifest.runs[0].wall_seconds must be a list of finite numbers, got [None]"),
+    (("runs", 0, "trace_file"), "trace_spdpeg_seed1.csv",
+     "manifest.runs[0].trace_file: unknown trace_file 'trace_spdpeg_seed1.csv', "
+     "not in ('trace_spdpeg_seed0.csv',)")],
     ids=["list", "string", "runs-of-numbers", "runs-object", "core-list",
-         "core.data", "core.penalty", "core.problem", "core.config", "derived"])
+         "core.data", "core.penalty", "core.problem", "core.config", "derived",
+         "iters-string", "n-float", "d-huge", "lambda_reg-string", "gamma-bool",
+         "gamma-nan", "split-string", "config-unknown", "core-unknown",
+         "manifest-unknown", "seed-string", "wall_seconds-nulls", "trace_file-other"])
 def test_a_manifest_of_the_wrong_shape_is_one_error_line(tmp_path, capsys, path,
                                                          value, message):
     manifest = json.loads((FIXTURE / "flr" / "manifest.json").read_text())
@@ -195,6 +222,92 @@ def test_graph_manifest_with_the_power_iteration_sigma_fails(tmp_path, capsys):
                              problem.strong_convexity_mu) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: derived constant sigma_max_FtF changed")
+
+
+# one value of each JSON type; a leaf is also given NaN, an integer beyond
+# int64, its float form if it is an integer (60 -> 60.0), its removal and
+# an unknown sibling
+JSON_SAMPLES = (None, True, 3, 0.5, "x", [], {})
+# the errors that a replay raises only after its runs, when --out exists
+AFTER_THE_RUNS = ("drifted", "wall_seconds override length", "differs from the recorded")
+
+
+def leaf_paths(manifest: dict) -> list[tuple]:
+    """Every leaf of the core and of derived, and each run's solver, seed,
+    wall_seconds and trace_file."""
+    paths = []
+
+    def walk(node, path):
+        for key, value in node.items():
+            if isinstance(value, dict):
+                walk(value, path + (key,))
+            else:
+                paths.append(path + (key,))
+
+    walk(manifest["core"], ("core",))
+    walk(manifest["derived"], ("derived",))
+    for i, entry in enumerate(manifest["runs"]):
+        paths += [("runs", i, key) for key in ("solver", "seed", "wall_seconds",
+                                                 "trace_file") if key in entry]
+    return paths
+
+
+def mutants(manifest: dict):
+    """(label, mutated copy) of every mutation of every leaf of ``manifest``."""
+    for path in leaf_paths(manifest):
+        *parents, key = path
+        value = manifest
+        for step in path:
+            value = value[step]
+        values = [v for v in JSON_SAMPLES if type(v) is not type(value)]
+        values += [float("nan"), 10 ** 30]
+        if type(value) is int:
+            values.append(float(value))
+        label = ".".join(map(str, path))
+        for v in values:
+            yield f"{label} = {json.dumps(v)}", replaced(deepcopy(manifest), path, v)
+        yield f"{label} removed", without(deepcopy(manifest), *path)
+        yield f"{label} beside an unknown key", replaced(
+            deepcopy(manifest), (*parents, "unknown_key"), 1)
+
+
+@pytest.mark.parametrize("task", list(RUN_ARGV))
+def test_every_mutated_leaf_replays_or_is_one_error_line(task, tmp_path, capsys,
+                                                         monkeypatch):
+    # each mutation of a leaf either replays byte for byte or fails with one
+    # error line, never a traceback; a mutation rejected before the runs
+    # leaves no --out, and none that passes the checks builds a large set
+    monkeypatch.delenv("SPDPEG_THREADS", raising=False)
+    synthesize = bench.synthesize
+
+    def small_synthesize(kind, d, n, *args):
+        assert d * n <= 10 ** 4, (d, n)
+        return synthesize(kind, d, n, *args)
+
+    monkeypatch.setattr(bench, "synthesize", small_synthesize)
+    manifest = json.loads((FIXTURE / task / "manifest.json").read_text())
+    mpath, out = tmp_path / "manifest.json", tmp_path / "replay"
+    failures, cases = [], 0
+    for label, mutant in mutants(manifest):
+        cases += 1
+        mpath.write_text(json.dumps(mutant))
+        shutil.rmtree(out, ignore_errors=True)
+        try:
+            rc = main(["run", "--from-manifest", str(mpath), "--out", str(out)])
+        except Exception as exc:  # a traceback
+            failures.append(f"{label}: {type(exc).__name__}: {exc}")
+            continue
+        lines = capsys.readouterr().err.splitlines()
+        if rc == 0:
+            for path in out.glob("trace_*.csv"):
+                if path.read_bytes() != (FIXTURE / task / path.name).read_bytes():
+                    failures.append(f"{label}: exit 0 but {path.name} differs")
+        elif len(lines) != 1 or not lines[0].startswith("error: "):
+            failures.append(f"{label}: exit {rc} with {lines}")
+        elif out.exists() and not any(s in lines[0] for s in AFTER_THE_RUNS):
+            failures.append(f"{label}: {lines[0]} left --out behind")
+    assert cases > 400
+    assert failures == []
 
 
 if __name__ == "__main__":
