@@ -36,10 +36,9 @@ from .penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
                         load_penalty, precision_graph_from_data)
 from .prox import ProxSpec, prox_dual, prox_fused
 from .solver import run as run_spdpeg
-from .solver import (DivergenceError, check_dimensions, check_step_inequality,
-                     kernels, objective_from_margins, relative_slack,
-                     update_extragradient, update_z)
-from .sparse import SparseMatrix
+from .solver import (DivergenceError, check_step_inequality, kernels,
+                     relative_slack, update_extragradient, update_z)
+from .sparse import EPS, SparseMatrix
 from .trace import TraceRecord, read_trace_csv, write_trace_csv
 
 SOLVERS = ("spdpeg", "eg-full", "slinadmm")
@@ -79,9 +78,13 @@ _RUN = {"solver": (str,), "seed": (int,), "diverged_at": (int,), "error": (str,)
         "final_objective": (float,), "max_dual_norm": (float,),
         **dict.fromkeys(("wall_seconds", "final_x_avg", "final_z_avg",
                          "final_lambda_avg"), ([float],))}
-# the replay compares each derived constant with the one it derives
+# the constants of ``derive_constants``; the replay compares each with the
+# one it derives
+_DERIVED = dict.fromkeys(("lipschitz_data", "lipschitz_L", "sigma_max_FtF",
+                          "L_tilde"), (float,))
 MANIFEST = {"format": (str,), "schema": (int,), "version": (str,), "solvers": ([str],),
-            "seeds": ([int],), "core": (None,), "derived": (None,), "runs": ([_RUN],)}
+            "seeds": ([int],), "core": (None,), "derived": (_DERIVED,),
+            "runs": ([_RUN],)}
 _KIND_NAMES = {int: "64-bit integer", float: "finite number", Real: "number",
                str: "string", bool: "boolean"}
 TRACE_FILE_RE = re.compile(r"trace_(?P<solver>[a-z\-]+)_seed(?P<seed>\d+)\.csv$")
@@ -132,7 +135,7 @@ def checked(section, spec: dict | None, path: str) -> dict:
     wrong kind, in nested objects too. An absent key with no default stays
     absent, so that its reader's KeyError names it."""
     if not isinstance(section, dict):
-        raise ValueError(f"manifest key {path.rpartition('.')[2]!r} must be an object")
+        raise ValueError(f"{path} must be an object")
     if spec is None:  # an object that its reader checks
         return section
     for key, value in section.items():
@@ -148,7 +151,7 @@ def checked(section, spec: dict | None, path: str) -> dict:
             checked(value, kind, where)
         elif isinstance(kind, list):  # a list of objects
             if not _fits(value, [dict]):
-                raise ValueError(f"manifest key {key!r} must be a list of objects")
+                raise ValueError(f"{where} must be a list of objects")
             for i, item in enumerate(value):
                 checked(item, kind[0], f"{where}[{i}]")
         else:
@@ -213,10 +216,9 @@ def build_problem(problem_cfg: dict, penalty: SparseMatrix) -> Problem:
                        ProxSpec("l1", lambda_reg), penalty,
                        feasible_radius=radius)
     # the quadratic regularizer is folded into the loss, which is what makes
-    # the smooth part strongly convex with mu = gamma_reg
+    # the smooth part strongly convex with mu = ridge = gamma_reg
     return Problem(LOSS_LOGISTIC, ProxSpec("none"), ProxSpec("l1", lambda_reg),
-                   penalty, ridge=gamma_reg, strong_convexity_mu=gamma_reg,
-                   feasible_radius=radius)
+                   penalty, ridge=gamma_reg, feasible_radius=radius)
 
 
 def derive_constants(problem: Problem, train: Dataset, gamma: float,
@@ -227,7 +229,7 @@ def derive_constants(problem: Problem, train: Dataset, gamma: float,
     lips_data = estimate_lipschitz(train, problem.loss)
     lips = max(lips_data + problem.ridge, 1e-12)
     sigma = problem.penalty.sigma_max_FtF
-    mu = 0.0 if regime == "convex" else problem.strong_convexity_mu
+    mu = 0.0 if regime == "convex" else problem.ridge
     return {"lipschitz_data": lips_data, "lipschitz_L": lips,
             "sigma_max_FtF": sigma,
             "L_tilde": compute_L_tilde(gamma, sigma, lips, mu)}
@@ -258,9 +260,9 @@ def build_all(core: dict):
 def objective_value(problem: Problem, dataset: Dataset, x: np.ndarray) -> float:
     """Training objective: loss (with any folded ridge) + both regularizers."""
     x = oracles._check_x(dataset, x)
-    return objective_from_margins(problem, dataset.labels,
-                                  oracles.margins(dataset, x), x,
-                                  problem.penalty.matvec(x))
+    return oracles.objective_from_margins(problem, dataset.labels,
+                                          oracles.margins(dataset, x), x,
+                                          problem.penalty.matvec(x))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +440,6 @@ UNCAPPED_ITERS = 1_000_000
 # iterations between the certificate checks of FISTA; a check costs about
 # one of its steps
 FISTA_CHECK_EVERY = 50
-_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -461,94 +462,6 @@ def _is_fused(penalty: SparseMatrix) -> bool:
                for name in ("row_offsets", "col_indices", "values"))
 
 
-def duality_gap(problem: Problem, dataset: Dataset, x: np.ndarray,
-                nu: np.ndarray) -> float:
-    """Fenchel duality gap of x and a dual point nu of r2, an upper bound on
-    ``objective_value(x) - f*``, for  l(Ax) + g(x) + r2(Fx)  where g is r1
-    plus any folded ridge and feasible ball.
-
-    theta = l'(Ax)/n, and nu is clipped into r2's box |nu| <= r2.weight.
-    With w = A^T theta + F^T nu the dual value is -l*(theta) - g*(w):
-    l* is minus the mean binary entropy of p = -b*n*theta for the logistic
-    loss and mean(r^2/2 + b*r), r = n*theta, for least squares. For an l1
-    weight a alone, g* is the indicator of |w| <= a, so (theta, nu) are
-    scaled into it (Gap Safe: Ndiaye, Fercoq, Gramfort & Salmon, JMLR
-    2017); with a quadratic q (ridge plus any squared-l2 r1) it is
-    rho^2/(2q), with a ball of radius R it is R*rho, and with both the
-    Huber function of the two, where rho = ||(|w| - a)_+||_2.
-
-    Rounding margin, to first order in eps: each value is a sum of at most
-    n + d + l terms, each evaluated within a few ulp, so it is off by at
-    most (n + d + l + 16) eps times the sum of its terms' magnitudes
-    (Higham, Accuracy and Stability, 2002, sec. 4.2). The rounding of the
-    margins and of F x moves the objective by at most (d + 2) eps ||x||_1
-    (max|a_ij| max|l'| + l r2.weight max|f_ij|), and that of w is at most
-    err_w per entry, which is added to w's peak or to rho.
-    """
-    check_dimensions(problem, dataset)
-    x = oracles._check_x(dataset, x)
-    nu = np.asarray(nu, dtype=np.float64)
-    if nu.shape != (problem.penalty.n_rows,):
-        raise ValueError(f"nu must have length {problem.penalty.n_rows}, "
-                         f"got {nu.shape}")
-    return _objective_and_gap(problem, dataset, kernels(problem), x, nu)[1]
-
-
-def _xlogx(v: np.ndarray) -> np.ndarray:
-    return v * np.log(v, out=np.zeros_like(v), where=v > 0.0)
-
-
-def _objective_and_gap(problem: Problem, dataset: Dataset, kern, x: np.ndarray,
-                       nu: np.ndarray) -> tuple[float, float]:
-    """The objective at x, with ``objective_value``'s bits, and
-    ``duality_gap(problem, dataset, x, nu)``, through the run's kernels."""
-    n, d, l = dataset.n_samples, dataset.dimension, problem.penalty.n_rows
-    labels = dataset.labels
-    m = oracles.margins(dataset, x)
-    f = objective_from_margins(problem, labels, m, x, kern.F(x))
-    if problem.loss == LOSS_LOGISTIC:
-        p = oracles._sigmoid(-(labels * m))
-        theta = -labels * p / n
-        slope = 1.0  # the largest |l'| of a sample
-    else:
-        resid = m - labels
-        theta = resid / n
-        slope = float(np.max(np.abs(resid)))
-    w2 = problem.r2.weight
-    nu = np.clip(nu, -w2, w2)
-    w = oracles._scatter(dataset, theta) + kern.Ft(nu)
-    a_max = np.max(np.abs(dataset.data), initial=0.0)
-    f_max = np.max(np.abs(problem.penalty.values), initial=0.0)
-    err_w = (n + l + 8) * _EPS * (a_max * np.abs(theta).sum()
-                                  + f_max * np.abs(nu).sum())
-    r1, radius = problem.r1, problem.feasible_radius
-    a = r1.weight if r1.kind == "l1" else 0.0
-    q = problem.ridge + (r1.weight if r1.kind == "squared-l2" else 0.0)
-    scale, conj_g = 1.0, 0.0
-    if q == 0.0 and radius is None:
-        peak = float(np.max(np.abs(w), initial=0.0)) + err_w
-        if peak > a:
-            scale = a / peak
-    else:
-        rho = (float(np.linalg.norm(np.maximum(np.abs(w) - a, 0.0)))
-               + math.sqrt(d) * err_w)
-        if radius is None or (q > 0.0 and rho <= q * radius):
-            conj_g = rho * rho / (2.0 * q)
-        else:
-            conj_g = radius * rho - 0.5 * q * radius * radius
-    if problem.loss == LOSS_LOGISTIC:
-        p *= scale
-        conj_terms = _xlogx(p) + _xlogx(1.0 - p)
-    else:
-        resid *= scale
-        conj_terms = 0.5 * resid * resid + labels * resid
-    dual = -float(np.mean(conj_terms)) - conj_g
-    margin = _EPS * (
-        (n + d + l + 16) * (abs(f) + float(np.mean(np.abs(conj_terms))) + conj_g)
-        + (d + 2) * float(np.abs(x).sum()) * (a_max * slope + l * w2 * f_max))
-    return f, f - dual + margin
-
-
 def _smooth_lipschitz(problem: Problem, dataset: Dataset) -> float:
     """Lipschitz constant of the gradient of the loss plus any folded
     ridge: from the spectrum of A^T A / n for rows that store every
@@ -561,7 +474,7 @@ def _smooth_lipschitz(problem: Problem, dataset: Dataset) -> float:
         n, d = rows.shape
         gram = rows.T @ rows
         top = (np.max(np.linalg.eigvalsh(gram), initial=0.0)
-               + (n + d) * _EPS * np.trace(gram)) / n
+               + (n + d) * EPS * np.trace(gram)) / n
         lips = 0.25 * top if problem.loss == LOSS_LOGISTIC else top
     else:
         lips = estimate_lipschitz(dataset, problem.loss)
@@ -579,12 +492,12 @@ def _fista_reference(problem: Problem, dataset: Dataset,
     TV prox gives nu = ``cumsum(v - t)[:-1]``, else ``prox_dual``,
     warm-started from the previous iteration's nu. Every
     ``FISTA_CHECK_EVERY`` iterations the iterate is certified with nu / step
-    (``duality_gap``), and the run stops once that gap is at most
+    (``oracles.duality_gap``), and the run stops once that gap is at most
     tol * max(1, |f|) or no lower than two checks before, or after
     ``UNCAPPED_ITERS``; ``converged`` says that one of the first two
     happened. A gap no lower than two checks before has reached the floor
     that the rounding allowance of its dual point sets (``err_w`` in
-    ``_objective_and_gap``, through the dual scaling)."""
+    ``oracles.objective_and_gap``, through the dual scaling)."""
     kern = kernels(problem)
     step = 1.0 / _smooth_lipschitz(problem, dataset)
     weight, sigma = problem.r2.weight, problem.penalty.sigma_max_FtF
@@ -616,7 +529,8 @@ def _fista_reference(problem: Problem, dataset: Dataset,
             continue
         if fused:
             nu = np.cumsum(v - tv)[:-1]
-        f, gap = _objective_and_gap(problem, dataset, kern, x, nu / step)
+        f, gap = oracles.objective_and_gap(problem, dataset, kern.F, kern.Ft,
+                                           x, nu / step)
         if gap <= tol * max(1.0, abs(f)) or gap >= before:
             converged = True
             break
@@ -677,7 +591,7 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
     A capped call (an int ``max_iters``), whatever the penalty, is
     ``_extragradient_reference`` and reports ``certified_gap`` None;
     ``gamma`` and ``check_every`` serve capped calls only."""
-    check_dimensions(problem, dataset)
+    oracles.check_dimensions(problem, dataset)
     if max_iters is None:
         return _fista_reference(problem, dataset, tol)
     return _extragradient_reference(problem, dataset, gamma, max_iters, tol,
@@ -782,7 +696,7 @@ def _reference_report(ref: ReferenceSolution, iterations: np.ndarray,
             "window_points_below_10x_certificate": int(np.sum(near))}
 
 
-def verify_rates(regimes=("convex", "sc-uniform", "sc-nonuniform"), iters: int = 100_000,
+def verify_rates(regimes=REGIMES, iters: int = 100_000,
                  seeds: int = 5, base_seed: int = 0, d: int = 20, n: int = 200,
                  eval_every: int = CORE["config"]["eval_every"][1],
                  ordering_iteration: int | None = None,

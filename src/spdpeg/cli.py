@@ -17,6 +17,7 @@ import sys
 
 from . import bench
 from .data import ParseError
+from .model import REGIMES
 from .solver import DivergenceError
 from .sparse import PowerIterationError
 
@@ -120,8 +121,7 @@ def cmd_run(args) -> int:
 
 def cmd_verify_rates(args) -> int:
     _check_out(args.out)
-    regimes = (("convex", "sc-uniform", "sc-nonuniform")
-               if args.regime == "all" else (args.regime,))
+    regimes = REGIMES if args.regime == "all" else (args.regime,)
     report = bench.verify_rates(regimes=regimes, iters=args.iters,
                                 seeds=args.seeds, base_seed=args.seed,
                                 d=args.d, n=args.n, eval_every=args.eval_every,
@@ -206,8 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--synthetic", help=SYNTH_SPEC_HELP)
     p_run.add_argument("--solver", choices=bench.SOLVERS + ("all",),
                        default="spdpeg")
-    p_run.add_argument("--regime",
-                       choices=("convex", "sc-uniform", "sc-nonuniform"))
+    p_run.add_argument("--regime", choices=REGIMES)
     p_run.add_argument("--iters", type=int, default=10_000)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--seeds", type=int, default=5,
@@ -235,9 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rates = sub.add_parser("verify-rates",
                              help="fit convergence-rate slopes per regime")
-    p_rates.add_argument("--regime",
-                         choices=("convex", "sc-uniform", "sc-nonuniform", "all"),
-                         default="all")
+    p_rates.add_argument("--regime", choices=REGIMES + ("all",), default="all")
     p_rates.add_argument("--iters", type=int, default=100_000)
     p_rates.add_argument("--seeds", type=int, default=5)
     p_rates.add_argument("--seed", type=int, default=0)

@@ -172,11 +172,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Problem:
-    """Loss oracle kind, two regularizers, penalty matrix, and convexity info.
+    """Loss oracle kind, two regularizers, penalty matrix and feasible ball.
 
     ``ridge`` is a quadratic term (ridge/2)*||x||^2 folded into the loss
     oracle itself; it is what makes the smooth part provably strongly
-    convex, so ``strong_convexity_mu`` may not exceed it.
+    convex, and it is the modulus mu of the strongly convex regimes.
     """
 
     loss: str
@@ -184,7 +184,6 @@ class Problem:
     r2: ProxSpec
     penalty: SparseMatrix
     ridge: float = 0.0
-    strong_convexity_mu: float = 0.0
     feasible_radius: float | None = None
 
     def __post_init__(self):
@@ -194,12 +193,6 @@ class Problem:
             raise ValueError("the composed regularizer must be an l1 norm")
         if not math.isfinite(self.ridge) or self.ridge < 0:
             raise ValueError("ridge must be finite and >= 0")
-        if not self.strong_convexity_mu >= 0:
-            raise ValueError("strong_convexity_mu must be >= 0")
-        if self.strong_convexity_mu > self.ridge:
-            raise ValueError(
-                "strong_convexity_mu may not exceed the folded ridge term; "
-                "only the explicit quadratic makes the loss provably strongly convex")
         if self.feasible_radius is not None and not self.feasible_radius > 0:
             raise ValueError("feasible_radius must be positive when given")
 

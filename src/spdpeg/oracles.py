@@ -21,16 +21,24 @@ take (-b)*m in place over the margins (``Dataset.neg_labels``) and one
 division by ``Dataset.neg_labels_n`` (-b*n), which for b = +-1 have the
 bits of -(b*m) and of the product followed by the division. Scalar
 operands are 0-d float64 arrays, as in ``solver``.
+
+The objective is stated here once, over the same margins and scatter:
+``objective_from_margins`` is its value, which the solver's trace and
+``bench.objective_value`` take, and ``duality_gap`` (checked) and
+``objective_and_gap`` (on a run's kernels) its Fenchel certificate, which
+the FISTA reference takes.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
 
 from .model import LOSS_LOGISTIC, Dataset, Problem
-from .sparse import BLAS_MAX_VALUES, row_positions
+from .prox import reg_value
+from .sparse import BLAS_MAX_VALUES, EPS, row_positions
 
 # read-only 0-d operands: numpy applies them faster than Python floats
 # (NEP 50's scalar path), with the same bits
@@ -114,6 +122,17 @@ def _check_x(dataset: Dataset, x) -> np.ndarray:
     return x
 
 
+def check_dimensions(problem: Problem, dataset: Dataset,
+                     test_dataset: Dataset | None = None) -> None:
+    """Raise ValueError unless the penalty and any test set have the
+    dataset's dimension, as the kernels assume."""
+    if problem.penalty.n_cols != dataset.dimension:
+        raise ValueError(f"penalty has {problem.penalty.n_cols} columns but the "
+                         f"dataset dimension is {dataset.dimension}")
+    if test_dataset is not None and test_dataset.dimension != dataset.dimension:
+        raise ValueError("train and test dimensions differ")
+
+
 def _softplus(t: np.ndarray) -> np.ndarray:
     """log(1 + exp(t)) element-wise, as ``max(t, 0) + log1p(exp(-|t|))``,
     written into ``t``, which it returns.
@@ -163,6 +182,14 @@ def loss_value(problem: Problem, dataset: Dataset, x: np.ndarray) -> float:
     """Value of the smooth loss oracle, including the folded ridge."""
     x = _check_x(dataset, x)
     return data_loss(problem.loss, dataset, x) + ridge_value(problem, x)
+
+
+def objective_from_margins(problem: Problem, labels: np.ndarray, m: np.ndarray,
+                           x: np.ndarray, fx: np.ndarray) -> float:
+    """Training objective at x given its margins m and fx = F x: the loss
+    (with any folded ridge) plus both regularizers."""
+    return (loss_from_margins(problem.loss, labels, m) + ridge_value(problem, x)
+            + reg_value(problem.r1, x) + reg_value(problem.r2, fx))
 
 
 def _scatter(dataset: Dataset, coefs: np.ndarray) -> np.ndarray:
@@ -320,3 +347,94 @@ def stochastic_gradient(problem: Problem, dataset: Dataset, x: np.ndarray,
     idx = rng.integers(0, dataset.n_samples, size=batch_size)
     return draw_kernel(problem, dataset, batch_size)(x, idx)
 
+
+
+def duality_gap(problem: Problem, dataset: Dataset, x: np.ndarray,
+                nu: np.ndarray) -> float:
+    """Fenchel duality gap of x and a dual point nu of r2, an upper bound on
+    ``objective - f*``, for  l(Ax) + g(x) + r2(Fx)  where g is r1 plus any
+    folded ridge and feasible ball.
+
+    theta = l'(Ax)/n, and nu is clipped into r2's box |nu| <= r2.weight.
+    With w = A^T theta + F^T nu the dual value is -l*(theta) - g*(w):
+    l* is minus the mean binary entropy of p = -b*n*theta for the logistic
+    loss and mean(r^2/2 + b*r), r = n*theta, for least squares. For an l1
+    weight a alone, g* is the indicator of |w| <= a, so (theta, nu) are
+    scaled into it (Gap Safe: Ndiaye, Fercoq, Gramfort & Salmon, JMLR
+    2017); with a quadratic q (ridge plus any squared-l2 r1) it is
+    rho^2/(2q), with a ball of radius R it is R*rho, and with both the
+    Huber function of the two, where rho = ||(|w| - a)_+||_2.
+
+    Rounding margin, to first order in eps: each value is a sum of at most
+    n + d + l terms, each evaluated within a few ulp, so it is off by at
+    most (n + d + l + 16) eps times the sum of its terms' magnitudes
+    (Higham, Accuracy and Stability, 2002, sec. 4.2). The rounding of the
+    margins and of F x moves the objective by at most (d + 2) eps ||x||_1
+    (max|a_ij| max|l'| + l r2.weight max|f_ij|), and that of w is at most
+    err_w per entry, which is added to w's peak or to rho.
+    """
+    check_dimensions(problem, dataset)
+    x = _check_x(dataset, x)
+    nu = np.asarray(nu, dtype=np.float64)
+    if nu.shape != (problem.penalty.n_rows,):
+        raise ValueError(f"nu must have length {problem.penalty.n_rows}, "
+                         f"got {nu.shape}")
+    return objective_and_gap(problem, dataset, *problem.penalty.products(),
+                             x, nu)[1]
+
+
+def _xlogx(v: np.ndarray) -> np.ndarray:
+    return v * np.log(v, out=np.zeros_like(v), where=v > 0.0)
+
+
+def objective_and_gap(problem: Problem, dataset: Dataset, F, Ft, x: np.ndarray,
+                      nu: np.ndarray) -> tuple[float, float]:
+    """The objective at x, with the bits of ``bench.objective_value``, and
+    ``duality_gap(problem, dataset, x, nu)``, unchecked, through the
+    products ``F`` and ``Ft`` of the penalty (a run's kernels, or
+    ``SparseMatrix.products``)."""
+    n, d, l = dataset.n_samples, dataset.dimension, problem.penalty.n_rows
+    labels = dataset.labels
+    m = margins(dataset, x)
+    f = objective_from_margins(problem, labels, m, x, F(x))
+    if problem.loss == LOSS_LOGISTIC:
+        p = _sigmoid(-(labels * m))
+        theta = -labels * p / n
+        slope = 1.0  # the largest |l'| of a sample
+    else:
+        resid = m - labels
+        theta = resid / n
+        slope = float(np.max(np.abs(resid)))
+    w2 = problem.r2.weight
+    nu = np.clip(nu, -w2, w2)
+    w = _scatter(dataset, theta) + Ft(nu)
+    a_max = np.max(np.abs(dataset.data), initial=0.0)
+    f_max = np.max(np.abs(problem.penalty.values), initial=0.0)
+    err_w = (n + l + 8) * EPS * (a_max * np.abs(theta).sum()
+                                 + f_max * np.abs(nu).sum())
+    r1, radius = problem.r1, problem.feasible_radius
+    a = r1.weight if r1.kind == "l1" else 0.0
+    q = problem.ridge + (r1.weight if r1.kind == "squared-l2" else 0.0)
+    scale, conj_g = 1.0, 0.0
+    if q == 0.0 and radius is None:
+        peak = float(np.max(np.abs(w), initial=0.0)) + err_w
+        if peak > a:
+            scale = a / peak
+    else:
+        rho = (float(np.linalg.norm(np.maximum(np.abs(w) - a, 0.0)))
+               + math.sqrt(d) * err_w)
+        if radius is None or (q > 0.0 and rho <= q * radius):
+            conj_g = rho * rho / (2.0 * q)
+        else:
+            conj_g = radius * rho - 0.5 * q * radius * radius
+    if problem.loss == LOSS_LOGISTIC:
+        p *= scale
+        conj_terms = _xlogx(p) + _xlogx(1.0 - p)
+    else:
+        resid *= scale
+        conj_terms = 0.5 * resid * resid + labels * resid
+    dual = -float(np.mean(conj_terms)) - conj_g
+    margin = EPS * (
+        (n + d + l + 16) * (abs(f) + float(np.mean(np.abs(conj_terms))) + conj_g)
+        + (d + 2) * float(np.abs(x).sum()) * (a_max * slope + l * w2 * f_max))
+    return f, f - dual + margin

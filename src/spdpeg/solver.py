@@ -77,8 +77,9 @@ class Schedule:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.regime == REGIME_CONVEX and self.mu != 0.0:
             raise ValueError("convex regime requires mu == 0")
-        if self.regime != REGIME_CONVEX and self.mu <= 0.0:
-            raise ValueError("strongly convex regimes require mu > 0")
+        if self.regime != REGIME_CONVEX and not self.mu > 0.0:
+            raise ValueError(f"regime {self.regime!r} requires mu > 0, "
+                             "a folded ridge")
         if self.L_tilde <= 0:
             raise ValueError("L_tilde must be positive")
 
@@ -95,8 +96,9 @@ def step_size(schedule: Schedule, k: int) -> float:
 
 
 def make_schedule(problem: Problem, config: SolverConfig) -> Schedule:
-    """Schedule implied by a problem/config pair; mu drops to 0 when convex."""
-    mu = 0.0 if config.regime == REGIME_CONVEX else problem.strong_convexity_mu
+    """Schedule implied by a problem/config pair: mu is the folded ridge,
+    or 0 when convex."""
+    mu = 0.0 if config.regime == REGIME_CONVEX else problem.ridge
     L_tilde = compute_L_tilde(config.gamma, config.sigma_max_FtF,
                               config.lipschitz_L, mu)
     return Schedule(config.regime, mu, L_tilde)
@@ -178,7 +180,8 @@ class Kernels(NamedTuple):
 
 
 def kernels(problem: Problem) -> Kernels:
-    """The iteration kernels of a problem that passed ``check_dimensions``."""
+    """The iteration kernels of a problem that passed
+    ``oracles.check_dimensions``."""
     prox_r1, radius = prox_kernel(problem.r1), problem.feasible_radius
     if radius is not None:
         prox_free = prox_r1
@@ -188,17 +191,6 @@ def kernels(problem: Problem) -> Kernels:
             nrm = math.sqrt(x.dot(x))  # np.linalg.norm(x), bit for bit
             return x if nrm <= radius else x * (radius / nrm)
     return Kernels(*problem.penalty.products(), prox_r1, prox_kernel(problem.r2))
-
-
-def check_dimensions(problem: Problem, dataset: Dataset,
-                     test_dataset: Dataset | None = None) -> None:
-    """Raise ValueError unless the penalty and any test set have the
-    dataset's dimension, as the kernels assume."""
-    if problem.penalty.n_cols != dataset.dimension:
-        raise ValueError(f"penalty has {problem.penalty.n_cols} columns but the "
-                         f"dataset dimension is {dataset.dimension}")
-    if test_dataset is not None and test_dataset.dimension != dataset.dimension:
-        raise ValueError("train and test dimensions differ")
 
 
 def update_z(kern: Kernels, gamma, fx: np.ndarray,
@@ -292,15 +284,6 @@ class SolverResult:
     state: SolverState
 
 
-def objective_from_margins(problem: Problem, labels: np.ndarray, m: np.ndarray,
-                           x: np.ndarray, fx: np.ndarray) -> float:
-    """Training objective at x given its margins m and fx = F x: the loss
-    (with any folded ridge) plus both regularizers."""
-    return (oracles.loss_from_margins(problem.loss, labels, m)
-            + oracles.ridge_value(problem, x)
-            + reg_value(problem.r1, x) + reg_value(problem.r2, fx))
-
-
 def evaluate_trace_record(problem: Problem, dataset: Dataset,
                           test_dataset: Dataset, x_avg: np.ndarray,
                           z_avg: np.ndarray, iteration: int, wall_seconds: float,
@@ -311,8 +294,8 @@ def evaluate_trace_record(problem: Problem, dataset: Dataset,
     train_margins = oracles.margins(dataset, x_avg)
     test_margins = (train_margins if test_dataset is dataset
                     else oracles.margins(test_dataset, x_avg))
-    objective = objective_from_margins(problem, dataset.labels, train_margins,
-                                       x_avg, fx)
+    objective = oracles.objective_from_margins(problem, dataset.labels,
+                                               train_margins, x_avg, fx)
     test_loss = oracles.loss_from_margins(problem.loss, test_dataset.labels,
                                           test_margins)
     accuracy = float(np.mean((test_margins >= 0) == (test_dataset.labels > 0)))
@@ -328,9 +311,9 @@ def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
     make_step(schedule, kern, gamma, gradient)`` is built once from the
     run's schedule, its ``kernels``, gamma as a 0-d array and its
     ``drawn_gradient``, and return the averaged iterates plus trace. The
-    inputs are checked here (``check_dimensions``, and mu > 0 for a strongly
-    convex regime), so the steps call only kernels; ``drive`` holds no
-    audit state.
+    inputs are checked here (``oracles.check_dimensions``, and by
+    ``Schedule`` a folded ridge for a strongly convex regime), so the steps
+    call only kernels; ``drive`` holds no audit state.
 
     Each step advances the state by one iteration. Weighted sums are
     accumulated online with integer weights and normalized once by their
@@ -343,9 +326,7 @@ def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
     docstring states, and identical (problem, dataset, config) give
     bit-identical trajectories.
     """
-    check_dimensions(problem, dataset, test_dataset)
-    if config.regime != REGIME_CONVEX and problem.strong_convexity_mu <= 0.0:
-        raise ValueError(f"regime {config.regime!r} requires strong_convexity_mu > 0")
+    oracles.check_dimensions(problem, dataset, test_dataset)
     eval_dataset = dataset if test_dataset is None else test_dataset
     step = make_step(make_schedule(problem, config), kernels(problem),
                      np.array(config.gamma),

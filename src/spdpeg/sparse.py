@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 _TINY = np.finfo(float).tiny
+EPS = 2.0 ** -52  # float64 machine epsilon, in the rounding bounds
 # most columns whose sigma_max_FtF is a dense eigensolve: about where
 # eigvalsh stops beating the power iteration (3.5x slower at d=300, 2-core x86)
 DENSE_SIGMA_MAX_D = 200
@@ -221,7 +222,7 @@ def dense_sigma_max_bound(m: SparseMatrix) -> float:
     costs as much at d=20 and more above. M is made dense."""
     dense = m.to_dense()
     top = np.max(np.linalg.eigvalsh(dense.T @ dense), initial=0.0)
-    return float(top + (m.n_rows + m.n_cols) * 2.0 ** -52 * m.values.dot(m.values))
+    return float(top + (m.n_rows + m.n_cols) * EPS * m.values.dot(m.values))
 
 
 def power_iteration_sigma_max(m: SparseMatrix, tol: float = 1e-10,

@@ -75,8 +75,7 @@ def _random_instance(loss, rng, n=60, d=10, ridge=0.0):
     labels = np.where(rng.random(n) < 0.5, 1.0, -1.0)
     dataset = Dataset.from_dense_rows(feats, labels)
     problem = Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
-                      sparse_from_dense(np.eye(d)), ridge=ridge,
-                      strong_convexity_mu=ridge)
+                      sparse_from_dense(np.eye(d)), ridge=ridge)
     return problem, dataset, feats, labels
 
 

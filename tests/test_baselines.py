@@ -43,7 +43,7 @@ def test_eg_full_quadratic_toy_reaches_normal_equations():
     penalty = build_fused_matrix(d)
     ridge = 0.5
     problem = Problem("least-squares", ProxSpec("none"), ProxSpec("l1", 0.0),
-                      penalty, ridge=ridge, strong_convexity_mu=ridge)
+                      penalty, ridge=ridge)
     config = SolverConfig(gamma=0.2, regime="sc-nonuniform", max_iters=10_000,
                           seed=0,
                           lipschitz_L=estimate_lipschitz(dataset, "least-squares")

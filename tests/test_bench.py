@@ -251,12 +251,12 @@ def test_duality_gap_bounds_the_suboptimality(case):
             nu = tv_dual(problem, dataset, x)
             duals += [nu, 2.0 * nu]
         for nu in duals:
-            gap = bench.duality_gap(problem, dataset, x, nu)
+            gap = oracles.duality_gap(problem, dataset, x, nu)
             assert gap >= bench.objective_value(problem, dataset, x) - f_star
             # nu is taken clipped into r2's box
             box = problem.r2.weight
-            assert gap == bench.duality_gap(problem, dataset, x,
-                                            np.clip(nu, -box, box))
+            assert gap == oracles.duality_gap(problem, dataset, x,
+                                              np.clip(nu, -box, box))
 
 
 def dual_prox_gap(problem, dataset, x):
@@ -268,7 +268,7 @@ def dual_prox_gap(problem, dataset, x):
     _, nu = prox.prox_dual(kern.prox_r1, kern.F, kern.Ft,
                            problem.penalty.sigma_max_FtF, v, step,
                            problem.r2.weight, np.zeros(problem.penalty.n_rows))
-    return bench.duality_gap(problem, dataset, x, nu / step)
+    return oracles.duality_gap(problem, dataset, x, nu / step)
 
 
 def reference_instances():
@@ -287,8 +287,8 @@ def test_fista_and_extragradient_references_agree():
         fista = bench.reference_optimum(problem, train, 0.1)
         eg = bench.reference_optimum(problem, train, 0.1, max_iters=30_000,
                                      check_every=1000, tol=0.0)
-        eg_gap = (bench.duality_gap(problem, train, eg.x,
-                                    tv_dual(problem, train, eg.x))
+        eg_gap = (oracles.duality_gap(problem, train, eg.x,
+                                      tv_dual(problem, train, eg.x))
                   if name == "fused" else dual_prox_gap(problem, train, eg.x))
         assert abs(fista.objective - eg.objective) <= fista.certified_gap + eg_gap, name
         # f* is at most eg.objective, so FISTA's certificate alone covers it
@@ -303,9 +303,23 @@ def test_fista_and_extragradient_references_agree():
 def test_duality_gap_checks_its_inputs():
     problem, dataset = tiny_problem("logistic", ("l1", 0.02))
     with pytest.raises(ValueError, match="x must have length 6"):
-        bench.duality_gap(problem, dataset, np.zeros(5), np.zeros(5))
+        oracles.duality_gap(problem, dataset, np.zeros(5), np.zeros(5))
     with pytest.raises(ValueError, match="nu must have length 5"):
-        bench.duality_gap(problem, dataset, np.zeros(6), np.zeros(6))
+        oracles.duality_gap(problem, dataset, np.zeros(6), np.zeros(6))
+
+
+def test_the_solver_dual_point_is_minus_its_lambda():
+    # seed 0 of the sc rate core at d=8, n=40 for 2,000 iterations: the z
+    # block gives -lambda in the subdifferential of r2 at z, so -lambda_avg
+    # is the run's dual point of r2; +lambda_avg certifies less tightly
+    core = bench.rate_core("sc", d=8, n=40, iters=2000, eval_every=2000)
+    train, _, problem, derived = bench.build_all(core)
+    res = run_spdpeg(problem, train, bench.make_config(core, derived, 0))
+    ref = bench.reference_optimum(problem, train, core["config"]["gamma"])
+    x = res.x_avg
+    minus = oracles.duality_gap(problem, train, x, -res.lambda_avg)
+    assert minus >= bench.objective_value(problem, train, x) - ref.objective
+    assert minus < oracles.duality_gap(problem, train, x, res.lambda_avg)
 
 
 def test_only_a_fused_penalty_is_fused():
@@ -610,7 +624,7 @@ def test_build_problem_ggrlr_folds_quadratic():
     core = bench.rate_core("sc", d=6, n=30, iters=10)
     train, _, problem, derived = bench.build_all(core)
     assert problem.r1.kind == "none"
-    assert problem.ridge == problem.strong_convexity_mu == 1e-2
+    assert problem.ridge == 1e-2
     assert derived["lipschitz_L"] == pytest.approx(
         derived["lipschitz_data"] + 1e-2)
 

@@ -122,8 +122,7 @@ def dense_dataset(seed, n, d, stored_zeros=False):
 
 def problem_for(loss, d, ridge):
     return Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
-                   sparse_from_dense(np.eye(d)), ridge=ridge,
-                   strong_convexity_mu=ridge)
+                   sparse_from_dense(np.eye(d)), ridge=ridge)
 
 
 def trial_points(d, seed):

@@ -74,8 +74,7 @@ def test_oracles_match_the_csr_twin(n, d, loss, view_reads):
     dense, csr = Dataset.from_dense_rows(rows, labels), csr_twin(rows, labels)
     # the oracles read only the penalty's width
     problem = Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
-                      sparse_from_dense(np.ones((1, d))), ridge=0.25,
-                      strong_convexity_mu=0.25)
+                      sparse_from_dense(np.ones((1, d))), ridge=0.25)
     rng = np.random.default_rng(d)
     for x in (rng.standard_normal(d), 30.0 * rng.standard_normal(d), np.zeros(d)):
         assert_same(margins(dense, x), margins(csr, x))

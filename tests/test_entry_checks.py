@@ -139,9 +139,9 @@ def test_iterations_call_no_checked_wrapper(monkeypatch, entry, batch_size,
                         evaluation(solver.evaluate_trace_record))
     monkeypatch.setattr(bench, "objective_value",
                         evaluation(bench.objective_value))
-    certificates = count_calls(monkeypatch, bench, "_objective_and_gap")
-    monkeypatch.setattr(bench, "_objective_and_gap",
-                        evaluation(bench._objective_and_gap))
+    certificates = count_calls(monkeypatch, oracles, "objective_and_gap")
+    monkeypatch.setattr(oracles, "objective_and_gap",
+                        evaluation(oracles.objective_and_gap))
     problem, dataset, config = instance(batch_size=batch_size, iters=40,
                                         ragged=ragged)
     problem = replace(problem, r1=ProxSpec(r1, 0.0 if r1 == "none" else 0.05),

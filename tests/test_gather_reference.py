@@ -106,8 +106,7 @@ DATASETS = {"ragged": ragged_dataset, "dense": dense_dataset,
 
 def problem_for(loss, d, ridge):
     return Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
-                   sparse_from_dense(np.eye(d)), ridge=ridge,
-                   strong_convexity_mu=ridge)
+                   sparse_from_dense(np.eye(d)), ridge=ridge)
 
 
 @pytest.mark.parametrize("kind", sorted(DATASETS))
@@ -225,8 +224,7 @@ def test_one_lane_and_one_row_batches_are_dense_row_batches(loss, n, d):
     dataset = dense_dataset(seed=15, n=n, d=d)
     # the draws read only the penalty's width: no d x d identity
     problem = Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
-                      sparse_from_dense(np.ones((1, d))), ridge=0.25,
-                      strong_convexity_mu=0.25)
+                      sparse_from_dense(np.ones((1, d))), ridge=0.25)
     rng = np.random.default_rng(16)
     for _ in range(10):
         x = rng.standard_normal(d)

@@ -145,8 +145,7 @@ def _ragged_instance():
     penalty = build_fused_matrix(d)
     ridge = 1e-2
     problem = Problem(LOSS_LEAST_SQUARES, ProxSpec("l1", 1e-3),
-                      ProxSpec("l1", 1e-3), penalty, ridge=ridge,
-                      strong_convexity_mu=ridge)
+                      ProxSpec("l1", 1e-3), penalty, ridge=ridge)
     config = SolverConfig(gamma=0.1, regime="sc-uniform", max_iters=ITERS,
                           seed=0, lipschitz_L=estimate_lipschitz(
                               train, LOSS_LEAST_SQUARES) + ridge,

@@ -1,0 +1,56 @@
+"""The modules of ``src/spdpeg`` import one another in one order.
+
+Each ``from .x import`` edge must point to a lower layer: the kernels
+(``sparse``, ``prox``, ``trace``), then ``model``, then the penalties and
+the oracles (with the objective and its certificate), then the data
+readers, the solver, the baselines, the benchmark harness and the command
+line, each a layer of its own. The package root re-exports names from
+several layers and lies outside the order.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spdpeg"
+LAYERS = (("sparse", "prox", "trace"), ("model",), ("penalties", "oracles"),
+          ("data",), ("solver",), ("baselines",), ("bench",), ("cli",))
+RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
+
+
+def import_edges(module: str) -> set[str]:
+    """The package modules that ``module`` imports with a relative import."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    edges = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is not None:
+                edges.add(node.module.split(".")[0])
+            else:  # from . import x: x is a module, or a name of the root
+                edges.update(a.name for a in node.names if a.name in RANK)
+    return edges
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(RANK)
+
+
+def test_every_import_points_down():
+    upward = [f"{module} imports {target}" for module in RANK
+              for target in sorted(import_edges(module))
+              if RANK[target] >= RANK[module]]
+    assert upward == []
+
+
+def test_the_certificate_needs_no_benchmark_harness():
+    code = ("import sys, spdpeg.oracles as o; "
+            "assert callable(o.duality_gap) and callable(o.objective_and_gap); "
+            "assert 'spdpeg.bench' not in sys.modules")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -124,14 +124,6 @@ def test_problem_requires_l1_composed_term():
         Problem("logistic", ProxSpec("none"), ProxSpec("none"), EYE2)
 
 
-def test_problem_mu_needs_folded_ridge():
-    with pytest.raises(ValueError, match="strong_convexity_mu"):
-        Problem("logistic", ProxSpec("none"), ProxSpec("l1", 1.0), EYE2,
-                strong_convexity_mu=0.1)
-    Problem("logistic", ProxSpec("none"), ProxSpec("l1", 1.0), EYE2,
-            ridge=0.1, strong_convexity_mu=0.1)
-
-
 def test_config_validation():
     good = dict(gamma=1.0, regime="convex", max_iters=10, seed=3,
                 lipschitz_L=1.0, sigma_max_FtF=0.0)
@@ -159,14 +151,13 @@ def _problem(**kwargs) -> Problem:
      "lipschitz_L must be positive"),
     (lambda: SolverConfig(**{**GOOD_CONFIG, "sigma_max_FtF": NAN}),
      "sigma_max_FtF must be >= 0"),
-    (lambda: _problem(strong_convexity_mu=NAN), "strong_convexity_mu must be >= 0"),
     (lambda: _problem(feasible_radius=NAN), "feasible_radius must be positive"),
     (lambda: compute_L_tilde(NAN, 1.0, 1.0, 0.0), "gamma must be positive"),
     (lambda: precision_graph_from_data(synthesize("fused-signal", 4, 20, 0.1, 0)[0],
                                        NAN, 1e-3), "ridge and threshold must be positive"),
     (lambda: precision_graph_from_data(synthesize("fused-signal", 4, 20, 0.1, 0)[0],
                                        1e-2, NAN), "ridge and threshold must be positive"),
-], ids=["config-gamma", "config-lipschitz_L", "config-sigma_max_FtF", "problem-mu",
+], ids=["config-gamma", "config-lipschitz_L", "config-sigma_max_FtF",
         "problem-feasible_radius", "L_tilde-gamma", "precision-ridge",
         "precision-threshold"])
 def test_a_nan_fails_each_positivity_check(build, message):

@@ -15,10 +15,9 @@ def dense_dataset(rows, labels):
     return Dataset.from_dense_rows(rows, labels)
 
 
-def make_problem(loss, d, ridge=0.0, mu=0.0):
+def make_problem(loss, d, ridge=0.0):
     return Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
-                   sparse_from_dense(np.eye(d)), ridge=ridge,
-                   strong_convexity_mu=mu)
+                   sparse_from_dense(np.eye(d)), ridge=ridge)
 
 
 def per_sample_gradient(problem, dataset, x, i):

@@ -138,16 +138,20 @@ def replaced(manifest: dict, path, value):
 @pytest.mark.parametrize("path,value,message", [
     ((), [1, 2], "{mpath} is not a run manifest"),
     ((), "manifest", "{mpath} is not a run manifest"),
-    (("runs",), [1], "manifest key 'runs' must be a list of objects"),
-    (("runs",), {}, "manifest key 'runs' must be a list of objects"),
-    (("core",), [], "manifest key 'core' must be an object"),
-    (("core", "data"), 1, "manifest key 'data' must be an object"),
-    (("core", "penalty"), "fused", "manifest key 'penalty' must be an object"),
-    (("core", "problem"), None, "manifest key 'problem' must be an object"),
-    (("core", "config"), [], "manifest key 'config' must be an object"),
-    (("derived",), 3.0, "manifest key 'derived' must be an object"),
-    # a leaf is checked against bench.CORE or bench.MANIFEST before any
-    # build: the message names its key path and what it must be
+    # a nested value and a leaf are checked against bench.CORE or
+    # bench.MANIFEST before any build: the message names its key path and
+    # what it must be
+    (("runs",), [1], "manifest.runs must be a list of objects"),
+    (("runs",), {}, "manifest.runs must be a list of objects"),
+    (("core",), [], "manifest.core must be an object"),
+    (("core", "data"), 1, "core.data must be an object"),
+    (("core", "penalty"), "fused", "core.penalty must be an object"),
+    (("core", "problem"), None, "core.problem must be an object"),
+    (("core", "config"), [], "core.config must be an object"),
+    (("derived",), 3.0, "manifest.derived must be an object"),
+    (("derived", "foo"), 1, "manifest.derived has unknown key 'foo'"),
+    (("derived", "L_tilde"), "1.5",
+     "manifest.derived.L_tilde must be a finite number, got '1.5'"),
     (("core", "config", "iters"), "200",
      "core.config.iters must be a 64-bit integer, got '200'"),
     (("core", "data", "synthetic", "n"), 60.0,
@@ -171,6 +175,7 @@ def replaced(manifest: dict, path, value):
      "not in ('trace_spdpeg_seed0.csv',)")],
     ids=["list", "string", "runs-of-numbers", "runs-object", "core-list",
          "core.data", "core.penalty", "core.problem", "core.config", "derived",
+         "derived-unknown", "derived-string",
          "iters-string", "n-float", "d-huge", "lambda_reg-string", "gamma-bool",
          "gamma-nan", "split-string", "config-unknown", "core-unknown",
          "manifest-unknown", "seed-string", "wall_seconds-nulls", "trace_file-other"])
@@ -218,8 +223,7 @@ def test_graph_manifest_with_the_power_iteration_sigma_fails(tmp_path, capsys):
     _, _, problem, _ = bench.build_all(core)
     sigma = power_iteration_sigma_max(problem.penalty)
     assert sigma < problem.penalty.sigma_max_FtF
-    assert replay_with_sigma(tmp_path, "ggrlr", sigma,
-                             problem.strong_convexity_mu) == 1
+    assert replay_with_sigma(tmp_path, "ggrlr", sigma, problem.ridge) == 1
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith("error: derived constant sigma_max_FtF changed")
 

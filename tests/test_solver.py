@@ -259,7 +259,7 @@ def test_weight_accumulation_matches_analytic_total():
     _, graph, _ = synthesize("graph-logistic", 6, 30, 0.1, 2)
     penalty = build_graph_matrix(graph)
     problem = Problem("logistic", ProxSpec("none"), ProxSpec("l1", 1e-5), penalty,
-                      ridge=0.01, strong_convexity_mu=0.01)
+                      ridge=0.01)
     config = SolverConfig(gamma=0.1, regime="sc-nonuniform", max_iters=25, seed=1,
                           lipschitz_L=estimate_lipschitz(dataset, "logistic") + 0.01,
                           sigma_max_FtF=power_iteration_sigma_max(penalty),
@@ -341,7 +341,7 @@ def test_sc_regime_requires_mu():
     bad = SolverConfig(gamma=config.gamma, regime="sc-uniform",
                        max_iters=10, seed=0, lipschitz_L=config.lipschitz_L,
                        sigma_max_FtF=config.sigma_max_FtF)
-    with pytest.raises(ValueError, match="strong_convexity_mu"):
+    with pytest.raises(ValueError, match="requires mu > 0, a folded ridge"):
         run(problem, dataset, bad)
 
 
