@@ -31,15 +31,15 @@ from .baselines import run_eg_full, run_stoch_linadmm
 from .data import (SplitSpec, normalize_features, parse_libsvm, split, split_order,
                    synthesize)
 from .model import (LOSS_LOGISTIC, REGIMES, Dataset, Problem, SolverConfig,
-                    compute_L_tilde, estimate_lipschitz)
+                    estimate_lipschitz)
 from .penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
                         load_penalty, precision_graph_from_data)
 from .prox import ProxSpec, prox_dual, prox_fused
 from .solver import run as run_spdpeg
-from .solver import (DivergenceError, check_step_inequality, kernels,
+from .solver import (DivergenceError, check_step_inequality, kernels, make_schedule,
                      relative_slack, update_extragradient, update_z)
 from .sparse import EPS, SparseMatrix
-from .trace import TraceRecord, read_trace_csv, write_trace_csv
+from .trace import TRACE_COLUMNS, TraceRecord, read_trace_csv, write_trace_csv
 
 SOLVERS = ("spdpeg", "eg-full", "slinadmm")
 TASKS = ("flr", "ggrlr")
@@ -56,7 +56,7 @@ TASK_DEFAULTS = {  # (lambda_reg for r2, gamma_reg for r1/ridge)
 # None for an object that its reader checks. Bounds are left to the
 # constructors that the builders call (SplitSpec, synthesize, Problem,
 # SolverConfig). A key with no default may be absent: it is off, or its
-# reader needs it.
+# reader needs it, and reading it names its path.
 CORE = {
     "data": {"path": (str,), "synthetic": ({"kind": (str,), "d": (int,), "n": (int,),
                                            "noise": (Real,), "seed": (int,)},),
@@ -70,16 +70,13 @@ CORE = {
     "config": {"gamma": (float,), "regime": (str,), "iters": (int,),
                "batch_size": (int, 1), "eval_every": (int, 100)},
 }
-# the sections of a core; build_all checks the config, as it reads gamma and
-# regime, and each other section is checked by its builder
-_SECTIONS = {**dict.fromkeys(CORE, (None,)), "config": (CORE["config"],)}
 _RUN = {"solver": (str,), "seed": (int,), "diverged_at": (int,), "error": (str,),
         "trace_file": (lambda entry: (trace_filename(entry["solver"], entry["seed"]),),),
         "final_objective": (float,), "max_dual_norm": (float,),
         **dict.fromkeys(("wall_seconds", "final_x_avg", "final_z_avg",
                          "final_lambda_avg"), ([float],))}
-# the constants of ``derive_constants``; the replay compares each with the
-# one it derives
+# the constants of ``build_all``; the replay compares each with the one it
+# derives
 _DERIVED = dict.fromkeys(("lipschitz_data", "lipschitz_L", "sigma_max_FtF",
                           "L_tilde"), (float,))
 MANIFEST = {"format": (str,), "schema": (int,), "version": (str,), "solvers": ([str],),
@@ -128,16 +125,27 @@ def _fits(value, kind) -> bool:
     return type(value) is kind
 
 
+class _Checked(dict):
+    """An object that ``checked`` passed, at ``path``; reading a key that it
+    lacks is a ValueError that names the key's path."""
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.path}.{key} is missing")
+
+
 def checked(section, spec: dict | None, path: str) -> dict:
     """``section``, the object at ``path``, with the defaults of the keys
     of ``spec`` (a section of ``CORE``, or ``MANIFEST``) filled in. One ValueError
     names the first key that ``spec`` lacks or the first value of the
     wrong kind, in nested objects too. An absent key with no default stays
-    absent, so that its reader's KeyError names it."""
+    absent, and reading it from the result (or from a nested object of
+    it) is a ValueError that names its path."""
     if not isinstance(section, dict):
         raise ValueError(f"{path} must be an object")
     if spec is None:  # an object that its reader checks
         return section
+    out = _Checked({key: leaf[1] for key, leaf in spec.items() if len(leaf) > 1} | section)
+    out.path = path
     for key, value in section.items():
         if key not in spec:
             raise ValueError(f"{path} has unknown key {key!r}")
@@ -148,17 +156,17 @@ def checked(section, spec: dict | None, path: str) -> dict:
                         else f"a {_KIND_NAMES[kind]}")
                 raise ValueError(f"{where} must be {name}, got {value!r}")
         elif kind is None or isinstance(kind, dict):
-            checked(value, kind, where)
+            out[key] = checked(value, kind, where)
         elif isinstance(kind, list):  # a list of objects
             if not _fits(value, [dict]):
                 raise ValueError(f"{where} must be a list of objects")
-            for i, item in enumerate(value):
-                checked(item, kind[0], f"{where}[{i}]")
+            out[key] = [checked(item, kind[0], f"{where}[{i}]")
+                        for i, item in enumerate(value)]
         else:
-            allowed = kind if isinstance(kind, tuple) else kind(section)
+            allowed = kind if isinstance(kind, tuple) else kind(out)
             if value not in allowed:
                 raise ValueError(f"{where}: unknown {key} {value!r}, not in {allowed}")
-    return {**{key: leaf[1] for key, leaf in spec.items() if len(leaf) > 1}, **section}
+    return out
 
 
 def build_data(data_cfg: dict) -> tuple[Dataset, Dataset, GraphSpec | None]:
@@ -221,18 +229,15 @@ def build_problem(problem_cfg: dict, penalty: SparseMatrix) -> Problem:
                    penalty, ridge=gamma_reg, feasible_radius=radius)
 
 
-def derive_constants(problem: Problem, train: Dataset, gamma: float,
-                     regime: str) -> dict:
-    """The step constants of a problem on its training set. The row norms
-    are cached on ``train`` and ``SparseMatrix.sigma_max_FtF`` on
-    ``problem.penalty``, so deriving again costs nothing."""
+def derive_constants(problem: Problem, train: Dataset) -> dict:
+    """The data constants of a problem on its training set, which no
+    regime changes. The row norms are cached on ``train`` and
+    ``SparseMatrix.sigma_max_FtF`` on ``problem.penalty``, so deriving
+    again costs nothing."""
     lips_data = estimate_lipschitz(train, problem.loss)
-    lips = max(lips_data + problem.ridge, 1e-12)
-    sigma = problem.penalty.sigma_max_FtF
-    mu = 0.0 if regime == "convex" else problem.ridge
-    return {"lipschitz_data": lips_data, "lipschitz_L": lips,
-            "sigma_max_FtF": sigma,
-            "L_tilde": compute_L_tilde(gamma, sigma, lips, mu)}
+    return {"lipschitz_data": lips_data,
+            "lipschitz_L": max(lips_data + problem.ridge, 1e-12),
+            "sigma_max_FtF": problem.penalty.sigma_max_FtF}
 
 
 def make_config(core: dict, derived: dict, seed: int) -> SolverConfig:
@@ -245,15 +250,16 @@ def make_config(core: dict, derived: dict, seed: int) -> SolverConfig:
 
 
 def build_all(core: dict):
-    """Rebuild (train, test, problem, derived) from a core config dict.
-    Each section is checked where it enters: the config here, for the
-    constants, and again where ``make_config`` reads it."""
-    checked(core, _SECTIONS, "core")
+    """Rebuild (train, test, problem, derived) from a core config dict:
+    ``derived`` holds the data constants and the L_tilde of the runs'
+    schedule, so a bad config is an error of the build. Each section is
+    checked where it enters its builder, the config in ``make_config``."""
+    core = checked(core, dict.fromkeys(CORE, (None,)), "core")
     train, test, graph = build_data(core["data"])
     penalty = build_penalty(core["penalty"], train, graph)
     problem = build_problem(core["problem"], penalty)
-    derived = derive_constants(problem, train, core["config"]["gamma"],
-                               core["config"]["regime"])
+    derived = derive_constants(problem, train)
+    derived["L_tilde"] = make_schedule(problem, make_config(core, derived, 0)).L_tilde
     return train, test, problem, derived
 
 
@@ -387,23 +393,21 @@ def replay_manifest(manifest_path, out_dir) -> list[str]:
     Recorded wall times are reused, so each rewritten trace file must also
     be byte-identical to the recorded one next to the manifest, if there is
     one; they are read before a rerun into the same directory writes. A
-    key that the replay reads and the manifest lacks is a ValueError."""
+    key that the replay reads and the manifest lacks is a ValueError that
+    names its path (``checked``)."""
     here = Path(manifest_path).parent
-    try:
-        manifest = load_manifest(manifest_path)
-        core, runs = manifest["core"], manifest["runs"]
-        jobs = [(e["solver"], e["seed"]) for e in runs]
-        built = build_all(core)
-        # in derivation order, so a changed sigma_max_FtF is named, not the
-        # L_tilde that follows from it
-        for key, value in built[3].items():
-            expect = manifest["derived"][key]
-            if value != expect:
-                raise ValueError(f"derived constant {key} changed: manifest "
-                                 f"has {expect!r}, recomputed {value!r}")
-        results = run_jobs(core, built, jobs)
-    except KeyError as exc:
-        raise ValueError(f"manifest lacks key {exc.args[0]!r}") from None
+    manifest = load_manifest(manifest_path)
+    core, runs = manifest["core"], manifest["runs"]
+    jobs = [(e["solver"], e["seed"]) for e in runs]
+    built = build_all(core)
+    # in derivation order, so a changed sigma_max_FtF is named, not the
+    # L_tilde that follows from it
+    for key, value in built[3].items():
+        expect = manifest["derived"][key]
+        if value != expect:
+            raise ValueError(f"derived constant {key} changed: manifest "
+                             f"has {expect!r}, recomputed {value!r}")
+    results = run_jobs(core, built, jobs)
     recorded = {e["trace_file"]: (here / e["trace_file"]).read_bytes()
                 for e in runs
                 if "trace_file" in e and (here / e["trace_file"]).is_file()}
@@ -542,13 +546,17 @@ def _extragradient_reference(problem: Problem, dataset: Dataset, gamma: float,
                              max_iters: int, tol: float,
                              check_every: int) -> ReferenceSolution:
     """``update_z`` and ``update_extragradient`` (which projects onto any
-    feasible ball) at the constant step c = 1/(1 + L_tilde), with full
-    gradients, for ``max_iters`` iterations at most: the scheduled solvers
-    shrink their steps, while this last iterate settles geometrically. The
-    objective is evaluated every ``check_every`` iterations, and the run
-    stops once it changes by at most tol (relative) between checks.
-    Returns the best iterate seen, with no certificate."""
-    c = 1.0 / (1.0 + derive_constants(problem, dataset, gamma, "convex")["L_tilde"])
+    feasible ball) at the constant step c = 1/(1 + L_tilde), with the
+    L_tilde of a convex schedule and full gradients, for ``max_iters``
+    iterations at most: the scheduled solvers shrink their steps, while
+    this last iterate settles geometrically. The objective is evaluated
+    every ``check_every`` iterations, and the run stops once it changes by
+    at most tol (relative) between checks. Returns the best iterate seen,
+    with no certificate."""
+    # the config's max_iters and seed enter no schedule
+    data = derive_constants(problem, dataset)
+    config = SolverConfig(gamma, "convex", 1, 0, data["lipschitz_L"], data["sigma_max_FtF"])
+    c = 1.0 / (1.0 + make_schedule(problem, config).L_tilde)
     kern = kernels(problem)
 
     def gradient(v):
@@ -733,6 +741,7 @@ def verify_rates(regimes=REGIMES, iters: int = 100_000,
     if "sc-nonuniform" in regimes or "sc-uniform" in regimes:
         builds.append(("sc", "sc-nonuniform", iters if "sc-nonuniform" in regimes
                        else ordering_iteration))
+    families = {}  # family: (build, reference, iterations, objective gaps)
     for family, regime, horizon in builds:
         core = rate_core(family, d=d, n=n, gamma=gamma, iters=horizon,
                          eval_every=eval_every)
@@ -741,6 +750,7 @@ def verify_rates(regimes=REGIMES, iters: int = 100_000,
         ref = reference_optimum(problem, train, core["config"]["gamma"])
         its, obj_curves, feas_curves = _gap_curves(built, core, seed_list,
                                                    ref.objective)
+        families[family] = built, ref, its, obj_curves
         if regime in regimes:
             mean_gaps = obj_curves.mean(axis=0)
             fit = fit_rate(its, mean_gaps)
@@ -754,8 +764,9 @@ def verify_rates(regimes=REGIMES, iters: int = 100_000,
     if "sc-uniform" in regimes:
         # the uniform regime is checked as an ordering against the
         # accelerated one at a fixed iteration count, not as a slope. Its
-        # runs take the loop's last build, the sc one: make_config reads L
-        # and sigma_max of its constants, and neither depends on the regime
+        # runs take the sc build: make_config reads L and sigma_max of its
+        # constants, and neither depends on the regime
+        built, ref, its, obj_curves = families["sc"]
         non_gaps = obj_curves[:, _grid_index(its, ordering_iteration)]
         uni_core = rate_core("sc", d=d, n=n, gamma=gamma, iters=ordering_iteration,
                              eval_every=eval_every, regime="sc-uniform")
@@ -773,6 +784,10 @@ def verify_rates(regimes=REGIMES, iters: int = 100_000,
 
 # ---------------------------------------------------------------------------
 # per-step inequality sweep
+
+
+# the least relative slack of the per-step inequality that passes the audit
+SLACK_THRESHOLD = -1e-8
 
 
 def step_inequality_sweep(d: int = 20, n: int = 100, steps: int = 1000,
@@ -824,7 +839,7 @@ def step_inequality_sweep(d: int = 20, n: int = 100, steps: int = 1000,
             "d": d, "n": n, "step_scale": step_scale,
             "min_relative_slack": min_rel, "min_slack": min_abs,
             "coefficient_negative_steps": flagged, "diverged_at": diverged_at,
-            "threshold": -1e-8, "passed": bool(min_rel >= -1e-8)}
+            "threshold": SLACK_THRESHOLD, "passed": bool(min_rel >= SLACK_THRESHOLD)}
 
 
 # ---------------------------------------------------------------------------
@@ -844,8 +859,8 @@ def collect_trace_files(paths) -> list[tuple[str, int, list[TraceRecord]]]:
     return out
 
 
-PLOT_METRICS = ("objective", "test_loss", "accuracy", "feasibility_gap",
-                "max_dual_norm", "wall_seconds")
+# the float columns of a trace
+PLOT_METRICS = TRACE_COLUMNS[2:]
 
 
 def aggregate_traces(traces) -> tuple[list[tuple], list[tuple]]:

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 SCHEMA_VERSION = 1
-TRACE_COLUMNS = ("schema_version", "iteration", "wall_seconds", "objective",
-                 "test_loss", "accuracy", "feasibility_gap", "max_dual_norm")
 
 
 @dataclass(frozen=True)
@@ -21,6 +19,11 @@ class TraceRecord:
     max_dual_norm: float
 
 
+# the CSV header: the schema version, then the fields of a record, of which
+# every one after the iteration is a float
+TRACE_COLUMNS = ("schema_version", *(f.name for f in fields(TraceRecord)))
+
+
 def write_trace_csv(path, records) -> None:
     # repr keeps the shortest digits that round-trip, so files are
     # byte-stable across identical runs
@@ -28,10 +31,9 @@ def write_trace_csv(path, records) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for r in records:
-            writer.writerow([SCHEMA_VERSION, r.iteration, repr(float(r.wall_seconds)),
-                             repr(float(r.objective)), repr(float(r.test_loss)),
-                             repr(float(r.accuracy)), repr(float(r.feasibility_gap)),
-                             repr(float(r.max_dual_norm))])
+            writer.writerow([SCHEMA_VERSION, r.iteration,
+                             *(repr(float(getattr(r, name)))
+                               for name in TRACE_COLUMNS[2:])])
 
 
 def read_trace_csv(path) -> list[TraceRecord]:

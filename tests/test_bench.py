@@ -123,10 +123,41 @@ def test_uncached_reference_redoes_no_dataset_work(monkeypatch):
     ref = bench.reference_optimum(problem, train, 0.1, max_iters=5)
     # the fused penalty's sigma_max is set in closed form when it is built
     assert (len(norms), len(powers)) == (1, 0)
-    # the constants the reference steps with are the ones build_all derived
-    assert bench.derive_constants(problem, train, 0.1, "convex") == derived
+    # the data constants the reference steps with are the ones build_all
+    # derived
+    data = bench.derive_constants(problem, train)
+    assert data == {key: derived[key] for key in data}
     assert (len(norms), len(powers)) == (1, 0)
     assert (ref.iterations, ref.converged, ref.certified_gap) == (5, False, None)
+
+
+def split_sc_core():
+    core = bench.rate_core("sc", d=8, n=40, iters=20, eval_every=10)
+    core["data"].update(split=True, split_seed=3)
+    return core
+
+
+@pytest.mark.parametrize("core", [
+    bench.rate_core("convex", d=8, n=40, iters=20, eval_every=10),
+    bench.rate_core("sc", d=8, n=40, iters=20, eval_every=10), split_sc_core()],
+    ids=["convex", "sc", "split-sc"])
+def test_the_manifest_L_tilde_is_the_runs_L_tilde(monkeypatch, core):
+    built = bench.build_all(core)
+    _, _, problem, derived = built
+    seeds = range(4)
+    for seed in seeds:
+        config = bench.make_config(core, derived, seed)
+        assert solver.make_schedule(problem, config).L_tilde == derived["L_tilde"]
+    # and each run steps with that schedule
+    make_schedule, schedules = solver.make_schedule, []
+
+    def recorded(problem, config):
+        schedules.append(make_schedule(problem, config))
+        return schedules[-1]
+
+    monkeypatch.setattr(solver, "make_schedule", recorded)
+    bench.run_jobs(core, built, [("spdpeg", seed) for seed in seeds])
+    assert [s.L_tilde for s in schedules] == [derived["L_tilde"]] * len(seeds)
 
 
 @pytest.mark.parametrize("max_iters, evaluations", [(5, 1), (7, 2), (10, 2), (0, 1)])
@@ -446,16 +477,16 @@ def test_verify_rates_builds_each_core_once(monkeypatch, tmp_path):
     calls = count_builds(monkeypatch, tmp_path / "builds")
     derive, derived = bench.derive_constants, []
 
-    def counted(problem, train, gamma, regime):
-        derived.append(regime)
-        return derive(problem, train, gamma, regime)
+    def counted(problem, train):
+        derived.append(problem)
+        return derive(problem, train)
 
     monkeypatch.setattr(bench, "derive_constants", counted)
     bench.verify_rates(iters=1000, seeds=5, d=8, n=40)
     # one build per family serves its reference and every seed; the
     # uniform ordering runs reuse the sc build and its constants
     assert calls() == ["convex", "sc-nonuniform"]
-    assert derived == ["convex", "sc-nonuniform"]
+    assert len(derived) == 2
 
 
 def test_verify_rates_rejects_an_ordering_past_the_sc_run(monkeypatch, tmp_path):

@@ -237,6 +237,27 @@ def test_run_reports_worker_parse_error(tmp_path, capsys, monkeypatch):
     assert "error: line 2: bad feature value 'x'" in capsys.readouterr().err
 
 
+def test_a_strongly_convex_regime_without_a_ridge_starts_no_pool(tmp_path, capsys,
+                                                                 monkeypatch):
+    # flr folds no ridge, so no strongly convex schedule exists for it; the
+    # build makes the runs' schedule, so the error is one line in this
+    # process before any worker starts
+    monkeypatch.setenv("SPDPEG_THREADS", "2")
+    pools = []
+
+    def no_pool(*args, **kwargs):
+        pools.append(kwargs)
+        raise RuntimeError("a pool was started")
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+    out = tmp_path / "o"
+    rc = main(["run", "--task", "flr", "--regime", "sc-uniform", "--out", str(out)])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: regime 'sc-uniform' requires mu > 0, a folded ridge"
+    assert pools == [] and not out.exists()
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_run_reports_power_iteration_error(tmp_path, capsys, monkeypatch, threads):
     # a file penalty gets its sigma_max by power iteration, and for the

@@ -6,6 +6,9 @@ the oracles (with the objective and its certificate), then the data
 readers, the solver, the baselines, the benchmark harness and the command
 line, each a layer of its own. The package root re-exports names from
 several layers and lies outside the order.
+
+A fact with one source is checked here too: ``solver.make_schedule`` is the
+one place that derives L_tilde.
 """
 
 from __future__ import annotations
@@ -22,11 +25,14 @@ LAYERS = (("sparse", "prox", "trace"), ("model",), ("penalties", "oracles"),
 RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
 
 
+def parse(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
 def import_edges(module: str) -> set[str]:
     """The package modules that ``module`` imports with a relative import."""
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     edges = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(parse(module)):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module is not None:
                 edges.add(node.module.split(".")[0])
@@ -45,6 +51,31 @@ def test_every_import_points_down():
               for target in sorted(import_edges(module))
               if RANK[target] >= RANK[module]]
     assert upward == []
+
+
+def callers_of(name: str) -> list[str]:
+    """``module.owner`` of each call of ``name`` in the package, the owner
+    being the top-level function or class that holds the call, or
+    ``<module>``."""
+    callers = []
+    for module in sorted(RANK):
+        for top in parse(module).body:
+            callers += [f"{module}.{getattr(top, 'name', '<module>')}"
+                        for node in ast.walk(top) if isinstance(node, ast.Call)
+                        and name in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))]
+    return callers
+
+
+def test_L_tilde_has_one_source():
+    # the schedule maps a regime to mu and derives L_tilde; the manifest
+    # records the L_tilde of a schedule, so the harness never derives one
+    assert callers_of("compute_L_tilde") == ["solver.make_schedule"]
+    names = {getattr(node, "id", None) or getattr(node, "attr", None)
+             for node in ast.walk(parse("bench"))}
+    names |= {alias.name for node in ast.walk(parse("bench"))
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "compute_L_tilde" not in names
 
 
 def test_the_certificate_needs_no_benchmark_harness():

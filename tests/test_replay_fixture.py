@@ -103,6 +103,15 @@ def without(manifest: dict, *path) -> dict:
     return manifest
 
 
+def key_path(path) -> str:
+    """The full path of the key at the end of ``path``, as the checks name
+    it: a key inside the core from ``core``, any other from ``manifest``."""
+    head, steps = ("manifest", path)
+    if path[0] == "core" and len(path) > 1:
+        head, steps = ("core", path[1:])
+    return head + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps)
+
+
 @pytest.mark.parametrize("path", [
     ("core",), ("derived",), ("runs",), ("runs", 3, "solver"),
     ("runs", 0, "seed"), ("core", "data"), ("core", "penalty"),
@@ -118,7 +127,7 @@ def test_a_manifest_that_lacks_a_key_is_one_error_line(tmp_path, capsys, path):
                "--out", str(tmp_path / "replay")])
     assert rc == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert line == f"error: manifest lacks key {path[-1]!r}"
+    assert line == f"error: {key_path(path)} is missing"
     assert not (tmp_path / "replay").exists()
 
 
@@ -172,13 +181,17 @@ def replaced(manifest: dict, path, value):
      "manifest.runs[0].wall_seconds must be a list of finite numbers, got [None]"),
     (("runs", 0, "trace_file"), "trace_spdpeg_seed1.csv",
      "manifest.runs[0].trace_file: unknown trace_file 'trace_spdpeg_seed1.csv', "
-     "not in ('trace_spdpeg_seed0.csv',)")],
+     "not in ('trace_spdpeg_seed0.csv',)"),
+    # a key that a builder needs and the core lacks is named by its path
+    (("core", "penalty"), {"source": "file"}, "core.penalty.path is missing"),
+    (("core", "data"), {"split": True, "split_seed": 3}, "core.data.path is missing")],
     ids=["list", "string", "runs-of-numbers", "runs-object", "core-list",
          "core.data", "core.penalty", "core.problem", "core.config", "derived",
          "derived-unknown", "derived-string",
          "iters-string", "n-float", "d-huge", "lambda_reg-string", "gamma-bool",
          "gamma-nan", "split-string", "config-unknown", "core-unknown",
-         "manifest-unknown", "seed-string", "wall_seconds-nulls", "trace_file-other"])
+         "manifest-unknown", "seed-string", "wall_seconds-nulls", "trace_file-other",
+         "file-penalty-without-path", "data-without-source"])
 def test_a_manifest_of_the_wrong_shape_is_one_error_line(tmp_path, capsys, path,
                                                          value, message):
     manifest = json.loads((FIXTURE / "flr" / "manifest.json").read_text())
