@@ -41,12 +41,23 @@ from .solver import (DivergenceError, check_step_inequality, kernels, make_sched
 from .sparse import EPS, SparseMatrix
 from .trace import TRACE_COLUMNS, TraceRecord, read_trace_csv, write_trace_csv
 
-SOLVERS = ("spdpeg", "eg-full", "slinadmm")
-TASKS = ("flr", "ggrlr")
+_SOLVER_FNS = {
+    "spdpeg": run_spdpeg,
+    "eg-full": run_eg_full,
+    "slinadmm": run_stoch_linadmm,
+}
+SOLVERS = tuple(_SOLVER_FNS)
+# synthetic kind, penalty source and default regime of each task's instance
+TASK_INSTANCES = {
+    "flr": ("fused-signal", "fused", "convex"),
+    "ggrlr": ("graph-logistic", "synthetic-graph", "sc-nonuniform"),
+}
+TASKS = tuple(TASK_INSTANCES)
 TASK_DEFAULTS = {  # (lambda_reg for r2, gamma_reg for r1/ridge)
     "flr": (5e-3, 5e-4),
     "ggrlr": (1e-5, 1e-2),
 }
+SYNTH_NOISE = 0.1  # the label noise of a synthetic instance that names none
 
 # Every key of a core, by section, as (kind,) or (kind, default). A kind is
 # a JSON type (int: within int64; float: a finite number; Real: any
@@ -85,12 +96,6 @@ MANIFEST = {"format": (str,), "schema": (int,), "version": (str,), "solvers": ([
 _KIND_NAMES = {int: "64-bit integer", float: "finite number", Real: "number",
                str: "string", bool: "boolean"}
 TRACE_FILE_RE = re.compile(r"trace_(?P<solver>[a-z\-]+)_seed(?P<seed>\d+)\.csv$")
-
-_SOLVER_FNS = {
-    "spdpeg": run_spdpeg,
-    "eg-full": run_eg_full,
-    "slinadmm": run_stoch_linadmm,
-}
 
 
 def _sha256_file(path) -> str:
@@ -618,18 +623,24 @@ class RateFit:
             raise ValueError("r_squared must lie in [0, 1]")
 
 
+# the first iteration of a rate fit's window
+FIT_START = 100
+
+
 def fit_rate(iterations, values) -> RateFit:
     """Least-squares slope of log(value) against log(iteration), over the
-    iterations from 100 on.
+    iterations from ``FIT_START`` on.
 
     Non-positive values cannot be logged and are dropped, which shrinks the
     window; raises when fewer than three points survive.
     """
     it = np.asarray(iterations, dtype=np.float64)
     vals = np.asarray(values, dtype=np.float64)
-    mask = (it >= 100) & (vals > 0.0) & np.isfinite(vals)
+    mask = (it >= FIT_START) & (vals > 0.0) & np.isfinite(vals)
     if mask.sum() < 3:
-        raise ValueError("rate-fit window is empty after dropping non-positive gaps")
+        raise ValueError(f"a rate-fit window needs at least three trace points from "
+                         f"iteration {FIT_START} on, each with a positive, finite "
+                         f"value; got {int(mask.sum())}")
     x = np.log(it[mask])
     y = np.log(vals[mask])
     slope, intercept = np.polyfit(x, y, 1)
@@ -640,11 +651,8 @@ def fit_rate(iterations, values) -> RateFit:
                    (int(it[mask].min()), int(it[mask].max())))
 
 
-# task, synthetic kind, penalty source, gamma and regime of each rate family
-_RATE_FAMILIES = {
-    "convex": ("flr", "fused-signal", "fused", 0.1, "convex"),
-    "sc": ("ggrlr", "graph-logistic", "synthetic-graph", 0.05, "sc-nonuniform"),
-}
+# task and gamma of each rate family
+_RATE_FAMILIES = {"convex": ("flr", 0.1), "sc": ("ggrlr", 0.05)}
 
 
 def rate_core(family: str, d: int = 20, n: int = 200, data_seed: int = 12345,
@@ -662,14 +670,15 @@ def rate_core(family: str, d: int = 20, n: int = 200, data_seed: int = 12345,
     """
     if family not in _RATE_FAMILIES:
         raise ValueError(f"unknown rate family {family!r}")
-    task, kind, source, family_gamma, family_regime = _RATE_FAMILIES[family]
+    task, family_gamma = _RATE_FAMILIES[family]
+    kind, source, task_regime = TASK_INSTANCES[task]
     lambda_reg, gamma_reg = TASK_DEFAULTS[task]
-    return {"data": {"synthetic": {"kind": kind, "d": d, "n": n, "noise": 0.1,
+    return {"data": {"synthetic": {"kind": kind, "d": d, "n": n, "noise": SYNTH_NOISE,
                                    "seed": data_seed}},
             "penalty": {"source": source},
             "problem": {"task": task, "lambda_reg": lambda_reg, "gamma_reg": gamma_reg},
             "config": {"gamma": family_gamma if gamma is None else gamma,
-                       "regime": family_regime if regime is None else regime,
+                       "regime": task_regime if regime is None else regime,
                        "iters": iters, **config}}
 
 
@@ -705,11 +714,12 @@ def _reference_report(ref: ReferenceSolution, iterations: np.ndarray,
 
 
 def verify_rates(regimes=REGIMES, iters: int = 100_000,
-                 seeds: int = 5, base_seed: int = 0, d: int = 20, n: int = 200,
+                 seeds: int = 5, base_seed: int = 0,
                  eval_every: int = CORE["config"]["eval_every"][1],
                  ordering_iteration: int | None = None,
-                 gamma: float | None = None) -> dict:
-    """Fit empirical convergence slopes for the requested regimes.
+                 gamma: float | None = None, **instance) -> dict:
+    """Fit empirical convergence slopes for the requested regimes, on the
+    ``rate_core`` instances that ``instance`` (``d``, ``n``) sizes.
 
     Convex regime: the mean objective gap of the uniformly averaged output
     should decay like 1/sqrt(t). Accelerated strongly convex regime: both
@@ -733,6 +743,15 @@ def verify_rates(regimes=REGIMES, iters: int = 100_000,
         # the sc-nonuniform run that the ordering reads stops at iters
         raise ValueError(f"ordering_iteration {ordering_iteration} lies past "
                          f"iters {iters}")
+    # the trace points from FIT_START on: the multiples of eval_every, and
+    # iters itself
+    first = -(-FIT_START // eval_every) * eval_every
+    points = (len(range(first, iters + 1, eval_every))
+              + (iters >= FIT_START and iters % eval_every > 0))
+    if points < 3 and {"convex", "sc-nonuniform"} & set(regimes):
+        raise ValueError(f"a rate fit needs at least three trace points from "
+                         f"iteration {FIT_START} on; iters {iters} at eval_every "
+                         f"{eval_every} gives {points}")
     report: dict = {"seeds": seed_list, "iters": iters}
     # (family, regime fitted, iterations) of each build. The schedule does
     # not depend on the horizon, so an sc run to iters passes through the
@@ -743,8 +762,8 @@ def verify_rates(regimes=REGIMES, iters: int = 100_000,
                        else ordering_iteration))
     families = {}  # family: (build, reference, iterations, objective gaps)
     for family, regime, horizon in builds:
-        core = rate_core(family, d=d, n=n, gamma=gamma, iters=horizon,
-                         eval_every=eval_every)
+        core = rate_core(family, gamma=gamma, iters=horizon, eval_every=eval_every,
+                         **instance)
         built = build_all(core)
         train, _, problem, _ = built
         ref = reference_optimum(problem, train, core["config"]["gamma"])
@@ -768,8 +787,8 @@ def verify_rates(regimes=REGIMES, iters: int = 100_000,
         # constants, and neither depends on the regime
         built, ref, its, obj_curves = families["sc"]
         non_gaps = obj_curves[:, _grid_index(its, ordering_iteration)]
-        uni_core = rate_core("sc", d=d, n=n, gamma=gamma, iters=ordering_iteration,
-                             eval_every=eval_every, regime="sc-uniform")
+        uni_core = rate_core("sc", gamma=gamma, iters=ordering_iteration,
+                             eval_every=eval_every, regime="sc-uniform", **instance)
         uni_its, uni_curves, _ = _gap_curves(built, uni_core, seed_list,
                                              ref.objective)
         uni_gaps = uni_curves[:, _grid_index(uni_its, ordering_iteration)]
@@ -792,10 +811,11 @@ SLACK_THRESHOLD = -1e-8
 
 def step_inequality_sweep(d: int = 20, n: int = 100, steps: int = 1000,
                           n_references: int = 10, mode: str = "stochastic",
-                          seed: int = 0, gamma: float = 0.1,
+                          seed: int = 0, gamma: float | None = None,
                           step_scale: float = 1.0) -> dict:
     """Instrument a run and audit the per-step inequality against random
-    reference points; returns the worst (minimum) relative slack seen."""
+    reference points; returns the worst (minimum) relative slack seen.
+    ``gamma`` None takes the convex rate family's."""
     if mode not in ("stochastic", "deterministic"):
         raise ValueError(f"unknown mode {mode!r}")
     if n_references < 1:

@@ -17,22 +17,24 @@ import os
 import sys
 
 from . import bench
-from .data import ParseError
+from .data import SYNTHETIC_KINDS, ParseError
 from .model import REGIMES
 from .solver import DivergenceError
 from .sparse import PowerIterationError
 
-SYNTH_SPEC_HELP = "KIND:d=D,N=N[,noise=X] with KIND in {fused-signal, graph-logistic}"
+SYNTH_SPEC_HELP = f"KIND:d=D,N=N[,noise=X] with KIND in {{{', '.join(SYNTHETIC_KINDS)}}}"
 # core sections, whose (kind, default) leaves give the options their defaults
 DATA, PENALTY, CONFIG = (bench.CORE[s] for s in ("data", "penalty", "config"))
-# the defaults of the library calls behind verify-rates and check-lemma1
-RATES, LEMMA1 = ({k: p.default for k, p in inspect.signature(f).parameters.items()}
-                 for f in (bench.verify_rates, bench.step_inequality_sweep))
+# the defaults of the library calls behind verify-rates and check-lemma1, and
+# of the rate instance that a run builds when it is given no data
+RATES, LEMMA1, INSTANCE = (
+    {k: p.default for k, p in inspect.signature(f).parameters.items()}
+    for f in (bench.verify_rates, bench.step_inequality_sweep, bench.rate_core))
 
 
 def parse_synthetic_spec(spec: str, seed: int) -> dict:
     kind, _, rest = spec.partition(":")
-    fields = {"noise": 0.1}
+    fields = {"noise": bench.SYNTH_NOISE}
     if rest:
         for part in rest.split(","):
             key, _, value = part.partition("=")
@@ -51,26 +53,25 @@ def parse_synthetic_spec(spec: str, seed: int) -> dict:
 
 
 def _build_core(args) -> dict:
-    if args.data is None and args.synthetic is None:
-        default_kind = "fused-signal" if args.task == "flr" else "graph-logistic"
-        args.synthetic = f"{default_kind}:d=20,N=200"
+    kind, source, regime = bench.TASK_INSTANCES[args.task]
     data = {"split": True, "train_fraction": args.train_fraction,
             "split_seed": args.data_seed + 1}
     if args.data is not None:
         data.update(path=args.data, sha256=bench._sha256_file(args.data),
                     normalize=bool(args.normalize))
     else:
-        data["synthetic"] = parse_synthetic_spec(args.synthetic, args.data_seed)
+        spec = (f"{kind}:d={INSTANCE['d']},N={INSTANCE['n']}" if args.synthetic is None
+                else args.synthetic)
+        data["synthetic"] = parse_synthetic_spec(spec, args.data_seed)
     if args.penalty_file:
         penalty = {"source": "file", "path": args.penalty_file,
                    "sha256": bench._sha256_file(args.penalty_file)}
-    elif args.task == "flr":
-        penalty = {"source": "fused"}
-    elif args.data is None and data["synthetic"]["kind"] == "graph-logistic":
-        penalty = {"source": "synthetic-graph"}
-    else:
+    elif source == "synthetic-graph" and data.get("synthetic", {}).get("kind") != kind:
+        # no synthetic graph to take: estimate one from the data
         penalty = {"source": "precision", "ridge": args.precision_ridge,
                    "threshold": args.precision_threshold}
+    else:
+        penalty = {"source": source}
     lambda_default, gamma_default = bench.TASK_DEFAULTS[args.task]
     problem = {"task": args.task,
                "lambda_reg": (lambda_default if args.lambda_reg is None
@@ -79,10 +80,7 @@ def _build_core(args) -> dict:
                              else args.gamma_reg)}
     if args.feasible_radius is not None:
         problem["feasible_radius"] = args.feasible_radius
-    regime = args.regime
-    if regime is None:
-        regime = "convex" if args.task == "flr" else "sc-nonuniform"
-    config = {"gamma": args.gamma, "regime": regime, "iters": args.iters,
+    config = {"gamma": args.gamma, "regime": args.regime or regime, "iters": args.iters,
               "batch_size": args.batch_size, "eval_every": args.eval_every}
     return {"data": data, "penalty": penalty, "problem": problem,
             "config": config}
@@ -135,7 +133,7 @@ def cmd_verify_rates(args) -> int:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True, allow_nan=False)
         print(f"wrote {path}")
-    for regime in ("convex", "sc-nonuniform"):
+    for regime in REGIMES:  # sc-uniform fits no slope; its ordering follows
         if regime in report:
             r = report[regime]
             print(f"{regime}: slope={r['slope']:.3f} r2={r['r_squared']:.3f} "
@@ -224,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--normalize", action="store_true",
                        help="scale each feature to max-abs 1")
     p_run.add_argument("--train-fraction", type=float, default=DATA["train_fraction"][1])
-    p_run.add_argument("--data-seed", type=int, default=12345)
+    p_run.add_argument("--data-seed", type=int, default=INSTANCE["data_seed"])
     p_run.add_argument("--precision-ridge", type=float, default=PENALTY["ridge"][1])
     p_run.add_argument("--precision-threshold", type=float, default=PENALTY["threshold"][1])
     p_run.add_argument("--feasible-radius", type=float, default=None)
@@ -239,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rates.add_argument("--iters", type=int, default=RATES["iters"])
     p_rates.add_argument("--seeds", type=int, default=RATES["seeds"])
     p_rates.add_argument("--seed", type=int, default=RATES["base_seed"])
-    p_rates.add_argument("--d", type=int, default=RATES["d"])
-    p_rates.add_argument("--n", type=int, default=RATES["n"])
+    p_rates.add_argument("--d", type=int, default=INSTANCE["d"])
+    p_rates.add_argument("--n", type=int, default=INSTANCE["n"])
     p_rates.add_argument("--eval-every", type=int, default=RATES["eval_every"])
     p_rates.add_argument("--gamma", type=float, default=RATES["gamma"])
     p_rates.add_argument("--out")
@@ -277,7 +275,7 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, ParseError, DivergenceError, PowerIterationError,
-            OSError) as exc:
+            OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -111,6 +111,8 @@ class SplitSpec:
     def __post_init__(self):
         if not (0.0 < self.train_fraction < 1.0):
             raise ValueError("train_fraction must lie strictly between 0 and 1")
+        if self.seed < 0:
+            raise ValueError(f"split seed must be >= 0, got {self.seed}")
 
 
 def split_order(n: int, spec: SplitSpec) -> tuple[np.ndarray, int]:
@@ -241,6 +243,8 @@ def synthesize(kind: str, d: int, n: int, noise: float, seed: int,
     if not (math.isfinite(noise) and noise >= 0):
         # a NaN noise makes every label -1, an infinite one drowns x*
         raise ValueError(f"noise must be finite and >= 0, got {noise!r}")
+    if seed < 0:
+        raise ValueError(f"synthetic seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     x_star, graph = _ground_truth(kind, d, rng)
     dest = None if order is None else _inverse_permutation(order, n)

@@ -61,6 +61,13 @@ def test_fit_rate_drops_nonpositive_and_reports_window():
         bench.fit_rate(t, -np.ones(5))
 
 
+def test_fit_rate_states_its_rule():
+    # three positive, finite values, but only two from iteration 100 on
+    with pytest.raises(ValueError, match="at least three trace points from "
+                       "iteration 100 on, each with a positive, finite value; got 2"):
+        bench.fit_rate([50, 100, 200], [1.0, 0.5, 0.25])
+
+
 CAPPED_REFERENCES_DIGEST = \
     "75b0371b45bac00975a10e838eec08bc522b40bb34af0b338156d0e17d44e7a2"
 FLOOR_CERTIFICATES = {"convex": (350, "0x1.48beaced9eb4fp-41"),
@@ -501,6 +508,16 @@ def test_verify_rates_rejects_an_ordering_past_the_sc_run(monkeypatch, tmp_path)
                                 d=8, n=40, ordering_iteration=400)
     assert report["ordering"]["iteration"] == 400
     assert calls() == ["sc-nonuniform"]
+
+
+def test_verify_rates_fits_on_three_grid_points_and_orders_on_any():
+    # 100, 200 and 250 (the last iteration, off the multiples) are the window
+    report = bench.verify_rates(regimes=("convex",), iters=250, seeds=1, d=8, n=40)
+    assert report["convex"]["window"] == (100, 250)
+    # the uniform regime fits no slope, so it runs short of the window
+    report = bench.verify_rates(regimes=("sc-uniform",), iters=50, seeds=1, d=8, n=40,
+                                eval_every=10)
+    assert report["ordering"]["iteration"] == 50
 
 
 def test_timing_scaling_builds_each_n_once(monkeypatch):

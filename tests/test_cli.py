@@ -9,7 +9,7 @@ import pytest
 from conftest import (diverge_for_seed, ragged_copy, save_penalty,
                       serialize_libsvm)
 from spdpeg import bench
-from spdpeg.cli import main, parse_synthetic_spec
+from spdpeg.cli import _build_core, build_parser, main, parse_synthetic_spec
 from spdpeg.data import synthesize
 from spdpeg.penalties import build_fused_matrix
 from spdpeg.trace import read_trace_csv
@@ -104,6 +104,21 @@ def test_parse_synthetic_spec():
     with pytest.raises(ValueError, match="unknown synthetic field"):
         parse_synthetic_spec("fused-signal:d=4,N=8,rho=2", seed=0)
     assert parse_synthetic_spec("fused-signal:d=4,N=1e5", seed=0)["n"] == 100_000
+
+
+@pytest.mark.parametrize("family", ["convex", "sc"])
+def test_a_run_given_no_data_builds_its_tasks_rate_instance(family):
+    # rate_core's data, penalty and problem, key for key, with the run's
+    # own split and config
+    rate = bench.rate_core(family)
+    task = rate["problem"]["task"]
+    core = _build_core(build_parser().parse_args(["run", "--task", task, "--out", "o"]))
+    want = {"data": {"split": True, "train_fraction": 0.8, "split_seed": 12346,
+                     "synthetic": rate["data"]["synthetic"]},
+            "penalty": rate["penalty"], "problem": rate["problem"],
+            "config": {"gamma": 0.1, "regime": rate["config"]["regime"],
+                       "iters": 10_000, "batch_size": 1, "eval_every": 100}}
+    assert json.dumps(core) == json.dumps(want)
 
 
 def test_run_writes_traces_and_manifest(tmp_path, capsys):
@@ -337,6 +352,14 @@ EMPTY_INPUTS = [
     (["check-lemma1", "--references", "-3"], "must be >= 1"),
     *((["check-lemma1", "--step-scale", scale], "step_scale must be finite and > 0")
       for scale in ("nan", "inf", "0", "-1")),
+    # a fitted regime on a grid of fewer than three points from iteration 100
+    *((["verify-rates", "--regime", regime, "--iters", iters, "--eval-every", every],
+       f"a rate fit needs at least three trace points from iteration 100 on; "
+       f"iters {iters} at eval_every {every} gives {points}")
+      for regime, iters, every, points in (("all", "200", "100", 2),
+                                           ("convex", "200", "100", 2),
+                                           ("sc-nonuniform", "1000", "500", 2),
+                                           ("convex", "99", "1", 0))),
 ]
 
 
@@ -344,8 +367,8 @@ EMPTY_INPUTS = [
                          ids=[f"argv{i}" for i in range(len(EMPTY_INPUTS))])
 def test_rate_and_lemma_commands_reject_empty_inputs(argv, message, capsys,
                                                      monkeypatch):
-    # no seed, no trace grid, no reference point or no step: one error line,
-    # and nothing built first
+    # no seed, no trace grid (or one too short to fit), no reference point or
+    # no step: one error line, and nothing built first
     builds = []
     monkeypatch.setattr(bench, "build_all", builds.append)
     assert main(argv) == 1
@@ -370,6 +393,9 @@ REJECTED_INPUTS = [
     (["verify-rates", "--iters", "300", "--d", "8", "--n", "40", "--gamma", "nan"],
      "core.config.gamma"),
     (["check-lemma1", "--steps", "20", "--gamma", "nan"], "core.config.gamma"),
+    # a negative synthetic seed, then a negative split seed (data seed + 1)
+    (["run", "--data-seed", "-1", "--iters", "20", "--seeds", "1"], None),
+    (["run", "--data-seed", "-2", "--iters", "20", "--seeds", "1"], None),
 ]
 
 
@@ -385,6 +411,24 @@ def test_rejected_input_leaves_no_output_directory(argv, key, tmp_path, capsys):
     assert line.startswith("error: ")
     if key is not None:
         assert line.startswith(f"error: {key} must be a finite number, got ")
+    assert not out.exists()
+
+
+def test_an_instance_too_large_to_allocate_is_one_error_line(tmp_path, capsys,
+                                                              monkeypatch):
+    # numpy raises MemoryError (its _ArrayMemoryError) for an array it
+    # cannot allocate; no test allocates one
+    def too_large(kind, d, n, *args):
+        raise MemoryError(f"Unable to allocate {d * n * 8 / 2 ** 40:.2f} TiB for an "
+                          f"array with shape ({n}, {d}) and data type float64")
+
+    monkeypatch.setattr(bench, "synthesize", too_large)
+    out = tmp_path / "d"
+    assert main(["run", "--synthetic", "fused-signal:d=1000000,N=1000000",
+                 "--iters", "20", "--seeds", "1", "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == ("error: Unable to allocate 7.28 TiB for an array with shape "
+                    "(1000000, 1000000) and data type float64")
     assert not out.exists()
 
 

@@ -155,6 +155,13 @@ def test_split_rejects_degenerate():
         SplitSpec(1.0, 0)
 
 
+def test_a_negative_seed_names_itself():
+    with pytest.raises(ValueError, match=r"^split seed must be >= 0, got -1$"):
+        SplitSpec(0.8, -1)
+    with pytest.raises(ValueError, match=r"^synthetic seed must be >= 0, got -3$"):
+        synthesize("fused-signal", 4, 10, 0.1, -3)
+
+
 def test_split_order_is_the_split_rule():
     order, n_train = split_order(7, SplitSpec(0.5, 3))
     assert n_train == 4  # round half up: 3.5 -> 4

@@ -7,8 +7,9 @@ readers, the solver, the baselines, the benchmark harness and the command
 line, each a layer of its own. The package root re-exports names from
 several layers and lies outside the order.
 
-A fact with one source is checked here too: ``solver.make_schedule`` is the
-one place that derives L_tilde.
+Facts with one source are checked here too: ``solver.make_schedule`` is the
+one place that derives L_tilde, and the command line names no synthetic
+kind and no regime (``bench.TASK_INSTANCES`` gives each task's).
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from spdpeg.data import SYNTHETIC_KINDS
+from spdpeg.model import REGIMES
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "spdpeg"
 LAYERS = (("sparse", "prox", "trace"), ("model",), ("penalties", "oracles"),
@@ -85,3 +89,12 @@ def test_the_certificate_needs_no_benchmark_harness():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_the_command_line_names_no_synthetic_kind_or_regime():
+    # it reads each task's from bench.TASK_INSTANCES and lists the kinds
+    # and regimes from their tuples
+    named = sorted({node.value for node in ast.walk(parse("cli"))
+                    if isinstance(node, ast.Constant)
+                    and node.value in (*SYNTHETIC_KINDS, *REGIMES)})
+    assert named == []

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from spdpeg import bench
-from spdpeg.cli import main
+from spdpeg.cli import _build_core, build_parser, main
 from spdpeg.model import compute_L_tilde
 from spdpeg.penalties import build_fused_matrix
 from spdpeg.sparse import power_iteration_sigma_max
@@ -51,6 +51,14 @@ def test_committed_manifest_replays_byte_for_byte(task, tmp_path, monkeypatch):
         assert sorted(p.name for p in out.glob("trace_*.csv")) == traces
         for name in traces:
             assert (out / name).read_bytes() == (recorded / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("task", list(RUN_ARGV))
+def test_the_run_options_rebuild_the_committed_core(task):
+    args = build_parser().parse_args(["run", *RUN_ARGV[task], *COMMON_ARGV,
+                                      "--out", "o"])
+    manifest = json.loads((FIXTURE / task / "manifest.json").read_text())
+    assert _build_core(args) == manifest["core"]
 
 
 def drifted_copy(tmp_path):
