@@ -37,7 +37,7 @@ from .penalties import (GraphSpec, build_fused_matrix, build_graph_matrix,
 from .prox import ProxSpec, prox_dual, prox_fused
 from .solver import run as run_spdpeg
 from .solver import (DivergenceError, check_step_inequality, kernels, make_schedule,
-                     relative_slack, update_extragradient, update_z)
+                     relative_slack, trace_grid, update_extragradient, update_z)
 from .sparse import EPS, SparseMatrix
 from .trace import TRACE_COLUMNS, TraceRecord, read_trace_csv, write_trace_csv
 
@@ -653,11 +653,14 @@ def fit_rate(iterations, values) -> RateFit:
 
 # task and gamma of each rate family
 _RATE_FAMILIES = {"convex": ("flr", 0.1), "sc": ("ggrlr", 0.05)}
+# the default size and data seed of the rate cores, which verify_rates and a
+# run given no data take too
+INSTANCE = {"d": 20, "n": 200, "data_seed": 12345}
 
 
-def rate_core(family: str, d: int = 20, n: int = 200, data_seed: int = 12345,
-              gamma: float | None = None, iters: int = 100_000,
-              regime: str | None = None, **config) -> dict:
+def rate_core(family: str, d: int = INSTANCE["d"], n: int = INSTANCE["n"],
+              data_seed: int = INSTANCE["data_seed"], gamma: float | None = None,
+              iters: int = 100_000, regime: str | None = None, **config) -> dict:
     """Core config for the rate-verification instances; ``config`` holds
     further keys of its config section (``batch_size``, ``eval_every``),
     and one not given takes its ``CORE`` default.
@@ -713,13 +716,12 @@ def _reference_report(ref: ReferenceSolution, iterations: np.ndarray,
             "window_points_below_10x_certificate": int(np.sum(near))}
 
 
-def verify_rates(regimes=REGIMES, iters: int = 100_000,
-                 seeds: int = 5, base_seed: int = 0,
+def verify_rates(regimes=REGIMES, iters: int = 100_000, seeds: int = 5,
+                 base_seed: int = 0, d: int = INSTANCE["d"], n: int = INSTANCE["n"],
                  eval_every: int = CORE["config"]["eval_every"][1],
                  ordering_iteration: int | None = None,
-                 gamma: float | None = None, **instance) -> dict:
-    """Fit empirical convergence slopes for the requested regimes, on the
-    ``rate_core`` instances that ``instance`` (``d``, ``n``) sizes.
+                 gamma: float | None = None) -> dict:
+    """Fit empirical convergence slopes for the requested regimes.
 
     Convex regime: the mean objective gap of the uniformly averaged output
     should decay like 1/sqrt(t). Accelerated strongly convex regime: both
@@ -743,11 +745,7 @@ def verify_rates(regimes=REGIMES, iters: int = 100_000,
         # the sc-nonuniform run that the ordering reads stops at iters
         raise ValueError(f"ordering_iteration {ordering_iteration} lies past "
                          f"iters {iters}")
-    # the trace points from FIT_START on: the multiples of eval_every, and
-    # iters itself
-    first = -(-FIT_START // eval_every) * eval_every
-    points = (len(range(first, iters + 1, eval_every))
-              + (iters >= FIT_START and iters % eval_every > 0))
+    points = sum(t >= FIT_START for t in trace_grid(iters, eval_every))
     if points < 3 and {"convex", "sc-nonuniform"} & set(regimes):
         raise ValueError(f"a rate fit needs at least three trace points from "
                          f"iteration {FIT_START} on; iters {iters} at eval_every "
@@ -762,8 +760,8 @@ def verify_rates(regimes=REGIMES, iters: int = 100_000,
                        else ordering_iteration))
     families = {}  # family: (build, reference, iterations, objective gaps)
     for family, regime, horizon in builds:
-        core = rate_core(family, gamma=gamma, iters=horizon, eval_every=eval_every,
-                         **instance)
+        core = rate_core(family, d=d, n=n, gamma=gamma, iters=horizon,
+                         eval_every=eval_every)
         built = build_all(core)
         train, _, problem, _ = built
         ref = reference_optimum(problem, train, core["config"]["gamma"])
@@ -787,8 +785,8 @@ def verify_rates(regimes=REGIMES, iters: int = 100_000,
         # constants, and neither depends on the regime
         built, ref, its, obj_curves = families["sc"]
         non_gaps = obj_curves[:, _grid_index(its, ordering_iteration)]
-        uni_core = rate_core("sc", gamma=gamma, iters=ordering_iteration,
-                             eval_every=eval_every, regime="sc-uniform", **instance)
+        uni_core = rate_core("sc", d=d, n=n, gamma=gamma, iters=ordering_iteration,
+                             eval_every=eval_every, regime="sc-uniform")
         uni_its, uni_curves, _ = _gap_curves(built, uni_core, seed_list,
                                              ref.objective)
         uni_gaps = uni_curves[:, _grid_index(uni_its, ordering_iteration)]

@@ -25,11 +25,9 @@ from .sparse import PowerIterationError
 SYNTH_SPEC_HELP = f"KIND:d=D,N=N[,noise=X] with KIND in {{{', '.join(SYNTHETIC_KINDS)}}}"
 # core sections, whose (kind, default) leaves give the options their defaults
 DATA, PENALTY, CONFIG = (bench.CORE[s] for s in ("data", "penalty", "config"))
-# the defaults of the library calls behind verify-rates and check-lemma1, and
-# of the rate instance that a run builds when it is given no data
-RATES, LEMMA1, INSTANCE = (
-    {k: p.default for k, p in inspect.signature(f).parameters.items()}
-    for f in (bench.verify_rates, bench.step_inequality_sweep, bench.rate_core))
+# the defaults of the library calls behind verify-rates and check-lemma1
+RATES, LEMMA1 = ({k: p.default for k, p in inspect.signature(f).parameters.items()}
+                 for f in (bench.verify_rates, bench.step_inequality_sweep))
 
 
 def parse_synthetic_spec(spec: str, seed: int) -> dict:
@@ -60,8 +58,8 @@ def _build_core(args) -> dict:
         data.update(path=args.data, sha256=bench._sha256_file(args.data),
                     normalize=bool(args.normalize))
     else:
-        spec = (f"{kind}:d={INSTANCE['d']},N={INSTANCE['n']}" if args.synthetic is None
-                else args.synthetic)
+        spec = (f"{kind}:d={bench.INSTANCE['d']},N={bench.INSTANCE['n']}"
+                if args.synthetic is None else args.synthetic)
         data["synthetic"] = parse_synthetic_spec(spec, args.data_seed)
     if args.penalty_file:
         penalty = {"source": "file", "path": args.penalty_file,
@@ -222,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--normalize", action="store_true",
                        help="scale each feature to max-abs 1")
     p_run.add_argument("--train-fraction", type=float, default=DATA["train_fraction"][1])
-    p_run.add_argument("--data-seed", type=int, default=INSTANCE["data_seed"])
+    p_run.add_argument("--data-seed", type=int, default=bench.INSTANCE["data_seed"])
     p_run.add_argument("--precision-ridge", type=float, default=PENALTY["ridge"][1])
     p_run.add_argument("--precision-threshold", type=float, default=PENALTY["threshold"][1])
     p_run.add_argument("--feasible-radius", type=float, default=None)
@@ -237,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rates.add_argument("--iters", type=int, default=RATES["iters"])
     p_rates.add_argument("--seeds", type=int, default=RATES["seeds"])
     p_rates.add_argument("--seed", type=int, default=RATES["base_seed"])
-    p_rates.add_argument("--d", type=int, default=INSTANCE["d"])
-    p_rates.add_argument("--n", type=int, default=INSTANCE["n"])
+    p_rates.add_argument("--d", type=int, default=RATES["d"])
+    p_rates.add_argument("--n", type=int, default=RATES["n"])
     p_rates.add_argument("--eval-every", type=int, default=RATES["eval_every"])
     p_rates.add_argument("--gamma", type=float, default=RATES["gamma"])
     p_rates.add_argument("--out")

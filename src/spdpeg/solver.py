@@ -305,6 +305,12 @@ def evaluate_trace_record(problem: Problem, dataset: Dataset,
                        feasibility, max_dual_norm)
 
 
+def trace_grid(max_iters: int, eval_every: int) -> list[int]:
+    """The iterations a run of max_iters records a trace point at: every
+    ``eval_every``-th, and the last."""
+    return sorted({*range(eval_every, max_iters + 1, eval_every), max_iters})
+
+
 def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
           test_dataset: Dataset | None, make_step) -> SolverResult:
     """Run ``step(state)`` for max_iters iterations, where ``step =
@@ -318,8 +324,8 @@ def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
     Each step advances the state by one iteration. Weighted sums are
     accumulated online with integer weights and normalized once by their
     integer total, so the averages match the closed-form weights exactly.
-    A trace record is emitted every ``eval_every`` iterations (and at the
-    final one), evaluated at the current running average.
+    A trace record is emitted at each iteration of ``trace_grid``, evaluated
+    at the current running average.
 
     The random stream is owned by this call: ``default_rng(config.seed)``
     has one consumer, the drawn gradient, so its batches are those its
@@ -335,14 +341,16 @@ def drive(problem: Problem, dataset: Dataset, config: SolverConfig,
     state = initial_state(problem, dataset)
     trace: list[TraceRecord] = []
     t0 = time.perf_counter()
-    for done in range(1, config.max_iters + 1):
-        step(state)
-        if done % config.eval_every == 0 or done == config.max_iters:
-            wsum = state.raw_weight_sum
-            trace.append(evaluate_trace_record(
-                problem, dataset, eval_dataset,
-                state.weighted_x_sum / wsum, state.weighted_z_sum / wsum,
-                done, time.perf_counter() - t0, state.max_dual_norm))
+    done = 0
+    for point in trace_grid(config.max_iters, config.eval_every):
+        for _ in range(point - done):
+            step(state)
+        done = point
+        wsum = state.raw_weight_sum
+        trace.append(evaluate_trace_record(
+            problem, dataset, eval_dataset,
+            state.weighted_x_sum / wsum, state.weighted_z_sum / wsum,
+            done, time.perf_counter() - t0, state.max_dual_norm))
     wsum = state.raw_weight_sum
     return SolverResult(x_avg=state.weighted_x_sum / wsum,
                         z_avg=state.weighted_z_sum / wsum,

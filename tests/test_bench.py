@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import os
 import subprocess
@@ -508,6 +509,20 @@ def test_verify_rates_rejects_an_ordering_past_the_sc_run(monkeypatch, tmp_path)
                                 d=8, n=40, ordering_iteration=400)
     assert report["ordering"]["iteration"] == 400
     assert calls() == ["sc-nonuniform"]
+
+
+def test_verify_rates_sizes_its_instances_by_d_and_n_alone(monkeypatch, tmp_path):
+    # its d and n default to rate_core's; any other rate_core key (here a
+    # regime) is no keyword of verify_rates, so nothing is built
+    calls = count_builds(monkeypatch, tmp_path / "builds")
+    defaults = {f: inspect.signature(f).parameters for f in (bench.verify_rates,
+                                                             bench.rate_core)}
+    for key in ("d", "n"):
+        assert (defaults[bench.verify_rates][key].default
+                == defaults[bench.rate_core][key].default == bench.INSTANCE[key])
+    with pytest.raises(TypeError, match="regime"):
+        bench.verify_rates(regimes=("sc-nonuniform",), regime="convex")
+    assert calls() == []
 
 
 def test_verify_rates_fits_on_three_grid_points_and_orders_on_any():

@@ -463,6 +463,16 @@ def test_feasibility_gap_decays_on_strongly_convex_instance():
     assert med[-1] < 0.2 * med[np.nonzero(iterations == 100)[0][0]]
 
 
+@pytest.mark.parametrize("iters, eval_every, grid", [
+    (130, 50, [50, 100, 130]), (100, 50, [50, 100]), (30, 50, [30]),
+    (7, 3, [3, 6, 7]), (1, 1, [1])])
+def test_a_run_traces_at_each_iteration_of_its_grid(iters, eval_every, grid):
+    # every eval_every-th iteration, and the last
+    assert solver_mod.trace_grid(iters, eval_every) == grid
+    problem, dataset, config = flr_instance(iters=iters, eval_every=eval_every)
+    assert [r.iteration for r in run(problem, dataset, config).trace] == grid
+
+
 def test_trace_iterations_and_final_record():
     problem, dataset, config = flr_instance(iters=130, eval_every=50)
     res = run(problem, dataset, config)
