@@ -738,13 +738,14 @@ def verify_rates(regimes=REGIMES, iters: int = 100_000, seeds: int = 5,
     seed_list = [base_seed + i for i in range(seeds)]
     if ordering_iteration is None:
         ordering_iteration = min(10_000, iters)
-    if ordering_iteration != iters and ordering_iteration % eval_every != 0:
-        raise ValueError("ordering_iteration must land on the trace grid")
-    if ("sc-nonuniform" in regimes and "sc-uniform" in regimes
-            and ordering_iteration > iters):
-        # the sc-nonuniform run that the ordering reads stops at iters
-        raise ValueError(f"ordering_iteration {ordering_iteration} lies past "
-                         f"iters {iters}")
+    # the ordering reads the sc-nonuniform run, which stops at iters when
+    # that regime is fitted and at the ordering iteration when it is not
+    sc_horizon = iters if "sc-nonuniform" in regimes else ordering_iteration
+    if ("sc-uniform" in regimes
+            and ordering_iteration not in trace_grid(sc_horizon, eval_every)):
+        raise ValueError(f"ordering_iteration {ordering_iteration} is not on the "
+                         f"trace grid of the sc-nonuniform run to iters {sc_horizon} "
+                         f"at eval_every {eval_every}")
     points = sum(t >= FIT_START for t in trace_grid(iters, eval_every))
     if points < 3 and {"convex", "sc-nonuniform"} & set(regimes):
         raise ValueError(f"a rate fit needs at least three trace points from "
@@ -756,8 +757,7 @@ def verify_rates(regimes=REGIMES, iters: int = 100_000, seeds: int = 5,
     # ordering iteration with the same bits as a run that stops there
     builds = [("convex", "convex", iters)] if "convex" in regimes else []
     if "sc-nonuniform" in regimes or "sc-uniform" in regimes:
-        builds.append(("sc", "sc-nonuniform", iters if "sc-nonuniform" in regimes
-                       else ordering_iteration))
+        builds.append(("sc", "sc-nonuniform", sc_horizon))
     families = {}  # family: (build, reference, iterations, objective gaps)
     for family, regime, horizon in builds:
         core = rate_core(family, d=d, n=n, gamma=gamma, iters=horizon,

@@ -84,14 +84,17 @@ def _build_core(args) -> dict:
             "config": config}
 
 
-def _check_out(out) -> None:
-    """Fail before any work, making nothing, when ``--out`` names a file."""
-    if out and os.path.exists(out) and not os.path.isdir(out):
-        raise ValueError(f"--out {out} exists and is not a directory")
+def _check_out(out, directory: bool) -> None:
+    """Fail before any work, making nothing, when ``--out`` names a file
+    where the command writes a directory, or a directory where it writes
+    a file."""
+    if out and os.path.exists(out) and os.path.isdir(out) != directory:
+        raise ValueError(f"--out {out} exists and is {'not ' if directory else ''}"
+                         "a directory")
 
 
 def cmd_run(args) -> int:
-    _check_out(args.out)
+    _check_out(args.out, directory=True)
     if args.from_manifest:
         written = bench.replay_manifest(args.from_manifest, args.out)
         for path in written:
@@ -120,7 +123,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify_rates(args) -> int:
-    _check_out(args.out)
+    _check_out(args.out, directory=True)
     regimes = REGIMES if args.regime == "all" else (args.regime,)
     report = bench.verify_rates(
         regimes=regimes, iters=args.iters, seeds=args.seeds, base_seed=args.seed,
@@ -151,6 +154,7 @@ def cmd_verify_rates(args) -> int:
 
 
 def cmd_check_lemma1(args) -> int:
+    _check_out(args.out, directory=False)
     reports = []
     modes = (("deterministic", "stochastic") if args.mode == "both"
              else (args.mode,))
@@ -181,6 +185,7 @@ def cmd_check_lemma1(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
+    _check_out(args.out, directory=False)
     paths = sorted(glob.glob(args.inputs))
     if not paths:
         print(f"no trace files match {args.inputs!r}", file=sys.stderr)

@@ -9,6 +9,7 @@ synthetic split is two slices of one array (its docstring gives the bits).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,17 +42,14 @@ def parse_libsvm(source) -> Dataset:
     Indices are 1-based in the file and converted to 0-based; labels must be
     finite and map to +1 when positive and -1 otherwise; indices must be
     strictly increasing within a line. The dimension is the largest index
-    seen. When every row stores all d features, only the ``(n, d)`` values
-    are kept, as ``Dataset.from_dense_rows`` keeps them; they were checked
-    finite here.
+    seen. The lines are read in one pass into growing ``array`` buffers,
+    each token checked where it is read. When every row stores all d
+    features, only the ``(n, d)`` values are kept, as
+    ``Dataset.from_dense_rows`` keeps them; they were checked finite here.
     """
     if isinstance(source, str):
         source = source.splitlines()
-    indptr = [0]
-    all_indices: list[np.ndarray] = []
-    all_values: list[np.ndarray] = []
-    labels = []
-    max_idx = -1
+    indptr, indices, values, labels = array("q", [0]), array("q"), array("d"), array("d")
     for line_no, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line:
@@ -63,10 +61,8 @@ def parse_libsvm(source) -> Dataset:
             raise ParseError(line_no, f"bad label {tokens[0]!r}") from None
         if not math.isfinite(raw_label):
             raise ParseError(line_no, f"non-finite label {tokens[0]!r}")
-        idxs = np.empty(len(tokens) - 1, dtype=np.int64)
-        vals = np.empty(len(tokens) - 1)
         prev = 0
-        for k, tok in enumerate(tokens[1:]):
+        for tok in tokens[1:]:
             head, sep, tail = tok.partition(":")
             if not sep:
                 raise ParseError(line_no, f"feature {tok!r} is not 'index:value'")
@@ -85,22 +81,18 @@ def parse_libsvm(source) -> Dataset:
                 raise ParseError(line_no, f"bad feature value {tail!r}") from None
             if not math.isfinite(val):
                 raise ParseError(line_no, f"non-finite feature value {tail!r}")
-            idxs[k], vals[k] = idx - 1, val
+            indices.append(idx - 1)
+            values.append(val)
             prev = idx
         labels.append(1.0 if raw_label > 0 else -1.0)
-        all_indices.append(idxs)
-        all_values.append(vals)
-        indptr.append(indptr[-1] + idxs.size)
-        if idxs.size:
-            max_idx = max(max_idx, int(idxs[-1]))
+        indptr.append(len(values))
     if not labels:
         raise ParseError(1, "no samples found")
-    n, d = len(labels), max_idx + 1
-    values = np.concatenate(all_values)
+    indices, values = np.frombuffer(indices, np.int64), np.frombuffer(values)
+    n, d = len(labels), int(indices.max(initial=-1)) + 1
     if values.size == n * d:  # increasing indices below d: d in every row
         return Dataset._of_rows(labels, values.reshape(n, d))
-    features = SparseMatrix(n, d, indptr, np.concatenate(all_indices), values)
-    return Dataset(features, labels)
+    return Dataset(SparseMatrix(n, d, indptr, indices, values), labels)
 
 
 @dataclass(frozen=True)

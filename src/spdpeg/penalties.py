@@ -10,6 +10,7 @@ covariance-selection solver can feed in its result.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,43 +105,45 @@ def precision_graph_from_data(dataset: Dataset, ridge: float,
 
 
 def load_penalty(path) -> SparseMatrix:
-    """Parse the penalty text format strictly; any deviation is an error."""
+    """Parse the penalty text format strictly; any deviation is an error.
+    Blank lines are skipped, and every error names the file's own line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise ValueError("penalty file is empty")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise ValueError("penalty file line 1: expected 'rows cols nnz'")
-    try:
-        n_rows, n_cols, nnz = (int(t) for t in head)
-    except ValueError:
-        raise ValueError("penalty file line 1: expected three integers") from None
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != nnz:
-        raise ValueError(f"penalty file: expected {nnz} entries, found {len(body)}")
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = np.empty(nnz)
-    prev = (-1, -1)
-    for k, ln in enumerate(body):
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"penalty file line {k + 2}: expected 'row col value'")
+        header = fh.readline()
+        if not header:
+            raise ValueError("penalty file is empty")
+        head = header.split()
+        if len(head) != 3:
+            raise ValueError("penalty file line 1: expected 'rows cols nnz'")
         try:
-            r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
+            n_rows, n_cols, nnz = (int(t) for t in head)
         except ValueError:
-            raise ValueError(f"penalty file line {k + 2}: malformed entry") from None
-        if not math.isfinite(v):
-            raise ValueError(f"penalty file line {k + 2}: non-finite value "
-                             f"{parts[2]!r}")
-        if not (0 <= r < n_rows and 0 <= c < n_cols):
-            raise ValueError(f"penalty file line {k + 2}: index out of range")
-        if (r, c) <= prev:
-            raise ValueError(f"penalty file line {k + 2}: entries must be "
-                             "row-major sorted without duplicates")
-        prev = (r, c)
-        rows[k], cols[k], vals[k] = r, c, v
+            raise ValueError("penalty file line 1: expected three integers") from None
+        rows, cols, vals = array("q"), array("q"), array("d")
+        prev = (-1, -1)
+        for line_no, ln in enumerate(fh, start=2):
+            parts = ln.split()
+            if not parts:
+                continue
+            if len(parts) != 3:
+                raise ValueError(f"penalty file line {line_no}: expected 'row col value'")
+            try:
+                r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError:
+                raise ValueError(f"penalty file line {line_no}: malformed entry") from None
+            if not math.isfinite(v):
+                raise ValueError(f"penalty file line {line_no}: non-finite value "
+                                 f"{parts[2]!r}")
+            if not (0 <= r < n_rows and 0 <= c < n_cols):
+                raise ValueError(f"penalty file line {line_no}: index out of range")
+            if (r, c) <= prev:
+                raise ValueError(f"penalty file line {line_no}: entries must be "
+                                 "row-major sorted without duplicates")
+            prev = (r, c)
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
+    if len(vals) != nnz:
+        raise ValueError(f"penalty file: expected {nnz} entries, found {len(vals)}")
     # the lines are row-major sorted, so row r starts after the entries of
     # the rows before it
     offsets = np.searchsorted(rows, np.arange(n_rows + 1))

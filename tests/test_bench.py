@@ -511,6 +511,24 @@ def test_verify_rates_rejects_an_ordering_past_the_sc_run(monkeypatch, tmp_path)
     assert calls() == ["sc-nonuniform"]
 
 
+def test_verify_rates_checks_the_ordering_on_the_run_it_reads(monkeypatch, tmp_path):
+    calls = count_builds(monkeypatch, tmp_path / "builds")
+    # 250 is off the grid 100, 200, 300 of the sc-nonuniform run to 300
+    with pytest.raises(ValueError, match="ordering_iteration 250 .* iters 300"):
+        bench.verify_rates(regimes=("sc-uniform", "sc-nonuniform"), iters=300,
+                           seeds=1, d=8, n=40, ordering_iteration=250)
+    assert calls() == []
+    # the convex regime computes no ordering
+    report = bench.verify_rates(regimes=("convex",), iters=300, seeds=1, d=8, n=40,
+                                ordering_iteration=250)
+    assert "ordering" not in report and calls() == ["convex"]
+    # alone, the uniform regime's sc run stops at 250, the last point of its grid
+    report = bench.verify_rates(regimes=("sc-uniform",), iters=300, seeds=1, d=8,
+                                n=40, ordering_iteration=250)
+    assert report["ordering"]["iteration"] == 250
+    assert calls() == ["convex", "sc-nonuniform"]
+
+
 def test_verify_rates_sizes_its_instances_by_d_and_n_alone(monkeypatch, tmp_path):
     # its d and n default to rate_core's; any other rate_core key (here a
     # regime) is no keyword of verify_rates, so nothing is built

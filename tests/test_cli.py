@@ -466,6 +466,25 @@ def test_out_naming_a_file_fails_before_any_work(argv, tmp_path, capsys,
     assert calls == [] and out.read_text() == "kept"
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-lemma1", "--d", "8", "--n", "40", "--steps", "20"],
+    ["plotdata", "--in", "{tmp}/trace_*.csv"],
+])
+def test_a_file_out_naming_a_directory_fails_before_any_work(argv, tmp_path, capsys,
+                                                             monkeypatch):
+    calls = []
+    for name in ("step_inequality_sweep", "write_plotdata"):
+        monkeypatch.setattr(bench, name, lambda *a, name=name, **k: calls.append(name))
+    (tmp_path / "trace_spdpeg_seed0.csv").write_text("")
+    out = tmp_path / "d"
+    out.mkdir()
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: --out {out} exists and is a directory"
+    assert calls == [] and list(out.iterdir()) == []
+
+
 def test_plotdata_cli(tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "--task", "flr", "--synthetic", "fused-signal:d=6,N=30",

@@ -8,8 +8,9 @@ line, each a layer of its own. The package root re-exports names from
 several layers and lies outside the order.
 
 Facts with one source are checked here too: ``solver.make_schedule`` is the
-one place that derives L_tilde, and the command line names no synthetic
-kind and no regime (``bench.TASK_INSTANCES`` gives each task's).
+one place that derives L_tilde, the command line names no synthetic
+kind and no regime (``bench.TASK_INSTANCES`` gives each task's), and
+``solver.trace_grid`` alone states the trace grid.
 """
 
 from __future__ import annotations
@@ -98,3 +99,14 @@ def test_the_command_line_names_no_synthetic_kind_or_regime():
                     if isinstance(node, ast.Constant)
                     and node.value in (*SYNTHETIC_KINDS, *REGIMES)})
     assert named == []
+
+
+def test_the_trace_grid_has_one_statement():
+    # a remainder by eval_every restates solver.trace_grid's rule, and
+    # misses its last point, the run's own end
+    restated = [f"{module}:{node.lineno}" for module in sorted(RANK)
+                for node in ast.walk(parse(module))
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                and "eval_every" in (getattr(node.right, "id", None),
+                                     getattr(node.right, "attr", None))]
+    assert restated == []

@@ -223,6 +223,11 @@ def test_penalty_file_roundtrip(tmp_path):
     save_penalty(path, m)
     loaded = load_penalty(path)
     np.testing.assert_array_equal(loaded.to_dense(), m.to_dense())
+    # blank and whitespace-only lines are skipped
+    path.write_text("\n \t\n".join(path.read_text().splitlines()) + "\n\n")
+    spaced = load_penalty(path)
+    for name in ("row_offsets", "col_indices", "values"):
+        np.testing.assert_array_equal(getattr(spaced, name), getattr(loaded, name))
 
 
 def test_penalty_file_strict_errors(tmp_path):
@@ -250,3 +255,17 @@ def test_penalty_file_strict_errors(tmp_path):
         with pytest.raises(ValueError, match=re.escape(
                 f"penalty file line 3: non-finite value '{bad}'")):
             load_penalty(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "penalty file is empty"),
+    ("2 3 1\n", "penalty file: expected 1 entries, found 0"),
+    ("2 3 2\n\n0 0 1.0\n1 5 2.0\n", "penalty file line 4: index out of range"),
+    ("2 3 2\n0 0 1.0\n \n\n1 2 x\n", "penalty file line 5: malformed entry"),
+], ids=["empty", "header-only", "range-after-blank", "malformed-after-blanks"])
+def test_penalty_file_errors_name_the_file_line(tmp_path, text, message):
+    # an error after blank lines names the line of the file, not of its entries
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_penalty(path)
