@@ -284,14 +284,6 @@ def trace_filename(solver: str, seed: int) -> str:
     return f"trace_{solver}_seed{seed}.csv"
 
 
-def _completed(results: list) -> list:
-    """``results`` of ``run_jobs``; raises the first divergence among them."""
-    for result in results:
-        if isinstance(result, DivergenceError):
-            raise result
-    return results
-
-
 def _suite_entry(solver: str, seed: int, result, out_dir) -> dict:
     """Manifest entry of one run; a finished run's trace goes to out_dir."""
     if isinstance(result, DivergenceError):
@@ -611,25 +603,17 @@ def reference_optimum(problem: Problem, dataset: Dataset, gamma: float,
                                     check_every)
 
 
-@dataclass(frozen=True)
-class RateFit:
-    slope: float
-    intercept: float
-    r_squared: float
-    window: tuple[int, int]
-
-    def __post_init__(self):
-        if not 0.0 <= self.r_squared <= 1.0:
-            raise ValueError("r_squared must lie in [0, 1]")
-
-
 # the first iteration of a rate fit's window
 FIT_START = 100
+# the strongly convex regimes are ordered at the last trace point at or
+# below this iteration (the grid's first point if none is)
+ORDERING_AT = 10_000
 
 
-def fit_rate(iterations, values) -> RateFit:
+def fit_rate(iterations, values) -> dict:
     """Least-squares slope of log(value) against log(iteration), over the
-    iterations from ``FIT_START`` on.
+    iterations from ``FIT_START`` on, as a report's ``slope``,
+    ``r_squared`` (clamped to [0, 1]) and ``window`` entries.
 
     Non-positive values cannot be logged and are dropped, which shrinks the
     window; raises when fewer than three points survive.
@@ -647,8 +631,8 @@ def fit_rate(iterations, values) -> RateFit:
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid ** 2)) / ss_tot
-    return RateFit(float(slope), float(intercept), max(0.0, min(1.0, r2)),
-                   (int(it[mask].min()), int(it[mask].max())))
+    return {"slope": float(slope), "r_squared": max(0.0, min(1.0, r2)),
+            "window": (int(it[mask].min()), int(it[mask].max()))}
 
 
 # task and gamma of each rate family
@@ -685,28 +669,26 @@ def rate_core(family: str, d: int = INSTANCE["d"], n: int = INSTANCE["n"],
                        "iters": iters, **config}}
 
 
-def _gap_curves(built, core: dict, seeds, reference: float):
-    """Run the core on its build once per seed; return (iterations,
-    objective-gap curves, feasibility-gap curves) stacked over seeds."""
-    results = _completed(run_jobs(core, built, [("spdpeg", s) for s in seeds]))
+def _seed_curves(built, core: dict, solver: str, seeds):
+    """Run ``solver`` on ``core`` and its build once per seed, raising the
+    first divergence; return (iterations, objective curves, feasibility-gap
+    curves) stacked over seeds."""
+    results = run_jobs(core, built, [(solver, s) for s in seeds])
+    for result in results:
+        if isinstance(result, DivergenceError):
+            raise result
     return (np.array([r.iteration for r in results[0].trace]),
-            np.array([[r.objective for r in res.trace] for res in results])
-            - reference,
+            np.array([[r.objective for r in res.trace] for res in results]),
             np.array([[r.feasibility_gap for r in res.trace] for res in results]))
 
 
-def _grid_index(iterations: np.ndarray, t: int) -> int:
-    """Position of iteration t on a trace grid."""
-    return int(np.nonzero(iterations == t)[0][0])
-
-
 def _reference_report(ref: ReferenceSolution, iterations: np.ndarray,
-                      mean_gaps: np.ndarray, fit: RateFit) -> dict:
+                      mean_gaps: np.ndarray, fit: dict) -> dict:
     """The reference's entries of a regime's report. The trace points in
     the fit window whose mean gap is below 10x the reference's certificate
     are those where the reference's own error may reach a tenth of the
     gap; a non-positive gap counts."""
-    lo, hi = fit.window
+    lo, hi = fit["window"]
     in_window = (iterations >= lo) & (iterations <= hi)
     near = in_window & (mean_gaps < 10.0 * ref.certified_gap)
     return {"reference_objective": ref.objective,
@@ -719,16 +701,16 @@ def _reference_report(ref: ReferenceSolution, iterations: np.ndarray,
 def verify_rates(regimes=REGIMES, iters: int = 100_000, seeds: int = 5,
                  base_seed: int = 0, d: int = INSTANCE["d"], n: int = INSTANCE["n"],
                  eval_every: int = CORE["config"]["eval_every"][1],
-                 ordering_iteration: int | None = None,
                  gamma: float | None = None) -> dict:
     """Fit empirical convergence slopes for the requested regimes.
 
     Convex regime: the mean objective gap of the uniformly averaged output
     should decay like 1/sqrt(t). Accelerated strongly convex regime: both
     the objective gap and the feasibility gap of the nonuniformly averaged
-    output should decay like 1/t. When both strongly convex regimes are
-    requested, their gaps at ``ordering_iteration`` are compared (uniform
-    averaging should not beat nonuniform averaging there).
+    output should decay like 1/t. The uniform strongly convex regime is
+    compared with it at the ordering point, the last point of the trace
+    grid at or below ``ORDERING_AT`` (uniform averaging should not beat
+    nonuniform averaging there).
     """
     if seeds < 1 or eval_every < 1:
         raise ValueError(f"seeds and eval_every must be >= 1, got {seeds}, {eval_every}")
@@ -736,17 +718,9 @@ def verify_rates(regimes=REGIMES, iters: int = 100_000, seeds: int = 5,
         raise ValueError(f"regimes must be a nonempty subset of {REGIMES}, "
                          f"got {regimes!r}")
     seed_list = [base_seed + i for i in range(seeds)]
-    if ordering_iteration is None:
-        ordering_iteration = min(10_000, iters)
-    # the ordering reads the sc-nonuniform run, which stops at iters when
-    # that regime is fitted and at the ordering iteration when it is not
-    sc_horizon = iters if "sc-nonuniform" in regimes else ordering_iteration
-    if ("sc-uniform" in regimes
-            and ordering_iteration not in trace_grid(sc_horizon, eval_every)):
-        raise ValueError(f"ordering_iteration {ordering_iteration} is not on the "
-                         f"trace grid of the sc-nonuniform run to iters {sc_horizon} "
-                         f"at eval_every {eval_every}")
-    points = sum(t >= FIT_START for t in trace_grid(iters, eval_every))
+    grid = trace_grid(iters, eval_every)
+    ordering = max((t for t in grid if t <= ORDERING_AT), default=grid[0])
+    points = sum(t >= FIT_START for t in grid)
     if points < 3 and {"convex", "sc-nonuniform"} & set(regimes):
         raise ValueError(f"a rate fit needs at least three trace points from "
                          f"iteration {FIT_START} on; iters {iters} at eval_every "
@@ -754,48 +728,43 @@ def verify_rates(regimes=REGIMES, iters: int = 100_000, seeds: int = 5,
     report: dict = {"seeds": seed_list, "iters": iters}
     # (family, regime fitted, iterations) of each build. The schedule does
     # not depend on the horizon, so an sc run to iters passes through the
-    # ordering iteration with the same bits as a run that stops there
+    # ordering point with the same bits as a run that stops there
     builds = [("convex", "convex", iters)] if "convex" in regimes else []
     if "sc-nonuniform" in regimes or "sc-uniform" in regimes:
-        builds.append(("sc", "sc-nonuniform", sc_horizon))
-    families = {}  # family: (build, reference, iterations, objective gaps)
+        builds.append(("sc", "sc-nonuniform",
+                       iters if "sc-nonuniform" in regimes else ordering))
     for family, regime, horizon in builds:
         core = rate_core(family, d=d, n=n, gamma=gamma, iters=horizon,
                          eval_every=eval_every)
         built = build_all(core)
         train, _, problem, _ = built
         ref = reference_optimum(problem, train, core["config"]["gamma"])
-        its, obj_curves, feas_curves = _gap_curves(built, core, seed_list,
-                                                   ref.objective)
-        families[family] = built, ref, its, obj_curves
+        its, objectives, feasibility = _seed_curves(built, core, "spdpeg", seed_list)
+        gaps = objectives - ref.objective
         if regime in regimes:
-            mean_gaps = obj_curves.mean(axis=0)
-            fit = fit_rate(its, mean_gaps)
-            entry = {"slope": fit.slope, "r_squared": fit.r_squared,
-                     "window": fit.window}
+            mean_gaps = gaps.mean(axis=0)
+            entry = fit_rate(its, mean_gaps)
             if family == "sc":
-                feas_fit = fit_rate(its, feas_curves.mean(axis=0))
-                entry.update(feasibility_slope=feas_fit.slope,
-                             feasibility_r_squared=feas_fit.r_squared)
-            report[regime] = {**entry, **_reference_report(ref, its, mean_gaps, fit)}
-    if "sc-uniform" in regimes:
-        # the uniform regime is checked as an ordering against the
-        # accelerated one at a fixed iteration count, not as a slope. Its
-        # runs take the sc build: make_config reads L and sigma_max of its
-        # constants, and neither depends on the regime
-        built, ref, its, obj_curves = families["sc"]
-        non_gaps = obj_curves[:, _grid_index(its, ordering_iteration)]
-        uni_core = rate_core("sc", d=d, n=n, gamma=gamma, iters=ordering_iteration,
-                             eval_every=eval_every, regime="sc-uniform")
-        uni_its, uni_curves, _ = _gap_curves(built, uni_core, seed_list,
-                                             ref.objective)
-        uni_gaps = uni_curves[:, _grid_index(uni_its, ordering_iteration)]
-        report["ordering"] = {
-            "iteration": ordering_iteration,
-            "gap_uniform_median": float(np.median(uni_gaps)),
-            "gap_nonuniform_median": float(np.median(non_gaps)),
-            "gap_uniform_mean": float(np.mean(uni_gaps)),
-            "gap_nonuniform_mean": float(np.mean(non_gaps))}
+                feas_fit = fit_rate(its, feasibility.mean(axis=0))
+                entry.update(feasibility_slope=feas_fit["slope"],
+                             feasibility_r_squared=feas_fit["r_squared"])
+            report[regime] = {**entry, **_reference_report(ref, its, mean_gaps, entry)}
+        if family == "sc" and "sc-uniform" in regimes:
+            # the uniform regime is checked as an ordering against the
+            # accelerated one, not as a slope. Its runs take the sc build
+            # and reference: make_config reads L and sigma_max of its
+            # constants, and neither depends on the regime
+            uni_core = rate_core("sc", d=d, n=n, gamma=gamma, iters=ordering,
+                                 eval_every=eval_every, regime="sc-uniform")
+            uni_gaps = _seed_curves(built, uni_core, "spdpeg",
+                                    seed_list)[1][:, -1] - ref.objective
+            non_gaps = gaps[:, its.tolist().index(ordering)]
+            report["ordering"] = {
+                "iteration": ordering,
+                "gap_uniform_median": float(np.median(uni_gaps)),
+                "gap_nonuniform_median": float(np.median(non_gaps)),
+                "gap_uniform_mean": float(np.mean(uni_gaps)),
+                "gap_nonuniform_mean": float(np.mean(non_gaps))}
     return report
 
 
@@ -865,13 +834,20 @@ def step_inequality_sweep(d: int = 20, n: int = 100, steps: int = 1000,
 
 
 def collect_trace_files(paths) -> list[tuple[str, int, list[TraceRecord]]]:
-    out = []
+    """(solver, seed, records) of each trace file, in path order; a
+    (solver, seed) that two files hold is a ValueError naming both."""
+    out, seen = [], {}
     for path in sorted(str(p) for p in paths):
         match = TRACE_FILE_RE.search(os.path.basename(path))
         if match is None:
             raise ValueError(f"trace filename {path!r} does not follow "
                              "trace_<solver>_seed<seed>.csv")
-        out.append((match["solver"], int(match["seed"]), read_trace_csv(path)))
+        key = match["solver"], int(match["seed"])
+        if key in seen:
+            raise ValueError(f"trace files {seen[key]!r} and {path!r} both hold "
+                             f"{key[0]} seed {key[1]}")
+        seen[key] = path
+        out.append((*key, read_trace_csv(path)))
     if not out:
         raise ValueError("no trace files given")
     return out
@@ -902,14 +878,20 @@ def aggregate_traces(traces) -> tuple[list[tuple], list[tuple]]:
     return long_rows, agg_rows
 
 
+def plotdata_paths(out_path) -> tuple[str, str]:
+    """The long and the aggregate CSV that ``write_plotdata`` writes for
+    ``out_path``."""
+    root, ext = os.path.splitext(str(out_path))
+    return str(out_path), f"{root}_agg{ext or '.csv'}"
+
+
 def write_plotdata(paths, out_path) -> tuple[str, str]:
     import csv
 
     traces = collect_trace_files(paths)
     long_rows, agg_rows = aggregate_traces(traces)
-    root, ext = os.path.splitext(str(out_path))
-    agg_path = f"{root}_agg{ext or '.csv'}"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    long_path, agg_path = plotdata_paths(out_path)
+    with open(long_path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(("solver", "metric", "iteration", "seed", "value"))
         for row in long_rows:
@@ -919,7 +901,7 @@ def write_plotdata(paths, out_path) -> tuple[str, str]:
         w.writerow(("solver", "metric", "iteration", "mean", "stderr", "n_seeds"))
         for solver, metric, iteration, mean, stderr, n in agg_rows:
             w.writerow((solver, metric, iteration, repr(mean), repr(stderr), n))
-    return str(out_path), agg_path
+    return long_path, agg_path
 
 
 # ---------------------------------------------------------------------------
@@ -965,8 +947,8 @@ def comparative_benchmark(d: int = 50, n: int = 1000, iters: int = 10_000,
     """Final objective of the stochastic solvers on the same instance/seeds."""
     core = rate_core("convex", d=d, n=n, iters=iters, eval_every=iters)
     built = build_all(core)
-    finals = {s: [r.trace[-1].objective for r in _completed(run_jobs(
-                  core, built, [(s, base_seed + i) for i in range(seeds)]))]
+    seed_list = [base_seed + i for i in range(seeds)]
+    finals = {s: _seed_curves(built, core, s, seed_list)[1][:, -1].tolist()
               for s in ("spdpeg", "slinadmm")}
     return {"iters": iters, "d": d, "n": n,
             "spdpeg_mean": float(np.mean(finals["spdpeg"])),

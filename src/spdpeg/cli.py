@@ -185,11 +185,11 @@ def cmd_check_lemma1(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    _check_out(args.out, directory=False)
+    for out in bench.plotdata_paths(args.out):
+        _check_out(out, directory=False)
     paths = sorted(glob.glob(args.inputs))
     if not paths:
-        print(f"no trace files match {args.inputs!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"no trace files match {args.inputs!r}")
     long_path, agg_path = bench.write_plotdata(paths, args.out)
     print(f"wrote {long_path} and {agg_path}")
     return 0

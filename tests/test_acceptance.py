@@ -146,8 +146,7 @@ def sc_rate_report():
     t0 = time.perf_counter()
     report = bench.verify_rates(regimes=("sc-uniform", "sc-nonuniform"),
                                 iters=100_000, seeds=5, base_seed=0, d=20,
-                                n=200, eval_every=100,
-                                ordering_iteration=10_000)
+                                n=200, eval_every=100)
     report["elapsed"] = time.perf_counter() - t0
     return report
 

@@ -48,16 +48,16 @@ def test_trace_csv_rejects_bad_header(tmp_path):
 def test_fit_rate_recovers_power_law():
     t = np.arange(50, 5001, 50)
     fit = bench.fit_rate(t, 3.0 * t ** -0.7)
-    assert fit.slope == pytest.approx(-0.7, abs=1e-9)
-    assert fit.r_squared == pytest.approx(1.0)
-    assert fit.window == (100, 5000)
+    assert fit["slope"] == pytest.approx(-0.7, abs=1e-9)
+    assert fit["r_squared"] == pytest.approx(1.0)
+    assert fit["window"] == (100, 5000)
 
 
 def test_fit_rate_drops_nonpositive_and_reports_window():
     t = np.array([100, 200, 400, 800, 1600])
     vals = np.array([1.0, 0.5, -1.0, 0.25, 0.125])
     fit = bench.fit_rate(t, vals)
-    assert fit.window == (100, 1600)
+    assert fit["window"] == (100, 1600)
     with pytest.raises(ValueError, match="window"):
         bench.fit_rate(t, -np.ones(5))
 
@@ -497,36 +497,43 @@ def test_verify_rates_builds_each_core_once(monkeypatch, tmp_path):
     assert len(derived) == 2
 
 
-def test_verify_rates_rejects_an_ordering_past_the_sc_run(monkeypatch, tmp_path):
+def test_verify_rates_orders_on_the_grid_of_the_run_it_reads(monkeypatch, tmp_path):
     calls = count_builds(monkeypatch, tmp_path / "builds")
-    # the sc-nonuniform run stops at iters, off the ordering iteration
-    with pytest.raises(ValueError, match="ordering_iteration 400 .* iters 300"):
-        bench.verify_rates(regimes=("sc-uniform", "sc-nonuniform"), iters=300,
-                           seeds=1, d=8, n=40, ordering_iteration=400)
-    assert calls() == []
-    # alone, the uniform regime runs the sc core to the ordering iteration
-    report = bench.verify_rates(regimes=("sc-uniform",), iters=300, seeds=1,
-                                d=8, n=40, ordering_iteration=400)
-    assert report["ordering"]["iteration"] == 400
-    assert calls() == ["sc-nonuniform"]
+    run_jobs, horizons = bench.run_jobs, []
 
+    def counted(core, built, jobs):
+        horizons.append((core["config"]["regime"], core["config"]["iters"]))
+        return run_jobs(core, built, jobs)
 
-def test_verify_rates_checks_the_ordering_on_the_run_it_reads(monkeypatch, tmp_path):
-    calls = count_builds(monkeypatch, tmp_path / "builds")
-    # 250 is off the grid 100, 200, 300 of the sc-nonuniform run to 300
-    with pytest.raises(ValueError, match="ordering_iteration 250 .* iters 300"):
-        bench.verify_rates(regimes=("sc-uniform", "sc-nonuniform"), iters=300,
-                           seeds=1, d=8, n=40, ordering_iteration=250)
-    assert calls() == []
+    monkeypatch.setattr(bench, "run_jobs", counted)
     # the convex regime computes no ordering
-    report = bench.verify_rates(regimes=("convex",), iters=300, seeds=1, d=8, n=40,
-                                ordering_iteration=250)
+    report = bench.verify_rates(regimes=("convex",), iters=300, seeds=1, d=8, n=40)
     assert "ordering" not in report and calls() == ["convex"]
-    # alone, the uniform regime's sc run stops at 250, the last point of its grid
-    report = bench.verify_rates(regimes=("sc-uniform",), iters=300, seeds=1, d=8,
-                                n=40, ordering_iteration=250)
-    assert report["ordering"]["iteration"] == 250
-    assert calls() == ["convex", "sc-nonuniform"]
+    # 10,000 is off the grid 300, 600, ..., 19,800, 20,000, so both sc
+    # regimes are ordered at 9,900, which the nonuniform run passes on its
+    # way to iters
+    kw = dict(iters=20_000, eval_every=300, seeds=1, d=8, n=40)
+    both = bench.verify_rates(regimes=("sc-uniform", "sc-nonuniform"), **kw)
+    assert both["ordering"]["iteration"] == 9_900
+    # alone, the uniform regime builds only the sc core, whose runs stop at
+    # the ordering point with the same bits
+    alone = bench.verify_rates(regimes=("sc-uniform",), **kw)
+    assert alone["ordering"] == both["ordering"]
+    assert calls() == ["convex", "sc-nonuniform", "sc-nonuniform"]
+    assert horizons == [("convex", 300), ("sc-nonuniform", 20_000),
+                        ("sc-uniform", 9_900), ("sc-nonuniform", 9_900),
+                        ("sc-uniform", 9_900)]
+
+
+@pytest.mark.parametrize("iters, eval_every, point", [
+    (12_000, 100, 10_000), (20_000, 300, 9_900), (1_500, 100, 1_500),
+    (50_000, 20_000, 20_000), (250, 100, 250)])
+def test_the_ordering_point_is_the_last_grid_point_at_or_below_10000(
+        iters, eval_every, point):
+    # or the grid's first point when none is (50,000 at eval_every 20,000)
+    report = bench.verify_rates(regimes=("sc-uniform",), iters=iters,
+                                eval_every=eval_every, seeds=1, d=8, n=40)
+    assert report["ordering"]["iteration"] == point
 
 
 def test_verify_rates_sizes_its_instances_by_d_and_n_alone(monkeypatch, tmp_path):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 
 import numpy as np
@@ -51,6 +52,14 @@ RATES_ARGV = {
                "--seeds", "2", "--d", "8", "--n", "40", "--eval-every", "100"],
     "all": ["verify-rates", "--regime", "all", "--iters", "1500",
             "--seeds", "2", "--d", "8", "--n", "40", "--eval-every", "100"],
+}
+# sha256 of the long and the aggregate CSV that plotdata writes from the
+# committed flr replay traces (three solvers, two seeds, recorded wall
+# times); the same command prints them
+REPLAY_TRACES = os.path.join(os.path.dirname(__file__), "data", "replay", "flr")
+PLOTDATA_GOLDEN = {
+    "plot.csv": "4e8eb7b6caf011d04a4a6af5490cfe9379a5b15af226ced4fd7a1b2df6dab27e",
+    "plot_agg.csv": "9d44a58d29fbe34f67c15df50ab987a86da13082a0ef90a4f78ec2bf4196f291",
 }
 LEMMA1_ARGV = {
     "both": ["check-lemma1", "--d", "8", "--n", "40", "--steps", "60",
@@ -318,6 +327,16 @@ def test_verify_rates_ordering_small(tmp_path):
     assert sha256_of(out / "rates.json") == RATES_GOLDEN["all"]
 
 
+def test_verify_rates_orders_at_the_last_grid_point_below_10000(tmp_path, capsys):
+    # 10,000 is no multiple of 300, so the ordering falls on 9,900
+    out = tmp_path / "rates"
+    rc = main(["verify-rates", "--iters", "20000", "--eval-every", "300", "--d", "8",
+               "--n", "40", "--seeds", "1", "--out", str(out)])
+    assert rc == 0
+    assert json.loads((out / "rates.json").read_text())["ordering"]["iteration"] == 9900
+    assert "ordering at t=9900:" in capsys.readouterr().out
+
+
 def test_check_lemma1_cli(tmp_path, capsys):
     report_path = tmp_path / "lemma.json"
     rc = main([*LEMMA1_ARGV["both"], "--out", str(report_path)])
@@ -499,11 +518,55 @@ def test_plotdata_cli(tmp_path, capsys):
     assert header == "solver,metric,iteration,seed,value"
 
 
+def test_plotdata_pins_both_csvs(tmp_path):
+    rc = main(["plotdata", "--in", os.path.join(REPLAY_TRACES, "trace_*.csv"),
+               "--out", str(tmp_path / "plot.csv")])
+    assert rc == 0
+    assert {name: sha256_of(tmp_path / name) for name in PLOTDATA_GOLDEN} \
+        == PLOTDATA_GOLDEN
+
+
 def test_plotdata_empty_glob(tmp_path, capsys):
-    rc = main(["plotdata", "--in", str(tmp_path / "none_*.csv"),
+    pattern = str(tmp_path / "none_*.csv")
+    rc = main(["plotdata", "--in", pattern, "--out", str(tmp_path / "plot.csv")])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: no trace files match {pattern!r}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_plotdata_checks_the_aggregate_path_before_any_work(tmp_path, capsys,
+                                                            monkeypatch):
+    read = []
+    monkeypatch.setattr(bench, "read_trace_csv", read.append)
+    agg = tmp_path / "plot_agg.csv"
+    agg.mkdir()
+    rc = main(["plotdata", "--in", os.path.join(REPLAY_TRACES, "trace_*.csv"),
                "--out", str(tmp_path / "plot.csv")])
     assert rc == 1
-    assert "no trace files" in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == f"error: --out {agg} exists and is a directory"
+    assert read == [] and list(tmp_path.iterdir()) == [agg]
+    assert list(agg.iterdir()) == []
+
+
+def test_plotdata_rejects_a_seed_that_two_files_hold(tmp_path, capsys):
+    # two run directories that both hold spdpeg seed 0
+    for run, seeds in (("runs1", (0,)), ("runs2", (0, 1))):
+        (tmp_path / run).mkdir()
+        for seed in seeds:
+            name = f"trace_spdpeg_seed{seed}.csv"
+            shutil.copy(os.path.join(REPLAY_TRACES, name), tmp_path / run)
+    out = tmp_path / "plot.csv"
+    rc = main(["plotdata", "--in", str(tmp_path / "runs*" / "trace_*.csv"),
+               "--out", str(out)])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    first, second = (str(tmp_path / run / "trace_spdpeg_seed0.csv")
+                     for run in ("runs1", "runs2"))
+    assert line == (f"error: trace files {first!r} and {second!r} both hold "
+                    "spdpeg seed 0")
+    assert not out.exists() and not (tmp_path / "plot_agg.csv").exists()
 
 
 if __name__ == "__main__":
@@ -521,3 +584,7 @@ if __name__ == "__main__":
             main([*ragged_argv(os.path.join(tmp, "ragged.txt"), batch_size),
                   "--out", out])
             print(f"RAGGED {batch_size}: {trace_digests(out)}")
+        main(["plotdata", "--in", os.path.join(REPLAY_TRACES, "trace_*.csv"),
+              "--out", os.path.join(tmp, "plot.csv")])
+        for name in PLOTDATA_GOLDEN:
+            print(f"PLOTDATA {name}: {sha256_of(os.path.join(tmp, name))}")

@@ -83,6 +83,14 @@ def test_L_tilde_has_one_source():
     assert "compute_L_tilde" not in names
 
 
+def test_seeds_run_through_one_loop():
+    # the rate families and the comparison read their seeds' curves from
+    # one helper; a manifest's runs are the suite's and the replay's
+    assert sorted(callers_of("run_jobs")) == ["bench._seed_curves",
+                                              "bench.replay_manifest",
+                                              "bench.run_suite"]
+
+
 def test_the_certificate_needs_no_benchmark_harness():
     code = ("import sys, spdpeg.oracles as o; "
             "assert callable(o.duality_gap) and callable(o.objective_and_gap); "
