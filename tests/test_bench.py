@@ -497,7 +497,25 @@ def test_verify_rates_builds_each_core_once(monkeypatch, tmp_path):
     assert len(derived) == 2
 
 
-def test_verify_rates_orders_on_the_grid_of_the_run_it_reads(monkeypatch, tmp_path):
+def test_verify_rates_rejects_an_ordering_past_the_sc_run(monkeypatch, tmp_path):
+    calls = count_builds(monkeypatch, tmp_path / "builds")
+    # the ordering point is no keyword, so none past the run can be asked for
+    with pytest.raises(TypeError, match="ordering_iteration"):
+        bench.verify_rates(regimes=("sc-uniform", "sc-nonuniform"), iters=300,
+                           seeds=1, d=8, n=40, ordering_iteration=400)
+    assert calls() == []
+    # a run to 300 stops short of ORDERING_AT, so both sc regimes are
+    # ordered at 300, the last point of the nonuniform run's grid
+    kw = dict(iters=300, seeds=1, d=8, n=40)
+    both = bench.verify_rates(regimes=("sc-uniform", "sc-nonuniform"), **kw)
+    assert both["ordering"]["iteration"] == 300
+    # alone, the uniform regime runs the sc core to the same point, same bits
+    alone = bench.verify_rates(regimes=("sc-uniform",), **kw)
+    assert alone["ordering"] == both["ordering"]
+    assert calls() == ["sc-nonuniform", "sc-nonuniform"]
+
+
+def test_verify_rates_checks_the_ordering_on_the_run_it_reads(monkeypatch, tmp_path):
     calls = count_builds(monkeypatch, tmp_path / "builds")
     run_jobs, horizons = bench.run_jobs, []
 
