@@ -181,6 +181,10 @@ def build_data(data_cfg: dict) -> tuple[Dataset, Dataset, GraphSpec | None]:
     spec = (SplitSpec(data_cfg["train_fraction"], data_cfg["split_seed"])
             if data_cfg["split"] else None)
     if "synthetic" in data_cfg:
+        for key in ("path", "sha256", "normalize"):  # a data file's keys, if set
+            if data_cfg.get(key) not in (None, False):
+                raise ValueError(f"core.data.{key} belongs to a data file and "
+                                 "cannot be given beside core.data.synthetic")
         s = data_cfg["synthetic"]
         args = (s["kind"], s["d"], s["n"], s["noise"], s["seed"])
         if spec is None:
@@ -815,13 +819,12 @@ def step_inequality_sweep(d: int = 20, n: int = 100, steps: int = 1000,
     min_abs = math.inf
     flagged = 0
     for cap in captures:
-        any_negative = False
-        for ref in references:
-            rep = check_step_inequality(cap, problem, config, ref)
+        reports = check_step_inequality(cap, problem, train, config, references)
+        for rep in reports:
             min_rel = min(min_rel, relative_slack(rep))
             min_abs = min(min_abs, rep.slack)
-            any_negative = any_negative or rep.coefficient_negative
-        flagged += int(any_negative)
+        # the brackets depend on the step, not on the reference
+        flagged += int(reports[0].coefficient_negative)
     return {"mode": mode, "steps": len(captures), "references": n_references,
             "d": d, "n": n, "step_scale": step_scale,
             "min_relative_slack": min_rel, "min_slack": min_abs,

@@ -32,7 +32,7 @@ RATES, LEMMA1 = ({k: p.default for k, p in inspect.signature(f).parameters.items
 
 def parse_synthetic_spec(spec: str, seed: int) -> dict:
     kind, _, rest = spec.partition(":")
-    fields = {"noise": bench.SYNTH_NOISE}
+    fields = {}
     if rest:
         for part in rest.split(","):
             key, _, value = part.partition("=")
@@ -43,21 +43,27 @@ def parse_synthetic_spec(spec: str, seed: int) -> dict:
             if key != "noise" and not number.is_integer():
                 raise ValueError(f"synthetic {key} must be a finite integer, "
                                  f"got {value!r}")
-            fields["n" if key == "N" else key] = number
+            name = "n" if key == "N" else key
+            if name in fields:
+                raise ValueError(f"synthetic field {key!r} is given twice in {spec!r}")
+            fields[name] = number
     if "d" not in fields or "n" not in fields:
         raise ValueError(f"synthetic spec needs d and N: {SYNTH_SPEC_HELP}")
     return {"kind": kind, "d": int(fields["d"]), "n": int(fields["n"]),
-            "noise": float(fields["noise"]), "seed": seed}
+            "noise": float(fields.get("noise", bench.SYNTH_NOISE)), "seed": seed}
 
 
 def _build_core(args) -> dict:
     kind, source, regime = bench.TASK_INSTANCES[args.task]
     data = {"split": True, "train_fraction": args.train_fraction,
             "split_seed": args.data_seed + 1}
+    # what the options give; build_data rejects a file option beside a
+    # synthetic set, and a run given neither takes its task's instance
     if args.data is not None:
-        data.update(path=args.data, sha256=bench._sha256_file(args.data),
-                    normalize=bool(args.normalize))
-    else:
+        data.update(path=args.data, sha256=bench._sha256_file(args.data))
+    if args.data is not None or args.normalize:
+        data["normalize"] = args.normalize
+    if args.synthetic is not None or args.data is None:
         spec = (f"{kind}:d={bench.INSTANCE['d']},N={bench.INSTANCE['n']}"
                 if args.synthetic is None else args.synthetic)
         data["synthetic"] = parse_synthetic_spec(spec, args.data_seed)

@@ -27,7 +27,9 @@ for the accelerated strongly convex regime.
 ``check_step_inequality`` evaluates the per-step energy inequality that
 the update quintuple satisfies pathwise on steps captured into the
 caller's list by ``run(..., captures=caps)``; it is the runtime-checkable
-core of the convergence analysis, exercised by ``check-lemma1``.
+core of the convergence analysis, exercised by ``check-lemma1``. A capture
+records only what the step computed; the audit computes the full
+gradients that measure the step's gradient noise.
 """
 
 from __future__ import annotations
@@ -137,7 +139,8 @@ def initial_state(problem: Problem, dataset: Dataset) -> SolverState:
 
 @dataclass(frozen=True)
 class StepCapture:
-    """Everything realized during one step, for inequality auditing."""
+    """What one step computed, for the per-step audit: its iterates and the
+    two drawn gradients."""
 
     k: int
     c: float
@@ -150,8 +153,6 @@ class StepCapture:
     lam_next: np.ndarray
     grad_x_stoch: np.ndarray
     grad_xbar_stoch: np.ndarray
-    grad_x_full: np.ndarray
-    grad_xbar_full: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -378,24 +379,18 @@ def run(problem: Problem, dataset: Dataset, config: SolverConfig,
             advance(state, k + 3 if nonuniform else 1, x_bar, lam_bar,
                     x_next, z, lam_next)
             if captures is not None:
-                g1_full, g2_full = (g1, g2) if config.full_batch else (
-                    oracles.full_gradient(problem, dataset, x),
-                    oracles.full_gradient(problem, dataset, x_bar))
-                captures.append(StepCapture(
-                    k=k, c=c, x_prev=x, lam_prev=lam, z_next=z, x_bar=x_bar,
-                    lam_bar=lam_bar, x_next=x_next, lam_next=lam_next,
-                    grad_x_stoch=g1, grad_xbar_stoch=g2, grad_x_full=g1_full,
-                    grad_xbar_full=g2_full))
+                captures.append(StepCapture(k, c, x, lam, z, x_bar, lam_bar,
+                                            x_next, lam_next, g1, g2))
         return step
 
     return drive(problem, dataset, config, test_dataset, make_step)
 
 
 def check_step_inequality(capture: StepCapture, problem: Problem,
-                          config: SolverConfig,
-                          reference: tuple[np.ndarray, np.ndarray, np.ndarray]
-                          ) -> StepInequalityReport:
-    """Evaluate the pathwise per-step inequality at a reference (z, x, lambda).
+                          dataset: Dataset, config: SolverConfig, references
+                          ) -> list[StepInequalityReport]:
+    """Evaluate the pathwise per-step inequality of a step captured on
+    ``dataset`` at each reference (z, x, lambda), in order.
 
     The left side collects the regularizer gaps and the primal-dual inner
     products at the predictor point; the right side collects the telescoping
@@ -404,44 +399,50 @@ def check_step_inequality(capture: StepCapture, problem: Problem,
     reference with feasible x, whatever the step size; the brackets only
     become nonnegative under the scheduled steps, so they are reported
     together with a ``coefficient_negative`` flag.
+
+    The noise is each drawn gradient less the full gradient at its point,
+    computed here once per step with every other term that no reference
+    enters; under ``full_batch`` the drawn gradients are the full ones, so
+    both noise terms are 0.
     """
-    z_ref, x_ref, lam_ref = (np.asarray(v, dtype=np.float64) for v in reference)
-    c, gamma = capture.c, config.gamma
+    cap, c, gamma = capture, capture.c, config.gamma
     penalty = problem.penalty
-
-    delta = capture.grad_x_stoch - capture.grad_x_full
-    delta_bar = capture.grad_xbar_stoch - capture.grad_xbar_full
-    delta_sq = float(delta @ delta)
-    delta_bar_sq = float(delta_bar @ delta_bar)
-
-    g2 = capture.grad_xbar_stoch - penalty.rmatvec(capture.lam_bar)
-    residual_bar = penalty.matvec(capture.x_bar) - capture.z_next
-    lhs = (reg_value(problem.r1, x_ref) + reg_value(problem.r2, z_ref)
-           - reg_value(problem.r1, capture.x_bar)
-           - reg_value(problem.r2, capture.z_next)
-           + float((z_ref - capture.z_next) @ capture.lam_bar)
-           + float((x_ref - capture.x_bar) @ g2)
-           + float((lam_ref - capture.lam_bar) @ residual_bar))
 
     def sq(v):
         return float(v @ v)
 
+    delta_sq = sq(cap.grad_x_stoch
+                  - oracles.full_gradient(problem, dataset, cap.x_prev))
+    delta_bar_sq = sq(cap.grad_xbar_stoch
+                      - oracles.full_gradient(problem, dataset, cap.x_bar))
+    g2 = cap.grad_xbar_stoch - penalty.rmatvec(cap.lam_bar)
+    residual_bar = penalty.matvec(cap.x_bar) - cap.z_next
+    r1_bar, r2_next = reg_value(problem.r1, cap.x_bar), reg_value(problem.r2, cap.z_next)
     bracket_lambda, bracket_x = _bracket_coefficients(config, c)
-    rhs = (sq(x_ref - capture.x_next) / (2.0 * c)
-           - sq(x_ref - capture.x_prev) / (2.0 * c)
-           - 4.0 * c * (delta_sq + delta_bar_sq)
-           - sq(lam_ref - capture.lam_prev) / (2.0 * gamma)
-           + sq(lam_ref - capture.lam_next) / (2.0 * gamma)
-           + bracket_lambda * sq(capture.lam_prev - capture.lam_bar)
-           + bracket_x * sq(capture.x_prev - capture.x_bar)
-           + sq(capture.x_next - capture.x_bar) / (2.0 * c))
-    return StepInequalityReport(lhs=lhs, rhs=rhs, slack=lhs - rhs,
-                                delta_norm_sq=delta_sq,
-                                delta_bar_norm_sq=delta_bar_sq,
-                                bracket_lambda=bracket_lambda,
-                                bracket_x=bracket_x,
-                                coefficient_negative=(bracket_lambda < 0
-                                                      or bracket_x < 0))
+    negative = bracket_lambda < 0 or bracket_x < 0
+    noise = 4.0 * c * (delta_sq + delta_bar_sq)
+    lam_term = bracket_lambda * sq(cap.lam_prev - cap.lam_bar)
+    x_term = bracket_x * sq(cap.x_prev - cap.x_bar)
+    corrector_term = sq(cap.x_next - cap.x_bar) / (2.0 * c)
+    reports = []
+    for reference in references:
+        z_ref, x_ref, lam_ref = (np.asarray(v, dtype=np.float64) for v in reference)
+        lhs = (reg_value(problem.r1, x_ref) + reg_value(problem.r2, z_ref)
+               - r1_bar - r2_next
+               + float((z_ref - cap.z_next) @ cap.lam_bar)
+               + float((x_ref - cap.x_bar) @ g2)
+               + float((lam_ref - cap.lam_bar) @ residual_bar))
+        rhs = (sq(x_ref - cap.x_next) / (2.0 * c)
+               - sq(x_ref - cap.x_prev) / (2.0 * c)
+               - noise
+               - sq(lam_ref - cap.lam_prev) / (2.0 * gamma)
+               + sq(lam_ref - cap.lam_next) / (2.0 * gamma)
+               + lam_term + x_term + corrector_term)
+        reports.append(StepInequalityReport(
+            lhs=lhs, rhs=rhs, slack=lhs - rhs, delta_norm_sq=delta_sq,
+            delta_bar_norm_sq=delta_bar_sq, bracket_lambda=bracket_lambda,
+            bracket_x=bracket_x, coefficient_negative=negative))
+    return reports
 
 
 def relative_slack(report: StepInequalityReport) -> float:

@@ -37,16 +37,22 @@ def write_trace_csv(path, records) -> None:
 
 
 def read_trace_csv(path) -> list[TraceRecord]:
+    """The records of a trace file; a bad header, a short or long row, a
+    bad number or another schema version is a ValueError that names the
+    file and its line."""
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRACE_COLUMNS:
-            raise ValueError(f"unexpected trace header in {path}")
-        for row in reader:
-            if len(row) != len(TRACE_COLUMNS):
-                raise ValueError(f"malformed trace row in {path}: {row!r}")
-            if int(row[0]) != SCHEMA_VERSION:
-                raise ValueError(f"unsupported trace schema version {row[0]}")
-            records.append(TraceRecord(int(row[1]), *(float(v) for v in row[2:])))
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != TRACE_COLUMNS:
+                raise ValueError("unexpected trace header")
+            for row in reader:
+                if len(row) != len(TRACE_COLUMNS):
+                    raise ValueError(f"malformed trace row {row!r}")
+                if int(row[0]) != SCHEMA_VERSION:
+                    raise ValueError(f"unsupported trace schema version {row[0]}")
+                records.append(TraceRecord(int(row[1]), *(float(v) for v in row[2:])))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {max(reader.line_num, 1)}: {exc}") from None
     return records

@@ -7,8 +7,9 @@ import numpy as np
 
 from spdpeg import data, oracles
 from spdpeg.model import Dataset
-from spdpeg.prox import ProxSpec, apply_prox
-from spdpeg.solver import Schedule, _bracket_coefficients, run, step_size
+from spdpeg.prox import ProxSpec, apply_prox, reg_value
+from spdpeg.solver import (Schedule, StepInequalityReport, _bracket_coefficients,
+                           run, step_size)
 from spdpeg.sparse import PowerIterationError, SparseMatrix
 
 
@@ -240,3 +241,53 @@ def column_row_norms_sq(rows) -> np.ndarray:
     for col in rows.T:
         out += col ** 2
     return out
+
+
+def single_reference_step_inequality(capture, problem, dataset, config,
+                                     reference) -> StepInequalityReport:
+    """``solver.check_step_inequality`` at one reference as it was before
+    the audit took a list of references: every term computed in place, and
+    the full gradients taken as the step used to record them (the drawn
+    ones under ``full_batch``, else ``oracles.full_gradient`` at x and
+    x_bar). The bitwise reference of the audit."""
+    z_ref, x_ref, lam_ref = (np.asarray(v, dtype=np.float64) for v in reference)
+    c, gamma = capture.c, config.gamma
+    penalty = problem.penalty
+    g1_full, g2_full = (
+        (capture.grad_x_stoch, capture.grad_xbar_stoch) if config.full_batch
+        else (oracles.full_gradient(problem, dataset, capture.x_prev),
+              oracles.full_gradient(problem, dataset, capture.x_bar)))
+
+    delta = capture.grad_x_stoch - g1_full
+    delta_bar = capture.grad_xbar_stoch - g2_full
+    delta_sq = float(delta @ delta)
+    delta_bar_sq = float(delta_bar @ delta_bar)
+
+    g2 = capture.grad_xbar_stoch - penalty.rmatvec(capture.lam_bar)
+    residual_bar = penalty.matvec(capture.x_bar) - capture.z_next
+    lhs = (reg_value(problem.r1, x_ref) + reg_value(problem.r2, z_ref)
+           - reg_value(problem.r1, capture.x_bar)
+           - reg_value(problem.r2, capture.z_next)
+           + float((z_ref - capture.z_next) @ capture.lam_bar)
+           + float((x_ref - capture.x_bar) @ g2)
+           + float((lam_ref - capture.lam_bar) @ residual_bar))
+
+    def sq(v):
+        return float(v @ v)
+
+    bracket_lambda, bracket_x = _bracket_coefficients(config, c)
+    rhs = (sq(x_ref - capture.x_next) / (2.0 * c)
+           - sq(x_ref - capture.x_prev) / (2.0 * c)
+           - 4.0 * c * (delta_sq + delta_bar_sq)
+           - sq(lam_ref - capture.lam_prev) / (2.0 * gamma)
+           + sq(lam_ref - capture.lam_next) / (2.0 * gamma)
+           + bracket_lambda * sq(capture.lam_prev - capture.lam_bar)
+           + bracket_x * sq(capture.x_prev - capture.x_bar)
+           + sq(capture.x_next - capture.x_bar) / (2.0 * c))
+    return StepInequalityReport(lhs=lhs, rhs=rhs, slack=lhs - rhs,
+                                delta_norm_sq=delta_sq,
+                                delta_bar_norm_sq=delta_bar_sq,
+                                bracket_lambda=bracket_lambda,
+                                bracket_x=bracket_x,
+                                coefficient_negative=(bracket_lambda < 0
+                                                      or bracket_x < 0))

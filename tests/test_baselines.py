@@ -111,6 +111,6 @@ def test_eg_full_deterministic_mode_slack_nonnegative():
     for cap in caps:
         ref = (rng.standard_normal(l), rng.standard_normal(8),
                rng.standard_normal(l))
-        rep = check_step_inequality(cap, problem, config, ref)
+        [rep] = check_step_inequality(cap, problem, dataset, config, [ref])
         assert rep.delta_norm_sq == 0.0
         assert relative_slack(rep) >= -1e-10

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (count_calls, diverge_for_seed, save_penalty,
+from conftest import (count_calls, diverge_for_seed, fingerprint, save_penalty,
                       serialize_libsvm, sparse_from_dense)
 from spdpeg import bench, oracles, prox, solver, sparse
 from spdpeg.data import ParseError, normalize_features
@@ -19,7 +19,7 @@ from spdpeg.penalties import GraphSpec, build_fused_matrix, build_graph_matrix
 from spdpeg.prox import ProxSpec, prox_tv
 from spdpeg.solver import run as run_spdpeg
 from spdpeg.sparse import SparseMatrix
-from spdpeg.trace import TraceRecord, read_trace_csv, write_trace_csv
+from spdpeg.trace import TRACE_COLUMNS, TraceRecord, read_trace_csv, write_trace_csv
 
 
 def small_core(**overrides):
@@ -43,6 +43,29 @@ def test_trace_csv_rejects_bad_header(tmp_path):
     path.write_text("iteration,objective\n1,2.0\n")
     with pytest.raises(ValueError, match="header"):
         read_trace_csv(path)
+
+
+TRACE_HEAD = ",".join(TRACE_COLUMNS) + "\n" + "1,10,0.125,0.5,0.4,0.9,0.001,0.2\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("", 1, "unexpected trace header"),
+    ("iteration,objective\n1,2.0\n", 1, "unexpected trace header"),
+    (TRACE_HEAD + "1,20,0.25,0.5\n", 3,
+     "malformed trace row ['1', '20', '0.25', '0.5']"),
+    (TRACE_HEAD + "1,2x0,0.25,0.5,0.4,0.9,0.001,0.2\n", 3,
+     "invalid literal for int() with base 10: '2x0'"),
+    (TRACE_HEAD.replace("0.4,", "0.4.1,"), 2,
+     "could not convert string to float: '0.4.1'"),
+    (TRACE_HEAD + "2,20,0.25,0.5,0.4,0.9,0.001,0.2\n", 3,
+     "unsupported trace schema version 2")],
+    ids=["empty", "header", "short-row", "iteration", "float", "schema"])
+def test_trace_csv_errors_name_the_file_and_line(tmp_path, text, line, message):
+    path = tmp_path / "trace_spdpeg_seed0.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value) == f"{path} line {line}: {message}"
 
 
 def test_fit_rate_recovers_power_law():
@@ -437,6 +460,22 @@ def test_build_data_checks_a_split_dataset_once(monkeypatch, tmp_path):
                                            "split_seed": 3})
         assert csr_sizes == checks
         assert (train.n_samples, test.n_samples) == (32, 8)
+
+
+@pytest.mark.parametrize("extra, key", [({"path": "tiny.txt"}, "path"),
+                                        ({"sha256": "0" * 64}, "sha256"),
+                                        ({"normalize": True}, "normalize")])
+def test_build_data_takes_one_source(extra, key):
+    # a file's keys beside a synthetic set name a second source, or an
+    # option that would change nothing; normalize off builds the set
+    data = {"synthetic": small_core()["data"]["synthetic"]}
+    with pytest.raises(ValueError) as exc:
+        bench.build_data({**data, **extra})
+    assert str(exc.value) == (f"core.data.{key} belongs to a data file and cannot "
+                              "be given beside core.data.synthetic")
+    plain = bench.build_data(data)[0]
+    off = bench.build_data({**data, "normalize": False})[0]
+    assert fingerprint(off) == fingerprint(plain)
 
 
 def test_build_data_checks_a_normalized_file_once(monkeypatch, tmp_path):

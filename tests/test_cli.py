@@ -115,6 +115,48 @@ def test_parse_synthetic_spec():
     assert parse_synthetic_spec("fused-signal:d=4,N=1e5", seed=0)["n"] == 100_000
 
 
+@pytest.mark.parametrize("fields, name", [("d=5,N=10,d=7", "d"),
+                                          ("d=5,N=10,n=12", "n"),
+                                          ("d=5,n=10,N=12", "N"),
+                                          ("noise=0.2,d=5,N=10,noise=0.3", "noise")])
+def test_parse_synthetic_spec_rejects_a_repeated_field(fields, name):
+    # N and n name one field
+    spec = f"fused-signal:{fields}"
+    with pytest.raises(ValueError) as exc:
+        parse_synthetic_spec(spec, seed=0)
+    assert str(exc.value) == f"synthetic field {name!r} is given twice in {spec!r}"
+
+
+def test_run_rejects_a_repeated_synthetic_field(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["run", "--synthetic", "fused-signal:d=5,N=10,d=7", "--iters", "20",
+               "--out", str(out)])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == ("error: synthetic field 'd' is given twice in "
+                    "'fused-signal:d=5,N=10,d=7'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("options, key", [
+    (["--data", "{data}", "--synthetic", "fused-signal:d=50,N=400"], "path"),
+    (["--normalize"], "normalize"),
+    (["--synthetic", "fused-signal:d=8,N=40", "--normalize"], "normalize")])
+def test_a_run_names_one_data_source_and_its_options_apply_to_it(
+        tmp_path, capsys, options, key):
+    ds, _, _ = synthesize("fused-signal", 6, 40, 0.2, 11)
+    data_path = tmp_path / "tiny.txt"
+    data_path.write_text(serialize_libsvm(ds))
+    out = tmp_path / "out"
+    rc = main(["run", *(o.format(data=data_path) for o in options), "--iters", "20",
+               "--out", str(out)])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (f"error: core.data.{key} belongs to a data file and cannot "
+                    "be given beside core.data.synthetic")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family", ["convex", "sc"])
 def test_a_run_given_no_data_builds_its_tasks_rate_instance(family):
     # rate_core's data, penalty and problem, key for key, with the run's
@@ -337,6 +379,20 @@ def test_verify_rates_orders_at_the_last_grid_point_below_10000(tmp_path, capsys
     assert "ordering at t=9900:" in capsys.readouterr().out
 
 
+def test_verify_rates_reports_a_diverged_seed(tmp_path, capsys, monkeypatch):
+    # a divergence stops the rate fit: one error line, no report
+    monkeypatch.setenv("SPDPEG_THREADS", "1")
+    monkeypatch.setitem(bench._SOLVER_FNS, "spdpeg", diverge_for_seed(1))
+    out = tmp_path / "rates"
+    rc = main(["verify-rates", "--regime", "convex", "--iters", "300",
+               "--eval-every", "50", "--d", "8", "--n", "40", "--seeds", "2",
+               "--out", str(out)])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: iterate diverged at iteration ")
+    assert not out.exists()
+
+
 def test_check_lemma1_cli(tmp_path, capsys):
     report_path = tmp_path / "lemma.json"
     rc = main([*LEMMA1_ARGV["both"], "--out", str(report_path)])
@@ -347,6 +403,22 @@ def test_check_lemma1_cli(tmp_path, capsys):
     assert {r["mode"] for r in reports} == {"deterministic", "stochastic"}
     assert all(r["min_relative_slack"] >= -1e-8 for r in reports)
     assert sha256_of(report_path) == LEMMA1_GOLDEN["both"]
+
+
+def test_check_lemma1_fails_below_the_slack_threshold(tmp_path, capsys,
+                                                       monkeypatch):
+    # a threshold above every measured slack makes the audit fail
+    monkeypatch.setattr(bench, "SLACK_THRESHOLD", 1.0)
+    report_path = tmp_path / "lemma.json"
+    rc = main([*LEMMA1_ARGV["both"], "--out", str(report_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    worst = min(r["min_relative_slack"]
+                for r in json.loads(report_path.read_text()))
+    assert 0.0 < worst < 1.0
+    assert captured.err.splitlines() == [
+        f"FAIL: minimum relative slack {worst:.3e} < 1e+00"]
+    assert "PASS" not in captured.out
 
 
 def test_check_lemma1_flags_inflated_steps(tmp_path, capsys):
@@ -524,6 +596,22 @@ def test_plotdata_pins_both_csvs(tmp_path):
     assert rc == 0
     assert {name: sha256_of(tmp_path / name) for name in PLOTDATA_GOLDEN} \
         == PLOTDATA_GOLDEN
+
+
+def test_plotdata_names_the_file_and_line_of_a_bad_trace(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    shutil.copytree(REPLAY_TRACES, traces)
+    bad = traces / "trace_spdpeg_seed1.csv"
+    lines = bad.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].replace("1,100,", "1,2x0,", 1)
+    bad.write_text("".join(lines))
+    out = tmp_path / "plot.csv"
+    rc = main(["plotdata", "--in", str(traces / "trace_*.csv"), "--out", str(out)])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (f"error: {bad} line 3: invalid literal for int() with "
+                    "base 10: '2x0'")
+    assert sorted(tmp_path.iterdir()) == [traces]
 
 
 def test_plotdata_empty_glob(tmp_path, capsys):

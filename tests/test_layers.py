@@ -8,9 +8,11 @@ line, each a layer of its own. The package root re-exports names from
 several layers and lies outside the order.
 
 Facts with one source are checked here too: ``solver.make_schedule`` is the
-one place that derives L_tilde, the command line names no synthetic
-kind and no regime (``bench.TASK_INSTANCES`` gives each task's), and
-``solver.trace_grid`` alone states the trace grid.
+one place that derives L_tilde, ``solver.check_step_inequality`` the one
+place that takes a full gradient (a captured step records only what it
+computed, and reads no ``full_batch``), the command line names no
+synthetic kind and no regime (``bench.TASK_INSTANCES`` gives each task's),
+and ``solver.trace_grid`` alone states the trace grid.
 """
 
 from __future__ import annotations
@@ -81,6 +83,16 @@ def test_L_tilde_has_one_source():
     names |= {alias.name for node in ast.walk(parse("bench"))
               if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "compute_L_tilde" not in names
+
+
+def test_the_step_computes_no_audit_gradient():
+    # the audit computes the full gradients that measure a captured step's
+    # noise; the step only records what it drew
+    assert set(callers_of("full_gradient")) == {"solver.check_step_inequality"}
+    [run] = [top for top in parse("solver").body
+             if isinstance(top, ast.FunctionDef) and top.name == "run"]
+    assert [node.lineno for node in ast.walk(run)
+            if isinstance(node, ast.Attribute) and node.attr == "full_batch"] == []
 
 
 def test_seeds_run_through_one_loop():

@@ -1,6 +1,6 @@
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (average_weight, count_calls, csr_dataset,
-                      schedule_bracket_coefficients, sparse_from_dense)
+                      schedule_bracket_coefficients,
+                      single_reference_step_inequality, sparse_from_dense)
 from spdpeg.model import Dataset, Problem, SolverConfig, estimate_lipschitz
 from spdpeg.penalties import build_fused_matrix
 from spdpeg.prox import ProxSpec, prox_l1, reg_value
@@ -291,11 +292,10 @@ def test_step_inequality_deterministic_mode():
     rng = np.random.default_rng(0)
     l = problem.penalty.n_rows
     for cap in caps:
-        assert cap.grad_x_stoch is cap.grad_x_full
-        for ref in [(res.state.z, res.state.x, res.state.lam),
-                    (rng.standard_normal(l), rng.standard_normal(8),
-                     rng.standard_normal(l))]:
-            rep = check_step_inequality(cap, problem, config, ref)
+        refs = [(res.state.z, res.state.x, res.state.lam),
+                (rng.standard_normal(l), rng.standard_normal(8),
+                 rng.standard_normal(l))]
+        for rep in check_step_inequality(cap, problem, dataset, config, refs):
             assert rep.delta_norm_sq == 0.0 and rep.delta_bar_norm_sq == 0.0
             assert relative_slack(rep) >= -1e-10
 
@@ -308,21 +308,51 @@ def test_step_inequality_stochastic_mode():
     l = problem.penalty.n_rows
     worst = np.inf
     for cap in caps:
-        for _ in range(5):
-            ref = (rng.standard_normal(l), rng.standard_normal(8),
-                   rng.standard_normal(l))
-            worst = min(worst, relative_slack(
-                check_step_inequality(cap, problem, config, ref)))
+        refs = [(rng.standard_normal(l), rng.standard_normal(8),
+                 rng.standard_normal(l)) for _ in range(5)]
+        for rep in check_step_inequality(cap, problem, dataset, config, refs):
+            worst = min(worst, relative_slack(rep))
     assert worst >= -1e-8
+
+
+def report_bits(report):
+    return [np.float64(v).tobytes() if isinstance(v, float) else v
+            for v in astuple(report)]
+
+
+@pytest.mark.parametrize("mode, step_scale", [("stochastic", 1.0),
+                                              ("deterministic", 1.0),
+                                              ("stochastic", 100.0)])
+def test_the_audit_of_a_step_equals_one_audit_per_reference(mode, step_scale):
+    # the step's reference-free terms are computed once per step, and each
+    # reference's sums keep their operands in order: the same bits
+    problem, dataset, config = flr_instance(
+        iters=40 if step_scale == 1.0 else 10, full_batch=mode == "deterministic")
+    caps = []
+    res = run(problem, dataset, config, step_scale=step_scale, captures=caps)
+    rng = np.random.default_rng(7)
+    l = problem.penalty.n_rows
+    refs = [(rng.standard_normal(l), rng.standard_normal(8),
+             rng.standard_normal(l)) for _ in range(4)]
+    refs += [(res.state.z, res.state.x, res.state.lam),
+             (np.zeros(l), np.zeros(8), np.zeros(l))]
+    flagged = 0
+    for cap in caps:
+        got = check_step_inequality(cap, problem, dataset, config, refs)
+        want = [single_reference_step_inequality(cap, problem, dataset,
+                                                 config, ref) for ref in refs]
+        assert [report_bits(r) for r in got] == [report_bits(r) for r in want]
+        flagged += got[0].coefficient_negative
+    assert flagged == (len(caps) if step_scale == 100.0 else 0)
 
 
 def test_step_inequality_inflated_step_flags_coefficients():
     problem, dataset, config = flr_instance(iters=10)
     caps = []
     run(problem, dataset, config, step_scale=100.0, captures=caps)
-    rep = check_step_inequality(caps[0], problem, config,
-                                (np.zeros(problem.penalty.n_rows), np.zeros(8),
-                                 np.zeros(problem.penalty.n_rows)))
+    [rep] = check_step_inequality(caps[0], problem, dataset, config,
+                                  [(np.zeros(problem.penalty.n_rows), np.zeros(8),
+                                    np.zeros(problem.penalty.n_rows))])
     assert rep.coefficient_negative
     # the inequality itself is pathwise and holds regardless of the step
     assert relative_slack(rep) >= -1e-8
