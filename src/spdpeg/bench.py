@@ -514,8 +514,9 @@ def _fista_reference(problem: Problem, dataset: Dataset,
     before = last = math.inf  # the gaps of the two checks before this one
     converged = False
     iterations = 0
+    gradient = oracles.full_kernel(problem, dataset)
     while iterations < UNCAPPED_ITERS:
-        v = y - step * oracles._gradient_over_rows(problem, dataset, y)
+        v = y - step * gradient(y)
         if fused:
             x_next, tv = prox_fused(kern.prox_r1, v, step, weight)
         else:
@@ -559,9 +560,7 @@ def _extragradient_reference(problem: Problem, dataset: Dataset, gamma: float,
     config = SolverConfig(gamma, "convex", 1, 0, data["lipschitz_L"], data["sigma_max_FtF"])
     c = 1.0 / (1.0 + make_schedule(problem, config).L_tilde)
     kern = kernels(problem)
-
-    def gradient(v):
-        return oracles._gradient_over_rows(problem, dataset, v)
+    gradient = oracles.full_kernel(problem, dataset)
 
     x = np.zeros(dataset.dimension)
     lam = np.zeros(problem.penalty.n_rows)

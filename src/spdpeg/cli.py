@@ -39,7 +39,11 @@ def parse_synthetic_spec(spec: str, seed: int) -> dict:
             if key not in ("d", "N", "n", "noise"):
                 raise ValueError(f"unknown synthetic field {key!r} "
                                  f"(expected {SYNTH_SPEC_HELP})")
-            number = float(value)
+            try:
+                number = float(value)
+            except ValueError:
+                raise ValueError(f"synthetic field {key!r} must be a number, "
+                                 f"got {value!r} in {spec!r}") from None
             if key != "noise" and not number.is_integer():
                 raise ValueError(f"synthetic {key} must be a finite integer, "
                                  f"got {value!r}")

@@ -72,7 +72,7 @@ class Dataset:
         self.dense_rows = (self.data.reshape(n, self.dimension)
                            if self.data.size == n * self.dimension else None)
         self._features = features
-        self._max_row_norm_sq = self._neg_labels = self._neg_labels_n = None
+        self._max_row_norm_sq = None
 
     @classmethod
     def from_dense_rows(cls, features, labels) -> "Dataset":
@@ -111,22 +111,6 @@ class Dataset:
     @property
     def row_ids(self) -> np.ndarray:
         return self.features.row_ids
-
-    @property
-    def neg_labels(self) -> np.ndarray:
-        """-b per sample, built on first use and kept: the signs of the
-        logistic coefficients."""
-        if self._neg_labels is None:
-            self._neg_labels = -self.labels
-        return self._neg_labels
-
-    @property
-    def neg_labels_n(self) -> np.ndarray:
-        """-b*n per sample, exact for b = +-1: the divisor of the logistic
-        full pass, built on first use and kept."""
-        if self._neg_labels_n is None:
-            self._neg_labels_n = self.labels * -self.n_samples
-        return self._neg_labels_n
 
     @property
     def n_samples(self) -> int:

@@ -2,8 +2,8 @@
 
 Both supported losses have per-sample gradients of the form coef * a_i,
 so batch gradients reduce to one coefficient per drawn sample scattered
-back through the rows. ``_gradient_over_rows`` is the one full pass and
-``draw_kernel`` binds the sampled kernel once per layout and batch size
+back through the rows. ``full_kernel`` binds the one full pass and
+``draw_kernel`` the sampled kernel once per layout and batch size
 (its docstring gives the kernels and their bits); ``full_gradient`` and
 ``stochastic_gradient`` are their checked entries, and the loops of
 ``solver`` and ``bench`` call the kernels on the inputs their entries
@@ -12,15 +12,14 @@ one pass, which makes the unbiasedness identity hold to rounding.
 
 A full pass takes the margins ``A @ x`` and the scatter ``A.T @ coefs``
 of the data matrix ``A``: over the rows ``Dataset.dense_rows`` when a
-dataset has them, as each row's BLAS ``dot`` with x (``np.vecdot``, the
-kernel and so the bits of the sampled paths' ``vals.dot(x)``) and
-``_lane_sums`` (whose docstring states its bits), else by the kernels of
-``SparseMatrix.products``, not the checked ``matvec`` and ``rmatvec``.
-The logistic coefficients of a full pass, ``-b * sigmoid(-b*m) / n``,
-take (-b)*m in place over the margins (``Dataset.neg_labels``) and one
-division by ``Dataset.neg_labels_n`` (-b*n), which for b = +-1 have the
-bits of -(b*m) and of the product followed by the division. Scalar
-operands are 0-d float64 arrays, as in ``solver``.
+dataset has them, as ``_row_dots`` and ``_lane_sums`` (one BLAS product
+each up to ``sparse.BLAS_MAX_VALUES`` values; their docstrings state
+their bits), else by the kernels of ``SparseMatrix.products``, not the
+checked ``matvec`` and ``rmatvec``. The logistic loss's derivative is
+stated once, in ``_logistic``: every coefficient -b*sigmoid(-b*m) is
+``num / (1 + exp(min(b*m, 709)))`` with num = -b for a draw and -b/n
+for a full pass, and the certificate's sigmoid(-b*m) is the same kernel
+with num = 1. Scalar operands are 0-d float64 arrays, as in ``solver``.
 
 The objective is stated here once, over the same margins and scatter:
 ``objective_from_margins`` is its value, which the solver's trace and
@@ -41,25 +40,35 @@ from .prox import reg_value
 from .sparse import BLAS_MAX_VALUES, EPS, row_positions
 
 # read-only 0-d operands: numpy applies them faster than Python floats
-# (NEP 50's scalar path), with the same bits
-_ONE, _ZERO = np.array(1.0), np.array(0.0)
-_ONE.flags.writeable = _ZERO.flags.writeable = False
+# (NEP 50's scalar path), with the same bits. _EXP_CAP is the largest b*m
+# that exp takes: exp(709) is finite, exp(710) overflows
+_ONE, _EXP_CAP = np.array(1.0), np.array(709.0)
+_ONE.flags.writeable = _EXP_CAP.flags.writeable = False
 
 
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    # the branch that never overflows: 1/(1 + exp(-t)) for t >= 0 and
-    # exp(t)/(1 + exp(t)) below, i.e. exp(fmin(t, 0)) / (1 + exp(-|t|)).
-    # The second exp costs less than a masked write of the numerator over
-    # random signs (0.08 against 0.5 ms at n = 80,000); fmin(NaN, 0) is 0,
-    # so a NaN comes from the denominator, with the masked form's sign bit
-    e = np.abs(t)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    e += _ONE
-    num = np.fmin(t, _ZERO)
-    np.exp(num, out=num)
-    num /= e
-    return num
+def _logistic(num, t):
+    """``num / (1 + exp(min(t, 709)))``, the logistic loss's derivative:
+    with t = b*m and num = -b the coefficient -b*sigmoid(-b*m) of margin m
+    and label b, with num = 1 the sigmoid of -t.
+
+    One exp, no mask and no branch on the sign. The cap keeps exp finite,
+    so b*m = +inf or 1e300 gives num/(1 + e^709) with no overflow warning,
+    -inf gives num, and a NaN stays NaN (``np.minimum`` returns it, and the
+    scalar clamp keeps it, since NaN > 709 is false). An array ``t`` is
+    overwritten with the result, which is returned; one draw's numpy
+    scalars take the same operations as scalars, which costs less than 0-d
+    arrays (a ``min`` call alone would cost a batch-1 draw 0.13 us) and
+    gives the same bits (``test_scalar_coefficient_is_the_array_kernel``).
+    ``np.exp``'s bits depend on the CPU features numpy dispatches to at run
+    time, as ``_softplus``'s do.
+    """
+    if not isinstance(t, np.ndarray):
+        return num / (1.0 + np.exp(709.0 if t > 709.0 else t))
+    np.minimum(t, _EXP_CAP, out=t)
+    np.exp(t, out=t)
+    t += _ONE
+    np.divide(num, t, out=t)
+    return t
 
 
 def _lane_sums(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -92,24 +101,32 @@ def _lane_sums(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("ij,i->j", matrix, weights)
 
 
+def _row_dots(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x``, each row's dot with x, by the cut-over of
+    ``_lane_sums``. Up to ``BLAS_MAX_VALUES`` values it is one BLAS
+    ``gemv`` (1.0 against 2.7 us for ``np.vecdot`` at 200x20 on a 2-core
+    AVX-512 x86 host), whose bits are the kernel's blocked sums; they did
+    not depend on the thread count
+    (``test_blas_products_do_not_depend_on_the_thread_count``). Above it,
+    ``np.vecdot``: the dot kernel of ``row.dot(x)`` on each row."""
+    if matrix.size <= BLAS_MAX_VALUES:
+        return matrix.dot(x)
+    return np.vecdot(matrix, x)
+
+
 def margins(dataset: Dataset, x: np.ndarray) -> np.ndarray:
     """Per-sample decision values a_i^T x."""
     rows = dataset.dense_rows
     if rows is not None:
-        return np.vecdot(rows, x)
+        return _row_dots(rows, x)
     return dataset.features.products()[0](x)
 
 
-def _logistic_coefs(m: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """-b * sigmoid(-b*m), given neg = -b."""
-    s = _sigmoid(neg * m)
-    s *= neg
-    return s
-
-
-def _coefs(loss: str, m: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _coefs(loss: str, m, labels):
+    """The per-sample gradient coefficients of margins ``m``, arrays or
+    one draw's scalars; ``m`` is not changed."""
     if loss == LOSS_LOGISTIC:
-        return _logistic_coefs(m, -labels)
+        return _logistic(-labels, labels * m)
     return m - labels
 
 
@@ -143,7 +160,7 @@ def _softplus(t: np.ndarray) -> np.ndarray:
     on 3M points): ``logaddexp`` calls libm per element, while this uses
     numpy's vectorised ``exp`` and ``log1p``, several times faster. So the
     bits depend on the CPU features numpy dispatches to at run time, as
-    ``_sigmoid``'s ``np.exp`` does for every gradient. The canary
+    ``_logistic``'s ``np.exp`` does for every gradient. The canary
     ``test_softplus_bits_do_not_depend_on_layout`` in
     ``tests/test_oracles.py`` checks that an element's bits do not depend
     on the array's length, offset or stride, or on in-place use.
@@ -200,20 +217,29 @@ def _scatter(dataset: Dataset, coefs: np.ndarray) -> np.ndarray:
     return dataset.features.products()[1](coefs)
 
 
-def _gradient_over_rows(problem: Problem, dataset: Dataset,
-                        x: np.ndarray) -> np.ndarray:
-    """Average per-sample gradient over every row: the full pass."""
-    m = margins(dataset, x)
-    if problem.loss == LOSS_LOGISTIC:  # _coefs(...) / n, bit for bit
-        m *= dataset.neg_labels
-        coefs = _sigmoid(m)
-        coefs /= dataset.neg_labels_n
-    else:
-        coefs = _coefs(problem.loss, m, dataset.labels) / dataset.n_samples
-    grad = _scatter(dataset, coefs)
-    if problem.ridge:
-        grad = grad + problem.ridge * x
-    return grad
+def full_kernel(problem: Problem, dataset: Dataset):
+    """``x -> `` the average gradient over every row, folded ridge
+    included, at a contiguous float64 x: the full pass, bound once. Its
+    logistic coefficients take num = -b/n, made here, so that n is in the
+    one division per row."""
+    labels = dataset.labels
+    logistic = problem.loss == LOSS_LOGISTIC
+    n = np.array(float(dataset.n_samples))
+    num = labels / -n
+
+    def gradient(x):
+        m = margins(dataset, x)
+        if logistic:
+            m *= labels
+            coefs = _logistic(num, m)
+        else:
+            coefs = m - labels
+            coefs /= n
+        return _scatter(dataset, coefs)
+    if not problem.ridge:
+        return gradient
+    ridge = np.array(problem.ridge)
+    return lambda x: gradient(x) + ridge * x
 
 
 def draw_kernel(problem: Problem, dataset: Dataset, batch_size: int):
@@ -221,64 +247,46 @@ def draw_kernel(problem: Problem, dataset: Dataset, batch_size: int):
     ``batch_size`` drawn ``rows`` (int64 indices below n) at a contiguous
     float64 x, by the kernel of the layout and batch size, bound once:
     - one row of ``Dataset.dense_rows``: its ``dot`` with x times the
-      scalar ``_row_coef``, with no ``indptr``, gather or scatter;
-    - more rows of ``dense_rows``: the rows taken whole, one ``np.vecdot``
-      for their margins and the scatter ``_lane_sums``;
+      scalar ``_coefs``, with no ``indptr``, gather or scatter;
+    - more rows of ``dense_rows``: the rows taken whole, their margins by
+      ``_row_dots`` and the scatter ``_lane_sums``, divided by the batch
+      size;
     - CSR rows: ``_row_gradient`` for one, which gathers x and scatters;
       for more, one gather of their stored entries, one ``np.vecdot`` per
       distinct row length and one ``bincount`` scatter.
     A dense row is the memory of its CSR slice; a CSR row of all d features
     gathers x itself and writes every entry, a -0.0 included. ``np.vecdot``
     runs the dot kernel of ``vals @ x[cols]`` on each row (a strided x
-    would take another). So all four give the bits of a loop over the rows,
-    with the BLAS product as the scatter of a small batch of whole rows and
-    einsum's own order for a batch of one-lane rows above the cut-over. At
-    d = 1 a batch-1 draw's one-entry dot keeps a -0.0 product as its
-    margin, where ``np.vecdot`` (the full pass, a batch) gives +0.0; the
-    coefficient and the gradient are the same."""
+    would take another). So a batch-1 draw and a CSR batch give the bits of
+    a loop over the rows; a batch of whole rows takes the bits of one BLAS
+    ``gemv`` of the gathered rows for its margins and of the BLAS product
+    for its scatter up to the cut-over, and einsum's own order for a batch
+    of one-lane rows above it. Its margins may differ from the row loop's,
+    and from the full pass's, in the last bits. Every path takes its
+    logistic coefficient from ``_logistic`` with num = -b."""
     matrix = dataset.dense_rows
+    loss, labels = problem.loss, dataset.labels
     if matrix is None:
         rows_gradient = partial(_row_gradient if batch_size == 1
-                                else _ragged_gradient, problem.loss, dataset)
+                                else _ragged_gradient, loss, dataset)
     elif batch_size == 1:
-        loss, labels = problem.loss, dataset.labels
-
         def rows_gradient(x, rows):
             i = rows[0]
             vals = matrix[i]
-            return _row_coef(loss, vals.dot(x), labels[i]) * vals
+            return _coefs(loss, vals.dot(x), labels[i]) * vals
     else:
-        logistic = problem.loss == LOSS_LOGISTIC
-        signed = dataset.neg_labels if logistic else dataset.labels
         divisor = np.array(float(batch_size))
 
         def rows_gradient(x, rows):
             vals = matrix.take(rows, axis=0)
-            m = np.vecdot(vals, x)
-            if logistic:
-                coefs = _logistic_coefs(m, signed.take(rows))
-            else:
-                coefs = m - signed.take(rows)
-            grad = _lane_sums(vals, coefs)
+            grad = _lane_sums(vals, _coefs(loss, _row_dots(vals, x),
+                                           labels.take(rows)))
             grad /= divisor
             return grad
     if not problem.ridge:
         return rows_gradient
     ridge = np.array(problem.ridge)
     return lambda x, rows: rows_gradient(x, rows) + ridge * x
-
-
-def _row_coef(loss: str, m, b):
-    # _coefs of one row's margin and label: _sigmoid's branches and np.exp
-    if loss == LOSS_LOGISTIC:
-        t = -b * m
-        if t >= 0:
-            s = 1.0 / (1.0 + np.exp(-t))
-        else:
-            et = np.exp(t)
-            s = et / (1.0 + et)
-        return -b * s
-    return m - b
 
 
 def _row_gradient(loss: str, dataset: Dataset, x: np.ndarray,
@@ -288,7 +296,7 @@ def _row_gradient(loss: str, dataset: Dataset, x: np.ndarray,
     cols, vals = dataset.indices[lo:hi], dataset.data[lo:hi]
     grad = np.zeros(dataset.dimension)
     # vals.dot runs the kernel of vals @ v without the matmul ufunc's cost
-    grad[cols] = _row_coef(loss, vals.dot(x[cols]), dataset.labels[i]) * vals
+    grad[cols] = _coefs(loss, vals.dot(x[cols]), dataset.labels[i]) * vals
     return grad
 
 
@@ -325,8 +333,7 @@ def _ragged_gradient(loss: str, dataset: Dataset, x: np.ndarray,
 
 def full_gradient(problem: Problem, dataset: Dataset, x: np.ndarray) -> np.ndarray:
     """Exact average of per-sample gradients (plus the folded ridge)."""
-    x = _check_x(dataset, x)
-    return _gradient_over_rows(problem, dataset, x)
+    return full_kernel(problem, dataset)(_check_x(dataset, x))
 
 
 def stochastic_gradient(problem: Problem, dataset: Dataset, x: np.ndarray,
@@ -341,12 +348,11 @@ def stochastic_gradient(problem: Problem, dataset: Dataset, x: np.ndarray,
     """
     x = _check_x(dataset, x)
     if enumerate_all:
-        return _gradient_over_rows(problem, dataset, x)
+        return full_kernel(problem, dataset)(x)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     idx = rng.integers(0, dataset.n_samples, size=batch_size)
     return draw_kernel(problem, dataset, batch_size)(x, idx)
-
 
 
 def duality_gap(problem: Problem, dataset: Dataset, x: np.ndarray,
@@ -398,7 +404,7 @@ def objective_and_gap(problem: Problem, dataset: Dataset, F, Ft, x: np.ndarray,
     m = margins(dataset, x)
     f = objective_from_margins(problem, labels, m, x, F(x))
     if problem.loss == LOSS_LOGISTIC:
-        p = _sigmoid(-(labels * m))
+        p = _logistic(_ONE, labels * m)
         theta = -labels * p / n
         slope = 1.0  # the largest |l'| of a sample
     else:

@@ -215,7 +215,7 @@ def drawn_gradient(problem: Problem, dataset: Dataset, config: SolverConfig,
     is the generator's only consumer; only the generator's final state
     differs, by the unused rows of the last block, and nothing reads it."""
     if config.full_batch:
-        return lambda v: oracles._gradient_over_rows(problem, dataset, v)
+        return oracles.full_kernel(problem, dataset)
     n, b = dataset.n_samples, config.batch_size
     kernel = oracles.draw_kernel(problem, dataset, b)
 

@@ -24,9 +24,10 @@ EPS = 2.0 ** -52  # float64 machine epsilon, in the rounding bounds
 # eigvalsh stops beating the power iteration (3.5x slower at d=300, 2-core x86)
 DENSE_SIGMA_MAX_D = 200
 # most values a product takes as one BLAS call (a penalty's F x and F^T y,
-# the dense-row scatter of ``oracles._lane_sums``): up to here the BLAS
-# kernels gave the same bits under 1 and 2 OpenBLAS threads and beat
-# bincount and einsum; above, their bits followed the thread count
+# the dense-row margins of ``oracles._row_dots`` and scatter of
+# ``oracles._lane_sums``): up to here the BLAS kernels gave the same bits
+# under 1 and 2 OpenBLAS threads and beat bincount, np.vecdot and einsum;
+# above, their bits followed the thread count
 BLAS_MAX_VALUES = 8192
 
 

@@ -161,24 +161,24 @@ def reference_power_iteration(m: SparseMatrix, tol: float = 1e-10,
         f"(last estimate {theta!r})", theta)
 
 
+def one_exp_logistic(num, t) -> np.ndarray:
+    """``num / (1 + exp(min(t, 709)))``, each step a fresh array: the
+    formula of ``oracles._logistic``, the reference of every logistic
+    coefficient (num = -b, or -b/n in a full pass, at t = b*m)."""
+    return num / (1.0 + np.exp(np.minimum(t, 709.0)))
+
+
 def reference_full_pass(problem, dataset, x) -> np.ndarray:
-    """``oracles._gradient_over_rows`` over every row as it was before the
-    logistic coefficients took one division by -b*n: ``_coefs(...) / n``
-    with the masked-select sigmoid, then the scatter. The bitwise reference
-    of the full pass."""
+    """``oracles.full_kernel`` in fresh arrays: the margins, each logistic
+    coefficient as ``one_exp_logistic(-b/n, b*m)`` and each least-squares
+    one as (m - b)/n, then the scatter. The bitwise reference of the full
+    pass."""
     m = oracles.margins(dataset, x)
-    labels = dataset.labels
+    labels, n = dataset.labels, dataset.n_samples
     if problem.loss == "logistic":
-        neg = -labels
-        t = neg * m
-        s = np.exp(-np.abs(t))
-        den = s + 1.0
-        s[t >= 0] = 1.0
-        s /= den
-        s *= neg
-        coefs = s / dataset.n_samples
+        coefs = one_exp_logistic(labels / -n, labels * m)
     else:
-        coefs = (m - labels) / dataset.n_samples
+        coefs = (m - labels) / n
     if dataset.dense_rows is not None:
         grad = oracles._lane_sums(dataset.dense_rows, coefs)
     else:

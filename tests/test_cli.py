@@ -19,32 +19,32 @@ from spdpeg.trace import read_trace_csv
 # write. Regenerate only on a commit whose outputs are known to be right:
 #   PYTHONPATH=src python tests/test_cli.py
 RATES_GOLDEN = {
-    "convex": "7555caeca6c7c07fc9888bfe505df8959a1766c0662a1995bdfaefdaaf999da5",
-    "all": "ecae7d1e803edc66c439c13d7f29f5e9dfb32a480ea53472c083216ee2c3c0e5",
+    "convex": "a32bc67311b3369dcd6fa56c6c115f5cff0856f39e373498696498e163bf471e",
+    "all": "95e86c9e83e5fe89b9940aa72066269d70f92aec3d4e972c2bc339363a9550d3",
 }
 # test_golden_trace.SWEEP_GOLDEN hashes bench.step_inequality_sweep at seed 1
 # through json.dumps(sort_keys=True); the CLI runs seed 0 and writes the list
 # of reports indented, in insertion order. So these pin bytes it does not.
 LEMMA1_GOLDEN = {
-    "both": "878e2d657a1654fffca913487684a0390c65a926050205f04321d38815f3b76f",
+    "both": "a07908bdc9e8d8e8038c3a51894fdd5d1448dd6bfa296f23fa30ef346eff090c",
     "step-scale-100": "e14ef1070ecff9f9b173e3320e2f302c473efd98885f3ed5b3925026cf80e591",
 }
 # sha256 of each trace CSV, without its wall_seconds column, that the
 # ragged_argv run writes on the file of write_ragged_libsvm, per batch
 # size; the same command prints them
 RAGGED_GOLDEN = {
-    1: {"trace_eg-full_seed0.csv": "610a244fc86530f46adb6d86d2c14d28b8ca362577f5ff03c83bbd61f6c999c0",
-        "trace_eg-full_seed1.csv": "610a244fc86530f46adb6d86d2c14d28b8ca362577f5ff03c83bbd61f6c999c0",
-        "trace_slinadmm_seed0.csv": "2539e55e91ebb2e88cd56bd1d926e1f22251b7d4768e3dfff16bbfad28200faa",
-        "trace_slinadmm_seed1.csv": "09871e66309750c822281dc2f8301a09bb5c5ba21ee559dc1c5ed635834e1e4e",
-        "trace_spdpeg_seed0.csv": "4a359d2dddaac39d8d204048315480c307861353173edcf15485e13eb2adfbfa",
-        "trace_spdpeg_seed1.csv": "cd36ab0610a63ce11b0536a57ef393022b5f99b909725e9a39df8da6cf22c7b2"},
-    4: {"trace_eg-full_seed0.csv": "610a244fc86530f46adb6d86d2c14d28b8ca362577f5ff03c83bbd61f6c999c0",
-        "trace_eg-full_seed1.csv": "610a244fc86530f46adb6d86d2c14d28b8ca362577f5ff03c83bbd61f6c999c0",
-        "trace_slinadmm_seed0.csv": "6c14e091814759020c31a6ddc45fff05ba2c80e11d8b6eb96d356af09e9a04e7",
-        "trace_slinadmm_seed1.csv": "56f18e589c59864604e50c4b5bb8c46694970d3726de09d164f1205cadbf4d90",
-        "trace_spdpeg_seed0.csv": "d3cd24e94e0d1b0fb8b588d44f5c09fb92ddacdb81456cce173cc6e58499946d",
-        "trace_spdpeg_seed1.csv": "de28a0a83fbbad61b2eeb0b0e4ce0df2f0ee8013846bf53e1f2289a6ca5574d9"},
+    1: {"trace_eg-full_seed0.csv": "bb5acbd5a4a44dce6ca3780beea4cd60e0d2473f6a31c5bc1c071b0ed7fed297",
+        "trace_eg-full_seed1.csv": "bb5acbd5a4a44dce6ca3780beea4cd60e0d2473f6a31c5bc1c071b0ed7fed297",
+        "trace_slinadmm_seed0.csv": "24ad8f46a49f68267aae8380f238000cd8baed3fed9c48038af721c748eca295",
+        "trace_slinadmm_seed1.csv": "eddc004e5b5cc9f2cd34a97e21639cecb142c8e84448382c1729de7b0c13c3df",
+        "trace_spdpeg_seed0.csv": "6804552224b1b3338614063498d8f435a85f31cc9fcde4d52c3cdbe1e3359b3a",
+        "trace_spdpeg_seed1.csv": "5d364c9c019229684d1487e66683117870856ecf81f3ef82c0404179a750e3a6"},
+    4: {"trace_eg-full_seed0.csv": "bb5acbd5a4a44dce6ca3780beea4cd60e0d2473f6a31c5bc1c071b0ed7fed297",
+        "trace_eg-full_seed1.csv": "bb5acbd5a4a44dce6ca3780beea4cd60e0d2473f6a31c5bc1c071b0ed7fed297",
+        "trace_slinadmm_seed0.csv": "5fdb1a3e697376f74a00f5f145db21095bdfe19454aeaeddedbc44010b4f2815",
+        "trace_slinadmm_seed1.csv": "c1abf8f20830007e0df8646a2b1c3cc82d815b7d1a9b141b27a868f9c548409f",
+        "trace_spdpeg_seed0.csv": "ad30754fb68f3c5f7d8461ca568d177cf3d8dca9c3137432913122e5393c5477",
+        "trace_spdpeg_seed1.csv": "84712c1768208ad63de0aa69b41d976a41330dfe4fd1bd0f6793be051b72a92e"},
 }
 # the calls, each followed by "--out"
 RATES_ARGV = {
@@ -58,8 +58,8 @@ RATES_ARGV = {
 # times); the same command prints them
 REPLAY_TRACES = os.path.join(os.path.dirname(__file__), "data", "replay", "flr")
 PLOTDATA_GOLDEN = {
-    "plot.csv": "4e8eb7b6caf011d04a4a6af5490cfe9379a5b15af226ced4fd7a1b2df6dab27e",
-    "plot_agg.csv": "9d44a58d29fbe34f67c15df50ab987a86da13082a0ef90a4f78ec2bf4196f291",
+    "plot.csv": "eddcedc0fc5ecc2619c024926346cb776d7df20d344139ac58f2e2e1cb775a8b",
+    "plot_agg.csv": "a3485ba8c08f032b5db5c6399bc783fada1d842a72e3b25ced4d12ab36ef97bc",
 }
 LEMMA1_ARGV = {
     "both": ["check-lemma1", "--d", "8", "--n", "40", "--steps", "60",
@@ -135,6 +135,21 @@ def test_run_rejects_a_repeated_synthetic_field(tmp_path, capsys):
     [line] = capsys.readouterr().err.splitlines()
     assert line == ("error: synthetic field 'd' is given twice in "
                     "'fused-signal:d=5,N=10,d=7'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fields, key, value", [("d=abc,N=10", "d", "abc"),
+                                                ("d=5,N=", "N", ""),
+                                                ("d=5,N=10,noise=x", "noise", "x")])
+def test_run_names_the_field_and_spec_of_a_value_that_is_no_number(
+        tmp_path, capsys, fields, key, value):
+    out = tmp_path / "o"
+    spec = f"fused-signal:{fields}"
+    rc = main(["run", "--synthetic", spec, "--out", str(out)])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == (f"error: synthetic field {key!r} must be a number, "
+                    f"got {value!r} in {spec!r}")
     assert not out.exists()
 
 

@@ -1,19 +1,19 @@
-"""The dense-row full passes: one ``(n, d)`` layout and the row's ``dot``.
+"""The dense-row full passes: one ``(n, d)`` layout and two BLAS cut-overs.
 
 A dataset whose rows store every feature used to keep a ``(d, n)``
 column copy for its margins as well (hence this module's name). Its full
-passes now read only ``Dataset.dense_rows``: each margin is the row's BLAS
-``dot`` with x, the batch-1 path's ``vals.dot(x[cols])``, and the scatter
-is ``_lane_sums`` over the same rows, with the bits of the CSR ``rmatvec``.
-Up to ``sparse.BLAS_MAX_VALUES`` values both are one BLAS product of the
-dense matrix; above it the scatter is ``bincount``'s order.
-``reference_margins`` and ``reference_full_gradient`` state that contract
-over the CSR arrays (for every other dataset the BLAS ``dense.dot(x)`` up
-to the cut-over and ``bincount`` margins above), and ``reference_sigmoid``
-and ``two_quotient_sigmoid`` are earlier sigmoids, kept as its
-specification. ``one_shot_lane_sums`` is the dense reduction, with its n*d
-product, whose bits ``oracles._lane_sums`` computes in one einsum pass
-above the cut-over.
+passes now read only ``Dataset.dense_rows``. Up to
+``sparse.BLAS_MAX_VALUES`` values the margins are one BLAS ``gemv`` and
+the scatter one BLAS product of the dense matrix, with the bits of the
+CSR ``matvec`` and ``rmatvec``; above it each margin is the row's ``dot``
+with x, the batch-1 path's ``vals.dot(x[cols])``, and the scatter is
+``bincount``'s order. ``reference_margins`` and
+``reference_full_gradient`` state that contract over the CSR arrays (for
+every other dataset the BLAS ``dense.dot(x)`` up to the cut-over and
+``bincount`` margins above), with the logistic coefficients of
+``conftest.one_exp_logistic``. ``one_shot_lane_sums`` is the dense
+reduction, with its n*d product, whose bits ``oracles._lane_sums``
+computes in one einsum pass above the cut-over.
 """
 
 from __future__ import annotations
@@ -26,32 +26,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import csr_dataset, serialize_libsvm, sparse_from_dense
-from spdpeg import oracles
+from conftest import (csr_dataset, one_exp_logistic, serialize_libsvm,
+                      sparse_from_dense)
+from spdpeg import oracles, solver
 from spdpeg.data import SplitSpec, parse_libsvm, split, synthesize
 from spdpeg.model import LOSS_LOGISTIC, Dataset, Problem
-from spdpeg.oracles import _sigmoid, full_gradient, margins, stochastic_gradient
+from spdpeg.oracles import full_gradient, margins, stochastic_gradient
 from spdpeg.penalties import build_fused_matrix
 from spdpeg.prox import ProxSpec
 from spdpeg.sparse import BLAS_MAX_VALUES
-
-
-def reference_sigmoid(t):
-    t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
-
-
-def two_quotient_sigmoid(t):
-    """Both quotients over every element, then a select."""
-    t = np.asarray(t, dtype=np.float64)
-    e = np.exp(-np.abs(t))
-    denom = 1.0 + e
-    return np.where(t >= 0, 1.0 / denom, e / denom)
 
 
 def row_dot_margins(dataset, x):
@@ -70,32 +53,32 @@ def blas_sized(dataset):
 
 
 def reference_margins(dataset, x):
-    """The row dots, summed from +0.0, where every row stores every feature
-    (a one-feature row's BLAS ``dot`` is its product, which keeps a -0.0;
-    ``np.vecdot`` adds it to +0.0), else the BLAS ``dense.dot(x)`` up to the
-    cut-over, else one ``bincount`` over every stored entry."""
-    if dataset.dense_rows is not None:
-        return row_dot_margins(dataset, x) + 0.0
+    """The BLAS ``dense.dot(x)`` of the dense matrix up to the cut-over;
+    above it the row dots, summed from +0.0, where every row stores every
+    feature (a one-feature row's BLAS ``dot`` is its product, which keeps a
+    -0.0; ``np.vecdot`` adds it to +0.0), else one ``bincount`` over every
+    stored entry."""
     if dataset.indices.size == 0:
         return np.zeros(dataset.n_samples)
     if blas_sized(dataset):
         return dataset.features.to_dense().dot(x)
+    if dataset.dense_rows is not None:
+        return row_dot_margins(dataset, x) + 0.0
     return np.bincount(dataset.row_ids, weights=dataset.data * x[dataset.indices],
                        minlength=dataset.n_samples)
 
 
 def reference_full_gradient(problem, dataset, x):
-    """Margins, coefficients, then the scatter: one BLAS
-    ``coefs.dot(dense)`` up to the cut-over, else one ``bincount`` into d
-    bins."""
-    d = dataset.dimension
+    """Margins, coefficients (the logistic ones with num = -b/n), then the
+    scatter: one BLAS ``coefs.dot(dense)`` up to the cut-over, else one
+    ``bincount`` into d bins."""
+    d, n = dataset.dimension, dataset.n_samples
     m = reference_margins(dataset, x)
     labels = dataset.labels
     if problem.loss == LOSS_LOGISTIC:
-        coefs = -labels * reference_sigmoid(-labels * m)
+        coefs = one_exp_logistic(labels / -n, labels * m)
     else:
-        coefs = m - labels
-    coefs = coefs / dataset.n_samples
+        coefs = (m - labels) / n
     if dataset.indices.size == 0:
         grad = np.zeros(d)
     elif blas_sized(dataset):
@@ -126,8 +109,8 @@ def problem_for(loss, d, ridge):
 
 
 def trial_points(d, seed):
-    """Random points at several scales (large ones saturate the sigmoid on
-    both sides), plus points made of signed zeros."""
+    """Random points at several scales (large ones saturate the
+    coefficient on both sides), plus points made of signed zeros."""
     rng = np.random.default_rng(seed)
     points = [scale * rng.standard_normal(d) for scale in (0.1, 1.0, 30.0)
               for _ in range(10)]
@@ -176,64 +159,50 @@ def test_synthesized_datasets_take_the_dense_path(kind, loss):
     _assert_full_passes_match(dataset, loss, 0.0, seed=5)
 
 
-def test_sigmoid_is_bitwise_the_masked_version():
-    rng = np.random.default_rng(0)
-    t = np.concatenate([
-        [0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 36.0, -36.0,
-         709.0, -709.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf],
-        np.linspace(-800.0, 800.0, 4001),
-        800.0 * rng.uniform(-1.0, 1.0, 2000),
-        rng.standard_normal(2000),
-        np.ldexp(rng.uniform(-1.0, 1.0, 500), rng.integers(-60, 10, 500)),
-    ])
-    assert _sigmoid(t).tobytes() == reference_sigmoid(t).tobytes()
-    for part in (t[:0], t[:1], t[1:2], t[1:].reshape(-1, 2)):
-        assert _sigmoid(part).tobytes() == reference_sigmoid(part).tobytes()
-    # NaN in gives NaN out; its sign bit comes from exp(-|t|) in the library
-    # and from exp(t) in the masked version, so only the position is compared
-    with_nan = np.concatenate([[np.nan, -np.nan, -0.0, 0.0], t])
-    got, want = _sigmoid(with_nan), reference_sigmoid(with_nan)
-    assert np.isnan(got[:2]).all() and np.isnan(want[:2]).all()
-    assert got[2:].tobytes() == want[2:].tobytes()
-
-
-def test_sigmoid_is_bitwise_the_two_quotient_select():
-    t = np.array([np.nan, -np.nan, 0.0, -0.0, 5e-324, -5e-324, 709.8, -709.8,
-                  800.0, -800.0, np.inf, -np.inf])
-    t = np.concatenate([t, np.random.default_rng(1).uniform(-50.0, 50.0, 4000)])
-    assert _sigmoid(t).tobytes() == two_quotient_sigmoid(t).tobytes()
-    assert (_sigmoid(t[2:].reshape(-1, 2)).tobytes()
-            == two_quotient_sigmoid(t[2:].reshape(-1, 2)).tobytes())
-
-
 def test_sigmoid_bits_do_not_depend_on_layout():
-    """``_sigmoid`` takes exp of a negative t twice, in two arrays: as
-    exp(fmin(t, 0)) for the numerator and as exp(-|t|) for the denominator.
-    A value must get the same bits wherever it sits, so every layout must
-    give the two-quotient select's bits over the whole array."""
+    """``oracles._logistic`` with num = 1 is the sigmoid sigma(-t). numpy's
+    vectorised ``exp`` runs a SIMD loop over the body of an array and may
+    take another path at its ends, on unaligned or strided memory, or in
+    place. A value must get the same bits wherever it sits, and as a numpy
+    scalar (one draw's margin), so every layout must give the fresh-array
+    formula's bits over the whole array."""
     rng = np.random.default_rng(3)
-    t = np.concatenate([50.0 * rng.standard_normal(80_000 - 8),
-                        [0.0, -0.0, 5e-324, -5e-324, 800.0, -800.0, np.inf, -np.inf]])
-    want = two_quotient_sigmoid(t)
-    assert _sigmoid(t).tobytes() == want.tobytes()
-    singles = np.concatenate([_sigmoid(t[i:i + 1]) for i in range(t.size)])
+    t = np.concatenate([50.0 * rng.standard_normal(80_000 - 12),
+                        [0.0, -0.0, 5e-324, -5e-324, 709.0, 710.0, 800.0,
+                         -800.0, 1e300, -1e300, np.inf, -np.inf]])
+    one = np.array(1.0)
+    want = one_exp_logistic(1.0, t)
+    assert oracles._logistic(one, t.copy()).tobytes() == want.tobytes()
+    singles = np.concatenate([oracles._logistic(one, t[i:i + 1].copy())
+                              for i in range(t.size)])
     assert singles.tobytes() == want.tobytes()
+    scalars = np.array([oracles._logistic(1.0, v) for v in t])
+    assert scalars.tobytes() == want.tobytes()
     for offset in range(1, 9):
-        assert _sigmoid(t[offset:]).tobytes() == want[offset:].tobytes(), offset
+        buf = t.copy()
+        oracles._logistic(one, buf[offset:])
+        assert buf[offset:].tobytes() == want[offset:].tobytes(), offset
     for stride in (2, 3, 7):
-        assert _sigmoid(t[1::stride]).tobytes() == want[1::stride].tobytes(), stride
+        buf = t.copy()
+        oracles._logistic(one, buf[1::stride])
+        assert buf[1::stride].tobytes() == want[1::stride].tobytes(), stride
 
 
 def test_logistic_coefs_are_bitwise_the_product_form():
+    """The coefficient -b * sigma(-b*m) is the one quotient
+    -b / (1 + exp(min(b*m, 709))), for either label and at edge margins,
+    and leaves the margins as they were."""
     rng = np.random.default_rng(2)
-    m = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 745.0, -745.0, np.inf,
-                         -np.inf], 30.0 * rng.standard_normal(2000)])
+    m = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 709.0, -709.0, 745.0,
+                         -745.0, np.inf, -np.inf], 30.0 * rng.standard_normal(2000)])
+    m_in = m.copy()
     for labels in (np.ones(m.size), -np.ones(m.size),
                    np.where(rng.random(m.size) < 0.5, 1.0, -1.0)):
-        want = -labels * two_quotient_sigmoid(-labels * m)
+        want = one_exp_logistic(-labels, labels * m)
         for part in (slice(0, 1), slice(0, 16), slice(None)):
             got = oracles._coefs(LOSS_LOGISTIC, m[part], labels[part])
             assert got.tobytes() == want[part].tobytes()
+    assert m.tobytes() == m_in.tobytes()
 
 
 def test_dense_rows_are_the_values_viewed_once():
@@ -260,41 +229,6 @@ def test_ragged_and_sparse_datasets_keep_the_bincount_margins():
                 == reference_margins(dataset, x).tobytes())
 
 
-class _Rows:
-    """An rng stand-in that draws the given rows."""
-
-    def __init__(self, rows):
-        self.rows = np.asarray(rows, dtype=np.int64)
-
-    def integers(self, low, high, size):
-        assert size == self.rows.size
-        return self.rows
-
-
-@pytest.mark.parametrize("n,d", [(2, 2), (200, 20), (7, 64), (40, 300)])
-def test_full_pass_and_draws_give_one_margin_per_row(n, d, monkeypatch):
-    """The margin of a row is the same bits whether a full pass, a batch-1
-    draw or a batch-16 draw computes it."""
-    dataset = dense_dataset(n + 7 * d, n, d, stored_zeros=True)
-    problem = problem_for("least-squares", d, 0.0)
-    x = 30.0 * np.random.default_rng(d).standard_normal(d)
-    full = margins(dataset, x)
-    assert full.tobytes() == row_dot_margins(dataset, x).tobytes()
-    # batch 1 on a full row returns (m - b) * row, with no array built
-    for i in range(n):
-        got = stochastic_gradient(problem, dataset, x, _Rows([i]), 1)
-        want = (full[i] - dataset.labels[i]) * dataset.dense_rows[i]
-        assert got.tobytes() == want.tobytes(), i
-    # batch 16 computes its margins in the draw kernel's one np.vecdot
-    seen, vecdot = [], np.vecdot
-    monkeypatch.setattr(np, "vecdot",
-                        lambda *args: seen.append(vecdot(*args)) or seen[-1])
-    drawn = np.arange(16 * (n // 16 + 1)) * 7 % n
-    for batch in drawn.reshape(-1, 16):
-        stochastic_gradient(problem, dataset, x, _Rows(batch), 16)
-    assert np.concatenate(seen).tobytes() == full[drawn].tobytes()
-
-
 @pytest.mark.parametrize("n,d", SHAPES)
 def test_scatter_is_the_csr_rmatvec(n, d):
     dataset = dense_dataset(3 * n + d, n, d, stored_zeros=True)
@@ -303,6 +237,27 @@ def test_scatter_is_the_csr_rmatvec(n, d):
                   -np.zeros(n), 1e-3 * rng.standard_normal(n)):
         assert (oracles._scatter(dataset, coefs).tobytes()
                 == dataset.features.rmatvec(coefs).tobytes())
+
+
+def test_large_n_trace_margins_stay_the_row_dots(monkeypatch):
+    """The trace evaluation of a 1e5 x 50 fused set split 80/20 (what
+    ``spdpeg run --synthetic fused-signal:d=50,N=100000`` builds) is far
+    above the cut-over: each split's margins are one ``np.vecdot``, each
+    row's dot with x, so the gemv below the cut-over moves none of them."""
+    dataset, _, _ = synthesize("fused-signal", 50, 100_000, 0.1, 0)
+    train, test = split(dataset, SplitSpec(0.8, 1))
+    problem = Problem("logistic", ProxSpec("none"), ProxSpec("l1", 0.01),
+                      build_fused_matrix(50))
+    x = np.random.default_rng(13).standard_normal(50)
+    seen, vecdot = [], np.vecdot
+    monkeypatch.setattr(np, "vecdot",
+                        lambda *args: seen.append(vecdot(*args)) or seen[-1])
+    solver.evaluate_trace_record(problem, train, test, x, np.zeros(49), 100,
+                                 0.0, 0.0)
+    assert [m.size for m in seen] == [80_000, 20_000]
+    for part, m in zip((train, test), seen):
+        want = np.array([row.dot(x) for row in part.dense_rows])
+        assert m.tobytes() == want.tobytes()
 
 
 def test_vecdot_is_the_row_dot():
@@ -323,20 +278,6 @@ def test_vecdot_is_the_row_dot():
         assert np.vecdot(rows, xs).tobytes() == want.tobytes(), d
 
 
-@pytest.mark.parametrize("loss", ["logistic", "least-squares"])
-def test_one_feature_draw_keeps_a_zero_margins_sign(loss):
-    # the one exception to one margin per row, at d = 1: with x = 0 the
-    # batch-1 draw's one-entry dot keeps the -0.0 product, np.vecdot adds it
-    # to +0.0. The coefficients, and so the gradients, are the same
-    ds = Dataset.from_dense_rows([[-2.0]], [1.0])
-    x = np.zeros(1)
-    assert np.signbit(ds.dense_rows[0].dot(x))
-    assert not np.signbit(margins(ds, x)[0])
-    problem = problem_for(loss, 1, 0.0)
-    drawn = oracles.draw_kernel(problem, ds, 1)(x, np.zeros(1, dtype=np.int64))
-    assert drawn.tobytes() == full_gradient(problem, ds, x).tobytes()
-
-
 # -- one-pass dense reduction -------------------------------------------------
 
 def one_shot_lane_sums(matrix, weights):
@@ -353,9 +294,15 @@ def lane_sums_spec(matrix, weights):
 
 
 def one_shot_full_gradient(problem, dataset, x):
-    rows = dataset.data.reshape(dataset.n_samples, dataset.dimension)
+    """Above the cut-over: the row dots, the coefficients, then the
+    one-shot reduction."""
+    n, labels = dataset.n_samples, dataset.labels
+    rows = dataset.data.reshape(n, dataset.dimension)
     m = np.array([row.dot(x) for row in rows])
-    coefs = oracles._coefs(problem.loss, m, dataset.labels) / dataset.n_samples
+    if problem.loss == LOSS_LOGISTIC:
+        coefs = one_exp_logistic(labels / -n, labels * m)
+    else:
+        coefs = (m - labels) / n
     grad = one_shot_lane_sums(rows, coefs)
     if problem.ridge:
         grad = grad + problem.ridge * x
@@ -518,7 +465,8 @@ def test_dense_full_passes_build_no_n_by_d_temporary(big_dense):
 
 # -- the BLAS products up to the cut-over ------------------------------------
 
-BLAS_SHAPES = [(2, 2), (16, 20), (200, 20), (409, 20), (163, 50), (2, 4096)]
+BLAS_SHAPES = [(2, 2), (16, 20), (200, 20), (409, 20), (163, 50), (2, 4096),
+               (128, 64), (8192, 1)]
 
 _BLAS_BYTES = """
 import numpy as np
@@ -533,15 +481,18 @@ for n, d in {shapes}:
                      dense.ravel())
     matvec, rmatvec = m.products()
     v, u = rng.standard_normal(d), rng.standard_normal(n)
-    for out in (oracles._lane_sums(dense, u), matvec(v), rmatvec(u)):
+    for out in (oracles._lane_sums(dense, u), oracles._row_dots(dense, v),
+                matvec(v), rmatvec(u)):
         print(out.tobytes().hex())
 """
 
 
 def test_blas_products_do_not_depend_on_the_thread_count():
     """The canary of the cut-over: up to ``BLAS_MAX_VALUES`` values the
-    scatter and both dense products must give the same bytes under 1 and 2
-    OpenBLAS threads (above it they did not). Two processes, one per count."""
+    scatter, the gemv margins and both dense products must give the same
+    bytes under 1 and 2 OpenBLAS threads (above it they did not), at the
+    paper's 200x20, a batch of 16 such rows and exactly 8,192 values. Two
+    processes, one per count."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     outputs = []
     for threads in ("1", "2"):
@@ -552,7 +503,7 @@ def test_blas_products_do_not_depend_on_the_thread_count():
             [sys.executable, "-c", _BLAS_BYTES.format(shapes=BLAS_SHAPES)],
             env=env, capture_output=True, text=True, check=True)
         outputs.append(proc.stdout)
-    assert outputs[0].count("\n") == 3 * len(BLAS_SHAPES)
+    assert outputs[0].count("\n") == 4 * len(BLAS_SHAPES)
     assert outputs[0] == outputs[1]
 
 

@@ -4,8 +4,8 @@
 ``baselines.run_stoch_linadmm``) and ``bench.reference_optimum``, capped or
 certified, check the penalty width and the test set's dimension before their
 loops. The loops then call the kernels of ``SparseMatrix.products``, the
-resolved proxes, ``oracles.draw_kernel`` and ``oracles._gradient_over_rows``,
-never the checked public wrappers, which trace evaluation still calls. That
+resolved proxes and the kernels of ``oracles.draw_kernel`` and
+``oracles.full_kernel``, never the checked public wrappers, which trace evaluation still calls. That
 holds on rows of either layout: ``Dataset.dense_rows`` and ragged CSR rows,
 whose full passes run the data matrix's ``products`` kernels.
 """

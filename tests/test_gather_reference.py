@@ -3,8 +3,10 @@
 ``reference_gradient_over_rows`` and ``reference_subset`` are the earlier
 implementations, kept here as the specification: the library's sampled
 gradient and ``Dataset.subset`` must return the same bytes. A batch of
-whole rows of at most ``sparse.BLAS_MAX_VALUES`` values is scattered by
-one BLAS product of the per-row coefficients and the gathered rows.
+whole rows of at most ``sparse.BLAS_MAX_VALUES`` values takes its margins
+by one BLAS ``gemv`` of the gathered rows and is scattered by one BLAS
+product of the per-row coefficients and those rows. Every coefficient is
+``reference_coef``'s.
 """
 
 from __future__ import annotations
@@ -12,44 +14,49 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import csr_dataset, sparse_from_dense
+from conftest import csr_dataset, one_exp_logistic, sparse_from_dense
 from spdpeg.model import Problem
-from spdpeg.oracles import _coefs, draw_kernel, stochastic_gradient
+from spdpeg.oracles import draw_kernel, stochastic_gradient
 from spdpeg.prox import ProxSpec
 from spdpeg.sparse import BLAS_MAX_VALUES, row_positions
 
 
+def reference_coef(loss, m, b):
+    """One row's coefficient: ``one_exp_logistic`` over a one-element
+    array for the logistic loss, m - b for least squares."""
+    if loss == "logistic":
+        return one_exp_logistic(-b, np.array([b * m]))[0]
+    return m - b
+
+
 def reference_gradient_over_rows(problem, dataset, x, rows):
-    """One dot product and one coefficient call per drawn row, then one
-    ``bincount`` scatter, or, for rows that store all d features and at
-    most ``BLAS_MAX_VALUES`` values, the BLAS ``coefs.dot(rows)``."""
+    """One dot product per drawn row, or for a batch of rows that store all
+    d features and at most ``BLAS_MAX_VALUES`` values the BLAS
+    ``stack(rows).dot(x)``; one coefficient per row; then one ``bincount``
+    scatter, or for such a batch the BLAS ``coefs.dot(stack(rows))``."""
     d = dataset.dimension
     indptr, indices, data, labels = (dataset.indptr, dataset.indices,
                                      dataset.data, dataset.labels)
+    parts = [(indices[lo:hi], data[lo:hi])
+             for lo, hi in zip(indptr[rows], indptr[rows + 1])]
+    whole = (rows.size > 1 and dataset.dense_rows is not None
+             and rows.size * d <= BLAS_MAX_VALUES)
+    if whole:
+        m = np.stack([vals for _, vals in parts]).dot(x)
+    else:
+        m = [vals @ x[cols] for cols, vals in parts]
+    coefs = [reference_coef(problem.loss, mi, labels[i]) for mi, i in zip(m, rows)]
     if rows.size == 1:
-        i = int(rows[0])
-        lo, hi = indptr[i], indptr[i + 1]
-        cols, vals = indices[lo:hi], data[lo:hi]
-        coef = _coefs(problem.loss, np.array([vals @ x[cols]]),
-                      labels[i:i + 1])[0]
+        [(cols, vals)], [coef] = parts, coefs
         grad = np.zeros(d)
         grad[cols] = coef * vals
     else:
-        col_parts, weight_parts, coefs, row_parts = [], [], [], []
-        for i in rows:
-            lo, hi = indptr[i], indptr[i + 1]
-            cols, vals = indices[lo:hi], data[lo:hi]
-            coef = _coefs(problem.loss, np.array([vals @ x[cols]]),
-                          labels[i:i + 1])[0]
-            col_parts.append(cols)
-            weight_parts.append(coef * vals)
-            coefs.append(coef)
-            row_parts.append(vals)
-        if dataset.dense_rows is not None and rows.size * d <= BLAS_MAX_VALUES:
-            grad = np.array(coefs).dot(np.stack(row_parts))
-        elif col_parts and sum(c.size for c in col_parts):
-            grad = np.bincount(np.concatenate(col_parts),
-                               weights=np.concatenate(weight_parts),
+        if whole:
+            grad = np.array(coefs).dot(np.stack([vals for _, vals in parts]))
+        elif sum(cols.size for cols, _ in parts):
+            grad = np.bincount(np.concatenate([cols for cols, _ in parts]),
+                               weights=np.concatenate(
+                                   [coef * vals for coef, (_, vals) in zip(coefs, parts)]),
                                minlength=d)
         else:
             grad = np.zeros(d)
@@ -120,7 +127,7 @@ def test_sampled_gradient_is_bitwise_the_row_loop(kind, loss, ridge, batch):
     size = n if batch == "n" else batch
     rng = np.random.default_rng(11)
     for _ in range(200):
-        # large x so that both branches of the sigmoid are taken
+        # large x so that the coefficients saturate on both sides
         x = 2.0 * rng.standard_normal(d)
         rows = rng.integers(0, n, size=size)
         got = draw_kernel(problem, dataset, rows.size)(x, rows)
@@ -181,9 +188,9 @@ class _FixedBatches:
 @pytest.mark.parametrize("batch", [2, 3, 16, 64])
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
 def test_dense_row_batches_keep_the_scatter_bits(loss, ridge, batch, scale):
-    # batches of rows that store all d features are gathered whole and
-    # scattered by _lane_sums; x comes in as a strided view, which the
-    # oracle makes contiguous before the np.vecdot
+    # batches of rows that store all d features are gathered whole, their
+    # margins taken by one gemv and scattered by _lane_sums; x comes in as a
+    # strided view, which the oracle makes contiguous first
     dataset = dense_dataset(seed=8)
     n, d = dataset.n_samples, dataset.dimension
     problem = problem_for(loss, d, ridge)
@@ -201,8 +208,9 @@ def test_dense_row_batches_keep_the_scatter_bits(loss, ridge, batch, scale):
 @pytest.mark.parametrize("loss", ["logistic", "least-squares"])
 @pytest.mark.parametrize("batch", [16, 27, 28, 64])
 def test_wide_dense_row_batches_cross_the_cut_over(loss, batch):
-    # 300 features: a batch of up to 27 rows is one BLAS product, from 28
-    # rows on the scatter is einsum's, with bincount's bits
+    # 300 features: a batch of up to 27 rows takes one gemv and one BLAS
+    # product, from 28 rows on the margins are each row's dot and the
+    # scatter is einsum's, with bincount's bits
     dataset = dense_dataset(seed=10, n=70, d=300)
     n, d = dataset.n_samples, dataset.dimension
     assert (batch * d <= BLAS_MAX_VALUES) == (batch <= 27)

@@ -61,18 +61,18 @@ SOLVER_FNS = {"spdpeg": solver.run, "eg-full": baselines.run_eg_full,
               "slinadmm": baselines.run_stoch_linadmm}
 
 GOLDEN = {
-    "convex-b1/spdpeg/seed0": "e913a0f26364b865c6ed491b5ec556df459a0d79188a15d999520fe0c0b0893e",
-    "convex-b1/spdpeg/seed1": "f7b4eaa3c266b73af4c0eda276d5030e6a45b978460f8a6ed2825280dbca7664",
-    "convex-b1/eg-full/seed0": "07ea4f5e66f89977d1d2019ee8d5a17017248246c9a14d4d9964172da23b2183",
-    "convex-b1/eg-full/seed1": "07ea4f5e66f89977d1d2019ee8d5a17017248246c9a14d4d9964172da23b2183",
-    "convex-b1/slinadmm/seed0": "8deb02235c740e6d37fc232a36c4a6fbbfdd0f5cb567b06edf80dbec486bcbc5",
-    "convex-b1/slinadmm/seed1": "b6abeabea25140959c4f7c647f25399c71f5b9421d23581aec9be5f718d74bca",
-    "sc-b16/spdpeg/seed0": "87e99656bbb4e9ab4752e90d542ad0b531b1f5e5023898a5820069ce0d93ba1d",
-    "sc-b16/spdpeg/seed1": "5d9d2ead44890900ad0edb710282af015e2e3093d6690a252ec37fb3d098aa97",
-    "sc-b16/eg-full/seed0": "647975f88e25170451ba0cb52f5352baabb5642a17137e23d97a89dfef5b2d7f",
-    "sc-b16/eg-full/seed1": "647975f88e25170451ba0cb52f5352baabb5642a17137e23d97a89dfef5b2d7f",
-    "sc-b16/slinadmm/seed0": "084e4e5f1302ac2b77ec81df529db58b590ad6fd70183baeb68d22af60685358",
-    "sc-b16/slinadmm/seed1": "e534e4dab7339c46b507fd3b28b11143b87db34eca1405031ab27c1ffe3dc2aa",
+    "convex-b1/spdpeg/seed0": "f1281f9f3fc81c7c388e9a02a8e56409d979ab877ceef3285593bb360b41b356",
+    "convex-b1/spdpeg/seed1": "4f2948d09e5660d84b342dca3637d698a2ee18529a7dfd43f9e164673faa04d0",
+    "convex-b1/eg-full/seed0": "ad27d0f5f18d3ce4dedb5fa51fbb458c8c50761826a2cae423ef5bfebbf1084e",
+    "convex-b1/eg-full/seed1": "ad27d0f5f18d3ce4dedb5fa51fbb458c8c50761826a2cae423ef5bfebbf1084e",
+    "convex-b1/slinadmm/seed0": "385aa78c187e56cecff35060ee017d8afab15cfffb4b58c9cbfe0d2b3c1b8e2b",
+    "convex-b1/slinadmm/seed1": "c576b1f6bef0f64986b8640b6b750d352ca5b5a094d40df9ead88a6ce5d93f4c",
+    "sc-b16/spdpeg/seed0": "d8083d2462d556e5008617286b5ebbcaec65501ba77942041fd6eef03831b828",
+    "sc-b16/spdpeg/seed1": "3505615bdc8a9a9e54f2a6070902ca715045834851fd16e41ec3184413ed1f14",
+    "sc-b16/eg-full/seed0": "7c0fdd1b6f965894864db85c531ac2797c476693754866b79a039c1e0ccb9a05",
+    "sc-b16/eg-full/seed1": "7c0fdd1b6f965894864db85c531ac2797c476693754866b79a039c1e0ccb9a05",
+    "sc-b16/slinadmm/seed0": "a33d905ff2d89c29a547e916578ac787cd5a421a1b0095d9769601a241c3f793",
+    "sc-b16/slinadmm/seed1": "33a09c8e07b37020750bfd66adee159e0adaa0e7bdb2b5ee30a3a3343ed5ec8c",
     "ls-ragged-b4/spdpeg/seed0": "b13efe61ef41389ebba4d8855b6ca5d4c85f527e1a6efef643033adecef593a9",
     "ls-ragged-b4/spdpeg/seed1": "b069a56feabff349cc3423952a179ca7c62ff244b9441c9a9f4133b8a434b187",
     "ls-ragged-b4/eg-full/seed0": "defe4cd86b30ae38bb4ae69eb7336bc82db1e75945e58347728b127b45d9bbbe",
@@ -82,18 +82,18 @@ GOLDEN = {
 }
 
 XAVG_GOLDEN = {
-    "convex-b1/spdpeg/seed0": "7ee669449507dcf22022277800c706a6f13f63e8fd085eabe1a741ae1c2aaf46",
-    "convex-b1/spdpeg/seed1": "387ab84629252a5d1e660e88786ed4e1b0d56997e2c249388ed02ef33fe31bfc",
-    "convex-b1/eg-full/seed0": "1253f9cb24c22718b2d3f84de64a95107bf45c82d8b8afc08eefe4f807f4face",
-    "convex-b1/eg-full/seed1": "1253f9cb24c22718b2d3f84de64a95107bf45c82d8b8afc08eefe4f807f4face",
-    "convex-b1/slinadmm/seed0": "d33dc8fa40ba882f203159402af285af5aae636119eebdccd499d547ded0c6b4",
-    "convex-b1/slinadmm/seed1": "758483b957b3bd8695cf40b2994ac62a5ff0ba1b2567a8bc5906256fb002ebca",
-    "sc-b16/spdpeg/seed0": "41e35bf44ca4ecf9275a6f5de3d36750e1685a1ae34ffa5513f38c67874fe645",
-    "sc-b16/spdpeg/seed1": "1051f1cabee69e5a8e39058a4946451a087693ef56bc9bee35477a6f0621caf0",
-    "sc-b16/eg-full/seed0": "d5776d4b5001d5933dd91bde9ae21dfbef0627331fd85b50cea046b2b30c59b3",
-    "sc-b16/eg-full/seed1": "d5776d4b5001d5933dd91bde9ae21dfbef0627331fd85b50cea046b2b30c59b3",
-    "sc-b16/slinadmm/seed0": "ceb18a10938f01824488cd5be5619c1c7912890a93e5deded90bb4eea3877800",
-    "sc-b16/slinadmm/seed1": "4af0027fa91f414a72186f329334f90c5f27f601e0120965f65df2601b77b23d",
+    "convex-b1/spdpeg/seed0": "f2d81f3c1dc15fb2a05bef6f406c2f991b97241cc73d45690f9901ffef979290",
+    "convex-b1/spdpeg/seed1": "b33bac834adf48192e703680335c5d309a3ce506f244e767db8adcff49c48f13",
+    "convex-b1/eg-full/seed0": "63ceb0307df830e69207f3916f2cffc561b7825ddfe3369f5ec83026d6f59a36",
+    "convex-b1/eg-full/seed1": "63ceb0307df830e69207f3916f2cffc561b7825ddfe3369f5ec83026d6f59a36",
+    "convex-b1/slinadmm/seed0": "62fc599cb42dc38609c6a4b51d8d7ad453ea9cda622223082c4cbe18aa0b101a",
+    "convex-b1/slinadmm/seed1": "d7395846b11104105e807dc40da76fbedd7a23703c3cac45952b185a4fb4dbb3",
+    "sc-b16/spdpeg/seed0": "245cf6f1201b9c99de7e601e4eb5bc426d9462cf23402233fccd335534fe32d5",
+    "sc-b16/spdpeg/seed1": "97a27f28b7b3923fc7fc466b0910b314a69a0514cabdc09f1d1e16fe82ae02ea",
+    "sc-b16/eg-full/seed0": "8547a043ee179fbfe6015611b02705d1e750abee31ee88d5154cd82951c4ee3b",
+    "sc-b16/eg-full/seed1": "8547a043ee179fbfe6015611b02705d1e750abee31ee88d5154cd82951c4ee3b",
+    "sc-b16/slinadmm/seed0": "8f4125bc3ffa013904187f760650e4c052507bd2b00328316fa6939e81d8b76c",
+    "sc-b16/slinadmm/seed1": "6176e7af48aa71b7b4c0b60355bcaa145766d27a069c19e0867c629142d5a4e0",
     "ls-ragged-b4/spdpeg/seed0": "58823812d28f13a4182adc19d0fd2fecb2dfa56f6da9fbdf47c68fd140ad74b8",
     "ls-ragged-b4/spdpeg/seed1": "f9edfa7f65bcd39bd1ceaaae0ad93a380f42ba1bbdb4559117902ee0c8de7ee7",
     "ls-ragged-b4/eg-full/seed0": "5dd727084f1a3ed5fd2b7402e245f55af58abe459fa4beedf2061cac4c9729dd",
@@ -105,8 +105,8 @@ XAVG_GOLDEN = {
 REFERENCE_ITERS = 4000
 REFERENCE_CHECK_EVERY = 500
 REFERENCE_GOLDEN = {
-    "convex-b1": "e095694b089e3abbd2235abd5f6df0ae73f7257643864d3c1189d535b71c74f6",
-    "sc-b16": "c3e4acaa0063ae5add453a483c16008a6c3ed590c9d1a177731e084019a52d06",
+    "convex-b1": "186c41e62cbc43b98af61ffeb955bfade826981cbd169fd378c3629616ecd459",
+    "sc-b16": "6028e69da6b8701e956e3b6265d72fdd26744e44698d2aff95f4e2d8018d118a",
     "ls-ragged-b4": "2045caf16122abeb6d0d5b832de28cd30089147bc79117a9cff51da4df573f07",
 }
 
@@ -119,8 +119,8 @@ SWEEPS = {
                       step_scale=100.0),
 }
 SWEEP_GOLDEN = {
-    "stochastic": "c5dace119c5e80d4972a16b542d2c9125b21d1325e56ad95181e08c37176b2b9",
-    "deterministic": "ce280c627768f923723a8a8db9a06b4498aa90d6c6550e8d8bc8ebab42919922",
+    "stochastic": "ab1817639a03af8ad0027eb9d2c43f6a82a555da0565c2aa71886b2058a37f08",
+    "deterministic": "88b50f6b033a0c7d0beb8af0ccbf8da37a05a004f1a7a758f20ed5e66b20cfe9",
     "divergent": "1fee75651200c8004f3b502ebec113e7b562fdd66ae7d9298ebfae41e295385b",
 }
 

@@ -12,7 +12,9 @@ one place that derives L_tilde, ``solver.check_step_inequality`` the one
 place that takes a full gradient (a captured step records only what it
 computed, and reads no ``full_batch``), the command line names no
 synthetic kind and no regime (``bench.TASK_INSTANCES`` gives each task's),
-and ``solver.trace_grid`` alone states the trace grid.
+``solver.trace_grid`` alone states the trace grid, and the logistic loss's
+derivative and value are each stated once (``oracles._logistic``,
+``oracles._softplus``).
 """
 
 from __future__ import annotations
@@ -93,6 +95,13 @@ def test_the_step_computes_no_audit_gradient():
              if isinstance(top, ast.FunctionDef) and top.name == "run"]
     assert [node.lineno for node in ast.walk(run)
             if isinstance(node, ast.Attribute) and node.attr == "full_batch"] == []
+
+
+def test_the_logistic_derivative_has_one_statement():
+    # every coefficient and sigmoid of the logistic loss comes from
+    # oracles._logistic and every loss value from oracles._softplus: no
+    # other function of the package takes an exp
+    assert set(callers_of("exp")) == {"oracles._logistic", "oracles._softplus"}
 
 
 def test_seeds_run_through_one_loop():

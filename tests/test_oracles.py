@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -263,6 +264,62 @@ def test_softplus_bits_do_not_depend_on_layout():
             f"({np.show_config(mode='dicts')['SIMD Extensions']}): "
             f"{differ.size} losses change bits under {name}, first at "
             f"t={t[differ[0]]!r}: {got[differ[0]]!r} != {want[differ[0]]!r}")
+
+
+def test_scalar_coefficient_is_the_array_kernel():
+    """A batch-1 draw takes its logistic coefficient from numpy scalars (a
+    row's ``dot`` and its label), every other path from arrays; the two
+    must give the same bits, at margins of every scale and either label."""
+    rng = np.random.default_rng(41)
+    m = np.concatenate([_logistic_arguments(20_000, 42), EDGE_MARGINS,
+                        [709.0, -709.0, 710.0, -710.0, 1e300, -1e300]])
+    b = np.where(rng.random(m.size) < 0.5, 1.0, -1.0)
+    want = oracles._coefs("logistic", m, b)
+    scalars = [oracles._coefs("logistic", mi, bi) for mi, bi in zip(m, b)]
+    assert {type(c) for c in scalars} == {np.float64}
+    assert np.array(scalars).tobytes() == want.tobytes()
+
+
+def test_logistic_coefficient_is_within_4_ulp_of_the_exact_value():
+    """The one-exp coefficient against -b / (1 + e^(b*m)) in 50 digits: at
+    most 4 ulp (one exp and two roundings) below the cap, and above it
+    within e^-709 of the exact value, which lies below that."""
+    # mpmath is not a dependency of the package; it is used only in tests
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(43)
+    t = np.concatenate([rng.uniform(-745.0, 709.0, 2000),
+                        5.0 * rng.standard_normal(2000),
+                        [0.0, 36.0, -36.0, 709.0, -709.0, 709.5, 745.0, 1e300]])
+    b = np.where(rng.random(t.size) < 0.5, 1.0, -1.0)
+    got = oracles._logistic(-b, t.copy())
+    cap = math.exp(-709.0)
+    with mpmath.workdps(50):
+        for ti, bi, gi in zip(t.tolist(), b.tolist(), got.tolist()):
+            exact = -bi / (1 + mpmath.exp(ti))
+            if ti > 709.0:
+                assert abs(gi - exact) <= cap, ti
+            else:
+                assert abs(gi - exact) <= 4 * math.ulp(float(exact)), ti
+
+
+@pytest.mark.parametrize("num", [1.0, -1.0, 1.0 / 200, -1.0 / 200])
+def test_logistic_kernel_is_finite_and_silent_at_extreme_margins(num):
+    """b*m at +-710 (where exp overflows), +-1e300, +-inf and +-0.0 gives a
+    finite coefficient with no warning, in an array and as a scalar; -inf
+    gives num and +-0.0 gives num/2. A NaN stays NaN."""
+    t = np.array([710.0, -710.0, 1e300, -1e300, np.inf, -np.inf, 0.0, -0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = oracles._logistic(np.array(num), t.copy())
+        scalars = np.array([oracles._logistic(np.float64(num), v) for v in t])
+        nan = oracles._logistic(np.array(num), np.array([np.nan, -np.nan, 1.0]))
+        nan_scalar = oracles._logistic(np.float64(num), np.float64(np.nan))
+    assert scalars.tobytes() == got.tobytes()
+    assert np.isfinite(got).all() and (np.sign(got) == np.sign(num)).all()
+    assert got[5] == num and got[6] == got[7] == num / 2.0
+    assert 0.0 < got[0] / num < 1e-307
+    assert np.isnan(nan[:2]).all() and np.isfinite(nan[2])
+    assert np.isnan(nan_scalar)
 
 
 # margins a logistic full pass must take bit for bit: signed zeros, +-800
