@@ -411,10 +411,9 @@ def check_step_inequality(capture: StepCapture, problem: Problem,
     def sq(v):
         return float(v @ v)
 
-    delta_sq = sq(cap.grad_x_stoch
-                  - oracles.full_gradient(problem, dataset, cap.x_prev))
-    delta_bar_sq = sq(cap.grad_xbar_stoch
-                      - oracles.full_gradient(problem, dataset, cap.x_bar))
+    full = oracles.full_kernel(problem, dataset)
+    delta_sq = sq(cap.grad_x_stoch - full(cap.x_prev))
+    delta_bar_sq = sq(cap.grad_xbar_stoch - full(cap.x_bar))
     g2 = cap.grad_xbar_stoch - penalty.rmatvec(cap.lam_bar)
     residual_bar = penalty.matvec(cap.x_bar) - cap.z_next
     r1_bar, r2_next = reg_value(problem.r1, cap.x_bar), reg_value(problem.r2, cap.z_next)

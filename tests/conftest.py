@@ -1,16 +1,140 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules, and the pins.
 
+A pin is a value a test computes and compares to the bit: a digest of a
+trace, a reference, a report or a dataset, an iteration count, or a float
+in ``float.hex``. Every pin lives in ``tests/data/pins.json`` under a flat
+name (``golden/convex-b1/spdpeg/seed0``, ``sigma/convex``, ...), together
+with the host class the file was written on. Each is computed in one
+place, its test, which calls the ``pinned`` fixture as ``pinned(name,
+value)``. The bits follow the BLAS kernels and numpy's SIMD dispatch, so
+the pins hold on one host class; a mismatch fails with one line that
+names both classes.
+
+``pytest --write-pins NAME`` (repeatable) records the named pins as their
+tests compute them, and rewrites only those keys when the session passed.
+Regenerate only on a commit whose outputs are known to be right, only the
+pins a change is meant to move, and name each in the change. The replay
+fixtures under ``tests/data/replay`` are rewritten by the ``spdpeg run``
+commands in ``tests/test_replay_fixture.py``'s docstring; the ``plotdata/``
+pins hash the ``flr`` fixture, so write the fixture first and then
+``--write-pins plotdata/plot.csv --write-pins plotdata/plot_agg.csv``.
+"""
+
+import ctypes
 import hashlib
+import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from spdpeg import data, oracles
-from spdpeg.model import Dataset
+from spdpeg.model import Dataset, Problem, SolverConfig, estimate_lipschitz
+from spdpeg.penalties import build_fused_matrix
 from spdpeg.prox import ProxSpec, apply_prox, reg_value
 from spdpeg.solver import (Schedule, StepInequalityReport, _bracket_coefficients,
                            run, step_size)
-from spdpeg.sparse import PowerIterationError, SparseMatrix
+from spdpeg.sparse import PowerIterationError, SparseMatrix, power_iteration_sigma_max
+
+PIN_FILE = Path(__file__).resolve().parent / "data" / "pins.json"
+PINS = pytest.StashKey()
+
+
+def host_class() -> str:
+    """``<OpenBLAS core>/<numpy level>``: the core numpy's bundled OpenBLAS
+    picked and the highest x86-64 level numpy dispatches to, each None
+    where it is absent."""
+    umath, core = np._core._multiarray_umath, None
+    for lib in Path(np.__file__).parent.parent.glob("numpy.libs/libscipy_openblas64_*"):
+        get = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            core = get().decode()
+    level = max((f for f in (*umath.__cpu_baseline__, *umath.__cpu_dispatch__)
+                 if f.startswith("X86_V") and umath.__cpu_features__[f]), default=None)
+    return f"{core}/{level}"
+
+
+class Pins:
+    """The pins of one file. ``check`` compares a computed value with the
+    recorded one or, for a name in ``write``, records it; ``save`` then
+    rewrites those names alone, sorted, one pin a line."""
+
+    def __init__(self, path, write=()):
+        self.path, self.write, self.computed = Path(path), set(write), {}
+        doc = json.loads(self.path.read_text(encoding="utf-8"))
+        self.written_on, self.values, self.host = doc["host"], doc["pins"], host_class()
+        if self.write and self.written_on != self.host:
+            raise pytest.UsageError(f"--write-pins: {self.path.name} holds pins of "
+                                    f"{self.written_on}; this host is {self.host}, "
+                                    "so nothing is written")
+
+    def check(self, name: str, value) -> None:
+        __tracebackhide__ = True
+        if name in self.write:
+            self.computed[name] = value
+        elif value != self.values.get(name):
+            test = os.environ.get("PYTEST_CURRENT_TEST", "tests").split("::")[0]
+            raise AssertionError(
+                f"pin {name}: recorded {self.values.get(name)!r} -> computed {value!r} "
+                f"(written on {self.written_on}, running on {self.host}); "
+                f"rewrite with: pytest {test} --write-pins {name}")
+
+    def save(self, failed=False) -> None:
+        missing = ", ".join(sorted(self.write - self.computed.keys()))
+        if self.write and (failed or missing):
+            why = f"no test computed {missing}" if missing else "a test failed"
+            raise ValueError(f"--write-pins: {why}; nothing is written")
+        if self.write:
+            doc = {"host": self.written_on, "pins": {**self.values, **self.computed}}
+            self.path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
+                                 encoding="utf-8")
+
+
+def pytest_addoption(parser):
+    parser.addoption("--write-pins", action="append", default=[], metavar="NAME",
+                     help="rewrite the pin NAME as its test computes it")
+
+
+def pytest_configure(config):
+    config.stash[PINS] = Pins(PIN_FILE, config.getoption("write_pins"))
+
+
+def pytest_sessionfinish(session, exitstatus):
+    try:
+        session.config.stash[PINS].save(failed=exitstatus != 0)
+    except ValueError as exc:
+        session.exitstatus = 1
+        session.config.pluginmanager.get_plugin("terminalreporter").write_line(f"\n{exc}")
+
+
+@pytest.fixture
+def pinned(request):
+    """``pinned(name, value)`` asserts that ``value`` is the pin ``name``,
+    or records it under ``--write-pins name``."""
+    return request.config.stash[PINS].check
+
+
+def flr_instance(d=8, n=40, seed=3, gamma=0.1, iters=200, solver_seed=5, **cfg):
+    """A small convex fused-logistic instance: (problem, dataset, config)."""
+    dataset, _, _ = data.synthesize("fused-signal", d, n, 0.1, seed)
+    penalty = build_fused_matrix(d)
+    problem = Problem("logistic", ProxSpec("l1", 5e-4), ProxSpec("l1", 5e-3),
+                      penalty)
+    config = SolverConfig(gamma=gamma, regime="convex", max_iters=iters,
+                          seed=solver_seed,
+                          lipschitz_L=estimate_lipschitz(dataset, "logistic"),
+                          sigma_max_FtF=power_iteration_sigma_max(penalty),
+                          eval_every=cfg.pop("eval_every", 50), **cfg)
+    return problem, dataset, config
+
+
+def problem_for(loss, d, ridge=0.0):
+    """A problem of ``loss`` with no prox terms and an identity penalty."""
+    return Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
+                   sparse_from_dense(np.eye(d)), ridge=ridge)
 
 
 def csr_dataset(indptr, indices, data, labels, dimension):

@@ -1,26 +1,13 @@
 import numpy as np
 
+from conftest import flr_instance
 from spdpeg.baselines import run_eg_full, run_stoch_linadmm
-from spdpeg.data import synthesize
 from spdpeg.model import Dataset, Problem, SolverConfig, estimate_lipschitz
 from spdpeg.oracles import stochastic_gradient
 from spdpeg.penalties import build_fused_matrix
 from spdpeg.prox import ProxSpec, apply_prox
 from spdpeg.solver import run
 from spdpeg.sparse import SparseMatrix, power_iteration_sigma_max
-
-
-def flr_instance(d=8, n=40, seed=3, gamma=0.1, iters=200, solver_seed=5, **cfg):
-    dataset, _, _ = synthesize("fused-signal", d, n, 0.1, seed)
-    penalty = build_fused_matrix(d)
-    problem = Problem("logistic", ProxSpec("l1", 5e-4), ProxSpec("l1", 5e-3),
-                      penalty)
-    config = SolverConfig(gamma=gamma, regime="convex", max_iters=iters,
-                          seed=solver_seed,
-                          lipschitz_L=estimate_lipschitz(dataset, "logistic"),
-                          sigma_max_FtF=power_iteration_sigma_max(penalty),
-                          eval_every=cfg.pop("eval_every", 50), **cfg)
-    return problem, dataset, config
 
 
 def test_eg_full_equals_forced_full_batch_run():

@@ -92,17 +92,11 @@ def test_fit_rate_states_its_rule():
         bench.fit_rate([50, 100, 200], [1.0, 0.5, 0.25])
 
 
-CAPPED_REFERENCES_DIGEST = \
-    "dd78916e7fba8259e7a119d0db450f9516adcfc5a7bf771946f562e820ef7633"
-FLOOR_CERTIFICATES = {"convex": (350, "0x1.491eaced9eb4fp-41"),
-                      "sc": (150, "0x1.9113e51a4c6f3p-44")}
-
-
-def capped_references():
-    """Two capped runs, one ending between checkpoints and one on a
-    checkpoint, a run of no iterations and a converged run, on the small
-    core: their sha256 over (objective, iterations, converged) and x, the
-    references, and the build."""
+def test_capped_references_are_pinned(pinned):
+    # two capped runs, one ending between checkpoints and one on a
+    # checkpoint, a run of no iterations and a converged run, on the small
+    # core; the pin is their sha256 over (objective, iterations, converged)
+    # and x
     train, _, problem, _ = bench.build_all(small_core())
     h = hashlib.sha256()
     capped = []
@@ -112,22 +106,8 @@ def capped_references():
         h.update(repr((ref.objective, ref.iterations, ref.converged)).encode())
         h.update(ref.x.tobytes())
         capped.append(ref)
-    return h.hexdigest(), capped, (train, problem)
-
-
-def floor_reference(family):
-    """The uncapped reference at tol 0 on the d=8 core of a family: no gap
-    is small enough, so it stops on its floor, a gap no lower than two
-    checks before."""
-    core = small_core() if family == "convex" else bench.rate_core("sc", d=8, n=40)
-    train, _, problem, _ = bench.build_all(core)
-    return bench.reference_optimum(problem, train, core["config"]["gamma"], tol=0.0)
-
-
-def test_capped_references_are_pinned():
-    digest, capped, (train, problem) = capped_references()
     assert all(ref.certified_gap is None for ref in capped)
-    assert digest == CAPPED_REFERENCES_DIGEST
+    pinned("capped-references", h.hexdigest())
     assert [(r.iterations, r.converged) for r in capped] == \
         [(50, False), (40, False), (0, False), (15_000, True)]
     full = bench.reference_optimum(problem, train, 0.1)
@@ -135,8 +115,11 @@ def test_capped_references_are_pinned():
     assert full.objective < min(r.objective for r in capped)
 
 
-@pytest.mark.parametrize("family", sorted(FLOOR_CERTIFICATES))
-def test_fista_stops_once_its_gap_stops_falling(monkeypatch, family):
+@pytest.mark.parametrize("family", ["convex", "sc"])
+def test_fista_stops_once_its_gap_stops_falling(monkeypatch, family, pinned):
+    # the uncapped reference at tol 0 on the d=8 core of a family: no gap is
+    # small enough, so it stops on its floor, a gap no lower than two checks
+    # before
     steps, bind = [], oracles.full_kernel
 
     def counted_kernel(problem, dataset):
@@ -144,11 +127,13 @@ def test_fista_stops_once_its_gap_stops_falling(monkeypatch, family):
         return lambda x: steps.append(1) or gradient(x)
 
     monkeypatch.setattr(oracles, "full_kernel", counted_kernel)
-    ref = floor_reference(family)
-    iterations, certificate = FLOOR_CERTIFICATES[family]
-    assert len(steps) == ref.iterations == iterations
+    core = small_core() if family == "convex" else bench.rate_core("sc", d=8, n=40)
+    train, _, problem, _ = bench.build_all(core)
+    ref = bench.reference_optimum(problem, train, core["config"]["gamma"], tol=0.0)
+    assert len(steps) == ref.iterations
+    pinned(f"floor/{family}/iterations", ref.iterations)
     assert ref.converged
-    assert ref.certified_gap.hex() == certificate
+    pinned(f"floor/{family}/certificate", ref.certified_gap.hex())
 
 
 def test_uncached_reference_redoes_no_dataset_work(monkeypatch):
@@ -939,13 +924,3 @@ def test_spawned_workers_give_the_serial_manifest(tmp_path, monkeypatch):
     written = bench.replay_manifest(tmp_path / "spawn" / "manifest.json",
                                     tmp_path / "serial")
     assert len(written) == 6
-
-
-if __name__ == "__main__":
-    # regenerates the two pins above; run as
-    # PYTHONPATH=src python tests/test_bench.py
-    print(f'CAPPED_REFERENCES_DIGEST = "{capped_references()[0]}"')
-    for family in sorted(FLOOR_CERTIFICATES):
-        ref = floor_reference(family)
-        print(f'FLOOR_CERTIFICATES["{family}"] = '
-              f'({ref.iterations}, "{ref.certified_gap.hex()}")')

@@ -2,9 +2,7 @@ import hashlib
 import json
 import os
 import shutil
-import tempfile
 
-import numpy as np
 import pytest
 
 from conftest import (diverge_for_seed, ragged_copy, save_penalty,
@@ -15,52 +13,17 @@ from spdpeg.data import synthesize
 from spdpeg.penalties import build_fused_matrix
 from spdpeg.trace import read_trace_csv
 
+# The pins of this module (see conftest): ``rates/`` and ``lemma1/`` are the
 # sha256 of the files the small verify-rates and check-lemma1 calls below
-# write. Regenerate only on a commit whose outputs are known to be right:
-#   PYTHONPATH=src python tests/test_cli.py
-RATES_GOLDEN = {
-    "convex": "a32bc67311b3369dcd6fa56c6c115f5cff0856f39e373498696498e163bf471e",
-    "all": "95e86c9e83e5fe89b9940aa72066269d70f92aec3d4e972c2bc339363a9550d3",
-}
-# test_golden_trace.SWEEP_GOLDEN hashes bench.step_inequality_sweep at seed 1
-# through json.dumps(sort_keys=True); the CLI runs seed 0 and writes the list
-# of reports indented, in insertion order. So these pin bytes it does not.
-LEMMA1_GOLDEN = {
-    "both": "a07908bdc9e8d8e8038c3a51894fdd5d1448dd6bfa296f23fa30ef346eff090c",
-    "step-scale-100": "e14ef1070ecff9f9b173e3320e2f302c473efd98885f3ed5b3925026cf80e591",
-}
-# sha256 of each trace CSV, without its wall_seconds column, that the
-# ragged_argv run writes on the file of write_ragged_libsvm, per batch
-# size; the same command prints them
-RAGGED_GOLDEN = {
-    1: {"trace_eg-full_seed0.csv": "bb5acbd5a4a44dce6ca3780beea4cd60e0d2473f6a31c5bc1c071b0ed7fed297",
-        "trace_eg-full_seed1.csv": "bb5acbd5a4a44dce6ca3780beea4cd60e0d2473f6a31c5bc1c071b0ed7fed297",
-        "trace_slinadmm_seed0.csv": "24ad8f46a49f68267aae8380f238000cd8baed3fed9c48038af721c748eca295",
-        "trace_slinadmm_seed1.csv": "eddc004e5b5cc9f2cd34a97e21639cecb142c8e84448382c1729de7b0c13c3df",
-        "trace_spdpeg_seed0.csv": "6804552224b1b3338614063498d8f435a85f31cc9fcde4d52c3cdbe1e3359b3a",
-        "trace_spdpeg_seed1.csv": "5d364c9c019229684d1487e66683117870856ecf81f3ef82c0404179a750e3a6"},
-    4: {"trace_eg-full_seed0.csv": "bb5acbd5a4a44dce6ca3780beea4cd60e0d2473f6a31c5bc1c071b0ed7fed297",
-        "trace_eg-full_seed1.csv": "bb5acbd5a4a44dce6ca3780beea4cd60e0d2473f6a31c5bc1c071b0ed7fed297",
-        "trace_slinadmm_seed0.csv": "5fdb1a3e697376f74a00f5f145db21095bdfe19454aeaeddedbc44010b4f2815",
-        "trace_slinadmm_seed1.csv": "c1abf8f20830007e0df8646a2b1c3cc82d815b7d1a9b141b27a868f9c548409f",
-        "trace_spdpeg_seed0.csv": "ad30754fb68f3c5f7d8461ca568d177cf3d8dca9c3137432913122e5393c5477",
-        "trace_spdpeg_seed1.csv": "84712c1768208ad63de0aa69b41d976a41330dfe4fd1bd0f6793be051b72a92e"},
-}
-# the calls, each followed by "--out"
-RATES_ARGV = {
-    "convex": ["verify-rates", "--regime", "convex", "--iters", "2000",
-               "--seeds", "2", "--d", "8", "--n", "40", "--eval-every", "100"],
-    "all": ["verify-rates", "--regime", "all", "--iters", "1500",
-            "--seeds", "2", "--d", "8", "--n", "40", "--eval-every", "100"],
-}
-# sha256 of the long and the aggregate CSV that plotdata writes from the
-# committed flr replay traces (three solvers, two seeds, recorded wall
-# times); the same command prints them
+# write. The ``sweep/`` pins hash bench.step_inequality_sweep at seed 1
+# through json.dumps(sort_keys=True); the CLI runs seed 0 and writes the
+# list of reports indented, in insertion order, so ``lemma1/`` pins bytes
+# ``sweep/`` does not. ``ragged/b<batch>/<file>`` is the sha256 of each
+# trace CSV, without its wall_seconds column, of the run on a ragged
+# LIBSVM file below; ``plotdata/`` that of the long and the aggregate CSV
+# that plotdata writes from the committed flr replay traces (three solvers,
+# two seeds, recorded wall times).
 REPLAY_TRACES = os.path.join(os.path.dirname(__file__), "data", "replay", "flr")
-PLOTDATA_GOLDEN = {
-    "plot.csv": "eddcedc0fc5ecc2619c024926346cb776d7df20d344139ac58f2e2e1cb775a8b",
-    "plot_agg.csv": "a3485ba8c08f032b5db5c6399bc783fada1d842a72e3b25ced4d12ab36ef97bc",
-}
 LEMMA1_ARGV = {
     "both": ["check-lemma1", "--d", "8", "--n", "40", "--steps", "60",
              "--references", "3", "--mode", "both"],
@@ -73,35 +36,6 @@ LEMMA1_ARGV = {
 def sha256_of(path) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
-
-
-def write_ragged_libsvm(path) -> None:
-    """A LIBSVM file of ragged rows: a seeded graph-logistic set with about
-    30% of its entries dropped."""
-    ds, _, _ = synthesize("graph-logistic", 8, 60, 0.1, 21)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_libsvm(ragged_copy(ds, 22)))
-
-
-def ragged_argv(data_path, batch_size: int) -> list[str]:
-    """The precision-penalty run of every solver on a ragged data file:
-    CSR normalisation, both CSR draw kernels and the CSR full passes."""
-    return ["run", "--task", "ggrlr", "--data", str(data_path), "--normalize",
-            "--solver", "all", "--seeds", "2", "--iters", "200",
-            "--eval-every", "50", "--batch-size", str(batch_size)]
-
-
-def trace_digests(out) -> dict:
-    """sha256 of each trace CSV in ``out``, without its wall_seconds column."""
-    digests = {}
-    for name in sorted(os.listdir(out)):
-        if name.startswith("trace_"):
-            with open(os.path.join(out, name), encoding="utf-8") as fh:
-                rows = [line.split(",") for line in fh.read().splitlines()]
-            wall = rows[0].index("wall_seconds")
-            text = "\n".join(",".join(r[:wall] + r[wall + 1:]) for r in rows)
-            digests[name] = hashlib.sha256(text.encode()).hexdigest()
-    return digests
 
 
 def test_parse_synthetic_spec():
@@ -251,17 +185,31 @@ def test_run_on_libsvm_file_with_penalty_file(tmp_path):
 
 
 @pytest.mark.parametrize("batch_size", [1, 4])
-def test_run_on_a_ragged_libsvm_file_is_pinned_and_replays(tmp_path, batch_size):
+def test_run_on_a_ragged_libsvm_file_is_pinned_and_replays(tmp_path, batch_size,
+                                                           pinned):
+    # the precision-penalty run of every solver on a file of ragged rows (a
+    # seeded graph-logistic set with about 30% of its entries dropped): CSR
+    # normalisation, both CSR draw kernels and the CSR full passes
+    ds, _, _ = synthesize("graph-logistic", 8, 60, 0.1, 21)
     data_path = tmp_path / "ragged.txt"
-    write_ragged_libsvm(data_path)
+    data_path.write_text(serialize_libsvm(ragged_copy(ds, 22)), encoding="utf-8")
     out = tmp_path / "out"
-    assert main([*ragged_argv(data_path, batch_size), "--out", str(out)]) == 0
-    digests = trace_digests(out)
-    assert digests == RAGGED_GOLDEN[batch_size]
+    assert main(["run", "--task", "ggrlr", "--data", str(data_path), "--normalize",
+                 "--solver", "all", "--seeds", "2", "--iters", "200",
+                 "--eval-every", "50", "--batch-size", str(batch_size),
+                 "--out", str(out)]) == 0
+    names = sorted(p.name for p in out.glob("trace_*"))
+    assert names == [f"trace_{name}_seed{seed}.csv" for name in sorted(bench.SOLVERS)
+                     for seed in (0, 1)]
+    for name in names:
+        rows = [line.split(",") for line in (out / name).read_text("utf-8").splitlines()]
+        wall = rows[0].index("wall_seconds")
+        text = "\n".join(",".join(r[:wall] + r[wall + 1:]) for r in rows)
+        pinned(f"ragged/b{batch_size}/{name}", hashlib.sha256(text.encode()).hexdigest())
     replay = tmp_path / "replay"
     assert main(["run", "--from-manifest", str(out / "manifest.json"),
                  "--out", str(replay)]) == 0
-    for name in digests:
+    for name in names:
         assert (replay / name).read_bytes() == (out / name).read_bytes()
 
 
@@ -364,24 +312,26 @@ def test_run_fused_penalty_of_d_300(tmp_path):
     assert rc == 0
 
 
-def test_verify_rates_small(tmp_path, capsys):
+def test_verify_rates_small(tmp_path, capsys, pinned):
     out = tmp_path / "rates"
-    rc = main([*RATES_ARGV["convex"], "--out", str(out)])
+    rc = main(["verify-rates", "--regime", "convex", "--iters", "2000", "--seeds", "2",
+               "--d", "8", "--n", "40", "--eval-every", "100", "--out", str(out)])
     assert rc == 0
     assert [p.name for p in out.iterdir()] == ["rates.json"]
     report = json.loads((out / "rates.json").read_text())
     assert report["convex"]["slope"] < 0.0
-    assert sha256_of(out / "rates.json") == RATES_GOLDEN["convex"]
+    pinned("rates/convex", sha256_of(out / "rates.json"))
     assert "slope=" in capsys.readouterr().out
 
 
-def test_verify_rates_ordering_small(tmp_path):
+def test_verify_rates_ordering_small(tmp_path, pinned):
     out = tmp_path / "rates"
-    rc = main([*RATES_ARGV["all"], "--out", str(out)])
+    rc = main(["verify-rates", "--regime", "all", "--iters", "1500", "--seeds", "2",
+               "--d", "8", "--n", "40", "--eval-every", "100", "--out", str(out)])
     assert rc == 0
     report = json.loads((out / "rates.json").read_text())
     assert "ordering" in report and "sc-nonuniform" in report
-    assert sha256_of(out / "rates.json") == RATES_GOLDEN["all"]
+    pinned("rates/all", sha256_of(out / "rates.json"))
 
 
 def test_verify_rates_orders_at_the_last_grid_point_below_10000(tmp_path, capsys):
@@ -408,7 +358,7 @@ def test_verify_rates_reports_a_diverged_seed(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_check_lemma1_cli(tmp_path, capsys):
+def test_check_lemma1_cli(tmp_path, capsys, pinned):
     report_path = tmp_path / "lemma.json"
     rc = main([*LEMMA1_ARGV["both"], "--out", str(report_path)])
     assert rc == 0
@@ -417,7 +367,7 @@ def test_check_lemma1_cli(tmp_path, capsys):
     reports = json.loads(report_path.read_text())
     assert {r["mode"] for r in reports} == {"deterministic", "stochastic"}
     assert all(r["min_relative_slack"] >= -1e-8 for r in reports)
-    assert sha256_of(report_path) == LEMMA1_GOLDEN["both"]
+    pinned("lemma1/both", sha256_of(report_path))
 
 
 def test_check_lemma1_fails_below_the_slack_threshold(tmp_path, capsys,
@@ -436,12 +386,12 @@ def test_check_lemma1_fails_below_the_slack_threshold(tmp_path, capsys,
     assert "PASS" not in captured.out
 
 
-def test_check_lemma1_flags_inflated_steps(tmp_path, capsys):
+def test_check_lemma1_flags_inflated_steps(tmp_path, capsys, pinned):
     report_path = tmp_path / "lemma.json"
     rc = main([*LEMMA1_ARGV["step-scale-100"], "--out", str(report_path)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert sha256_of(report_path) == LEMMA1_GOLDEN["step-scale-100"]
+    pinned("lemma1/step-scale-100", sha256_of(report_path))
     flagged = int(out.split("steps with a negative")[0].rsplit(";", 1)[1].strip())
     assert flagged >= 1
     assert ("stochastic: the run diverged at iteration 15; only the 15 "
@@ -605,12 +555,12 @@ def test_plotdata_cli(tmp_path, capsys):
     assert header == "solver,metric,iteration,seed,value"
 
 
-def test_plotdata_pins_both_csvs(tmp_path):
+def test_plotdata_pins_both_csvs(tmp_path, pinned):
     rc = main(["plotdata", "--in", os.path.join(REPLAY_TRACES, "trace_*.csv"),
                "--out", str(tmp_path / "plot.csv")])
     assert rc == 0
-    assert {name: sha256_of(tmp_path / name) for name in PLOTDATA_GOLDEN} \
-        == PLOTDATA_GOLDEN
+    for name in ("plot.csv", "plot_agg.csv"):
+        pinned(f"plotdata/{name}", sha256_of(tmp_path / name))
 
 
 def test_plotdata_names_the_file_and_line_of_a_bad_trace(tmp_path, capsys):
@@ -670,24 +620,3 @@ def test_plotdata_rejects_a_seed_that_two_files_hold(tmp_path, capsys):
     assert line == (f"error: trace files {first!r} and {second!r} both hold "
                     "spdpeg seed 0")
     assert not out.exists() and not (tmp_path / "plot_agg.csv").exists()
-
-
-if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in RATES_ARGV.items():
-            main([*argv, "--out", os.path.join(tmp, name)])
-            print(f'RATES {name}: {sha256_of(os.path.join(tmp, name, "rates.json"))}')
-        for name, argv in LEMMA1_ARGV.items():
-            path = os.path.join(tmp, f"{name}.json")
-            main([*argv, "--out", path])
-            print(f"LEMMA1 {name}: {sha256_of(path)}")
-        write_ragged_libsvm(os.path.join(tmp, "ragged.txt"))
-        for batch_size in (1, 4):
-            out = os.path.join(tmp, f"ragged-b{batch_size}")
-            main([*ragged_argv(os.path.join(tmp, "ragged.txt"), batch_size),
-                  "--out", out])
-            print(f"RAGGED {batch_size}: {trace_digests(out)}")
-        main(["plotdata", "--in", os.path.join(REPLAY_TRACES, "trace_*.csv"),
-              "--out", os.path.join(tmp, "plot.csv")])
-        for name in PLOTDATA_GOLDEN:
-            print(f"PLOTDATA {name}: {sha256_of(os.path.join(tmp, name))}")

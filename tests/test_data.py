@@ -89,22 +89,18 @@ def write_rows(path, n: int, d: int, ragged: bool) -> None:
                      + "\n")
 
 
-# (rows, features, ragged, peak bound over the kept arrays, fingerprint).
+# name: (rows, features, ragged, peak bound over the kept arrays); the
+# fingerprint is the parsed/<name> pin.
 # The one-pass parse measured a peak of 2.06x and 1.70x the kept arrays
 # (numpy 2.4.6, CPython 3.11.7), so the bounds leave about 20%; a parse
 # that builds per-line arrays and concatenates them measured 4.52x and 3.11x.
-PARSED_FILES = [
-    (20_000, 20, False, 2.5,
-     "74b5551fff766cec20d1b076d7a9aa8411b0c1d457299fed2f841271450c6f43"),
-    (8_000, 123, True, 2.0,
-     "66b58aa27e9957f4ff75735d7848a321aad5a92e4153010273ca98846bebfe82"),
-]
+PARSED_FILES = {"full-rows": (20_000, 20, False, 2.5),
+                "ragged-rows": (8_000, 123, True, 2.0)}
 
 
-@pytest.mark.parametrize("n, d, ragged, bound, digest", PARSED_FILES,
-                         ids=["full-rows", "ragged-rows"])
-def test_parse_keeps_its_bits_and_peaks_near_what_it_keeps(tmp_path, n, d, ragged,
-                                                           bound, digest):
+@pytest.mark.parametrize("name", list(PARSED_FILES))
+def test_parse_keeps_its_bits_and_peaks_near_what_it_keeps(tmp_path, name, pinned):
+    n, d, ragged, bound = PARSED_FILES[name]
     path = tmp_path / "rows.txt"
     write_rows(path, n, d, ragged)
     tracemalloc.start()
@@ -118,7 +114,7 @@ def test_parse_keeps_its_bits_and_peaks_near_what_it_keeps(tmp_path, n, d, ragge
     kept = ((ds.data, ds.indptr) if ds.dense_rows is not None else
             (ds.indptr, ds.indices, ds.data, ds.row_ids))
     assert peak <= bound * sum(a.nbytes for a in (*kept, ds.labels))
-    assert fingerprint(ds) == digest
+    pinned(f"parsed/{name}", fingerprint(ds))
 
 
 @settings(max_examples=60, deadline=None)
@@ -174,15 +170,9 @@ def test_split_preserves_multiset():
     assert sorted(rows(train) + rows(test)) == sorted(rows(ds))
 
 
-# generated on the commit before Dataset.subset took its rows with
-# SparseMatrix.take_rows
-SPLIT_FINGERPRINTS = (
-    "64edd30e198fba7d9c1008e418d028fc9280d34b88215325ff4675d46687a5a2",
-    "fa430c437d664670465a96aba3573811c2a329d27c7ffdd9816afe1aed2babd5",
-)
-
-
-def test_split_of_ragged_dataset_is_pinned():
+def test_split_of_ragged_dataset_is_pinned(pinned):
+    # the split/ pins were recorded on the commit before Dataset.subset took
+    # its rows with SparseMatrix.take_rows
     # eleven rows of one to four entries over six features, rows 3 and 8 empty
     rng = np.random.default_rng(21)
     lengths = rng.integers(1, 5, size=11)
@@ -194,7 +184,8 @@ def test_split_of_ragged_dataset_is_pinned():
                      np.where(rng.random(11) < 0.5, 1.0, -1.0), 6)
     train, test = split(ds, SplitSpec(0.6, 5))
     assert (train.n_samples, test.n_samples) == (7, 4)
-    assert (fingerprint(train), fingerprint(test)) == SPLIT_FINGERPRINTS
+    pinned("split/train", fingerprint(train))
+    pinned("split/test", fingerprint(test))
 
 
 def test_split_rejects_degenerate():
@@ -310,14 +301,11 @@ def test_synthesize_graph_truth_constant_on_components():
         assert x_star[i] == x_star[j]
 
 
-# sha256 over a grid of synthesize("graph-logistic", ...) results (data,
-# labels, edges, x*) and, from _ground_truth on a fresh generator, the
-# generator's state and next draws; recorded before the edge draws took
-# rounds. Print it with `PYTHONPATH=src python tests/test_data.py`.
-GRAPH_SYNTH_DIGEST = "256f0984f118dbb65213a8d607b494fce745f81ec17e73242c64e388a9995f9c"
-
-
-def graph_synthesizer_digest() -> str:
+def test_graph_synthesizer_is_pinned(pinned):
+    # sha256 over a grid of synthesize("graph-logistic", ...) results (data,
+    # labels, edges, x*) and, from _ground_truth on a fresh generator, the
+    # generator's state and next draws; recorded before the edge draws took
+    # rounds
     h = hashlib.sha256()
     for d in (2, 3, 5, 20, 123, 300):
         for seed in (0, 1, 7, 12345, 2 ** 63 + 5):
@@ -328,11 +316,7 @@ def graph_synthesizer_digest() -> str:
             h.update(repr(rng.bit_generator.state).encode())
             h.update(rng.integers(0, d, size=3))
             h.update(rng.standard_normal(3))
-    return h.hexdigest()
-
-
-def test_graph_synthesizer_is_pinned():
-    assert graph_synthesizer_digest() == GRAPH_SYNTH_DIGEST
+    pinned("graph-synth", h.hexdigest())
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 8, 20, 50, 123, 300])
@@ -375,7 +359,3 @@ def test_normalize_features_scales_to_unit_max():
     np.testing.assert_allclose(col_max, [1.0, 1.0])
     # normalization changes the worst-case smoothness bound
     assert estimate_lipschitz(scaled, "logistic") != estimate_lipschitz(ds, "logistic")
-
-
-if __name__ == "__main__":
-    print(f'GRAPH_SYNTH_DIGEST = "{graph_synthesizer_digest()}"')

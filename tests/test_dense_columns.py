@@ -26,8 +26,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (csr_dataset, one_exp_logistic, serialize_libsvm,
-                      sparse_from_dense)
+from conftest import csr_dataset, one_exp_logistic, problem_for, serialize_libsvm
 from spdpeg import oracles, solver
 from spdpeg.data import SplitSpec, parse_libsvm, split, synthesize
 from spdpeg.model import LOSS_LOGISTIC, Dataset, Problem
@@ -101,11 +100,6 @@ def dense_dataset(seed, n, d, stored_zeros=False):
         values[rng.random(n * d) < 0.2] = -0.0
     return csr_dataset(d * np.arange(n + 1), np.tile(np.arange(d), n), values,
                        np.where(rng.random(n) < 0.5, 1.0, -1.0), d)
-
-
-def problem_for(loss, d, ridge):
-    return Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
-                   sparse_from_dense(np.eye(d)), ridge=ridge)
 
 
 def trial_points(d, seed):

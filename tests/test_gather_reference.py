@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import csr_dataset, one_exp_logistic, sparse_from_dense
+from conftest import csr_dataset, one_exp_logistic, problem_for, sparse_from_dense
 from spdpeg.model import Problem
 from spdpeg.oracles import draw_kernel, stochastic_gradient
 from spdpeg.prox import ProxSpec
@@ -109,11 +109,6 @@ def uniform_dataset(seed, n=40, d=15, k=5):
 
 DATASETS = {"ragged": ragged_dataset, "dense": dense_dataset,
             "uniform": uniform_dataset}
-
-
-def problem_for(loss, d, ridge):
-    return Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
-                   sparse_from_dense(np.eye(d)), ridge=ridge)
 
 
 @pytest.mark.parametrize("kind", sorted(DATASETS))

@@ -8,9 +8,10 @@ line, each a layer of its own. The package root re-exports names from
 several layers and lies outside the order.
 
 Facts with one source are checked here too: ``solver.make_schedule`` is the
-one place that derives L_tilde, ``solver.check_step_inequality`` the one
-place that takes a full gradient (a captured step records only what it
-computed, and reads no ``full_batch``), the command line names no
+one place that derives L_tilde, ``solver.check_step_inequality`` binds the
+full pass that audits a step and nothing in the package calls the checked
+``oracles.full_gradient`` (a captured step records only what it computed,
+and reads no ``full_batch``), the command line names no
 synthetic kind and no regime (``bench.TASK_INSTANCES`` gives each task's),
 ``solver.trace_grid`` alone states the trace grid, and the logistic loss's
 derivative and value are each stated once (``oracles._logistic``,
@@ -88,9 +89,11 @@ def test_L_tilde_has_one_source():
 
 
 def test_the_step_computes_no_audit_gradient():
-    # the audit computes the full gradients that measure a captured step's
-    # noise; the step only records what it drew
-    assert set(callers_of("full_gradient")) == {"solver.check_step_inequality"}
+    # the audit binds the full pass that measures a captured step's noise;
+    # the step only records what it drew, and no function of the package
+    # takes the checked entry
+    assert "solver.check_step_inequality" in callers_of("full_kernel")
+    assert callers_of("full_gradient") == []
     [run] = [top for top in parse("solver").body
              if isinstance(top, ast.FunctionDef) and top.name == "run"]
     assert [node.lineno for node in ast.walk(run)

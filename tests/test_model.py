@@ -90,21 +90,15 @@ def test_from_dense_rows_stores_every_feature():
         Dataset.from_dense_rows([1.0, 2.0], [1.0])
 
 
-# generated with the implementation that predates Dataset.features; they pin
-# the bytes a dataset holds, hashed by ``conftest.fingerprint``
-DATASET_FINGERPRINTS = {
-    "ragged": "88803a6f3079d89aea20d243b70602d731f6acd815b703d5d82c22d772d6a829",
-    "fused-signal": "99d5eec74c750f0d8357b913066469634b9ea127d80d91be10bafe98e560027d",
-}
-
-
-def test_dataset_fingerprint_is_pinned():
+def test_dataset_fingerprint_is_pinned(pinned):
+    # the dataset/ pins were recorded with the implementation that predates
+    # Dataset.features; they pin the bytes a dataset holds
     # three rows over four features, the middle one empty
     ragged = csr_dataset([0, 2, 2, 5], [0, 3, 1, 2, 3],
                          [1.5, -2.0, 0.25, 3.0, -1.0], [1.0, -1.0, 1.0], 4)
     dense, _, _ = synthesize("fused-signal", d=5, n=7, noise=0.1, seed=3)
-    assert fingerprint(ragged) == DATASET_FINGERPRINTS["ragged"]
-    assert fingerprint(dense) == DATASET_FINGERPRINTS["fused-signal"]
+    pinned("dataset/ragged", fingerprint(ragged))
+    pinned("dataset/fused-signal", fingerprint(dense))
 
 
 def test_dataset_rejects_index_beyond_dimension():

@@ -4,21 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import (logaddexp_logistic_losses, reference_full_pass,
-                      sparse_from_dense)
+from conftest import (logaddexp_logistic_losses, problem_for,
+                      reference_full_pass, sparse_from_dense)
 from spdpeg import oracles
-from spdpeg.model import Dataset, Problem, estimate_lipschitz
+from spdpeg.model import Dataset, estimate_lipschitz
 from spdpeg.oracles import data_loss, full_gradient, loss_value, stochastic_gradient
-from spdpeg.prox import ProxSpec
 
 
 def dense_dataset(rows, labels):
     return Dataset.from_dense_rows(rows, labels)
-
-
-def make_problem(loss, d, ridge=0.0):
-    return Problem(loss, ProxSpec("none"), ProxSpec("l1", 0.0),
-                   sparse_from_dense(np.eye(d)), ridge=ridge)
 
 
 def per_sample_gradient(problem, dataset, x, i):
@@ -35,13 +29,13 @@ def per_sample_gradient(problem, dataset, x, i):
 
 def test_logistic_loss_at_zero():
     ds = dense_dataset([[1.0, 0.0]], [1.0])
-    p = make_problem("logistic", 2)
+    p = problem_for("logistic", 2)
     assert loss_value(p, ds, np.zeros(2)) == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_least_squares_exact_fit():
     ds = dense_dataset([[1.0]], [1.0])
-    p = make_problem("least-squares", 1)
+    p = problem_for("least-squares", 1)
     # a=1, b=1 fit exactly at x=1 (labels must be +-1)
     assert loss_value(p, ds, np.array([1.0])) == 0.0
     np.testing.assert_array_equal(full_gradient(p, ds, np.array([1.0])), [0.0])
@@ -49,21 +43,21 @@ def test_least_squares_exact_fit():
 
 def test_logistic_large_margin_underflows_cleanly():
     ds = dense_dataset([[1.0]], [1.0])
-    p = make_problem("logistic", 1)
+    p = problem_for("logistic", 1)
     v = loss_value(p, ds, np.array([40.0]))
     assert 0.0 <= v <= 1e-15
 
 
 def test_logistic_gradient_at_zero():
     ds = dense_dataset([[1.0, 0.0]], [1.0])
-    p = make_problem("logistic", 2)
+    p = problem_for("logistic", 2)
     np.testing.assert_allclose(full_gradient(p, ds, np.zeros(2)), [-0.5, 0.0])
 
 
 def test_duplicate_samples_average_to_single():
     single = dense_dataset([[0.3, -1.2]], [1.0])
     double = dense_dataset([[0.3, -1.2], [0.3, -1.2]], [1.0, 1.0])
-    p = make_problem("logistic", 2)
+    p = problem_for("logistic", 2)
     x = np.array([0.4, 0.7])
     np.testing.assert_allclose(full_gradient(p, single, x),
                                full_gradient(p, double, x), rtol=1e-15)
@@ -75,7 +69,7 @@ def test_finite_difference_agreement(loss, ridge):
     rng = np.random.default_rng(11)
     feats = rng.standard_normal((30, 5))
     ds = dense_dataset(feats, np.where(rng.random(30) < 0.5, 1.0, -1.0))
-    p = make_problem(loss, 5, ridge=ridge)
+    p = problem_for(loss, 5, ridge=ridge)
     eps = 1e-5
     for _ in range(50):
         x = rng.standard_normal(5)
@@ -90,7 +84,7 @@ def test_exact_unbiasedness_identity():
     feats = rng.standard_normal((40, 6))
     ds = dense_dataset(feats, np.where(rng.random(40) < 0.5, 1.0, -1.0))
     for loss in ("logistic", "least-squares"):
-        p = make_problem(loss, 6)
+        p = problem_for(loss, 6)
         x = rng.standard_normal(6)
         mean_grad = np.zeros(6)
         for i in range(40):
@@ -103,7 +97,7 @@ def test_enumerate_all_equals_full_gradient():
     rng = np.random.default_rng(3)
     feats = rng.standard_normal((25, 4))
     ds = dense_dataset(feats, np.where(rng.random(25) < 0.5, 1.0, -1.0))
-    p = make_problem("logistic", 4)
+    p = problem_for("logistic", 4)
     x = rng.standard_normal(4)
     state = rng.bit_generator.state
     g = stochastic_gradient(p, ds, x, rng, batch_size=25, enumerate_all=True)
@@ -114,7 +108,7 @@ def test_enumerate_all_equals_full_gradient():
 def test_stochastic_gradient_deterministic_given_state():
     ds = dense_dataset(np.random.default_rng(0).standard_normal((10, 3)),
                        [1.0, -1.0] * 5)
-    p = make_problem("logistic", 3)
+    p = problem_for("logistic", 3)
     x = np.array([0.1, -0.2, 0.3])
     a = stochastic_gradient(p, ds, x, np.random.default_rng(42), 2)
     b = stochastic_gradient(p, ds, x, np.random.default_rng(42), 2)
@@ -125,7 +119,7 @@ def test_stochastic_gradient_monte_carlo_unbiased():
     rng = np.random.default_rng(5)
     feats = rng.standard_normal((12, 3))
     ds = dense_dataset(feats, np.where(rng.random(12) < 0.5, 1.0, -1.0))
-    p = make_problem("logistic", 3)
+    p = problem_for("logistic", 3)
     x = rng.standard_normal(3)
     n_draws = 100_000
     draw_rng = np.random.default_rng(17)
@@ -144,7 +138,7 @@ def test_lipschitz_witness():
     feats = rng.standard_normal((20, 4))
     ds = dense_dataset(feats, np.where(rng.random(20) < 0.5, 1.0, -1.0))
     for loss in ("logistic", "least-squares"):
-        p = make_problem(loss, 4)
+        p = problem_for(loss, 4)
         lips = estimate_lipschitz(ds, loss)
         for _ in range(200):
             x1, x2 = rng.standard_normal(4), rng.standard_normal(4)
@@ -154,7 +148,7 @@ def test_lipschitz_witness():
 
 def test_data_loss_excludes_ridge():
     ds = dense_dataset([[1.0]], [1.0])
-    p = make_problem("logistic", 1, ridge=1.0)
+    p = problem_for("logistic", 1, ridge=1.0)
     x = np.array([2.0])
     assert loss_value(p, ds, x) == pytest.approx(data_loss("logistic", ds, x) + 2.0)
 
@@ -347,7 +341,7 @@ def edge_datasets(n, d, seed):
 @pytest.mark.parametrize("loss", ["logistic", "least-squares"])
 @pytest.mark.parametrize("ridge", [0.0, 0.3])
 def test_full_pass_is_bitwise_the_coefs_over_n(n, d, loss, ridge):
-    problem = make_problem(loss, d, ridge=ridge)
+    problem = problem_for(loss, d, ridge=ridge)
     rng = np.random.default_rng(n * 100 + d)
     points = [np.eye(d)[0], -np.eye(d)[0], np.zeros(d)]
     points += [scale * rng.standard_normal(d) for scale in (0.1, 1.0, 30.0)
@@ -371,7 +365,7 @@ def test_full_pass_coefficients_at_edge_margins(monkeypatch):
     dataset = dense_dataset(rows, labels)
     monkeypatch.setattr(oracles, "margins", lambda dataset, x: m.copy())
     for ridge in (0.0, 0.3):
-        problem = make_problem("logistic", d, ridge=ridge)
+        problem = problem_for("logistic", d, ridge=ridge)
         x = np.array([0.5, -0.25, 2.0])
         assert (full_gradient(problem, dataset, x).tobytes()
                 == reference_full_pass(problem, dataset, x).tobytes())

@@ -6,16 +6,23 @@ solvers, two seeds. Replaying each through ``spdpeg run --from-manifest``
 must rewrite every trace file byte for byte, so the manifest format, the
 derived constants and the solvers' bits are pinned across changes.
 
-Regenerate with ``PYTHONPATH=src python tests/test_replay_fixture.py`` only
-on a commit whose traces are known to be right, and say so in the change
-that does it.
+A fixture is the output of one command, which
+``test_the_run_options_rebuild_the_committed_core`` ties to its core; from
+the repository root::
+
+    spdpeg run --task flr --synthetic fused-signal:d=10,N=60 --solver all \\
+        --seeds 2 --iters 200 --eval-every 50 --out tests/data/replay/flr
+    spdpeg run --task ggrlr --synthetic graph-logistic:d=10,N=60 --solver all \\
+        --seeds 2 --iters 200 --eval-every 50 --out tests/data/replay/ggrlr
+
+Rewrite a fixture only as ``conftest`` says of pins: the ``wall_seconds`` of
+every trace change on each run, so leave a task that should not move alone.
 """
 
 from __future__ import annotations
 
 import json
 import shutil
-import sys
 from copy import deepcopy
 from pathlib import Path
 
@@ -333,11 +340,3 @@ def test_every_mutated_leaf_replays_or_is_one_error_line(task, tmp_path, capsys,
             failures.append(f"{label}: {lines[0]} left --out behind")
     assert cases > 400
     assert failures == []
-
-
-if __name__ == "__main__":
-    for task, argv in RUN_ARGV.items():
-        out = FIXTURE / task
-        shutil.rmtree(out, ignore_errors=True)
-        if main(["run", *argv, *COMMON_ARGV, "--out", str(out)]) != 0:
-            sys.exit(f"the {task} run failed")

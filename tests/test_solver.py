@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (average_weight, count_calls, csr_dataset,
+from conftest import (average_weight, count_calls, csr_dataset, flr_instance,
                       schedule_bracket_coefficients,
                       single_reference_step_inequality, sparse_from_dense)
 from spdpeg.model import Dataset, Problem, SolverConfig, estimate_lipschitz
@@ -21,19 +21,6 @@ from spdpeg.solver import (DivergenceError, Schedule, check_step_inequality,
 from spdpeg.sparse import power_iteration_sigma_max
 from spdpeg import baselines, bench
 from spdpeg import solver as solver_mod
-
-
-def flr_instance(d=8, n=40, seed=3, gamma=0.1, iters=200, solver_seed=5, **cfg):
-    dataset, _, _ = synthesize("fused-signal", d, n, 0.1, seed)
-    penalty = build_fused_matrix(d)
-    problem = Problem("logistic", ProxSpec("l1", 5e-4), ProxSpec("l1", 5e-3),
-                      penalty)
-    config = SolverConfig(gamma=gamma, regime="convex", max_iters=iters,
-                          seed=solver_seed,
-                          lipschitz_L=estimate_lipschitz(dataset, "logistic"),
-                          sigma_max_FtF=power_iteration_sigma_max(penalty),
-                          eval_every=cfg.pop("eval_every", 50), **cfg)
-    return problem, dataset, config
 
 
 def test_step_size_examples():

@@ -217,12 +217,11 @@ def test_sigma_max_is_dense_up_to_the_cut_over(monkeypatch):
         assert (len(dense), len(powers)) == expect, d
 
 
-def test_sigma_max_of_the_benchmark_cores_is_pinned():
-    pinned = {"convex": "0x1.fcd924a17f22fp+1", "sc": "0x1.a4b023d5e4baep+2"}
-    for family, expect in pinned.items():
-        assert float.hex(_core_penalty(family).sigma_max_FtF) == expect, family
+def test_sigma_max_of_the_benchmark_cores_is_pinned(pinned):
+    for family in ("convex", "sc"):
+        pinned(f"sigma/{family}", float.hex(_core_penalty(family).sigma_max_FtF))
     # the large-n workload's penalty is the fused one of d=50
-    assert float.hex(build_fused_matrix(50).sigma_max_FtF) == "0x1.ff7eadff22200p+1"
+    pinned("sigma/fused-d50", float.hex(build_fused_matrix(50).sigma_max_FtF))
 
 
 def test_sigma_max_rejects_bad_tol():
@@ -239,14 +238,12 @@ def test_fingerprint_tracks_content():
     assert fingerprint(a, labels) not in (fingerprint(a), fingerprint(a, -labels))
 
 
-def test_fingerprint_is_pinned():
-    # generated with the implementation that predates Dataset.features; they
-    # pin the CSR arrays a matrix holds, hashed by ``conftest.fingerprint``
+def test_fingerprint_is_pinned(pinned):
+    # the fingerprint/ pins were recorded with the implementation that
+    # predates Dataset.features; they pin the CSR arrays a matrix holds
     zero = SparseMatrix(2, 3, [0, 0, 0], [], [])
-    assert fingerprint(FIRST_DIFF_2x3) == \
-        "b6dd5b4cfac1f4547db974c4d1e7ebb7412ddd0476cc2b0de17eef1b2cd9e754"
-    assert fingerprint(zero) == \
-        "9298a62c7efea8bcbd08a5cbe5d3f686e143a1daaf542820f44cbcb7d2c8c99b"
+    pinned("fingerprint/first-diff-2x3", fingerprint(FIRST_DIFF_2x3))
+    pinned("fingerprint/zero-2x3", fingerprint(zero))
 
 
 # five rows over four features: ragged, rows 1 and 4 empty, a stored -0.0
